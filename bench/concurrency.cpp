@@ -59,13 +59,13 @@ int main(int argc, char** argv) {
   };
 
   auto run_map = [&](LockMode mode, usize threads, double get_fraction,
-                     LockContention* contention_out) {
+                     obs::ContentionSnapshot* contention_out) {
     ConcurrentGroupHashMap map(shards, {.initial_cells = 1 << 20}, mode);
     for (u64 k = 1; k <= key_space; ++k) map.put(k, k);
     const double mops = run_workload(
         [&](u64 k, u64 v) { map.put(k, v); },
         [&](u64 k) { do_not_optimize(map.get(k)); }, threads, get_fraction);
-    if (contention_out != nullptr) *contention_out = map.contention();
+    if (contention_out != nullptr) *contention_out = map.snapshot().contention;
     return mops;
   };
 
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     for (usize threads = 1; threads <= 16; threads *= 2) {
       const double map_mutex =
           run_map(LockMode::kPessimistic, threads, get_fraction, nullptr);
-      LockContention contention;
+      obs::ContentionSnapshot contention;
       const double map_seq =
           run_map(LockMode::kOptimistic, threads, get_fraction, &contention);
       const double tab_mutex = run_table(LockMode::kPessimistic, threads, get_fraction);
@@ -96,9 +96,9 @@ int main(int argc, char** argv) {
       t.add_row({std::to_string(threads), format_double(map_mutex, 2),
                  format_double(map_seq, 2), format_double(map_seq / map_mutex, 2) + "x",
                  format_double(tab_mutex, 2), format_double(tab_seq, 2),
-                 std::to_string(contention.read_retries.load()),
-                 std::to_string(contention.read_fallbacks.load()),
-                 std::to_string(contention.writer_waits.load())});
+                 std::to_string(contention.read_retries),
+                 std::to_string(contention.read_fallbacks),
+                 std::to_string(contention.writer_waits)});
     }
     t.print(std::cout);
   }

@@ -71,17 +71,18 @@ int main(int argc, char** argv) {
         std::cout << key << " -> " << value << "\n";
       });
     } else if (cmd == "stats") {
-      const gh::StringMapStats s = map.stats();
-      std::cout << "entries " << s.items << "\n"
-                << "table_capacity " << s.table_capacity << "\n"
-                << "arena_used " << gh::format_bytes(s.arena_used) << "\n"
-                << "arena_live " << gh::format_bytes(s.arena_live) << "\n"
-                << "arena_capacity " << gh::format_bytes(s.arena_capacity) << "\n"
-                << "compactions " << s.compactions << "\n"
-                << "recoveries " << s.recoveries << "\n";
+      const gh::obs::Snapshot s = map.snapshot();
+      const auto arena = map.arena_usage();
+      std::cout << "entries " << s.size << "\n"
+                << "table_capacity " << s.capacity << "\n"
+                << "arena_used " << gh::format_bytes(arena.used) << "\n"
+                << "arena_live " << gh::format_bytes(arena.live) << "\n"
+                << "arena_capacity " << gh::format_bytes(arena.capacity) << "\n"
+                << "compactions " << s.lifecycle.compactions << "\n"
+                << "recoveries " << s.lifecycle.recoveries << "\n";
     } else if (cmd == "compact") {
       map.compact();
-      std::cout << "OK arena_used now " << gh::format_bytes(map.stats().arena_used)
+      std::cout << "OK arena_used now " << gh::format_bytes(map.arena_usage().used)
                 << "\n";
     } else {
       std::cout << "ERR unknown command '" << cmd << "'\n";

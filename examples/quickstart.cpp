@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
     std::cout << "user 42 -> " << *map.get(42) << "\n";
     std::cout << "user 7  -> " << (map.get(7) ? "present" : "deleted") << "\n";
 
-    const gh::MapMetrics& m = map.metrics();
+    const gh::obs::Snapshot m = map.snapshot();
     std::cout << "NVM traffic: " << m.persist.lines_flushed << " cacheline flushes, "
               << gh::format_bytes(m.persist.bytes_written) << " written, "
-              << m.expansions << " expansions\n";
+              << m.lifecycle.expansions << " expansions\n";
 
     map.close();  // marks the file clean
   }

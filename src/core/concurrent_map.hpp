@@ -19,8 +19,8 @@
 //     rejected by validation.
 //
 // Per-shard contention counters (read retries, fallback acquisitions,
-// writer waits) are exact and surfaced via contention()/shard_contention()
-// and the inspect machinery (core/inspect.hpp: inspect_shards()).
+// writer waits) are exact and surfaced via snapshot() (aggregate and
+// per_shard) and the inspect machinery (core/inspect.hpp: inspect_shards()).
 #pragma once
 
 #include <algorithm>
@@ -229,17 +229,6 @@ class BasicConcurrentGroupHashMap {
                                                 s.lifecycle.degraded});
       total.absorb(s);
     }
-    return total;
-  }
-
-  /// DEPRECATED: contention counters of one shard / aggregated over all
-  /// shards — the same numbers snapshot().contention / .per_shard report.
-  [[nodiscard]] const LockContention& shard_contention(usize s) const {
-    return shards_[s]->contention;
-  }
-  [[nodiscard]] LockContention contention() const {
-    LockContention total;
-    for (const auto& sh : shards_) total += sh->contention;
     return total;
   }
 

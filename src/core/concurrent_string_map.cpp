@@ -211,12 +211,6 @@ u64 ConcurrentStringMap::size() {
   return total;
 }
 
-LockContention ConcurrentStringMap::contention() const {
-  LockContention total;
-  for (const auto& sh : shards_) total += sh->contention;
-  return total;
-}
-
 obs::Snapshot ConcurrentStringMap::snapshot() {
   obs::Snapshot total;
   total.source = "ConcurrentStringMap";

@@ -83,13 +83,6 @@ class ConcurrentStringMap {
   /// cannot tear the view.
   [[nodiscard]] obs::Snapshot snapshot();
 
-  /// DEPRECATED: the same numbers snapshot().contention / .per_shard
-  /// report.
-  [[nodiscard]] const LockContention& shard_contention(usize s) const {
-    return shards_[s]->contention;
-  }
-  [[nodiscard]] LockContention contention() const;
-
   /// Tests only: lowers (or raises) the optimistic attempt budget; 0 sends
   /// every read straight to the lock fallback.
   void set_max_optimistic_attempts(u32 attempts) { max_optimistic_attempts_ = attempts; }

@@ -173,18 +173,10 @@ class BasicConcurrentGroupHashTable {
     s.persist = obs::PersistSnapshot::from(pm_.stats());
     s.table = obs::TableOpSnapshot::from(table_->stats());
     s.scrub = obs::ScrubSnapshot::from(table_->stats(), hash::ScrubReport{});
-    s.contention = obs::ContentionSnapshot::from(contention());
+    for (const Stripe& st : stripes_) {
+      s.contention += obs::ContentionSnapshot::from(st.contention);
+    }
     return s;
-  }
-
-  /// DEPRECATED: the same numbers snapshot().contention reports.
-  [[nodiscard]] const LockContention& stripe_contention(usize i) const {
-    return stripes_[i].contention;
-  }
-  [[nodiscard]] LockContention contention() const {
-    LockContention total;
-    for (const Stripe& st : stripes_) total += st.contention;
-    return total;
   }
 
   /// Exclusive recovery: takes every stripe write-side, then runs

@@ -91,7 +91,9 @@ void BasicGroupHashMap<Cell>::init_region(nvm::NvmRegion region, const MapOption
         recorder_.get());
   }
   if (!live_obs_) live_obs_ = std::make_unique<obs::LiveObs>();
-  gate_.set_shift(options.latency_sample_shift);
+  sinks_.latency = options.record_latency ? recorder_.get() : nullptr;
+  sinks_.phases = &live_obs_->phases;
+  sinks_.gate.set_shift(options.latency_sample_shift);
   // The flight sidecar comes up BEFORE recovery so the scan of the
   // previous run's rings is available to the recovery report below.
   init_flight(options, fresh);
@@ -195,7 +197,7 @@ void BasicGroupHashMap<Cell>::init_flight(const MapOptions& options, bool fresh)
   flight_ = std::make_unique<obs::FlightRecorder>(
       *flight_pm_, flight_region_.bytes());  // formats (consumes) the rings
   flight_->set_mode(options.flight_mode);
-  flight_->set_sample_shift(options.flight_sample_shift);
+  sinks_.flight = flight_.get();
 }
 
 template <class Cell>
@@ -300,12 +302,13 @@ void BasicGroupHashMap<Cell>::abandon() {
   // cleanup. Its mmap'd writes are in the page cache, so the reopening
   // process scans exactly what a crash would have left durable.
   flight_.reset();
+  sinks_.flight = nullptr;
   flight_region_ = nvm::NvmRegion();
   closed_ = true;
-  // Observability resets coherently with the simulated crash: every read
-  // surface (metrics(), snapshot(), op_recorder()) now reports zeros, the
-  // same blank slate the recovering open() starts from.
-  metrics_ = MapMetrics{};
+  // Observability resets coherently with the simulated crash: snapshot()
+  // now reports zeros, the same blank slate the recovering open() starts
+  // from.
+  expansions_ = expand_failures_ = recoveries_ = 0;
   pm_->stats() = nvm::PersistStats{};
   if (flight_pm_) flight_pm_->stats() = nvm::PersistStats{};
   if (recorder_) recorder_->reset();
@@ -340,25 +343,20 @@ void BasicGroupHashMap<Cell>::put_value(const key_type& key, u64 value) {
 template <class Cell>
 void BasicGroupHashMap<Cell>::put(const key_type& key, u64 value) {
   GH_CHECK_MSG(!closed_, "map is closed");
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin(obs::OpKind::kInsert, trace_key(key));
+  obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
   put_value(key, value);
-  flight_end(f, obs::OpKind::kInsert, trace_key(key));
   // Help-along runs inside the timed window: the stall it causes is part
   // of the latency a caller observes, and phase attribution books it
-  // under migrate_help.
+  // under migrate_help. Its migration records follow the put's finish.
+  op.end_flight();
   help_migrate();
-  op_finish(obs::OpKind::kInsert, trace_key(key), t0, l0);
 }
 
 template <class Cell>
 void BasicGroupHashMap<Cell>::get_batch(std::span<const key_type> keys,
                                         std::span<std::optional<u64>> out) {
   if (keys.empty()) return;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin(obs::OpKind::kFind, trace_key(keys[0]));
+  obs::OpScope op(sinks_, obs::OpKind::kFind, trace_key(keys[0]));
   if (!mig_table_) {
     table().find_batch(keys, out);
   } else {
@@ -379,8 +377,6 @@ void BasicGroupHashMap<Cell>::get_batch(std::span<const key_type> keys,
       for (usize j = 0; j < miss_idx.size(); ++j) out[miss_idx[j]] = miss_out[j];
     }
   }
-  flight_end(f, obs::OpKind::kFind, trace_key(keys[0]));
-  op_finish(obs::OpKind::kFind, trace_key(keys[0]), t0, l0);
 }
 
 template <class Cell>
@@ -389,9 +385,7 @@ void BasicGroupHashMap<Cell>::put_batch(std::span<const key_type> keys,
   GH_CHECK_MSG(!closed_, "map is closed");
   GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
   if (keys.empty()) return;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin(obs::OpKind::kInsert, trace_key(keys[0]));
+  obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(keys[0]));
   // upsert_batch applies a strict prefix and returns its length; a short
   // return means a placement failed, so expand (with put()'s failure
   // semantics) and resubmit the remainder. While a migration runs the
@@ -412,9 +406,8 @@ void BasicGroupHashMap<Cell>::put_batch(std::span<const key_type> keys,
                              last_expand_error_ + "); will retry with backoff");
     }
   }
-  flight_end(f, obs::OpKind::kInsert, trace_key(keys[0]));
+  op.end_flight();
   help_migrate();
-  op_finish(obs::OpKind::kInsert, trace_key(keys[0]), t0, l0);
 }
 
 template <class Cell>
@@ -422,9 +415,7 @@ void BasicGroupHashMap<Cell>::erase_batch(std::span<const key_type> keys,
                                           std::span<u8> hits) {
   GH_CHECK_MSG(!closed_, "map is closed");
   if (keys.empty()) return;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin(obs::OpKind::kErase, trace_key(keys[0]));
+  obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(keys[0]));
   if (!mig_table_) {
     table().erase_batch(keys, hits);
   } else {
@@ -437,24 +428,19 @@ void BasicGroupHashMap<Cell>::erase_batch(std::span<const key_type> keys,
       for (usize i = 0; i < keys.size(); ++i) hits[i] = hits[i] | mig_hits[i];
     }
   }
-  flight_end(f, obs::OpKind::kErase, trace_key(keys[0]));
+  op.end_flight();
   help_migrate();
-  op_finish(obs::OpKind::kErase, trace_key(keys[0]), t0, l0);
 }
 
 template <class Cell>
 std::optional<u64> BasicGroupHashMap<Cell>::get(const key_type& key) {
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin(obs::OpKind::kFind, trace_key(key));
+  obs::OpScope op(sinks_, obs::OpKind::kFind, trace_key(key));
   // New-then-old while a migration runs: a key's latest committed value
   // is either only in the target (fresh write / migrated) or only a
   // benign duplicate's authoritative copy — the target always wins.
   std::optional<u64> r;
   if (mig_table_) r = mig_table_->find(key);
   if (!r) r = table().find(key);
-  flight_end(f, obs::OpKind::kFind, trace_key(key));
-  op_finish(obs::OpKind::kFind, trace_key(key), t0, l0);
   return r;
 }
 
@@ -466,9 +452,7 @@ bool BasicGroupHashMap<Cell>::contains(const key_type& key) {
 template <class Cell>
 u64 BasicGroupHashMap<Cell>::increment(const key_type& key, u64 delta) {
   GH_CHECK_MSG(!closed_, "map is closed");
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin(obs::OpKind::kInsert, trace_key(key));
+  obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
   // One probe: find the cell, bump its value in place; fall back to an
   // insert when the key is new. During a migration the in-place bump is
   // only safe in the target (old-table cells can hold stale losers), so
@@ -488,41 +472,33 @@ u64 BasicGroupHashMap<Cell>::increment(const key_type& key, u64 delta) {
   } else {
     put_value(key, delta);
   }
-  flight_end(f, obs::OpKind::kInsert, trace_key(key));
+  op.end_flight();
   help_migrate();
-  op_finish(obs::OpKind::kInsert, trace_key(key), t0, l0);
   return next;
 }
 
 template <class Cell>
 bool BasicGroupHashMap<Cell>::erase(const key_type& key) {
   GH_CHECK_MSG(!closed_, "map is closed");
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin(obs::OpKind::kErase, trace_key(key));
+  obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(key));
   // Old-table copy first: a crash between the two erases then reads as
   // "the erase did not land" (the target still serves the latest value),
   // never as a resurrected stale old copy.
   bool hit = table().erase(key);
   if (mig_table_) hit = mig_table_->erase(key) || hit;
-  flight_end(f, obs::OpKind::kErase, trace_key(key));
+  op.end_flight();
   help_migrate();
-  op_finish(obs::OpKind::kErase, trace_key(key), t0, l0);
   return hit;
 }
 
 template <class Cell>
 hash::RecoveryReport BasicGroupHashMap<Cell>::recover_now() {
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin_always(obs::OpKind::kRecover);
+  obs::OpScope op(sinks_, obs::OpKind::kRecover, 0, obs::FlightEdge::kAlways);
   auto report = table().recover();
   // Attach the black box's forensics: how many ops the previous run had
   // in flight when it died (what this recovery is repairing after).
   report.in_flight_ops = flight_scan_.in_flight.size();
-  metrics_.recoveries++;
-  flight_end(f, obs::OpKind::kRecover);
-  op_finish(obs::OpKind::kRecover, 0, t0, l0);
+  recoveries_++;
   return report;
 }
 
@@ -533,12 +509,10 @@ void BasicGroupHashMap<Cell>::report_loss(const hash::LostCell& cell) {
 
 template <class Cell>
 hash::ScrubReport BasicGroupHashMap<Cell>::scrub(u64 max_groups) {
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
   hash::ScrubReport report;
   const u64 ngroups = table().num_groups();
   if (ngroups == 0 || !table().checksums_enabled()) return report;
-  const u64 f = flight_begin_always(obs::OpKind::kScrub);
+  obs::OpScope op(sinks_, obs::OpKind::kScrub, 0, obs::FlightEdge::kAlways);
   // Wrap-around cursor: each call resumes where the last one stopped, so
   // a periodic scrub(k) tick eventually covers the whole table.
   u64 remaining = std::min(max_groups, ngroups);
@@ -554,8 +528,6 @@ hash::ScrubReport BasicGroupHashMap<Cell>::scrub(u64 max_groups) {
   if (report.groups_quarantined > 0) {
     flight_event(obs::FlightEvent::kQuarantine, obs::OpKind::kScrub);
   }
-  flight_end(f, obs::OpKind::kScrub);
-  op_finish(obs::OpKind::kScrub, 0, t0, l0);
   return report;
 }
 
@@ -579,7 +551,7 @@ bool BasicGroupHashMap<Cell>::try_expand() {
   } catch (const nvm::SimulatedCrash&) {
     throw;  // a simulated power failure must freeze the world, not degrade
   } catch (const std::exception& e) {
-    metrics_.expand_failures++;
+    expand_failures_++;
     expand_pending_ = true;
     last_expand_error_ = e.what();
     // Journal the degradation: after a crash the black box shows the map
@@ -601,15 +573,6 @@ bool BasicGroupHashMap<Cell>::try_expand() {
 }
 
 template <class Cell>
-const MapMetrics& BasicGroupHashMap<Cell>::metrics() {
-  // After abandon() the table is gone; serve the (reset) stored sample
-  // instead of dereferencing it.
-  if (table_) metrics_.table = table().stats();
-  if (pm_) metrics_.persist = pm_->stats();
-  return metrics_;
-}
-
-template <class Cell>
 obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
   obs::Snapshot s;
   s.source = sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide";
@@ -621,14 +584,13 @@ obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
     if (mig_table_) s.table += obs::TableOpSnapshot::from(mig_table_->stats());
     s.scrub = obs::ScrubSnapshot::from(table().stats(), open_scrub_);
   } else {
-    // Abandoned (simulated crash): counters were reset coherently there.
-    s.table = obs::TableOpSnapshot::from(metrics_.table);
-    s.scrub = obs::ScrubSnapshot::from(metrics_.table, open_scrub_);
+    // Abandoned (simulated crash): the table and its counters are gone.
+    s.scrub = obs::ScrubSnapshot::from(hash::TableStats{}, open_scrub_);
   }
   if (pm_) s.persist = obs::PersistSnapshot::from(pm_->stats());
-  s.lifecycle.expansions = metrics_.expansions;
-  s.lifecycle.expand_failures = metrics_.expand_failures;
-  s.lifecycle.recoveries = metrics_.recoveries;
+  s.lifecycle.expansions = expansions_;
+  s.lifecycle.expand_failures = expand_failures_;
+  s.lifecycle.recoveries = recoveries_;
   s.lifecycle.orphans_reclaimed = orphans_reclaimed_;
   s.lifecycle.degraded = expand_pending_;
   s.lifecycle.expand_backoff = expand_backoff_;
@@ -660,9 +622,8 @@ obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
 
 template <class Cell>
 void BasicGroupHashMap<Cell>::expand() {
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  const u64 f = flight_begin_always(obs::OpKind::kExpand, table().capacity());
+  obs::OpScope op(sinks_, obs::OpKind::kExpand, table().capacity(),
+                  obs::FlightEdge::kAlways);
   u64 new_total = 2 * table().capacity();
   for (;;) {
     typename Table::Params params{
@@ -699,7 +660,7 @@ void BasicGroupHashMap<Cell>::expand() {
     // Journal the publish step: if the rename protocol below crashes, the
     // black box shows an expansion that reached `publish` but not
     // `finish` — the exact op recovery is repairing after.
-    flight_mark(f, obs::OpKind::kExpand, new_total);
+    op.mark(new_total);
     if (file_backed) {
       // write-back → rename → fsync(parent): the shared durable publish
       // protocol (src/nvm/fault_fs.hpp). Unlinks the temp file before
@@ -714,11 +675,9 @@ void BasicGroupHashMap<Cell>::expand() {
       retired_regions_.push_back(std::move(region_));
     }
     region_ = std::move(new_region);
-    metrics_.expansions++;
+    expansions_++;
     structure_version_++;
     scrub_cursor_ = 0;  // group numbering changed with the geometry
-    flight_end(f, obs::OpKind::kExpand, new_total);
-    op_finish(obs::OpKind::kExpand, 0, t0, l0);
     return;
   }
 }
@@ -752,6 +711,20 @@ void BasicGroupHashMap<Cell>::set_migration_word(u64 word) {
 }
 
 template <class Cell>
+void BasicGroupHashMap<Cell>::journal_migration(obs::FlightPhase edge,
+                                                obs::MigrationPhase phase) {
+  if (!flight_) return;
+  const u64 mark = obs::encode_migration_mark(phase, mig_cursor_);
+  if (edge == obs::FlightPhase::kStart) {
+    mig_flight_token_ = flight_->op_begin_always(obs::OpKind::kMigrate, mark);
+  } else if (edge == obs::FlightPhase::kPublish) {
+    flight_->op_mark(mig_flight_token_, obs::OpKind::kMigrate, mark);
+  } else {
+    flight_->op_end(mig_flight_token_, obs::OpKind::kMigrate, mark);
+  }
+}
+
+template <class Cell>
 void BasicGroupHashMap<Cell>::clear_migration_state() {
   mig_table_.reset();
   mig_region_ = nvm::NvmRegion();
@@ -765,9 +738,7 @@ void BasicGroupHashMap<Cell>::clear_migration_state() {
 template <class Cell>
 void BasicGroupHashMap<Cell>::start_migration() {
   GH_CHECK(!mig_table_);
-  mig_flight_token_ = flight_begin_always(
-      obs::OpKind::kMigrate,
-      obs::encode_migration_mark(obs::MigrationPhase::kStart, 0));
+  journal_migration(obs::FlightPhase::kStart, obs::MigrationPhase::kStart);
   const u64 new_total = 2 * table().capacity();
   typename Table::Params params{
       .level_cells = new_total / 2,
@@ -804,8 +775,7 @@ void BasicGroupHashMap<Cell>::start_migration() {
   if (live_obs_) live_obs_->set_migration(1, 0, mig_total_groups_);
   set_migration_word(map_format::encode_migration_word(0));
   nvm::crash_point("migrate.cursor.armed");
-  flight_mark(mig_flight_token_, obs::OpKind::kMigrate,
-              obs::encode_migration_mark(obs::MigrationPhase::kPublished, 0));
+  journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kPublished);
   migrations_started_++;
   structure_version_++;
 }
@@ -866,8 +836,7 @@ u64 BasicGroupHashMap<Cell>::do_migrate(u64 max_groups) {
     nvm::crash_point("migrate.cursor.advanced");
     if (mig_cursor_ - mig_marked_cursor_ >= kMigrateMarkStride ||
         mig_cursor_ == mig_total_groups_) {
-      flight_mark(mig_flight_token_, obs::OpKind::kMigrate,
-                  obs::encode_migration_mark(obs::MigrationPhase::kCursor, mig_cursor_));
+      journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kCursor);
       mig_marked_cursor_ = mig_cursor_;
     }
   }
@@ -887,7 +856,7 @@ u64 BasicGroupHashMap<Cell>::do_migrate(u64 max_groups) {
         // Same degrade-don't-wedge contract as try_expand: the drain is
         // complete, only the rename publish is owed — keep serving from
         // the split image and retry with capped backoff.
-        metrics_.expand_failures++;
+        expand_failures_++;
         expand_pending_ = true;
         last_expand_error_ = e.what();
         flight_event(obs::FlightEvent::kDegraded, obs::OpKind::kMigrate);
@@ -907,25 +876,21 @@ void BasicGroupHashMap<Cell>::help_migrate() {
   // When the enclosing data op is phase-collecting, the whole help
   // bracket books under migrate_help (persist/fence inside it are
   // suppressed — their time is part of the help stall, not of the op's
-  // own persistence). When it is not, the kMigrate op_start below may
-  // claim collection itself and the migration's persist/fence phases
-  // attribute to the kMigrate row.
+  // own persistence). When it is not, the kMigrate scope below may claim
+  // collection itself and the migration's persist/fence phases attribute
+  // to the kMigrate row.
   obs::PhaseHelpScope help_scope;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
+  obs::OpScope op(sinks_, obs::OpKind::kMigrate, 0, obs::FlightEdge::kNone);
   help_steps_ += do_migrate(options_.migrate_groups_per_op);
-  op_finish(obs::OpKind::kMigrate, 0, t0, l0);
 }
 
 template <class Cell>
 u64 BasicGroupHashMap<Cell>::migrate_step(u64 max_groups) {
   GH_CHECK_MSG(!closed_, "map is closed");
   if (!mig_table_ || max_groups == 0) return 0;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
+  obs::OpScope op(sinks_, obs::OpKind::kMigrate, 0, obs::FlightEdge::kNone);
   const u64 n = do_migrate(max_groups);
   bg_steps_ += n;
-  op_finish(obs::OpKind::kMigrate, 0, t0, l0);
   return n;
 }
 
@@ -933,8 +898,7 @@ template <class Cell>
 void BasicGroupHashMap<Cell>::finalize_migration() {
   GH_CHECK(mig_table_);
   GH_CHECK_MSG(table().count() == 0, "finalize with undrained old table");
-  flight_mark(mig_flight_token_, obs::OpKind::kMigrate,
-              obs::encode_migration_mark(obs::MigrationPhase::kFinalize, mig_cursor_));
+  journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kFinalize);
   nvm::crash_point("migrate.finalize");
   if (region_.file_backed()) {
     // The expand() publish protocol — but spelled out instead of using
@@ -960,8 +924,7 @@ void BasicGroupHashMap<Cell>::finalize_migration() {
     retired_regions_.push_back(std::move(region_));
   }
   region_ = std::move(mig_region_);
-  flight_end(mig_flight_token_, obs::OpKind::kMigrate,
-             obs::encode_migration_mark(obs::MigrationPhase::kRetire, mig_cursor_));
+  journal_migration(obs::FlightPhase::kFinish, obs::MigrationPhase::kRetire);
   clear_migration_state();
   nvm::crash_point("migrate.retired");
   migrations_completed_++;
@@ -972,10 +935,8 @@ void BasicGroupHashMap<Cell>::finalize_migration() {
 template <class Cell>
 void BasicGroupHashMap<Cell>::emergency_expand() {
   GH_CHECK(mig_table_);
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
-  flight_mark(mig_flight_token_, obs::OpKind::kMigrate,
-              obs::encode_migration_mark(obs::MigrationPhase::kEmergency, mig_cursor_));
+  obs::OpScope op(sinks_, obs::OpKind::kExpand, 0, obs::FlightEdge::kNone);
+  journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kEmergency);
   nvm::crash_point("migrate.emergency");
   u64 new_total = 2 * mig_table_->capacity();
   for (;;) {
@@ -1025,15 +986,13 @@ void BasicGroupHashMap<Cell>::emergency_expand() {
       retired_regions_.push_back(std::move(mig_region_));
     }
     region_ = std::move(new_region);
-    flight_end(mig_flight_token_, obs::OpKind::kMigrate,
-               obs::encode_migration_mark(obs::MigrationPhase::kEmergency, mig_cursor_));
+    journal_migration(obs::FlightPhase::kFinish, obs::MigrationPhase::kEmergency);
     clear_migration_state();
     if (region_.file_backed()) nvm::FaultFs::remove(path_ + kMigrateSuffix);
     emergency_expands_++;
-    metrics_.expansions++;
+    expansions_++;
     structure_version_++;
     scrub_cursor_ = 0;
-    op_finish(obs::OpKind::kExpand, 0, t0, l0);
     return;
   }
 }
@@ -1069,7 +1028,7 @@ void BasicGroupHashMap<Cell>::resume_migration() {
     // The target died mid-write just like the main table would have;
     // Algorithm-4 it back to consistency before reads trust it.
     mig_table_->recover();
-    metrics_.recoveries++;
+    recoveries_++;
   } else {
     pm_->atomic_store_u64(&msb->state, kStateDirty);
     pm_->persist(&msb->state, sizeof(u64));
@@ -1080,9 +1039,7 @@ void BasicGroupHashMap<Cell>::resume_migration() {
   if (live_obs_) live_obs_->set_migration(1, mig_cursor_, mig_total_groups_);
   migrations_resumed_++;
   structure_version_++;
-  mig_flight_token_ = flight_begin_always(
-      obs::OpKind::kMigrate,
-      obs::encode_migration_mark(obs::MigrationPhase::kResume, mig_cursor_));
+  journal_migration(obs::FlightPhase::kStart, obs::MigrationPhase::kResume);
   // A crash can land between the final cursor advance and the rename:
   // the drain is already complete and only the finalize is owed.
   if (mig_cursor_ >= mig_total_groups_) finalize_migration();

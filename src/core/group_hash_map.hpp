@@ -35,6 +35,7 @@
 #include "nvm/direct_pm.hpp"
 #include "nvm/region.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/op_scope.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/span.hpp"
 #include "util/types.hpp"
@@ -84,13 +85,11 @@ struct MapOptions {
   u32 latency_sample_shift = obs::kDefaultSampleShift;
   /// Flight recorder (obs/flight_recorder.hpp): a crash-surviving ring
   /// of op-event records in a `<path>.flight` sidecar (anonymous memory
-  /// for in-memory maps). kSampled journals 1 in 2^flight_sample_shift
-  /// data ops plus every lifecycle op; kFull journals everything; kOff
-  /// writes nothing and creates no sidecar. Always off (and no sidecar
-  /// is ever created) under GH_OBS_OFF.
+  /// for in-memory maps). kSampled journals 1 in
+  /// 2^obs::kFlightSampleShift data ops plus every lifecycle op; kFull
+  /// journals everything; kOff writes nothing and creates no sidecar.
+  /// Always off (and no sidecar is ever created) under GH_OBS_OFF.
   obs::FlightMode flight_mode = obs::FlightMode::kSampled;
-  /// Journal 1 in 2^shift data ops in kSampled mode (0 = every op).
-  u32 flight_sample_shift = obs::kFlightSampleShift;
   /// Resize incrementally instead of with one blocking rebuild. When an
   /// insert needs capacity, a double-sized migration target is created
   /// and published (`<path>.migrate`, own superblock), and groups are
@@ -107,16 +106,6 @@ struct MapOptions {
   /// help-along bound — the knob trading per-op stall for migration
   /// drain rate). 0 = ops never help; only migrate_step() advances.
   u32 migrate_groups_per_op = 1;
-};
-
-/// DEPRECATED back-compat view — read snapshot() instead, which adds
-/// scrub, latency and lifecycle data in one sampled struct.
-struct MapMetrics {
-  hash::TableStats table;
-  nvm::PersistStats persist;
-  u64 expansions = 0;
-  u64 recoveries = 0;
-  u64 expand_failures = 0;  ///< expansion attempts that failed (e.g. ENOSPC)
 };
 
 template <class Cell>
@@ -207,10 +196,6 @@ class BasicGroupHashMap {
     return cap == 0 ? 0.0 : static_cast<double>(size()) / static_cast<double>(cap);
   }
   [[nodiscard]] bool recovered_on_open() const { return recovered_on_open_; }
-  /// DEPRECATED: thin alias over the same counters snapshot() reads; kept
-  /// for one release. Safe (returns the frozen/zeroed sample) after
-  /// abandon().
-  [[nodiscard]] const MapMetrics& metrics();
   [[nodiscard]] const std::string& path() const { return path_; }
 
   /// The unified stats sample (obs/snapshot.hpp): persist + table-op +
@@ -219,10 +204,6 @@ class BasicGroupHashMap {
   /// (all counters read zero then — abandon resets them, simulating the
   /// crash of the process that owned them).
   [[nodiscard]] obs::Snapshot snapshot();
-
-  /// This map's per-op latency recorder (histograms fed by put/get/erase
-  /// timers). Used by the concurrent wrappers to merge shard latencies.
-  [[nodiscard]] const obs::OpRecorder& op_recorder() const { return *recorder_; }
 
   /// Atomically-readable live view (phase attribution + migration
   /// gauges): the ONLY map state another thread may poll while this
@@ -380,61 +361,13 @@ class BasicGroupHashMap {
   /// sidecar-content reasons: a corrupt sidecar is reformatted.
   void init_flight(const MapOptions& options, bool fresh);
 
-  // Flight-recorder edges (no-ops when the recorder is off).
-  [[nodiscard]] u64 flight_begin(obs::OpKind kind, u64 key_hash) {
-    if constexpr (!obs::kEnabled) return 0;
-    return flight_ ? flight_->op_begin(kind, key_hash) : 0;
-  }
-  [[nodiscard]] u64 flight_begin_always(obs::OpKind kind, u64 key_hash = 0) {
-    if constexpr (!obs::kEnabled) return 0;
-    return flight_ ? flight_->op_begin_always(kind, key_hash) : 0;
-  }
-  void flight_mark(u64 token, obs::OpKind kind, u64 key_hash = 0) {
-    if constexpr (!obs::kEnabled) return;
-    if (flight_) flight_->op_mark(token, kind, key_hash);
-  }
-  void flight_end(u64 token, obs::OpKind kind, u64 key_hash = 0) {
-    if constexpr (!obs::kEnabled) return;
-    if (flight_) flight_->op_end(token, kind, key_hash);
-  }
+  /// Journal a step of the long-lived kMigrate flight op, whose token
+  /// spans the whole online resize rather than one OpScope; the record
+  /// names the migration phase and the current cursor. No-op while the
+  /// recorder is off.
+  void journal_migration(obs::FlightPhase edge, obs::MigrationPhase phase);
   void flight_event(obs::FlightEvent e, obs::OpKind kind) {
-    if constexpr (!obs::kEnabled) return;
     if (flight_) flight_->event(e, kind);
-  }
-
-  // Per-op observability edges (see any_table_impl.hpp for the pattern).
-  // A nonzero t0 means "this op is timed": latency recording is sampled
-  // through the SampleGate; an installed trace hook or an active
-  // request trace (the service stamped this thread) times every op. A
-  // timed op also claims the thread's phase-collection scratch (unless
-  // an enclosing op, e.g. put → expand, already owns it); op_finish
-  // folds the scratch into live_obs_->phases and emits spans when the
-  // thread is inside a sampled trace.
-  [[nodiscard]] u64 op_start() {
-    if constexpr (!obs::kEnabled) return 0;
-    const bool sampled = options_.record_latency && gate_.admit();
-    if (!sampled && !obs::trace_hook_installed() && !obs::thread_trace_sampled()) {
-      return 0;
-    }
-    const u64 t0 = obs::now_ticks();
-    obs::phase_collect_begin(t0);
-    return t0;
-  }
-  [[nodiscard]] u64 lines_before() const {
-    if (!obs::trace_hook_installed()) return 0;
-    return pm_->stats().lines_flushed.load();
-  }
-  void op_finish(obs::OpKind kind, u64 key_hash, u64 t0, u64 l0) {
-    if constexpr (!obs::kEnabled) return;
-    u64 dt = 0;
-    if (t0 != 0) {
-      dt = obs::now_ticks() - t0;
-      if (options_.record_latency) recorder_->record(kind, dt);
-      if (live_obs_) obs::phase_collect_finish(live_obs_->phases, kind, t0, dt);
-    }
-    if (obs::trace_hook_installed()) {
-      obs::trace_op(kind, key_hash, dt, pm_->stats().lines_flushed.load() - l0);
-    }
   }
   static u64 trace_key(const key_type& key) {
     if constexpr (std::is_same_v<key_type, u64>) {
@@ -457,7 +390,9 @@ class BasicGroupHashMap {
   // live reader (gh_serve's stats thread) may poll while the owning
   // worker mutates the map. Heap-held so the map stays movable.
   std::unique_ptr<obs::LiveObs> live_obs_;
-  obs::SampleGate gate_;
+  // What every OpScope of this map feeds: recorder_, live_obs_->phases
+  // and flight_, plus the one sampling gate.
+  obs::OpSinks sinks_;
   obs::Registration obs_reg_;
   // Flight recorder sidecar: its own PM (so black-box traffic never
   // pollutes the map's write-efficiency counters) over its own region.
@@ -466,7 +401,6 @@ class BasicGroupHashMap {
   std::unique_ptr<obs::FlightRecorder> flight_;
   obs::FlightScan flight_scan_;
   hash::RecoveryReport open_recovery_;
-  MapMetrics metrics_;
   hash::ScrubReport open_scrub_;
   std::string last_expand_error_;
   // Online-resize state: the migration target table over its own region,
@@ -479,6 +413,9 @@ class BasicGroupHashMap {
   u64 mig_flight_token_ = 0;
   u64 mig_marked_cursor_ = 0;  ///< last cursor journaled to the flight ring
   u64 structure_version_ = 0;
+  u64 expansions_ = 0;
+  u64 expand_failures_ = 0;  ///< expansion attempts that failed (e.g. ENOSPC)
+  u64 recoveries_ = 0;
   u64 migrations_started_ = 0;
   u64 migrations_completed_ = 0;
   u64 migrations_resumed_ = 0;

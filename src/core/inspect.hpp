@@ -128,20 +128,21 @@ struct ConcurrentMapInspection {
 
 /// Structural scan of every shard of a concurrent map, taken under each
 /// shard's lock in turn (writers in other shards proceed unhindered).
-/// Works for any wrapper exposing shard_count(), with_shard_table() and
-/// shard_contention() — i.e. BasicConcurrentGroupHashMap<Cell>.
+/// Works for any wrapper exposing shard_count(), with_shard_table() and a
+/// snapshot() with per-shard briefs — i.e. BasicConcurrentGroupHashMap<Cell>.
 template <class ConcurrentMap>
 ConcurrentMapInspection inspect_shards(ConcurrentMap& map) {
   ConcurrentMapInspection r;
   r.shards.reserve(map.shard_count());
+  const auto snap = map.snapshot();
   for (usize s = 0; s < map.shard_count(); ++s) {
     ShardInspection si;
     si.shard = s;
     map.with_shard_table(s, [&](const auto& table) { si.table = inspect(table); });
-    const auto& c = map.shard_contention(s);
-    si.read_retries = c.read_retries.load();
-    si.read_fallbacks = c.read_fallbacks.load();
-    si.writer_waits = c.writer_waits.load();
+    const auto& c = snap.per_shard[s].contention;
+    si.read_retries = c.read_retries;
+    si.read_fallbacks = c.read_fallbacks;
+    si.writer_waits = c.writer_waits;
     r.total_capacity += si.table.capacity;
     r.total_occupied += si.table.scanned_occupied;
     r.total_torn_cells += si.table.torn_cells;

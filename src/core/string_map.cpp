@@ -91,7 +91,8 @@ void PersistentStringMap::init_region(nvm::NvmRegion region,
         "PersistentStringMap" + (path_.empty() ? std::string("(mem)") : ":" + path_),
         recorder_.get());
   }
-  gate_.set_shift(options.latency_sample_shift);
+  sinks_.latency = options.record_latency ? recorder_.get() : nullptr;
+  sinks_.gate.set_shift(options.latency_sample_shift);
   // The flight sidecar comes up BEFORE recovery so the scan of the
   // previous run's rings is available to the recovery report below.
   init_flight(options, fresh);
@@ -146,15 +147,12 @@ void PersistentStringMap::init_region(nvm::NvmRegion region,
     table_.emplace(
         Table::attach(*pm_, region_.bytes().subspan(sb->table_offset, sb->table_bytes)));
     if (sb->state == kStateDirty) {
-      const u64 t0 = op_start();
-      const u64 f = flight_begin_always(obs::OpKind::kRecover);
+      obs::OpScope op(sinks_, obs::OpKind::kRecover, 0, obs::FlightEdge::kAlways);
       open_recovery_ = table_->recover();
       // Attach the black box's forensics: how many ops the previous run
       // had in flight when it died (what this recovery is repairing).
       open_recovery_.in_flight_ops = flight_scan_.in_flight.size();
       recoveries_++;
-      flight_end(f, obs::OpKind::kRecover);
-      op_finish(obs::OpKind::kRecover, 0, t0, 0);
       recovered_on_open_ = true;
     }
     mark_state(kStateDirty);
@@ -190,7 +188,7 @@ void PersistentStringMap::init_flight(const StringMapOptions& options, bool fres
   flight_ = std::make_unique<obs::FlightRecorder>(
       *flight_pm_, flight_region_.bytes());  // formats (consumes) the rings
   flight_->set_mode(options.flight_mode);
-  flight_->set_sample_shift(options.flight_sample_shift);
+  sinks_.flight = flight_.get();
 }
 
 PersistentStringMap PersistentStringMap::create(const std::string& path,
@@ -279,11 +277,12 @@ void PersistentStringMap::abandon() {
   // cleanup. Its mmap'd writes are in the page cache, so the reopening
   // process scans exactly what a crash would have left durable.
   flight_.reset();
+  sinks_.flight = nullptr;
   flight_region_ = nvm::NvmRegion();
   closed_ = true;
-  // Observability resets coherently with the simulated crash: every read
-  // surface (stats(), snapshot(), op_recorder()) now reports zeros, the
-  // same blank slate the recovering open() starts from.
+  // Observability resets coherently with the simulated crash: snapshot()
+  // and arena_usage() now report zeros, the same blank slate the
+  // recovering open() starts from.
   compactions_ = 0;
   recoveries_ = 0;
   compact_failures_ = 0;
@@ -329,70 +328,48 @@ std::optional<u64> PersistentStringMap::append_record(std::string_view key, u64 
 
 void PersistentStringMap::put(std::string_view key, u64 value) {
   GH_CHECK_MSG(!closed_, "map is closed");
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
   const Key128 fp = fingerprint(key);
-  const u64 f = flight_begin(obs::OpKind::kInsert, fp.lo);
+  obs::OpScope op(sinks_, obs::OpKind::kInsert, fp.lo);
   if (const auto offset = table().find(fp)) {
     const Record rec = load_record(*offset);
     if (rec.key != key) {
       throw std::runtime_error("fingerprint collision between distinct keys");
     }
-    if (rec.value == value) {
-      flight_end(f, obs::OpKind::kInsert, fp.lo);
-      op_finish(obs::OpKind::kInsert, fp.lo, t0, l0);
-      return;
-    }
+    if (rec.value == value) return;
     // In-place 8-byte atomic update of the record's value word.
     auto* value_word = const_cast<std::byte*>(arena().read(*offset, sizeof(u64)).data());
     pm_->atomic_store_u64(reinterpret_cast<u64*>(value_word), value);
     pm_->persist(value_word, sizeof(u64));
-    flight_end(f, obs::OpKind::kInsert, fp.lo);
-    op_finish(obs::OpKind::kInsert, fp.lo, t0, l0);
     return;
   }
   for (u32 attempt = 0;; ++attempt) {
     if (const auto offset = append_record(key, value)) {
-      if (table().insert(fp, *offset)) {
-        flight_end(f, obs::OpKind::kInsert, fp.lo);
-        op_finish(obs::OpKind::kInsert, fp.lo, t0, l0);
-        return;
-      }
+      if (table().insert(fp, *offset)) return;
       // Table full: the appended record becomes garbage the compaction
       // reclaims (the arena has no way to un-append atomically).
     }
     if (!options_.auto_compact) throw std::runtime_error("PersistentStringMap is full");
-    const bool ok =
-        attempt == 0 ? try_rebuild([this] { compact(); })  // reclaim garbage first
-                     : try_rebuild([this] {
-                         // Same-size compaction was not enough (e.g. one
-                         // over-full group re-hashes identically); force a
-                         // doubling.
-                         const StringMapStats s = stats();
-                         rebuild(pow2_at_least(s.table_capacity * 2),
-                                 std::max<usize>(s.arena_live * 2 + 4096, s.arena_capacity));
-                         compactions_++;
-                       });
-    if (!ok) {
+    // Reclaim garbage first; when a same-size compaction was not enough,
+    // force a doubling.
+    if (!try_grow(/*double_table=*/attempt > 0)) {
       throw MapDegradedError("PersistentStringMap insert deferred: compaction failing (" +
                              last_compact_error_ + "); will retry with backoff");
     }
   }
 }
 
-template <class Fn>
-bool PersistentStringMap::try_rebuild(Fn&& fn) {
+bool PersistentStringMap::try_grow(bool double_table) {
   if (compact_cooldown_ > 0) {
     // Still backing off: absorb this placement failure without retrying.
     compact_cooldown_--;
     return false;
   }
   try {
-    fn();
+    grow(double_table);
   } catch (const nvm::SimulatedCrash&) {
     throw;  // a simulated power failure must freeze the world, not degrade
   } catch (const std::exception& e) {
-    flight_event(obs::FlightEvent::kDegraded, obs::OpKind::kCompact);
+    if (flight_) flight_->event(obs::FlightEvent::kDegraded, obs::OpKind::kCompact);
     compact_failures_++;
     compact_pending_ = true;
     last_compact_error_ = e.what();
@@ -411,11 +388,10 @@ void PersistentStringMap::get_batch(std::span<const std::string_view> keys,
                                     std::span<std::optional<u64>> out) {
   GH_CHECK_MSG(keys.size() == out.size(), "get_batch spans must have equal size");
   if (keys.empty()) return;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
   std::vector<Key128> fps(keys.size());
-  for (usize i = 0; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
-  const u64 f = flight_begin(obs::OpKind::kFind, fps[0].lo);
+  fps[0] = fingerprint(keys[0]);
+  obs::OpScope op(sinks_, obs::OpKind::kFind, fps[0].lo);
+  for (usize i = 1; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
   table().find_batch(fps, out);
   // Verify key bytes, prefetching a few records ahead so the arena loads
   // overlap the byte compares.
@@ -431,8 +407,6 @@ void PersistentStringMap::get_batch(std::span<const std::string_view> keys,
     }
     out[i] = rec.value;
   }
-  flight_end(f, obs::OpKind::kFind, fps[0].lo);
-  op_finish(obs::OpKind::kFind, fps[0].lo, t0, l0);
 }
 
 void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
@@ -440,11 +414,10 @@ void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
   GH_CHECK_MSG(!closed_, "map is closed");
   GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
   if (keys.empty()) return;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
   std::vector<Key128> fps(keys.size());
-  for (usize i = 0; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
-  const u64 f = flight_begin(obs::OpKind::kInsert, fps[0].lo);
+  fps[0] = fingerprint(keys[0]);
+  obs::OpScope op(sinks_, obs::OpKind::kInsert, fps[0].lo);
+  for (usize i = 1; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
 
   // Windowed two-phase protocol mirroring the table's: per window, one
   // prefetching find_batch sweep splits keys into updates (in-place
@@ -546,15 +519,7 @@ void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
         put(keys[news[u].idx], news[u].latest);
       }
       if (arena_full) {
-        const bool ok =
-            grow_attempt == 0
-                ? try_rebuild([this] { compact(); })
-                : try_rebuild([this] {
-                    const StringMapStats s = stats();
-                    rebuild(pow2_at_least(s.table_capacity * 2),
-                            std::max<usize>(s.arena_live * 2 + 4096, s.arena_capacity));
-                    compactions_++;
-                  });
+        const bool ok = try_grow(/*double_table=*/grow_attempt > 0);
         grow_attempt++;
         if (!ok) {
           throw MapDegradedError(
@@ -567,41 +532,28 @@ void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
     }
     i += consumed;
   }
-  flight_end(f, obs::OpKind::kInsert, fps[0].lo);
-  op_finish(obs::OpKind::kInsert, fps[0].lo, t0, l0);
 }
 
 void PersistentStringMap::erase_batch(std::span<const std::string_view> keys,
                                       std::span<u8> hits) {
   GH_CHECK_MSG(!closed_, "map is closed");
   if (keys.empty()) return;
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
   std::vector<Key128> fps(keys.size());
-  for (usize i = 0; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
-  const u64 f = flight_begin(obs::OpKind::kErase, fps[0].lo);
+  fps[0] = fingerprint(keys[0]);
+  obs::OpScope op(sinks_, obs::OpKind::kErase, fps[0].lo);
+  for (usize i = 1; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
   table().erase_batch(fps, hits);
-  flight_end(f, obs::OpKind::kErase, fps[0].lo);
-  op_finish(obs::OpKind::kErase, fps[0].lo, t0, l0);
 }
 
 std::optional<u64> PersistentStringMap::get(std::string_view key) {
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
   const Key128 fp = fingerprint(key);
-  const u64 f = flight_begin(obs::OpKind::kFind, fp.lo);
+  obs::OpScope op(sinks_, obs::OpKind::kFind, fp.lo);
   const auto offset = table().find(fp);
-  if (!offset) {
-    flight_end(f, obs::OpKind::kFind, fp.lo);
-    op_finish(obs::OpKind::kFind, fp.lo, t0, l0);
-    return std::nullopt;
-  }
+  if (!offset) return std::nullopt;
   const Record rec = load_record(*offset);
   if (rec.key != key) {
     throw std::runtime_error("fingerprint collision between distinct keys");
   }
-  flight_end(f, obs::OpKind::kFind, fp.lo);
-  op_finish(obs::OpKind::kFind, fp.lo, t0, l0);
   return rec.value;
 }
 
@@ -609,46 +561,35 @@ bool PersistentStringMap::contains(std::string_view key) { return get(key).has_v
 
 bool PersistentStringMap::erase(std::string_view key) {
   GH_CHECK_MSG(!closed_, "map is closed");
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
   const Key128 fp = fingerprint(key);
-  const u64 f = flight_begin(obs::OpKind::kErase, fp.lo);
-  const bool hit = table().erase(fp);
-  flight_end(f, obs::OpKind::kErase, fp.lo);
-  op_finish(obs::OpKind::kErase, fp.lo, t0, l0);
-  return hit;
+  obs::OpScope op(sinks_, obs::OpKind::kErase, fp.lo);
+  return table().erase(fp);
 }
 
-StringMapStats PersistentStringMap::stats() const {
-  StringMapStats s;
-  // After abandon() the table/arena are gone and every counter was reset;
-  // report the same zeros instead of dereferencing them.
-  if (!table_) return s;
-  s.items = table().count();
-  s.table_capacity = table().capacity();
-  s.arena_used = arena().head();
-  s.arena_capacity = arena().capacity();
+PersistentStringMap::ArenaUsage PersistentStringMap::arena_usage() const {
+  ArenaUsage a;
+  // After abandon() the table and arena are gone; report zeros instead
+  // of dereferencing them.
+  if (!table_) return a;
+  a.used = arena().head();
+  a.capacity = arena().capacity();
   table().for_each([&](const Key128&, u64 offset) {
     const Record rec = load_record(offset);
-    s.arena_live += round_up(kRecordHeaderBytes + rec.key.size(), kAtomicUnit);
+    a.live += round_up(kRecordHeaderBytes + rec.key.size(), kAtomicUnit);
   });
-  s.compactions = compactions_;
-  s.recoveries = recoveries_;
-  s.compact_failures = compact_failures_;
-  return s;
+  return a;
 }
 
-void PersistentStringMap::compact() {
-  const u64 t0 = op_start();
-  const u64 l0 = lines_before();
+void PersistentStringMap::compact() { grow(/*double_table=*/false); }
+
+void PersistentStringMap::grow(bool double_table) {
   // Size the new region for current contents with headroom.
-  const StringMapStats s = stats();
-  const u64 new_cells =
-      pow2_at_least(std::max<u64>(s.items * 2, std::max<u64>(s.table_capacity, 16)));
-  const usize new_arena = std::max<usize>(s.arena_live * 2 + 4096, s.arena_capacity);
-  rebuild(new_cells, new_arena);
+  const ArenaUsage a = arena_usage();
+  const u64 cells = double_table
+                        ? table().capacity() * 2
+                        : std::max<u64>(size() * 2, std::max<u64>(table().capacity(), 16));
+  rebuild(pow2_at_least(cells), std::max<usize>(a.live * 2 + 4096, a.capacity));
   compactions_++;
-  op_finish(obs::OpKind::kCompact, 0, t0, l0);
 }
 
 obs::Snapshot PersistentStringMap::snapshot() {
@@ -683,7 +624,7 @@ obs::Snapshot PersistentStringMap::snapshot() {
 void PersistentStringMap::rebuild(u64 new_cells, usize new_arena_data_bytes) {
   // Lifecycle ops always hit the flight recorder (no sampling): a crash
   // mid-compaction is exactly what the black box exists to explain.
-  const u64 f = flight_begin_always(obs::OpKind::kCompact, new_cells);
+  obs::OpScope op(sinks_, obs::OpKind::kCompact, new_cells, obs::FlightEdge::kAlways);
   const usize arena_bytes = Arena::required_bytes(new_arena_data_bytes);
   const typename Table::Params params{
       .level_cells = new_cells / 2,
@@ -734,7 +675,7 @@ void PersistentStringMap::rebuild(u64 new_cells, usize new_arena_data_bytes) {
   }
   // Entering the publish window: a crash from here until the swap below
   // leaves the op at phase kPublish in the black box.
-  flight_mark(f, obs::OpKind::kCompact, new_cells);
+  op.mark(new_cells);
   if (file_backed) {
     // write-back → rename → fsync(parent): the shared durable publish
     // protocol (src/nvm/fault_fs.hpp). Unlinks the temp file before
@@ -751,7 +692,6 @@ void PersistentStringMap::rebuild(u64 new_cells, usize new_arena_data_bytes) {
     retired_regions_.push_back(std::move(region_));
   }
   region_ = std::move(new_region);
-  flight_end(f, obs::OpKind::kCompact, new_cells);
 }
 
 }  // namespace gh

@@ -37,6 +37,7 @@
 #include "nvm/direct_pm.hpp"
 #include "nvm/region.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/op_scope.hpp"
 #include "obs/snapshot.hpp"
 #include "util/types.hpp"
 
@@ -69,21 +70,6 @@ struct StringMapOptions {
   /// See MapOptions::flight_mode for the mode semantics. Always off (no
   /// sidecar) under GH_OBS_OFF.
   obs::FlightMode flight_mode = obs::FlightMode::kSampled;
-  /// Journal 1 in 2^shift data ops in kSampled mode (0 = every op).
-  u32 flight_sample_shift = obs::kFlightSampleShift;
-};
-
-/// DEPRECATED back-compat view — read snapshot() instead, which adds
-/// persist, scrub, latency and lifecycle data in one sampled struct.
-struct StringMapStats {
-  u64 items = 0;
-  u64 table_capacity = 0;
-  u64 arena_used = 0;
-  u64 arena_capacity = 0;
-  u64 arena_live = 0;  ///< bytes reachable from the table (rest is garbage)
-  u64 compactions = 0;
-  u64 recoveries = 0;
-  u64 compact_failures = 0;  ///< compaction attempts that failed (e.g. ENOSPC)
 };
 
 class PersistentStringMap {
@@ -153,19 +139,21 @@ class PersistentStringMap {
   /// Test hook: full-rescan check of the index table's fingerprint-tag
   /// invariant (see hash::GroupHashTable::verify_tags).
   [[nodiscard]] bool debug_verify_tags() const { return table().verify_tags(); }
-  /// DEPRECATED: thin alias over the same counters snapshot() reads; kept
-  /// for one release. Safe (returns zeros) after abandon().
-  [[nodiscard]] StringMapStats stats() const;
+  /// Arena occupancy in bytes: `used` up to the append head, `live`
+  /// still reachable from the table (the rest is garbage that compact()
+  /// reclaims), and the arena's `capacity`. Zeros after abandon().
+  struct ArenaUsage {
+    u64 used = 0;
+    u64 live = 0;
+    u64 capacity = 0;
+  };
+  [[nodiscard]] ArenaUsage arena_usage() const;
 
   /// The unified stats sample (obs/snapshot.hpp). Safe to call at any
   /// point of the lifecycle, including after abandon() (all counters
   /// read zero then — abandon resets them coherently, simulating the
   /// crash of the process that owned them).
   [[nodiscard]] obs::Snapshot snapshot();
-
-  /// This map's per-op latency recorder (histograms fed by put/get/erase
-  /// timers). Used by the concurrent wrappers to merge shard latencies.
-  [[nodiscard]] const obs::OpRecorder& op_recorder() const { return *recorder_; }
 
   /// Rebuild into a fresh region: drops orphaned arena records and grows
   /// table/arena to fit current contents with headroom. Called
@@ -252,61 +240,19 @@ class PersistentStringMap {
   /// Open/format the `.flight` sidecar (see GroupHashMap::init_flight).
   void init_flight(const StringMapOptions& options, bool fresh);
 
-  // Flight-recorder edges (no-ops when the recorder is off).
-  [[nodiscard]] u64 flight_begin(obs::OpKind kind, u64 key_hash) {
-    if constexpr (!obs::kEnabled) return 0;
-    return flight_ ? flight_->op_begin(kind, key_hash) : 0;
-  }
-  [[nodiscard]] u64 flight_begin_always(obs::OpKind kind, u64 key_hash = 0) {
-    if constexpr (!obs::kEnabled) return 0;
-    return flight_ ? flight_->op_begin_always(kind, key_hash) : 0;
-  }
-  void flight_mark(u64 token, obs::OpKind kind, u64 key_hash = 0) {
-    if constexpr (!obs::kEnabled) return;
-    if (flight_) flight_->op_mark(token, kind, key_hash);
-  }
-  void flight_end(u64 token, obs::OpKind kind, u64 key_hash = 0) {
-    if constexpr (!obs::kEnabled) return;
-    if (flight_) flight_->op_end(token, kind, key_hash);
-  }
-  void flight_event(obs::FlightEvent e, obs::OpKind kind) {
-    if constexpr (!obs::kEnabled) return;
-    if (flight_) flight_->event(e, kind);
-  }
   Record load_record(u64 offset) const;
   /// Appends a (value, key) record; nullopt when the arena is full.
   std::optional<u64> append_record(std::string_view key, u64 value);
+  /// Rebuild into a fresh region sized for the live contents with
+  /// headroom; `double_table` also doubles the table, for when a
+  /// same-size compaction cannot help (one over-full group re-hashes
+  /// identically).
+  void grow(bool double_table);
   void rebuild(u64 new_cells, usize new_arena_bytes);
-  /// Run `fn` (a compaction/rebuild), degrading gracefully: a failure
+  /// grow() after a placement failure, degrading gracefully: a failure
   /// (other than SimulatedCrash) records the pending state, arms the
   /// backoff, and returns false instead of throwing.
-  template <class Fn>
-  bool try_rebuild(Fn&& fn);
-
-  // Per-op observability edges (see any_table_impl.hpp for the pattern).
-  // A nonzero t0 means "this op is timed": latency recording is sampled
-  // through the SampleGate; an installed trace hook times every op.
-  [[nodiscard]] u64 op_start() {
-    if constexpr (!obs::kEnabled) return 0;
-    const bool sampled = options_.record_latency && gate_.admit();
-    if (!sampled && !obs::trace_hook_installed()) return 0;
-    return obs::now_ticks();
-  }
-  [[nodiscard]] u64 lines_before() const {
-    if (!obs::trace_hook_installed()) return 0;
-    return pm_->stats().lines_flushed.load();
-  }
-  void op_finish(obs::OpKind kind, u64 key_hash, u64 t0, u64 l0) {
-    if constexpr (!obs::kEnabled) return;
-    u64 dt = 0;
-    if (t0 != 0) {
-      dt = obs::now_ticks() - t0;
-      if (options_.record_latency) recorder_->record(kind, dt);
-    }
-    if (obs::trace_hook_installed()) {
-      obs::trace_op(kind, key_hash, dt, pm_->stats().lines_flushed.load() - l0);
-    }
-  }
+  bool try_grow(bool double_table);
 
   std::string path_;
   StringMapOptions options_;
@@ -317,7 +263,9 @@ class PersistentStringMap {
   std::optional<Arena> arena_;
   // Heap-allocated like pm_: the registry holds its address across moves.
   std::unique_ptr<obs::OpRecorder> recorder_;
-  obs::SampleGate gate_;
+  // What every OpScope of this map feeds: recorder_ and flight_ (string
+  // maps attribute no phases), plus the one sampling gate.
+  obs::OpSinks sinks_;
   obs::Registration obs_reg_;
   // Flight recorder sidecar: its own PM (black-box traffic never
   // pollutes the map's write-efficiency counters) over its own region.

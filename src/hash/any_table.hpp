@@ -57,12 +57,6 @@ struct TableConfig {
   u64 seed2 = kDefaultSeed2;
   bool zero_memory = false;
   bool group_crc = false;  ///< group hashing only: per-group checksums
-  /// Record per-op latency histograms. Leave on unless benchmarking the
-  /// instrumentation itself; ignored (always off) when the build compiles
-  /// observability out via GH_OBS_OFF.
-  bool record_latency = true;
-  /// Time 1 in 2^shift ops (0 = every op). See obs::kDefaultSampleShift.
-  u32 latency_sample_shift = obs::kDefaultSampleShift;
 
   [[nodiscard]] std::string display_name() const {
     std::string n = scheme_name(scheme);
@@ -129,12 +123,6 @@ class AnyTable {
   /// Unified stats sample: persist + table-op + scrub + latency data in
   /// one obs::Snapshot (the single read API; see obs/snapshot.hpp).
   [[nodiscard]] virtual obs::Snapshot snapshot() = 0;
-  /// The table's per-op latency recorder, for owners that aggregate or
-  /// carry histograms across an expansion.
-  [[nodiscard]] virtual obs::OpRecorder& recorder() = 0;
-  /// Runtime toggle for the latency timers (cheaper than rebuilding with
-  /// GH_OBS_OFF; used by bench/observability_overhead for in-binary A/B).
-  virtual void set_record_latency(bool on) = 0;
 
   /// Attach a flight recorder (obs/flight_recorder.hpp) that the table
   /// threads op start/finish records through. Non-owning — the caller

@@ -17,7 +17,7 @@
 #include "hash/pfht.hpp"
 #include "hash/two_choice.hpp"
 #include "hash/wal.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/op_scope.hpp"
 #include "util/assert.hpp"
 
 namespace gh::hash::detail {
@@ -25,14 +25,9 @@ namespace gh::hash::detail {
 template <class Table, class PM>
 class TableAdapter final : public AnyTable<PM> {
  public:
-  TableAdapter(std::string name, PM& pm, Table table, std::unique_ptr<UndoLog<PM>> wal,
-               bool record_latency, u32 latency_sample_shift)
-      : name_(std::move(name)),
-        pm_(&pm),
-        table_(std::move(table)),
-        wal_(std::move(wal)),
-        record_latency_(record_latency) {
-    gate_.set_shift(latency_sample_shift);
+  TableAdapter(std::string name, PM& pm, Table table, std::unique_ptr<UndoLog<PM>> wal)
+      : name_(std::move(name)), pm_(&pm), table_(std::move(table)), wal_(std::move(wal)) {
+    sinks_.latency = &recorder_;
     if (wal_) {
       // Schemes outside the paper's comparison (chained, 2-choice) have no
       // logging hook; a WAL configured for them is simply unused.
@@ -43,31 +38,16 @@ class TableAdapter final : public AnyTable<PM> {
   }
 
   bool insert(const Key128& key, u64 value) override {
-    const u64 t0 = op_start();
-    const u64 l0 = lines_before();
-    const u64 f = (obs::kEnabled && flight_) ? flight_->op_begin(obs::OpKind::kInsert, key.lo) : 0;
-    const bool ok = table_.insert(narrow(key), value);
-    if (obs::kEnabled && flight_) flight_->op_end(f, obs::OpKind::kInsert, key.lo);
-    op_finish(obs::OpKind::kInsert, key.lo, t0, l0);
-    return ok;
+    Scope op(sinks_, obs::OpKind::kInsert, key.lo);
+    return table_.insert(narrow(key), value);
   }
   std::optional<u64> find(const Key128& key) override {
-    const u64 t0 = op_start();
-    const u64 l0 = lines_before();
-    const u64 f = (obs::kEnabled && flight_) ? flight_->op_begin(obs::OpKind::kFind, key.lo) : 0;
-    auto r = table_.find(narrow(key));
-    if (obs::kEnabled && flight_) flight_->op_end(f, obs::OpKind::kFind, key.lo);
-    op_finish(obs::OpKind::kFind, key.lo, t0, l0);
-    return r;
+    Scope op(sinks_, obs::OpKind::kFind, key.lo);
+    return table_.find(narrow(key));
   }
   bool erase(const Key128& key) override {
-    const u64 t0 = op_start();
-    const u64 l0 = lines_before();
-    const u64 f = (obs::kEnabled && flight_) ? flight_->op_begin(obs::OpKind::kErase, key.lo) : 0;
-    const bool ok = table_.erase(narrow(key));
-    if (obs::kEnabled && flight_) flight_->op_end(f, obs::OpKind::kErase, key.lo);
-    op_finish(obs::OpKind::kErase, key.lo, t0, l0);
-    return ok;
+    Scope op(sinks_, obs::OpKind::kErase, key.lo);
+    return table_.erase(narrow(key));
   }
   // Batched ops: dispatch to the scheme's native fence-coalescing /
   // prefetching batch entry points when it has them (group hashing);
@@ -78,8 +58,7 @@ class TableAdapter final : public AnyTable<PM> {
     using K = typename Table::key_type;
     if constexpr (requires(Table& t, std::span<const K> k,
                            std::span<std::optional<u64>> o) { t.find_batch(k, o); }) {
-      const u64 t0 = op_start();
-      const u64 l0 = lines_before();
+      Scope op(sinks_, obs::OpKind::kFind, 0, obs::FlightEdge::kNone);
       if constexpr (std::is_same_v<K, Key128>) {
         table_.find_batch(keys, out);
       } else {
@@ -91,7 +70,6 @@ class TableAdapter final : public AnyTable<PM> {
           i += n;
         }
       }
-      op_finish(obs::OpKind::kFind, keys.empty() ? 0 : keys[0].lo, t0, l0);
     } else {
       AnyTable<PM>::find_batch(keys, out);
     }
@@ -102,8 +80,7 @@ class TableAdapter final : public AnyTable<PM> {
     if constexpr (requires(Table& t, std::span<const K> k, std::span<const u64> v) {
                     { t.insert_batch(k, v) } -> std::convertible_to<usize>;
                   }) {
-      const u64 t0 = op_start();
-      const u64 l0 = lines_before();
+      Scope op(sinks_, obs::OpKind::kInsert, 0, obs::FlightEdge::kNone);
       usize done = 0;
       if constexpr (std::is_same_v<K, Key128>) {
         done = table_.insert_batch(keys, values);
@@ -118,7 +95,6 @@ class TableAdapter final : public AnyTable<PM> {
           if (got < n) break;
         }
       }
-      op_finish(obs::OpKind::kInsert, keys.empty() ? 0 : keys[0].lo, t0, l0);
       return done;
     } else {
       return AnyTable<PM>::insert_batch(keys, values);
@@ -130,8 +106,7 @@ class TableAdapter final : public AnyTable<PM> {
     if constexpr (requires(Table& t, std::span<const K> k, std::span<u8> h) {
                     t.erase_batch(k, h);
                   }) {
-      const u64 t0 = op_start();
-      const u64 l0 = lines_before();
+      Scope op(sinks_, obs::OpKind::kErase, 0, obs::FlightEdge::kNone);
       if constexpr (std::is_same_v<K, Key128>) {
         table_.erase_batch(keys, hits);
       } else {
@@ -144,31 +119,20 @@ class TableAdapter final : public AnyTable<PM> {
           i += n;
         }
       }
-      op_finish(obs::OpKind::kErase, keys.empty() ? 0 : keys[0].lo, t0, l0);
     } else {
       AnyTable<PM>::erase_batch(keys, hits);
     }
   }
 
   RecoveryReport recover() override {
-    const u64 t0 = op_start();
-    const u64 l0 = lines_before();
-    const u64 f = (obs::kEnabled && flight_) ? flight_->op_begin_always(obs::OpKind::kRecover) : 0;
-    RecoveryReport r = table_.recover();
-    if (obs::kEnabled && flight_) flight_->op_end(f, obs::OpKind::kRecover);
-    op_finish(obs::OpKind::kRecover, 0, t0, l0);
-    return r;
+    Scope op(sinks_, obs::OpKind::kRecover, 0, obs::FlightEdge::kAlways);
+    return table_.recover();
   }
 
   ScrubReport scrub(u64 max_groups,
                     const std::function<void(const LostCell&)>& on_loss) override {
-    const u64 t0 = op_start();
-    const u64 l0 = lines_before();
-    const u64 f = (obs::kEnabled && flight_) ? flight_->op_begin_always(obs::OpKind::kScrub) : 0;
-    ScrubReport report = scrub_impl(max_groups, on_loss);
-    if (obs::kEnabled && flight_) flight_->op_end(f, obs::OpKind::kScrub);
-    op_finish(obs::OpKind::kScrub, 0, t0, l0);
-    return report;
+    Scope op(sinks_, obs::OpKind::kScrub, 0, obs::FlightEdge::kAlways);
+    return scrub_impl(max_groups, on_loss);
   }
 
   ScrubReport scrub_impl(u64 max_groups,
@@ -218,15 +182,15 @@ class TableAdapter final : public AnyTable<PM> {
     return s;
   }
 
-  obs::OpRecorder& recorder() override { return recorder_; }
-  void set_record_latency(bool on) override { record_latency_ = on && obs::kEnabled; }
-  void attach_flight(obs::BasicFlightRecorder<PM>* flight) override { flight_ = flight; }
+  void attach_flight(obs::BasicFlightRecorder<PM>* flight) override { sinks_.flight = flight; }
 
   [[nodiscard]] Table& inner() { return table_; }
 
  private:
   /// Stack-window size for narrowing Key128 batches to u64 keys.
   static constexpr usize kNarrowChunk = 256;
+
+  using Scope = obs::BasicOpScope<PM>;
 
   static typename Table::key_type narrow(const Key128& key) {
     if constexpr (std::is_same_v<typename Table::key_type, u64>) {
@@ -237,45 +201,15 @@ class TableAdapter final : public AnyTable<PM> {
     }
   }
 
-  // Timing edges. op_start/op_finish are the ONLY per-op overhead:
-  // nothing (constant-folded) under GH_OBS_OFF, a gate check for
-  // unsampled ops, two rdtsc reads for the 1-in-2^shift sampled ops (an
-  // installed trace hook times every op). The lines-flushed delta for
-  // tracing is read only while a trace hook is actually installed.
-  [[nodiscard]] u64 op_start() {
-    if constexpr (!obs::kEnabled) return 0;
-    const bool sampled = record_latency_ && gate_.admit();
-    if (!sampled && !obs::trace_hook_installed()) return 0;
-    return obs::now_ticks();
-  }
-
-  [[nodiscard]] u64 lines_before() const {
-    if (!obs::trace_hook_installed()) return 0;
-    return pm_->stats().lines_flushed.load();
-  }
-
-  void op_finish(obs::OpKind kind, u64 key_hash, u64 t0, u64 l0) {
-    if constexpr (!obs::kEnabled) return;
-    u64 dt = 0;
-    if (t0 != 0) {
-      dt = obs::now_ticks() - t0;
-      if (record_latency_) recorder_.record(kind, dt);
-    }
-    if (obs::trace_hook_installed()) {
-      obs::trace_op(kind, key_hash, dt, pm_->stats().lines_flushed.load() - l0);
-    }
-  }
-
   std::string name_;
   PM* pm_;
   Table table_;
-  /// Optional black box (attach_flight); non-owning, null by default.
-  obs::BasicFlightRecorder<PM>* flight_ = nullptr;
   std::unique_ptr<UndoLog<PM>> wal_;
   u64 scrub_cursor_ = 0;
-  bool record_latency_ = true;
-  obs::SampleGate gate_;
   obs::OpRecorder recorder_;
+  /// recorder_ plus the optional black box (attach_flight; non-owning,
+  /// null by default). Tables attribute no phases.
+  obs::BasicOpSinks<PM> sinks_;
 };
 
 /// Per-scheme layout parameters derived from the shared cell budget.
@@ -310,9 +244,7 @@ std::unique_ptr<AnyTable<PM>> make_table_cell(PM& pm, std::span<std::byte> mem,
                                           mem.first(table_bytes), cfg.wal_records, format);
     }
     return std::make_unique<TableAdapter<Table, PM>>(cfg.display_name(), pm,
-                                                     std::move(table), std::move(wal),
-                                                     cfg.record_latency,
-                                                     cfg.latency_sample_shift);
+                                                     std::move(table), std::move(wal));
   };
 
   switch (cfg.scheme) {

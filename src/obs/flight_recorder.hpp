@@ -225,7 +225,6 @@ class BasicFlightRecorder {
     GH_CHECK(slots_ % kFlightInvalidateBatch == 0);
     GH_CHECK(mem_.size() >= flight_required_bytes(rings_, slots_));
     ring_state_ = std::make_unique<RingState[]>(rings_);
-    gate_.set_shift(kFlightSampleShift);
     if constexpr (!kEnabled) return;
     format();
   }
@@ -235,14 +234,16 @@ class BasicFlightRecorder {
 
   void set_mode(FlightMode m) { mode_ = kEnabled ? m : FlightMode::kOff; }
   [[nodiscard]] FlightMode mode() const { return mode_; }
-  void set_sample_shift(u32 shift) { gate_.set_shift(shift); }
 
-  /// Start edge of a sampled data op. Returns the op token; 0 means the
-  /// op was not admitted (pass it along — the other edges no-op on 0).
-  u64 op_begin(OpKind kind, u64 key_hash) {
+  /// Start edge of a data op. `sampled` is the caller's admission
+  /// decision (obs::OpScope draws it from the structure's one sampling
+  /// ticket): kSampled mode journals only admitted ops, kFull every op.
+  /// Returns the op token; 0 means the op was not journaled (pass it
+  /// along — the other edges no-op on 0).
+  u64 op_begin(OpKind kind, u64 key_hash, bool sampled) {
     if constexpr (!kEnabled) return 0;
     if (mode_ == FlightMode::kOff) return 0;
-    if (mode_ == FlightMode::kSampled && !gate_.admit()) return 0;
+    if (mode_ == FlightMode::kSampled && !sampled) return 0;
     return emit_new(kind, FlightPhase::kStart, key_hash);
   }
 
@@ -364,7 +365,6 @@ class BasicFlightRecorder {
   u32 rings_;
   u32 slots_;
   FlightMode mode_ = FlightMode::kSampled;
-  SampleGate gate_{};
   std::atomic<u64> next_op_{1};  ///< 0 is the "not recorded" token
   std::unique_ptr<RingState[]> ring_state_;
 };

@@ -162,26 +162,6 @@ const char* flight_phase_name(FlightPhase phase) {
   return "unknown";
 }
 
-namespace detail {
-std::atomic<const TraceHook*> g_trace_hook{nullptr};
-}  // namespace detail
-
-void set_trace_hook(TraceFn fn, void* ctx) {
-  // Hooks live in a small static pool so a cleared hook never dangles
-  // under a racing trace_op (install/clear is rare; slots are reused
-  // round-robin and never freed).
-  static detail::TraceHook pool[4];
-  static std::atomic<usize> next{0};
-  if (fn == nullptr) {
-    detail::g_trace_hook.store(nullptr, std::memory_order_release);
-    return;
-  }
-  detail::TraceHook& slot = pool[next.fetch_add(1, std::memory_order_relaxed) % 4];
-  slot.fn = fn;
-  slot.ctx = ctx;
-  detail::g_trace_hook.store(&slot, std::memory_order_release);
-}
-
 PmEvents& pm_events() {
   static PmEvents events;
   return events;

@@ -1,6 +1,5 @@
 // Unified observability layer — process-wide metrics registry, lock-free
-// counters and log₂-bucketed latency histograms, and optional per-op
-// trace hooks.
+// counters and log₂-bucketed latency histograms.
 //
 // Design constraints (this is hot-path instrumentation):
 //   * recording is wait-free and lock-prefix-free: histograms and striped
@@ -14,7 +13,7 @@
 //     its OpRecorder; the process-global PM event counters are striped by
 //     thread), so no cacheline is contended across writers;
 //   * compiling with GH_OBS_OFF reduces every hook — record(), add(),
-//     now_ticks(), trace_op() — to a no-op with zero residue on the hot
+//     now_ticks() — to a no-op with zero residue on the hot
 //     path. The registry/export surface stays linkable (it reports
 //     zeros), so callers never need #ifdefs.
 //
@@ -71,7 +70,7 @@ double ticks_per_ns();
 /// ~300 ns per DRAM-speed op, dwarfing the op itself). Sampling keeps the
 /// percentile estimates (latency is recorded for every 64th op, which is
 /// unbiased for a steady workload) while amortizing that cost to ~2% of
-/// one op. Set the shift to 0 (MapOptions/TableConfig/Options
+/// one op. Set the shift to 0 (MapOptions/StringMapOptions
 /// latency_sample_shift) to time every op; exact op COUNTS always come
 /// from TableStats — histogram counts are sampled ops by design.
 inline constexpr u32 kDefaultSampleShift = 6;
@@ -83,8 +82,13 @@ inline constexpr u32 kDefaultSampleShift = 6;
 class SampleGate {
  public:
   void set_shift(u32 shift) { mask_ = (u64{1} << (shift < 63 ? shift : 63)) - 1; }
-  /// True when this op should be timed. Always advances the sequence.
-  bool admit() { return (seq_++ & mask_) == 0; }
+  /// Advance the sequence; the returned ticket is this op's position in
+  /// it, from which every sampling decision of the op is derived.
+  u64 ticket() { return seq_++; }
+  /// True when the ticket is one of the 1 in 2^shift that are timed.
+  [[nodiscard]] bool admits(u64 ticket) const { return (ticket & mask_) == 0; }
+  /// ticket() and admits() in one step.
+  bool admit() { return admits(ticket()); }
 
  private:
   u64 seq_ = 0;
@@ -242,7 +246,7 @@ class LatencyHistogram {
 };
 
 // ---------------------------------------------------------------------------
-// Per-op trace hook.
+// Op kinds and latency phases.
 
 /// Operation kinds traced/timed across the stack.
 enum class OpKind : u8 {
@@ -325,9 +329,9 @@ enum class FlightPhase : u8 {
 
 const char* flight_phase_name(FlightPhase phase);
 
-/// Flight-recorder fidelity. kSampled records 1 in 2^shift data ops plus
-/// every lifecycle op (expand/compact/scrub/recover); kFull records
-/// everything; kOff writes nothing and allocates no sidecar.
+/// Flight-recorder fidelity. kSampled records 1 in 2^kFlightSampleShift
+/// data ops plus every lifecycle op (expand/compact/scrub/recover); kFull
+/// records everything; kOff writes nothing and allocates no sidecar.
 enum class FlightMode : u8 {
   kOff = 0,
   kSampled = 1,
@@ -342,44 +346,6 @@ enum class FlightMode : u8 {
 /// gate — they are rare and are exactly the records crash forensics
 /// needs.
 inline constexpr u32 kFlightSampleShift = 7;
-
-/// One traced operation. `ns` is wall time; `lines_flushed` is the NVM
-/// lines the op flushed (approximate when the PM is shared by threads).
-struct OpTrace {
-  OpKind kind = OpKind::kInsert;
-  u64 key_hash = 0;
-  u64 ns = 0;
-  u64 lines_flushed = 0;
-};
-
-using TraceFn = void (*)(void* ctx, const OpTrace& op);
-
-namespace detail {
-struct TraceHook {
-  TraceFn fn = nullptr;
-  void* ctx = nullptr;
-};
-extern std::atomic<const TraceHook*> g_trace_hook;
-}  // namespace detail
-
-/// Install (or, with nullptr, clear) the process-wide per-op trace hook.
-/// The hook must be callable from any thread; keep it cheap. Not
-/// intended for concurrent install/uninstall races with in-flight ops —
-/// install at startup, clear at shutdown (tests serialize around it).
-void set_trace_hook(TraceFn fn, void* ctx);
-
-[[nodiscard]] inline bool trace_hook_installed() {
-  if constexpr (!kEnabled) return false;
-  return detail::g_trace_hook.load(std::memory_order_relaxed) != nullptr;
-}
-
-inline void trace_op(OpKind kind, u64 key_hash, u64 ticks, u64 lines_flushed) {
-  if constexpr (!kEnabled) return;
-  const detail::TraceHook* h = detail::g_trace_hook.load(std::memory_order_acquire);
-  if (h != nullptr && h->fn != nullptr) {
-    h->fn(h->ctx, OpTrace{kind, key_hash, ticks_to_ns(ticks), lines_flushed});
-  }
-}
 
 // ---------------------------------------------------------------------------
 // OpRecorder: one structure's per-op latency histograms.

@@ -10,10 +10,7 @@
 // Snapshot collapses them: every map/table exposes `snapshot()`
 // returning this struct — persist, table-op, scrub, contention,
 // lifecycle and latency-histogram data in one sampled, plain-u64 (never
-// torn, safe to copy around) value. The old piecemeal getters
-// (GroupHashMap::metrics(), PersistentStringMap::stats(),
-// inspect_shards' contention fields) remain as thin back-compat aliases
-// for one release; new code should read snapshot()/export_json only.
+// torn, safe to copy around) value. It is the only stats getter.
 #pragma once
 
 #include <array>

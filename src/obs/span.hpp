@@ -24,8 +24,8 @@
 //    `phases` section of obs::Snapshot.
 //
 //  * Trace context — a thread-local {trace id, parent span, sampled}
-//    the service stamps around a shard visit so map-level op_finish
-//    knows to emit spans. Sampling is per batch at ingest
+//    the service stamps around a shard visit so the map ops' OpScopes
+//    know to emit spans. Sampling is per batch at ingest
 //    (TraceMode::kSampled admits 1 in 2^shift); kFull traces every
 //    batch and is the expensive leg of bench/observability_overhead.
 //
@@ -186,7 +186,7 @@ struct ThreadTrace {
 };
 
 struct ThreadPhase {
-  u64 owner_t0 = 0;  ///< op_start tick of the op that owns collection
+  u64 owner_t0 = 0;  ///< start tick of the op that owns collection
   u64 persist = 0;   ///< ticks inside PM flush
   u64 fence = 0;     ///< ticks inside PM fence
   u64 help = 0;      ///< ticks inside the resize help-along
@@ -199,9 +199,9 @@ inline thread_local ThreadTrace t_trace;
 inline thread_local ThreadPhase t_phase;
 }  // namespace detail
 
-/// True when the current thread is inside a sampled trace (map op_start
-/// forces timing on so the op emits a span even if the latency gate
-/// would not have admitted it).
+/// True when the current thread is inside a sampled trace (an OpScope
+/// then times its op so it emits a span even if the latency gate would
+/// not have admitted it).
 inline bool thread_trace_sampled() {
   if constexpr (!kEnabled) return false;
   return detail::t_trace.sampled;
@@ -211,17 +211,26 @@ void set_thread_trace(u64 trace_id, u32 parent_span, bool sampled);
 void clear_thread_trace();
 
 /// Claim phase collection for the op that sampled t0, unless an
-/// enclosing op (e.g. put → expand) already owns it.
-inline void phase_collect_begin(u64 t0) {
-  if constexpr (!kEnabled) return;
+/// enclosing op (e.g. put → expand) already owns it. Returns whether
+/// this op claimed it.
+inline bool phase_collect_begin(u64 t0) {
+  if constexpr (!kEnabled) return false;
   ThreadPhase& tp = detail::t_phase;
-  if (tp.collecting) return;
+  if (tp.collecting) return false;
   tp.owner_t0 = t0;
   tp.persist = 0;
   tp.fence = 0;
   tp.help = 0;
   tp.in_help = false;
   tp.collecting = true;
+  return true;
+}
+
+/// Release a claimed collection without recording it (the owning op
+/// unwound by an exception).
+inline void phase_collect_abort() {
+  if constexpr (!kEnabled) return;
+  detail::t_phase.collecting = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -267,7 +276,7 @@ class PhaseAccum {
 /// Finish phase collection for the op that claimed t0: fold the
 /// scratch ticks into `acc` (probe = residual) and, when the thread is
 /// inside a sampled trace, emit the op span plus its phase children.
-/// dt_ticks is the op's measured duration (op_finish's now - t0).
+/// dt_ticks is the op's measured duration (now - t0 at its end).
 void phase_collect_finish(PhaseAccum& acc, OpKind kind, u64 t0, u64 dt_ticks,
                           u8 shard = 0);
 

@@ -53,6 +53,11 @@ u32 ShardServer::shard_of(u64 key, u32 shards) {
 ShardServer::ShardServer(const ServiceOptions& options) : options_(options) {
   GH_CHECK_MSG(options_.batch_window >= 1,
                "batch_window must be >= 1 (a zero window would never drain the ring)");
+  // execute() admits sampled traces with a (1 << shift) - 1 mask; a shift
+  // of 64 or more would be undefined behaviour there.
+  if (options_.trace_sample_shift > 63) {
+    throw std::invalid_argument("trace_sample_shift must be <= 63");
+  }
   u32 n = 1;
   while (n < options_.shards) n <<= 1;
   nshards_ = n;

@@ -221,6 +221,8 @@ struct ServiceOptions {
   /// trace id on every work item; the worker adopts it around the shard
   /// visit so map ops emit spans into the per-thread span rings.
   obs::TraceMode trace_mode = obs::TraceMode::kOff;
+  /// At most 63: the ShardServer constructor throws std::invalid_argument
+  /// for a larger shift.
   u32 trace_sample_shift = obs::kTraceSampleShift;
   MapOptions map_options;
 };

@@ -128,17 +128,17 @@ TEST(ConcurrentGroupHashMap, PessimisticModeMatchesSemantics) {
   for (u64 k = 1; k <= 500; ++k) EXPECT_EQ(*map.get(k), k * 7);
   EXPECT_FALSE(map.get(501).has_value());
   // The optimistic machinery is bypassed entirely.
-  EXPECT_EQ(map.contention().read_retries.load(), 0u);
-  EXPECT_EQ(map.contention().read_fallbacks.load(), 0u);
+  EXPECT_EQ(map.snapshot().contention.read_retries, 0u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 0u);
 }
 
 TEST(ConcurrentGroupHashMap, UncontendedReadsNeverRetry) {
   ConcurrentGroupHashMap map(4, {.initial_cells = 1024});
   for (u64 k = 1; k <= 200; ++k) map.put(k, k);
   for (u64 k = 1; k <= 200; ++k) EXPECT_EQ(*map.get(k), k);
-  const LockContention total = map.contention();
-  EXPECT_EQ(total.read_retries.load(), 0u);
-  EXPECT_EQ(total.read_fallbacks.load(), 0u);
+  const obs::ContentionSnapshot total = map.snapshot().contention;
+  EXPECT_EQ(total.read_retries, 0u);
+  EXPECT_EQ(total.read_fallbacks, 0u);
 }
 
 TEST(ConcurrentGroupHashMap, ReadsSurviveExpansion) {

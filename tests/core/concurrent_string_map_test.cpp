@@ -38,8 +38,8 @@ TEST(ConcurrentStringMap, UncontendedReadsNeverFallBack) {
   ConcurrentStringMap map({.shards = 4});
   for (u64 k = 0; k < 500; ++k) map.put("k" + std::to_string(k), k);
   for (u64 k = 0; k < 500; ++k) EXPECT_EQ(*map.get("k" + std::to_string(k)), k);
-  EXPECT_EQ(map.contention().read_retries.load(), 0u);
-  EXPECT_EQ(map.contention().read_fallbacks.load(), 0u);
+  EXPECT_EQ(map.snapshot().contention.read_retries, 0u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 0u);
 }
 
 TEST(ConcurrentStringMap, OversizedKeysReadThroughLock) {
@@ -54,7 +54,7 @@ TEST(ConcurrentStringMap, PessimisticMode) {
   EXPECT_EQ(map.lock_mode(), LockMode::kPessimistic);
   map.put("a", 1);
   EXPECT_EQ(*map.get("a"), 1u);
-  EXPECT_EQ(map.contention().read_fallbacks.load(), 0u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 0u);
 }
 
 TEST(ConcurrentStringMap, StarvationFallbackWithZeroAttempts) {
@@ -63,7 +63,7 @@ TEST(ConcurrentStringMap, StarvationFallbackWithZeroAttempts) {
   map.put("a", 1);
   EXPECT_EQ(*map.get("a"), 1u);
   EXPECT_FALSE(map.get("missing").has_value());
-  EXPECT_EQ(map.contention().read_fallbacks.load(), 2u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 2u);
 }
 
 TEST(ConcurrentStringMap, ParallelDisjointWriters) {

@@ -492,7 +492,7 @@ TEST(CorruptionMap, IncrementalScrubCursorCoversEverythingAndWraps) {
   EXPECT_GE(checked, 2 * ngroups);
   // Wraps: further ticks keep scrubbing rather than going idle.
   EXPECT_EQ(map.scrub(3).groups_checked, 6u);
-  EXPECT_EQ(map.metrics().table.groups_scrubbed, checked + 6);
+  EXPECT_EQ(map.snapshot().scrub.groups_scrubbed, checked + 6);
 }
 
 TEST(CorruptionMap, ChecksumsCanBeOptedOut) {
@@ -566,7 +566,7 @@ TEST(CorruptionMap, EnospcDuringExpandDegradesAndLaterInsertRecovers) {
   ASSERT_NE(blocked_key, 0u) << "map never hit its expansion trigger";
   EXPECT_TRUE(map.expand_pending());
   EXPECT_TRUE(map.degraded());
-  EXPECT_GE(map.metrics().expand_failures, 1u);
+  EXPECT_GE(map.snapshot().lifecycle.expand_failures, 1u);
   EXPECT_FALSE(map.last_expand_error().empty());
 
   // Degraded, not dead: reads are all correct, writes that fit proceed.
@@ -588,7 +588,7 @@ TEST(CorruptionMap, EnospcDuringExpandDegradesAndLaterInsertRecovers) {
     }
   }
   EXPECT_EQ(degraded_throws, 4);
-  const u64 failures_while_armed = map.metrics().expand_failures;
+  const u64 failures_while_armed = map.snapshot().lifecycle.expand_failures;
   EXPECT_GE(failures_while_armed, 2u);
 
   // Space comes back: the next insert past the backoff window completes
@@ -606,7 +606,7 @@ TEST(CorruptionMap, EnospcDuringExpandDegradesAndLaterInsertRecovers) {
   ref[blocked_key] = blocked_key * 3;
   EXPECT_FALSE(map.expand_pending());
   EXPECT_FALSE(map.degraded());
-  EXPECT_GE(map.metrics().expansions, 1u);
+  EXPECT_GE(map.snapshot().lifecycle.expansions, 1u);
   for (const auto& [k, v] : ref) EXPECT_EQ(*map.get(k), v);
 
   // And the recovered map is durable: reopen and re-check.

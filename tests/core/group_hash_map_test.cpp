@@ -97,7 +97,7 @@ TEST(GroupHashMap, AutoExpansionPreservesContents) {
   }
   EXPECT_EQ(map.size(), oracle.size());
   EXPECT_GT(map.capacity(), 2000u);
-  EXPECT_GT(map.metrics().expansions, 0u);
+  EXPECT_GT(map.snapshot().lifecycle.expansions, 0u);
   for (const auto& [k, v] : oracle) EXPECT_EQ(*map.get(k), v);
 }
 
@@ -106,7 +106,7 @@ TEST(GroupHashMap, ExpansionOfFileBackedMapSurvivesReopen) {
   {
     auto map = GroupHashMap::create(file.path, {.initial_cells = 64});
     for (u64 k = 1; k <= 500; ++k) map.put(k, k + 1);
-    EXPECT_GT(map.metrics().expansions, 0u);
+    EXPECT_GT(map.snapshot().lifecycle.expansions, 0u);
     map.close();
   }
   {
@@ -139,7 +139,7 @@ TEST(GroupHashMap, ForEachVisitsAll) {
 TEST(GroupHashMap, MetricsExposeTraffic) {
   auto map = GroupHashMap::create_in_memory({.initial_cells = 256});
   map.put(1, 1);
-  const MapMetrics& m = map.metrics();
+  const obs::Snapshot m = map.snapshot();
   EXPECT_EQ(m.table.inserts, 1u);
   EXPECT_GT(m.persist.persist_calls, 0u);
   EXPECT_GT(m.persist.atomic_stores, 0u);

@@ -45,11 +45,11 @@ TEST(MapOptions, EmulatedLatencyIsApplied) {
   auto slow = GroupHashMap::create_in_memory(
       {.initial_cells = 1024, .flush_latency_ns = 300});
   slow.put(1, 1);
-  EXPECT_GT(slow.metrics().persist.delay_ns, 0u);
+  EXPECT_GT(slow.snapshot().persist.delay_ns, 0u);
 
   auto fast = GroupHashMap::create_in_memory({.initial_cells = 1024});
   fast.put(1, 1);
-  EXPECT_EQ(fast.metrics().persist.delay_ns, 0u);
+  EXPECT_EQ(fast.snapshot().persist.delay_ns, 0u);
 }
 
 TEST(MapRmw, IncrementCreatesAndAccumulates) {
@@ -89,10 +89,10 @@ TEST(MapLifecycle, CloseIsIdempotent) {
 TEST(MapLifecycle, RecoverNowBumpsMetrics) {
   auto map = GroupHashMap::create_in_memory({.initial_cells = 256});
   map.put(1, 1);
-  EXPECT_EQ(map.metrics().recoveries, 0u);
+  EXPECT_EQ(map.snapshot().lifecycle.recoveries, 0u);
   const auto report = map.recover_now();
   EXPECT_EQ(report.recovered_count, 1u);
-  EXPECT_EQ(map.metrics().recoveries, 1u);
+  EXPECT_EQ(map.snapshot().lifecycle.recoveries, 1u);
   EXPECT_EQ(*map.get(1), 1u);
 }
 
@@ -100,7 +100,7 @@ TEST(MapLifecycle, ManyExpansionsFromMinimumSize) {
   auto map = GroupHashMap::create_in_memory({.initial_cells = 16, .group_size = 4});
   for (u64 k = 1; k <= 5000; ++k) map.put(k, k ^ 0xabc);
   EXPECT_EQ(map.size(), 5000u);
-  EXPECT_GE(map.metrics().expansions, 5u);
+  EXPECT_GE(map.snapshot().lifecycle.expansions, 5u);
   for (u64 k = 1; k <= 5000; ++k) {
     ASSERT_TRUE(map.get(k).has_value()) << k;
     EXPECT_EQ(*map.get(k), k ^ 0xabc);

@@ -110,9 +110,10 @@ TEST(SeqLockTorture, SingleShardReadersSeeNoTornValues) {
   const usize target = map.shard_index(1);
   const u64 epochs = 2ull * (keys.size() + kWriters * kOpsPerWriter);
   u64 other_contention = 0;
+  const obs::Snapshot snap = map.snapshot();
   for (usize s = 0; s < map.shard_count(); ++s) {
     if (s == target) continue;
-    other_contention += map.shard_contention(s).read_retries.load();
+    other_contention += snap.per_shard[s].contention.read_retries;
   }
   EXPECT_EQ(other_contention, 0u);  // no cross-shard interference
   (void)epochs;
@@ -176,9 +177,9 @@ TEST(SeqLockTorture, ReaderFallbackPreventsStarvation) {
   reader.join();
 
   EXPECT_EQ(bad.load(), 0u);
-  const LockContention total = map.contention();
-  EXPECT_GT(total.read_fallbacks.load(), 0u);   // every read fell back
-  EXPECT_EQ(total.read_retries.load(), 0u);     // no attempts were made
+  const obs::ContentionSnapshot total = map.snapshot().contention;
+  EXPECT_GT(total.read_fallbacks, 0u);  // every read fell back
+  EXPECT_EQ(total.read_retries, 0u);    // no attempts were made
 }
 
 TEST(SeqLockTorture, StripedTableSameGroupChurn) {
@@ -231,7 +232,7 @@ TEST(SeqLockTorture, StripedTableStarvationFallback) {
   stop.store(true);
   reader.join();
   EXPECT_EQ(bad.load(), 0u);
-  EXPECT_GT(table.contention().read_fallbacks.load(), 0u);
+  EXPECT_GT(table.snapshot().contention.read_fallbacks, 0u);
 }
 
 TEST(SeqLockTorture, StringMapReadersSeeNoTornValues) {

@@ -3,7 +3,7 @@
 //   * counters survive expansion and string-map compaction (regression:
 //     rebuild() used to drop the table stats on compaction)
 //   * abandon() resets every observability surface coherently, and
-//     metrics()/stats()/snapshot() stay safe to call afterwards
+//     snapshot() and arena_usage() stay safe to call afterwards
 //   * reopen/recovery paths count as such
 #include <gtest/gtest.h>
 
@@ -125,10 +125,8 @@ TEST(SnapshotApi, AbandonResetsCoherentlyAndStaysSafe) {
   EXPECT_EQ(s.persist.lines_flushed, 0u);
   EXPECT_EQ(s.table.inserts, 0u);
   EXPECT_EQ(s.latency.insert.count, 0u);
-  // Deprecated getters stay callable too.
-  const MapMetrics& m = map.metrics();
-  EXPECT_EQ(m.table.inserts.load(), 0u);
-  EXPECT_EQ(m.persist.lines_flushed.load(), 0u);
+  EXPECT_EQ(s.lifecycle.expansions, 0u);
+  EXPECT_EQ(s.scrub.groups_scrubbed, 0u);
 }
 
 TEST(SnapshotApi, StringMapAbandonResets) {
@@ -140,9 +138,8 @@ TEST(SnapshotApi, StringMapAbandonResets) {
   EXPECT_EQ(s.size, 0u);
   EXPECT_EQ(s.persist.lines_flushed, 0u);
   EXPECT_EQ(s.latency.insert.count, 0u);
-  const StringMapStats st = map.stats();
-  EXPECT_EQ(st.items, 0u);
-  EXPECT_EQ(st.compactions, 0u);
+  EXPECT_EQ(s.lifecycle.compactions, 0u);
+  EXPECT_EQ(map.arena_usage().used, 0u);
 }
 
 TEST(SnapshotApi, RecoveryAfterCrashCounts) {
@@ -214,6 +211,35 @@ TEST(SnapshotApi, SnapshotIsMonotoneBetweenCalls) {
     EXPECT_GE(cur.latency.insert.count, prev.latency.insert.count);
     prev = cur;
   }
+}
+
+// Regression: an op that returned early or threw after claiming the
+// thread's phase scratch never released it, so every later op on that
+// thread recorded no phases or spans.
+TEST(SnapshotApi, PhaseScratchSurvivesEarlyScrubReturn) {
+  if (!obs::kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
+  auto map = GroupHashMap::create_in_memory(
+      {.initial_cells = 1 << 10, .checksum_groups = false, .latency_sample_shift = 0});
+  (void)map.scrub();  // returns early: the map keeps no checksums
+  map.put(1, 1);
+  EXPECT_GE(map.snapshot().phases.of(obs::OpKind::kInsert).samples, 1u);
+}
+
+TEST(SnapshotApi, PhaseScratchSurvivesThrowingPut) {
+  if (!obs::kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
+  auto map = GroupHashMap::create_in_memory(
+      {.initial_cells = 16, .auto_expand = false, .latency_sample_shift = 0});
+  bool threw = false;
+  for (u64 k = 1; k <= 64 && !threw; ++k) {
+    try {
+      map.put(k, k);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  }
+  ASSERT_TRUE(threw) << "the tiny map never filled up";
+  (void)map.get(1);
+  EXPECT_GE(map.snapshot().phases.of(obs::OpKind::kFind).samples, 1u);
 }
 
 }  // namespace

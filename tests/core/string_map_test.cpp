@@ -32,10 +32,10 @@ TEST(StringMap, BasicPutGetErase) {
 TEST(StringMap, UpdateIsInPlaceWithoutArenaGrowth) {
   auto map = PersistentStringMap::create_in_memory({});
   map.put("key", 1);
-  const u64 used_before = map.stats().arena_used;
+  const u64 used_before = map.arena_usage().used;
   for (u64 v = 2; v <= 100; ++v) map.put("key", v);
   EXPECT_EQ(*map.get("key"), 100u);
-  EXPECT_EQ(map.stats().arena_used, used_before);  // no new records
+  EXPECT_EQ(map.arena_usage().used, used_before);  // no new records
   EXPECT_EQ(map.size(), 1u);
 }
 
@@ -120,12 +120,12 @@ TEST(StringMap, CompactionReclaimsGarbage) {
     }
   }
   map.put("keeper", 42);
-  const StringMapStats before = map.stats();
-  EXPECT_GT(before.arena_used, before.arena_live);  // garbage exists
+  const auto before = map.arena_usage();
+  EXPECT_GT(before.used, before.live);  // garbage exists
   map.compact();
-  const StringMapStats after = map.stats();
-  EXPECT_EQ(after.arena_used, after.arena_live);  // all garbage gone
-  EXPECT_LT(after.arena_used, before.arena_used);
+  const auto after = map.arena_usage();
+  EXPECT_EQ(after.used, after.live);  // all garbage gone
+  EXPECT_LT(after.used, before.used);
   EXPECT_EQ(*map.get("keeper"), 42u);
 }
 
@@ -136,7 +136,7 @@ TEST(StringMap, AutoGrowsBeyondInitialCapacity) {
     map.put("grow-key-" + std::to_string(i), static_cast<u64>(i));
   }
   EXPECT_EQ(map.size(), 2000u);
-  EXPECT_GT(map.stats().compactions, 0u);
+  EXPECT_GT(map.snapshot().lifecycle.compactions, 0u);
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(map.get("grow-key-" + std::to_string(i)).has_value()) << i;
     EXPECT_EQ(*map.get("grow-key-" + std::to_string(i)), static_cast<u64>(i));
@@ -197,7 +197,7 @@ TEST(StringMap, CompactionOfFileBackedMapSurvivesReopen) {
   {
     auto map = PersistentStringMap::create(path, {.initial_cells = 64});
     for (int i = 0; i < 500; ++i) map.put("file-grow-" + std::to_string(i), i);
-    EXPECT_GT(map.stats().compactions, 0u);
+    EXPECT_GT(map.snapshot().lifecycle.compactions, 0u);
     map.close();
   }
   {

@@ -99,7 +99,7 @@ TEST(FlightRecorderTest, EmitScanRoundTrip) {
   auto rec = box.make();
   rec.set_mode(FlightMode::kFull);
 
-  const u64 t = rec.op_begin(OpKind::kInsert, /*key_hash=*/0xabc);
+  const u64 t = rec.op_begin(OpKind::kInsert, /*key_hash=*/0xabc, /*sampled=*/true);
   ASSERT_NE(t, 0u);
   rec.op_end(t, OpKind::kInsert, 0xabc);
 
@@ -191,7 +191,7 @@ TEST(FlightRecorderTest, RingWrapNeverTearsAndKeepsNewestRecords) {
   constexpr u64 kOps = 200;
   u64 last = 0;
   for (u64 i = 1; i <= kOps; ++i) {
-    last = rec.op_begin(OpKind::kInsert, i);
+    last = rec.op_begin(OpKind::kInsert, i, /*sampled=*/true);
     ASSERT_NE(last, 0u);
     rec.op_end(last, OpKind::kInsert, i);
   }
@@ -215,7 +215,7 @@ TEST(FlightRecorderTest, ModeGatesAndZeroTokens) {
   auto rec = box.make();
 
   rec.set_mode(FlightMode::kOff);
-  EXPECT_EQ(rec.op_begin(OpKind::kInsert, 1), 0u);
+  EXPECT_EQ(rec.op_begin(OpKind::kInsert, 1, /*sampled=*/true), 0u);
   EXPECT_EQ(rec.op_begin_always(OpKind::kExpand), 0u);
   rec.event(FlightEvent::kDegraded, OpKind::kExpand);
   // Edges with token 0 must be no-ops, not crashes.
@@ -223,10 +223,10 @@ TEST(FlightRecorderTest, ModeGatesAndZeroTokens) {
   rec.op_end(0, OpKind::kExpand);
   EXPECT_EQ(scan_flight(box.cbytes()).records_valid, 0u);
 
-  // Sampled mode with a huge shift admits (almost) nothing from the
-  // data-op edge but still records every lifecycle op.
+  // Sampled mode journals no data op its caller did not admit, but still
+  // records every lifecycle op.
   rec.set_mode(FlightMode::kSampled);
-  rec.set_sample_shift(63);
+  EXPECT_EQ(rec.op_begin(OpKind::kInsert, 2, /*sampled=*/false), 0u);
   const u64 t = rec.op_begin_always(OpKind::kRecover);
   ASSERT_NE(t, 0u);
   rec.op_end(t, OpKind::kRecover);
@@ -238,7 +238,7 @@ TEST(FlightRecorderTest, TimelineAndTraceExports) {
   Box box;
   auto rec = box.make();
   rec.set_mode(FlightMode::kFull);
-  const u64 done = rec.op_begin(OpKind::kInsert, 0x11);
+  const u64 done = rec.op_begin(OpKind::kInsert, 0x11, /*sampled=*/true);
   rec.op_end(done, OpKind::kInsert, 0x11);
   const u64 hung = rec.op_begin_always(OpKind::kCompact, 0x22);
   rec.op_mark(hung, OpKind::kCompact, 0x22);

@@ -5,6 +5,9 @@
 // hook is a constant-folded no-op).
 #include "obs/metrics.hpp"
 
+#include "nvm/direct_pm.hpp"
+#include "obs/op_scope.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -164,27 +167,6 @@ TEST(SampleGate, AdmitsOneInTwoToTheShift) {
   for (int i = 0; i < 16; ++i) EXPECT_TRUE(gate.admit());
 }
 
-TEST(TraceHook, ReceivesOps) {
-  if (!kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
-  static std::vector<OpTrace> seen;
-  seen.clear();
-  set_trace_hook(
-      [](void*, const OpTrace& op) { seen.push_back(op); }, nullptr);
-  EXPECT_TRUE(trace_hook_installed());
-  trace_op(OpKind::kInsert, 42, /*ticks=*/1000, /*lines=*/3);
-  trace_op(OpKind::kErase, 7, /*ticks=*/0, /*lines=*/0);
-  set_trace_hook(nullptr, nullptr);
-  EXPECT_FALSE(trace_hook_installed());
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].kind, OpKind::kInsert);
-  EXPECT_EQ(seen[0].key_hash, 42u);
-  EXPECT_EQ(seen[0].lines_flushed, 3u);
-  EXPECT_EQ(seen[1].kind, OpKind::kErase);
-  // After clearing, trace_op is a no-op.
-  trace_op(OpKind::kFind, 1, 1, 1);
-  EXPECT_EQ(seen.size(), 2u);
-}
-
 TEST(PmEventsTest, HooksAccumulate) {
   if (!kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
   pm_events().reset();
@@ -281,7 +263,17 @@ TEST(ObsOff, HooksAreNoOpsWhenDisabled) {
   StripedCounter c;
   c.add(5);
   EXPECT_EQ(c.load(), 0u);
-  EXPECT_FALSE(trace_hook_installed());
+  // An op scope draws no ticket, times nothing, claims no phase scratch.
+  OpRecorder rec;
+  PhaseAccum phases;
+  OpSinks sinks;
+  sinks.latency = &rec;
+  sinks.phases = &phases;
+  sinks.gate.set_shift(0);
+  { OpScope op(sinks, OpKind::kInsert, 1); }
+  EXPECT_EQ(sinks.gate.ticket(), 0u);
+  EXPECT_EQ(rec.of(OpKind::kInsert).count(), 0u);
+  EXPECT_FALSE(detail::t_phase.collecting);
   on_pm_persist(10);
   on_pm_fence();
 }

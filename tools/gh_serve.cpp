@@ -77,8 +77,9 @@ int main(int argc, char** argv) {
   sopts.naive = cli.has("naive");
   sopts.data_dir = cli.get_or("data_dir", "");
   sopts.trace_mode = obs::trace_mode_from(cli.get_or("trace-mode", "off"));
-  sopts.trace_sample_shift =
-      static_cast<u32>(cli.get_u64("trace-shift", obs::kTraceSampleShift));
+  const u64 trace_shift = cli.get_u64("trace-shift", obs::kTraceSampleShift);
+  GH_CHECK_MSG(trace_shift <= 63, "--trace-shift must be <= 63");
+  sopts.trace_sample_shift = static_cast<u32>(trace_shift);
   GH_CHECK_MSG(sopts.shards >= 1, "--shards must be >= 1");
   GH_CHECK_MSG(sopts.batch_window >= 1, "--window must be >= 1");
 
