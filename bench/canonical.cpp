@@ -245,20 +245,20 @@ int main(int argc, char** argv) {
              1000.0});
   }
 
-  // --- resize stall: blocking expand vs online incremental migration ---
+  // --- resize stall: inline drain vs one group per op ---
   // Insert into a deliberately undersized map and time every put
-  // individually; the worst single op IS the resize story. Blocking
-  // expand() pays a full format+rehash inside one unlucky put; the
-  // online path amortizes the rehash across help-along steps, so its
-  // worst op is bounded by migrate_groups_per_op (plus one target
-  // format at start).
+  // individually; the worst single op IS the resize story. The default
+  // (kDrainAllGroups) pays a full format+rehash inside one unlucky put;
+  // migrate_groups_per_op = 1 amortizes the rehash across help-along
+  // steps, so its worst op is bounded by one group per op (plus one
+  // target format at start).
   {
     const u64 rkeys = smoke ? (1u << 14) : (1u << 18);
     MapOptions ropts;
     ropts.initial_cells = 1024;
     ropts.flush_latency_ns = 0;
     const auto worst_put_us = [&](bool online) {
-      ropts.online_resize = online;
+      ropts.migrate_groups_per_op = online ? 1 : kDrainAllGroups;
       auto rmap = GroupHashMap::create_in_memory(ropts);
       double worst_ns = 0;
       for (u64 i = 0; i < rkeys; ++i) {
@@ -316,12 +316,12 @@ int main(int argc, char** argv) {
               << format_double(naive.qps > 0 ? batched.qps / naive.qps : 0, 2) << "x\n";
 
     // Forced mid-run resize: same driver, YCSB-B, but shards start 64
-    // cells deep with online resize on — every shard migrates several
+    // cells deep, draining one group per op — every shard migrates several
     // times while serving. The pinned p99 is the tail clients actually
     // see during a resize, the number the tentpole exists to protect.
     sopts.naive = false;
     sopts.map_options.initial_cells = 64;
-    sopts.map_options.online_resize = true;
+    sopts.map_options.migrate_groups_per_op = 1;
     dopts.mix = service::mix_for("b");
     service::ShardServer resize_server(sopts);
     const service::DriverReport under_resize = service::run_ycsb(resize_server, dopts);

@@ -89,15 +89,15 @@ int main(int argc, char** argv) {
                  format_ns(naive.report.latency.find.p999_ns)});
     }
   }
-  // Forced mid-run resize: undersized shards with online resize on, so
+  // Forced mid-run resize: undersized shards draining one group per op, so
   // every shard migrates repeatedly while serving YCSB-B. The row's p99
   // is the tail clients see DURING incremental migrations — with the
-  // blocking expand this column would carry the whole rehash.
+  // default inline drain this column would carry the whole rehash.
   {
     service::ServiceOptions ropts = sopts;
     ropts.naive = false;
     ropts.map_options.initial_cells = 64;
-    ropts.map_options.online_resize = true;
+    ropts.map_options.migrate_groups_per_op = 1;
     dopts.mix = service::mix_for("b");
     const RunResult resized = run(ropts, dopts);
     t.add_row({"ycsb-b+resize", "batched",

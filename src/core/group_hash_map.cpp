@@ -20,14 +20,14 @@ constexpr u64 kMapVersion = map_format::kVersion;
 constexpr u64 kStateClean = map_format::kStateClean;
 constexpr u64 kStateDirty = map_format::kStateDirty;
 
-/// Suffix of the temp file expand() builds before the rename publish. A
-/// crash mid-publish can leave it behind; open() reclaims it.
+/// Suffix of the temp file the emergency merge builds before its rename
+/// publish. A crash mid-publish can leave it behind; open() reclaims it.
 constexpr const char* kExpandSuffix = ".expand";
 
 /// Suffix of the flight-recorder sidecar (obs/flight_recorder.hpp).
 constexpr const char* kFlightSuffix = ".flight";
 
-/// Suffix of the online-resize migration target. Unlike `.expand` it can
+/// Suffix of the resize migration target. Unlike `.expand` it can
 /// hold the only copy of already-drained groups, so it is reclaimed only
 /// when the superblock's migration cursor says no migration is armed.
 constexpr const char* kMigrateSuffix = ".migrate";
@@ -47,9 +47,9 @@ u64 pow2_at_least(u64 v) {
   return p;
 }
 
-/// The shared superblock write sequence for a freshly formatted region
-/// (create, expand target, migration target). State starts dirty; the
-/// migration word starts disarmed.
+/// The superblock write sequence for a freshly formatted region (a new
+/// map, a migration target, an emergency-merge target). State starts
+/// dirty; the migration word starts disarmed.
 void write_superblock_fields(nvm::DirectPM& pm, map_format::Superblock* sb, u64 cell_size,
                              usize table_bytes, u32 group_size, u64 seed) {
   pm.store_u64(&sb->magic, kMapMagic);
@@ -76,94 +76,105 @@ typename BasicGroupHashMap<Cell>::Superblock* BasicGroupHashMap<Cell>::superbloc
 }
 
 template <class Cell>
-void BasicGroupHashMap<Cell>::init_region(nvm::NvmRegion region, const MapOptions& options,
-                                          bool fresh) {
-  region_ = std::move(region);
-  if (!pm_) {
-    pm_ = std::make_unique<nvm::DirectPM>(
-        nvm::PersistConfig{.flush_latency_ns = options.flush_latency_ns});
-  }
-  if (!recorder_) {
-    recorder_ = std::make_unique<obs::OpRecorder>();
-    obs_reg_ = obs::Registration(
-        std::string(sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide") +
-            (path_.empty() ? "(mem)" : ":" + path_),
-        recorder_.get());
-  }
-  if (!live_obs_) live_obs_ = std::make_unique<obs::LiveObs>();
+auto BasicGroupHashMap<Cell>::format_table(const char* suffix, u64 total_cells, u64 group_size,
+                                           u64 seed, bool crc) -> Fresh {
+  const typename Table::Params params{
+      .level_cells = total_cells / 2,
+      .group_size = static_cast<u32>(std::min<u64>(group_size, total_cells / 2)),
+      .seed = seed,
+      // A fresh file (ftruncate) or anonymous mapping is already zero.
+      .zero_memory = false,
+      .group_crc = crc};
+  const usize table_bytes = Table::required_bytes(params);
+  nvm::NvmRegion region =
+      path_.empty() ? nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes)
+                    : nvm::NvmRegion::create_file(path_ + suffix, kTableOffset + table_bytes);
+  Table table(*pm_, region.bytes().subspan(kTableOffset, table_bytes), params, /*format=*/true);
+  write_superblock_fields(*pm_, reinterpret_cast<Superblock*>(region.data()), sizeof(Cell),
+                          table_bytes, params.group_size, seed);
+  return {std::move(region), std::move(table)};
+}
+
+template <class Cell>
+void BasicGroupHashMap<Cell>::init(bool fresh) {
+  const MapOptions& options = options_;
+  pm_ = std::make_unique<nvm::DirectPM>(
+      nvm::PersistConfig{.flush_latency_ns = options.flush_latency_ns});
+  recorder_ = std::make_unique<obs::OpRecorder>();
+  obs_reg_ = obs::Registration(
+      std::string(sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide") +
+          (path_.empty() ? "(mem)" : ":" + path_),
+      recorder_.get());
+  live_obs_ = std::make_unique<obs::LiveObs>();
   sinks_.latency = options.record_latency ? recorder_.get() : nullptr;
   sinks_.phases = &live_obs_->phases;
   sinks_.gate.set_shift(options.latency_sample_shift);
+  if (fresh) {
+    Fresh f = format_table("", pow2_at_least(std::max<u64>(options.initial_cells, 16)),
+                           pow2_at_least(options.group_size),
+                           options.hash_seed, options.checksum_groups);
+    region_ = std::move(f.region);
+    table_.emplace(std::move(f.table));
+    init_flight(options, fresh);
+    return;
+  }
+  region_ = nvm::NvmRegion::open_file(path_);
   // The flight sidecar comes up BEFORE recovery so the scan of the
   // previous run's rings is available to the recovery report below.
   init_flight(options, fresh);
-  if (fresh) {
-    const u64 total_cells = pow2_at_least(std::max<u64>(options.initial_cells, 16));
-    typename Table::Params params{
-        .level_cells = total_cells / 2,
-        .group_size = static_cast<u32>(
-            std::min<u64>(pow2_at_least(options.group_size), total_cells / 2)),
-        .seed = options.hash_seed,
-        // A fresh file (ftruncate) or anonymous mapping is already zero.
-        .zero_memory = false,
-        .group_crc = options.checksum_groups};
-    const usize table_bytes = Table::required_bytes(params);
-    GH_CHECK(region_.size() >= kTableOffset + table_bytes);
-    table_.emplace(*pm_, region_.bytes().subspan(kTableOffset, table_bytes), params,
-                   /*format=*/true);
-    write_superblock_fields(*pm_, superblock(), sizeof(Cell), table_bytes,
-                            params.group_size, params.seed);
-  } else {
-    Superblock* sb = superblock();
-    if (sb->magic != kMapMagic) throw std::runtime_error("not a GroupHashMap file");
-    if (sb->version != kMapVersion) throw std::runtime_error("unsupported map version");
-    if (sb->cell_size != sizeof(Cell)) {
-      throw std::runtime_error("map was created with a different key width");
-    }
-    // The geometry must checksum before it is trusted: a bit-rot hit on
-    // the superblock fails the open with a typed message instead of
-    // mapping the table at forged bounds.
-    if (sb->crc != map_format::superblock_crc(*sb)) {
-      throw std::runtime_error("GroupHashMap superblock is corrupt (checksum mismatch)");
-    }
-    // Bounds validation stays as belt and braces (a *consistently*
-    // re-checksummed forgery still must not index out of range).
-    if (sb->table_offset < kTableOffset || sb->table_bytes == 0 ||
-        sb->table_bytes > region_.size() ||
-        sb->table_offset > region_.size() - sb->table_bytes) {
-      throw std::runtime_error("GroupHashMap superblock is corrupt (table bounds)");
-    }
-    table_.emplace(
-        Table::attach(*pm_, region_.bytes().subspan(sb->table_offset, sb->table_bytes)));
-    if (sb->state == kStateDirty) {
-      open_recovery_ = recover_now();
-      recovered_on_open_ = true;
-    } else if (options.verify_on_open && table_->checksums_enabled()) {
-      // Clean shutdown: the group checksums are authoritative, so verify
-      // everything at rest before serving. (After a recovery they were
-      // just rebuilt over whatever the media holds — nothing to verify.)
-      open_scrub_ = table_->scrub_groups(
-          0, table_->num_groups(), [this](const hash::LostCell& c) { report_loss(c); },
-          options.scrub_mode);
-    }
-    mark_state(kStateDirty);
-    // An interrupted online resize leaves a durable cursor. The split
-    // image (old table + `.migrate` target) must be reattached before
-    // any op runs — whatever this open's online_resize option says.
-    // The cursor word self-checksums (it sits outside superblock_crc so
-    // it can be advanced with lone 8-byte stores): a word that neither
-    // reads disarmed nor checks out is corruption, not a crash state.
-    if (!map_format::migration_word_valid(superblock()->migration)) {
-      throw std::runtime_error("GroupHashMap migration cursor is corrupt");
-    }
-    if (map_format::migration_word_active(superblock()->migration)) {
-      resume_migration();
-    } else if (!path_.empty()) {
-      // No migration armed: a `.migrate` file here lost the race with
-      // the cursor arm (crashed start) — never authoritative, reclaim.
-      if (nvm::reclaim_orphan(path_ + kMigrateSuffix)) orphans_reclaimed_++;
-    }
+  Superblock* sb = superblock();
+  if (sb->magic != kMapMagic) throw std::runtime_error("not a GroupHashMap file");
+  if (sb->version != kMapVersion) throw std::runtime_error("unsupported map version");
+  if (sb->cell_size != sizeof(Cell)) {
+    throw std::runtime_error("map was created with a different key width");
   }
+  // The geometry must checksum before it is trusted: a bit-rot hit on
+  // the superblock fails the open with a typed message instead of
+  // mapping the table at forged bounds.
+  if (sb->crc != map_format::superblock_crc(*sb)) {
+    throw std::runtime_error("GroupHashMap superblock is corrupt (checksum mismatch)");
+  }
+  // Bounds validation stays as belt and braces (a *consistently*
+  // re-checksummed forgery still must not index out of range).
+  if (sb->table_offset < kTableOffset || sb->table_bytes == 0 ||
+      sb->table_bytes > region_.size() || sb->table_offset > region_.size() - sb->table_bytes) {
+    throw std::runtime_error("GroupHashMap superblock is corrupt (table bounds)");
+  }
+  table_.emplace(
+      Table::attach(*pm_, region_.bytes().subspan(sb->table_offset, sb->table_bytes)));
+  if (sb->state == kStateDirty) {
+    open_recovery_ = recover_now();
+    recovered_on_open_ = true;
+  } else {
+    // Clean shutdown: the group checksums are authoritative, so verify
+    // everything at rest before serving. (After a recovery they were
+    // just rebuilt over whatever the media holds — nothing to verify.)
+    verify_at_open(table());
+  }
+  mark_state(kStateDirty);
+  // An interrupted resize leaves a durable cursor. The split image (old
+  // table + `.migrate` target) must be reattached before any op runs.
+  // The cursor word self-checksums (it sits outside superblock_crc so it
+  // can be advanced with lone 8-byte stores): a word that neither reads
+  // disarmed nor checks out is corruption, not a crash state.
+  if (!map_format::migration_word_valid(superblock()->migration)) {
+    throw std::runtime_error("GroupHashMap migration cursor is corrupt");
+  }
+  if (map_format::migration_word_active(superblock()->migration)) {
+    resume_migration();
+  } else if (nvm::reclaim_orphan(path_ + kMigrateSuffix)) {
+    // No migration armed: a `.migrate` file here lost the race with the
+    // cursor arm (crashed start) — never authoritative, reclaim.
+    orphans_reclaimed_++;
+  }
+}
+
+template <class Cell>
+void BasicGroupHashMap<Cell>::verify_at_open(Table& t) {
+  if (!options_.verify_on_open || !t.checksums_enabled()) return;
+  open_scrub_ += t.scrub_groups(
+      0, t.num_groups(), [this](const hash::LostCell& c) { report_loss(c); },
+      options_.scrub_mode);
 }
 
 template <class Cell>
@@ -206,20 +217,13 @@ BasicGroupHashMap<Cell> BasicGroupHashMap<Cell>::create(const std::string& path,
   BasicGroupHashMap map;
   map.path_ = path;
   map.options_ = options;
-  const u64 total_cells = pow2_at_least(std::max<u64>(options.initial_cells, 16));
-  const usize table_bytes = Table::required_bytes(
-      {.level_cells = total_cells / 2,
-       .group_size = static_cast<u32>(
-           std::min<u64>(pow2_at_least(options.group_size), total_cells / 2)),
-       .group_crc = options.checksum_groups});
-  // Stale temp files from a crashed expand()/migration of a previous map
-  // at this path must not survive into the new map's lifetime. (create
-  // truncates the main file, so the old cursor that could have made the
-  // `.migrate` target authoritative dies with it.)
+  // Stale temp files from a crashed resize of a previous map at this
+  // path must not survive into the new map's lifetime. (create truncates
+  // the main file, so the old cursor that could have made the `.migrate`
+  // target authoritative dies with it.)
   nvm::reclaim_orphan(path + kExpandSuffix);
   nvm::reclaim_orphan(path + kMigrateSuffix);
-  map.init_region(nvm::NvmRegion::create_file(path, kTableOffset + table_bytes), options,
-                  /*fresh=*/true);
+  map.init(/*fresh=*/true);
   // Make the creation itself durable: the file's directory entry is not
   // guaranteed to survive a power failure until its parent is fsynced.
   if (!nvm::FaultFs::sync_dir(nvm::parent_dir(path))) {
@@ -232,14 +236,7 @@ template <class Cell>
 BasicGroupHashMap<Cell> BasicGroupHashMap<Cell>::create_in_memory(const MapOptions& options) {
   BasicGroupHashMap map;
   map.options_ = options;
-  const u64 total_cells = pow2_at_least(std::max<u64>(options.initial_cells, 16));
-  const usize table_bytes = Table::required_bytes(
-      {.level_cells = total_cells / 2,
-       .group_size = static_cast<u32>(
-           std::min<u64>(pow2_at_least(options.group_size), total_cells / 2)),
-       .group_crc = options.checksum_groups});
-  map.init_region(nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes), options,
-                  /*fresh=*/true);
+  map.init(/*fresh=*/true);
   return map;
 }
 
@@ -249,11 +246,11 @@ BasicGroupHashMap<Cell> BasicGroupHashMap<Cell>::open(const std::string& path,
   BasicGroupHashMap map;
   map.path_ = path;
   map.options_ = options;
-  // A crashed expand() can leave a stale temp file behind. It is never
-  // the authoritative copy (only the rename publishes it), so reclaim it
-  // before trusting anything at `path`.
+  // A crashed emergency merge can leave a stale temp file behind. It is
+  // never the authoritative copy (only the rename publishes it), so
+  // reclaim it before trusting anything at `path`.
   if (nvm::reclaim_orphan(path + kExpandSuffix)) map.orphans_reclaimed_++;
-  map.init_region(nvm::NvmRegion::open_file(path), options, /*fresh=*/false);
+  map.init(/*fresh=*/false);
   return map;
 }
 
@@ -510,18 +507,23 @@ void BasicGroupHashMap<Cell>::report_loss(const hash::LostCell& cell) {
 template <class Cell>
 hash::ScrubReport BasicGroupHashMap<Cell>::scrub(u64 max_groups) {
   hash::ScrubReport report;
-  const u64 ngroups = table().num_groups();
+  // Mid-resize the cursor walks the old table's groups, then the
+  // target's: both hold live cells.
+  const u64 old_groups = table().num_groups();
+  const u64 ngroups = old_groups + (mig_table_ ? mig_table_->num_groups() : 0);
   if (ngroups == 0 || !table().checksums_enabled()) return report;
   obs::OpScope op(sinks_, obs::OpKind::kScrub, 0, obs::FlightEdge::kAlways);
   // Wrap-around cursor: each call resumes where the last one stopped, so
-  // a periodic scrub(k) tick eventually covers the whole table.
+  // a periodic scrub(k) tick eventually covers every group.
   u64 remaining = std::min(max_groups, ngroups);
   while (remaining > 0) {
     if (scrub_cursor_ >= ngroups) scrub_cursor_ = 0;
-    const u64 chunk = std::min(remaining, ngroups - scrub_cursor_);
-    report += table().scrub_groups(
-        scrub_cursor_, chunk, [this](const hash::LostCell& c) { report_loss(c); },
-        options_.scrub_mode);
+    const bool in_target = scrub_cursor_ >= old_groups;
+    Table& t = in_target ? *mig_table_ : table();
+    const u64 first = in_target ? scrub_cursor_ - old_groups : scrub_cursor_;
+    const u64 chunk = std::min(remaining, t.num_groups() - first);
+    report += t.scrub_groups(
+        first, chunk, [this](const hash::LostCell& c) { report_loss(c); }, options_.scrub_mode);
     scrub_cursor_ = (scrub_cursor_ + chunk) % ngroups;
     remaining -= chunk;
   }
@@ -532,22 +534,17 @@ hash::ScrubReport BasicGroupHashMap<Cell>::scrub(u64 max_groups) {
 }
 
 template <class Cell>
-bool BasicGroupHashMap<Cell>::try_expand() {
-  if (expand_cooldown_ > 0) {
-    // Still backing off: absorb this placement failure without retrying.
-    expand_cooldown_--;
-    return false;
-  }
+bool BasicGroupHashMap<Cell>::backing_off() {
+  if (expand_cooldown_ == 0) return false;
+  expand_cooldown_--;  // absorb this failure without retrying
+  return true;
+}
+
+template <class Cell>
+template <class Fn>
+bool BasicGroupHashMap<Cell>::with_backoff(obs::OpKind kind, Fn&& step) {
   try {
-    if (mig_table_) {
-      // A placement failed while a resize is already migrating: there is
-      // no second target to start, so merge both tables now (blocking).
-      emergency_expand();
-    } else if (options_.online_resize) {
-      start_migration();
-    } else {
-      expand();
-    }
+    step();
   } catch (const nvm::SimulatedCrash&) {
     throw;  // a simulated power failure must freeze the world, not degrade
   } catch (const std::exception& e) {
@@ -555,12 +552,12 @@ bool BasicGroupHashMap<Cell>::try_expand() {
     expand_pending_ = true;
     last_expand_error_ = e.what();
     // Journal the degradation: after a crash the black box shows the map
-    // was limping, even if no expansion was mid-publish.
-    flight_event(obs::FlightEvent::kDegraded, obs::OpKind::kExpand);
+    // was limping, even if no resize was mid-publish.
+    flight_event(obs::FlightEvent::kDegraded, kind);
     // The first failure keeps cooldown at zero — a transient fault (one
-    // full disk scan, a single ENOSPC blip) costs exactly one retried
-    // expansion. Only consecutive failures open a backoff window, and it
-    // doubles up to the cap from there.
+    // full disk scan, a single ENOSPC blip) costs exactly one retry. Only
+    // consecutive failures open a backoff window, and it doubles up to
+    // the cap from there.
     expand_cooldown_ = expand_backoff_;
     expand_backoff_ =
         expand_backoff_ == 0 ? 1 : std::min<u64>(expand_backoff_ * 2, kMaxExpandBackoff);
@@ -573,20 +570,36 @@ bool BasicGroupHashMap<Cell>::try_expand() {
 }
 
 template <class Cell>
+bool BasicGroupHashMap<Cell>::try_expand() {
+  if (backing_off()) return false;
+  // A placement failed while a resize is already migrating: there is no
+  // second target to start, so merge both tables now (blocking).
+  if (mig_table_) return with_backoff(obs::OpKind::kExpand, [&] { emergency_expand(); });
+  // One kExpand op spans the start and the inline drain, so
+  // latency.expand is the stall the triggering op sees, and a crash
+  // mid-drain leaves an expand in flight past its publish mark.
+  obs::OpScope op(sinks_, obs::OpKind::kExpand, table().capacity(), obs::FlightEdge::kAlways);
+  if (!with_backoff(obs::OpKind::kExpand, [&] { start_migration(); })) return false;
+  op.mark(mig_table_->capacity());
+  help_steps_ += do_migrate(options_.migrate_groups_per_op);
+  return true;
+}
+
+template <class Cell>
 obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
   obs::Snapshot s;
   s.source = sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide";
+  // Abandoned (simulated crash): the table and its counters are gone.
+  hash::TableStats stats;
   if (table_) {
     s.size = size();
     s.capacity = capacity();
     s.load_factor = load_factor();
-    s.table = obs::TableOpSnapshot::from(table().stats());
-    if (mig_table_) s.table += obs::TableOpSnapshot::from(mig_table_->stats());
-    s.scrub = obs::ScrubSnapshot::from(table().stats(), open_scrub_);
-  } else {
-    // Abandoned (simulated crash): the table and its counters are gone.
-    s.scrub = obs::ScrubSnapshot::from(hash::TableStats{}, open_scrub_);
+    stats = table().stats();
+    if (mig_table_) stats += mig_table_->stats();
   }
+  s.table = obs::TableOpSnapshot::from(stats);
+  s.scrub = obs::ScrubSnapshot::from(stats, open_scrub_);
   if (pm_) s.persist = obs::PersistSnapshot::from(pm_->stats());
   s.lifecycle.expansions = expansions_;
   s.lifecycle.expand_failures = expand_failures_;
@@ -620,84 +633,22 @@ obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
   return s;
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::expand() {
-  obs::OpScope op(sinks_, obs::OpKind::kExpand, table().capacity(),
-                  obs::FlightEdge::kAlways);
-  u64 new_total = 2 * table().capacity();
-  for (;;) {
-    typename Table::Params params{
-        .level_cells = new_total / 2,
-        .group_size = static_cast<u32>(std::min<u64>(table().group_size(), new_total / 2)),
-        .seed = table().seed(),
-        .zero_memory = false,
-        // The rebuild inherits the image's integrity setting. Rebuilding
-        // into fresh memory also clears any quarantine: cells re-inserted
-        // here land on trusted media with freshly maintained checksums.
-        .group_crc = table().checksums_enabled()};
-    const usize table_bytes = Table::required_bytes(params);
-    const bool file_backed = region_.file_backed();
-    const std::string tmp_path = path_ + kExpandSuffix;
-    nvm::NvmRegion new_region =
-        file_backed ? nvm::NvmRegion::create_file(tmp_path, kTableOffset + table_bytes)
-                    : nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes);
-    Table new_table(*pm_, new_region.bytes().subspan(kTableOffset, table_bytes), params,
-                    /*format=*/true);
-    bool refill_ok = true;
-    table().for_each([&](const key_type& k, u64 v) {
-      if (refill_ok && !new_table.insert(k, v)) refill_ok = false;
-    });
-    if (!refill_ok) {
-      // Pathological grouping in the bigger table; double again.
-      new_total *= 2;
-      if (file_backed) nvm::FaultFs::remove(tmp_path);
-      continue;
-    }
-    // Publish the new table: superblock, sync, then atomically replace the
-    // old file. The mapping of the new file survives the rename.
-    write_superblock_fields(*pm_, reinterpret_cast<Superblock*>(new_region.data()),
-                            sizeof(Cell), table_bytes, params.group_size, params.seed);
-    // Journal the publish step: if the rename protocol below crashes, the
-    // black box shows an expansion that reached `publish` but not
-    // `finish` — the exact op recovery is repairing after.
-    op.mark(new_total);
-    if (file_backed) {
-      // write-back → rename → fsync(parent): the shared durable publish
-      // protocol (src/nvm/fault_fs.hpp). Unlinks the temp file before
-      // throwing on failure; a SimulatedCrash propagates untouched.
-      nvm::publish_region_file(new_region, tmp_path, path_,
-                               "failed to publish expanded map file");
-    }
-    // Preserve operation statistics across the rebuild.
-    new_table.stats() = table().stats();
-    table_.emplace(std::move(new_table));
-    if (options_.retain_retired_regions) {
-      retired_regions_.push_back(std::move(region_));
-    }
-    region_ = std::move(new_region);
-    expansions_++;
-    structure_version_++;
-    scrub_cursor_ = 0;  // group numbering changed with the geometry
-    return;
-  }
-}
-
-// --- Online resize: the incremental migration state machine ----------------
+// --- Resize: the migration state machine -----------------------------------
 //
 // Phases (each durably ordered by an fsync/rename or an 8-byte committed
 // store, and each named in the flight recorder):
 //
 //   start      create + format `<path>.migrate` (own superblock, dirty)
 //   published  target durable (msync + parent-dir fsync), cursor armed
-//   cursor=g   groups [0,g) drained: copied into the target and erased
+//   cursor=g   groups [0,g) drained: copied into the target and cleared
 //              from the old table, cursor advanced with one committed
 //              8-byte store per group
 //   finalize   cursor == num_groups, old table empty: target synced and
-//              renamed over `path` (the expand() publish protocol)
+//              renamed over `path`
 //   retire     old region unmapped; the target is the map
 //
 // Crash anywhere: the cursor word in the old superblock names the resume
-// point; duplicates from a group interrupted between copy and erase are
+// point; duplicates from a group interrupted between copy and clear are
 // masked by new-table-first reads and skipped by the idempotent re-copy.
 
 template <class Cell>
@@ -739,36 +690,20 @@ template <class Cell>
 void BasicGroupHashMap<Cell>::start_migration() {
   GH_CHECK(!mig_table_);
   journal_migration(obs::FlightPhase::kStart, obs::MigrationPhase::kStart);
-  const u64 new_total = 2 * table().capacity();
-  typename Table::Params params{
-      .level_cells = new_total / 2,
-      .group_size = static_cast<u32>(std::min<u64>(table().group_size(), new_total / 2)),
-      .seed = table().seed(),
-      .zero_memory = false,
-      .group_crc = table().checksums_enabled()};
-  const usize table_bytes = Table::required_bytes(params);
-  const bool file_backed = region_.file_backed();
-  const std::string mig_path = path_ + kMigrateSuffix;
-  nvm::NvmRegion mig_region =
-      file_backed ? nvm::NvmRegion::create_file(mig_path, kTableOffset + table_bytes)
-                  : nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes);
-  Table mig_table(*pm_, mig_region.bytes().subspan(kTableOffset, table_bytes), params,
-                  /*format=*/true);
-  write_superblock_fields(*pm_,
-                          reinterpret_cast<Superblock*>(mig_region.data()), sizeof(Cell),
-                          table_bytes, params.group_size, params.seed);
+  Fresh target = format_table(kMigrateSuffix, 2 * table().capacity(), table().group_size(),
+                              table().seed(), table().checksums_enabled());
   nvm::crash_point("migrate.start.formatted");
-  if (file_backed) {
+  if (!path_.empty()) {
     // The target must be durable (content and directory entry) before the
     // cursor can point at it: an armed cursor whose target is missing is
     // unrecoverable by design, so this ordering is load-bearing.
-    mig_region.sync();
+    target.region.sync();
     if (!nvm::FaultFs::sync_dir(nvm::parent_dir(path_))) {
-      throw std::runtime_error("failed to fsync parent directory of " + mig_path);
+      throw std::runtime_error("failed to fsync parent directory of " + path_ + kMigrateSuffix);
     }
   }
-  mig_region_ = std::move(mig_region);
-  mig_table_.emplace(std::move(mig_table));
+  mig_region_ = std::move(target.region);
+  mig_table_.emplace(std::move(target.table));
   mig_cursor_ = 0;
   mig_marked_cursor_ = 0;
   mig_total_groups_ = table().num_groups();
@@ -812,7 +747,7 @@ bool BasicGroupHashMap<Cell>::migrate_one_group(u64 g) {
     return false;
   }
   nvm::crash_point("migrate.group.copied");
-  table().erase_batch(keys, {});
+  table().clear_group(g);
   nvm::crash_point("migrate.group.erased");
   keys_migrated_ += keys.size();
   return true;
@@ -840,32 +775,10 @@ u64 BasicGroupHashMap<Cell>::do_migrate(u64 max_groups) {
       mig_marked_cursor_ = mig_cursor_;
     }
   }
-  if (mig_table_ && mig_cursor_ >= mig_total_groups_) {
-    if (expand_cooldown_ > 0) {
-      // A previously failed finalize armed the backoff; absorb.
-      expand_cooldown_--;
-    } else {
-      try {
-        finalize_migration();
-        expand_pending_ = false;
-        expand_backoff_ = 0;
-        expand_cooldown_ = 0;
-      } catch (const nvm::SimulatedCrash&) {
-        throw;
-      } catch (const std::exception& e) {
-        // Same degrade-don't-wedge contract as try_expand: the drain is
-        // complete, only the rename publish is owed — keep serving from
-        // the split image and retry with capped backoff.
-        expand_failures_++;
-        expand_pending_ = true;
-        last_expand_error_ = e.what();
-        flight_event(obs::FlightEvent::kDegraded, obs::OpKind::kMigrate);
-        expand_cooldown_ = expand_backoff_;
-        expand_backoff_ = expand_backoff_ == 0
-                              ? 1
-                              : std::min<u64>(expand_backoff_ * 2, kMaxExpandBackoff);
-      }
-    }
+  // A failed finalize leaves the drained split image serving (only the
+  // rename publish is owed) and retries with capped backoff.
+  if (mig_table_ && mig_cursor_ >= mig_total_groups_ && !backing_off()) {
+    with_backoff(obs::OpKind::kMigrate, [&] { finalize_migration(); });
   }
   return done;
 }
@@ -900,8 +813,8 @@ void BasicGroupHashMap<Cell>::finalize_migration() {
   GH_CHECK_MSG(table().count() == 0, "finalize with undrained old table");
   journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kFinalize);
   nvm::crash_point("migrate.finalize");
-  if (region_.file_backed()) {
-    // The expand() publish protocol — but spelled out instead of using
+  if (!path_.empty()) {
+    // The durable publish protocol — spelled out instead of using
     // publish_region_file, because its failure cleanup unlinks the temp
     // file and the `.migrate` target holds the only copy of the data.
     // On failure the split image stays intact and the caller retries.
@@ -915,10 +828,9 @@ void BasicGroupHashMap<Cell>::finalize_migration() {
       throw std::runtime_error("failed to fsync parent directory of " + path_);
     }
   }
-  // Preserve operation statistics across the rebuild (the expand()
-  // convention: the pre-resize history wins over the target's own
-  // migration-time counters).
-  mig_table_->stats() = table().stats();
+  // Both tables' op counters carry forward, so the cumulative counters
+  // never go backwards; the resize's own copies count as inserts.
+  mig_table_->stats() += table().stats();
   table_.emplace(std::move(*mig_table_));
   if (options_.retain_retired_regions) {
     retired_regions_.push_back(std::move(region_));
@@ -928,6 +840,7 @@ void BasicGroupHashMap<Cell>::finalize_migration() {
   clear_migration_state();
   nvm::crash_point("migrate.retired");
   migrations_completed_++;
+  expansions_++;
   structure_version_++;
   scrub_cursor_ = 0;  // group numbering changed with the geometry
 }
@@ -938,57 +851,43 @@ void BasicGroupHashMap<Cell>::emergency_expand() {
   obs::OpScope op(sinks_, obs::OpKind::kExpand, 0, obs::FlightEdge::kNone);
   journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kEmergency);
   nvm::crash_point("migrate.emergency");
-  u64 new_total = 2 * mig_table_->capacity();
-  for (;;) {
-    typename Table::Params params{
-        .level_cells = new_total / 2,
-        .group_size = static_cast<u32>(std::min<u64>(table().group_size(), new_total / 2)),
-        .seed = table().seed(),
-        .zero_memory = false,
-        .group_crc = table().checksums_enabled()};
-    const usize table_bytes = Table::required_bytes(params);
-    const bool file_backed = region_.file_backed();
-    const std::string tmp_path = path_ + kExpandSuffix;
-    nvm::NvmRegion new_region =
-        file_backed ? nvm::NvmRegion::create_file(tmp_path, kTableOffset + table_bytes)
-                    : nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes);
-    Table new_table(*pm_, new_region.bytes().subspan(kTableOffset, table_bytes), params,
-                    /*format=*/true);
+  for (u64 total = 2 * mig_table_->capacity();; total *= 2) {
+    Fresh merged = format_table(kExpandSuffix, total, table().group_size(), table().seed(),
+                                table().checksums_enabled());
     bool refill_ok = true;
     mig_table_->for_each([&](const key_type& k, u64 v) {
-      if (refill_ok && !new_table.insert(k, v)) refill_ok = false;
+      refill_ok = refill_ok && merged.table.insert(k, v);
     });
     // Old-table cells lose to their migrated copies: a group interrupted
-    // between copy and erase holds stale duplicates, and the target's
+    // between copy and clear holds stale duplicates, and the target's
     // value is the authoritative one.
     table().for_each([&](const key_type& k, u64 v) {
-      if (refill_ok && !new_table.find(k) && !new_table.insert(k, v)) refill_ok = false;
+      refill_ok = refill_ok && (merged.table.find(k) || merged.table.insert(k, v));
     });
     if (!refill_ok) {
-      new_total *= 2;
-      if (file_backed) nvm::FaultFs::remove(tmp_path);
+      // Pathological grouping in the bigger table; double again.
+      if (!path_.empty()) nvm::FaultFs::remove(path_ + kExpandSuffix);
       continue;
     }
-    write_superblock_fields(*pm_, reinterpret_cast<Superblock*>(new_region.data()),
-                            sizeof(Cell), table_bytes, params.group_size, params.seed);
-    if (file_backed) {
+    if (!path_.empty()) {
       // Publishing the merged file disarms the cursor (the new
       // superblock's word is zero), so a crash after the rename leaves
       // the stale `.migrate` as a reclaimable orphan, not live data.
-      nvm::publish_region_file(new_region, tmp_path, path_,
+      nvm::publish_region_file(merged.region, path_ + kExpandSuffix, path_,
                                "failed to publish emergency-expanded map file");
     }
     nvm::crash_point("migrate.emergency.published");
-    new_table.stats() = table().stats();
-    table_.emplace(std::move(new_table));
+    merged.table.stats() += table().stats();
+    merged.table.stats() += mig_table_->stats();
+    table_.emplace(std::move(merged.table));
     if (options_.retain_retired_regions) {
       retired_regions_.push_back(std::move(region_));
       retired_regions_.push_back(std::move(mig_region_));
     }
-    region_ = std::move(new_region);
+    region_ = std::move(merged.region);
     journal_migration(obs::FlightPhase::kFinish, obs::MigrationPhase::kEmergency);
     clear_migration_state();
-    if (region_.file_backed()) nvm::FaultFs::remove(path_ + kMigrateSuffix);
+    if (!path_.empty()) nvm::FaultFs::remove(path_ + kMigrateSuffix);
     emergency_expands_++;
     expansions_++;
     structure_version_++;
@@ -1030,6 +929,9 @@ void BasicGroupHashMap<Cell>::resume_migration() {
     mig_table_->recover();
     recoveries_++;
   } else {
+    // Closed cleanly: its checksums are as authoritative as the old
+    // table's, and its drained groups have no other copy to fall back on.
+    verify_at_open(*mig_table_);
     pm_->atomic_store_u64(&msb->state, kStateDirty);
     pm_->persist(&msb->state, sizeof(u64));
   }

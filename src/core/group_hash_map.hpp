@@ -15,8 +15,9 @@
 //     create duplicate cells;
 //   * automatic expansion: when an insert finds its level-2 group full
 //     (the paper's "capacity needs to be expanded" signal) the map
-//     rebuilds into a table twice the size — for file-backed maps via
-//     write-new-file + atomic rename;
+//     migrates into a table twice the size behind a durable cursor —
+//     all at once or a few groups per op (MapOptions::
+//     migrate_groups_per_op); file-backed maps publish it by rename;
 //   * a choice of key widths: GroupHashMap (63-bit integer keys) and
 //     GroupHashMapWide (128-bit keys, e.g. content fingerprints).
 #pragma once
@@ -42,6 +43,10 @@
 
 namespace gh {
 
+/// MapOptions::migrate_groups_per_op value that finishes a resize inside
+/// the op that triggered it.
+inline constexpr u32 kDrainAllGroups = ~u32{0};
+
 struct MapOptions {
   /// Total cell budget (level 1 + level 2); rounded up to a power of two.
   u64 initial_cells = 1ull << 16;
@@ -51,10 +56,11 @@ struct MapOptions {
   /// Emulated NVM write latency injected after each cacheline flush.
   /// 0 = run at memory speed (real persistent memory, or no emulation).
   u64 flush_latency_ns = 0;
-  /// Double the table (rebuild) when an insert fails instead of throwing.
+  /// Resize (double the table) when an insert finds no free cell instead
+  /// of throwing.
   bool auto_expand = true;
-  /// Keep the old region mapped (instead of unmapping it) when expansion
-  /// rebuilds into a new one. Required by the optimistic concurrent
+  /// Keep the old region mapped (instead of unmapping it) when a resize
+  /// retires it. Required by the optimistic concurrent
   /// wrapper: a lock-free reader racing an expansion may still probe the
   /// retired table, and must hit mapped (stale) memory — its seqlock
   /// validation then discards the result. Doubling bounds the total
@@ -90,22 +96,20 @@ struct MapOptions {
   /// journals everything; kOff writes nothing and creates no sidecar.
   /// Always off (and no sidecar is ever created) under GH_OBS_OFF.
   obs::FlightMode flight_mode = obs::FlightMode::kSampled;
-  /// Resize incrementally instead of with one blocking rebuild. When an
-  /// insert needs capacity, a double-sized migration target is created
-  /// and published (`<path>.migrate`, own superblock), and groups are
-  /// rehashed into it a few at a time by the mutating ops themselves
-  /// ("help-along", bounded by migrate_groups_per_op) plus any explicit
-  /// migrate_step() calls from a maintenance tick. Reads probe new-then-
-  /// old while the migration runs. The migration cursor is durable (an
-  /// 8-byte self-checksummed word in the superblock), so a crash
-  /// mid-resize resumes where it stopped instead of restarting — and an
-  /// image with an interrupted migration always resumes on open(),
-  /// whatever this flag says. Off by default: blocking expand().
-  bool online_resize = false;
-  /// Groups each mutating op migrates while a migration is active (the
-  /// help-along bound — the knob trading per-op stall for migration
-  /// drain rate). 0 = ops never help; only migrate_step() advances.
-  u32 migrate_groups_per_op = 1;
+  /// Groups of the old table a resize moves per mutating op. A resize
+  /// creates and publishes a double-sized target (`<path>.migrate`, own
+  /// superblock) and rehashes the old table into it group by group. The
+  /// op whose insert found no free cell drains up to this many groups
+  /// before placing its key, every later mutating op drains up to this
+  /// many more ("help-along"), and migrate_step() drains the rest from a
+  /// maintenance tick. Reads probe new-then-old while groups remain. The
+  /// cursor is durable (an 8-byte self-checksummed word in the
+  /// superblock), so a crash mid-resize resumes where it stopped, and an
+  /// image with an interrupted resize resumes on open() whatever this
+  /// says. kDrainAllGroups (the default) finishes the resize inside the
+  /// triggering op; 1 bounds every op's stall to one group; 0 leaves the
+  /// drain to migrate_step() alone.
+  u32 migrate_groups_per_op = kDrainAllGroups;
 };
 
 template <class Cell>
@@ -174,7 +178,7 @@ class BasicGroupHashMap {
   /// erase of a key misses).
   void erase_batch(std::span<const key_type> keys, std::span<u8> hits = {});
 
-  /// Visit all (key, value) pairs. During an online resize the live set
+  /// Visit all (key, value) pairs. During a resize the live set
   /// is split across the migration target and the old table (disjoint:
   /// a group's cells are erased from the old table only after they are
   /// committed in the new one), so both are walked.
@@ -231,7 +235,7 @@ class BasicGroupHashMap {
   /// report) when the map was created without checksum_groups.
   hash::ScrubReport scrub(u64 max_groups = ~0ull);
 
-  /// True while an online resize is draining groups into the new table.
+  /// True while a resize is draining groups into the new table.
   [[nodiscard]] bool migration_active() const { return mig_table_.has_value(); }
 
   /// Next source group the migration will drain (groups below it are
@@ -253,8 +257,8 @@ class BasicGroupHashMap {
   /// even without write traffic.
   u64 migrate_step(u64 max_groups);
 
-  /// Bumped whenever the probe geometry changes: expansion, migration
-  /// start/finalize/emergency, compaction. The concurrent wrapper
+  /// Bumped whenever the probe geometry changes: migration start, resume
+  /// and finalize, and the emergency merge. The concurrent wrapper
   /// compares it to decide when to republish its read view.
   [[nodiscard]] u64 structure_version() const { return structure_version_; }
 
@@ -284,8 +288,9 @@ class BasicGroupHashMap {
   /// file holds everything stored before the "crash").
   void abandon();
 
-  /// Stale `.expand` temp files (from a crashed publish) that open()
-  /// reclaimed before trusting the map file.
+  /// Stale resize files that open() reclaimed before trusting the map
+  /// file: a `.expand` merge target that never published, or a
+  /// `.migrate` target whose cursor was never armed.
   [[nodiscard]] u64 orphans_reclaimed_on_open() const { return orphans_reclaimed_; }
 
   /// What the open()-time scan of the `.flight` sidecar found: the ops
@@ -311,23 +316,36 @@ class BasicGroupHashMap {
   const Table& table() const { return *table_; }
   Superblock* superblock();
   void mark_state(u64 state);
-  void expand();
-  /// Grow capacity, degrading gracefully: a failure (other than
-  /// SimulatedCrash) records the pending-expand state, arms the backoff,
-  /// and returns false instead of throwing. Dispatches on the resize
-  /// mode: blocking expand() by default, start_migration() under
-  /// online_resize, and the blocking emergency merge when a placement
-  /// fails while a migration is already running.
+  /// Grow capacity, degrading gracefully (see with_backoff). Starts a
+  /// migration and drains up to migrate_groups_per_op groups of it, or
+  /// runs the blocking emergency merge when a placement fails while a
+  /// migration is already running.
   bool try_expand();
+  /// True (and one failure absorbed) while a failed resize step's backoff
+  /// window is open.
+  bool backing_off();
+  /// Run one resize step; a failure other than SimulatedCrash records the
+  /// pending-expand state, journals it, arms the capped backoff and
+  /// returns false instead of throwing.
+  template <class Fn>
+  bool with_backoff(obs::OpKind kind, Fn&& step);
+  struct Fresh {
+    nvm::NvmRegion region;
+    Table table;
+  };
+  /// Create and format an empty table of `total_cells` cells behind a
+  /// dirty, disarmed superblock: the file `path_ + suffix`, or anonymous
+  /// memory for an in-memory map. Builds new maps and resize targets.
+  Fresh format_table(const char* suffix, u64 total_cells, u64 group_size, u64 seed, bool crc);
   /// The scalar upsert core shared by put/put_batch/increment: routes
   /// writes new-table-first during a migration so readers (which probe
   /// new-then-old) always see the latest committed value.
   void put_value(const key_type& key, u64 value);
 
-  // --- Online-resize state machine (see DESIGN.md, "Online resize") ---
+  // --- Resize state machine (see DESIGN.md, "Resize") ---
   /// Create + durably publish the `.migrate` target and arm the cursor.
   void start_migration();
-  /// Rehash one source group into the target and erase it from the old
+  /// Rehash one source group into the target and clear it from the old
   /// table. Idempotent (keys already present in the target are skipped),
   /// so re-running the cursor group after a crash is safe. Returns false
   /// when the target could not place a key — the caller must fall back
@@ -345,24 +363,26 @@ class BasicGroupHashMap {
   /// (the target filled up mid-migration, or a second capacity miss hit
   /// while migrating). Clears the migration state.
   void emergency_expand();
-  /// open()-time continuation of an interrupted migration: attach (and
-  /// if dirty, recover) the `.migrate` target named by the durable
-  /// cursor, then keep draining incrementally.
+  /// open()-time continuation of an interrupted migration: attach the
+  /// `.migrate` target named by the durable cursor — recovered if dirty,
+  /// verified like the old table if clean — then keep draining.
   void resume_migration();
   /// 8-byte atomic advance of the self-checksummed cursor word in the
   /// old superblock, persisted and (file-backed) msync'd.
   void set_migration_word(u64 word);
   void clear_migration_state();
   void report_loss(const hash::LostCell& cell);
-  void init_region(nvm::NvmRegion region, const MapOptions& options, bool fresh);
+  /// Verify every group checksum of `t` into open_scrub_ (clean opens).
+  void verify_at_open(Table& t);
+  void init(bool fresh);
   /// Open/format the `.flight` sidecar and stand up the recorder. Called
-  /// by init_region BEFORE recovery so the crash forensics of the
+  /// by init() BEFORE recovery so the crash forensics of the
   /// previous run are available to the recovery report. Never throws for
   /// sidecar-content reasons: a corrupt sidecar is reformatted.
   void init_flight(const MapOptions& options, bool fresh);
 
   /// Journal a step of the long-lived kMigrate flight op, whose token
-  /// spans the whole online resize rather than one OpScope; the record
+  /// spans the whole resize rather than one OpScope; the record
   /// names the migration phase and the current cursor. No-op while the
   /// recorder is off.
   void journal_migration(obs::FlightPhase edge, obs::MigrationPhase phase);
@@ -403,7 +423,7 @@ class BasicGroupHashMap {
   hash::RecoveryReport open_recovery_;
   hash::ScrubReport open_scrub_;
   std::string last_expand_error_;
-  // Online-resize state: the migration target table over its own region,
+  // Resize state: the migration target table over its own region,
   // plus the in-memory copy of the durable cursor. mig_table_ engaged ==
   // migration active.
   nvm::NvmRegion mig_region_;
@@ -413,7 +433,7 @@ class BasicGroupHashMap {
   u64 mig_flight_token_ = 0;
   u64 mig_marked_cursor_ = 0;  ///< last cursor journaled to the flight ring
   u64 structure_version_ = 0;
-  u64 expansions_ = 0;
+  u64 expansions_ = 0;  ///< completed resizes (finalized migrations + emergency merges)
   u64 expand_failures_ = 0;  ///< expansion attempts that failed (e.g. ENOSPC)
   u64 recoveries_ = 0;
   u64 migrations_started_ = 0;

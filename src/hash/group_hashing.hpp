@@ -57,6 +57,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hash/cells.hpp"
@@ -65,6 +66,7 @@
 #include "hash/tag_probe.hpp"
 #include "hash/wal.hpp"
 #include "nvm/media_error.hpp"
+#include "nvm/persist.hpp"
 #include "util/assert.hpp"
 #include "util/counters.hpp"
 #include "util/crc32c.hpp"
@@ -415,6 +417,49 @@ class GroupHashTable {
       erased += nvictims;
     }
     return erased;
+  }
+
+  /// Empty group `g` on both levels — how a resize retires a source group
+  /// once its keys are copied out. Keeps erase_batch's crash order (every
+  /// commit word cleared → fence → payloads wiped → fence), so no crash
+  /// image holds a committed cell with a wiped payload, but flushes each
+  /// touched cacheline once per phase instead of once per cell. The group
+  /// ends all-zero, which digests to 0, so both checksum words are reset
+  /// rather than delta-updated, and the count drops in one bump. Returns
+  /// the number of occupied cells cleared.
+  u64 clear_group(u64 g) {
+    GH_DCHECK(g < num_groups());
+    Cell* const levels[2] = {tab1_ + g * group_size_, tab2_ + g * group_size_};
+    LineCoalescingPM lines{*pm_};
+    u64 cleared = 0;
+    for (Cell* base : levels) {
+      for (u32 i = 0; i < group_size_; ++i) {
+        if (!base[i].occupied()) continue;
+        base[i].retract_commit(lines);
+        tag_store(tag_slot(base + i), 0);
+        cleared++;
+      }
+    }
+    lines.drain();
+    pm_->fence();  // clears durable before any wipe store issues
+    // Unoccupied cells are normally all-zero already; wiping every dirty
+    // one (not only the just-cleared) is what makes the 0 checksum exact.
+    for (Cell* base : levels) {
+      for (u32 i = 0; i < group_size_; ++i) {
+        if (base[i].payload_dirty()) base[i].retract_wipe(lines);
+      }
+    }
+    lines.drain();
+    pm_->fence();
+    if (crc_) {
+      for (u32 level = 0; level < 2; ++level) {
+        pm_->atomic_store_u64(crc_slot(level, g), 0);
+        pm_->flush(crc_slot(level, g), sizeof(u64));
+      }
+      pm_->fence();
+    }
+    if (cleared > 0) bump_count(-static_cast<i64>(cleared));
+    return cleared;
   }
 
   /// Algorithm 4: full-scan recovery. Scrubs the payload of every
@@ -816,6 +861,39 @@ class GroupHashTable {
       }
       pm.fence();
       n = 0;
+    }
+  };
+
+  /// clear_group's PM view (Level Hashing's one-flush-per-shared-line
+  /// idea): stores pass straight through, a flush only marks its lines,
+  /// and each marked line is flushed once. Cells are walked in address
+  /// order, so a line is complete — and flushed — when a later line is
+  /// marked, or at drain(). No fence: the caller fences each phase.
+  struct LineCoalescingPM {
+    PM& pm;
+    const std::byte* open = nullptr;  ///< marked line not yet flushed
+    bool flushed = false;             ///< any line flushed since the last drain()
+
+    void store_u64(u64* dst, u64 v) { pm.store_u64(dst, v); }
+    void atomic_store_u64(u64* dst, u64 v) { pm.atomic_store_u64(dst, v); }
+    void flush(const void* addr, usize n) {
+      const auto* end = static_cast<const std::byte*>(addr) + n;
+      for (const std::byte* line = nvm::line_begin(addr); line < end; line += kCachelineSize) {
+        if (line == open) continue;
+        flush_open();
+        open = line;
+      }
+    }
+    void flush_open() {
+      if (open == nullptr) return;
+      pm.flush(open, kCachelineSize);
+      open = nullptr;
+      flushed = true;
+    }
+    /// Flush the last marked line; true when this phase flushed anything.
+    bool drain() {
+      flush_open();
+      return std::exchange(flushed, false);
     }
   };
 

@@ -109,6 +109,35 @@ struct TableStats {
 
   void clear() { *this = TableStats{}; }
 
+  /// Sum another table's counters in — how a resize carries both tables'
+  /// history into the one that survives it.
+  TableStats& operator+=(const TableStats& o) {
+    inserts += o.inserts;
+    insert_failures += o.insert_failures;
+    queries += o.queries;
+    query_hits += o.query_hits;
+    erases += o.erases;
+    erase_hits += o.erase_hits;
+    probes += o.probes;
+    level2_probes += o.level2_probes;
+    displacements += o.displacements;
+    stash_probes += o.stash_probes;
+    backward_shifts += o.backward_shifts;
+    tag_probes += o.tag_probes;
+    tag_skips += o.tag_skips;
+    tag_false_positives += o.tag_false_positives;
+    batch_ops += o.batch_ops;
+    batch_keys += o.batch_keys;
+    prefetches_issued += o.prefetches_issued;
+    groups_scrubbed += o.groups_scrubbed;
+    cells_scrubbed += o.cells_scrubbed;
+    crc_mismatches += o.crc_mismatches;
+    groups_quarantined += o.groups_quarantined;
+    cells_lost += o.cells_lost;
+    media_errors += o.media_errors;
+    return *this;
+  }
+
   [[nodiscard]] std::string to_string() const {
     return "inserts=" + std::to_string(inserts) + "(" + std::to_string(insert_failures) +
            " failed) queries=" + std::to_string(queries) + "/" + std::to_string(query_hits) +
@@ -130,5 +159,7 @@ struct TableStats {
            " media_errors=" + std::to_string(media_errors);
   }
 };
+static_assert(sizeof(TableStats) == 23 * sizeof(RelaxedCounter),
+              "TableStats::operator+= must sum every counter");
 
 }  // namespace gh::hash

@@ -43,11 +43,12 @@
 //     the worker installs it between visits, after which the shard
 //     serves again.
 //
-// Online resize: with map_options.online_resize set, a shard mid-resize
-// keeps serving — writers help migrate a bounded number of groups per
-// call, and the worker drains the tail from its idle loop (one
-// migrate_step() burst per empty ring poll), so the resize finishes even
-// on a read-only or idle shard without ever blocking a visit.
+// Resize: by default a shard's resize drains inside the visit that
+// triggered it. With map_options.migrate_groups_per_op bounded (say 1),
+// a shard mid-resize keeps serving — writers help migrate that many
+// groups per call, and the worker drains the tail from its idle loop
+// (one migrate_step() burst per empty ring poll), so the resize finishes
+// even on a read-only or idle shard without ever blocking a visit.
 //
 // Observability: execute() records end-to-end batch latency per request
 // into a service-level obs::OpRecorder (get→kFind, put→kInsert,

@@ -752,12 +752,24 @@ class TagCrash : public ::testing::Test {
       values.push_back(i);
     }
     // Scalar warm-up, then batched upsert (covers both windows of 32),
-    // scalar + batched erase, and batched re-insert over the holes.
+    // scalar + batched erase, batched re-insert over the holes, and the
+    // resize's whole-group clear.
     for (usize i = 0; i < 8; ++i) t.insert(keys[i], values[i]);
     t.upsert_batch(std::span(keys).subspan(8), std::span(values).subspan(8));
     t.erase(keys[0]);
     t.erase_batch(std::span(keys).subspan(1, 11), {});
     t.upsert_batch(std::span(keys).first(6), std::span(values).first(6));
+    t.clear_group(1);
+    t.clear_group(2);
+  }
+
+  /// Every script value is nonzero, so a committed cell holding value 0
+  /// is one whose payload wipe reached media before its commit clear.
+  static bool committed_payloads_intact(nvm::ShadowPM& pm, std::span<std::byte> mem) {
+    const Table reopened = Table::attach(pm, mem);
+    bool intact = true;
+    reopened.for_each([&](u64, u64 v) { intact = intact && v != 0; });
+    return intact;
   }
 
   static bool tags_match_after_reopen(nvm::ShadowPM& pm, std::span<std::byte> mem,
@@ -806,6 +818,7 @@ TEST_F(TagCrash, ReopenRebuildsTagsAtEveryCrashPoint) {
     // The fence-honest image: only explicitly persisted data survives.
     const auto image = pm.materialize_crash_image(nvm::CrashMode::kNothingEvicted, 0);
     pm.reset_to_image(image);
+    ASSERT_TRUE(committed_payloads_intact(pm, mem)) << "crash_at " << crash_at;
     ASSERT_TRUE(tags_match_after_reopen(pm, mem, /*recover=*/true))
         << "crash_at " << crash_at;
   }
@@ -839,6 +852,8 @@ TEST_F(TagCrash, ReopenRebuildsTagsUnderRandomEviction) {
       const auto image =
           pm.materialize_crash_image(nvm::CrashMode::kRandomEviction, evict_seed);
       pm.reset_to_image(image);
+      ASSERT_TRUE(committed_payloads_intact(pm, mem))
+          << "crash_at " << crash_at << " evict_seed " << evict_seed;
       ASSERT_TRUE(tags_match_after_reopen(pm, mem, /*recover=*/true))
           << "crash_at " << crash_at << " evict_seed " << evict_seed;
     }

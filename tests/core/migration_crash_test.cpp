@@ -1,4 +1,5 @@
-// Crash-at-every-step fuzz for the online-resize migration.
+// Crash-at-every-step fuzz for the resize migration, run both drained a
+// group per op and drained inline (the default).
 //
 // The migration's durable steps live in two registries:
 //
@@ -45,15 +46,19 @@ std::string temp_path(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
 }
 
-MapOptions migration_options() {
+MapOptions migration_options(u32 groups_per_op = 1) {
   MapOptions o;
   o.initial_cells = 64;  // several migrations within a few hundred keys
   o.group_size = 8;
   o.flush_latency_ns = 0;
-  o.online_resize = true;
-  o.migrate_groups_per_op = 1;
+  o.migrate_groups_per_op = groups_per_op;
   return o;
 }
+
+/// The sweeps' drain settings: one group per op (the split image lives
+/// across many ops) and the default inline drain (a whole resize inside
+/// one op).
+constexpr u32 kDrainModes[] = {1, kDrainAllGroups};
 
 constexpr u64 kOpsPerSeed = 400;
 constexpr u64 kSeeds = 8;
@@ -105,11 +110,11 @@ struct RunResult {
 /// Replays the workload for `seed` against a fresh file map at `path`.
 /// Returns the committed-op oracle; when a crash fires, also which op
 /// was in flight.
-RunResult run_workload(const std::string& path, u64 seed) {
+RunResult run_workload(const std::string& path, u64 seed, u32 groups_per_op) {
   RunResult r;
   std::optional<GroupHashMap> map;
   try {
-    map.emplace(GroupHashMap::create(path, migration_options()));
+    map.emplace(GroupHashMap::create(path, migration_options(groups_per_op)));
   } catch (const nvm::SimulatedCrash&) {
     // Crash during create(): nothing was committed, nothing to verify.
     r.crashed = true;
@@ -183,8 +188,8 @@ void verify_against_oracle(GroupHashMap& map, const RunResult& r, bool drained) 
   }
 }
 
-void run_trial(const std::string& path, const RunResult& r) {
-  auto map = GroupHashMap::open(path, migration_options());
+void run_trial(const std::string& path, const RunResult& r, u32 groups_per_op) {
+  auto map = GroupHashMap::open(path, migration_options(groups_per_op));
   // Mid-migration integrity: tags and CRCs of both halves must verify
   // before any further traffic.
   EXPECT_TRUE(map.debug_verify_tags());
@@ -208,34 +213,36 @@ void remove_all(const std::string& path) {
 
 TEST(MigrationCrash, CrashAtEveryCrashPointRecoversToOracle) {
   const std::string path = temp_path("gh_migration_crash_points.gh");
-  for (u64 seed = 0; seed < kSeeds; ++seed) {
-    remove_all(path);
-    // Record run: count the PM-store crash points this seed hits.
-    nvm::TracePointPolicy tracer;
-    {
-      const nvm::ScopedCrashPoints installed(&tracer);
-      const RunResult full = run_workload(path, seed);
-      ASSERT_FALSE(full.crashed);
-    }
-    ASSERT_GT(tracer.trace.size(), 0u)
-        << "seed " << seed << " must exercise the migration machinery";
-    bool saw_finalize = false;
-    for (const std::string& p : tracer.trace) saw_finalize |= p == "migrate.retired";
-    ASSERT_TRUE(saw_finalize) << "seed " << seed << " must complete a migration";
-
-    for (usize k = 0; k < tracer.trace.size(); ++k) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + ", crash at point " +
-                   std::to_string(k) + " (" + tracer.trace[k] + ")");
+  for (const u32 per_op : kDrainModes) {
+    for (u64 seed = 0; seed < kSeeds; ++seed) {
       remove_all(path);
-      nvm::CrashAtPointPolicy policy;
-      policy.crash_at = k;
-      RunResult r;
+      // Record run: count the PM-store crash points this seed hits.
+      nvm::TracePointPolicy tracer;
       {
-        const nvm::ScopedCrashPoints installed(&policy);
-        r = run_workload(path, seed);
+        const nvm::ScopedCrashPoints installed(&tracer);
+        const RunResult full = run_workload(path, seed, per_op);
+        ASSERT_FALSE(full.crashed);
       }
-      ASSERT_TRUE(r.crashed) << "replay must crash at the recorded point";
-      run_trial(path, r);
+      ASSERT_GT(tracer.trace.size(), 0u)
+          << "seed " << seed << " must exercise the migration machinery";
+      bool saw_finalize = false;
+      for (const std::string& p : tracer.trace) saw_finalize |= p == "migrate.retired";
+      ASSERT_TRUE(saw_finalize) << "seed " << seed << " must complete a migration";
+
+      for (usize k = 0; k < tracer.trace.size(); ++k) {
+        SCOPED_TRACE("groups/op " + std::to_string(per_op) + ", seed " + std::to_string(seed) +
+                     ", crash at point " + std::to_string(k) + " (" + tracer.trace[k] + ")");
+        remove_all(path);
+        nvm::CrashAtPointPolicy policy;
+        policy.crash_at = k;
+        RunResult r;
+        {
+          const nvm::ScopedCrashPoints installed(&policy);
+          r = run_workload(path, seed, per_op);
+        }
+        ASSERT_TRUE(r.crashed) << "replay must crash at the recorded point";
+        run_trial(path, r, per_op);
+      }
     }
   }
   remove_all(path);
@@ -248,37 +255,39 @@ TEST(MigrationCrash, CrashAtEveryFsStepRecoversToOracle) {
   // variety above covers workload shapes.
   const std::string path = temp_path("gh_migration_crash_fs.gh");
   const u64 seed = 1;
-  remove_all(path);
-  nvm::CrashScheduleFs recorder;
-  {
-    const nvm::ScopedFsPolicy installed(&recorder);
-    const RunResult full = run_workload(path, seed);
-    ASSERT_FALSE(full.crashed);
-  }
-  ASSERT_GT(recorder.trace.size(), 0u);
-  bool saw_rename = false;
-  for (const auto& step : recorder.trace) {
-    saw_rename |= step.op == nvm::FsOp::kRename;
-  }
-  ASSERT_TRUE(saw_rename) << "the workload must reach a finalize rename";
-
-  // Step 0 is the create() of the map file itself — nothing to reopen —
-  // so the sweep starts at 1.
-  for (usize k = 1; k < recorder.trace.size(); ++k) {
-    SCOPED_TRACE("crash before fs step " + std::to_string(k) + " (" +
-                 nvm::to_string(recorder.trace[k].op) + " " + recorder.trace[k].path +
-                 ")");
+  for (const u32 per_op : kDrainModes) {
     remove_all(path);
-    nvm::CrashScheduleFs policy;
-    policy.crash_at = k;
-    RunResult r;
+    nvm::CrashScheduleFs recorder;
     {
-      const nvm::ScopedFsPolicy installed(&policy);
-      r = run_workload(path, seed);
+      const nvm::ScopedFsPolicy installed(&recorder);
+      const RunResult full = run_workload(path, seed, per_op);
+      ASSERT_FALSE(full.crashed);
     }
-    ASSERT_TRUE(r.crashed) << "replay must crash at the recorded step";
-    if (!r.in_flight && r.oracle.empty()) continue;  // died inside create()
-    run_trial(path, r);
+    ASSERT_GT(recorder.trace.size(), 0u);
+    bool saw_rename = false;
+    for (const auto& step : recorder.trace) {
+      saw_rename |= step.op == nvm::FsOp::kRename;
+    }
+    ASSERT_TRUE(saw_rename) << "the workload must reach a finalize rename";
+
+    // Step 0 is the create() of the map file itself — nothing to reopen —
+    // so the sweep starts at 1.
+    for (usize k = 1; k < recorder.trace.size(); ++k) {
+      SCOPED_TRACE("groups/op " + std::to_string(per_op) + ", crash before fs step " +
+                   std::to_string(k) + " (" + nvm::to_string(recorder.trace[k].op) + " " +
+                   recorder.trace[k].path + ")");
+      remove_all(path);
+      nvm::CrashScheduleFs policy;
+      policy.crash_at = k;
+      RunResult r;
+      {
+        const nvm::ScopedFsPolicy installed(&policy);
+        r = run_workload(path, seed, per_op);
+      }
+      ASSERT_TRUE(r.crashed) << "replay must crash at the recorded step";
+      if (!r.in_flight && r.oracle.empty()) continue;  // died inside create()
+      run_trial(path, r, per_op);
+    }
   }
   remove_all(path);
 }

@@ -1,25 +1,31 @@
-// Functional suite for the online non-blocking resize.
+// Functional suite for the resize migration.
 //
-// With online_resize set, a placement failure no longer rebuilds the
-// whole table in one stall: a double-sized migration target is published
+// A placement failure publishes a double-sized migration target
 // (`<path>.migrate`, own superblock) and the mutating ops themselves
-// drain groups into it a few at a time (the "help-along" bound), with
-// migrate_step() as the background tap. This suite covers the steady
-// state machinery — correctness of reads/writes against the split image,
-// the bounded help-along, the durable cursor's reopen-resume, integrity
-// invariants (fingerprint tags, per-group CRCs) mid-migration, and the
-// backoff surfacing regression (obs::Snapshot must show the current
-// expand backoff window). Crash-at-every-step coverage lives in
-// migration_crash_test.cpp.
+// drain groups into it — all of them inline by default, or a few at a
+// time (the "help-along" bound, migrate_groups_per_op), with
+// migrate_step() as the background tap. This suite runs the bounded
+// settings, which leave a split image to test against: correctness of
+// reads/writes against it, the bounded help-along, the durable cursor's
+// reopen-resume and open-time verification, integrity invariants
+// (fingerprint tags, per-group CRCs) mid-migration, counters that never
+// run backwards, and the backoff surfacing regression (obs::Snapshot
+// must show the current expand backoff window). Crash-at-every-step
+// coverage lives in migration_crash_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/group_hash_map.hpp"
+#include "core/map_format.hpp"
 #include "nvm/fault_fs.hpp"
 
 namespace gh {
@@ -39,7 +45,6 @@ MapOptions online_options(u32 groups_per_op = 1) {
   o.initial_cells = 64;
   o.group_size = 8;
   o.flush_latency_ns = 0;
-  o.online_resize = true;
   o.migrate_groups_per_op = groups_per_op;
   return o;
 }
@@ -81,7 +86,7 @@ TEST(Migration, ResizeCompletesIncrementallyAndKeepsEveryKey) {
   EXPECT_EQ(s.migration.started, s.migration.completed);
   EXPECT_EQ(s.migration.emergency_expands, 0u);
   EXPECT_GT(s.migration.keys_migrated, 0u);
-  EXPECT_EQ(s.lifecycle.expansions, 0u) << "no blocking expand on the online path";
+  EXPECT_EQ(s.lifecycle.expansions, s.migration.completed) << "every finalize is an expansion";
   map.close();
 }
 
@@ -248,7 +253,7 @@ TEST(Migration, CleanCloseMidMigrationResumesOnOpen) {
 
 TEST(Migration, ResumeHonorsDurableCursorWhateverTheFlagSays) {
   // An image with an armed cursor resumes even when reopened with
-  // online_resize off — the split image is a fact of the file, not a
+  // drain-all options — the split image is a fact of the file, not a
   // runtime preference.
   const std::string path = temp_path("gh_migration_resume_flagless.gh");
   fs::remove(path);
@@ -364,6 +369,100 @@ TEST(Migration, EmergencyExpandMergesSplitImageWhenTargetOverflows) {
   for (u64 k = first; k < i; ++k) ASSERT_EQ(map.get(key_of(k)), value_of(k)) << k;
   EXPECT_TRUE(map.debug_verify_tags());
   EXPECT_TRUE(map.debug_verify_group_checksums());
+  map.close();
+}
+
+TEST(Migration, CleanSplitImageIsVerifiedOnOpen) {
+  // Regression: a cleanly closed split image reattached its `.migrate`
+  // target unverified, so at-rest corruption in the only copy of the
+  // drained groups was served as data.
+  const std::string path = temp_path("gh_migration_verify_target.gh");
+  const std::string mig = path + ".migrate";
+  fs::remove(path);
+  fs::remove(mig);
+  u64 inserted = 0;
+  {
+    auto map = GroupHashMap::create(path, online_options(/*groups_per_op=*/0));
+    inserted = fill_until_migrating(map);
+    ASSERT_TRUE(map.migration_active());
+    ASSERT_GT(map.migrate_step(std::max<u64>(map.snapshot().migration.total_groups / 2, 1)), 0u);
+    ASSERT_TRUE(map.migration_active());
+    map.close();
+  }
+
+  // Flip a value byte of the target's first committed cell.
+  std::vector<char> image;
+  {
+    std::ifstream in(mig, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const usize table = map_format::kTableOffset;
+  u64 level_cells = 0;
+  std::memcpy(&level_cells, image.data() + table + sizeof(u64), sizeof(u64));
+  u64 damaged_key = 0;
+  for (u64 c = 0; c < 2 * level_cells && damaged_key == 0; ++c) {
+    const usize cell = table + 64 + c * sizeof(hash::Cell16);
+    u64 word0 = 0;
+    std::memcpy(&word0, image.data() + cell, sizeof(u64));
+    if ((word0 & hash::Cell16::kOccupiedBit) == 0) continue;
+    damaged_key = word0 & ~hash::Cell16::kOccupiedBit;
+    image[cell + sizeof(u64)] ^= 0x5a;
+  }
+  ASSERT_NE(damaged_key, 0u) << "the drained half must hold committed cells";
+  {
+    std::ofstream out(mig, std::ios::binary | std::ios::trunc);
+    out.write(image.data(), static_cast<std::streamsize>(image.size()));
+  }
+
+  MapOptions reopen = online_options(/*groups_per_op=*/0);
+  std::vector<u64> lost;
+  reopen.on_lost_cell = [&](const hash::LostCell& c) { lost.push_back(c.key.lo); };
+  auto map = GroupHashMap::open(path, reopen);
+  ASSERT_TRUE(map.migration_active());
+  EXPECT_TRUE(map.corruption_detected_on_open());
+  EXPECT_NE(std::find(lost.begin(), lost.end(), damaged_key), lost.end())
+      << "the damaged key must be reported for re-ingest";
+  const u64 i = (damaged_key - 1) / 3;
+  ASSERT_EQ(key_of(i), damaged_key);
+  const auto got = map.get(damaged_key);
+  EXPECT_TRUE(!got || *got == value_of(i)) << "a corrupt value was served: " << *got;
+  while (map.migration_active()) map.migrate_step(~0ull);
+  EXPECT_LE(map.size(), inserted);
+  map.close();
+  fs::remove(path);
+  fs::remove(path + ".flight");
+}
+
+TEST(Migration, ScrubCoversTheTargetMidMigration) {
+  auto map = GroupHashMap::create_in_memory(online_options(/*groups_per_op=*/0));
+  fill_until_migrating(map);
+  ASSERT_GT(map.migrate_step(1), 0u);
+  ASSERT_TRUE(map.migration_active());
+  const u64 old_groups = map.raw_table().num_groups();
+  const u64 groups = old_groups + map.migration_table()->num_groups();
+  // One lap in two calls, the first crossing from the old table into the
+  // target, checks each group of both levels of both tables once.
+  hash::ScrubReport lap = map.scrub(old_groups + 1);
+  lap += map.scrub(groups - old_groups - 1);
+  EXPECT_EQ(lap.groups_checked, 2 * groups);
+  EXPECT_TRUE(lap.clean());
+  map.close();
+}
+
+TEST(Migration, TableCountersNeverGoBackwardsAtFinalize) {
+  // Regression: finalize kept only the old table's counters, dropping
+  // the queries and inserts user ops made against the target.
+  auto map = GroupHashMap::create_in_memory(online_options(/*groups_per_op=*/0));
+  const u64 inserted = fill_until_migrating(map);
+  ASSERT_TRUE(map.migration_active());
+  for (u64 i = 0; i < inserted; ++i) ASSERT_EQ(map.get(key_of(i)), value_of(i));
+  const obs::Snapshot mid = map.snapshot();
+  map.migrate_step(~0ull);
+  ASSERT_FALSE(map.migration_active());
+  const obs::Snapshot after = map.snapshot();
+  EXPECT_GE(after.table.queries, mid.table.queries);
+  EXPECT_GE(after.table.query_hits, mid.table.query_hits);
+  EXPECT_GE(after.table.inserts, mid.table.inserts);
   map.close();
 }
 

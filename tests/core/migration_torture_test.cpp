@@ -33,7 +33,6 @@ MapOptions torture_options() {
   o.initial_cells = 256;  // tiny per-shard tables: migrations fire early and often
   o.group_size = 8;
   o.flush_latency_ns = 0;
-  o.online_resize = true;
   o.migrate_groups_per_op = 1;
   return o;
 }

@@ -1,9 +1,12 @@
-// Crash-at-every-publish-step recovery for the whole-file rebuild paths.
+// Crash-at-every-publish-step recovery for the file-publishing paths.
 //
-// expand() (GroupHashMap) and compact() (PersistentStringMap) publish a
-// rebuilt map with: tmp create → write-back (msync) → rename →
-// fsync(parent dir). Those steps live in the filesystem, outside the
-// ShadowPM crash simulator, so this suite drives them through FaultFs
+// A GroupHashMap resize publishes a `.migrate` target (create → msync →
+// fsync(parent dir)), arms and advances a cursor (one msync per group),
+// and finally renames the drained target over the map (msync → rename →
+// fsync(parent dir)). PersistentStringMap::compact() publishes a rebuilt
+// map with: tmp create → write-back (msync) → rename → fsync(parent
+// dir). Those steps live in the filesystem, outside the ShadowPM crash
+// simulator, so this suite drives them through FaultFs
 // (src/nvm/fault_fs.hpp) instead:
 //
 //   1. a record run traces every filesystem step the operation performs;
@@ -13,13 +16,13 @@
 //   3. the map is reopened and must equal a sequential oracle, with zero
 //      leaked temp files.
 //
-// A crash before the write-back additionally gets a "torn temp file"
-// variant: the temp file's content is overwritten with garbage (a real
-// power failure there loses the page-cache writes), and open() must
+// A crash before a temp file's first write-back additionally gets a
+// "torn temp file" variant: its content is overwritten with garbage (a
+// real power failure there loses the page-cache writes), and open() must
 // still reclaim it and trust only the published file. Injected *step
 // failures* (syscall errors, process survives) exercise the cleanup
-// paths: a failed rename must unlink the temp file before throwing and
-// leave the map fully usable.
+// paths: a failed rename must leave the map fully usable and no temp
+// file behind once the publish succeeds.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -43,14 +46,10 @@ std::string temp_path(const std::string& name) {
 }
 
 /// Forensics half of every crash trial: the reopened map's flight scan
-/// must name the exact lifecycle op that was mid-publish. The rebuild
-/// paths emit their start record before the tmp-file create (publish
-/// step 0) and their publish mark right before the msync — so a crash
-/// before step k of the 4-step schedule {create, syncdata, rename,
-/// syncdir} strands the op at kStart for k % 4 == 0 and at kPublish for
-/// every later step.
+/// must name the exact lifecycle op that was mid-publish, stranded at
+/// `phase` — kStart before the op's publish mark, kPublish after it.
 template <class Map>
-void expect_in_flight(const Map& map, obs::OpKind kind, usize k) {
+void expect_in_flight(const Map& map, obs::OpKind kind, obs::FlightPhase phase) {
   if (!obs::kEnabled) return;
   const obs::FlightScan& scan = map.flight_scan_on_open();
   ASSERT_TRUE(scan.valid_header);
@@ -61,9 +60,7 @@ void expect_in_flight(const Map& map, obs::OpKind kind, usize k) {
   }
   ASSERT_NE(found, nullptr) << "recorder must name the " << obs::op_kind_name(kind)
                             << " that died mid-publish";
-  EXPECT_EQ(found->phase, k % 4 == 0 ? obs::FlightPhase::kStart
-                                     : obs::FlightPhase::kPublish)
-      << "crash before publish step " << k;
+  EXPECT_EQ(found->phase, phase);
   EXPECT_GE(map.open_recovery_report().in_flight_ops, 1u);
 }
 
@@ -83,9 +80,9 @@ void corrupt_file(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// GroupHashMap::expand()
+// GroupHashMap resize
 
-constexpr u64 kExpandKeys = 300;  // forces several expansions from 64 cells
+constexpr u64 kExpandKeys = 300;  // forces several resizes from 64 cells
 u64 gh_key(u64 i) { return 2 * i + 1; }
 u64 gh_value(u64 i) { return i * 31 + 7; }
 
@@ -93,7 +90,7 @@ MapOptions small_map_options() {
   return {.initial_cells = 64, .group_size = 8, .flush_latency_ns = 0};
 }
 
-/// Runs the deterministic expand workload under `policy`. Returns the
+/// Runs the deterministic resize workload under `policy`. Returns the
 /// number of puts committed before a SimulatedCrash (kExpandKeys when
 /// none fired).
 u64 run_expand_workload(const std::string& path, nvm::CrashScheduleFs& policy) {
@@ -113,9 +110,18 @@ u64 run_expand_workload(const std::string& path, nvm::CrashScheduleFs& policy) {
   return committed;
 }
 
+/// Position of step `k` within its resize, counted from the target's
+/// create: 0-2 publish the target, 3 arms the cursor, then one cursor
+/// msync per group, then the finalize msync, rename and dir fsync.
+usize step_in_resize(const std::vector<nvm::FsStep>& schedule, usize k) {
+  usize first = k;
+  while (schedule[first].op != nvm::FsOp::kCreate) --first;
+  return k - first;
+}
+
 TEST(PublishCrash, ExpandCrashAtEveryStepRecoversToOracle) {
   const std::string path = temp_path("gh_publish_crash_expand.gh");
-  const std::string tmp = path + ".expand";
+  const std::string tmp = path + ".migrate";
   fs::remove(path);
   fs::remove(tmp);
 
@@ -123,23 +129,39 @@ TEST(PublishCrash, ExpandCrashAtEveryStepRecoversToOracle) {
   nvm::CrashScheduleFs recorder;
   ASSERT_EQ(run_expand_workload(path, recorder), kExpandKeys);
   const auto schedule = recorder.trace;
-  ASSERT_GE(schedule.size(), 4u) << "workload must trigger at least one expansion";
-  ASSERT_EQ(schedule.size() % 4, 0u);
-  for (usize i = 0; i < schedule.size(); i += 4) {
-    // Each expansion is exactly the durable publish protocol, in order.
-    EXPECT_EQ(schedule[i + 0].op, nvm::FsOp::kCreate);
-    EXPECT_EQ(schedule[i + 1].op, nvm::FsOp::kSyncData);
-    EXPECT_EQ(schedule[i + 2].op, nvm::FsOp::kRename);
-    EXPECT_EQ(schedule[i + 3].op, nvm::FsOp::kSyncDir);
-    EXPECT_EQ(schedule[i + 0].path, tmp);
-    EXPECT_EQ(schedule[i + 2].path, tmp);
-    EXPECT_EQ(schedule[i + 2].path2, path);
+  ASSERT_EQ(schedule[0].op, nvm::FsOp::kCreate) << "workload must trigger a resize";
+  usize resizes = 0;
+  for (usize i = 0; i < schedule.size(); ++i) {
+    if (schedule[i].op == nvm::FsOp::kCreate) {
+      // Each resize starts with the durable target publish, then arms
+      // the cursor in the map file (whose mapping keeps the name it was
+      // created under, so its msync steps name `.migrate` after the
+      // first resize)...
+      ++resizes;
+      ASSERT_LT(i + 3, schedule.size());
+      EXPECT_EQ(schedule[i + 0].path, tmp);
+      EXPECT_EQ(schedule[i + 1].op, nvm::FsOp::kSyncData);
+      EXPECT_EQ(schedule[i + 1].path, tmp);
+      EXPECT_EQ(schedule[i + 2].op, nvm::FsOp::kSyncDir);
+      EXPECT_EQ(schedule[i + 3].op, nvm::FsOp::kSyncData);
+    } else if (schedule[i].op == nvm::FsOp::kRename) {
+      // ...and ends with the finalize: msync, rename over the map, fsync.
+      ASSERT_LT(i + 1, schedule.size());
+      EXPECT_EQ(schedule[i - 1].op, nvm::FsOp::kSyncData);
+      EXPECT_EQ(schedule[i - 1].path, tmp);
+      EXPECT_EQ(schedule[i].path, tmp);
+      EXPECT_EQ(schedule[i].path2, path);
+      EXPECT_EQ(schedule[i + 1].op, nvm::FsOp::kSyncDir);
+      --resizes;
+    }
   }
+  EXPECT_EQ(resizes, 0u) << "every resize started must finish inside the workload";
 
-  // One trial per step boundary; crash-before-kSyncData additionally
-  // runs a torn-temp-file variant.
+  // One trial per step boundary; a crash before the target's first msync
+  // (its cursor not yet armed) additionally runs a torn-temp-file variant.
   for (usize k = 0; k < schedule.size(); ++k) {
-    const bool torn_variant_too = schedule[k].op == nvm::FsOp::kSyncData;
+    const usize in_resize = step_in_resize(schedule, k);
+    const bool torn_variant_too = in_resize == 1;
     for (const bool torn : {false, true}) {
       if (torn && !torn_variant_too) continue;
       SCOPED_TRACE("crash before step " + std::to_string(k) + " (" +
@@ -157,9 +179,15 @@ TEST(PublishCrash, ExpandCrashAtEveryStepRecoversToOracle) {
       }
 
       auto map = GroupHashMap::open(path);
-      EXPECT_FALSE(fs::exists(tmp)) << "open() must reclaim the orphan";
       EXPECT_TRUE(map.recovered_on_open());
-      expect_in_flight(map, obs::OpKind::kExpand, k);
+      // The resize's publish mark follows the cursor arm (step 3).
+      expect_in_flight(map, obs::OpKind::kExpand,
+                       in_resize <= 3 ? obs::FlightPhase::kStart : obs::FlightPhase::kPublish);
+      // A target that survived the open is live (its cursor was armed and
+      // the drain resumed); one whose cursor was never armed was reclaimed.
+      EXPECT_EQ(map.migration_active(), fs::exists(tmp));
+      while (map.migration_active()) map.migrate_step(~0ull);
+      EXPECT_FALSE(fs::exists(tmp)) << "no resize file may outlive the drain";
       EXPECT_EQ(map.size(), committed);
       for (u64 i = 0; i < committed; ++i) {
         const auto got = map.get(gh_key(i));
@@ -169,7 +197,7 @@ TEST(PublishCrash, ExpandCrashAtEveryStepRecoversToOracle) {
       EXPECT_FALSE(map.get(gh_key(committed)).has_value())
           << "the interrupted put must not have half-landed";
 
-      // The reopened map must keep working, including further expansions.
+      // The reopened map must keep working, including further resizes.
       for (u64 i = committed; i < kExpandKeys; ++i) map.put(gh_key(i), gh_value(i));
       EXPECT_EQ(map.size(), kExpandKeys);
       map.close();
@@ -180,8 +208,12 @@ TEST(PublishCrash, ExpandCrashAtEveryStepRecoversToOracle) {
 }
 
 TEST(PublishCrash, ExpandRenameFailureCleansTempAndKeepsMapUsable) {
+  // A failed finalize rename (the process survives) must not throw away
+  // the drained `.migrate` target — it holds the only copy of the moved
+  // keys. The map degrades, keeps serving from the split image, and the
+  // next op's retry publishes it.
   const std::string path = temp_path("gh_publish_fail_expand.gh");
-  const std::string tmp = path + ".expand";
+  const std::string tmp = path + ".migrate";
   fs::remove(path);
   fs::remove(tmp);
 
@@ -195,61 +227,58 @@ TEST(PublishCrash, ExpandRenameFailureCleansTempAndKeepsMapUsable) {
   auto map = GroupHashMap::create(path, small_map_options());
   nvm::CrashScheduleFs policy;
   policy.fail_at = first_rename;
-  u64 committed = 0;
-  bool threw = false;
   {
     const nvm::ScopedFsPolicy installed(&policy);
-    for (u64 i = 0; i < kExpandKeys; ++i) {
-      try {
-        map.put(gh_key(i), gh_value(i));
-        committed = i + 1;
-      } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("publish expanded"), std::string::npos)
-            << e.what();
-        threw = true;
-        break;
-      }
-    }
+    for (u64 i = 0; i < kExpandKeys; ++i) map.put(gh_key(i), gh_value(i));
   }
-  ASSERT_TRUE(threw);
-  EXPECT_FALSE(fs::exists(tmp)) << "failed publish must not leak the temp file";
-
-  // The process survived: the map still runs on the old table and the
-  // failed put can simply be retried now that the fault is gone.
-  for (u64 i = 0; i < committed; ++i) EXPECT_EQ(*map.get(gh_key(i)), gh_value(i));
-  for (u64 i = committed; i < kExpandKeys; ++i) map.put(gh_key(i), gh_value(i));
+  const obs::Snapshot s = map.snapshot();
+  EXPECT_EQ(s.lifecycle.expand_failures, 1u);
+  EXPECT_NE(map.last_expand_error().find("publish migrated"), std::string::npos)
+      << map.last_expand_error();
+  EXPECT_FALSE(map.degraded()) << "the retried publish must have succeeded";
+  EXPECT_FALSE(map.migration_active());
+  EXPECT_FALSE(fs::exists(tmp)) << "the retried publish must not leak the temp file";
   EXPECT_EQ(map.size(), kExpandKeys);
+  for (u64 i = 0; i < kExpandKeys; ++i) EXPECT_EQ(*map.get(gh_key(i)), gh_value(i));
   map.close();
   fs::remove(path);
+  fs::remove(path + ".flight");
 }
 
 TEST(PublishCrash, OpenReclaimsStaleExpandOrphan) {
-  const std::string path = temp_path("gh_orphan_expand.gh");
-  const std::string tmp = path + ".expand";
-  fs::remove(path);
-  fs::remove(tmp);
-  {
-    auto map = GroupHashMap::create(path, small_map_options());
-    for (u64 i = 0; i < 20; ++i) map.put(gh_key(i), gh_value(i));
-    map.close();
+  // Neither resize file is authoritative without an armed cursor: a
+  // `.expand` merge target never renamed, or a `.migrate` target whose
+  // start crashed before the cursor arm.
+  for (const char* suffix : {".expand", ".migrate"}) {
+    SCOPED_TRACE(suffix);
+    const std::string path = temp_path("gh_orphan_expand.gh");
+    const std::string tmp = path + suffix;
+    fs::remove(path);
+    fs::remove(tmp);
+    {
+      auto map = GroupHashMap::create(path, small_map_options());
+      for (u64 i = 0; i < 20; ++i) map.put(gh_key(i), gh_value(i));
+      map.close();
+    }
+    write_junk_file(tmp);
+    {
+      auto map = GroupHashMap::open(path);
+      EXPECT_EQ(map.orphans_reclaimed_on_open(), 1u);
+      EXPECT_FALSE(fs::exists(tmp));
+      EXPECT_EQ(map.size(), 20u);
+      for (u64 i = 0; i < 20; ++i) EXPECT_EQ(*map.get(gh_key(i)), gh_value(i));
+      map.close();
+    }
+    // create() over the same path also clears a stale orphan.
+    write_junk_file(tmp);
+    {
+      auto map = GroupHashMap::create(path, small_map_options());
+      EXPECT_FALSE(fs::exists(tmp));
+      map.close();
+    }
+    fs::remove(path);
+    fs::remove(path + ".flight");
   }
-  write_junk_file(tmp);
-  {
-    auto map = GroupHashMap::open(path);
-    EXPECT_EQ(map.orphans_reclaimed_on_open(), 1u);
-    EXPECT_FALSE(fs::exists(tmp));
-    EXPECT_EQ(map.size(), 20u);
-    for (u64 i = 0; i < 20; ++i) EXPECT_EQ(*map.get(gh_key(i)), gh_value(i));
-    map.close();
-  }
-  // create() over the same path also clears a stale orphan.
-  write_junk_file(tmp);
-  {
-    auto map = GroupHashMap::create(path, small_map_options());
-    EXPECT_FALSE(fs::exists(tmp));
-    map.close();
-  }
-  fs::remove(path);
 }
 
 TEST(PublishCrash, CrashDuringOrphanReclaimIsIdempotent) {
@@ -382,7 +411,8 @@ TEST(PublishCrash, CompactCrashAtEveryStepRecoversToOracle) {
       auto map = PersistentStringMap::open(path, small_string_options());
       EXPECT_FALSE(fs::exists(tmp)) << "open() must reclaim the orphan";
       EXPECT_TRUE(map.recovered_on_open());
-      expect_in_flight(map, obs::OpKind::kCompact, k);
+      expect_in_flight(map, obs::OpKind::kCompact,
+                       k == 0 ? obs::FlightPhase::kStart : obs::FlightPhase::kPublish);
       verify_string_map(map, oracle);
 
       // The reopened map keeps working — including a clean compaction.

@@ -27,10 +27,9 @@ namespace {
 
 MapOptions torture_options() {
   MapOptions o;
-  o.initial_cells = 256;  // tiny shards: online migrations fire mid-run
+  o.initial_cells = 256;  // tiny shards: migrations fire mid-run
   o.flush_latency_ns = 0;
   o.latency_sample_shift = 0;
-  o.online_resize = true;
   o.migrate_groups_per_op = 1;
   return o;
 }

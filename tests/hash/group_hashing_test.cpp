@@ -160,6 +160,36 @@ TEST_F(GroupHashingTest, DeleteThenReinsertReusesCells) {
   for (const u64 k : keys) EXPECT_EQ(*table().find(k), k + 1);
 }
 
+TEST_F(GroupHashingTest, ClearGroupZeroesBothLevelsWithOneFlushPerLine) {
+  init(Table16::Params{.level_cells = 64, .group_size = 16, .group_crc = true});
+  for (u64 k = 1; k <= 200; ++k) table().insert(test::k64(k), k);
+  constexpr u64 g = 1;
+  u64 occupied = 0;
+  table().for_each_in_group(g, [&](u64, u64) { occupied++; });
+  ASSERT_GT(occupied, 16u) << "both levels of the group should hold keys";
+  const u64 before = table().count();
+
+  pm().stats().clear();
+  EXPECT_EQ(table().clear_group(g), occupied);
+  // Each phase (commit clears, payload wipes) flushes a touched line
+  // once: 16 cells x 16 bytes = 4 lines per level; plus the two checksum
+  // words and the count.
+  EXPECT_LE(pm().stats().lines_flushed, 2u * 2 * 4 + 3);
+  EXPECT_EQ(pm().stats().fences, 4u) << "two phases, the checksum words, the count";
+
+  for (u64 i = g * 16; i < (g + 1) * 16; ++i) {
+    for (const Cell16* c : {&table().level1_cell(i), &table().level2_cell(i)}) {
+      EXPECT_EQ(c->word0, 0u) << i;
+      EXPECT_EQ(c->value, 0u) << i;
+    }
+  }
+  EXPECT_EQ(table().count(), before - occupied);
+  EXPECT_TRUE(table().verify_tags());
+  EXPECT_TRUE(table().verify_group_checksum(0, g));
+  EXPECT_TRUE(table().verify_group_checksum(1, g));
+  EXPECT_EQ(table().clear_group(g), 0u) << "clearing an empty group is a no-op";
+}
+
 TEST_F(GroupHashingTest, CountPersistedPerOperation) {
   init(Table16::Params{.level_cells = 256, .group_size = 16});
   pm().stats().clear();

@@ -63,9 +63,11 @@ TEST(OpScope, NestedExpandBooksPhasesToTheEnclosingPut) {
 TEST(OpScope, NestedHelpAlongBooksMigrateHelpToThePut) {
   if (!kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
   clear_thread_trace();
+  // Small groups: a resize spans more groups than the one the starting
+  // put drains inline, so later puts have a migration to help.
   auto map = GroupHashMap::create_in_memory({.initial_cells = 256,
+                                             .group_size = 8,
                                              .latency_sample_shift = 0,
-                                             .online_resize = true,
                                              .migrate_groups_per_op = 1});
   u64 puts = 0;
   while (map.snapshot().migration.help_steps == 0) {

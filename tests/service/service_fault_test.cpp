@@ -10,7 +10,7 @@
 //   * reopening the dead shard's file runs recovery and the flight
 //     recorder names the dying expand as in flight at the crash.
 // A second suite swaps the crash for syscall-style failures (kFail on
-// the expansion temp file): the shard must DEGRADE per the PR 3
+// the resize's `.migrate` target): the shard must DEGRADE per the PR 3
 // MapDegradedError contract — puts answer kDegraded, reads stay kOk,
 // nothing dies.
 #include <gtest/gtest.h>
@@ -71,12 +71,12 @@ struct PathCrashFs : nvm::FsPolicy {
   }
 };
 
-/// Fail (syscall error, not crash) every step touching an expansion temp
-/// file, starving expand() the way ENOSPC would.
+/// Fail (syscall error, not crash) every step touching a resize target
+/// file, starving the resize the way ENOSPC would.
 struct ExpandFailFs : nvm::FsPolicy {
   Decision on_step(const nvm::FsStep& step) override {
-    if (step.path.find(".expand") != std::string::npos ||
-        step.path2.find(".expand") != std::string::npos) {
+    if (step.path.find(".migrate") != std::string::npos ||
+        step.path2.find(".migrate") != std::string::npos) {
       return Decision::kFail;
     }
     return Decision::kProceed;
@@ -131,7 +131,7 @@ TEST(ServiceFault, WorkerCrashMidBatchAnswersShardDownAndNeverWedges) {
     ShardServer server(fault_service_options(dir));
 
     // Crash shard 1's worker at the FIRST filesystem step of its first
-    // expansion (the tmp-file create of the publish protocol). Installed
+    // expansion (the create of its migration target). Installed
     // after construction so the initial shard-file creates pass.
     PathCrashFs policy;
     policy.needle = victim_file;
@@ -266,7 +266,6 @@ TEST(ServiceFault, RestartShardResumesInterruptedMigration) {
   const std::string dir = make_data_dir("gh_service_fault_restart_mig");
   constexpr u32 kVictim = 1;
   ServiceOptions opts = fault_service_options(dir);
-  opts.map_options.online_resize = true;
   opts.map_options.migrate_groups_per_op = 1;
   ShardServer server(opts);
 

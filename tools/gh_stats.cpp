@@ -271,7 +271,7 @@ int selftest(const std::string& format, bool keep) {
   {
     // kFull flight mode: every op leaves a record, so the sidecar scan
     // below is deterministic regardless of the sampling shift. Start the
-    // map 256 cells deep with online resize on: the 2000 puts force
+    // map 256 cells deep, draining one group per op: the 2000 puts force
     // several incremental migrations, so the snapshot's migration
     // section and the sidecar's migrate phase records are exercised by
     // the same smoke run CI greps. Then put until a migration is live
@@ -280,7 +280,7 @@ int selftest(const std::string& format, bool keep) {
     // migration and its cursor.
     auto map = gh::GroupHashMap::create(path, {.initial_cells = 256,
                                                .flight_mode = gh::obs::FlightMode::kFull,
-                                               .online_resize = true});
+                                               .migrate_groups_per_op = 1});
     for (gh::u64 k = 1; k <= kKeys; ++k) map.put(k, k * 3);
     while (!map.migration_active()) {
       ++total;
