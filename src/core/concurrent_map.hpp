@@ -254,8 +254,8 @@ class BasicConcurrentGroupHashMap {
       views.push_back(std::move(initial));
     }
 
-    /// After a mutation: if the probe geometry changed (expansion, or an
-    /// online-resize start/drain/finalize — tracked by the map's
+    /// After a mutation: if the probe geometry changed (a resize start,
+    /// resume, finalize or emergency merge — tracked by the map's
     /// structure_version), publish a fresh view: dual (target + old
     /// table) while a migration runs, single otherwise. Old views are
     /// retired, not freed — a racing reader may still hold one, and the

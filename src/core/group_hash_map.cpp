@@ -47,24 +47,6 @@ u64 pow2_at_least(u64 v) {
   return p;
 }
 
-/// The superblock write sequence for a freshly formatted region (a new
-/// map, a migration target, an emergency-merge target). State starts
-/// dirty; the migration word starts disarmed.
-void write_superblock_fields(nvm::DirectPM& pm, map_format::Superblock* sb, u64 cell_size,
-                             usize table_bytes, u32 group_size, u64 seed) {
-  pm.store_u64(&sb->magic, kMapMagic);
-  pm.store_u64(&sb->version, kMapVersion);
-  pm.store_u64(&sb->state, kStateDirty);
-  pm.store_u64(&sb->cell_size, cell_size);
-  pm.store_u64(&sb->table_offset, kTableOffset);
-  pm.store_u64(&sb->table_bytes, table_bytes);
-  pm.store_u64(&sb->group_size, group_size);
-  pm.store_u64(&sb->seed, seed);
-  pm.store_u64(&sb->migration, 0);
-  pm.store_u64(&sb->crc, map_format::superblock_crc(*sb));
-  pm.persist(sb, sizeof(map_format::Superblock));
-}
-
 }  // namespace
 
 template <class Cell>
@@ -90,8 +72,18 @@ auto BasicGroupHashMap<Cell>::format_table(const char* suffix, u64 total_cells, 
       path_.empty() ? nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes)
                     : nvm::NvmRegion::create_file(path_ + suffix, kTableOffset + table_bytes);
   Table table(*pm_, region.bytes().subspan(kTableOffset, table_bytes), params, /*format=*/true);
-  write_superblock_fields(*pm_, reinterpret_cast<Superblock*>(region.data()), sizeof(Cell),
-                          table_bytes, params.group_size, seed);
+  auto* sb = reinterpret_cast<Superblock*>(region.data());
+  pm_->store_u64(&sb->magic, kMapMagic);
+  pm_->store_u64(&sb->version, kMapVersion);
+  pm_->store_u64(&sb->state, kStateDirty);
+  pm_->store_u64(&sb->cell_size, sizeof(Cell));
+  pm_->store_u64(&sb->table_offset, kTableOffset);
+  pm_->store_u64(&sb->table_bytes, table_bytes);
+  pm_->store_u64(&sb->group_size, params.group_size);
+  pm_->store_u64(&sb->seed, seed);
+  pm_->store_u64(&sb->migration, 0);
+  pm_->store_u64(&sb->crc, map_format::superblock_crc(*sb));
+  pm_->persist(sb, sizeof(map_format::Superblock));
   return {std::move(region), std::move(table)};
 }
 
@@ -589,7 +581,8 @@ template <class Cell>
 obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
   obs::Snapshot s;
   s.source = sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide";
-  // Abandoned (simulated crash): the table and its counters are gone.
+  // Both tables' counters mid-resize; zero once abandon() (a simulated
+  // crash) dropped the tables.
   hash::TableStats stats;
   if (table_) {
     s.size = size();

@@ -180,7 +180,7 @@ class BasicGroupHashMap {
 
   /// Visit all (key, value) pairs. During a resize the live set
   /// is split across the migration target and the old table (disjoint:
-  /// a group's cells are erased from the old table only after they are
+  /// a group's cells are cleared from the old table only after they are
   /// committed in the new one), so both are walked.
   template <class Fn>
   void for_each(Fn&& fn) const {

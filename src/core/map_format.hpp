@@ -35,11 +35,11 @@ struct Superblock {
   u64 group_size;
   u64 seed;
   u64 crc;        ///< CRC32C of the geometry fields above (state excluded)
-  u64 migration;  ///< online-resize cursor word; 0 = no migration (see below)
+  u64 migration;  ///< resize cursor word; 0 = no migration (see below)
 };
 
 // ---------------------------------------------------------------------------
-// Online-resize migration cursor.
+// Resize migration cursor.
 //
 // One 8-byte word, advanced with a single atomic store + persist per
 // migrated group (the paper's commit-word discipline — never torn):
@@ -75,8 +75,8 @@ inline u32 migration_word_cursor(u64 word) {
   return static_cast<u32>(word) & ~kMigrationActiveBit;
 }
 
-/// Checksum of every immutable superblock field. Recomputed when a
-/// rebuild (expand) publishes new geometry; verified before the geometry
+/// Checksum of every immutable superblock field. Written with each new
+/// region's geometry (a new map or a resize target); verified before the geometry
 /// is trusted on open().
 inline u32 superblock_crc(const Superblock& sb) {
   u32 c = crc32c_update(~0u, &sb.magic, sizeof(u64));

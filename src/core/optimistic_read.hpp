@@ -50,8 +50,8 @@ namespace gh::core {
   return std::atomic_ref<u64>(const_cast<u64&>(word)).load(std::memory_order_acquire);
 }
 
-/// Immutable probing snapshot of one GroupHashTable — or, during an
-/// online resize, of the pair (migration target, draining old table).
+/// Immutable probing snapshot of one GroupHashTable — or, during a
+/// resize, of the pair (migration target, draining old table).
 /// Values, not references: a view stays usable (if stale) after the
 /// table object it was taken from is re-emplaced by expansion.
 template <class Cell>
@@ -94,7 +94,7 @@ struct TableReadView {
     return v;
   }
 
-  /// Dual-table view for an online resize: probe `primary` (the
+  /// Dual-table view for a resize: probe `primary` (the
   /// migration target) first, then `old` on a miss.
   template <class PM>
   [[nodiscard]] static TableReadView dual(const hash::GroupHashTable<Cell, PM>& primary,

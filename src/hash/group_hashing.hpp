@@ -57,7 +57,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "hash/cells.hpp"
@@ -591,7 +590,7 @@ class GroupHashTable {
 
   /// Visit every occupied cell of source group `g` — its addressable
   /// (level-1) cells and the collision (level-2) cells sharing the group
-  /// number. This is the unit online-resize migration moves: one call
+  /// number. This is the unit a resize migration moves: one call
   /// collects exactly the keys the durable cursor word hands off.
   template <class Fn>
   void for_each_in_group(u64 g, Fn&& fn) const {
@@ -872,7 +871,6 @@ class GroupHashTable {
   struct LineCoalescingPM {
     PM& pm;
     const std::byte* open = nullptr;  ///< marked line not yet flushed
-    bool flushed = false;             ///< any line flushed since the last drain()
 
     void store_u64(u64* dst, u64 v) { pm.store_u64(dst, v); }
     void atomic_store_u64(u64* dst, u64 v) { pm.atomic_store_u64(dst, v); }
@@ -880,20 +878,15 @@ class GroupHashTable {
       const auto* end = static_cast<const std::byte*>(addr) + n;
       for (const std::byte* line = nvm::line_begin(addr); line < end; line += kCachelineSize) {
         if (line == open) continue;
-        flush_open();
+        drain();
         open = line;
       }
     }
-    void flush_open() {
+    /// Flush the marked line.
+    void drain() {
       if (open == nullptr) return;
       pm.flush(open, kCachelineSize);
       open = nullptr;
-      flushed = true;
-    }
-    /// Flush the last marked line; true when this phase flushed anything.
-    bool drain() {
-      flush_open();
-      return std::exchange(flushed, false);
     }
   };
 

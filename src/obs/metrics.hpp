@@ -257,7 +257,7 @@ enum class OpKind : u8 {
   kScrub,
   kRecover,
   kCompact,
-  kMigrate,  ///< online-resize incremental migration (one logical resize)
+  kMigrate,  ///< resize migration (one logical resize)
 };
 inline constexpr usize kOpKinds = 8;
 

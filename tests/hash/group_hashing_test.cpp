@@ -187,7 +187,7 @@ TEST_F(GroupHashingTest, ClearGroupZeroesBothLevelsWithOneFlushPerLine) {
   EXPECT_TRUE(table().verify_tags());
   EXPECT_TRUE(table().verify_group_checksum(0, g));
   EXPECT_TRUE(table().verify_group_checksum(1, g));
-  EXPECT_EQ(table().clear_group(g), 0u) << "clearing an empty group is a no-op";
+  EXPECT_EQ(table().clear_group(g), 0u) << "an empty group has nothing to clear";
 }
 
 TEST_F(GroupHashingTest, CountPersistedPerOperation) {
