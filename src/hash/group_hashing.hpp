@@ -591,15 +591,17 @@ class GroupHashTable {
   /// Visit every occupied cell of source group `g` — its addressable
   /// (level-1) cells and the collision (level-2) cells sharing the group
   /// number. This is the unit a resize migration moves: one call
-  /// collects exactly the keys the durable cursor word hands off.
+  /// collects exactly the keys the durable cursor word hands off. Level-1
+  /// cells come first, so re-inserting in visit order keeps every key that
+  /// owns its level-1 slot there in the bigger table (the slot it maps to
+  /// is taken by a key from the same old slot or not at all).
   template <class Fn>
   void for_each_in_group(u64 g, Fn&& fn) const {
     GH_DCHECK(g < num_groups());
-    const u64 begin = g * group_size_;
-    const u64 end = begin + group_size_;
-    for (u64 i = begin; i < end; ++i) {
-      if (tab1_[i].occupied()) fn(tab1_[i].key(), tab1_[i].value);
-      if (tab2_[i].occupied()) fn(tab2_[i].key(), tab2_[i].value);
+    for (const Cell* base : {tab1_ + g * group_size_, tab2_ + g * group_size_}) {
+      for (u32 i = 0; i < group_size_; ++i) {
+        if (base[i].occupied()) fn(base[i].key(), base[i].value);
+      }
     }
   }
 
