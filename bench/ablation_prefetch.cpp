@@ -13,7 +13,9 @@
 //     crash discipline per cell, amortised ordering cost per window).
 //
 // This ablation measures both against the scalar loops on the same map:
-// wall-clock speedup for lookups, fences-per-op for mutations. The lookup
+// wall-clock speedup for lookups, fences-per-op for mutations. A scalar
+// put/erase is the same window code run on one key, so the put and erase
+// rows compare a window of one with windows of 32. The lookup
 // phase runs at >=1M keys by default so the working set dwarfs the LLC —
 // prefetching shows nothing on a cache-resident table.
 #include <chrono>

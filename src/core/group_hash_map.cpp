@@ -47,6 +47,24 @@ u64 pow2_at_least(u64 v) {
   return p;
 }
 
+// A table runs scalar and batched mutations through the same window
+// code; a map op routes to the *_batch entry points only when it is a
+// batch itself, so the tables' batch_ops/batch_keys count map batches.
+template <class Table, class Key>
+usize upsert_in(Table& t, std::span<const Key> keys, std::span<const u64> values, bool batch) {
+  return batch ? t.upsert_batch(keys, values) : usize{t.upsert(keys[0], values[0])};
+}
+
+template <class Table, class Key>
+void erase_in(Table& t, std::span<const Key> keys, std::span<u8> hits, bool batch) {
+  if (batch) {
+    t.erase_batch(keys, hits);
+    return;
+  }
+  const bool hit = t.erase(keys[0]);
+  if (!hits.empty()) hits[0] = hit ? 1 : 0;
+}
+
 }  // namespace
 
 template <class Cell>
@@ -304,23 +322,27 @@ void BasicGroupHashMap<Cell>::abandon() {
 }
 
 template <class Cell>
-void BasicGroupHashMap<Cell>::put_value(const key_type& key, u64 value) {
+void BasicGroupHashMap<Cell>::upsert_keys(std::span<const key_type> keys,
+                                          std::span<const u64> values, bool batch) {
+  // The tables apply a strict prefix and return its length; a short
+  // return means a placement failed, so expand and resubmit the rest.
+  usize done = 0;
   for (;;) {
+    const auto rest = keys.subspan(done);
+    const auto rest_values = values.subspan(done);
     if (!mig_table_) {
-      if (table().update(key, value)) return;
-      if (table().insert(key, value)) return;
+      done += upsert_in(table(), rest, rest_values, batch);
     } else {
       // New-table-first: readers probe the migration target before the
-      // old table, so the latest value must land (or already live) there.
-      if (mig_table_->update(key, value)) return;
-      if (mig_table_->insert(key, value)) {
-        // Drop the now-stale old copy, if any. A crash in between leaves
-        // a benign duplicate: new-first reads mask it, and re-migration
-        // (or the emergency merge) dedups it.
-        table().erase(key);
-        return;
-      }
+      // old table, so the latest values must land there before the
+      // now-stale old copies are dropped. A crash in between leaves
+      // benign duplicates: new-first reads mask them, and re-migration
+      // (or the emergency merge) dedups them.
+      const usize n = upsert_in(*mig_table_, rest, rest_values, batch);
+      if (n > 0) erase_in(table(), rest.first(n), {}, batch);
+      done += n;
     }
+    if (done == keys.size()) return;
     if (!options_.auto_expand) throw std::runtime_error("GroupHashMap is full");
     if (!try_expand()) {
       throw MapDegradedError("GroupHashMap insert deferred: expansion failing (" +
@@ -330,10 +352,25 @@ void BasicGroupHashMap<Cell>::put_value(const key_type& key, u64 value) {
 }
 
 template <class Cell>
+void BasicGroupHashMap<Cell>::erase_keys(std::span<const key_type> keys, std::span<u8> hits,
+                                         bool batch) {
+  // Old-table copy first: a crash between the two erases then reads as
+  // "the erase did not land" (the target still serves the latest value),
+  // never as a resurrected stale old copy. A hit in either table counts.
+  erase_in(table(), keys, hits, batch);
+  if (!mig_table_) return;
+  std::vector<u8> mig_hits(keys.size(), 0);
+  erase_in(*mig_table_, keys, std::span<u8>(mig_hits), batch);
+  if (!hits.empty()) {
+    for (usize i = 0; i < keys.size(); ++i) hits[i] |= mig_hits[i];
+  }
+}
+
+template <class Cell>
 void BasicGroupHashMap<Cell>::put(const key_type& key, u64 value) {
   GH_CHECK_MSG(!closed_, "map is closed");
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
-  put_value(key, value);
+  upsert_keys({&key, 1}, {&value, 1}, /*batch=*/false);
   // Help-along runs inside the timed window: the stall it causes is part
   // of the latency a caller observes, and phase attribution books it
   // under migrate_help. Its migration records follow the put's finish.
@@ -375,26 +412,7 @@ void BasicGroupHashMap<Cell>::put_batch(std::span<const key_type> keys,
   GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
   if (keys.empty()) return;
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(keys[0]));
-  // upsert_batch applies a strict prefix and returns its length; a short
-  // return means a placement failed, so expand (with put()'s failure
-  // semantics) and resubmit the remainder. While a migration runs the
-  // coalesced-fence fast path cannot span two tables, so the remainder
-  // degrades to per-key routing — still strictly in order.
-  usize done = 0;
-  while (done < keys.size()) {
-    if (mig_table_) {
-      put_value(keys[done], values[done]);
-      ++done;
-      continue;
-    }
-    done += table().upsert_batch(keys.subspan(done), values.subspan(done));
-    if (done == keys.size()) break;
-    if (!options_.auto_expand) throw std::runtime_error("GroupHashMap is full");
-    if (!try_expand()) {
-      throw MapDegradedError("GroupHashMap insert deferred: expansion failing (" +
-                             last_expand_error_ + "); will retry with backoff");
-    }
-  }
+  upsert_keys(keys, values, /*batch=*/true);
   op.end_flight();
   help_migrate();
 }
@@ -405,18 +423,7 @@ void BasicGroupHashMap<Cell>::erase_batch(std::span<const key_type> keys,
   GH_CHECK_MSG(!closed_, "map is closed");
   if (keys.empty()) return;
   obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(keys[0]));
-  if (!mig_table_) {
-    table().erase_batch(keys, hits);
-  } else {
-    // Old table first (see erase() for the crash-window argument), then
-    // the migration target; a hit in either counts.
-    table().erase_batch(keys, hits);
-    std::vector<u8> mig_hits(keys.size(), 0);
-    mig_table_->erase_batch(keys, mig_hits);
-    if (!hits.empty()) {
-      for (usize i = 0; i < keys.size(); ++i) hits[i] = hits[i] | mig_hits[i];
-    }
-  }
+  erase_keys(keys, hits, /*batch=*/true);
   op.end_flight();
   help_migrate();
 }
@@ -453,13 +460,13 @@ u64 BasicGroupHashMap<Cell>::increment(const key_type& key, u64 delta) {
       GH_CHECK(mig_table_->update(key, next));
     } else {
       if (const auto old = table().find(key)) next = *old + delta;
-      put_value(key, next);
+      upsert_keys({&key, 1}, {&next, 1}, /*batch=*/false);
     }
   } else if (const auto current = table().find(key)) {
     next = *current + delta;
     GH_CHECK(table().update(key, next));
   } else {
-    put_value(key, delta);
+    upsert_keys({&key, 1}, {&next, 1}, /*batch=*/false);
   }
   op.end_flight();
   help_migrate();
@@ -470,14 +477,11 @@ template <class Cell>
 bool BasicGroupHashMap<Cell>::erase(const key_type& key) {
   GH_CHECK_MSG(!closed_, "map is closed");
   obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(key));
-  // Old-table copy first: a crash between the two erases then reads as
-  // "the erase did not land" (the target still serves the latest value),
-  // never as a resurrected stale old copy.
-  bool hit = table().erase(key);
-  if (mig_table_) hit = mig_table_->erase(key) || hit;
+  u8 hit = 0;
+  erase_keys({&key, 1}, {&hit, 1}, /*batch=*/false);
   op.end_flight();
   help_migrate();
-  return hit;
+  return hit != 0;
 }
 
 template <class Cell>

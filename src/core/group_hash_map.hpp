@@ -337,10 +337,16 @@ class BasicGroupHashMap {
   /// dirty, disarmed superblock: the file `path_ + suffix`, or anonymous
   /// memory for an in-memory map. Builds new maps and resize targets.
   Fresh format_table(const char* suffix, u64 total_cells, u64 group_size, u64 seed, bool crc);
-  /// The scalar upsert core shared by put/put_batch/increment: routes
-  /// writes new-table-first during a migration so readers (which probe
-  /// new-then-old) always see the latest committed value.
-  void put_value(const key_type& key, u64 value);
+  /// The upsert core of put/put_batch/increment (each caller holds its
+  /// own OpScope): routes writes new-table-first during a migration so
+  /// readers (which probe new-then-old) always see the latest committed
+  /// value, and expands on a placement failure. `batch` selects the
+  /// tables' counted *_batch entry points over their scalar ones; both
+  /// run the same window code.
+  void upsert_keys(std::span<const key_type> keys, std::span<const u64> values, bool batch);
+  /// The erase core of erase/erase_batch: old table first, then the
+  /// migration target.
+  void erase_keys(std::span<const key_type> keys, std::span<u8> hits, bool batch);
 
   // --- Resize state machine (see DESIGN.md, "Resize") ---
   /// Create + durably publish the `.migrate` target and arm the cursor.

@@ -330,32 +330,7 @@ void PersistentStringMap::put(std::string_view key, u64 value) {
   GH_CHECK_MSG(!closed_, "map is closed");
   const Key128 fp = fingerprint(key);
   obs::OpScope op(sinks_, obs::OpKind::kInsert, fp.lo);
-  if (const auto offset = table().find(fp)) {
-    const Record rec = load_record(*offset);
-    if (rec.key != key) {
-      throw std::runtime_error("fingerprint collision between distinct keys");
-    }
-    if (rec.value == value) return;
-    // In-place 8-byte atomic update of the record's value word.
-    auto* value_word = const_cast<std::byte*>(arena().read(*offset, sizeof(u64)).data());
-    pm_->atomic_store_u64(reinterpret_cast<u64*>(value_word), value);
-    pm_->persist(value_word, sizeof(u64));
-    return;
-  }
-  for (u32 attempt = 0;; ++attempt) {
-    if (const auto offset = append_record(key, value)) {
-      if (table().insert(fp, *offset)) return;
-      // Table full: the appended record becomes garbage the compaction
-      // reclaims (the arena has no way to un-append atomically).
-    }
-    if (!options_.auto_compact) throw std::runtime_error("PersistentStringMap is full");
-    // Reclaim garbage first; when a same-size compaction was not enough,
-    // force a doubling.
-    if (!try_grow(/*double_table=*/attempt > 0)) {
-      throw MapDegradedError("PersistentStringMap insert deferred: compaction failing (" +
-                             last_compact_error_ + "); will retry with backoff");
-    }
-  }
+  put_keys({&key, 1}, {&fp, 1}, {&value, 1}, /*batch=*/false);
 }
 
 bool PersistentStringMap::try_grow(bool double_table) {
@@ -418,36 +393,48 @@ void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
   fps[0] = fingerprint(keys[0]);
   obs::OpScope op(sinks_, obs::OpKind::kInsert, fps[0].lo);
   for (usize i = 1; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
+  put_keys(keys, fps, values, /*batch=*/true);
+}
 
+void PersistentStringMap::put_keys(std::span<const std::string_view> keys,
+                                   std::span<const Key128> fps, std::span<const u64> values,
+                                   bool batch) {
   // Windowed two-phase protocol mirroring the table's: per window, one
-  // prefetching find_batch sweep splits keys into updates (in-place
-  // 8-byte value overwrites, flushed now, fenced once) and news (records
-  // appended now, cells inserted through the table's fence-coalesced
-  // insert_batch). A duplicate of a record appended earlier in the same
-  // window updates that record in place — it is not yet reachable from
-  // the table, so this is last-wins exactly like sequential puts;
-  // duplicates across windows land on the committed cell via find_batch.
+  // lookup sweep splits keys into updates (in-place 8-byte value
+  // overwrites, flushed now, fenced once) and news (records appended
+  // now, cells inserted through the table's fence-coalesced window). A
+  // duplicate of a record appended earlier in the same window updates
+  // that record in place — it is not yet reachable from the table, so
+  // this is last-wins exactly like sequential puts; duplicates across
+  // windows land on the committed cell via the lookup. A put of one key
+  // is a window of one through the table's scalar entry points.
   constexpr usize kWindow = Table::kBatchWindow;
   struct Pending {
     usize idx;   ///< index into keys (first occurrence)
     u64 offset;  ///< appended record
-    u64 latest;  ///< latest value stored into the record
   };
   std::array<std::optional<u64>, kWindow> found;
-  std::vector<Pending> news;
-  std::vector<Key128> new_fps;
-  std::vector<u64> new_offsets;
-  news.reserve(kWindow);
+  std::array<Pending, kWindow> news;
+  std::array<Key128, kWindow> new_fps;
+  std::array<u64, kWindow> new_offsets;
+  const auto store_value = [&](u64 offset, u64 value) {
+    auto* value_word = const_cast<std::byte*>(arena().read(offset, sizeof(u64)).data());
+    pm_->atomic_store_u64(reinterpret_cast<u64*>(value_word), value);
+    pm_->flush(value_word, sizeof(u64));
+  };
 
   usize i = 0;
-  u32 grow_attempt = 0;
+  u32 grow_attempt = 0;  // rebuilds since the last progress
   while (i < keys.size()) {
     const usize n = std::min<usize>(kWindow, keys.size() - i);
-    table().find_batch(std::span(fps).subspan(i, n), std::span(found.data(), n));
-    news.clear();
+    if (batch) {
+      table().find_batch(fps.subspan(i, n), std::span(found.data(), n));
+    } else {
+      found[0] = table().find(fps[i]);
+    }
+    usize nnew = 0;
     bool flushed_updates = false;
-    bool arena_full = false;
-    usize consumed = 0;
+    usize next = i + n;  // first key not durably applied
     for (usize w = 0; w < n; ++w) {
       const usize idx = i + w;
       if (found[w]) {
@@ -456,81 +443,59 @@ void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
           throw std::runtime_error("fingerprint collision between distinct keys");
         }
         if (rec.value != values[idx]) {
-          auto* value_word =
-              const_cast<std::byte*>(arena().read(*found[w], sizeof(u64)).data());
-          pm_->atomic_store_u64(reinterpret_cast<u64*>(value_word), values[idx]);
-          pm_->flush(value_word, sizeof(u64));
+          store_value(*found[w], values[idx]);
           flushed_updates = true;
         }
-        consumed++;
         continue;
       }
-      Pending* dup = nullptr;
-      for (auto& p : news) {
-        if (fps[p.idx] == fps[idx]) {
-          dup = &p;
-          break;
-        }
+      const Pending* dup = nullptr;
+      for (usize u = 0; u < nnew && dup == nullptr; ++u) {
+        if (fps[news[u].idx] == fps[idx]) dup = &news[u];
       }
       if (dup) {
         if (keys[dup->idx] != keys[idx]) {
           throw std::runtime_error("fingerprint collision between distinct keys");
         }
-        auto* value_word =
-            const_cast<std::byte*>(arena().read(dup->offset, sizeof(u64)).data());
-        pm_->atomic_store_u64(reinterpret_cast<u64*>(value_word), values[idx]);
-        pm_->flush(value_word, sizeof(u64));
+        store_value(dup->offset, values[idx]);
         flushed_updates = true;
-        dup->latest = values[idx];
-        consumed++;
         continue;
       }
       const auto offset = append_record(keys[idx], values[idx]);
       if (!offset) {
-        arena_full = true;
+        next = idx;
         break;
       }
-      news.push_back({idx, *offset, values[idx]});
-      consumed++;
+      news[nnew++] = {idx, *offset};
     }
     // Durability point of the window. The in-place updates need one
-    // fence; the new records' flushes are covered by insert_batch's own
-    // pre-commit fence, so cells never commit before their records are
-    // durable.
+    // fence; the new records' flushes are covered by the table window's
+    // own pre-commit fence, so cells never commit before their records
+    // are durable.
     if (flushed_updates) pm_->fence();
-    usize inserted = 0;
-    if (!news.empty()) {
-      new_fps.clear();
-      new_offsets.clear();
-      for (const auto& p : news) {
-        new_fps.push_back(fps[p.idx]);
-        new_offsets.push_back(p.offset);
+    if (nnew > 0) {
+      for (usize u = 0; u < nnew; ++u) {
+        new_fps[u] = fps[news[u].idx];
+        new_offsets[u] = news[u].offset;
       }
-      inserted = table().insert_batch(new_fps, new_offsets);
+      const usize inserted =
+          batch ? table().insert_batch(std::span(new_fps.data(), nnew),
+                                       std::span(new_offsets.data(), nnew))
+                : usize{table().insert(new_fps[0], new_offsets[0])};
+      if (inserted < nnew) next = news[inserted].idx;
     }
-    if (inserted < news.size() || arena_full) {
-      // Out of table or arena space. Records appended for the
-      // not-yet-inserted keys are unreachable and will be reclaimed as
-      // garbage by the rebuild; re-apply those keys through put() (at
-      // their latest in-batch value), which runs put()'s own
-      // compact-then-double escalation.
+    if (next < i + n) {
+      // Out of table or arena space. Records appended for keys from
+      // `next` on are unreachable garbage the rebuild reclaims; those
+      // keys re-enter the window loop afterwards. Escalation per stuck
+      // key: compact first; when that did not get it placed, double.
       if (!options_.auto_compact) throw std::runtime_error("PersistentStringMap is full");
-      for (usize u = inserted; u < news.size(); ++u) {
-        put(keys[news[u].idx], news[u].latest);
+      if (next > i) grow_attempt = 0;
+      if (!try_grow(/*double_table=*/grow_attempt++ > 0)) {
+        throw MapDegradedError("PersistentStringMap insert deferred: compaction failing (" +
+                               last_compact_error_ + "); will retry with backoff");
       }
-      if (arena_full) {
-        const bool ok = try_grow(/*double_table=*/grow_attempt > 0);
-        grow_attempt++;
-        if (!ok) {
-          throw MapDegradedError(
-              "PersistentStringMap insert deferred: compaction failing (" +
-              last_compact_error_ + "); will retry with backoff");
-        }
-      }
-    } else {
-      grow_attempt = 0;
     }
-    i += consumed;
+    i = next;
   }
 }
 

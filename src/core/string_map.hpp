@@ -243,6 +243,11 @@ class PersistentStringMap {
   Record load_record(u64 offset) const;
   /// Appends a (value, key) record; nullopt when the arena is full.
   std::optional<u64> append_record(std::string_view key, u64 value);
+  /// The put core of put/put_batch (each caller holds its own OpScope).
+  /// `batch` selects the table's counted *_batch entry points over its
+  /// scalar ones; both run the same window code.
+  void put_keys(std::span<const std::string_view> keys, std::span<const Key128> fps,
+                std::span<const u64> values, bool batch);
   /// Rebuild into a fresh region sized for the live contents with
   /// headroom; `double_table` also doubles the table, for when a
   /// same-size compaction cannot help (one over-full group re-hashes

@@ -17,6 +17,12 @@
 // dedicated meta word carries the bitmap plus a 16-bit key tag used to
 // reject non-matching cells without reading the full key.
 //
+// Each protocol comes in two forms. publish()/retract() run one cell's
+// insert/delete with its own fences; the baseline schemes and the 2H
+// variant use them. The split stage/commit and clear/wipe halves let a
+// caller share fences across a window of cells; GroupHashTable runs every
+// insert and erase that way, a scalar op being a window of one.
+//
 // All mutation goes through a persistence-policy object PM (see
 // nvm/direct_pm.hpp for the interface), which is how the crash simulator
 // and the cache-simulator benches observe every NVM write.
@@ -86,7 +92,7 @@ struct Cell16 {
     pm.persist(this, kSize);
   }
 
-  // --- batched (fence-coalesced) protocol ----------------------------------
+  // --- windowed (fence-coalesced) protocol ---------------------------------
   // publish() split in two so a window of inserts shares two fences:
   //   stage_payload × n → fence → commit_staged × n → fence
   // The per-cell ordering invariant is identical to publish(): the commit
@@ -117,7 +123,7 @@ struct Cell16 {
     pm.flush(&word0, sizeof(word0));
   }
 
-  // retract() split the same way for batched erase:
+  // retract() split the same way for windowed erase:
   //   retract_commit × n → fence → retract_wipe × n → fence
   // Mandatory order for this layout: word0 carries the key, so a wipe
   // must never reach media while the old commit word could still be live.
@@ -193,7 +199,7 @@ struct Cell32 {
     pm.persist(this, kSize);
   }
 
-  // --- batched (fence-coalesced) protocol — see Cell16 for the shape ------
+  // --- windowed (fence-coalesced) protocol — see Cell16 for the shape -----
 
   template <class PM>
   void stage_payload(PM& pm, const Key128& k, u64 v) {

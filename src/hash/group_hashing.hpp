@@ -18,7 +18,10 @@
 // deletes are committed by the cell's 8-byte atomic commit word (see
 // cells.hpp); the persistent `count` is atomically updated afterwards,
 // and recovery (§3.5, Algorithm 4) rescans the table to scrub torn
-// payloads and recompute `count`.
+// payloads and recompute `count`. The protocol has one implementation,
+// the fence-coalesced mutation window ("Mutation windows" below): a
+// scalar insert or erase is a window of one, a batch shares each
+// window's fences across up to kBatchWindow keys.
 //
 // Media integrity (optional, Params::group_crc): the commit-word protocol
 // defends against *crashes*, not against the media itself lying — bit rot
@@ -76,7 +79,8 @@ namespace gh::hash {
 /// How the global `count` field is maintained.
 enum class CountMode {
   /// The paper's protocol (Algorithms 1/3): atomically update and persist
-  /// `count` after every insert/delete — one extra flush per mutation.
+  /// `count` after every insert/delete — one extra flush per mutation
+  /// window (per op for scalar ops).
   kEager,
   /// Keep `count` volatile and let recovery recompute it (which Algorithm
   /// 4 does anyway). Saves the flush; `count` is only approximate in the
@@ -214,49 +218,25 @@ class GroupHashTable {
   }
 
   /// Optional logging wrapper used only by the ablation bench (the paper's
-  /// point is that group hashing does NOT need it).
+  /// point is that group hashing does NOT need it). While attached, every
+  /// mutation window holds one op inside one undo-log transaction.
   void attach_wal(UndoLog<PM>* wal) { wal_ = wal; }
 
-  /// Algorithm 1. Precondition: `key` is not already present (the paper's
-  /// insert does not check; use the core-API upsert for checked inserts).
-  /// Returns false when the level-1 cell and its whole matched level-2
-  /// group are full — the signal to expand the table. Quarantined groups
-  /// accept no new cells, so corruption shows up as earlier expansion
-  /// pressure rather than data written to distrusted media.
+  /// Algorithm 1, as a window of one (see "Mutation windows" below).
+  /// Precondition: `key` is not already present (the paper's insert does
+  /// not check; use upsert for checked inserts). Returns false when the
+  /// level-1 cell and its whole matched level-2 group are full — the
+  /// signal to expand the table. Quarantined groups accept no new cells,
+  /// so corruption shows up as earlier expansion pressure rather than
+  /// data written to distrusted media.
   bool insert(key_type key, u64 value) {
-    stats_.inserts++;
-    if (wal_) wal_->begin();
-    const u64 h = hash_(key);
-    const u64 k = h & mask_;
-    const u64 g = k / group_size_;
-    const u8 tag = tag_of_hash(h);
-    // The tag array knows where the empty cells are (tag 0) without
-    // touching PM: the level-1 slot is one byte, the level-2 scan is a
-    // SIMD sweep for 0 over the group's tags.
-    if (tags1_[k] == 0 && !is_quarantined(0, g)) {
-      Cell* c1 = probe(&tab1_[k]);
-      GH_DCHECK(!c1->occupied());
-      commit_insert(c1, key, value, tag);
-      return true;
-    }
-    if (!is_quarantined(1, g)) {
-      const u64 j = k - k % group_size_;
-      Cell* free_cell = nullptr;
-      for_each_tag_match(tags2_ + j, group_size_, /*tag=*/0, [&](u32 i) {
-        Cell* c2 = probe(&tab2_[j + i]);
-        stats_.level2_probes++;
-        GH_DCHECK(!c2->occupied());
-        free_cell = c2;
-        return true;
-      });
-      if (free_cell != nullptr) {
-        commit_insert(free_cell, key, value, tag);
-        return true;
-      }
-    }
-    stats_.insert_failures++;
-    if (wal_) wal_->commit();
-    return false;
+    return put_batch_impl<false>({&key, 1}, {&value, 1}) == 1;
+  }
+
+  /// Update-or-insert one key, as a window of one. Returns false when the
+  /// key is new and its level-1 cell and level-2 group are full.
+  bool upsert(key_type key, u64 value) {
+    return put_batch_impl<true>({&key, 1}, {&value, 1}) == 1;
   }
 
   /// Algorithm 2. (We additionally require the bitmap to be set on
@@ -275,8 +255,7 @@ class GroupHashTable {
   /// behaviourally identical to per-key find().
   void find_batch(std::span<const key_type> keys, std::span<std::optional<u64>> out) {
     GH_CHECK(out.size() >= keys.size());
-    stats_.batch_ops++;
-    stats_.batch_keys += keys.size();
+    count_batch(keys.size());
     constexpr usize kWindow = 16;
     // Tag lines per group, capped at 4 (256 tags) for jumbo group sizes.
     const u64 tag_lines = std::min<u64>((group_size_ + kCachelineSize - 1) / kCachelineSize, 4);
@@ -311,40 +290,24 @@ class GroupHashTable {
     return true;
   }
 
-  /// Algorithm 3.
-  bool erase(key_type key) {
-    stats_.erases++;
-    if (wal_) wal_->begin();
-    Cell* c = find_cell(key);
-    if (c == nullptr) {
-      if (wal_) wal_->commit();
-      return false;
-    }
-    if (wal_) {
-      wal_->log_cell(c, sizeof(Cell));
-      wal_->log_cell(&header_->count, sizeof(u64));
-    }
-    const u32 old_digest = crc_ ? cell_digest(c) : 0;
-    c->retract(*pm_);
-    tag_store(tag_slot(c), 0);
-    if (crc_) apply_digest_delta(c, old_digest);
-    bump_count(-1);
-    stats_.erase_hits++;
-    if (wal_) wal_->commit();
-    return true;
-  }
+  /// Algorithm 3, as a window of one.
+  bool erase(key_type key) { return erase_impl({&key, 1}, {}) == 1; }
 
-  // --- batched mutation (fence-coalesced) ----------------------------------
+  // --- mutation windows (fence-coalesced) ---------------------------------
   //
-  // put/erase over a batch share persist fences across windows of
-  // kBatchWindow keys while keeping the per-cell 8-byte-commit discipline
-  // intact (see cells.hpp: the two-phase stage→fence→commit→fence /
-  // clear→fence→wipe→fence splits). Checksum deltas and the eager count
-  // are also coalesced to one store+fence per window; after a crash they
-  // are stale by at most a window, which recovery repairs the same way it
-  // repairs per-op staleness. Keys are applied strictly in order, so on
-  // a placement failure the return value is an exact prefix length — the
-  // map layer expands and resubmits the remainder.
+  // Every insert and erase, scalar or batched, runs one windowed protocol:
+  // a window of up to kBatchWindow keys shares its persist fences while
+  // each cell keeps its own 8-byte commit (see cells.hpp: the two-phase
+  // stage→fence→commit→fence / clear→fence→wipe→fence splits). The
+  // window tail stores the coalesced checksum deltas (one fence), then
+  // the count; after a crash both are stale by at most a window, which
+  // recovery rebuilds. A scalar op is a window of one and issues exactly
+  // the fences and flushes of the paper's per-op protocol. An attached
+  // undo log forces windows of one and logs each target cell and the
+  // count inside its transaction. Keys are applied strictly in order, so
+  // on a placement failure the return value is an exact prefix length —
+  // the map layer expands and resubmits the remainder. Only the *_batch
+  // entry points count toward batch_ops/batch_keys.
 
   static constexpr usize kBatchWindow = 32;
 
@@ -352,6 +315,7 @@ class GroupHashTable {
   /// leading keys fully applied; < keys.size() means key [return] found
   /// both its level-1 cell and level-2 group full (or quarantined).
   usize upsert_batch(std::span<const key_type> keys, std::span<const u64> values) {
+    count_batch(keys.size());
     return put_batch_impl<true>(keys, values);
   }
 
@@ -360,6 +324,7 @@ class GroupHashTable {
   /// value, matching sequential insert-or-update semantics at the map
   /// layer). Skips the existing-key lookup upsert_batch does.
   usize insert_batch(std::span<const key_type> keys, std::span<const u64> values) {
+    count_batch(keys.size());
     return put_batch_impl<false>(keys, values);
   }
 
@@ -368,54 +333,8 @@ class GroupHashTable {
   /// one batch behave sequentially: the first occurrence erases, the
   /// rest miss.
   usize erase_batch(std::span<const key_type> keys, std::span<u8> hits) {
-    GH_CHECK(hits.empty() || hits.size() >= keys.size());
-    stats_.batch_ops++;
-    stats_.batch_keys += keys.size();
-    if (wal_) {  // WAL ablation builds have per-op logging; keep them scalar
-      usize erased = 0;
-      for (usize i = 0; i < keys.size(); ++i) {
-        const bool hit = erase(keys[i]);
-        if (!hits.empty()) hits[i] = hit ? 1 : 0;
-        erased += hit ? 1 : 0;
-      }
-      return erased;
-    }
-    usize erased = 0;
-    std::array<Cell*, kBatchWindow> victims{};
-    std::array<u32, kBatchWindow> old_digests{};
-    CrcDeltaWindow deltas;
-    for (usize base = 0; base < keys.size(); base += kBatchWindow) {
-      const usize n = std::min(kBatchWindow, keys.size() - base);
-      usize nvictims = 0;
-      for (usize i = 0; i < n; ++i) {
-        stats_.erases++;
-        Cell* c = find_cell(keys[base + i]);
-        if (!hits.empty()) hits[base + i] = c != nullptr ? 1 : 0;
-        if (c == nullptr) continue;
-        // Phase 1: atomic commit-word clear + flush. The cleared word is
-        // immediately visible, so a duplicate key later in the window
-        // misses — sequential semantics.
-        old_digests[nvictims] = crc_ ? cell_digest(c) : 0;
-        c->retract_commit(*pm_);
-        tag_store(tag_slot(c), 0);
-        victims[nvictims++] = c;
-        stats_.erase_hits++;
-      }
-      if (nvictims == 0) continue;
-      pm_->fence();  // clears durable before any wipe store issues
-      for (usize v = 0; v < nvictims; ++v) victims[v]->retract_wipe(*pm_);
-      pm_->fence();
-      if (crc_) {
-        for (usize v = 0; v < nvictims; ++v) {
-          // Final cell content is all-zero (digest 0): delta = old digest.
-          deltas.add(crc_slot_of(victims[v]), old_digests[v]);
-        }
-        deltas.apply(*pm_);
-      }
-      bump_count(-static_cast<i64>(nvictims));
-      erased += nvictims;
-    }
-    return erased;
+    count_batch(keys.size());
+    return erase_impl(keys, hits);
   }
 
   /// Empty group `g` on both levels — how a resize retires a source group
@@ -752,17 +671,9 @@ class GroupHashTable {
     }
   }
 
-  void commit_insert(Cell* c, key_type key, u64 value, u8 tag) {
-    if (wal_) {
-      wal_->log_cell(c, sizeof(Cell));
-      wal_->log_cell(&header_->count, sizeof(u64));
-    }
-    const u32 old_digest = crc_ ? cell_digest(c) : 0;
-    c->publish(*pm_, key, value);
-    tag_store(tag_slot(c), tag);
-    if (crc_) apply_digest_delta(c, old_digest);
-    bump_count(+1);
-    if (wal_) wal_->commit();
+  void count_batch(usize keys) {
+    stats_.batch_ops++;
+    stats_.batch_keys += keys;
   }
 
   /// Tag-filtered probe (Algorithm 2 + fingerprint filter): only cells
@@ -838,8 +749,8 @@ class GroupHashTable {
   /// digest changes, folded per slot and applied with one store+flush
   /// each and a single fence.
   struct CrcDeltaWindow {
-    std::array<u64*, 2 * kBatchWindow> slots{};
-    std::array<u64, 2 * kBatchWindow> deltas{};
+    std::array<u64*, 2 * kBatchWindow> slots;  // [0, n) live; left uninitialised
+    std::array<u64, 2 * kBatchWindow> deltas;
     usize n = 0;
 
     void add(u64* slot, u64 delta) {
@@ -898,40 +809,49 @@ class GroupHashTable {
     return crc_slot(level, (gi % level_cells_) / group_size_);
   }
 
-  /// The shared core of upsert_batch/insert_batch. Processes keys in
-  /// windows; within a window:
+  /// Windows of at most this many keys: one under an undo log, whose
+  /// transaction covers exactly one op.
+  [[nodiscard]] usize window_size() const { return wal_ ? 1 : kBatchWindow; }
+
+  /// Undo-log a cell and the count before a logged window mutates them.
+  void log_mutation(const Cell* c) {
+    wal_->log_cell(c, sizeof(Cell));
+    wal_->log_cell(&header_->count, sizeof(u64));
+  }
+
+  /// The tail every put and erase window ends with: the coalesced
+  /// checksum deltas (store+flush each, one fence), then the count.
+  void finish_window(CrcDeltaWindow& deltas, i64 count_delta) {
+    if (crc_) deltas.apply(*pm_);
+    if (count_delta != 0) bump_count(count_delta);
+  }
+
+  /// The put core of insert/upsert and their batches. Within a window:
   ///   phase 1 — updates and payload staging (stores + flushes, commit
   ///             words untouched, so staged cells are invisible to finds)
   ///   fence   — staged payloads + in-place updates durable
   ///   phase 2 — atomic commit words + flushes
   ///   fence   — commits durable
-  ///   tail    — coalesced checksum deltas (store+flush each, one fence)
-  ///             and ONE count bump for the window
+  ///   tail    — finish_window
   /// Any commit word that reaches media implies the phase-1 fence
   /// retired, so the per-cell crash discipline is exactly publish()'s.
   template <bool kCheckExisting>
   usize put_batch_impl(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK(values.size() >= keys.size());
-    stats_.batch_ops++;
-    stats_.batch_keys += keys.size();
-    if (wal_) {  // WAL ablation builds log per op; keep them scalar
-      for (usize i = 0; i < keys.size(); ++i) {
-        if (kCheckExisting && update(keys[i], values[i])) continue;
-        if (!insert(keys[i], values[i])) return i;
-      }
-      return keys.size();
-    }
     struct Staged {
       Cell* cell;
       key_type key;
-      u8 tag;
       u32 old_digest;
     };
-    std::array<Staged, kBatchWindow> staged{};
+    // [0, nstaged) live; not value-initialised, so a window of one does
+    // not pay for clearing 32 entries.
+    std::array<Staged, kBatchWindow> staged;
     CrcDeltaWindow deltas;
+    const usize window = window_size();
     usize done = 0;
     while (done < keys.size()) {
-      const usize n = std::min(kBatchWindow, keys.size() - done);
+      const usize n = std::min(window, keys.size() - done);
+      if (wal_) wal_->begin();
       usize nstaged = 0;
       usize updates = 0;
       usize consumed = 0;  // leading keys of this window fully handled
@@ -970,6 +890,9 @@ class GroupHashTable {
           }
         }
         stats_.inserts++;
+        // The tag array knows where the empty cells are (tag 0) without
+        // touching PM: the level-1 slot is one byte, the level-2 scan is
+        // a SIMD sweep for 0 over the group's tags.
         const u64 g = k / group_size_;
         Cell* target = nullptr;
         if (tags1_[k] == 0 && !is_quarantined(0, g)) {
@@ -990,12 +913,13 @@ class GroupHashTable {
           full = true;
           break;
         }
+        if (wal_) log_mutation(target);
         const u32 old_digest = crc_ ? cell_digest(target) : 0;
         target->stage_payload(*pm_, key, value);
         // Set the tag NOW so this window's later empty-slot scans skip
         // the staged cell (its commit word still reads unoccupied).
         tag_store(tag_slot(target), tag);
-        staged[nstaged++] = Staged{target, key, tag, old_digest};
+        staged[nstaged++] = Staged{target, key, old_digest};
         consumed++;
       }
       // Window tail: finalize everything staged, even on a full stop.
@@ -1011,13 +935,61 @@ class GroupHashTable {
                        staged[s].old_digest ^ cell_digest(staged[s].cell));
           }
         }
-        bump_count(+static_cast<i64>(nstaged));
       }
-      if (crc_) deltas.apply(*pm_);
+      finish_window(deltas, static_cast<i64>(nstaged));
+      if (wal_) wal_->commit();
       done += consumed;
       if (full) break;
     }
     return done;
+  }
+
+  /// The erase core of erase/erase_batch. Within a window: every hit's
+  /// commit word cleared (+flush) → fence → payloads wiped → fence →
+  /// finish_window.
+  usize erase_impl(std::span<const key_type> keys, std::span<u8> hits) {
+    GH_CHECK(hits.empty() || hits.size() >= keys.size());
+    // [0, nvictims) live; not value-initialised (see put_batch_impl).
+    std::array<Cell*, kBatchWindow> victims;
+    std::array<u32, kBatchWindow> old_digests;
+    CrcDeltaWindow deltas;
+    const usize window = window_size();
+    usize erased = 0;
+    for (usize base = 0; base < keys.size(); base += window) {
+      const usize n = std::min(window, keys.size() - base);
+      if (wal_) wal_->begin();
+      usize nvictims = 0;
+      for (usize i = 0; i < n; ++i) {
+        stats_.erases++;
+        Cell* c = find_cell(keys[base + i]);
+        if (!hits.empty()) hits[base + i] = c != nullptr ? 1 : 0;
+        if (c == nullptr) continue;
+        if (wal_) log_mutation(c);
+        // Phase 1: atomic commit-word clear + flush. The cleared word is
+        // immediately visible, so a duplicate key later in the window
+        // misses — sequential semantics.
+        old_digests[nvictims] = crc_ ? cell_digest(c) : 0;
+        c->retract_commit(*pm_);
+        tag_store(tag_slot(c), 0);
+        victims[nvictims++] = c;
+        stats_.erase_hits++;
+      }
+      if (nvictims > 0) {
+        pm_->fence();  // clears durable before any wipe store issues
+        for (usize v = 0; v < nvictims; ++v) victims[v]->retract_wipe(*pm_);
+        pm_->fence();
+        if (crc_) {
+          for (usize v = 0; v < nvictims; ++v) {
+            // Final cell content is all-zero (digest 0): delta = old digest.
+            deltas.add(crc_slot_of(victims[v]), old_digests[v]);
+          }
+        }
+      }
+      finish_window(deltas, -static_cast<i64>(nvictims));
+      if (wal_) wal_->commit();
+      erased += nvictims;
+    }
+    return erased;
   }
 
   // --- integrity machinery ---------------------------------------------------
@@ -1045,9 +1017,7 @@ class GroupHashTable {
   /// value, and a crash between cell commit and checksum store only
   /// leaves the checksum stale — recovery rebuilds all of them.
   void apply_digest_delta(const Cell* c, u32 old_digest) {
-    const u64 gi = global_index(c);
-    const u32 level = gi < level_cells_ ? 0 : 1;
-    u64* slot = crc_slot(level, (gi % level_cells_) / group_size_);
+    u64* slot = crc_slot_of(c);
     pm_->atomic_store_u64(slot, *slot ^ old_digest ^ cell_digest(c));
     pm_->persist(slot, sizeof(u64));
   }

@@ -155,6 +155,60 @@ TEST(Batch, PrefetchAndBatchCountersAdvance) {
   EXPECT_GT(miss_stats.table.tag_skips, after.table.tag_skips);
 }
 
+TEST(Batch, ScalarMapOpsAreNotBatchCalls) {
+  // Scalar put/increment/erase run the tables' window code one key at a
+  // time; they count as ops, never as batch calls.
+  auto map = GroupHashMap::create_in_memory({.initial_cells = 1 << 12});
+  const obs::TableOpSnapshot before = map.snapshot().table;
+  map.put(11, 1);                   // new key: one insert
+  map.put(11, 2);                   // present key: in-place update
+  EXPECT_EQ(map.increment(12), 1u);  // new key: one insert
+  EXPECT_EQ(map.increment(12), 2u);  // present key: in-place update
+  EXPECT_TRUE(map.erase(11));
+  EXPECT_FALSE(map.erase(11));
+  const obs::TableOpSnapshot after = map.snapshot().table;
+  EXPECT_EQ(after.batch_ops, before.batch_ops);
+  EXPECT_EQ(after.batch_keys, before.batch_keys);
+  EXPECT_EQ(after.inserts - before.inserts, 2u);
+  EXPECT_EQ(after.erases - before.erases, 2u);
+  EXPECT_EQ(after.erase_hits - before.erase_hits, 1u);
+
+  // Each *_batch call counts once, with all of its keys.
+  const std::vector<u64> keys{21, 22, 23};
+  const std::vector<u64> values{1, 2, 3};
+  map.put_batch(keys, values);
+  map.erase_batch(keys);
+  const obs::TableOpSnapshot batched = map.snapshot().table;
+  EXPECT_EQ(batched.batch_ops - after.batch_ops, 2u);
+  EXPECT_EQ(batched.batch_keys - after.batch_keys, 2 * keys.size());
+  EXPECT_EQ(batched.inserts - after.inserts, keys.size());
+  EXPECT_EQ(batched.erase_hits - after.erase_hits, keys.size());
+}
+
+TEST(Batch, ScalarMapOpsDuringMigrationAreNotBatchCalls) {
+  // migrate_groups_per_op = 0 parks the resize: writes route new-table-
+  // first into the target and drop old copies, all through scalar entry
+  // points.
+  auto map = GroupHashMap::create_in_memory(
+      {.initial_cells = 64, .group_size = 16, .migrate_groups_per_op = 0});
+  u64 next = 1;
+  while (!map.migration_active() && next < 10'000) map.put(next, next), ++next;
+  ASSERT_TRUE(map.migration_active());
+  const obs::TableOpSnapshot before = map.snapshot().table;
+  map.put(1, 100);  // lives in the old table: lands in the target
+  map.put(next, next);
+  EXPECT_TRUE(map.erase(2));
+  EXPECT_FALSE(map.erase(10'001));
+  const obs::TableOpSnapshot after = map.snapshot().table;
+  ASSERT_TRUE(map.migration_active());
+  EXPECT_EQ(after.batch_ops, before.batch_ops);
+  EXPECT_EQ(after.batch_keys, before.batch_keys);
+  EXPECT_EQ(map.get(1), std::optional<u64>(100));
+  EXPECT_EQ(map.get(next), std::optional<u64>(next));
+  EXPECT_EQ(map.get(2), std::nullopt);
+  EXPECT_EQ(map.size(), next - 1);
+}
+
 // ---------------------------------------------------------------------------
 // Differential fuzz: batch APIs vs scalar oracle
 // ---------------------------------------------------------------------------
@@ -290,6 +344,43 @@ TEST(StringBatch, DuplicateKeysAndUpdatesInOneBatch) {
   map.erase_batch(std::vector<std::string_view>{"a", "a", "b"}, hits);
   EXPECT_EQ(hits, (std::vector<u8>{1, 0, 1}));
   EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(StringBatch, CompactingPutBatchIsOneTimedInsert) {
+  if (!obs::kEnabled) GTEST_SKIP() << "latency histograms compiled out (GH_OBS_OFF)";
+  // A table this small overflows inside the batch; the keys it could not
+  // place re-enter the batch's own window loop after each rebuild, so
+  // the whole call stays one insert op with one latency sample.
+  auto map = PersistentStringMap::create_in_memory(
+      {.initial_cells = 16, .group_size = 4, .latency_sample_shift = 0});
+  std::vector<std::string> storage;
+  for (u64 k = 0; k < 200; ++k) storage.push_back("key-" + std::to_string(k));
+  const std::vector<std::string_view> keys(storage.begin(), storage.end());
+  std::vector<u64> values(keys.size());
+  for (usize i = 0; i < values.size(); ++i) values[i] = i + 1;
+  map.put_batch(keys, values);
+  const obs::Snapshot s = map.snapshot();
+  ASSERT_GE(s.lifecycle.compactions, 1u);
+  EXPECT_EQ(s.latency.insert.count, 1u);
+  EXPECT_EQ(map.size(), keys.size());
+  for (usize i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(map.get(keys[i]), std::optional<u64>(values[i])) << keys[i];
+  }
+}
+
+TEST(StringBatch, ScalarPutAndEraseAreNotBatchCalls) {
+  auto map = PersistentStringMap::create_in_memory({.initial_cells = 1 << 10});
+  const obs::TableOpSnapshot before = map.snapshot().table;
+  map.put("a", 1);
+  map.put("a", 2);
+  EXPECT_TRUE(map.erase("a"));
+  EXPECT_FALSE(map.erase("a"));
+  const obs::TableOpSnapshot after = map.snapshot().table;
+  EXPECT_EQ(after.batch_ops, before.batch_ops);
+  EXPECT_EQ(after.batch_keys, before.batch_keys);
+  EXPECT_EQ(after.inserts - before.inserts, 1u);
+  EXPECT_EQ(after.erases - before.erases, 2u);
+  EXPECT_EQ(after.erase_hits - before.erase_hits, 1u);
 }
 
 class StringBatchFuzz : public ::testing::TestWithParam<u64> {};

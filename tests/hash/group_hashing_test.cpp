@@ -194,12 +194,15 @@ TEST_F(GroupHashingTest, CountPersistedPerOperation) {
   init(Table16::Params{.level_cells = 256, .group_size = 16});
   pm().stats().clear();
   table().insert(1, 2);
-  // Insert protocol: value persist + commit persist + count persist = 3.
-  EXPECT_EQ(pm().stats().persist_calls, 3u);
+  // Insert protocol: value flush+fence, commit flush+fence, count
+  // flush+fence = 3 of each, however they are grouped into persist() calls.
+  EXPECT_EQ(pm().stats().fences, 3u);
+  EXPECT_EQ(pm().stats().lines_flushed, 3u);
   EXPECT_EQ(pm().stats().atomic_stores, 2u);  // commit word + count
   pm().stats().clear();
   table().erase(1);
-  EXPECT_EQ(pm().stats().persist_calls, 3u);
+  EXPECT_EQ(pm().stats().fences, 3u);
+  EXPECT_EQ(pm().stats().lines_flushed, 3u);
 }
 
 TEST_F(GroupHashingTest, NoExtraWritesOnQuery) {

@@ -1,0 +1,275 @@
+// One mutation path: every GroupHashTable insert, update-or-insert and
+// erase runs the fence-coalesced window code, and a scalar op is a window
+// of one key. These tests pin what that costs and counts:
+//
+//   * per-op PM traffic — fences and flushed cachelines, not how they are
+//     grouped into persist() calls — equals the paper's per-op protocol
+//     (Algorithms 1 and 3) for both cell widths, with and without group
+//     checksums, and equals the matching *_batch call of one key;
+//   * an attached undo log runs windows of one, so a batch of n keys
+//     costs exactly n scalar ops;
+//   * only the *_batch entry points count toward batch_ops/batch_keys.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <optional>
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <vector>
+
+#include "hash/cells.hpp"
+#include "hash/group_hashing.hpp"
+#include "hash/wal.hpp"
+#include "nvm/direct_pm.hpp"
+#include "nvm/region.hpp"
+#include "test_support.hpp"
+
+namespace gh::hash {
+namespace {
+
+enum class Op { kInsert, kUpdate, kEraseHit, kEraseMiss };
+enum class Width { k16, k32 };
+
+struct Traffic {
+  u64 fences = 0;
+  u64 lines = 0;
+  friend bool operator==(const Traffic&, const Traffic&) = default;
+};
+
+void PrintTo(const Traffic& t, std::ostream* os) {
+  *os << t.fences << " fences / " << t.lines << " lines";
+}
+
+/// The paper's per-op protocol. Insert: payload, commit word, count.
+/// Erase: commit word, payload wipe, count. Update: one 8-byte value
+/// overwrite. A miss writes nothing. A checksummed mutation adds one
+/// store+flush+fence of its group's checksum word.
+Traffic expected_traffic(Op op, bool crc) {
+  const u64 crc_word = crc ? 1 : 0;
+  switch (op) {
+    case Op::kInsert:
+    case Op::kEraseHit:
+      return {3 + crc_word, 3 + crc_word};
+    case Op::kUpdate:
+      return {1 + crc_word, 1 + crc_word};
+    case Op::kEraseMiss:
+      return {0, 0};
+  }
+  return {};
+}
+
+template <class Cell>
+typename Cell::key_type key_of(u64 i) {
+  if constexpr (std::is_same_v<typename Cell::key_type, u64>) {
+    return test::k64(i) | 1;
+  } else {
+    return Key128{test::k64(i) | 1, i};
+  }
+}
+
+template <class Cell>
+using Table = GroupHashTable<Cell, nvm::DirectPM>;
+
+/// One way of issuing an op: its name and a call on the table that
+/// reports whether the op hit (placed / found the key).
+template <class Cell>
+struct Variant {
+  std::string name;
+  std::function<bool(Table<Cell>&, typename Cell::key_type, u64)> run;
+};
+
+/// Every entry point that performs `op`: the scalar call(s) and the
+/// *_batch call(s) of one key.
+template <class Cell>
+std::vector<Variant<Cell>> variants(Op op) {
+  using K = typename Cell::key_type;
+  const auto insert = [](Table<Cell>& t, K k, u64 v) { return t.insert(k, v); };
+  const auto upsert = [](Table<Cell>& t, K k, u64 v) { return t.upsert(k, v); };
+  const auto update = [](Table<Cell>& t, K k, u64 v) { return t.update(k, v); };
+  const auto erase = [](Table<Cell>& t, K k, u64) { return t.erase(k); };
+  const auto insert_batch = [](Table<Cell>& t, K k, u64 v) {
+    return t.insert_batch({&k, 1}, {&v, 1}) == 1;
+  };
+  const auto upsert_batch = [](Table<Cell>& t, K k, u64 v) {
+    return t.upsert_batch({&k, 1}, {&v, 1}) == 1;
+  };
+  const auto erase_batch = [](Table<Cell>& t, K k, u64) {
+    u8 hit = 0;
+    const usize erased = t.erase_batch({&k, 1}, {&hit, 1});
+    EXPECT_EQ(erased, hit);
+    return erased == 1;
+  };
+  switch (op) {
+    case Op::kInsert:
+      return {{"insert", insert},
+              {"upsert", upsert},
+              {"insert_batch", insert_batch},
+              {"upsert_batch", upsert_batch}};
+    case Op::kUpdate:
+      return {{"update", update}, {"upsert", upsert}, {"upsert_batch", upsert_batch}};
+    case Op::kEraseHit:
+    case Op::kEraseMiss:
+      return {{"erase", erase}, {"erase_batch", erase_batch}};
+  }
+  return {};
+}
+
+/// Runs one variant of `op` on a table already holding keys 1..8 and
+/// returns the op's own PM traffic.
+template <class Cell>
+Traffic measure(Op op, bool crc, const Variant<Cell>& variant) {
+  test::TableFixture<Table<Cell>> fx;
+  Table<Cell>& t = fx.init(
+      typename Table<Cell>::Params{.level_cells = 256, .group_size = 16, .group_crc = crc});
+  for (u64 i = 1; i <= 8; ++i) EXPECT_TRUE(t.insert(key_of<Cell>(i), i));
+  const bool targets_present_key = op == Op::kUpdate || op == Op::kEraseHit;
+  const auto key = key_of<Cell>(targets_present_key ? 3 : 100);
+  fx.pm().stats().clear();
+  EXPECT_EQ(variant.run(t, key, 777), op != Op::kEraseMiss) << variant.name;
+  const Traffic traffic{fx.pm().stats().fences, fx.pm().stats().lines_flushed};
+  if (crc) {
+    for (u64 g = 0; g < t.num_groups(); ++g) {
+      EXPECT_TRUE(t.verify_group_checksum(0, g) && t.verify_group_checksum(1, g))
+          << variant.name;
+    }
+  }
+  return traffic;
+}
+
+class MutationTraffic : public ::testing::TestWithParam<std::tuple<Width, bool, Op>> {
+ protected:
+  template <class Cell>
+  void check() {
+    const auto [width, crc, op] = GetParam();
+    (void)width;
+    const Traffic want = expected_traffic(op, crc);
+    for (const Variant<Cell>& v : variants<Cell>(op)) {
+      EXPECT_EQ(measure<Cell>(op, crc, v), want) << v.name;
+    }
+  }
+};
+
+TEST_P(MutationTraffic, ScalarAndBatchOfOneIssueThePaperProtocol) {
+  if (std::get<0>(GetParam()) == Width::k16) {
+    check<Cell16>();
+  } else {
+    check<Cell32>();
+  }
+}
+
+std::string case_name(const ::testing::TestParamInfo<MutationTraffic::ParamType>& info) {
+  const auto [width, crc, op] = info.param;
+  static const char* const kOps[] = {"Insert", "Update", "EraseHit", "EraseMiss"};
+  return std::string(width == Width::k16 ? "Cell16" : "Cell32") + (crc ? "Crc" : "NoCrc") +
+         kOps[static_cast<int>(op)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CellsCrcOps, MutationTraffic,
+    ::testing::Combine(::testing::Values(Width::k16, Width::k32), ::testing::Bool(),
+                       ::testing::Values(Op::kInsert, Op::kUpdate, Op::kEraseHit,
+                                         Op::kEraseMiss)),
+    case_name);
+
+// ---------------------------------------------------------------------------
+// Undo-log wrapped tables run windows of one
+// ---------------------------------------------------------------------------
+
+class LoggedTable {
+ public:
+  using T = Table<Cell16>;
+
+  LoggedTable() {
+    const T::Params params{.level_cells = 256, .group_size = 16};
+    table_mem_ = nvm::NvmRegion::create_anonymous(T::required_bytes(params));
+    log_mem_ = nvm::NvmRegion::create_anonymous(UndoLog<nvm::DirectPM>::required_bytes(64));
+    const auto tracked = table_mem_.bytes().first(T::required_bytes(params));
+    table_.emplace(pm_, tracked, params, /*format=*/true);
+    wal_.emplace(pm_, log_mem_.bytes(), tracked, 64, /*format=*/true);
+    table_->attach_wal(&*wal_);
+  }
+
+  T& table() { return *table_; }
+  UndoLog<nvm::DirectPM>& wal() { return *wal_; }
+  nvm::DirectPM& pm() { return pm_; }
+
+ private:
+  nvm::DirectPM pm_{nvm::PersistConfig::counting_only()};
+  nvm::NvmRegion table_mem_;
+  nvm::NvmRegion log_mem_;
+  std::optional<T> table_;
+  std::optional<UndoLog<nvm::DirectPM>> wal_;
+};
+
+TEST(MutationWindowWal, BatchOfNCostsNScalarOps) {
+  const std::vector<u64> keys = {key_of<Cell16>(1), key_of<Cell16>(2), key_of<Cell16>(3)};
+  const std::vector<u64> values = {10, 20, 30};
+
+  LoggedTable scalar;
+  scalar.pm().stats().clear();
+  for (usize i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(scalar.table().insert(keys[i], values[i]));
+  }
+  const Traffic scalar_insert{scalar.pm().stats().fences, scalar.pm().stats().lines_flushed};
+  // Each insert logs its target cell and the count in its own transaction.
+  EXPECT_EQ(scalar.wal().lifetime_records(), 2 * keys.size());
+  EXPECT_EQ(scalar.wal().records_in_transaction(), 2u);
+  EXPECT_FALSE(scalar.wal().in_transaction());
+
+  LoggedTable batched;
+  batched.pm().stats().clear();
+  ASSERT_EQ(batched.table().insert_batch(keys, values), keys.size());
+  EXPECT_EQ((Traffic{batched.pm().stats().fences, batched.pm().stats().lines_flushed}),
+            scalar_insert);
+  EXPECT_EQ(batched.wal().lifetime_records(), 2 * keys.size());
+  EXPECT_EQ(batched.wal().records_in_transaction(), 2u);
+
+  scalar.pm().stats().clear();
+  batched.pm().stats().clear();
+  for (const u64 k : keys) ASSERT_TRUE(scalar.table().erase(k));
+  std::vector<u8> hits(keys.size(), 0);
+  ASSERT_EQ(batched.table().erase_batch(keys, hits), keys.size());
+  EXPECT_EQ((Traffic{batched.pm().stats().fences, batched.pm().stats().lines_flushed}),
+            (Traffic{scalar.pm().stats().fences, scalar.pm().stats().lines_flushed}));
+  EXPECT_EQ(batched.wal().lifetime_records(), scalar.wal().lifetime_records());
+  EXPECT_EQ(batched.table().count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Counters: scalar ops are not batch calls
+// ---------------------------------------------------------------------------
+
+TEST(MutationWindowCounters, ScalarOpsCountOpsNotBatches) {
+  test::TableFixture<Table<Cell16>> fx;
+  Table<Cell16>& t = fx.init(Table<Cell16>::Params{.level_cells = 256, .group_size = 16});
+  const TableStats& s = t.stats();
+  const u64 a = key_of<Cell16>(1);
+  const u64 b = key_of<Cell16>(2);
+
+  ASSERT_TRUE(t.insert(a, 1));
+  ASSERT_TRUE(t.upsert(b, 2));  // new key: an insert
+  ASSERT_TRUE(t.upsert(b, 3));  // present key: an in-place update
+  EXPECT_EQ(s.inserts, 2u);
+  ASSERT_TRUE(t.erase(a));
+  ASSERT_FALSE(t.erase(a));
+  EXPECT_EQ(s.erases, 2u);
+  EXPECT_EQ(s.erase_hits, 1u);
+  EXPECT_EQ(s.batch_ops, 0u);
+  EXPECT_EQ(s.batch_keys, 0u);
+
+  const std::vector<u64> keys = {key_of<Cell16>(3), key_of<Cell16>(4), key_of<Cell16>(5)};
+  const std::vector<u64> values = {3, 4, 5};
+  ASSERT_EQ(t.insert_batch(keys, values), keys.size());
+  ASSERT_EQ(t.upsert_batch(keys, values), keys.size());
+  ASSERT_EQ(t.erase_batch(keys, {}), keys.size());
+  EXPECT_EQ(s.batch_ops, 3u);
+  EXPECT_EQ(s.batch_keys, 3 * keys.size());
+  EXPECT_EQ(s.inserts, 2u + keys.size());
+  EXPECT_EQ(s.erases, 2u + keys.size());
+  EXPECT_EQ(s.erase_hits, 1u + keys.size());
+}
+
+}  // namespace
+}  // namespace gh::hash
