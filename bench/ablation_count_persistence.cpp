@@ -1,12 +1,15 @@
-// Ablation — the cost of eagerly persisting the global `count` field,
-// MEASURED by running both policies.
+// Ablation — the cost of eagerly persisting the global `count` field (and,
+// with per-group checksums, the checksum words), MEASURED by running both
+// policies.
 //
 // The paper's protocol atomically updates and persists `count` after
 // every insert/delete (Algorithms 1 and 3) even though recovery recounts
-// it anyway (Algorithm 4). GroupHashTable implements both policies
-// (CountMode::kEager / kRecoveryOnly); this bench runs the same workload
-// under each and reports the latency and flush deltas, plus the wear on
-// the count cacheline that the eager mode concentrates.
+// it anyway (Algorithm 4); a checksummed table likewise persists each
+// touched group checksum, which recovery also rebuilds. GroupHashTable
+// implements both policies (CountMode::kEager / kRecoveryOnly, the
+// durable maps' mode, where seal() makes the words exact at clean
+// shutdown); this bench runs the same workload under each, with
+// checksums off and on, and reports the latency and flush deltas.
 #include "bench_common.hpp"
 
 #include "hash/cells.hpp"
@@ -19,7 +22,7 @@ int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::from_env();
   env.ops = cli.get_u64("ops", env.ops * 2);
 
-  print_banner("Ablation: eager vs recovery-only `count` persistence",
+  print_banner("Ablation: eager vs recovery-only count and checksum persistence",
                "measures (not estimates) the cost of the ICPP'18 count protocol", env);
 
   using Table = hash::GroupHashTable<hash::Cell16, nvm::DirectPM>;
@@ -27,13 +30,22 @@ int main(int argc, char** argv) {
   const trace::Workload workload =
       sized_workload(trace::TraceKind::kRandomNum, bits, 0.5, env.ops * 2, env.seed);
 
-  TablePrinter t({"count mode", "insert", "delete", "flushes/mutation", "count consistent"});
-  double eager_insert = 0, lazy_insert = 0;
-  for (const hash::CountMode mode :
-       {hash::CountMode::kEager, hash::CountMode::kRecoveryOnly}) {
+  TablePrinter t({"count mode", "checksums", "insert", "delete", "flushes/mutation",
+                  "count consistent"});
+  struct Variant {
+    hash::CountMode mode;
+    bool crc;
+  };
+  const Variant variants[] = {{hash::CountMode::kEager, false},
+                              {hash::CountMode::kRecoveryOnly, false},
+                              {hash::CountMode::kEager, true},
+                              {hash::CountMode::kRecoveryOnly, true}};
+  double eager_insert[2] = {}, lazy_insert[2] = {};  // [crc]
+  for (const auto [mode, crc] : variants) {
     const Table::Params params{.level_cells = (1ull << bits) / 2,
                                .group_size = 256,
-                               .count_mode = mode};
+                               .count_mode = mode,
+                               .group_crc = crc};
     nvm::DirectPM pm(nvm::PersistConfig{.flush_latency_ns = env.flush_latency_ns});
     nvm::NvmRegion region = nvm::NvmRegion::create_anonymous(Table::required_bytes(params));
     Table table(pm, region.bytes().first(Table::required_bytes(params)), params, true);
@@ -69,15 +81,19 @@ int main(int argc, char** argv) {
     const bool consistent = report.recovered_count == logical;
 
     const bool eager = mode == hash::CountMode::kEager;
-    (eager ? eager_insert : lazy_insert) = ins.mean();
-    t.add_row({eager ? "eager (paper, Algorithms 1/3)" : "recovery-only",
-               format_ns(ins.mean()), format_ns(del.mean()),
+    (eager ? eager_insert : lazy_insert)[crc] = ins.mean();
+    t.add_row({eager ? "eager (paper, Algorithms 1/3)" : "recovery-only (maps)",
+               crc ? "on" : "off", format_ns(ins.mean()), format_ns(del.mean()),
                format_double(flushes_per_mut, 2), consistent ? "yes (post-recovery)" : "NO"});
   }
   t.print(std::cout);
-  std::cout << "\nMeasured saving of dropping the eager count flush: "
-            << format_ns(eager_insert - lazy_insert) << "/insert ("
-            << format_double((eager_insert - lazy_insert) / eager_insert * 100, 1)
-            << "%). Recovery recomputes the exact count either way (Algorithm 4).\n";
+  for (const bool crc : {false, true}) {
+    const double saved = eager_insert[crc] - lazy_insert[crc];
+    std::cout << "\nMeasured saving of recovery-derived words, checksums "
+              << (crc ? "on" : "off") << ": " << format_ns(saved) << "/insert ("
+              << format_double(saved / eager_insert[crc] * 100, 1) << "%).";
+  }
+  std::cout << "\nRecovery recomputes the exact count and checksums either way "
+               "(Algorithm 4).\n";
   return 0;
 }

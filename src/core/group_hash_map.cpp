@@ -84,6 +84,7 @@ auto BasicGroupHashMap<Cell>::format_table(const char* suffix, u64 total_cells, 
       .seed = seed,
       // A fresh file (ftruncate) or anonymous mapping is already zero.
       .zero_memory = false,
+      .count_mode = hash::CountMode::kRecoveryOnly,
       .group_crc = crc};
   const usize table_bytes = Table::required_bytes(params);
   nvm::NvmRegion region =
@@ -150,8 +151,9 @@ void BasicGroupHashMap<Cell>::init(bool fresh) {
       sb->table_bytes > region_.size() || sb->table_offset > region_.size() - sb->table_bytes) {
     throw std::runtime_error("GroupHashMap superblock is corrupt (table bounds)");
   }
-  table_.emplace(
-      Table::attach(*pm_, region_.bytes().subspan(sb->table_offset, sb->table_bytes)));
+  table_.emplace(Table::attach(*pm_,
+                               region_.bytes().subspan(sb->table_offset, sb->table_bytes),
+                               hash::CountMode::kRecoveryOnly));
   if (sb->state == kStateDirty) {
     open_recovery_ = recover_now();
     recovered_on_open_ = true;
@@ -182,9 +184,13 @@ void BasicGroupHashMap<Cell>::init(bool fresh) {
 template <class Cell>
 void BasicGroupHashMap<Cell>::verify_at_open(Table& t) {
   if (!options_.verify_on_open || !t.checksums_enabled()) return;
-  open_scrub_ += t.scrub_groups(
+  const hash::ScrubReport report = t.scrub_groups(
       0, t.num_groups(), [this](const hash::LostCell& c) { report_loss(c); },
       options_.scrub_mode);
+  // Containment dropped cells from an image still marked clean: re-seal
+  // its count, so a crash before the dirty mark leaves exact words.
+  if (!report.clean()) t.seal();
+  open_scrub_ += report;
 }
 
 template <class Cell>
@@ -279,14 +285,22 @@ void BasicGroupHashMap<Cell>::mark_state(u64 state) {
 template <class Cell>
 void BasicGroupHashMap<Cell>::close() {
   if (!region_.valid() || closed_) return;
+  // Every table runs CountMode::kRecoveryOnly: its count and checksum
+  // words are exact on media only once sealed, and each seal's fence
+  // precedes the clean mark that tells open() to trust them. A table
+  // that never attached (open() threw after mapping the region) has
+  // nothing to seal.
   if (mig_table_) {
     // Clean shutdown mid-migration keeps the split image: both files
-    // marked clean, cursor armed — the next open() resumes the drain.
+    // sealed and marked clean, cursor armed — the next open() resumes
+    // the drain.
+    mig_table_->seal();
     auto* msb = reinterpret_cast<Superblock*>(mig_region_.data());
     pm_->atomic_store_u64(&msb->state, kStateClean);
     pm_->persist(&msb->state, sizeof(u64));
     mig_region_.sync();
   }
+  if (table_) table().seal();
   mark_state(kStateClean);
   region_.sync();
   if (flight_region_.valid() && flight_region_.file_backed()) flight_region_.sync();
@@ -919,7 +933,8 @@ void BasicGroupHashMap<Cell>::resume_migration() {
   mig_region_ = std::move(mig_region);
   msb = reinterpret_cast<Superblock*>(mig_region_.data());
   mig_table_.emplace(Table::attach(
-      *pm_, mig_region_.bytes().subspan(msb->table_offset, msb->table_bytes)));
+      *pm_, mig_region_.bytes().subspan(msb->table_offset, msb->table_bytes),
+      hash::CountMode::kRecoveryOnly));
   if (msb->state == kStateDirty) {
     // The target died mid-write just like the main table would have;
     // Algorithm-4 it back to consistency before reads trust it.

@@ -10,7 +10,9 @@
 //
 // On top of the raw table (src/hash/group_hashing.hpp) this layer adds:
 //   * a superblock with magic/version and a clean/dirty state flag, so
-//     open() knows whether the last shutdown was orderly;
+//     open() knows whether the last shutdown was orderly — and so whether
+//     the tables' count and checksum words, which a mutation stores but
+//     never flushes, were sealed (clean) or must be recomputed (dirty);
 //   * checked semantics: put() is an upsert, duplicate inserts cannot
 //     create duplicate cells;
 //   * automatic expansion: when an insert finds its level-2 group full
@@ -68,9 +70,12 @@ struct MapOptions {
   bool retain_retired_regions = false;
   /// Maintain per-group CRC32C checksums in the table (and a checksummed
   /// superblock), so at-rest corruption is detected instead of served.
-  /// Costs one extra 8-byte flush per mutation; bench/ablation_integrity
-  /// measures it. The setting is baked into the file at create() time —
-  /// open() follows whatever the image says.
+  /// Costs one 8-byte store per touched group per mutation, a CRC32C of
+  /// each mutated cell, and 16 bytes per group; no flush or fence — a map
+  /// leaves the checksum words to recovery and seals them at close()
+  /// (hash::CountMode::kRecoveryOnly). bench/ablation_integrity measures
+  /// the raw table's eager variant. The setting is baked into the file at
+  /// create() time — open() follows whatever the image says.
   bool checksum_groups = true;
   /// Verify every group checksum when open()ing a cleanly closed map.
   /// Groups that fail are quarantined and their cells reported through
@@ -278,7 +283,8 @@ class BasicGroupHashMap {
   [[nodiscard]] const hash::ScrubReport& open_scrub_report() const { return open_scrub_; }
   [[nodiscard]] bool corruption_detected_on_open() const { return !open_scrub_.clean(); }
 
-  /// Mark the map clean and sync it. Called by the destructor; calling it
+  /// Seal the tables' recovery-derived count and checksum words, then
+  /// mark the map clean and sync it. Called by the destructor; calling it
   /// explicitly makes shutdown errors observable.
   void close();
 

@@ -104,6 +104,7 @@ void PersistentStringMap::init_region(nvm::NvmRegion region,
         .level_cells = cells / 2,
         .group_size =
             static_cast<u32>(std::min<u64>(pow2_at_least(options.group_size), cells / 2)),
+        .count_mode = hash::CountMode::kRecoveryOnly,
         .group_crc = options.checksum_groups};
     const usize table_bytes = Table::required_bytes(params);
     GH_CHECK(region_.size() >= kSuperblockBytes + arena_bytes + table_bytes);
@@ -144,8 +145,9 @@ void PersistentStringMap::init_region(nvm::NvmRegion region,
     }
     arena_.emplace(*pm_, region_.bytes().subspan(sb->arena_offset, sb->arena_bytes),
                    /*format=*/false);
-    table_.emplace(
-        Table::attach(*pm_, region_.bytes().subspan(sb->table_offset, sb->table_bytes)));
+    table_.emplace(Table::attach(*pm_,
+                                 region_.bytes().subspan(sb->table_offset, sb->table_bytes),
+                                 hash::CountMode::kRecoveryOnly));
     if (sb->state == kStateDirty) {
       obs::OpScope op(sinks_, obs::OpKind::kRecover, 0, obs::FlightEdge::kAlways);
       open_recovery_ = table_->recover();
@@ -260,6 +262,10 @@ void PersistentStringMap::mark_state(u64 state) {
 
 void PersistentStringMap::close() {
   if (!region_.valid() || closed_) return;
+  // The index table runs CountMode::kRecoveryOnly: seal its count and
+  // checksum words (one fence) before the clean mark makes open() trust
+  // them. A table that never attached has nothing to seal.
+  if (table_) table_->seal();
   mark_state(kStateClean);
   region_.sync();
   if (flight_region_.valid() && flight_region_.file_backed()) flight_region_.sync();
@@ -596,6 +602,7 @@ void PersistentStringMap::rebuild(u64 new_cells, usize new_arena_data_bytes) {
       .group_size =
           static_cast<u32>(std::min<u64>(table().group_size(), new_cells / 2)),
       .seed = table().seed(),
+      .count_mode = hash::CountMode::kRecoveryOnly,
       .group_crc = table().checksums_enabled()};
   const usize table_bytes = Table::required_bytes(params);
   const usize total = kSuperblockBytes + arena_bytes + table_bytes;

@@ -21,7 +21,11 @@
 // payloads and recompute `count`. The protocol has one implementation,
 // the fence-coalesced mutation window ("Mutation windows" below): a
 // scalar insert or erase is a window of one, a batch shares each
-// window's fences across up to kBatchWindow keys.
+// window's fences across up to kBatchWindow keys. Under
+// CountMode::kRecoveryOnly (what the durable maps run) the count and the
+// group checksum words are recovery-derived: windows store them without
+// a flush or fence, so a scalar op costs the paper's two fences, and
+// seal() makes them exact on media before a clean shutdown.
 //
 // Media integrity (optional, Params::group_crc): the commit-word protocol
 // defends against *crashes*, not against the media itself lying — bit rot
@@ -37,9 +41,11 @@
 // XOR-of-digests makes maintenance O(cell) per mutation: XOR out the old
 // digest, XOR in the new one, 8-byte atomic store of the checksum word.
 // The checksum update is NOT failure-atomic with the cell commit — after
-// a crash the checksums of in-flight groups are legitimately stale, which
-// is why recover()/recover_slice() REBUILD them while clean-state opens
-// and scrub passes VERIFY them.
+// a crash the checksums of in-flight groups (every group, under
+// kRecoveryOnly) are legitimately stale, which is why recover()/
+// recover_slice() REBUILD them while clean-state opens and scrub passes
+// VERIFY them. The words in memory are always exact, so a live scrub
+// verifies against them in either mode.
 //
 // scrub_groups() is the incremental verification pass: it re-derives a
 // window of group checksums, quarantines groups that fail (or whose reads
@@ -76,15 +82,19 @@
 
 namespace gh::hash {
 
-/// How the global `count` field is maintained.
+/// How the global `count` field and the group checksum words are
+/// maintained.
 enum class CountMode {
   /// The paper's protocol (Algorithms 1/3): atomically update and persist
-  /// `count` after every insert/delete — one extra flush per mutation
-  /// window (per op for scalar ops).
+  /// `count` after every insert/delete, and each touched checksum word —
+  /// one extra flush+fence each per mutation window (per op for scalar
+  /// ops).
   kEager,
-  /// Keep `count` volatile and let recovery recompute it (which Algorithm
-  /// 4 does anyway). Saves the flush; `count` is only approximate in the
-  /// on-NVM image between recoveries. Measured by
+  /// Recovery-derived: keep `count` volatile and store the checksum words
+  /// without flushing them, and let recovery recompute both (which
+  /// Algorithm 4 does anyway). Saves both flushes and fences; the on-NVM
+  /// words are only exact after seal() (clean shutdown) or recover().
+  /// The durable maps run this mode. Measured by
   /// bench/ablation_count_persistence.
   kRecoveryOnly,
 };
@@ -120,7 +130,8 @@ class GroupHashTable {
     bool zero_memory = false;
     CountMode count_mode = CountMode::kEager;
     /// Maintain per-group checksums (see file comment). Adds one 8-byte
-    /// atomic store + flush per mutation and 16 bytes per group of space.
+    /// atomic store per touched group per mutation window (plus its flush
+    /// and fence under kEager) and 16 bytes per group of space.
     bool group_crc = false;
   };
 
@@ -205,14 +216,18 @@ class GroupHashTable {
     }
   }
 
-  /// Attach to an existing table, taking parameters from its header.
-  static GroupHashTable attach(PM& pm, std::span<std::byte> mem) {
+  /// Attach to an existing table, taking parameters from its header. The
+  /// count mode is not part of the image: it is how this process
+  /// maintains the words from now on.
+  static GroupHashTable attach(PM& pm, std::span<std::byte> mem,
+                               CountMode count_mode = CountMode::kEager) {
     GH_CHECK(mem.size() >= sizeof(Header));
     const auto* h = reinterpret_cast<const Header*>(mem.data());
     GH_CHECK_MSG(h->magic == kMagic, "not a group-hashing table");
     Params p{.level_cells = h->level_cells,
              .group_size = static_cast<u32>(h->group_size),
              .seed = h->seed,
+             .count_mode = count_mode,
              .group_crc = (h->flags & kFlagGroupCrc) != 0};
     return GroupHashTable(pm, mem, p, /*format=*/false);
   }
@@ -299,10 +314,13 @@ class GroupHashTable {
   // a window of up to kBatchWindow keys shares its persist fences while
   // each cell keeps its own 8-byte commit (see cells.hpp: the two-phase
   // stage→fence→commit→fence / clear→fence→wipe→fence splits). The
-  // window tail stores the coalesced checksum deltas (one fence), then
-  // the count; after a crash both are stale by at most a window, which
-  // recovery rebuilds. A scalar op is a window of one and issues exactly
-  // the fences and flushes of the paper's per-op protocol. An attached
+  // window tail stores the coalesced checksum deltas, then the count.
+  // Under kEager both are persisted (one fence for the checksums, one for
+  // the count) and after a crash are stale by at most a window; under
+  // kRecoveryOnly neither is flushed. Recovery rebuilds both either way.
+  // A scalar op is a window of one: under kEager it issues exactly the
+  // fences and flushes of the paper's per-op protocol, under
+  // kRecoveryOnly only the cell's own (insert and erase 2/2). An attached
   // undo log forces windows of one and logs each target cell and the
   // count inside its transaction. Keys are applied strictly in order, so
   // on a placement failure the return value is an exact prefix length —
@@ -343,8 +361,9 @@ class GroupHashTable {
   /// image holds a committed cell with a wiped payload, but flushes each
   /// touched cacheline once per phase instead of once per cell. The group
   /// ends all-zero, which digests to 0, so both checksum words are reset
-  /// rather than delta-updated, and the count drops in one bump. Returns
-  /// the number of occupied cells cleared.
+  /// rather than delta-updated (flushed and fenced under kEager only), and
+  /// the count drops in one bump. Returns the number of occupied cells
+  /// cleared.
   u64 clear_group(u64 g) {
     GH_DCHECK(g < num_groups());
     Cell* const levels[2] = {tab1_ + g * group_size_, tab2_ + g * group_size_};
@@ -372,9 +391,9 @@ class GroupHashTable {
     if (crc_) {
       for (u32 level = 0; level < 2; ++level) {
         pm_->atomic_store_u64(crc_slot(level, g), 0);
-        pm_->flush(crc_slot(level, g), sizeof(u64));
+        if (eager()) pm_->flush(crc_slot(level, g), sizeof(u64));
       }
-      pm_->fence();
+      if (eager()) pm_->fence();
     }
     if (cleared > 0) bump_count(-static_cast<i64>(cleared));
     return cleared;
@@ -463,6 +482,19 @@ class GroupHashTable {
     if (crc_) rebuild_checksums_range(begin, end, pm);
     rebuild_tags(begin, end);
     return report;
+  }
+
+  /// Make the count and every group checksum word exact on media: store
+  /// the exact count, flush it and the whole checksum array, one fence.
+  /// A clean shutdown calls this before its clean mark, so under
+  /// kRecoveryOnly an image marked clean always carries exact words.
+  /// Under kEager the words are already durable and this re-persists
+  /// them.
+  void seal() {
+    pm_->atomic_store_u64(&header_->count, volatile_count_.load());
+    pm_->flush(&header_->count, sizeof(u64));
+    if (crc_) pm_->flush(crc_, 2 * num_groups() * sizeof(u64));
+    pm_->fence();
   }
 
   /// Publish a recovered count (used by parallel recovery after merging
@@ -660,8 +692,11 @@ class GroupHashTable {
     return found;
   }
 
+  /// True when every window persists the count and checksum words.
+  [[nodiscard]] bool eager() const { return count_mode_ == CountMode::kEager; }
+
   void bump_count(i64 delta) {
-    if (count_mode_ == CountMode::kEager) {
+    if (eager()) {
       pm_->atomic_store_u64(&header_->count, header_->count + static_cast<u64>(delta));
       pm_->persist(&header_->count, sizeof(u64));
       volatile_count_ = header_->count;
@@ -746,8 +781,8 @@ class GroupHashTable {
   // --- batched-mutation machinery ------------------------------------------
 
   /// Per-window accumulator of group-checksum deltas: XORs of per-cell
-  /// digest changes, folded per slot and applied with one store+flush
-  /// each and a single fence.
+  /// digest changes, folded per slot and applied with one store each —
+  /// plus, when `durable`, one flush each and a single fence.
   struct CrcDeltaWindow {
     std::array<u64*, 2 * kBatchWindow> slots;  // [0, n) live; left uninitialised
     std::array<u64, 2 * kBatchWindow> deltas;
@@ -765,13 +800,13 @@ class GroupHashTable {
       n++;
     }
 
-    void apply(PM& pm) {
+    void apply(PM& pm, bool durable) {
       if (n == 0) return;
       for (usize i = 0; i < n; ++i) {
         pm.atomic_store_u64(slots[i], *slots[i] ^ deltas[i]);
-        pm.flush(slots[i], sizeof(u64));
+        if (durable) pm.flush(slots[i], sizeof(u64));
       }
-      pm.fence();
+      if (durable) pm.fence();
       n = 0;
     }
   };
@@ -820,9 +855,10 @@ class GroupHashTable {
   }
 
   /// The tail every put and erase window ends with: the coalesced
-  /// checksum deltas (store+flush each, one fence), then the count.
+  /// checksum deltas (a store each; under kEager also a flush each and
+  /// one fence), then the count.
   void finish_window(CrcDeltaWindow& deltas, i64 count_delta) {
-    if (crc_) deltas.apply(*pm_);
+    if (crc_) deltas.apply(*pm_, eager());
     if (count_delta != 0) bump_count(count_delta);
   }
 
@@ -1012,14 +1048,15 @@ class GroupHashTable {
 
   [[nodiscard]] u64* crc_slot(u32 level, u64 g) const { return &crc_[level * num_groups() + g]; }
 
-  /// XOR the digest delta of a just-mutated cell into its group checksum.
-  /// 8-byte atomic store: readers of the checksum word never see a torn
-  /// value, and a crash between cell commit and checksum store only
-  /// leaves the checksum stale — recovery rebuilds all of them.
+  /// XOR the digest delta of a just-mutated cell into its group checksum
+  /// (persisted under kEager only). 8-byte atomic store: readers of the
+  /// checksum word never see a torn value, and a crash between cell
+  /// commit and checksum store only leaves the checksum stale — recovery
+  /// rebuilds all of them.
   void apply_digest_delta(const Cell* c, u32 old_digest) {
     u64* slot = crc_slot_of(c);
     pm_->atomic_store_u64(slot, *slot ^ old_digest ^ cell_digest(c));
-    pm_->persist(slot, sizeof(u64));
+    if (eager()) pm_->persist(slot, sizeof(u64));
   }
 
   /// Recompute and store the checksums of the groups covering cell

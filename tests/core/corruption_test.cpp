@@ -66,6 +66,23 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Flips one value bit of the first occupied cell of a closed
+/// GroupHashMap (16-byte cells) file; returns that cell's key (0: none).
+u64 flip_first_value_bit(const std::string& path) {
+  std::string bytes = read_file(path);
+  const usize cells_at = map_format::kTableOffset + 64;
+  for (usize off = cells_at; off + 16 <= bytes.size(); off += 16) {
+    u64 word0;
+    std::memcpy(&word0, bytes.data() + off, sizeof(word0));
+    if (word0 & Cell16::kOccupiedBit) {
+      bytes[off + 8] = static_cast<char>(bytes[off + 8] ^ 1);
+      write_file(path, bytes);
+      return word0 & ~Cell16::kOccupiedBit;
+    }
+  }
+  return 0;
+}
+
 // ---------------------------------------------------------------------------
 // Table level: GroupHashTable on CorruptingPM.
 // ---------------------------------------------------------------------------
@@ -397,20 +414,8 @@ TEST(CorruptionMap, AtRestBitRotDetectedOnCleanOpen) {
     map.close();
   }
   // Flip one value bit of the first occupied cell, straight in the file.
-  std::string bytes = read_file(file.path);
-  const usize cells_at = map_format::kTableOffset + 64;
-  u64 corrupted_key = 0;
-  for (usize off = cells_at; off + 16 <= bytes.size(); off += 16) {
-    u64 word0;
-    std::memcpy(&word0, bytes.data() + off, sizeof(word0));
-    if (word0 & Cell16::kOccupiedBit) {
-      bytes[off + 8] = static_cast<char>(bytes[off + 8] ^ 1);
-      corrupted_key = word0 & ~Cell16::kOccupiedBit;
-      break;
-    }
-  }
+  const u64 corrupted_key = flip_first_value_bit(file.path);
   ASSERT_NE(corrupted_key, 0u);
-  write_file(file.path, bytes);
 
   std::vector<LostCell> losses;
   MapOptions opts;
@@ -435,6 +440,26 @@ TEST(CorruptionMap, AtRestBitRotDetectedOnCleanOpen) {
       EXPECT_TRUE(lost_keys.contains(k)) << "key " << k << " vanished unreported";
     }
   }
+}
+
+TEST(CorruptionMap, ContainmentOnCleanOpenResealsTheCount) {
+  // A map leaves its count word to recovery and close()'s seal. Open-time
+  // containment drops cells while the file is still marked clean, so the
+  // open re-seals the count before its dirty mark: a crash in between
+  // must not leave a clean mark over a count that includes dropped cells.
+  TempFile file("gh_corrupt_reseal.gh");
+  {
+    auto map = GroupHashMap::create(file.path, {.initial_cells = 1024});
+    for (u64 k = 1; k <= 200; ++k) map.put(k, k);
+    map.close();
+  }
+  ASSERT_NE(flip_first_value_bit(file.path), 0u);
+  auto map = GroupHashMap::open(file.path);
+  ASSERT_TRUE(map.corruption_detected_on_open());
+  const u64 lost = map.open_scrub_report().cells_lost;
+  ASSERT_GT(lost, 0u);
+  EXPECT_EQ(map.size(), 200 - lost);
+  EXPECT_EQ(read_map_file_info(file.path).count, map.size());
 }
 
 TEST(CorruptionMap, SuperblockCorruptionFailsOpenWithTypedError) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <unordered_map>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -143,6 +144,30 @@ TEST(GroupHashMap, MetricsExposeTraffic) {
   EXPECT_EQ(m.table.inserts, 1u);
   EXPECT_GT(m.persist.persist_calls, 0u);
   EXPECT_GT(m.persist.atomic_stores, 0u);
+}
+
+TEST(GroupHashMap, ScalarMutationPersistsOnlyItsCell) {
+  // The map runs its table in hash::CountMode::kRecoveryOnly: count and
+  // checksum words are stored but never flushed (recovery recomputes
+  // them, close() seals them), so with checksums on a put of a new key
+  // and an erase of a present key each cost the paper's two fences and
+  // two lines, and an in-place update one of each.
+  auto map = GroupHashMap::create_in_memory({.initial_cells = 4096, .checksum_groups = true});
+  for (u64 k = 1; k <= 100; ++k) map.put(k, k);
+  using Traffic = std::pair<u64, u64>;  // fences, lines flushed
+  const auto traffic = [&](const auto& op) {
+    const obs::PersistSnapshot before = map.snapshot().persist;
+    op();
+    const obs::PersistSnapshot after = map.snapshot().persist;
+    return Traffic{after.fences - before.fences, after.lines_flushed - before.lines_flushed};
+  };
+  EXPECT_EQ(traffic([&] { map.put(1000, 1); }), Traffic(2, 2));
+  EXPECT_EQ(traffic([&] { EXPECT_TRUE(map.erase(50)); }), Traffic(2, 2));
+  EXPECT_EQ(traffic([&] { map.put(7, 70); }), Traffic(1, 1));
+  EXPECT_EQ(traffic([&] { EXPECT_EQ(map.increment(8, 2), 10u); }), Traffic(1, 1));
+  EXPECT_EQ(traffic([&] { EXPECT_FALSE(map.erase(50)); }), Traffic(0, 0));
+  EXPECT_TRUE(map.debug_verify_group_checksums());
+  EXPECT_EQ(map.size(), 100u);
 }
 
 TEST(GroupHashMap, OpenRejectsWrongWidth) {

@@ -107,9 +107,22 @@ TEST(MapFileInfoTest, ReadsSuperblockWithoutRecovery) {
     EXPECT_EQ(dirty.cell_size, 16u);
     EXPECT_EQ(dirty.group_size, 64u);
     EXPECT_EQ(dirty.level_cells, 512u);
-    EXPECT_EQ(dirty.count, 10u);
+    // The count word is recovery-derived: a put stores the count in DRAM
+    // only, so an open file holds the value last sealed — here the 0
+    // create() formatted.
+    EXPECT_EQ(dirty.count, 0u);
+    map.abandon();  // crash: the file stays dirty
+  }
+  {
+    // A dirty reopen recomputes the count (Algorithm 4) and persists it.
+    auto map = GroupHashMap::open(path);
+    EXPECT_TRUE(map.recovered_on_open());
+    EXPECT_EQ(map.open_recovery_report().recovered_count, 10u);
+    EXPECT_EQ(map.size(), 10u);
+    EXPECT_EQ(read_map_file_info(path).count, 10u);
     map.close();
   }
+  // close() seals the count before it marks the file clean.
   const MapFileInfo clean = read_map_file_info(path);
   EXPECT_TRUE(clean.clean);
   EXPECT_EQ(clean.count, 10u);

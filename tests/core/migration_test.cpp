@@ -251,6 +251,83 @@ TEST(Migration, CleanCloseMidMigrationResumesOnOpen) {
   fs::remove(path + ".flight");
 }
 
+TEST(Migration, CleanCloseSealsExactCountAndChecksums) {
+  // Mutations leave both tables' count and checksum words to recovery
+  // (hash::CountMode::kRecoveryOnly); close() must seal them before the
+  // clean mark, mid-migration and after finalize alike, or the clean
+  // reopen would trust stale words: a wrong size() and failed checksums.
+  const std::string path = temp_path("gh_migration_sealed.gh");
+  fs::remove(path);
+  fs::remove(path + ".migrate");
+  std::map<u64, u64> oracle;
+  u64 next = 0;
+  const auto put_batch = [&](GroupHashMap& map, u64 n) {
+    std::vector<u64> keys, values;
+    for (u64 j = 0; j < n; ++j, ++next) {
+      keys.push_back(key_of(next));
+      values.push_back(value_of(next));
+      oracle[key_of(next)] = value_of(next);
+    }
+    map.put_batch(keys, values);
+  };
+  const auto erase_some = [&](GroupHashMap& map, u64 stride) {
+    std::vector<u64> batch;
+    u64 i = 0;
+    for (auto it = oracle.begin(); it != oracle.end(); ++i) {
+      if (i % stride != 0) {
+        ++it;
+      } else if (i % (2 * stride) == 0) {
+        EXPECT_TRUE(map.erase(it->first));
+        it = oracle.erase(it);
+      } else {
+        batch.push_back(it->first);
+        it = oracle.erase(it);
+      }
+    }
+    std::vector<u8> hits(batch.size(), 0);
+    map.erase_batch(batch, hits);
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), static_cast<long>(batch.size()));
+  };
+  const auto reopen_checks = [&](GroupHashMap& map) {
+    EXPECT_FALSE(map.recovered_on_open());
+    EXPECT_GT(map.open_scrub_report().groups_checked, 0u);
+    EXPECT_TRUE(map.open_scrub_report().clean());
+    EXPECT_EQ(map.size(), oracle.size());
+    for (const auto& [k, v] : oracle) ASSERT_EQ(map.get(k), v) << k;
+  };
+  {
+    auto map = GroupHashMap::create(path, online_options(/*groups_per_op=*/0));
+    next = fill_until_migrating(map);
+    for (u64 i = 0; i < next; ++i) oracle[key_of(i)] = value_of(i);
+    ASSERT_GT(map.migrate_step(1), 0u);
+    put_batch(map, 24);
+    erase_some(map, 5);
+    ASSERT_TRUE(map.migration_active());
+    map.close();
+  }
+  {
+    auto map = GroupHashMap::open(path, online_options(/*groups_per_op=*/0));
+    ASSERT_TRUE(map.migration_active());
+    reopen_checks(map);
+    put_batch(map, 16);
+    for (u64 j = 0; j < 8; ++j, ++next) {
+      map.put(key_of(next), value_of(next));
+      oracle[key_of(next)] = value_of(next);
+    }
+    erase_some(map, 7);
+    while (map.migration_active()) map.migrate_step(~0ull);
+    map.close();
+  }
+  {
+    auto map = GroupHashMap::open(path, online_options(/*groups_per_op=*/0));
+    EXPECT_FALSE(map.migration_active());
+    reopen_checks(map);
+    map.close();
+  }
+  fs::remove(path);
+  fs::remove(path + ".flight");
+}
+
 TEST(Migration, ResumeHonorsDurableCursorWhateverTheFlagSays) {
   // An image with an armed cursor resumes even when reopened with
   // drain-all options — the split image is a fact of the file, not a

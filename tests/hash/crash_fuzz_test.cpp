@@ -13,6 +13,14 @@
 // wrap several times, so every crash point × eviction image also checks
 // the recorder's own commit-word protocol: a scanned image may hold old,
 // new or empty slots, but NEVER a torn record.
+//
+// The recovery-derived cases (`_R`: CountMode::kRecoveryOnly, the durable
+// maps' mode) store the count and checksum words without persisting them,
+// then end the run the way a clean shutdown does: seal() and a persisted
+// clean-mark word. They crash at EVERY persistence event, seal()
+// included. An image without the clean mark must recover to the oracle;
+// an image with it must already hold an exact count and checksums that
+// all verify — the order seal → fence → clean mark is what guarantees it.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -38,7 +46,36 @@ struct FuzzCase {
   u64 seed;
   bool wide = false;  ///< 32-byte cells (Key128 + tag commit protocol)
   bool crc = false;   ///< per-group checksums (rebuilt by recovery)
+  /// Group hashing only: CountMode::kRecoveryOnly, sealed + marked clean
+  /// at the end of the run, every persistence event a crash point.
+  bool recovery_only = false;
 };
+
+/// Value of the clean-mark word a recovery-only run persists after seal().
+constexpr u64 kCleanMark = 0x636c65616eull;  // "clean"
+
+template <class Cell>
+using RecoveryOnlyTable = GroupHashTable<Cell, ShadowPM>;
+
+template <class Cell>
+using RecoveryOnlyAdapter = detail::TableAdapter<RecoveryOnlyTable<Cell>, ShadowPM>;
+
+/// A group-hashing table in CountMode::kRecoveryOnly behind the AnyTable
+/// interface, with make_table's geometry for `cfg`.
+template <class Cell>
+std::unique_ptr<AnyTable<ShadowPM>> make_recovery_only(ShadowPM& pm, std::span<std::byte> mem,
+                                                       const TableConfig& cfg, bool format) {
+  using T = RecoveryOnlyTable<Cell>;
+  const typename T::Params p{.level_cells = (u64{1} << cfg.total_cells_log2) / 2,
+                             .group_size = cfg.group_size,
+                             .seed = cfg.seed1,
+                             .count_mode = CountMode::kRecoveryOnly,
+                             .group_crc = cfg.group_crc};
+  const auto bytes = mem.first(T::required_bytes(p));
+  T table = format ? T(pm, bytes, p, /*format=*/true)
+                   : T::attach(pm, bytes, CountMode::kRecoveryOnly);
+  return std::make_unique<RecoveryOnlyAdapter<Cell>>("group", pm, std::move(table), nullptr);
+}
 
 std::string case_name(const ::testing::TestParamInfo<FuzzCase>& info) {
   std::string name = scheme_name(info.param.scheme);
@@ -48,6 +85,7 @@ std::string case_name(const ::testing::TestParamInfo<FuzzCase>& info) {
   name += info.param.with_wal ? "_L" : "";
   name += info.param.wide ? "_W" : "";
   name += info.param.crc ? "_C" : "";
+  name += info.param.recovery_only ? "_R" : "";
   name += "_s" + std::to_string(info.param.seed);
   return name;
 }
@@ -66,6 +104,23 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
     return cfg;
   }
 
+  std::unique_ptr<AnyTable<ShadowPM>> open_table(ShadowPM& pm, std::span<std::byte> mem,
+                                                 bool format) const {
+    if (!GetParam().recovery_only) return make_table(pm, mem, config(), format);
+    return GetParam().wide ? make_recovery_only<Cell32>(pm, mem, config(), format)
+                           : make_recovery_only<Cell16>(pm, mem, config(), format);
+  }
+
+  /// Runs fn on the GroupHashTable behind a recovery-only case's table.
+  template <class Fn>
+  void with_group_table(AnyTable<ShadowPM>& table, Fn&& fn) const {
+    if (GetParam().wide) {
+      fn(dynamic_cast<RecoveryOnlyAdapter<Cell32>&>(table).inner());
+    } else {
+      fn(dynamic_cast<RecoveryOnlyAdapter<Cell16>&>(table).inner());
+    }
+  }
+
   trace::OpTrace make_ops() const {
     const trace::Workload w = trace::make_random_num(80, GetParam().seed);
     return trace::make_op_trace(w, 30, 50, 0.2, 0.3, GetParam().seed * 7 + 1);
@@ -75,6 +130,7 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
   /// event count at the END of each completed op.
   struct RunResult {
     std::vector<u64> op_end_events;
+    u64 end_event = 0;  ///< after the seal and clean mark (recovery-only runs)
     bool crashed = false;
     usize ops_completed = 0;
   };
@@ -85,9 +141,9 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
   static constexpr u32 kFlightSlots = 64;
 
   RunResult run(ShadowPM& pm, std::span<std::byte> mem, std::span<std::byte> flight_mem,
-                const trace::OpTrace& ops, u64 crash_at) {
+                u64* clean_mark, const trace::OpTrace& ops, u64 crash_at) {
     pm.crash_at_event(ShadowPM::no_crash());
-    auto table = make_table(pm, mem, config(), /*format=*/true);
+    auto table = open_table(pm, mem, /*format=*/true);
     // Full fidelity: every op leaves records, so every crash point lands
     // near in-progress flight writes.
     obs::BasicFlightRecorder<ShadowPM> flight(pm, flight_mem, kFlightRings, kFlightSlots);
@@ -111,6 +167,13 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
         r.op_end_events.push_back(pm.event_count());
         r.ops_completed++;
       }
+      if (GetParam().recovery_only) {
+        // Clean shutdown: seal, then the clean mark.
+        with_group_table(*table, [](auto& t) { t.seal(); });
+        pm.atomic_store_u64(clean_mark, kCleanMark);
+        pm.persist(clean_mark, sizeof(u64));
+        r.end_event = pm.event_count();
+      }
     } catch (const SimulatedCrash&) {
       r.crashed = true;
     }
@@ -121,36 +184,46 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
 
 TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
   const trace::OpTrace ops = make_ops();
+  const bool recovery_only = GetParam().recovery_only;
   const usize bytes = table_required_bytes(config());
-  const usize table_span = round_up(bytes, 4096);
+  // The clean-mark word gets a cacheline of its own after the table.
+  const usize mark_offset = round_up(bytes, kCachelineSize);
+  const usize table_span = round_up(mark_offset + kCachelineSize, 4096);
   const usize flight_bytes = obs::flight_required_bytes(kFlightRings, kFlightSlots);
   nvm::NvmRegion region =
       nvm::NvmRegion::create_anonymous(table_span + round_up(flight_bytes, 4096));
   auto all = region.bytes();
   auto mem = all.first(round_up(bytes, 8));
+  auto* clean_mark = reinterpret_cast<u64*>(all.data() + mark_offset);
   auto flight_mem = all.subspan(table_span, flight_bytes);
 
   // Dry run: learn the event timeline.
   ShadowPM dry(all);
-  const RunResult timeline = run(dry, mem, flight_mem, ops, ShadowPM::no_crash());
+  const RunResult timeline = run(dry, mem, flight_mem, clean_mark, ops, ShadowPM::no_crash());
   ASSERT_FALSE(timeline.crashed);
   ASSERT_EQ(timeline.ops_completed, ops.ops.size());
   EXPECT_EQ(dry.dirty_word_count(), 0u);
   const u64 first_event = timeline.op_end_events.empty() ? 0 : 1;
-  const u64 total_events = timeline.op_end_events.back();
+  const u64 total_events =
+      recovery_only ? timeline.end_event : timeline.op_end_events.back();
 
   Xoshiro256 rng(GetParam().seed * 1337 + 11);
-  constexpr int kCrashes = 12;
+  // Recovery-only cases crash at every event; the others at kCrashes
+  // random ones.
+  const u64 crashes = recovery_only ? total_events - first_event : 12;
   // One crash point leaves a whole SPACE of post-crash images: any subset
   // of the unflushed lines may have been evicted (persisted) before the
   // power died. Sweep several eviction seeds per crash point so a scheme
   // that only survives one lucky eviction order cannot pass.
-  constexpr u64 kEvictionSeeds = 8;
-  for (int trial = 0; trial < kCrashes; ++trial) {
-    const u64 crash_at = first_event + rng.next_below(total_events - first_event);
+  const u64 kEvictionSeeds = recovery_only ? 2 : 8;
+  u64 clean_images = 0;
+  for (u64 trial = 0; trial < crashes; ++trial) {
+    const u64 crash_at =
+        recovery_only ? first_event + trial
+                      : first_event + rng.next_below(total_events - first_event);
     std::fill(all.begin(), all.end(), std::byte{0});
     ShadowPM pm(all);
-    const RunResult r = run(pm, mem, flight_mem, ops, crash_at);
+    const RunResult r = run(pm, mem, flight_mem, clean_mark, ops, crash_at);
     if (!r.crashed) continue;  // crash point fell into formatting; skip
 
     // Oracle: state after the last completed op; the next op is in flight.
@@ -167,13 +240,19 @@ TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
     // an image and recovering on it mutates the shadow state the images
     // are derived from.
     std::vector<std::vector<std::byte>> images;
-    images.reserve(kEvictionSeeds);
     for (u64 ev = 0; ev < kEvictionSeeds; ++ev) {
       images.push_back(pm.materialize_crash_image(CrashMode::kRandomEviction,
                                                   crash_at * 97 + trial * 131 + ev));
     }
+    if (recovery_only) {
+      // The extremes: no unflushed word survived (the count and checksum
+      // words hold whatever was last flushed), or every one did (a stored
+      // clean mark always reaches media).
+      images.push_back(pm.materialize_crash_image(CrashMode::kNothingEvicted));
+      images.push_back(pm.materialize_crash_image(CrashMode::kAllEvicted));
+    }
 
-    for (u64 ev = 0; ev < kEvictionSeeds; ++ev) {
+    for (u64 ev = 0; ev < images.size(); ++ev) {
       SCOPED_TRACE("crash at " + std::to_string(crash_at) + ", eviction seed " +
                    std::to_string(ev));
       pm.reset_to_image(images[ev]);
@@ -185,7 +264,24 @@ TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
         EXPECT_EQ(fscan.records_torn, 0u)
             << "flight commit-word protocol yielded a torn record";
       }
-      auto table = make_table(pm, mem, config(), /*format=*/false);
+      auto table = open_table(pm, mem, /*format=*/false);
+      if (*clean_mark == kCleanMark) {
+        // The clean mark reached media, so every op completed and the
+        // seal's fence retired before it: trust the words, no recovery.
+        ASSERT_TRUE(recovery_only);
+        ASSERT_EQ(inflight, nullptr);
+        clean_images++;
+        EXPECT_EQ(table->count(), oracle.size()) << "sealed count is not exact";
+        const ScrubReport scrub = table->scrub();
+        EXPECT_EQ(scrub.crc_mismatches, 0u) << "sealed checksums do not verify";
+        EXPECT_EQ(scrub.groups_quarantined, 0u);
+        for (const auto& [k, v] : oracle) {
+          const auto found = table->find(Key128{k, 0});
+          ASSERT_TRUE(found.has_value()) << "lost committed key " << k;
+          EXPECT_EQ(*found, v);
+        }
+        continue;
+      }
       const auto report = table->recover();
 
       u64 present = 0;
@@ -228,6 +324,11 @@ TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
       EXPECT_EQ(report.recovered_count, present);
     }
   }
+  // The sweep must reach images that carry the clean mark: a crash at its
+  // persist event, once its store was evicted to media.
+  if (recovery_only) {
+    EXPECT_GT(clean_images, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -254,7 +355,16 @@ INSTANTIATE_TEST_SUITE_P(
                       // crash point × eviction order.
                       FuzzCase{Scheme::kGroup, false, 1, false, true},
                       FuzzCase{Scheme::kGroup, false, 2, false, true},
-                      FuzzCase{Scheme::kGroup, false, 1, true, true}),
+                      FuzzCase{Scheme::kGroup, false, 1, true, true},
+                      // Recovery-derived count and checksum words (the
+                      // durable maps' mode), every crash point, seal()
+                      // and the clean mark included.
+                      FuzzCase{Scheme::kGroup, false, 1, false, false, true},
+                      FuzzCase{Scheme::kGroup, false, 2, false, false, true},
+                      FuzzCase{Scheme::kGroup, false, 1, false, true, true},
+                      FuzzCase{Scheme::kGroup, false, 2, false, true, true},
+                      FuzzCase{Scheme::kGroup, false, 1, true, false, true},
+                      FuzzCase{Scheme::kGroup, false, 1, true, true, true}),
     case_name);
 
 }  // namespace

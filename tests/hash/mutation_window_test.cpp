@@ -6,6 +6,9 @@
 //     grouped into persist() calls — equals the paper's per-op protocol
 //     (Algorithms 1 and 3) for both cell widths, with and without group
 //     checksums, and equals the matching *_batch call of one key;
+//   * under CountMode::kRecoveryOnly (the durable maps' mode) an op
+//     persists only its cell, checksums add nothing, and seal() costs one
+//     fence plus the count and checksum lines;
 //   * an attached undo log runs windows of one, so a batch of n keys
 //     costs exactly n scalar ops;
 //   * only the *_batch entry points count toward batch_ops/batch_keys.
@@ -116,13 +119,29 @@ std::vector<Variant<Cell>> variants(Op op) {
   return {};
 }
 
+/// Recovery-derived count and checksum words: an op persists only its
+/// cell. Insert: payload, commit word. Erase: commit word, payload wipe.
+/// Update: the value. Checksums add no flush and no fence.
+Traffic expected_recovery_only_traffic(Op op, bool /*crc*/) {
+  switch (op) {
+    case Op::kInsert:
+    case Op::kEraseHit:
+      return {2, 2};
+    case Op::kUpdate:
+      return {1, 1};
+    case Op::kEraseMiss:
+      return {0, 0};
+  }
+  return {};
+}
+
 /// Runs one variant of `op` on a table already holding keys 1..8 and
 /// returns the op's own PM traffic.
 template <class Cell>
-Traffic measure(Op op, bool crc, const Variant<Cell>& variant) {
+Traffic measure(Op op, bool crc, CountMode mode, const Variant<Cell>& variant) {
   test::TableFixture<Table<Cell>> fx;
-  Table<Cell>& t = fx.init(
-      typename Table<Cell>::Params{.level_cells = 256, .group_size = 16, .group_crc = crc});
+  Table<Cell>& t = fx.init(typename Table<Cell>::Params{
+      .level_cells = 256, .group_size = 16, .count_mode = mode, .group_crc = crc});
   for (u64 i = 1; i <= 8; ++i) EXPECT_TRUE(t.insert(key_of<Cell>(i), i));
   const bool targets_present_key = op == Op::kUpdate || op == Op::kEraseHit;
   const auto key = key_of<Cell>(targets_present_key ? 3 : 100);
@@ -140,23 +159,33 @@ Traffic measure(Op op, bool crc, const Variant<Cell>& variant) {
 
 class MutationTraffic : public ::testing::TestWithParam<std::tuple<Width, bool, Op>> {
  protected:
+  void check(CountMode mode, Traffic (*expected)(Op, bool)) {
+    if (std::get<0>(GetParam()) == Width::k16) {
+      check<Cell16>(mode, expected);
+    } else {
+      check<Cell32>(mode, expected);
+    }
+  }
+
   template <class Cell>
-  void check() {
+  void check(CountMode mode, Traffic (*expected)(Op, bool)) {
     const auto [width, crc, op] = GetParam();
     (void)width;
-    const Traffic want = expected_traffic(op, crc);
+    const Traffic want = expected(op, crc);
     for (const Variant<Cell>& v : variants<Cell>(op)) {
-      EXPECT_EQ(measure<Cell>(op, crc, v), want) << v.name;
+      EXPECT_EQ(measure<Cell>(op, crc, mode, v), want) << v.name;
     }
   }
 };
 
 TEST_P(MutationTraffic, ScalarAndBatchOfOneIssueThePaperProtocol) {
-  if (std::get<0>(GetParam()) == Width::k16) {
-    check<Cell16>();
-  } else {
-    check<Cell32>();
-  }
+  check(CountMode::kEager, expected_traffic);
+}
+
+class RecoveryOnlyTraffic : public MutationTraffic {};
+
+TEST_P(RecoveryOnlyTraffic, OpPersistsOnlyItsCell) {
+  check(CountMode::kRecoveryOnly, expected_recovery_only_traffic);
 }
 
 std::string case_name(const ::testing::TestParamInfo<MutationTraffic::ParamType>& info) {
@@ -172,6 +201,54 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Op::kInsert, Op::kUpdate, Op::kEraseHit,
                                          Op::kEraseMiss)),
     case_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    CellsCrcOps, RecoveryOnlyTraffic,
+    ::testing::Combine(::testing::Values(Width::k16, Width::k32), ::testing::Bool(),
+                       ::testing::Values(Op::kInsert, Op::kUpdate, Op::kEraseHit,
+                                         Op::kEraseMiss)),
+    case_name);
+
+// ---------------------------------------------------------------------------
+// seal(): what makes the recovery-derived words exact before a clean mark
+// ---------------------------------------------------------------------------
+
+template <class Cell>
+void check_seal(bool crc) {
+  SCOPED_TRACE(std::string(sizeof(Cell) == 16 ? "Cell16" : "Cell32") + (crc ? " crc" : ""));
+  test::TableFixture<Table<Cell>> fx;
+  Table<Cell>& t = fx.init(typename Table<Cell>::Params{.level_cells = 256,
+                                                        .group_size = 16,
+                                                        .count_mode = CountMode::kRecoveryOnly,
+                                                        .group_crc = crc});
+  for (u64 i = 1; i <= 20; ++i) ASSERT_TRUE(t.insert(key_of<Cell>(i), i));
+  ASSERT_TRUE(t.erase(key_of<Cell>(7)));
+  using Header = typename Table<Cell>::Header;
+  const auto* header = reinterpret_cast<const Header*>(fx.region_bytes().data());
+  EXPECT_EQ(header->count, 0u) << "the count word is written only by seal() and recovery";
+  EXPECT_EQ(t.count(), 19u);
+
+  fx.pm().stats().clear();
+  t.seal();
+  const u64 crc_lines = crc ? (2 * t.num_groups() * sizeof(u64) + kCachelineSize - 1) /
+                                  kCachelineSize
+                            : 0;
+  EXPECT_EQ(fx.pm().stats().fences, 1u);
+  EXPECT_EQ(fx.pm().stats().lines_flushed, 1 + crc_lines);
+  EXPECT_EQ(header->count, 19u);
+  if (crc) {
+    for (u64 g = 0; g < t.num_groups(); ++g) {
+      EXPECT_TRUE(t.verify_group_checksum(0, g) && t.verify_group_checksum(1, g));
+    }
+  }
+}
+
+TEST(RecoveryOnlySeal, CostsOneFenceAndTheCountAndChecksumLines) {
+  for (const bool crc : {false, true}) {
+    check_seal<Cell16>(crc);
+    check_seal<Cell32>(crc);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Undo-log wrapped tables run windows of one
