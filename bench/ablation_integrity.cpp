@@ -7,20 +7,19 @@
 // at-rest corruption is detected instead of served. The raw table's
 // default CountMode::kEager also flushes and fences that word per
 // mutation; a durable map (CountMode::kRecoveryOnly) leaves it to
-// recovery and seals it at close(). This bench prices that choice four
-// ways:
+// recovery and seals it at close(), so checksums add no flushed line to
+// its writes (pinned by tests/core/group_hash_map_test.cpp). This bench
+// prices the eager table's choice three ways:
 //
 //   1. request latency — insert/query/delete with checksums off vs on,
 //      narrow and wide cells, at the paper's 0.7 operating point, on the
 //      raw (eager) table;
 //   2. media traffic — extra flushed lines per insert (the endurance
 //      currency of ablation_wear) on the raw table;
-//   3. the same traffic through GroupHashMap, where checksums add none;
-//   4. scrub throughput — how fast a background verification pass covers
+//   3. scrub throughput — how fast a background verification pass covers
 //      a clean table, full-scan and per-64-group incremental tick.
 #include "bench_common.hpp"
 
-#include "core/group_hash_map.hpp"
 #include "hash/cells.hpp"
 #include "hash/group_hashing.hpp"
 #include "util/clock.hpp"
@@ -90,30 +89,6 @@ int main(int argc, char** argv) {
             << format_double((insert_ns[1][1] / insert_ns[1][0] - 1.0) * 100.0, 1)
             << "% wide (raw eager table: one extra flushed line per mutation; "
                "queries are checksum-free).\n\n";
-
-  // The durable map's traffic: recovery-derived checksum words cost no
-  // flush per mutation.
-  TablePrinter m({"GroupHashMap", "lines/insert", "lines/erase"});
-  for (const bool crc : {false, true}) {
-    MapOptions opts;
-    opts.initial_cells = u64{1} << bits;
-    opts.flush_latency_ns = 0;
-    opts.checksum_groups = crc;
-    auto map = GroupHashMap::create_in_memory(opts);
-    const u64 n = std::min<u64>(workload.keys64.size(), (u64{1} << bits) / 4);
-    u64 lines0 = map.snapshot().persist.lines_flushed;
-    for (u64 i = 0; i < n; ++i) map.put(workload.keys64[i], 1);
-    const u64 insert_lines = map.snapshot().persist.lines_flushed - lines0;
-    lines0 = map.snapshot().persist.lines_flushed;
-    for (u64 i = 0; i < n; ++i) map.erase(workload.keys64[i]);
-    const u64 erase_lines = map.snapshot().persist.lines_flushed - lines0;
-    m.add_row({crc ? "checksums on" : "checksums off",
-               format_double(static_cast<double>(insert_lines) / static_cast<double>(n), 2),
-               format_double(static_cast<double>(erase_lines) / static_cast<double>(n), 2)});
-  }
-  m.print(std::cout);
-  std::cout << "\nA durable map seals the checksum words once, at close(), instead of "
-               "flushing them per mutation.\n\n";
 
   // Scrub throughput on a clean checksummed table at the same load.
   using Table = hash::GroupHashTable<hash::Cell16, nvm::DirectPM>;

@@ -93,7 +93,9 @@ enum class CountMode {
   /// Recovery-derived: keep `count` volatile and store the checksum words
   /// without flushing them, and let recovery recompute both (which
   /// Algorithm 4 does anyway). Saves both flushes and fences; the on-NVM
-  /// words are only exact after seal() (clean shutdown) or recover().
+  /// words are only guaranteed exact after seal() (clean shutdown), the
+  /// one call that persists them in this mode — recover() rebuilds them
+  /// in memory.
   /// The durable maps run this mode. Measured by
   /// bench/ablation_count_persistence.
   kRecoveryOnly,
@@ -405,7 +407,10 @@ class GroupHashTable {
   /// scrubbed too (the stores heal/remap the line) and its contents
   /// counted as lost — recovery completes instead of aborting the open.
   /// When checksums are enabled they are REBUILT afterwards: in-flight
-  /// operations legitimately leave them stale across a crash.
+  /// operations legitimately leave them stale across a crash. The
+  /// rebuilt count and checksum words are persisted under kEager only;
+  /// under kRecoveryOnly seal() stays their one durable writer (a crash
+  /// before it just recovers again).
   RecoveryReport recover() {
     RecoveryReport report;
     if (wal_) report.wal_records_rolled_back = wal_->recover();
@@ -434,7 +439,7 @@ class GroupHashTable {
       }
     }
     pm_->store_u64(&header_->count, count);
-    pm_->persist(&header_->count, sizeof(u64));
+    if (eager()) pm_->persist(&header_->count, sizeof(u64));
     volatile_count_ = count;
     report.recovered_count = count;
     if (crc_) rebuild_checksums_range(0, level_cells_, *pm_);
@@ -487,8 +492,8 @@ class GroupHashTable {
   /// Make the count and every group checksum word exact on media: store
   /// the exact count, flush it and the whole checksum array, one fence.
   /// A clean shutdown calls this before its clean mark, so under
-  /// kRecoveryOnly an image marked clean always carries exact words.
-  /// Under kEager the words are already durable and this re-persists
+  /// kRecoveryOnly an image marked clean always carries exact words; in
+  /// that mode nothing else persists them. Under kEager the words are already durable and this re-persists
   /// them.
   void seal() {
     pm_->atomic_store_u64(&header_->count, volatile_count_.load());
@@ -498,10 +503,10 @@ class GroupHashTable {
   }
 
   /// Publish a recovered count (used by parallel recovery after merging
-  /// slice results).
+  /// slice results; persisted under kEager only).
   void set_recovered_count(u64 count) {
     pm_->store_u64(&header_->count, count);
-    pm_->persist(&header_->count, sizeof(u64));
+    if (eager()) pm_->persist(&header_->count, sizeof(u64));
     volatile_count_ = count;
   }
 
@@ -1060,7 +1065,8 @@ class GroupHashTable {
   }
 
   /// Recompute and store the checksums of the groups covering cell
-  /// indices [begin, end) of BOTH levels (used by recovery).
+  /// indices [begin, end) of BOTH levels (used by recovery; persisted
+  /// under kEager only).
   template <class AnyPM>
   void rebuild_checksums_range(u64 begin, u64 end, AnyPM& pm) {
     const u64 first_group = begin / group_size_;
@@ -1072,8 +1078,10 @@ class GroupHashTable {
         for (u32 i = 0; i < group_size_; ++i) digest ^= cell_digest(base + i);
         pm.atomic_store_u64(crc_slot(level, g), digest);
       }
-      pm.persist(crc_slot(0, g), sizeof(u64));
-      pm.persist(crc_slot(1, g), sizeof(u64));
+      if (eager()) {
+        pm.persist(crc_slot(0, g), sizeof(u64));
+        pm.persist(crc_slot(1, g), sizeof(u64));
+      }
     }
   }
 
@@ -1181,9 +1189,11 @@ class GroupHashTable {
       tag_store(group_tags + i,
                 group_cells[i].occupied() ? tag_of_hash(hash_(group_cells[i].key())) : 0);
     }
-    // Re-seal the checksum over what remains, then fence the group off.
+    // Re-seal the checksum over what remains (durable at once under
+    // kEager, at the next seal() under kRecoveryOnly), then fence the
+    // group off.
     pm_->atomic_store_u64(crc_slot(level, g), new_digest);
-    pm_->persist(crc_slot(level, g), sizeof(u64));
+    if (eager()) pm_->persist(crc_slot(level, g), sizeof(u64));
     quarantined_[level * num_groups() + g] = 1;
     any_quarantined_ = true;
     report.groups_quarantined++;

@@ -327,7 +327,7 @@ TEST(GroupHashingCountMode, RecoveryOnlySavesFlushesButStaysExact) {
   const u64 saved = eager_fix.pm().stats().persist_calls -
                     lazy_fix.pm().stats().persist_calls;
   EXPECT_EQ(saved, 250u);  // one per mutation (200 inserts + 50 erases)
-  // Recovery restores an exact persistent count in both modes.
+  // Recovery recomputes the exact count in both modes.
   EXPECT_EQ(eager.recover().recovered_count, 150u);
   EXPECT_EQ(lazy.recover().recovered_count, 150u);
   EXPECT_EQ(lazy.count(), 150u);
