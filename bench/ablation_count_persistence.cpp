@@ -9,7 +9,9 @@
 // implements both policies (CountMode::kEager / kRecoveryOnly, the
 // durable maps' mode, where seal() makes the words exact at clean
 // shutdown); this bench runs the same workload under each, with
-// checksums off and on, and reports the latency and flush deltas.
+// checksums off and on, and reports the latency and flush deltas. A
+// third row per checksum setting adds CommitOrder::kSameLine, the
+// durable maps' one-flush cell commit (x86 in-line persist order).
 #include "bench_common.hpp"
 
 #include "hash/cells.hpp"
@@ -32,20 +34,26 @@ int main(int argc, char** argv) {
 
   TablePrinter t({"count mode", "checksums", "insert", "delete", "flushes/mutation",
                   "count consistent"});
+  using hash::CommitOrder;
+  using hash::CountMode;
   struct Variant {
-    hash::CountMode mode;
+    CountMode mode;
     bool crc;
+    CommitOrder order = CommitOrder::kFenced;
   };
-  const Variant variants[] = {{hash::CountMode::kEager, false},
-                              {hash::CountMode::kRecoveryOnly, false},
-                              {hash::CountMode::kEager, true},
-                              {hash::CountMode::kRecoveryOnly, true}};
-  double eager_insert[2] = {}, lazy_insert[2] = {};  // [crc]
-  for (const auto [mode, crc] : variants) {
+  const Variant variants[] = {{CountMode::kEager, false},
+                              {CountMode::kRecoveryOnly, false},
+                              {CountMode::kRecoveryOnly, false, CommitOrder::kSameLine},
+                              {CountMode::kEager, true},
+                              {CountMode::kRecoveryOnly, true},
+                              {CountMode::kRecoveryOnly, true, CommitOrder::kSameLine}};
+  double eager_insert[2] = {}, lazy_insert[2] = {}, same_line_insert[2] = {};  // [crc]
+  for (const auto [mode, crc, order] : variants) {
     const Table::Params params{.level_cells = (1ull << bits) / 2,
                                .group_size = 256,
                                .count_mode = mode,
-                               .group_crc = crc};
+                               .group_crc = crc,
+                               .commit_order = order};
     nvm::DirectPM pm(nvm::PersistConfig{.flush_latency_ns = env.flush_latency_ns});
     nvm::NvmRegion region = nvm::NvmRegion::create_anonymous(Table::required_bytes(params));
     Table table(pm, region.bytes().first(Table::required_bytes(params)), params, true);
@@ -80,9 +88,12 @@ int main(int argc, char** argv) {
     const auto report = table.recover();
     const bool consistent = report.recovered_count == logical;
 
-    const bool eager = mode == hash::CountMode::kEager;
-    (eager ? eager_insert : lazy_insert)[crc] = ins.mean();
-    t.add_row({eager ? "eager (paper, Algorithms 1/3)" : "recovery-only (maps)",
+    const bool eager = mode == CountMode::kEager;
+    const bool same_line = order == CommitOrder::kSameLine;
+    (eager ? eager_insert : same_line ? same_line_insert : lazy_insert)[crc] = ins.mean();
+    t.add_row({eager       ? "eager (paper, Algorithms 1/3)"
+               : same_line ? "recovery-only + same-line (maps)"
+                           : "recovery-only, fenced",
                crc ? "on" : "off", format_ns(ins.mean()), format_ns(del.mean()),
                format_double(flushes_per_mut, 2), consistent ? "yes (post-recovery)" : "NO"});
   }
@@ -92,6 +103,10 @@ int main(int argc, char** argv) {
     std::cout << "\nMeasured saving of recovery-derived words, checksums "
               << (crc ? "on" : "off") << ": " << format_ns(saved) << "/insert ("
               << format_double(saved / eager_insert[crc] * 100, 1) << "%).";
+    const double same_line_saved = lazy_insert[crc] - same_line_insert[crc];
+    std::cout << "\nMeasured saving of the same-line commit on top, checksums "
+              << (crc ? "on" : "off") << ": " << format_ns(same_line_saved) << "/insert ("
+              << format_double(same_line_saved / lazy_insert[crc] * 100, 1) << "%).";
   }
   std::cout << "\nRecovery recomputes the exact count and checksums either way "
                "(Algorithm 4).\n";

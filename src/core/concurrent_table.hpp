@@ -69,7 +69,8 @@ class BasicConcurrentGroupHashTable {
         .level_cells = total / 2,
         .group_size = static_cast<u32>(std::min<u64>(params.group_size, total / 2)),
         .seed = params.seed,
-        .count_mode = hash::CountMode::kRecoveryOnly};
+        .count_mode = hash::CountMode::kRecoveryOnly,
+        .commit_order = hash::CommitOrder::kSameLine};
     region_ = nvm::NvmRegion::create_anonymous(Table::required_bytes(table_params));
     table_.emplace(pm_, region_.bytes().first(Table::required_bytes(table_params)),
                    table_params, /*format=*/true);

@@ -85,7 +85,8 @@ auto BasicGroupHashMap<Cell>::format_table(const char* suffix, u64 total_cells, 
       // A fresh file (ftruncate) or anonymous mapping is already zero.
       .zero_memory = false,
       .count_mode = hash::CountMode::kRecoveryOnly,
-      .group_crc = crc};
+      .group_crc = crc,
+      .commit_order = hash::CommitOrder::kSameLine};
   const usize table_bytes = Table::required_bytes(params);
   nvm::NvmRegion region =
       path_.empty() ? nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes)
@@ -146,14 +147,16 @@ void BasicGroupHashMap<Cell>::init(bool fresh) {
     throw std::runtime_error("GroupHashMap superblock is corrupt (checksum mismatch)");
   }
   // Bounds validation stays as belt and braces (a *consistently*
-  // re-checksummed forgery still must not index out of range).
-  if (sb->table_offset < kTableOffset || sb->table_bytes == 0 ||
-      sb->table_bytes > region_.size() || sb->table_offset > region_.size() - sb->table_bytes) {
+  // re-checksummed forgery still must not index out of range). The
+  // table must also start on a line, as the same-line commit needs.
+  if (sb->table_offset < kTableOffset || sb->table_offset % kCachelineSize != 0 ||
+      sb->table_bytes == 0 || sb->table_bytes > region_.size() ||
+      sb->table_offset > region_.size() - sb->table_bytes) {
     throw std::runtime_error("GroupHashMap superblock is corrupt (table bounds)");
   }
   table_.emplace(Table::attach(*pm_,
                                region_.bytes().subspan(sb->table_offset, sb->table_bytes),
-                               hash::CountMode::kRecoveryOnly));
+                               hash::CountMode::kRecoveryOnly, hash::CommitOrder::kSameLine));
   if (sb->state == kStateDirty) {
     open_recovery_ = recover_now();
     recovered_on_open_ = true;
@@ -925,8 +928,8 @@ void BasicGroupHashMap<Cell>::resume_migration() {
       msb->crc != map_format::superblock_crc(*msb)) {
     throw std::runtime_error("GroupHashMap migration target is corrupt: " + mig_path);
   }
-  if (msb->table_offset < kTableOffset || msb->table_bytes == 0 ||
-      msb->table_bytes > mig_region.size() ||
+  if (msb->table_offset < kTableOffset || msb->table_offset % kCachelineSize != 0 ||
+      msb->table_bytes == 0 || msb->table_bytes > mig_region.size() ||
       msb->table_offset > mig_region.size() - msb->table_bytes) {
     throw std::runtime_error("GroupHashMap migration target is corrupt (table bounds)");
   }
@@ -934,7 +937,7 @@ void BasicGroupHashMap<Cell>::resume_migration() {
   msb = reinterpret_cast<Superblock*>(mig_region_.data());
   mig_table_.emplace(Table::attach(
       *pm_, mig_region_.bytes().subspan(msb->table_offset, msb->table_bytes),
-      hash::CountMode::kRecoveryOnly));
+      hash::CountMode::kRecoveryOnly, hash::CommitOrder::kSameLine));
   if (msb->state == kStateDirty) {
     // The target died mid-write just like the main table would have;
     // Algorithm-4 it back to consistency before reads trust it.

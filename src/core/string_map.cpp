@@ -41,6 +41,14 @@ u64 pow2_at_least(u64 v) {
   return p;
 }
 
+/// Bytes of an arena for `data_bytes` of records, in whole lines so the
+/// index table placed after it starts on one: CommitOrder::kSameLine
+/// needs line-aligned cells.
+usize arena_bytes_for(usize data_bytes) {
+  using Arena = nvm::PersistentArena<nvm::DirectPM>;
+  return Arena::required_bytes(round_up(data_bytes, kCachelineSize));
+}
+
 }  // namespace
 
 struct PersistentStringMap::Superblock {
@@ -99,13 +107,14 @@ void PersistentStringMap::init_region(nvm::NvmRegion region,
   if (fresh) {
     const u64 cells = pow2_at_least(std::max<u64>(options.initial_cells, 16));
     const usize arena_bytes =
-        Arena::required_bytes(std::max<usize>(cells * options.arena_bytes_per_cell, 4096));
+        arena_bytes_for(std::max<usize>(cells * options.arena_bytes_per_cell, 4096));
     const typename Table::Params params{
         .level_cells = cells / 2,
         .group_size =
             static_cast<u32>(std::min<u64>(pow2_at_least(options.group_size), cells / 2)),
         .count_mode = hash::CountMode::kRecoveryOnly,
-        .group_crc = options.checksum_groups};
+        .group_crc = options.checksum_groups,
+        .commit_order = hash::CommitOrder::kSameLine};
     const usize table_bytes = Table::required_bytes(params);
     GH_CHECK(region_.size() >= kSuperblockBytes + arena_bytes + table_bytes);
     arena_.emplace(*pm_, region_.bytes().subspan(kSuperblockBytes, arena_bytes),
@@ -145,9 +154,14 @@ void PersistentStringMap::init_region(nvm::NvmRegion region,
     }
     arena_.emplace(*pm_, region_.bytes().subspan(sb->arena_offset, sb->arena_bytes),
                    /*format=*/false);
+    // An image whose arena is not a whole number of lines has unaligned
+    // cells, so it keeps the fenced commit.
+    const hash::CommitOrder order = sb->table_offset % kCachelineSize == 0
+                                        ? hash::CommitOrder::kSameLine
+                                        : hash::CommitOrder::kFenced;
     table_.emplace(Table::attach(*pm_,
                                  region_.bytes().subspan(sb->table_offset, sb->table_bytes),
-                                 hash::CountMode::kRecoveryOnly));
+                                 hash::CountMode::kRecoveryOnly, order));
     if (sb->state == kStateDirty) {
       obs::OpScope op(sinks_, obs::OpKind::kRecover, 0, obs::FlightEdge::kAlways);
       open_recovery_ = table_->recover();
@@ -200,7 +214,7 @@ PersistentStringMap PersistentStringMap::create(const std::string& path,
   map.options_ = options;
   const u64 cells = pow2_at_least(std::max<u64>(options.initial_cells, 16));
   const usize arena_bytes =
-      Arena::required_bytes(std::max<usize>(cells * options.arena_bytes_per_cell, 4096));
+      arena_bytes_for(std::max<usize>(cells * options.arena_bytes_per_cell, 4096));
   const usize table_bytes = Table::required_bytes(
       {.level_cells = cells / 2,
        .group_size =
@@ -225,7 +239,7 @@ PersistentStringMap PersistentStringMap::create_in_memory(const StringMapOptions
   map.options_ = options;
   const u64 cells = pow2_at_least(std::max<u64>(options.initial_cells, 16));
   const usize arena_bytes =
-      Arena::required_bytes(std::max<usize>(cells * options.arena_bytes_per_cell, 4096));
+      arena_bytes_for(std::max<usize>(cells * options.arena_bytes_per_cell, 4096));
   const usize table_bytes = Table::required_bytes(
       {.level_cells = cells / 2,
        .group_size =
@@ -473,10 +487,12 @@ void PersistentStringMap::put_keys(std::span<const std::string_view> keys,
       }
       news[nnew++] = {idx, *offset};
     }
-    // Durability point of the window. The in-place updates need one
-    // fence; the new records' flushes are covered by the table window's
-    // own pre-commit fence, so cells never commit before their records
-    // are durable.
+    // Durability point of the window. The new records are durable
+    // already: append() persists each record and the arena head before
+    // it returns. The in-place value updates need one fence, issued
+    // before the table window so that a new cell never commits ahead of
+    // its record's final value (a duplicate key updates a record
+    // appended in this same window).
     if (flushed_updates) pm_->fence();
     if (nnew > 0) {
       for (usize u = 0; u < nnew; ++u) {
@@ -596,14 +612,15 @@ void PersistentStringMap::rebuild(u64 new_cells, usize new_arena_data_bytes) {
   // Lifecycle ops always hit the flight recorder (no sampling): a crash
   // mid-compaction is exactly what the black box exists to explain.
   obs::OpScope op(sinks_, obs::OpKind::kCompact, new_cells, obs::FlightEdge::kAlways);
-  const usize arena_bytes = Arena::required_bytes(new_arena_data_bytes);
+  const usize arena_bytes = arena_bytes_for(new_arena_data_bytes);
   const typename Table::Params params{
       .level_cells = new_cells / 2,
       .group_size =
           static_cast<u32>(std::min<u64>(table().group_size(), new_cells / 2)),
       .seed = table().seed(),
       .count_mode = hash::CountMode::kRecoveryOnly,
-      .group_crc = table().checksums_enabled()};
+      .group_crc = table().checksums_enabled(),
+      .commit_order = hash::CommitOrder::kSameLine};
   const usize table_bytes = Table::required_bytes(params);
   const usize total = kSuperblockBytes + arena_bytes + table_bytes;
 

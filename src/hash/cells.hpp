@@ -23,6 +23,15 @@
 // caller share fences across a window of cells; GroupHashTable runs every
 // insert and erase that way, a scalar op being a window of one.
 //
+// A third, same-line form (publish_same_line/retract_same_line) drops the
+// fence between the halves: it relies on a cell never crossing a
+// cacheline and on x86 persisting stores to one line in program order,
+// so it needs more than 8-byte atomicity (GroupHashTable's
+// CommitOrder::kSameLine, DESIGN.md "Same-line commit"):
+//
+//   insert: write payload → atomically set bitmap → flush the line
+//   delete: atomically clear bitmap → clear payload → flush the line
+//
 // All mutation goes through a persistence-policy object PM (see
 // nvm/direct_pm.hpp for the interface), which is how the crash simulator
 // and the cache-simulator benches observe every NVM write.
@@ -141,6 +150,23 @@ struct Cell16 {
     pm.store_u64(&value, 0);
     pm.flush(&value, sizeof(value));
   }
+
+  // --- same-line protocol: one flush, the caller fences once per window --
+
+  template <class PM>
+  void publish_same_line(PM& pm, key_type k, u64 v) {
+    GH_DCHECK(k <= kMaxKey);
+    pm.store_u64(&value, v);
+    pm.atomic_store_u64(&word0, k | kOccupiedBit);
+    pm.flush(this, kSize);
+  }
+
+  template <class PM>
+  void retract_same_line(PM& pm) {
+    pm.atomic_store_u64(&word0, 0);
+    pm.store_u64(&value, 0);
+    pm.flush(this, kSize);
+  }
 };
 static_assert(sizeof(Cell16) == Cell16::kSize);
 
@@ -233,6 +259,24 @@ struct Cell32 {
     pm.store_u64(&key_hi, 0);
     pm.store_u64(&value, 0);
     pm.flush(&key_lo, 3 * sizeof(u64));
+  }
+
+  template <class PM>
+  void publish_same_line(PM& pm, const Key128& k, u64 v) {
+    pm.store_u64(&key_lo, k.lo);
+    pm.store_u64(&key_hi, k.hi);
+    pm.store_u64(&value, v);
+    pm.atomic_store_u64(&meta, kOccupiedBit | tag_of(k));
+    pm.flush(this, kSize);
+  }
+
+  template <class PM>
+  void retract_same_line(PM& pm) {
+    pm.atomic_store_u64(&meta, 0);
+    pm.store_u64(&key_lo, 0);
+    pm.store_u64(&key_hi, 0);
+    pm.store_u64(&value, 0);
+    pm.flush(this, kSize);
   }
 };
 static_assert(sizeof(Cell32) == Cell32::kSize);

@@ -25,7 +25,10 @@
 // CountMode::kRecoveryOnly (what the durable maps run) the count and the
 // group checksum words are recovery-derived: windows store them without
 // a flush or fence, so a scalar op costs the paper's two fences, and
-// seal() makes them exact on media before a clean shutdown.
+// seal() makes them exact on media before a clean shutdown. The durable
+// maps also run CommitOrder::kSameLine, which writes a cell's payload and
+// commit word back to back and flushes its line once: one fence per
+// window, relying on x86's in-line persist order (DESIGN.md).
 //
 // Media integrity (optional, Params::group_crc): the commit-word protocol
 // defends against *crashes*, not against the media itself lying — bit rot
@@ -101,6 +104,21 @@ enum class CountMode {
   kRecoveryOnly,
 };
 
+/// How a mutation window orders a cell's payload against its commit word.
+enum class CommitOrder {
+  /// The paper's protocol, which assumes only 8-byte failure atomicity:
+  /// payload → flush → fence → commit word → flush → fence (an erase runs
+  /// it in reverse), two fences per window.
+  kFenced,
+  /// Payload and commit word (or commit clear and wipe) stored back to
+  /// back in the cell's one cacheline, which is flushed once: one fence
+  /// per window. Sound only where stores to one line persist in program
+  /// order (x86 under ADR or eADR); a crash then leaves nothing, the
+  /// payload alone (uncommitted garbage that recovery scrubs), or both.
+  /// Requires kRecoveryOnly and no undo log.
+  kSameLine,
+};
+
 /// What scrub_groups() does with the occupied cells of a group whose
 /// checksum fails verification. Either way every affected cell is
 /// REPORTED via the callback — corruption is never handled silently.
@@ -135,10 +153,13 @@ class GroupHashTable {
     /// atomic store per touched group per mutation window (plus its flush
     /// and fence under kEager) and 16 bytes per group of space.
     bool group_crc = false;
+    CommitOrder commit_order = CommitOrder::kFenced;
   };
 
   static constexpr u64 kMagic = 0x4748544742303031ull;  // "GHTGB001"
   static constexpr u64 kFlagGroupCrc = 1ull << 0;
+  // kSameLine's crash argument needs every cell inside one cacheline.
+  static_assert(kCachelineSize % sizeof(Cell) == 0, "a cell must not straddle two lines");
 
   struct Header {
     u64 magic;
@@ -195,6 +216,13 @@ class GroupHashTable {
     mask_ = level_cells_ - 1;
     group_size_ = static_cast<u32>(header_->group_size);
     count_mode_ = p.count_mode;
+    commit_order_ = p.commit_order;
+    if (same_line()) {
+      GH_CHECK_MSG(count_mode_ == CountMode::kRecoveryOnly,
+                   "CommitOrder::kSameLine requires CountMode::kRecoveryOnly");
+      GH_CHECK_MSG(reinterpret_cast<std::uintptr_t>(tab1_) % kCachelineSize == 0,
+                   "CommitOrder::kSameLine requires line-aligned cells");
+    }
     volatile_count_ = header_->count;
     // DRAM fingerprint tags, one byte per cell of both levels. Held via
     // shared_ptr: retired optimistic read views (core/optimistic_read.hpp)
@@ -219,10 +247,11 @@ class GroupHashTable {
   }
 
   /// Attach to an existing table, taking parameters from its header. The
-  /// count mode is not part of the image: it is how this process
-  /// maintains the words from now on.
+  /// count mode and commit order are not part of the image: they are how
+  /// this process maintains it from now on.
   static GroupHashTable attach(PM& pm, std::span<std::byte> mem,
-                               CountMode count_mode = CountMode::kEager) {
+                               CountMode count_mode = CountMode::kEager,
+                               CommitOrder commit_order = CommitOrder::kFenced) {
     GH_CHECK(mem.size() >= sizeof(Header));
     const auto* h = reinterpret_cast<const Header*>(mem.data());
     GH_CHECK_MSG(h->magic == kMagic, "not a group-hashing table");
@@ -230,14 +259,18 @@ class GroupHashTable {
              .group_size = static_cast<u32>(h->group_size),
              .seed = h->seed,
              .count_mode = count_mode,
-             .group_crc = (h->flags & kFlagGroupCrc) != 0};
+             .group_crc = (h->flags & kFlagGroupCrc) != 0,
+             .commit_order = commit_order};
     return GroupHashTable(pm, mem, p, /*format=*/false);
   }
 
   /// Optional logging wrapper used only by the ablation bench (the paper's
   /// point is that group hashing does NOT need it). While attached, every
   /// mutation window holds one op inside one undo-log transaction.
-  void attach_wal(UndoLog<PM>* wal) { wal_ = wal; }
+  void attach_wal(UndoLog<PM>* wal) {
+    GH_CHECK_MSG(wal == nullptr || !same_line(), "CommitOrder::kSameLine takes no undo log");
+    wal_ = wal;
+  }
 
   /// Algorithm 1, as a window of one (see "Mutation windows" below).
   /// Precondition: `key` is not already present (the paper's insert does
@@ -315,19 +348,21 @@ class GroupHashTable {
   // Every insert and erase, scalar or batched, runs one windowed protocol:
   // a window of up to kBatchWindow keys shares its persist fences while
   // each cell keeps its own 8-byte commit (see cells.hpp: the two-phase
-  // stage→fence→commit→fence / clear→fence→wipe→fence splits). The
-  // window tail stores the coalesced checksum deltas, then the count.
+  // stage→fence→commit→fence / clear→fence→wipe→fence splits, or under
+  // kSameLine one flush per cell and one fence). The window tail stores
+  // the coalesced checksum deltas, then the count.
   // Under kEager both are persisted (one fence for the checksums, one for
   // the count) and after a crash are stale by at most a window; under
   // kRecoveryOnly neither is flushed. Recovery rebuilds both either way.
   // A scalar op is a window of one: under kEager it issues exactly the
   // fences and flushes of the paper's per-op protocol, under
-  // kRecoveryOnly only the cell's own (insert and erase 2/2). An attached
-  // undo log forces windows of one and logs each target cell and the
-  // count inside its transaction. Keys are applied strictly in order, so
-  // on a placement failure the return value is an exact prefix length —
-  // the map layer expands and resubmits the remainder. Only the *_batch
-  // entry points count toward batch_ops/batch_keys.
+  // kRecoveryOnly only the cell's own (insert and erase 2/2, or 1/1 under
+  // kSameLine). An attached undo log forces windows of one and logs each
+  // target cell and the count inside its transaction. Keys are applied
+  // strictly in order, so on a placement failure the return value is an
+  // exact prefix length — the map layer expands and resubmits the
+  // remainder. Only the *_batch entry points count toward
+  // batch_ops/batch_keys.
 
   static constexpr usize kBatchWindow = 32;
 
@@ -361,7 +396,9 @@ class GroupHashTable {
   /// once its keys are copied out. Keeps erase_batch's crash order (every
   /// commit word cleared → fence → payloads wiped → fence), so no crash
   /// image holds a committed cell with a wiped payload, but flushes each
-  /// touched cacheline once per phase instead of once per cell. The group
+  /// touched cacheline once per phase instead of once per cell. Under
+  /// kSameLine one address-ordered pass clears each cell's commit word
+  /// before wiping it, flushes each line once and fences once. The group
   /// ends all-zero, which digests to 0, so both checksum words are reset
   /// rather than delta-updated (flushed and fenced under kEager only), and
   /// the count drops in one bump. Returns the number of occupied cells
@@ -371,21 +408,35 @@ class GroupHashTable {
     Cell* const levels[2] = {tab1_ + g * group_size_, tab2_ + g * group_size_};
     LineCoalescingPM lines{*pm_};
     u64 cleared = 0;
-    for (Cell* base : levels) {
-      for (u32 i = 0; i < group_size_; ++i) {
-        if (!base[i].occupied()) continue;
-        base[i].retract_commit(lines);
-        tag_store(tag_slot(base + i), 0);
-        cleared++;
+    if (same_line()) {
+      // Unoccupied cells are normally all-zero already; wiping every dirty
+      // one (not only the occupied) is what makes the 0 checksum exact.
+      for (Cell* base : levels) {
+        for (u32 i = 0; i < group_size_; ++i) {
+          if (!base[i].payload_dirty()) continue;
+          if (base[i].occupied()) {
+            tag_store(tag_slot(base + i), 0);
+            cleared++;
+          }
+          base[i].retract_same_line(lines);
+        }
       }
-    }
-    lines.drain();
-    pm_->fence();  // clears durable before any wipe store issues
-    // Unoccupied cells are normally all-zero already; wiping every dirty
-    // one (not only the just-cleared) is what makes the 0 checksum exact.
-    for (Cell* base : levels) {
-      for (u32 i = 0; i < group_size_; ++i) {
-        if (base[i].payload_dirty()) base[i].retract_wipe(lines);
+    } else {
+      for (Cell* base : levels) {
+        for (u32 i = 0; i < group_size_; ++i) {
+          if (!base[i].occupied()) continue;
+          base[i].retract_commit(lines);
+          tag_store(tag_slot(base + i), 0);
+          cleared++;
+        }
+      }
+      lines.drain();
+      pm_->fence();  // clears durable before any wipe store issues
+      // As above: wipe every dirty cell.
+      for (Cell* base : levels) {
+        for (u32 i = 0; i < group_size_; ++i) {
+          if (base[i].payload_dirty()) base[i].retract_wipe(lines);
+        }
       }
     }
     lines.drain();
@@ -699,6 +750,7 @@ class GroupHashTable {
 
   /// True when every window persists the count and checksum words.
   [[nodiscard]] bool eager() const { return count_mode_ == CountMode::kEager; }
+  [[nodiscard]] bool same_line() const { return commit_order_ == CommitOrder::kSameLine; }
 
   void bump_count(i64 delta) {
     if (eager()) {
@@ -876,6 +928,10 @@ class GroupHashTable {
   ///   tail    — finish_window
   /// Any commit word that reaches media implies the phase-1 fence
   /// retired, so the per-cell crash discipline is exactly publish()'s.
+  /// Under kSameLine phase 1 publishes each new cell whole (payload, then
+  /// commit word, one flush) and the phase-1 fence is the only one; a
+  /// duplicate key later in the window re-stages the committed cell's
+  /// value, which a crash may keep or lose like any later op.
   template <bool kCheckExisting>
   usize put_batch_impl(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK(values.size() >= keys.size());
@@ -956,9 +1012,14 @@ class GroupHashTable {
         }
         if (wal_) log_mutation(target);
         const u32 old_digest = crc_ ? cell_digest(target) : 0;
-        target->stage_payload(*pm_, key, value);
+        if (same_line()) {
+          target->publish_same_line(*pm_, key, value);
+        } else {
+          target->stage_payload(*pm_, key, value);
+        }
         // Set the tag NOW so this window's later empty-slot scans skip
-        // the staged cell (its commit word still reads unoccupied).
+        // the staged cell (under kFenced its commit word still reads
+        // unoccupied).
         tag_store(tag_slot(target), tag);
         staged[nstaged++] = Staged{target, key, old_digest};
         consumed++;
@@ -966,10 +1027,12 @@ class GroupHashTable {
       // Window tail: finalize everything staged, even on a full stop.
       if (updates + nstaged > 0) pm_->fence();  // phase-1 stores durable
       if (nstaged > 0) {
-        for (usize s = 0; s < nstaged; ++s) {
-          staged[s].cell->commit_staged(*pm_, staged[s].key);
+        if (!same_line()) {
+          for (usize s = 0; s < nstaged; ++s) {
+            staged[s].cell->commit_staged(*pm_, staged[s].key);
+          }
+          pm_->fence();  // commit words durable
         }
-        pm_->fence();  // commit words durable
         if (crc_) {
           for (usize s = 0; s < nstaged; ++s) {
             deltas.add(crc_slot_of(staged[s].cell),
@@ -987,7 +1050,8 @@ class GroupHashTable {
 
   /// The erase core of erase/erase_batch. Within a window: every hit's
   /// commit word cleared (+flush) → fence → payloads wiped → fence →
-  /// finish_window.
+  /// finish_window. Under kSameLine each hit is cleared and wiped in its
+  /// line with one flush, and the window fences once.
   usize erase_impl(std::span<const key_type> keys, std::span<u8> hits) {
     GH_CHECK(hits.empty() || hits.size() >= keys.size());
     // [0, nvictims) live; not value-initialised (see put_batch_impl).
@@ -1010,15 +1074,23 @@ class GroupHashTable {
         // immediately visible, so a duplicate key later in the window
         // misses — sequential semantics.
         old_digests[nvictims] = crc_ ? cell_digest(c) : 0;
-        c->retract_commit(*pm_);
+        if (same_line()) {
+          c->retract_same_line(*pm_);
+        } else {
+          c->retract_commit(*pm_);
+        }
         tag_store(tag_slot(c), 0);
         victims[nvictims++] = c;
         stats_.erase_hits++;
       }
       if (nvictims > 0) {
-        pm_->fence();  // clears durable before any wipe store issues
-        for (usize v = 0; v < nvictims; ++v) victims[v]->retract_wipe(*pm_);
+        // Clears durable before any wipe store issues (under kSameLine,
+        // each cell cleared and wiped).
         pm_->fence();
+        if (!same_line()) {
+          for (usize v = 0; v < nvictims; ++v) victims[v]->retract_wipe(*pm_);
+          pm_->fence();
+        }
         if (crc_) {
           for (usize v = 0; v < nvictims; ++v) {
             // Final cell content is all-zero (digest 0): delta = old digest.
@@ -1216,6 +1288,7 @@ class GroupHashTable {
   u64 mask_ = 0;
   u32 group_size_ = 0;
   CountMode count_mode_ = CountMode::kEager;
+  CommitOrder commit_order_ = CommitOrder::kFenced;
   AtomicCounter volatile_count_;  ///< exact; shared by concurrent wrappers
   UndoLog<PM>* wal_ = nullptr;
   TableStats stats_;

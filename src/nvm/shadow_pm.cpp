@@ -30,11 +30,22 @@ void ShadowPM::bump_event() {
   events_++;
 }
 
+usize ShadowPM::line_of(const void* addr) {
+  return reinterpret_cast<std::uintptr_t>(addr) / kCachelineSize;
+}
+
 void ShadowPM::mark_dirty(const void* addr, usize n) {
   if (n == 0) return;
   const usize first = word_index(addr);
   const usize last = word_index(static_cast<const std::byte*>(addr) + n - 1);
-  for (usize w = first; w <= last; ++w) dirty_[w / 64] |= 1ull << (w % 64);
+  // A multi-word store is logged word by word, in address order.
+  for (usize w = first; w <= last; ++w) {
+    dirty_[w / 64] |= 1ull << (w % 64);
+    const std::byte* p = live_.data() + w * kAtomicUnit;
+    u64 value = 0;
+    std::memcpy(&value, p, kAtomicUnit);
+    logs_[line_of(p)].stores.emplace_back(w, value);
+  }
 }
 
 void ShadowPM::store_u64(u64* dst, u64 v) {
@@ -90,6 +101,10 @@ void ShadowPM::persist(const void* addr, usize n) {
   for (usize w = off / kAtomicUnit; w < (off + len) / kAtomicUnit; ++w) {
     dirty_[w / 64] &= ~(1ull << (w % 64));
   }
+  // commit_pending() left no snapshot pending, so the logs can go whole.
+  for (const std::byte* p = line_begin(begin); p < end; p += kCachelineSize) {
+    logs_.erase(line_of(p));
+  }
   const u64 lines = lines_spanned(addr, n);
   stats_.lines_flushed += lines;
   stats_.fences++;
@@ -115,6 +130,9 @@ void ShadowPM::flush(const void* addr, usize n) {
     PendingLine line;
     line.offset = static_cast<usize>(p - live_.data());
     line.len = std::min<usize>(kCachelineSize, static_cast<usize>(end - p));
+    if (const auto it = logs_.find(line_of(p)); it != logs_.end()) {
+      line.log_end = it->second.dropped + it->second.stores.size();
+    }
     std::memcpy(line.data.data(), p, line.len);
     pending_.push_back(line);
   }
@@ -144,6 +162,17 @@ void ShadowPM::commit_pending() {
       std::memcpy(&snap_word, line.data.data() + (w * kAtomicUnit - line.offset), kAtomicUnit);
       if (live_word == snap_word) dirty_[w / 64] &= ~(1ull << (w % 64));
     }
+    // The snapshot holds every store logged before it: drop those.
+    if (const auto it = logs_.find(line_of(live_.data() + line.offset)); it != logs_.end()) {
+      LineLog& log = it->second;
+      if (line.log_end > log.dropped) {
+        const auto covered = static_cast<std::ptrdiff_t>(line.log_end - log.dropped);
+        log.stores.erase(log.stores.begin(), log.stores.begin() + covered);
+        log.dropped = line.log_end;
+      }
+      // An empty log means no later snapshot of this line can cover more.
+      if (log.stores.empty()) logs_.erase(it);
+    }
   }
   pending_.clear();
 }
@@ -151,6 +180,18 @@ void ShadowPM::commit_pending() {
 std::vector<std::byte> ShadowPM::materialize_crash_image(CrashMode mode, u64 seed) const {
   std::vector<std::byte> image = shadow_;
   if (mode == CrashMode::kNothingEvicted) return image;
+  if (mode == CrashMode::kLinePrefix) {
+    for (const auto& [line, log] : logs_) {
+      // Seeded per line, so the image does not depend on map order.
+      Xoshiro256 rng(seed ^ (static_cast<u64>(line) * 0x9e3779b97f4a7c15ull));
+      const u64 keep = rng.next_below(log.stores.size() + 1);
+      for (u64 i = 0; i < keep; ++i) {
+        const auto [w, value] = log.stores[i];
+        std::memcpy(image.data() + w * kAtomicUnit, &value, kAtomicUnit);
+      }
+    }
+    return image;
+  }
   Xoshiro256 rng(seed);
   const usize words = live_.size() / kAtomicUnit;
   for (usize w = 0; w < words; ++w) {
@@ -171,6 +212,7 @@ void ShadowPM::reset_to_image(std::span<const std::byte> image) {
   shadow_.assign(image.begin(), image.end());
   std::fill(dirty_.begin(), dirty_.end(), 0);
   pending_.clear();  // a reboot loses in-flight (unfenced) flushes
+  logs_.clear();
   crash_event_ = no_crash();
 }
 

@@ -14,11 +14,19 @@
 // 8-byte atomicity unit) at any moment before the crash. Recovery code is
 // then run against the materialised image and invariants are checked.
 // This is strictly more adversarial than cutting power on real hardware.
+//
+// CrashMode::kLinePrefix is the x86 model instead: stores to one cacheline
+// reach media in program order (Raad et al., "Persistency semantics of the
+// Intel-x86 architecture", POPL 2020), so each line survives as the shadow
+// plus a *prefix* of the 8-byte stores issued to it since its last fenced
+// flush, lines independently. A per-line store log records that order; a
+// fence that retires a flush snapshot drops the entries it covers.
 #pragma once
 
 #include <array>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "nvm/persist.hpp"
@@ -38,6 +46,10 @@ enum class CrashMode {
   kNothingEvicted,  ///< only explicitly persisted data survives
   kAllEvicted,      ///< every dirty word happened to be written back
   kRandomEviction,  ///< each dirty 8-byte word survives with p=1/2 (seeded)
+  /// Each line keeps a seeded random program-order prefix of its unfenced
+  /// stores (x86 in-line persist order); kNothingEvicted and kAllEvicted
+  /// are its two extremes.
+  kLinePrefix,
 };
 
 class ShadowPM {
@@ -88,11 +100,21 @@ class ShadowPM {
   struct PendingLine {
     usize offset = 0;  ///< live-span offset
     usize len = 0;     ///< bytes snapshotted (≤ one line; clamped at span edges)
+    u64 log_end = 0;   ///< the line's store-log position the snapshot covers
     std::array<std::byte, kCachelineSize> data{};
   };
 
+  /// One line's stores since its last durable snapshot, in program order.
+  struct LineLog {
+    u64 dropped = 0;  ///< entries already covered by a committed snapshot
+    std::vector<std::pair<usize, u64>> stores;  ///< (word index, value stored)
+  };
+
   void bump_event();
+  /// Mark the words covering [addr, addr + n) dirty and log them as just
+  /// stored.
   void mark_dirty(const void* addr, usize n);
+  [[nodiscard]] static usize line_of(const void* addr);
   void commit_pending();
   [[nodiscard]] usize word_index(const void* addr) const;
 
@@ -100,6 +122,7 @@ class ShadowPM {
   std::vector<std::byte> shadow_;
   std::vector<u64> dirty_;  // bitmap, one bit per 8-byte word
   std::vector<PendingLine> pending_;  ///< flushed, awaiting a fence
+  std::unordered_map<usize, LineLog> logs_;  ///< keyed by line_of()
   u64 events_ = 0;
   u64 crash_event_ = no_crash();
   PersistStats stats_;

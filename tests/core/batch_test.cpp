@@ -951,5 +951,63 @@ TEST_F(TagCrash, ReopenRebuildsTagsUnderRandomEviction) {
   }
 }
 
+// The durable maps' same-line commit: every crash point of the same
+// script (clear_group's single pass included) under the x86 in-line
+// persist order. A committed cell must still never show a wiped payload.
+class SameLineTagCrash : public TagCrash {
+ protected:
+  static constexpr Table::Params kSameLineParams{.level_cells = 64,
+                                                 .group_size = 16,
+                                                 .zero_memory = true,
+                                                 .count_mode = hash::CountMode::kRecoveryOnly,
+                                                 .commit_order = hash::CommitOrder::kSameLine};
+};
+
+TEST_F(SameLineTagCrash, LinePrefixImagesAtEveryCrashPoint) {
+  nvm::NvmRegion region =
+      nvm::NvmRegion::create_anonymous(Table::required_bytes(kSameLineParams));
+  const std::span<std::byte> mem =
+      region.bytes().first(Table::required_bytes(kSameLineParams));
+  nvm::ShadowPM pm(mem);
+  u64 script_events = 0;
+  {
+    Table t(pm, mem, kSameLineParams, /*format=*/true);
+    const u64 base = pm.event_count();
+    run_script(t);
+    script_events = pm.event_count() - base;
+  }
+  ASSERT_GT(script_events, 100u) << "script too small to be interesting";
+
+  for (u64 crash_at = 1; crash_at < script_events; ++crash_at) {
+    pm.crash_at_event(nvm::ShadowPM::no_crash());
+    Table t(pm, mem, kSameLineParams, /*format=*/true);
+    pm.crash_at_event(pm.event_count() + crash_at);
+    bool crashed = false;
+    try {
+      run_script(t);
+    } catch (const nvm::SimulatedCrash&) {
+      crashed = true;
+    }
+    pm.crash_at_event(nvm::ShadowPM::no_crash());
+    ASSERT_TRUE(crashed) << "crash_at " << crash_at;
+
+    // Every image is drawn before the first reset rewrites the shadow.
+    std::vector<std::vector<std::byte>> images;
+    for (const u64 seed : {1ull, 2ull, 3ull, 4ull}) {
+      images.push_back(
+          pm.materialize_crash_image(nvm::CrashMode::kLinePrefix, crash_at * 31 + seed));
+    }
+    images.push_back(pm.materialize_crash_image(nvm::CrashMode::kNothingEvicted));
+    images.push_back(pm.materialize_crash_image(nvm::CrashMode::kAllEvicted));
+    for (usize i = 0; i < images.size(); ++i) {
+      pm.reset_to_image(images[i]);
+      ASSERT_TRUE(committed_payloads_intact(pm, mem))
+          << "crash_at " << crash_at << " image " << i;
+      ASSERT_TRUE(tags_match_after_reopen(pm, mem, /*recover=*/true))
+          << "crash_at " << crash_at << " image " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gh

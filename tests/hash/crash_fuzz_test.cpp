@@ -21,8 +21,17 @@
 // included. An image without the clean mark must recover to the oracle;
 // an image with it must already hold an exact count and checksums that
 // all verify — the order seal → fence → clean mark is what guarantees it.
+//
+// The same-line cases (`_S`: kRecoveryOnly plus CommitOrder::kSameLine,
+// the durable maps' protocol) run the same sweep under the x86 in-line
+// persist order, CrashMode::kLinePrefix, plus the two extremes. A
+// negative control runs that workload under kRandomEviction, which may
+// persist a line's commit word without its payload, and must find an
+// image that breaks the oracle: the `_S` cases pass because of the
+// in-line order, not because the model is too weak to see a torn cell.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <unordered_map>
 
 #include "hash/any_table.hpp"
@@ -49,7 +58,14 @@ struct FuzzCase {
   /// Group hashing only: CountMode::kRecoveryOnly, sealed + marked clean
   /// at the end of the run, every persistence event a crash point.
   bool recovery_only = false;
+  /// With recovery_only: CommitOrder::kSameLine, crash images drawn from
+  /// CrashMode::kLinePrefix.
+  bool same_line = false;
+  /// Fills the tail padding with zeros: gtest prints the object's bytes
+  /// into the test names, which must not vary from run to run.
+  u8 zero_tail[4] = {};
 };
+static_assert(sizeof(FuzzCase) == 24, "zero_tail must cover the tail padding");
 
 /// Value of the clean-mark word a recovery-only run persists after seal().
 constexpr u64 kCleanMark = 0x636c65616eull;  // "clean"
@@ -64,16 +80,18 @@ using RecoveryOnlyAdapter = detail::TableAdapter<RecoveryOnlyTable<Cell>, Shadow
 /// interface, with make_table's geometry for `cfg`.
 template <class Cell>
 std::unique_ptr<AnyTable<ShadowPM>> make_recovery_only(ShadowPM& pm, std::span<std::byte> mem,
-                                                       const TableConfig& cfg, bool format) {
+                                                       const TableConfig& cfg, bool format,
+                                                       CommitOrder order) {
   using T = RecoveryOnlyTable<Cell>;
   const typename T::Params p{.level_cells = (u64{1} << cfg.total_cells_log2) / 2,
                              .group_size = cfg.group_size,
                              .seed = cfg.seed1,
                              .count_mode = CountMode::kRecoveryOnly,
-                             .group_crc = cfg.group_crc};
+                             .group_crc = cfg.group_crc,
+                             .commit_order = order};
   const auto bytes = mem.first(T::required_bytes(p));
   T table = format ? T(pm, bytes, p, /*format=*/true)
-                   : T::attach(pm, bytes, CountMode::kRecoveryOnly);
+                   : T::attach(pm, bytes, CountMode::kRecoveryOnly, order);
   return std::make_unique<RecoveryOnlyAdapter<Cell>>("group", pm, std::move(table), nullptr);
 }
 
@@ -85,7 +103,7 @@ std::string case_name(const ::testing::TestParamInfo<FuzzCase>& info) {
   name += info.param.with_wal ? "_L" : "";
   name += info.param.wide ? "_W" : "";
   name += info.param.crc ? "_C" : "";
-  name += info.param.recovery_only ? "_R" : "";
+  if (info.param.recovery_only) name += info.param.same_line ? "_S" : "_R";
   name += "_s" + std::to_string(info.param.seed);
   return name;
 }
@@ -107,8 +125,10 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
   std::unique_ptr<AnyTable<ShadowPM>> open_table(ShadowPM& pm, std::span<std::byte> mem,
                                                  bool format) const {
     if (!GetParam().recovery_only) return make_table(pm, mem, config(), format);
-    return GetParam().wide ? make_recovery_only<Cell32>(pm, mem, config(), format)
-                           : make_recovery_only<Cell16>(pm, mem, config(), format);
+    const CommitOrder order =
+        GetParam().same_line ? CommitOrder::kSameLine : CommitOrder::kFenced;
+    return GetParam().wide ? make_recovery_only<Cell32>(pm, mem, config(), format, order)
+                           : make_recovery_only<Cell16>(pm, mem, config(), format, order);
   }
 
   /// Runs fn on the GroupHashTable behind a recovery-only case's table.
@@ -139,6 +159,42 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
   /// full workload wrap the ring and exercise slot invalidation.
   static constexpr u32 kFlightRings = 1;
   static constexpr u32 kFlightSlots = 64;
+
+  /// One region holding the table, the clean-mark word (a cacheline of
+  /// its own after the table) and the flight sidecar.
+  struct Layout {
+    nvm::NvmRegion region;
+    std::span<std::byte> all;
+    std::span<std::byte> mem;
+    u64* clean_mark = nullptr;
+    std::span<std::byte> flight_mem;
+  };
+
+  Layout make_layout() const {
+    const usize bytes = table_required_bytes(config());
+    const usize mark_offset = round_up(bytes, kCachelineSize);
+    const usize table_span = round_up(mark_offset + kCachelineSize, 4096);
+    const usize flight_bytes = obs::flight_required_bytes(kFlightRings, kFlightSlots);
+    Layout l;
+    l.region = nvm::NvmRegion::create_anonymous(table_span + round_up(flight_bytes, 4096));
+    l.all = l.region.bytes();
+    l.mem = l.all.first(round_up(bytes, 8));
+    l.clean_mark = reinterpret_cast<u64*>(l.all.data() + mark_offset);
+    l.flight_mem = l.all.subspan(table_span, flight_bytes);
+    return l;
+  }
+
+  /// The oracle state after the first `completed` ops.
+  static std::unordered_map<u64, u64> oracle_after(const trace::OpTrace& ops,
+                                                   usize completed) {
+    std::unordered_map<u64, u64> oracle;
+    for (usize i = 0; i < completed; ++i) {
+      const trace::TraceOp& op = ops.ops[i];
+      if (op.type == trace::OpType::kInsert) oracle[op.key.lo] = op.value;
+      if (op.type == trace::OpType::kDelete) oracle.erase(op.key.lo);
+    }
+    return oracle;
+  }
 
   RunResult run(ShadowPM& pm, std::span<std::byte> mem, std::span<std::byte> flight_mem,
                 u64* clean_mark, const trace::OpTrace& ops, u64 crash_at) {
@@ -185,17 +241,9 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
 TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
   const trace::OpTrace ops = make_ops();
   const bool recovery_only = GetParam().recovery_only;
-  const usize bytes = table_required_bytes(config());
-  // The clean-mark word gets a cacheline of its own after the table.
-  const usize mark_offset = round_up(bytes, kCachelineSize);
-  const usize table_span = round_up(mark_offset + kCachelineSize, 4096);
-  const usize flight_bytes = obs::flight_required_bytes(kFlightRings, kFlightSlots);
-  nvm::NvmRegion region =
-      nvm::NvmRegion::create_anonymous(table_span + round_up(flight_bytes, 4096));
-  auto all = region.bytes();
-  auto mem = all.first(round_up(bytes, 8));
-  auto* clean_mark = reinterpret_cast<u64*>(all.data() + mark_offset);
-  auto flight_mem = all.subspan(table_span, flight_bytes);
+  const Layout layout = make_layout();
+  const auto [all, mem, clean_mark, flight_mem] =
+      std::tuple(layout.all, layout.mem, layout.clean_mark, layout.flight_mem);
 
   // Dry run: learn the event timeline.
   ShadowPM dry(all);
@@ -215,7 +263,9 @@ TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
   // of the unflushed lines may have been evicted (persisted) before the
   // power died. Sweep several eviction seeds per crash point so a scheme
   // that only survives one lucky eviction order cannot pass.
-  const u64 kEvictionSeeds = recovery_only ? 2 : 8;
+  const u64 kEvictionSeeds = GetParam().same_line ? 4 : recovery_only ? 2 : 8;
+  const CrashMode eviction =
+      GetParam().same_line ? CrashMode::kLinePrefix : CrashMode::kRandomEviction;
   u64 clean_images = 0;
   for (u64 trial = 0; trial < crashes; ++trial) {
     const u64 crash_at =
@@ -227,12 +277,7 @@ TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
     if (!r.crashed) continue;  // crash point fell into formatting; skip
 
     // Oracle: state after the last completed op; the next op is in flight.
-    std::unordered_map<u64, u64> oracle;
-    for (usize i = 0; i < r.ops_completed; ++i) {
-      const trace::TraceOp& op = ops.ops[i];
-      if (op.type == trace::OpType::kInsert) oracle[op.key.lo] = op.value;
-      if (op.type == trace::OpType::kDelete) oracle.erase(op.key.lo);
-    }
+    const std::unordered_map<u64, u64> oracle = oracle_after(ops, r.ops_completed);
     const trace::TraceOp* inflight =
         r.ops_completed < ops.ops.size() ? &ops.ops[r.ops_completed] : nullptr;
 
@@ -241,8 +286,8 @@ TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
     // are derived from.
     std::vector<std::vector<std::byte>> images;
     for (u64 ev = 0; ev < kEvictionSeeds; ++ev) {
-      images.push_back(pm.materialize_crash_image(CrashMode::kRandomEviction,
-                                                  crash_at * 97 + trial * 131 + ev));
+      images.push_back(
+          pm.materialize_crash_image(eviction, crash_at * 97 + trial * 131 + ev));
     }
     if (recovery_only) {
       // The extremes: no unflushed word survived (the count and checksum
@@ -364,8 +409,88 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{Scheme::kGroup, false, 1, false, true, true},
                       FuzzCase{Scheme::kGroup, false, 2, false, true, true},
                       FuzzCase{Scheme::kGroup, false, 1, true, false, true},
-                      FuzzCase{Scheme::kGroup, false, 1, true, true, true}),
+                      FuzzCase{Scheme::kGroup, false, 1, true, true, true},
+                      // Same-line commit (the durable maps' protocol)
+                      // under the in-line prefix model, every crash point.
+                      FuzzCase{Scheme::kGroup, false, 1, false, false, true, true},
+                      FuzzCase{Scheme::kGroup, false, 2, false, false, true, true},
+                      FuzzCase{Scheme::kGroup, false, 1, false, true, true, true},
+                      FuzzCase{Scheme::kGroup, false, 1, true, false, true, true},
+                      FuzzCase{Scheme::kGroup, false, 1, true, true, true, true}),
     case_name);
+
+// ---------------------------------------------------------------------------
+// Negative control: the same-line protocol under arbitrary eviction
+// ---------------------------------------------------------------------------
+
+/// Does the recovered table hold exactly what the oracle allows? Every
+/// committed key with its value; the in-flight op's key before or after
+/// the op. Unlike the sweep above, reports instead of asserting.
+bool matches_oracle(AnyTable<ShadowPM>& table, const std::unordered_map<u64, u64>& oracle,
+                    const trace::TraceOp* inflight) {
+  for (const auto& [k, v] : oracle) {
+    if (inflight != nullptr && inflight->key.lo == k) continue;
+    if (table.find(Key128{k, 0}) != std::optional<u64>(v)) return false;
+  }
+  if (inflight == nullptr) return true;
+  const std::optional<u64> found = table.find(inflight->key);
+  if (!found.has_value()) return inflight->type != trace::OpType::kQuery;
+  const auto it = oracle.find(inflight->key.lo);
+  const bool before = it != oracle.end() && *found == it->second;
+  const bool after = inflight->type == trace::OpType::kInsert && *found == inflight->value;
+  return before || after;
+}
+
+class SameLineNegativeControl : public CrashFuzz {};
+
+/// kRandomEviction may persist a cell's commit word without the payload
+/// stored before it in the same line, which x86 never does. So the `_S`
+/// workload must break the oracle on some image here: a committed cell
+/// with a torn payload. This is what makes the kLinePrefix sweep a test
+/// of the in-line order rather than of nothing.
+TEST_P(SameLineNegativeControl, RandomEvictionBreaksTheOracle) {
+  ASSERT_TRUE(GetParam().recovery_only && GetParam().same_line);
+  const trace::OpTrace ops = make_ops();
+  const Layout layout = make_layout();
+  const auto [all, mem, clean_mark, flight_mem] =
+      std::tuple(layout.all, layout.mem, layout.clean_mark, layout.flight_mem);
+
+  ShadowPM dry(all);
+  const RunResult timeline = run(dry, mem, flight_mem, clean_mark, ops, ShadowPM::no_crash());
+  ASSERT_FALSE(timeline.crashed);
+
+  u64 images_checked = 0;
+  u64 broken = 0;
+  for (u64 crash_at = 1; crash_at < timeline.end_event && broken == 0; ++crash_at) {
+    std::fill(all.begin(), all.end(), std::byte{0});
+    ShadowPM pm(all);
+    const RunResult r = run(pm, mem, flight_mem, clean_mark, ops, crash_at);
+    if (!r.crashed) continue;
+    const std::unordered_map<u64, u64> oracle = oracle_after(ops, r.ops_completed);
+    const trace::TraceOp* inflight =
+        r.ops_completed < ops.ops.size() ? &ops.ops[r.ops_completed] : nullptr;
+    std::vector<std::vector<std::byte>> images;
+    for (u64 ev = 0; ev < 8; ++ev) {
+      images.push_back(
+          pm.materialize_crash_image(CrashMode::kRandomEviction, crash_at * 97 + ev));
+    }
+    for (const auto& image : images) {
+      pm.reset_to_image(image);
+      if (*clean_mark == kCleanMark) continue;
+      auto table = open_table(pm, mem, /*format=*/false);
+      table->recover();
+      images_checked++;
+      if (!matches_oracle(*table, oracle, inflight)) broken++;
+    }
+  }
+  EXPECT_GT(broken, 0u) << "no torn same-line cell in " << images_checked
+                        << " arbitrary-eviction images: the control is vacuous";
+}
+
+INSTANTIATE_TEST_SUITE_P(SameLine, SameLineNegativeControl,
+                         ::testing::Values(FuzzCase{Scheme::kGroup, false, 1, false, false,
+                                                    true, true}),
+                         case_name);
 
 }  // namespace
 }  // namespace gh::hash

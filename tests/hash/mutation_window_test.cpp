@@ -6,9 +6,12 @@
 //     grouped into persist() calls — equals the paper's per-op protocol
 //     (Algorithms 1 and 3) for both cell widths, with and without group
 //     checksums, and equals the matching *_batch call of one key;
-//   * under CountMode::kRecoveryOnly (the durable maps' mode) an op
-//     persists only its cell, checksums add nothing, and seal() costs one
-//     fence plus the count and checksum lines;
+//   * under CountMode::kRecoveryOnly an op persists only its cell,
+//     checksums add nothing, and seal() costs one fence plus the count
+//     and checksum lines;
+//   * under CommitOrder::kSameLine (the durable maps' protocol) an op
+//     flushes its cell's line once and fences once, and a full window of
+//     32 keys fences once;
 //   * an attached undo log runs windows of one, so a batch of n keys
 //     costs exactly n scalar ops;
 //   * only the *_batch entry points count toward batch_ops/batch_keys.
@@ -135,13 +138,32 @@ Traffic expected_recovery_only_traffic(Op op, bool /*crc*/) {
   return {};
 }
 
+/// Same-line commit: the cell's stores share one flush of its line and
+/// the window one fence. Insert: payload, commit word. Erase: commit
+/// word, payload wipe. Update: the value.
+Traffic expected_same_line_traffic(Op op, bool /*crc*/) {
+  switch (op) {
+    case Op::kInsert:
+    case Op::kEraseHit:
+    case Op::kUpdate:
+      return {1, 1};
+    case Op::kEraseMiss:
+      return {0, 0};
+  }
+  return {};
+}
+
 /// Runs one variant of `op` on a table already holding keys 1..8 and
 /// returns the op's own PM traffic.
 template <class Cell>
-Traffic measure(Op op, bool crc, CountMode mode, const Variant<Cell>& variant) {
+Traffic measure(Op op, bool crc, CountMode mode, CommitOrder order,
+                const Variant<Cell>& variant) {
   test::TableFixture<Table<Cell>> fx;
-  Table<Cell>& t = fx.init(typename Table<Cell>::Params{
-      .level_cells = 256, .group_size = 16, .count_mode = mode, .group_crc = crc});
+  Table<Cell>& t = fx.init(typename Table<Cell>::Params{.level_cells = 256,
+                                                        .group_size = 16,
+                                                        .count_mode = mode,
+                                                        .group_crc = crc,
+                                                        .commit_order = order});
   for (u64 i = 1; i <= 8; ++i) EXPECT_TRUE(t.insert(key_of<Cell>(i), i));
   const bool targets_present_key = op == Op::kUpdate || op == Op::kEraseHit;
   const auto key = key_of<Cell>(targets_present_key ? 3 : 100);
@@ -159,21 +181,22 @@ Traffic measure(Op op, bool crc, CountMode mode, const Variant<Cell>& variant) {
 
 class MutationTraffic : public ::testing::TestWithParam<std::tuple<Width, bool, Op>> {
  protected:
-  void check(CountMode mode, Traffic (*expected)(Op, bool)) {
+  void check(CountMode mode, Traffic (*expected)(Op, bool),
+             CommitOrder order = CommitOrder::kFenced) {
     if (std::get<0>(GetParam()) == Width::k16) {
-      check<Cell16>(mode, expected);
+      check<Cell16>(mode, expected, order);
     } else {
-      check<Cell32>(mode, expected);
+      check<Cell32>(mode, expected, order);
     }
   }
 
   template <class Cell>
-  void check(CountMode mode, Traffic (*expected)(Op, bool)) {
+  void check(CountMode mode, Traffic (*expected)(Op, bool), CommitOrder order) {
     const auto [width, crc, op] = GetParam();
     (void)width;
     const Traffic want = expected(op, crc);
     for (const Variant<Cell>& v : variants<Cell>(op)) {
-      EXPECT_EQ(measure<Cell>(op, crc, mode, v), want) << v.name;
+      EXPECT_EQ(measure<Cell>(op, crc, mode, order, v), want) << v.name;
     }
   }
 };
@@ -186,6 +209,12 @@ class RecoveryOnlyTraffic : public MutationTraffic {};
 
 TEST_P(RecoveryOnlyTraffic, OpPersistsOnlyItsCell) {
   check(CountMode::kRecoveryOnly, expected_recovery_only_traffic);
+}
+
+class SameLineTraffic : public MutationTraffic {};
+
+TEST_P(SameLineTraffic, OpFlushesItsLineOnce) {
+  check(CountMode::kRecoveryOnly, expected_same_line_traffic, CommitOrder::kSameLine);
 }
 
 std::string case_name(const ::testing::TestParamInfo<MutationTraffic::ParamType>& info) {
@@ -208,6 +237,101 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Op::kInsert, Op::kUpdate, Op::kEraseHit,
                                          Op::kEraseMiss)),
     case_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    CellsCrcOps, SameLineTraffic,
+    ::testing::Combine(::testing::Values(Width::k16, Width::k32), ::testing::Bool(),
+                       ::testing::Values(Op::kInsert, Op::kUpdate, Op::kEraseHit,
+                                         Op::kEraseMiss)),
+    case_name);
+
+// ---------------------------------------------------------------------------
+// Same-line windows: one fence per window, whatever its size
+// ---------------------------------------------------------------------------
+
+template <class Cell>
+void check_same_line_window(bool crc) {
+  SCOPED_TRACE(std::string(sizeof(Cell) == 16 ? "Cell16" : "Cell32") + (crc ? " crc" : ""));
+  constexpr usize kKeys = Table<Cell>::kBatchWindow;
+  std::vector<typename Cell::key_type> keys;
+  std::vector<u64> values;
+  for (u64 i = 1; i <= kKeys; ++i) {
+    keys.push_back(key_of<Cell>(i));
+    values.push_back(i);
+  }
+  test::TableFixture<Table<Cell>> fx;
+  using Params = typename Table<Cell>::Params;
+  Table<Cell>& t = fx.init(Params{.level_cells = 256,
+                                  .group_size = 16,
+                                  .count_mode = CountMode::kRecoveryOnly,
+                                  .group_crc = crc,
+                                  .commit_order = CommitOrder::kSameLine});
+  const nvm::PersistStats& stats = fx.pm().stats();
+  fx.pm().stats().clear();
+  ASSERT_EQ(t.insert_batch(keys, values), kKeys);
+  EXPECT_EQ(stats.fences, 1u);
+  EXPECT_LE(stats.lines_flushed, kKeys);  // one per cell, none for the words
+
+  fx.pm().stats().clear();
+  for (u64& v : values) v += 100;
+  ASSERT_EQ(t.upsert_batch(keys, values), kKeys);  // every key an update
+  EXPECT_EQ(stats.fences, 1u);
+
+  fx.pm().stats().clear();
+  std::vector<u8> hits(kKeys, 0);
+  ASSERT_EQ(t.erase_batch(keys, hits), kKeys);
+  EXPECT_EQ(stats.fences, 1u);
+  EXPECT_LE(stats.lines_flushed, kKeys);
+  EXPECT_EQ(t.count(), 0u);
+  if (crc) {
+    for (u64 g = 0; g < t.num_groups(); ++g) {
+      EXPECT_TRUE(t.verify_group_checksum(0, g) && t.verify_group_checksum(1, g));
+    }
+  }
+
+  // A resize's group retire: one fence, each touched line flushed once.
+  for (u64 i = 1; i <= kKeys; ++i) ASSERT_TRUE(t.insert(key_of<Cell>(i), i));
+  fx.pm().stats().clear();
+  u64 cleared = 0;
+  for (u64 g = 0; g < t.num_groups(); ++g) cleared += t.clear_group(g);
+  EXPECT_EQ(cleared, kKeys);
+  EXPECT_EQ(stats.fences, t.num_groups());
+  EXPECT_LE(stats.lines_flushed, kKeys);
+  EXPECT_EQ(t.count(), 0u);
+}
+
+TEST(SameLineWindow, FullWindowCostsOneFence) {
+  for (const bool crc : {false, true}) {
+    check_same_line_window<Cell16>(crc);
+    check_same_line_window<Cell32>(crc);
+  }
+}
+
+TEST(SameLineWindowDeathTest, RequiresRecoveryOnlyCountAndNoUndoLog) {
+  using T = Table<Cell16>;
+  EXPECT_DEATH(test::TableFixture<T>{}.init(T::Params{.level_cells = 256,
+                                                      .group_size = 16,
+                                                      .count_mode = CountMode::kEager,
+                                                      .commit_order = CommitOrder::kSameLine}),
+               "kRecoveryOnly");
+  const T::Params params{.level_cells = 256,
+                         .group_size = 16,
+                         .count_mode = CountMode::kRecoveryOnly,
+                         .commit_order = CommitOrder::kSameLine};
+  nvm::DirectPM pm(nvm::PersistConfig::counting_only());
+  nvm::NvmRegion table_mem = nvm::NvmRegion::create_anonymous(T::required_bytes(params));
+  nvm::NvmRegion log_mem =
+      nvm::NvmRegion::create_anonymous(UndoLog<nvm::DirectPM>::required_bytes(64));
+  const auto tracked = table_mem.bytes().first(T::required_bytes(params));
+  T table(pm, tracked, params, /*format=*/true);
+  UndoLog<nvm::DirectPM> wal(pm, log_mem.bytes(), tracked, 64, /*format=*/true);
+  EXPECT_DEATH(table.attach_wal(&wal), "undo log");
+  // Cells that do not start on a line are refused too.
+  nvm::NvmRegion shifted = nvm::NvmRegion::create_anonymous(T::required_bytes(params) + 64);
+  EXPECT_DEATH(T(pm, shifted.bytes().subspan(8, T::required_bytes(params)), params,
+                 /*format=*/true),
+               "line-aligned");
+}
 
 // ---------------------------------------------------------------------------
 // seal(): what makes the recovery-derived words exact before a clean mark

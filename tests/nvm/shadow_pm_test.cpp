@@ -144,5 +144,94 @@ TEST_F(ShadowPMTest, StatsMirrorTraffic) {
   EXPECT_GE(pm_.stats().lines_flushed, 1u);
 }
 
+// --- kLinePrefix: each line keeps a program-order prefix of its stores ---
+
+TEST_F(ShadowPMTest, LinePrefixKeepsOnlyProgramOrderPrefixes) {
+  // Stores A, B, C to one line, in the order C lands between A and B in
+  // address: a prefix is about store order, not address order.
+  pm_.store_u64(word(0), 0xa);
+  pm_.store_u64(word(2), 0xb);
+  pm_.store_u64(word(1), 0xc);
+  bool seen[4] = {};
+  for (u64 seed = 0; seed < 64; ++seed) {
+    const auto img = pm_.materialize_crash_image(CrashMode::kLinePrefix, seed);
+    const bool a = shadow_word(img, 0) == 0xa;
+    const bool b = shadow_word(img, 2) == 0xb;
+    const bool c = shadow_word(img, 1) == 0xc;
+    const int kept = a + b + c;
+    ASSERT_TRUE(kept == 0 || (kept == 1 && a) || (kept == 2 && a && b) || kept == 3)
+        << "seed " << seed << ": not a prefix of A, B, C";
+    seen[kept] = true;
+  }
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_TRUE(seen[k]) << "prefix of length " << k << " never drawn";
+  }
+}
+
+TEST_F(ShadowPMTest, LinePrefixFencedFlushIsDurable) {
+  pm_.store_u64(word(0), 1);
+  pm_.flush(word(0), 8);
+  // Unfenced, the flush guarantees nothing: some image loses the store.
+  bool lost = false;
+  for (u64 seed = 0; seed < 32; ++seed) {
+    lost |= shadow_word(pm_.materialize_crash_image(CrashMode::kLinePrefix, seed), 0) == 0;
+  }
+  EXPECT_TRUE(lost);
+  pm_.fence();
+  pm_.store_u64(word(1), 2);  // after the fence: still a free prefix
+  bool dropped_later = false;
+  for (u64 seed = 0; seed < 32; ++seed) {
+    const auto img = pm_.materialize_crash_image(CrashMode::kLinePrefix, seed);
+    ASSERT_EQ(shadow_word(img, 0), 1u) << "seed " << seed;
+    dropped_later |= shadow_word(img, 1) == 0;
+  }
+  EXPECT_TRUE(dropped_later);
+}
+
+TEST_F(ShadowPMTest, LinePrefixLinesAreIndependent) {
+  pm_.store_u64(word(0), 1);  // line 0
+  pm_.store_u64(word(8), 2);  // line 1, stored after line 0
+  bool only_second = false;
+  bool only_first = false;
+  for (u64 seed = 0; seed < 64; ++seed) {
+    const auto img = pm_.materialize_crash_image(CrashMode::kLinePrefix, seed);
+    only_first |= shadow_word(img, 0) == 1 && shadow_word(img, 8) == 0;
+    only_second |= shadow_word(img, 0) == 0 && shadow_word(img, 8) == 2;
+  }
+  EXPECT_TRUE(only_first);
+  EXPECT_TRUE(only_second) << "a later line's store must be able to persist alone";
+}
+
+TEST_F(ShadowPMTest, LinePrefixExtremesMatchTheOtherModes) {
+  pm_.store_u64(word(0), 1);
+  pm_.store_u64(word(1), 2);
+  pm_.store_u64(word(9), 3);
+  pm_.persist(word(9), 8);  // line 1 durable, its log gone
+  pm_.store_u64(word(3), 4);
+  const auto none = pm_.materialize_crash_image(CrashMode::kNothingEvicted);
+  const auto all = pm_.materialize_crash_image(CrashMode::kAllEvicted);
+  bool saw_none = false;
+  bool saw_all = false;
+  for (u64 seed = 0; seed < 64; ++seed) {
+    const auto img = pm_.materialize_crash_image(CrashMode::kLinePrefix, seed);
+    EXPECT_EQ(shadow_word(img, 9), 3u);
+    saw_none |= img == none;
+    saw_all |= img == all;
+  }
+  EXPECT_TRUE(saw_none);
+  EXPECT_TRUE(saw_all);
+}
+
+TEST_F(ShadowPMTest, ResetToImageClearsLineLogs) {
+  pm_.store_u64(word(0), 42);
+  pm_.store_u64(word(8), 43);
+  const auto img = pm_.materialize_crash_image(CrashMode::kNothingEvicted);
+  pm_.reset_to_image(img);
+  for (u64 seed = 0; seed < 16; ++seed) {
+    EXPECT_EQ(pm_.materialize_crash_image(CrashMode::kLinePrefix, seed), img)
+        << "a store issued before the reboot replayed into seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace gh::nvm
