@@ -14,6 +14,8 @@
 //   fences per op, scalar vs batched put      — the §3.3 coalescing win
 //   concurrent_get_xN                         — read scaling, 1/2/4 threads
 //   recovery                                  — Algorithm 4 wall time
+//   resize / string-map compaction stall      — worst single put, inline
+//                                               drain vs one group per op
 //   service_ycsbc                             — sharded front-end QPS, p99,
 //                                               batched-vs-naive ingest ratio
 //
@@ -27,6 +29,7 @@
 #include "bench_common.hpp"
 #include "core/concurrent_map.hpp"
 #include "core/group_hash_map.hpp"
+#include "core/string_map.hpp"
 #include "hash/tag_probe.hpp"
 #include "obs/span.hpp"
 #include "service/service.hpp"
@@ -276,6 +279,35 @@ int main(int argc, char** argv) {
     metrics.push_back({"resize_max_stall_us", online_us});
     metrics.push_back(
         {"resize_stall_improvement", online_us > 0 ? blocking_us / online_us : 0, "higher"});
+  }
+
+  // --- string-map compaction stall: inline drain vs one group per op ---
+  // A bounded live set under put/erase churn: erased records pile up as
+  // arena garbage until a put finds the arena full and starts a
+  // same-size migration into a fresh arena (a compaction). Every put is
+  // timed; the worst one is the compaction's stall.
+  {
+    const u64 live = smoke ? (1u << 10) : (1u << 14);
+    const auto worst_string_put_us = [&](u32 groups_per_op) {
+      auto smap = PersistentStringMap::create_in_memory(
+          {.map = {.initial_cells = 4 * live,
+                   .flush_latency_ns = 0,
+                   .migrate_groups_per_op = groups_per_op}});
+      double worst_ns = 0;
+      for (u64 i = 0; i < 12 * live; ++i) {
+        if (i >= live) smap.erase("key-" + std::to_string(i - live));
+        const std::string key = "key-" + std::to_string(i);
+        const auto p0 = Clock::now();
+        smap.put(key, i);
+        const auto p1 = Clock::now();
+        worst_ns = std::max(worst_ns, ns_per_op(p0, p1, 1));
+      }
+      GH_CHECK(smap.size() == live && smap.snapshot().lifecycle.compactions > 0);
+      return worst_ns / 1000.0;
+    };
+    metrics.push_back({"string_compact_max_stall_blocking_us",
+                       worst_string_put_us(kDrainAllGroups)});
+    metrics.push_back({"string_compact_max_stall_us", worst_string_put_us(1)});
   }
 
   // --- service front-end (YCSB-C through the sharded ingest path) ---

@@ -9,7 +9,9 @@
 //           compact | quit
 // Keys are arbitrary strings (stored verbatim in the persistent arena and
 // verified on every lookup); values are u64.
+#include <filesystem>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -19,17 +21,24 @@
 int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : "/tmp/kv_store.gh";
 
-  auto map = [&] {
-    try {
-      auto opened = gh::PersistentStringMap::open(path);
-      std::cout << "# opened " << path << " with " << opened.size() << " entries"
-                << (opened.recovered_on_open() ? " (recovered after crash)" : "") << "\n";
-      return opened;
-    } catch (const std::exception&) {
+  // Create only a store that does not exist: one that exists but fails
+  // to open (corrupt, another format version) is left untouched.
+  std::optional<gh::PersistentStringMap> store;
+  try {
+    if (std::filesystem::exists(path)) {
+      store.emplace(gh::PersistentStringMap::open(path));
+      std::cout << "# opened " << path << " with " << store->size() << " entries"
+                << (store->recovered_on_open() ? " (recovered after crash)" : "") << "\n";
+    } else {
+      store.emplace(
+          gh::PersistentStringMap::create(path, {.map = {.initial_cells = 1 << 12}}));
       std::cout << "# created " << path << "\n";
-      return gh::PersistentStringMap::create(path, {.initial_cells = 1 << 12});
     }
-  }();
+  } catch (const std::exception& e) {
+    std::cerr << "kv_store: cannot open " << path << ": " << e.what() << "\n";
+    return 1;
+  }
+  gh::PersistentStringMap& map = *store;
 
   std::string line;
   while (std::getline(std::cin, line)) {

@@ -19,10 +19,13 @@
 // after kMaxOptimisticAttempts failures. Oversized keys
 // (> kMaxOptimisticKeyBytes) skip the optimistic path entirely.
 //
-// Compaction (auto-triggered by put) rebuilds a shard into a fresh
-// region; the old region is retired-but-mapped
-// (StringMapOptions::retain_retired_regions) and a fresh ReadSnapshot is
-// republished, mirroring the expansion protocol of ConcurrentGroupHashMap.
+// A shard resizes (grows or compacts) through the core's migration, so
+// the published ReadSnapshot follows the shard's structure_version()
+// exactly as ConcurrentGroupHashMap's view does: dual (target, old table)
+// while a migration drains, each table with its own arena window, and
+// single otherwise. Retired regions stay mapped
+// (MapOptions::retain_retired_regions), so a stale reader touches only
+// mapped memory and is then rejected by validation.
 #pragma once
 
 #include <atomic>
@@ -92,6 +95,9 @@ class ConcurrentStringMap {
 
   struct ShardState {
     explicit ShardState(const StringMapOptions& options);
+    /// After a mutation: publish a fresh snapshot when the map's
+    /// structure_version moved. Old snapshots are retired, not freed — a
+    /// racing reader may still hold one. Called under the write lock.
     void republish_snapshot_if_moved();
 
     PersistentStringMap map;
@@ -99,9 +105,16 @@ class ConcurrentStringMap {
     std::atomic<const Snapshot*> snapshot{nullptr};
     std::vector<std::unique_ptr<Snapshot>> snapshots;  ///< current + retired
     LockContention contention;
+    u64 published_version = 0;  ///< map.structure_version() of `snapshot`
   };
 
   [[nodiscard]] usize shard_of(std::string_view key) const;
+
+  /// The lock-free read of one shard's keys: every probe under one
+  /// epoch validation, retried up to the attempt budget. False when the
+  /// caller must take the shard lock (contention counted).
+  bool optimistic_get(ShardState& sh, std::span<const std::string_view> keys,
+                      std::span<const Key128> fps, std::span<std::optional<u64>> out);
 
   /// One optimistic probe under an already-validated-stable epoch.
   /// Returns true when `out` holds a trustworthy-if-validated answer;

@@ -5,9 +5,9 @@
 
 namespace gh {
 
-/// A write could not be placed AND the capacity rebuild (expand/compact)
-/// is currently failing — resource exhaustion such as ENOSPC on the
-/// rebuild's temp file or an allocation failure, not data loss. The map
+/// A write could not be placed AND the resize (growth or compaction) is
+/// currently failing — resource exhaustion such as ENOSPC on the
+/// target file or an allocation failure, not data loss. The map
 /// stays fully serviceable: reads are unaffected, writes that fit still
 /// succeed, and the rebuild is retried with capped exponential backoff on
 /// subsequent placement failures, so retrying the failed operation later

@@ -65,19 +65,26 @@ void erase_in(Table& t, std::span<const Key> keys, std::span<u8> hits, bool batc
   if (!hits.empty()) hits[0] = hit ? 1 : 0;
 }
 
+template <class Cell, class Payload>
+constexpr const char* source_name() {
+  if constexpr (!Payload::kInline) return "PersistentStringMap";
+  return sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide";
+}
+
 }  // namespace
 
-template <class Cell>
-struct BasicGroupHashMap<Cell>::Superblock : map_format::Superblock {};
+template <class Cell, class Payload>
+struct BasicGroupHashMap<Cell, Payload>::Superblock : map_format::Superblock {};
 
-template <class Cell>
-typename BasicGroupHashMap<Cell>::Superblock* BasicGroupHashMap<Cell>::superblock() {
+template <class Cell, class Payload>
+auto BasicGroupHashMap<Cell, Payload>::superblock() -> Superblock* {
   return reinterpret_cast<Superblock*>(region_.data());
 }
 
-template <class Cell>
-auto BasicGroupHashMap<Cell>::format_table(const char* suffix, u64 total_cells, u64 group_size,
-                                           u64 seed, bool crc) -> Fresh {
+template <class Cell, class Payload>
+auto BasicGroupHashMap<Cell, Payload>::format_table(const char* suffix, u64 total_cells,
+                                                    u64 group_size, u64 seed, bool crc,
+                                                    usize payload_bytes) -> File {
   const typename Table::Params params{
       .level_cells = total_cells / 2,
       .group_size = static_cast<u32>(std::min<u64>(group_size, total_cells / 2)),
@@ -87,77 +94,103 @@ auto BasicGroupHashMap<Cell>::format_table(const char* suffix, u64 total_cells, 
       .count_mode = hash::CountMode::kRecoveryOnly,
       .group_crc = crc,
       .commit_order = hash::CommitOrder::kSameLine};
+  const usize table_offset = kTableOffset + payload_bytes;
   const usize table_bytes = Table::required_bytes(params);
   nvm::NvmRegion region =
-      path_.empty() ? nvm::NvmRegion::create_anonymous(kTableOffset + table_bytes)
-                    : nvm::NvmRegion::create_file(path_ + suffix, kTableOffset + table_bytes);
-  Table table(*pm_, region.bytes().subspan(kTableOffset, table_bytes), params, /*format=*/true);
+      path_.empty() ? nvm::NvmRegion::create_anonymous(table_offset + table_bytes)
+                    : nvm::NvmRegion::create_file(path_ + suffix, table_offset + table_bytes);
+  Table table(*pm_, region.bytes().subspan(table_offset, table_bytes), params,
+              /*format=*/true);
+  Payload payload(*pm_, region.bytes().subspan(kTableOffset, payload_bytes), /*format=*/true);
   auto* sb = reinterpret_cast<Superblock*>(region.data());
   pm_->store_u64(&sb->magic, kMapMagic);
   pm_->store_u64(&sb->version, kMapVersion);
   pm_->store_u64(&sb->state, kStateDirty);
   pm_->store_u64(&sb->cell_size, sizeof(Cell));
-  pm_->store_u64(&sb->table_offset, kTableOffset);
+  pm_->store_u64(&sb->table_offset, table_offset);
   pm_->store_u64(&sb->table_bytes, table_bytes);
   pm_->store_u64(&sb->group_size, params.group_size);
   pm_->store_u64(&sb->seed, seed);
   pm_->store_u64(&sb->migration, 0);
+  pm_->store_u64(&sb->arena_offset, payload_bytes == 0 ? 0 : kTableOffset);
+  pm_->store_u64(&sb->arena_bytes, payload_bytes);
   pm_->store_u64(&sb->crc, map_format::superblock_crc(*sb));
   pm_->persist(sb, sizeof(map_format::Superblock));
-  return {std::move(region), std::move(table)};
+  return {std::move(region), std::move(table), std::move(payload)};
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::init(bool fresh) {
+template <class Cell, class Payload>
+auto BasicGroupHashMap<Cell, Payload>::attach_file(nvm::NvmRegion region,
+                                                   const std::string& what) -> File {
+  const auto* sb = reinterpret_cast<const Superblock*>(region.data());
+  if (region.size() < kTableOffset || sb->magic != kMapMagic) {
+    throw std::runtime_error(what + " is not a map file");
+  }
+  if (sb->version != kMapVersion) throw std::runtime_error(what + ": unsupported map version");
+  // The same cell width serves GroupHashMapWide and the string map; the
+  // arena tells them apart.
+  if (sb->cell_size != sizeof(Cell) || Payload::kInline != (sb->arena_bytes == 0)) {
+    throw std::runtime_error(what + " was created as a different map type");
+  }
+  // The geometry must checksum before it is trusted: a bit-rot hit on
+  // the superblock fails the open with a typed message instead of
+  // mapping the table at forged bounds.
+  if (sb->crc != map_format::superblock_crc(*sb)) {
+    throw std::runtime_error(what + " superblock is corrupt (checksum mismatch)");
+  }
+  // Bounds validation stays as belt and braces (a *consistently*
+  // re-checksummed forgery still must not index out of range). The
+  // table must also start on a line, as the same-line commit needs.
+  const u64 size = region.size();
+  const auto fits = [size](u64 offset, u64 bytes) {
+    return bytes <= size && offset <= size - bytes;
+  };
+  if (sb->table_offset < kTableOffset + sb->arena_bytes ||
+      sb->table_offset % kCachelineSize != 0 || sb->table_bytes == 0 ||
+      !fits(sb->table_offset, sb->table_bytes) ||
+      (sb->arena_bytes != 0 && sb->arena_offset != kTableOffset)) {
+    throw std::runtime_error(what + " superblock is corrupt (table bounds)");
+  }
+  Table table = Table::attach(*pm_, region.bytes().subspan(sb->table_offset, sb->table_bytes),
+                              hash::CountMode::kRecoveryOnly, hash::CommitOrder::kSameLine);
+  Payload payload(*pm_, region.bytes().subspan(kTableOffset, sb->arena_bytes),
+                  /*format=*/false);
+  return {std::move(region), std::move(table), std::move(payload)};
+}
+
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::init(bool fresh, usize payload_bytes) {
   const MapOptions& options = options_;
   pm_ = std::make_unique<nvm::DirectPM>(
       nvm::PersistConfig{.flush_latency_ns = options.flush_latency_ns});
   recorder_ = std::make_unique<obs::OpRecorder>();
   obs_reg_ = obs::Registration(
-      std::string(sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide") +
-          (path_.empty() ? "(mem)" : ":" + path_),
+      std::string(source_name<Cell, Payload>()) + (path_.empty() ? "(mem)" : ":" + path_),
       recorder_.get());
   live_obs_ = std::make_unique<obs::LiveObs>();
   sinks_.latency = options.record_latency ? recorder_.get() : nullptr;
   sinks_.phases = &live_obs_->phases;
   sinks_.gate.set_shift(options.latency_sample_shift);
   if (fresh) {
-    Fresh f = format_table("", pow2_at_least(std::max<u64>(options.initial_cells, 16)),
-                           pow2_at_least(options.group_size),
-                           options.hash_seed, options.checksum_groups);
+    File f = format_table("", pow2_at_least(std::max<u64>(options.initial_cells, 16)),
+                          pow2_at_least(options.group_size), options.hash_seed,
+                          options.checksum_groups, payload_bytes);
     region_ = std::move(f.region);
     table_.emplace(std::move(f.table));
+    payload_ = std::move(f.payload);
     init_flight(options, fresh);
     return;
   }
-  region_ = nvm::NvmRegion::open_file(path_);
+  nvm::NvmRegion region = nvm::NvmRegion::open_file(path_);
   // The flight sidecar comes up BEFORE recovery so the scan of the
   // previous run's rings is available to the recovery report below.
   init_flight(options, fresh);
-  Superblock* sb = superblock();
-  if (sb->magic != kMapMagic) throw std::runtime_error("not a GroupHashMap file");
-  if (sb->version != kMapVersion) throw std::runtime_error("unsupported map version");
-  if (sb->cell_size != sizeof(Cell)) {
-    throw std::runtime_error("map was created with a different key width");
-  }
-  // The geometry must checksum before it is trusted: a bit-rot hit on
-  // the superblock fails the open with a typed message instead of
-  // mapping the table at forged bounds.
-  if (sb->crc != map_format::superblock_crc(*sb)) {
-    throw std::runtime_error("GroupHashMap superblock is corrupt (checksum mismatch)");
-  }
-  // Bounds validation stays as belt and braces (a *consistently*
-  // re-checksummed forgery still must not index out of range). The
-  // table must also start on a line, as the same-line commit needs.
-  if (sb->table_offset < kTableOffset || sb->table_offset % kCachelineSize != 0 ||
-      sb->table_bytes == 0 || sb->table_bytes > region_.size() ||
-      sb->table_offset > region_.size() - sb->table_bytes) {
-    throw std::runtime_error("GroupHashMap superblock is corrupt (table bounds)");
-  }
-  table_.emplace(Table::attach(*pm_,
-                               region_.bytes().subspan(sb->table_offset, sb->table_bytes),
-                               hash::CountMode::kRecoveryOnly, hash::CommitOrder::kSameLine));
-  if (sb->state == kStateDirty) {
+  File f =
+      attach_file(std::move(region), std::string(source_name<Cell, Payload>()) + " " + path_);
+  region_ = std::move(f.region);
+  table_.emplace(std::move(f.table));
+  payload_ = std::move(f.payload);
+  if (superblock()->state == kStateDirty) {
     open_recovery_ = recover_now();
     recovered_on_open_ = true;
   } else {
@@ -184,8 +217,8 @@ void BasicGroupHashMap<Cell>::init(bool fresh) {
   }
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::verify_at_open(Table& t) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::verify_at_open(Table& t) {
   if (!options_.verify_on_open || !t.checksums_enabled()) return;
   const hash::ScrubReport report = t.scrub_groups(
       0, t.num_groups(), [this](const hash::LostCell& c) { report_loss(c); },
@@ -196,8 +229,8 @@ void BasicGroupHashMap<Cell>::verify_at_open(Table& t) {
   open_scrub_ += report;
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::init_flight(const MapOptions& options, bool fresh) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::init_flight(const MapOptions& options, bool fresh) {
   if constexpr (!obs::kEnabled) return;  // never create a sidecar when compiled out
   if (options.flight_mode == obs::FlightMode::kOff) return;
   const usize need = obs::flight_required_bytes();
@@ -230,63 +263,77 @@ void BasicGroupHashMap<Cell>::init_flight(const MapOptions& options, bool fresh)
   sinks_.flight = flight_.get();
 }
 
-template <class Cell>
-BasicGroupHashMap<Cell> BasicGroupHashMap<Cell>::create(const std::string& path,
-                                                        const MapOptions& options) {
-  BasicGroupHashMap map;
-  map.path_ = path;
-  map.options_ = options;
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::create_at(const std::string& path,
+                                                 const MapOptions& options,
+                                                 usize payload_bytes) {
+  path_ = path;
+  options_ = options;
   // Stale temp files from a crashed resize of a previous map at this
   // path must not survive into the new map's lifetime. (create truncates
   // the main file, so the old cursor that could have made the `.migrate`
   // target authoritative dies with it.)
   nvm::reclaim_orphan(path + kExpandSuffix);
   nvm::reclaim_orphan(path + kMigrateSuffix);
-  map.init(/*fresh=*/true);
+  init(/*fresh=*/true, payload_bytes);
   // Make the creation itself durable: the file's directory entry is not
   // guaranteed to survive a power failure until its parent is fsynced.
   if (!nvm::FaultFs::sync_dir(nvm::parent_dir(path))) {
     throw std::runtime_error("failed to fsync parent directory of " + path);
   }
+}
+
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::open_at(const std::string& path,
+                                               const MapOptions& options) {
+  path_ = path;
+  options_ = options;
+  // A crashed emergency merge can leave a stale temp file behind. It is
+  // never the authoritative copy (only the rename publishes it), so
+  // reclaim it before trusting anything at `path`.
+  if (nvm::reclaim_orphan(path + kExpandSuffix)) orphans_reclaimed_++;
+  init(/*fresh=*/false);
+}
+
+template <class Cell, class Payload>
+BasicGroupHashMap<Cell, Payload> BasicGroupHashMap<Cell, Payload>::create(
+    const std::string& path, const MapOptions& options) {
+  BasicGroupHashMap map;
+  map.create_at(path, options, 0);
   return map;
 }
 
-template <class Cell>
-BasicGroupHashMap<Cell> BasicGroupHashMap<Cell>::create_in_memory(const MapOptions& options) {
+template <class Cell, class Payload>
+BasicGroupHashMap<Cell, Payload> BasicGroupHashMap<Cell, Payload>::create_in_memory(
+    const MapOptions& options) {
   BasicGroupHashMap map;
   map.options_ = options;
   map.init(/*fresh=*/true);
   return map;
 }
 
-template <class Cell>
-BasicGroupHashMap<Cell> BasicGroupHashMap<Cell>::open(const std::string& path,
-                                                      const MapOptions& options) {
+template <class Cell, class Payload>
+BasicGroupHashMap<Cell, Payload> BasicGroupHashMap<Cell, Payload>::open(
+    const std::string& path, const MapOptions& options) {
   BasicGroupHashMap map;
-  map.path_ = path;
-  map.options_ = options;
-  // A crashed emergency merge can leave a stale temp file behind. It is
-  // never the authoritative copy (only the rename publishes it), so
-  // reclaim it before trusting anything at `path`.
-  if (nvm::reclaim_orphan(path + kExpandSuffix)) map.orphans_reclaimed_++;
-  map.init(/*fresh=*/false);
+  map.open_at(path, options);
   return map;
 }
 
-template <class Cell>
-BasicGroupHashMap<Cell>::~BasicGroupHashMap() {
+template <class Cell, class Payload>
+BasicGroupHashMap<Cell, Payload>::~BasicGroupHashMap() {
   if (region_.valid() && !closed_) close();
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::mark_state(u64 state) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::mark_state(u64 state) {
   Superblock* sb = superblock();
   pm_->atomic_store_u64(&sb->state, state);
   pm_->persist(&sb->state, sizeof(u64));
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::close() {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::close() {
   if (!region_.valid() || closed_) return;
   // Every table runs CountMode::kRecoveryOnly: its count and checksum
   // words are exact on media only once sealed, and each seal's fence
@@ -310,11 +357,12 @@ void BasicGroupHashMap<Cell>::close() {
   closed_ = true;
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::abandon() {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::abandon() {
   if (!region_.valid() || closed_) return;
   // No mark_state: the superblock stays dirty, exactly like a crash.
   table_.reset();
+  payload_ = Payload{};
   region_ = nvm::NvmRegion();
   retired_regions_.clear();
   // Same for the migration target: no final sync, no cursor change —
@@ -338,39 +386,45 @@ void BasicGroupHashMap<Cell>::abandon() {
   if (recorder_) recorder_->reset();
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::upsert_keys(std::span<const key_type> keys,
-                                          std::span<const u64> values, bool batch) {
-  // The tables apply a strict prefix and return its length; a short
-  // return means a placement failed, so expand and resubmit the rest.
-  usize done = 0;
-  for (;;) {
-    const auto rest = keys.subspan(done);
-    const auto rest_values = values.subspan(done);
-    if (!mig_table_) {
-      done += upsert_in(table(), rest, rest_values, batch);
-    } else {
-      // New-table-first: readers probe the migration target before the
-      // old table, so the latest values must land there before the
-      // now-stale old copies are dropped. A crash in between leaves
-      // benign duplicates: new-first reads mask them, and re-migration
-      // (or the emergency merge) dedups them.
-      const usize n = upsert_in(*mig_table_, rest, rest_values, batch);
-      if (n > 0) erase_in(table(), rest.first(n), {}, batch);
-      done += n;
-    }
-    if (done == keys.size()) return;
-    if (!options_.auto_expand) throw std::runtime_error("GroupHashMap is full");
-    if (!try_expand()) {
-      throw MapDegradedError("GroupHashMap insert deferred: expansion failing (" +
-                             last_expand_error_ + "); will retry with backoff");
-    }
+template <class Cell, class Payload>
+usize BasicGroupHashMap<Cell, Payload>::place(std::span<const key_type> keys,
+                                              std::span<const u64> values, bool batch) {
+  if (!mig_table_) return upsert_in(table(), keys, values, batch);
+  // New-table-first: readers probe the migration target before the old
+  // table, so the latest values must land there before the now-stale
+  // old copies are dropped. A crash in between leaves benign
+  // duplicates: new-first reads mask them, and re-migration (or the
+  // emergency merge) dedups them.
+  const usize n = upsert_in(*mig_table_, keys, values, batch);
+  if (n > 0) erase_in(table(), keys.first(n), {}, batch);
+  return n;
+}
+
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::make_room(Resize kind, u64 need) {
+  const std::string name = source_name<Cell, Payload>();
+  if (!options_.auto_expand) throw std::runtime_error(name + " is full");
+  if (!try_expand(kind, need)) {
+    throw MapDegradedError(name + " insert deferred: expansion failing (" +
+                           last_expand_error_ + "); will retry with backoff");
   }
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::erase_keys(std::span<const key_type> keys, std::span<u8> hits,
-                                         bool batch) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::upsert_keys(std::span<const key_type> keys,
+                                                   std::span<const u64> values, bool batch) {
+  // The tables apply a strict prefix and return its length; a short
+  // return means a placement failed, so expand and resubmit the rest.
+  for (usize done = 0;;) {
+    done += place(keys.subspan(done), values.subspan(done), batch);
+    if (done == keys.size()) return;
+    make_room(Resize::kGrow);
+  }
+}
+
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::erase_keys(std::span<const key_type> keys,
+                                                  std::span<u8> hits, bool batch) {
   // Old-table copy first: a crash between the two erases then reads as
   // "the erase did not land" (the target still serves the latest value),
   // never as a resurrected stale old copy. A hit in either table counts.
@@ -383,8 +437,8 @@ void BasicGroupHashMap<Cell>::erase_keys(std::span<const key_type> keys, std::sp
   }
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::put(const key_type& key, u64 value) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::put(const key_type& key, u64 value) {
   GH_CHECK_MSG(!closed_, "map is closed");
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
   upsert_keys({&key, 1}, {&value, 1}, /*batch=*/false);
@@ -395,9 +449,9 @@ void BasicGroupHashMap<Cell>::put(const key_type& key, u64 value) {
   help_migrate();
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::get_batch(std::span<const key_type> keys,
-                                        std::span<std::optional<u64>> out) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::get_batch(std::span<const key_type> keys,
+                                                 std::span<std::optional<u64>> out) {
   if (keys.empty()) return;
   obs::OpScope op(sinks_, obs::OpKind::kFind, trace_key(keys[0]));
   if (!mig_table_) {
@@ -422,9 +476,9 @@ void BasicGroupHashMap<Cell>::get_batch(std::span<const key_type> keys,
   }
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::put_batch(std::span<const key_type> keys,
-                                        std::span<const u64> values) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::put_batch(std::span<const key_type> keys,
+                                                 std::span<const u64> values) {
   GH_CHECK_MSG(!closed_, "map is closed");
   GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
   if (keys.empty()) return;
@@ -434,9 +488,9 @@ void BasicGroupHashMap<Cell>::put_batch(std::span<const key_type> keys,
   help_migrate();
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::erase_batch(std::span<const key_type> keys,
-                                          std::span<u8> hits) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::erase_batch(std::span<const key_type> keys,
+                                                   std::span<u8> hits) {
   GH_CHECK_MSG(!closed_, "map is closed");
   if (keys.empty()) return;
   obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(keys[0]));
@@ -445,8 +499,8 @@ void BasicGroupHashMap<Cell>::erase_batch(std::span<const key_type> keys,
   help_migrate();
 }
 
-template <class Cell>
-std::optional<u64> BasicGroupHashMap<Cell>::get(const key_type& key) {
+template <class Cell, class Payload>
+std::optional<u64> BasicGroupHashMap<Cell, Payload>::get(const key_type& key) {
   obs::OpScope op(sinks_, obs::OpKind::kFind, trace_key(key));
   // New-then-old while a migration runs: a key's latest committed value
   // is either only in the target (fresh write / migrated) or only a
@@ -457,13 +511,13 @@ std::optional<u64> BasicGroupHashMap<Cell>::get(const key_type& key) {
   return r;
 }
 
-template <class Cell>
-bool BasicGroupHashMap<Cell>::contains(const key_type& key) {
+template <class Cell, class Payload>
+bool BasicGroupHashMap<Cell, Payload>::contains(const key_type& key) {
   return get(key).has_value();
 }
 
-template <class Cell>
-u64 BasicGroupHashMap<Cell>::increment(const key_type& key, u64 delta) {
+template <class Cell, class Payload>
+u64 BasicGroupHashMap<Cell, Payload>::increment(const key_type& key, u64 delta) {
   GH_CHECK_MSG(!closed_, "map is closed");
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
   // One probe: find the cell, bump its value in place; fall back to an
@@ -490,8 +544,8 @@ u64 BasicGroupHashMap<Cell>::increment(const key_type& key, u64 delta) {
   return next;
 }
 
-template <class Cell>
-bool BasicGroupHashMap<Cell>::erase(const key_type& key) {
+template <class Cell, class Payload>
+bool BasicGroupHashMap<Cell, Payload>::erase(const key_type& key) {
   GH_CHECK_MSG(!closed_, "map is closed");
   obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(key));
   u8 hit = 0;
@@ -501,8 +555,8 @@ bool BasicGroupHashMap<Cell>::erase(const key_type& key) {
   return hit != 0;
 }
 
-template <class Cell>
-hash::RecoveryReport BasicGroupHashMap<Cell>::recover_now() {
+template <class Cell, class Payload>
+hash::RecoveryReport BasicGroupHashMap<Cell, Payload>::recover_now() {
   obs::OpScope op(sinks_, obs::OpKind::kRecover, 0, obs::FlightEdge::kAlways);
   auto report = table().recover();
   // Attach the black box's forensics: how many ops the previous run had
@@ -512,13 +566,13 @@ hash::RecoveryReport BasicGroupHashMap<Cell>::recover_now() {
   return report;
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::report_loss(const hash::LostCell& cell) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::report_loss(const hash::LostCell& cell) {
   if (options_.on_lost_cell) options_.on_lost_cell(cell);
 }
 
-template <class Cell>
-hash::ScrubReport BasicGroupHashMap<Cell>::scrub(u64 max_groups) {
+template <class Cell, class Payload>
+hash::ScrubReport BasicGroupHashMap<Cell, Payload>::scrub(u64 max_groups) {
   hash::ScrubReport report;
   // Mid-resize the cursor walks the old table's groups, then the
   // target's: both hold live cells.
@@ -546,16 +600,16 @@ hash::ScrubReport BasicGroupHashMap<Cell>::scrub(u64 max_groups) {
   return report;
 }
 
-template <class Cell>
-bool BasicGroupHashMap<Cell>::backing_off() {
+template <class Cell, class Payload>
+bool BasicGroupHashMap<Cell, Payload>::backing_off() {
   if (expand_cooldown_ == 0) return false;
   expand_cooldown_--;  // absorb this failure without retrying
   return true;
 }
 
-template <class Cell>
+template <class Cell, class Payload>
 template <class Fn>
-bool BasicGroupHashMap<Cell>::with_backoff(obs::OpKind kind, Fn&& step) {
+bool BasicGroupHashMap<Cell, Payload>::with_backoff(obs::OpKind kind, Fn&& step) {
   try {
     step();
   } catch (const nvm::SimulatedCrash&) {
@@ -582,26 +636,26 @@ bool BasicGroupHashMap<Cell>::with_backoff(obs::OpKind kind, Fn&& step) {
   return true;
 }
 
-template <class Cell>
-bool BasicGroupHashMap<Cell>::try_expand() {
+template <class Cell, class Payload>
+bool BasicGroupHashMap<Cell, Payload>::try_expand(Resize kind, u64 need) {
   if (backing_off()) return false;
-  // A placement failed while a resize is already migrating: there is no
+  // Room ran out while a resize is already migrating: there is no
   // second target to start, so merge both tables now (blocking).
-  if (mig_table_) return with_backoff(obs::OpKind::kExpand, [&] { emergency_expand(); });
-  // One kExpand op spans the start and the inline drain, so
-  // latency.expand is the stall the triggering op sees, and a crash
-  // mid-drain leaves an expand in flight past its publish mark.
-  obs::OpScope op(sinks_, obs::OpKind::kExpand, table().capacity(), obs::FlightEdge::kAlways);
-  if (!with_backoff(obs::OpKind::kExpand, [&] { start_migration(); })) return false;
+  if (mig_table_) return with_backoff(kResizeOp, [&] { emergency_expand(need); });
+  // One resize op spans the start and the inline drain, so its latency
+  // row is the stall the triggering op sees, and a crash mid-drain
+  // leaves a resize in flight past its publish mark.
+  obs::OpScope op(sinks_, kResizeOp, table().capacity(), obs::FlightEdge::kAlways);
+  if (!with_backoff(kResizeOp, [&] { start_migration(kind, need); })) return false;
   op.mark(mig_table_->capacity());
   help_steps_ += do_migrate(options_.migrate_groups_per_op);
   return true;
 }
 
-template <class Cell>
-obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
+template <class Cell, class Payload>
+obs::Snapshot BasicGroupHashMap<Cell, Payload>::snapshot() {
   obs::Snapshot s;
-  s.source = sizeof(Cell) == 16 ? "GroupHashMap" : "GroupHashMapWide";
+  s.source = source_name<Cell, Payload>();
   // Both tables' counters mid-resize; zero once abandon() (a simulated
   // crash) dropped the tables.
   hash::TableStats stats;
@@ -615,8 +669,13 @@ obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
   s.table = obs::TableOpSnapshot::from(stats);
   s.scrub = obs::ScrubSnapshot::from(stats, open_scrub_);
   if (pm_) s.persist = obs::PersistSnapshot::from(pm_->stats());
-  s.lifecycle.expansions = expansions_;
-  s.lifecycle.expand_failures = expand_failures_;
+  if constexpr (Payload::kInline) {
+    s.lifecycle.expansions = expansions_;
+    s.lifecycle.expand_failures = expand_failures_;
+  } else {
+    s.lifecycle.compactions = expansions_;
+    s.lifecycle.compact_failures = expand_failures_;
+  }
   s.lifecycle.recoveries = recoveries_;
   s.lifecycle.orphans_reclaimed = orphans_reclaimed_;
   s.lifecycle.degraded = expand_pending_;
@@ -665,8 +724,8 @@ obs::Snapshot BasicGroupHashMap<Cell>::snapshot() {
 // point; duplicates from a group interrupted between copy and clear are
 // masked by new-table-first reads and skipped by the idempotent re-copy.
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::set_migration_word(u64 word) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::set_migration_word(u64 word) {
   Superblock* sb = superblock();
   pm_->atomic_store_u64(&sb->migration, word);
   pm_->persist(&sb->migration, sizeof(u64));
@@ -675,9 +734,9 @@ void BasicGroupHashMap<Cell>::set_migration_word(u64 word) {
   region_.sync_range(offsetof(map_format::Superblock, migration), sizeof(u64));
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::journal_migration(obs::FlightPhase edge,
-                                                obs::MigrationPhase phase) {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::journal_migration(obs::FlightPhase edge,
+                                                         obs::MigrationPhase phase) {
   if (!flight_) return;
   const u64 mark = obs::encode_migration_mark(phase, mig_cursor_);
   if (edge == obs::FlightPhase::kStart) {
@@ -689,9 +748,10 @@ void BasicGroupHashMap<Cell>::journal_migration(obs::FlightPhase edge,
   }
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::clear_migration_state() {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::clear_migration_state() {
   mig_table_.reset();
+  mig_payload_ = Payload{};
   mig_region_ = nvm::NvmRegion();
   mig_cursor_ = 0;
   mig_total_groups_ = 0;
@@ -700,12 +760,21 @@ void BasicGroupHashMap<Cell>::clear_migration_state() {
   if (live_obs_) live_obs_->set_migration(0, 0, 0);
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::start_migration() {
+template <class Cell, class Payload>
+usize BasicGroupHashMap<Cell, Payload>::target_payload_bytes(u64 need) const {
+  const u64 live = payload_.live_bytes(table()) +
+                   (mig_table_ ? mig_payload_.live_bytes(*mig_table_) : 0);
+  return Payload::target_bytes(live + need,
+                               std::max(payload_.capacity(), mig_payload_.capacity()));
+}
+
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::start_migration(Resize kind, u64 need) {
   GH_CHECK(!mig_table_);
   journal_migration(obs::FlightPhase::kStart, obs::MigrationPhase::kStart);
-  Fresh target = format_table(kMigrateSuffix, 2 * table().capacity(), table().group_size(),
-                              table().seed(), table().checksums_enabled());
+  const u64 cells = kind == Resize::kCompact ? table().capacity() : 2 * table().capacity();
+  File target = format_table(kMigrateSuffix, cells, table().group_size(), table().seed(),
+                             table().checksums_enabled(), target_payload_bytes(need));
   nvm::crash_point("migrate.start.formatted");
   if (!path_.empty()) {
     // The target must be durable (content and directory entry) before the
@@ -718,6 +787,7 @@ void BasicGroupHashMap<Cell>::start_migration() {
   }
   mig_region_ = std::move(target.region);
   mig_table_.emplace(std::move(target.table));
+  mig_payload_ = std::move(target.payload);
   mig_cursor_ = 0;
   mig_marked_cursor_ = 0;
   mig_total_groups_ = table().num_groups();
@@ -729,8 +799,8 @@ void BasicGroupHashMap<Cell>::start_migration() {
   structure_version_++;
 }
 
-template <class Cell>
-bool BasicGroupHashMap<Cell>::migrate_one_group(u64 g) {
+template <class Cell, class Payload>
+bool BasicGroupHashMap<Cell, Payload>::migrate_one_group(u64 g) {
   std::vector<key_type> keys;
   std::vector<u64> values;
   table().for_each_in_group(g, [&](const key_type& k, u64 v) {
@@ -753,11 +823,15 @@ bool BasicGroupHashMap<Cell>::migrate_one_group(u64 g) {
       move_values.push_back(values[i]);
     }
   }
+  if constexpr (!Payload::kInline) {
+    for (u64& v : move_values) {
+      if (!mig_payload_.adopt(v, payload_)) return false;
+    }
+  }
   if (mig_table_->insert_batch(move_keys, move_values) < move_keys.size()) {
-    // The double-sized target cannot place this group's keys
-    // (pathological grouping). The copied-but-not-erased prefix is a
-    // benign duplicate set: new-first reads mask it and the emergency
-    // merge dedups it.
+    // The target cannot place this group's keys (pathological
+    // grouping). The copied-but-not-erased prefix is a benign duplicate
+    // set: new-first reads mask it and the emergency merge dedups it.
     return false;
   }
   nvm::crash_point("migrate.group.copied");
@@ -767,15 +841,18 @@ bool BasicGroupHashMap<Cell>::migrate_one_group(u64 g) {
   return true;
 }
 
-template <class Cell>
-u64 BasicGroupHashMap<Cell>::do_migrate(u64 max_groups) {
+template <class Cell, class Payload>
+u64 BasicGroupHashMap<Cell, Payload>::do_migrate(u64 max_groups) {
   u64 done = 0;
   while (mig_table_ && done < max_groups && mig_cursor_ < mig_total_groups_) {
     if (!migrate_one_group(mig_cursor_)) {
       // Target full: fall back to the blocking merge, with try_expand's
       // backoff semantics — a failing merge leaves the migration armed
-      // and retries later instead of wedging the drain loop.
+      // and retries later instead of wedging the drain loop. The merge
+      // moves every group still owed.
+      const u64 owed = mig_total_groups_ - mig_cursor_;
       if (!try_expand()) break;
+      done += owed;
       continue;  // migration is gone; the loop condition exits
     }
     mig_cursor_++;
@@ -797,8 +874,8 @@ u64 BasicGroupHashMap<Cell>::do_migrate(u64 max_groups) {
   return done;
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::help_migrate() {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::help_migrate() {
   if (!mig_table_ || options_.migrate_groups_per_op == 0) return;
   // When the enclosing data op is phase-collecting, the whole help
   // bracket books under migrate_help (persist/fence inside it are
@@ -811,8 +888,8 @@ void BasicGroupHashMap<Cell>::help_migrate() {
   help_steps_ += do_migrate(options_.migrate_groups_per_op);
 }
 
-template <class Cell>
-u64 BasicGroupHashMap<Cell>::migrate_step(u64 max_groups) {
+template <class Cell, class Payload>
+u64 BasicGroupHashMap<Cell, Payload>::migrate_step(u64 max_groups) {
   GH_CHECK_MSG(!closed_, "map is closed");
   if (!mig_table_ || max_groups == 0) return 0;
   obs::OpScope op(sinks_, obs::OpKind::kMigrate, 0, obs::FlightEdge::kNone);
@@ -821,8 +898,8 @@ u64 BasicGroupHashMap<Cell>::migrate_step(u64 max_groups) {
   return n;
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::finalize_migration() {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::finalize_migration() {
   GH_CHECK(mig_table_);
   GH_CHECK_MSG(table().count() == 0, "finalize with undrained old table");
   journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kFinalize);
@@ -846,6 +923,7 @@ void BasicGroupHashMap<Cell>::finalize_migration() {
   // never go backwards; the resize's own copies count as inserts.
   mig_table_->stats() += table().stats();
   table_.emplace(std::move(*mig_table_));
+  payload_ = std::move(mig_payload_);
   if (options_.retain_retired_regions) {
     retired_regions_.push_back(std::move(region_));
   }
@@ -859,25 +937,28 @@ void BasicGroupHashMap<Cell>::finalize_migration() {
   scrub_cursor_ = 0;  // group numbering changed with the geometry
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::emergency_expand() {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::emergency_expand(u64 need) {
   GH_CHECK(mig_table_);
-  obs::OpScope op(sinks_, obs::OpKind::kExpand, 0, obs::FlightEdge::kNone);
+  obs::OpScope op(sinks_, kResizeOp, 0, obs::FlightEdge::kNone);
   journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kEmergency);
   nvm::crash_point("migrate.emergency");
+  const usize payload_bytes = target_payload_bytes(need);
   for (u64 total = 2 * mig_table_->capacity();; total *= 2) {
-    Fresh merged = format_table(kExpandSuffix, total, table().group_size(), table().seed(),
-                                table().checksums_enabled());
+    File merged = format_table(kExpandSuffix, total, table().group_size(), table().seed(),
+                               table().checksums_enabled(), payload_bytes);
     bool refill_ok = true;
-    mig_table_->for_each([&](const key_type& k, u64 v) {
-      refill_ok = refill_ok && merged.table.insert(k, v);
-    });
     // Old-table cells lose to their migrated copies: a group interrupted
     // between copy and clear holds stale duplicates, and the target's
     // value is the authoritative one.
-    table().for_each([&](const key_type& k, u64 v) {
-      refill_ok = refill_ok && (merged.table.find(k) || merged.table.insert(k, v));
-    });
+    const auto refill = [&](const Table& from, const Payload& from_payload, bool old) {
+      from.for_each([&](const key_type& k, u64 v) {
+        if (!refill_ok || (old && merged.table.find(k))) return;
+        refill_ok = merged.payload.adopt(v, from_payload) && merged.table.insert(k, v);
+      });
+    };
+    refill(*mig_table_, mig_payload_, false);
+    refill(table(), payload_, true);
     if (!refill_ok) {
       // Pathological grouping in the bigger table; double again.
       if (!path_.empty()) nvm::FaultFs::remove(path_ + kExpandSuffix);
@@ -894,6 +975,7 @@ void BasicGroupHashMap<Cell>::emergency_expand() {
     merged.table.stats() += table().stats();
     merged.table.stats() += mig_table_->stats();
     table_.emplace(std::move(merged.table));
+    payload_ = std::move(merged.payload);
     if (options_.retain_retired_regions) {
       retired_regions_.push_back(std::move(region_));
       retired_regions_.push_back(std::move(mig_region_));
@@ -910,8 +992,8 @@ void BasicGroupHashMap<Cell>::emergency_expand() {
   }
 }
 
-template <class Cell>
-void BasicGroupHashMap<Cell>::resume_migration() {
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::resume_migration() {
   const u64 cursor = map_format::migration_word_cursor(superblock()->migration);
   const std::string mig_path = path_ + kMigrateSuffix;
   std::error_code ec;
@@ -921,23 +1003,13 @@ void BasicGroupHashMap<Cell>::resume_migration() {
     // groups below the cursor have no other copy. Refuse, don't guess.
     throw std::runtime_error("GroupHashMap migration target missing: " + mig_path);
   }
-  nvm::NvmRegion mig_region = nvm::NvmRegion::open_file(mig_path);
-  auto* msb = reinterpret_cast<Superblock*>(mig_region.data());
-  if (msb->magic != kMapMagic || msb->version != kMapVersion ||
-      msb->cell_size != sizeof(Cell) ||
-      msb->crc != map_format::superblock_crc(*msb)) {
-    throw std::runtime_error("GroupHashMap migration target is corrupt: " + mig_path);
-  }
-  if (msb->table_offset < kTableOffset || msb->table_offset % kCachelineSize != 0 ||
-      msb->table_bytes == 0 || msb->table_bytes > mig_region.size() ||
-      msb->table_offset > mig_region.size() - msb->table_bytes) {
-    throw std::runtime_error("GroupHashMap migration target is corrupt (table bounds)");
-  }
-  mig_region_ = std::move(mig_region);
-  msb = reinterpret_cast<Superblock*>(mig_region_.data());
-  mig_table_.emplace(Table::attach(
-      *pm_, mig_region_.bytes().subspan(msb->table_offset, msb->table_bytes),
-      hash::CountMode::kRecoveryOnly, hash::CommitOrder::kSameLine));
+  File target = attach_file(nvm::NvmRegion::open_file(mig_path),
+                            std::string(source_name<Cell, Payload>()) + " migration target " +
+                                mig_path);
+  mig_region_ = std::move(target.region);
+  mig_table_.emplace(std::move(target.table));
+  mig_payload_ = std::move(target.payload);
+  auto* msb = reinterpret_cast<Superblock*>(mig_region_.data());
   if (msb->state == kStateDirty) {
     // The target died mid-write just like the main table would have;
     // Algorithm-4 it back to consistency before reads trust it.
@@ -962,14 +1034,14 @@ void BasicGroupHashMap<Cell>::resume_migration() {
   if (mig_cursor_ >= mig_total_groups_) finalize_migration();
 }
 
-template <class Cell>
-bool BasicGroupHashMap<Cell>::debug_verify_tags() const {
+template <class Cell, class Payload>
+bool BasicGroupHashMap<Cell, Payload>::debug_verify_tags() const {
   if (table_ && !table().verify_tags()) return false;
   return !mig_table_ || mig_table_->verify_tags();
 }
 
-template <class Cell>
-bool BasicGroupHashMap<Cell>::debug_verify_group_checksums() const {
+template <class Cell, class Payload>
+bool BasicGroupHashMap<Cell, Payload>::debug_verify_group_checksums() const {
   const auto verify = [](const Table& t) {
     if (!t.checksums_enabled()) return true;
     for (u64 g = 0; g < t.num_groups(); ++g) {
@@ -987,5 +1059,6 @@ bool BasicGroupHashMap<Cell>::debug_verify_group_checksums() const {
 
 template class BasicGroupHashMap<hash::Cell16>;
 template class BasicGroupHashMap<hash::Cell32>;
+template class BasicGroupHashMap<hash::Cell32, ArenaPayload>;
 
 }  // namespace gh

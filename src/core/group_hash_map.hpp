@@ -21,7 +21,12 @@
 //     all at once or a few groups per op (MapOptions::
 //     migrate_groups_per_op); file-backed maps publish it by rename;
 //   * a choice of key widths: GroupHashMap (63-bit integer keys) and
-//     GroupHashMapWide (128-bit keys, e.g. content fingerprints).
+//     GroupHashMapWide (128-bit keys, e.g. content fingerprints);
+//   * a payload policy (core/payload.hpp): values inline in the cells,
+//     or — for PersistentStringMap — records in the file's own arena,
+//     re-appended to the target's arena as a resize moves their cells.
+//     A full arena starts a same-size migration (a compaction), a full
+//     table a double-size one.
 #pragma once
 
 #include <functional>
@@ -33,6 +38,7 @@
 #include <vector>
 
 #include "core/errors.hpp"
+#include "core/payload.hpp"
 #include "hash/cells.hpp"
 #include "hash/group_hashing.hpp"
 #include "nvm/direct_pm.hpp"
@@ -58,8 +64,9 @@ struct MapOptions {
   /// Emulated NVM write latency injected after each cacheline flush.
   /// 0 = run at memory speed (real persistent memory, or no emulation).
   u64 flush_latency_ns = 0;
-  /// Resize (double the table) when an insert finds no free cell instead
-  /// of throwing.
+  /// Resize when an insert finds no room instead of throwing: a double-
+  /// size table when it finds no free cell, and for a string map a
+  /// same-size one with a fresh arena when its arena is full.
   bool auto_expand = true;
   /// Keep the old region mapped (instead of unmapping it) when a resize
   /// retires it. Required by the optimistic concurrent
@@ -117,7 +124,9 @@ struct MapOptions {
   u32 migrate_groups_per_op = kDrainAllGroups;
 };
 
-template <class Cell>
+class PersistentStringMap;
+
+template <class Cell, class Payload = InlinePayload>
 class BasicGroupHashMap {
  public:
   using key_type = typename Cell::key_type;
@@ -314,7 +323,17 @@ class BasicGroupHashMap {
   }
 
  private:
+  // The string map is this core over ArenaPayload plus its record codec
+  // and put window; it drives the core's placement and resize steps.
+  friend class PersistentStringMap;
   struct Superblock;
+  /// What a resize migrates into: a double-size table (a placement
+  /// failed) or a same-size one with a fresh arena (the arena filled).
+  enum class Resize : u8 { kGrow, kCompact };
+  /// Every resize of an arena map rebuilds its arena, so it is timed
+  /// and counted as a compaction; an inline map's resize is an expand.
+  static constexpr obs::OpKind kResizeOp =
+      Payload::kInline ? obs::OpKind::kExpand : obs::OpKind::kCompact;
 
   BasicGroupHashMap() = default;
 
@@ -322,11 +341,12 @@ class BasicGroupHashMap {
   const Table& table() const { return *table_; }
   Superblock* superblock();
   void mark_state(u64 state);
-  /// Grow capacity, degrading gracefully (see with_backoff). Starts a
-  /// migration and drains up to migrate_groups_per_op groups of it, or
-  /// runs the blocking emergency merge when a placement fails while a
-  /// migration is already running.
-  bool try_expand();
+  /// Make room, degrading gracefully (see with_backoff). Starts a
+  /// migration of kind `kind` and drains up to migrate_groups_per_op
+  /// groups of it, or runs the blocking emergency merge when the room
+  /// runs out while a migration is already running. `need` is the
+  /// payload bytes of the record that did not fit.
+  bool try_expand(Resize kind = Resize::kGrow, u64 need = 0);
   /// True (and one failure absorbed) while a failed resize step's backoff
   /// window is open.
   bool backing_off();
@@ -335,33 +355,49 @@ class BasicGroupHashMap {
   /// returns false instead of throwing.
   template <class Fn>
   bool with_backoff(obs::OpKind kind, Fn&& step);
-  struct Fresh {
+  /// One map file: its region, the table in it and its payload.
+  struct File {
     nvm::NvmRegion region;
     Table table;
+    Payload payload;
   };
-  /// Create and format an empty table of `total_cells` cells behind a
-  /// dirty, disarmed superblock: the file `path_ + suffix`, or anonymous
-  /// memory for an in-memory map. Builds new maps and resize targets.
-  Fresh format_table(const char* suffix, u64 total_cells, u64 group_size, u64 seed, bool crc);
+  /// Create and format an empty table of `total_cells` cells (after
+  /// `payload_bytes` of payload) behind a dirty, disarmed superblock: the
+  /// file `path_ + suffix`, or anonymous memory for an in-memory map.
+  /// Builds new maps and resize targets.
+  File format_table(const char* suffix, u64 total_cells, u64 group_size, u64 seed, bool crc,
+                    usize payload_bytes);
+  /// Validate the superblock of a mapped map file (`what` names it in
+  /// errors) and attach its table and payload.
+  File attach_file(nvm::NvmRegion region, const std::string& what);
+  /// Payload bytes of a resize target: Payload::target_bytes over the
+  /// live payload of every table plus `need`.
+  usize target_payload_bytes(u64 need) const;
   /// The upsert core of put/put_batch/increment (each caller holds its
-  /// own OpScope): routes writes new-table-first during a migration so
-  /// readers (which probe new-then-old) always see the latest committed
-  /// value, and expands on a placement failure. `batch` selects the
-  /// tables' counted *_batch entry points over their scalar ones; both
-  /// run the same window code.
+  /// own OpScope): place() and make_room() until every key is placed.
   void upsert_keys(std::span<const key_type> keys, std::span<const u64> values, bool batch);
+  /// One placement pass: routes writes new-table-first during a
+  /// migration so readers (which probe new-then-old) always see the
+  /// latest committed value. Returns the length of the applied prefix.
+  /// `batch` selects the tables' counted *_batch entry points over their
+  /// scalar ones; both run the same window code.
+  usize place(std::span<const key_type> keys, std::span<const u64> values, bool batch);
+  /// After a short place(): resize (see try_expand) or throw — the map is
+  /// full with auto_expand off, or degraded while the resize fails.
+  void make_room(Resize kind, u64 need = 0);
   /// The erase core of erase/erase_batch: old table first, then the
   /// migration target.
   void erase_keys(std::span<const key_type> keys, std::span<u8> hits, bool batch);
 
   // --- Resize state machine (see DESIGN.md, "Resize") ---
   /// Create + durably publish the `.migrate` target and arm the cursor.
-  void start_migration();
-  /// Rehash one source group into the target and clear it from the old
-  /// table. Idempotent (keys already present in the target are skipped),
-  /// so re-running the cursor group after a crash is safe. Returns false
-  /// when the target could not place a key — the caller must fall back
-  /// to the blocking emergency merge.
+  void start_migration(Resize kind, u64 need);
+  /// Rehash one source group into the target — each payload adopted by
+  /// the target file first — and clear it from the old table. Idempotent
+  /// (keys already present in the target are skipped), so re-running the
+  /// cursor group after a crash is safe. Returns false when the target
+  /// could not take a key or its payload — the caller must fall back to
+  /// the blocking emergency merge.
   [[nodiscard]] bool migrate_one_group(u64 g);
   /// Drain up to max_groups groups, advancing the durable cursor after
   /// each, and finalize when the cursor reaches the end.
@@ -373,8 +409,9 @@ class BasicGroupHashMap {
   void finalize_migration();
   /// Blocking escape hatch: merge old + target into one bigger table
   /// (the target filled up mid-migration, or a second capacity miss hit
-  /// while migrating). Clears the migration state.
-  void emergency_expand();
+  /// while migrating), with room for `need` more payload bytes. Clears
+  /// the migration state.
+  void emergency_expand(u64 need = 0);
   /// open()-time continuation of an interrupted migration: attach the
   /// `.migrate` target named by the durable cursor — recovered if dirty,
   /// verified like the old table if clean — then keep draining.
@@ -386,7 +423,11 @@ class BasicGroupHashMap {
   void report_loss(const hash::LostCell& cell);
   /// Verify every group checksum of `t` into open_scrub_ (clean opens).
   void verify_at_open(Table& t);
-  void init(bool fresh);
+  /// Create (payload_bytes of payload) or open the map at path_.
+  void init(bool fresh, usize payload_bytes = 0);
+  /// create()/open() bodies, shared with the string map.
+  void create_at(const std::string& path, const MapOptions& options, usize payload_bytes);
+  void open_at(const std::string& path, const MapOptions& options);
   /// Open/format the `.flight` sidecar and stand up the recorder. Called
   /// by init() BEFORE recovery so the crash forensics of the
   /// previous run are available to the recovery report. Never throws for
@@ -416,6 +457,7 @@ class BasicGroupHashMap {
   // Heap-allocated so the table's pointer to it stays valid across moves.
   std::unique_ptr<nvm::DirectPM> pm_;
   std::optional<Table> table_;
+  [[no_unique_address]] Payload payload_;
   // Heap-allocated like pm_: the registry holds its address across moves.
   std::unique_ptr<obs::OpRecorder> recorder_;
   // Phase attribution + atomic migration-gauge mirrors: the fields a
@@ -440,6 +482,7 @@ class BasicGroupHashMap {
   // migration active.
   nvm::NvmRegion mig_region_;
   std::optional<Table> mig_table_;
+  [[no_unique_address]] Payload mig_payload_;
   u64 mig_cursor_ = 0;
   u64 mig_total_groups_ = 0;
   u64 mig_flight_token_ = 0;

@@ -1,10 +1,12 @@
-// On-NVM file format of a GroupHashMap: the superblock page that precedes
-// the table. Shared by the map implementation (group_hash_map.cpp) and
-// the read-only tooling (inspect.cpp / gh_fsck).
+// On-NVM file format of every durable map (GroupHashMap,
+// GroupHashMapWide and PersistentStringMap): the superblock page that
+// precedes the table. Shared by the map implementation
+// (group_hash_map.cpp) and the read-only tooling (inspect.cpp / gh_fsck).
 //
 // Layout:
-//   [0, 4096)   Superblock (magic, version, clean/dirty state, geometry)
-//   [4096, ...) GroupHashTable (its own 64-byte header + two cell levels)
+//   [0, 4096)                   Superblock (magic, version, state, geometry)
+//   [4096, 4096 + arena_bytes)  record arena (string maps; empty otherwise)
+//   [table_offset, ...)         GroupHashTable (64-byte header + two levels)
 //
 // The superblock carries a CRC32C over its geometry fields so a bit-rot
 // hit on the metadata page fails the open with a typed error instead of
@@ -20,7 +22,7 @@
 namespace gh::map_format {
 
 inline constexpr u64 kMagic = 0x47484d4150303031ull;  // "GHMAP001"
-inline constexpr u64 kVersion = 2;                    // v2: + superblock/group checksums
+inline constexpr u64 kVersion = 3;                    // v3: + per-file record arena
 inline constexpr u64 kStateClean = 0x636c65616eull;  // "clean"
 inline constexpr u64 kStateDirty = 0x6469727479ull;  // "dirty"
 inline constexpr usize kTableOffset = 4096;          // superblock page
@@ -36,6 +38,8 @@ struct Superblock {
   u64 seed;
   u64 crc;        ///< CRC32C of the geometry fields above (state excluded)
   u64 migration;  ///< resize cursor word; 0 = no migration (see below)
+  u64 arena_offset;  ///< record arena (core/payload.hpp); 0 when inline
+  u64 arena_bytes;   ///< 0 for maps whose values live in their cells
 };
 
 // ---------------------------------------------------------------------------
@@ -50,8 +54,7 @@ struct Superblock {
 //
 // The word is NOT covered by superblock_crc (it mutates thousands of
 // times per resize); it is self-validating instead, like `state`. A zero
-// word means "no migration in progress" — which is also what every image
-// written before this field existed reads as, keeping format v2 intact.
+// word means "no migration in progress".
 
 inline constexpr u32 kMigrationActiveBit = 0x8000'0000u;
 
@@ -86,6 +89,8 @@ inline u32 superblock_crc(const Superblock& sb) {
   c = crc32c_update(c, &sb.table_bytes, sizeof(u64));
   c = crc32c_update(c, &sb.group_size, sizeof(u64));
   c = crc32c_update(c, &sb.seed, sizeof(u64));
+  c = crc32c_update(c, &sb.arena_offset, sizeof(u64));
+  c = crc32c_update(c, &sb.arena_bytes, sizeof(u64));
   return ~c;
 }
 

@@ -463,38 +463,10 @@ class GroupHashTable {
   /// under kRecoveryOnly seal() stays their one durable writer (a crash
   /// before it just recovers again).
   RecoveryReport recover() {
-    RecoveryReport report;
-    if (wal_) report.wal_records_rolled_back = wal_->recover();
-    u64 count = 0;
-    for (u64 i = 0; i < level_cells_; ++i) {
-      for (Cell* c : {&tab1_[i], &tab2_[i]}) {
-        report.cells_scanned++;
-        try {
-          pm_->touch_read(c, sizeof(Cell));
-        } catch (const nvm::MediaError&) {
-          report.media_errors++;
-          stats_.media_errors++;
-          stats_.cells_lost++;  // occupancy unknowable — conservative
-          c->scrub(*pm_);
-          report.cells_scrubbed++;
-          continue;
-        }
-        if (!c->occupied()) {
-          if (c->payload_dirty()) {
-            c->scrub(*pm_);
-            report.cells_scrubbed++;
-          }
-        } else {
-          count++;
-        }
-      }
-    }
-    pm_->store_u64(&header_->count, count);
-    if (eager()) pm_->persist(&header_->count, sizeof(u64));
-    volatile_count_ = count;
-    report.recovered_count = count;
-    if (crc_) rebuild_checksums_range(0, level_cells_, *pm_);
-    rebuild_tags(0, level_cells_);
+    const u64 rolled_back = wal_ ? wal_->recover() : 0;
+    RecoveryReport report = recover_slice(0, level_cells_, *pm_);
+    report.wal_records_rolled_back = rolled_back;
+    set_recovered_count(report.recovered_count);
     return report;
   }
 

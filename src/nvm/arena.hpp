@@ -5,8 +5,9 @@
 // committed head, then a single atomic store advances the head over them
 // (and is persisted). A crash can only lose the record being appended;
 // everything below `head` is complete and immutable. No free list —
-// space is reclaimed by rebuilding (see PersistentStringMap::compact),
-// which is also the honest answer for NVM allocators that must avoid
+// space is reclaimed when a resize migration re-appends the reachable
+// records to the target file's fresh arena (core/payload.hpp), which is
+// also the honest answer for NVM allocators that must avoid
 // wear-amplifying in-place reuse.
 //
 // Layout: Header (one cacheline) | data bytes.
@@ -14,6 +15,7 @@
 
 #include <optional>
 #include <span>
+#include <stdexcept>
 
 #include "nvm/persist.hpp"
 #include "util/assert.hpp"
@@ -48,10 +50,9 @@ class PersistentArena {
       pm.store_u64(&header_->capacity, capacity);
       pm.store_u64(&header_->head, 0);
       pm.persist(header_, sizeof(Header));
-    } else {
-      GH_CHECK_MSG(header_->magic == kMagic, "not a persistent arena");
-      GH_CHECK(header_->capacity <= capacity);
-      GH_CHECK_MSG(header_->head <= header_->capacity, "corrupt arena head");
+    } else if (header_->magic != kMagic || header_->capacity > capacity ||
+               header_->head > header_->capacity) {
+      throw std::runtime_error("persistent arena header is corrupt");
     }
   }
 

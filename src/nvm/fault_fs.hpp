@@ -1,5 +1,5 @@
-// FaultFs — a filesystem fault-injection shim for the whole-file rebuild
-// paths (expand()/compact()).
+// FaultFs — a filesystem fault-injection shim for the map files' publish
+// paths (a resize's `.migrate` target and the emergency merge).
 //
 // The ShadowPM crash simulator covers the paper's in-place 8-byte commit
 // protocol, but the map layer also rebuilds whole files (tmp create →

@@ -322,7 +322,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchFuzz, ::testing::Range<u64>(1, 9));
 // ---------------------------------------------------------------------------
 
 TEST(StringBatch, DuplicateKeysAndUpdatesInOneBatch) {
-  auto map = PersistentStringMap::create_in_memory({.initial_cells = 1 << 10});
+  auto map = PersistentStringMap::create_in_memory({.map = {.initial_cells = 1 << 10}});
   map.put("pre", 1);
   const std::vector<std::string_view> keys{"a", "b", "a", "pre", "a"};
   const std::vector<u64> values{10, 20, 11, 2, 12};
@@ -352,7 +352,7 @@ TEST(StringBatch, CompactingPutBatchIsOneTimedInsert) {
   // place re-enter the batch's own window loop after each rebuild, so
   // the whole call stays one insert op with one latency sample.
   auto map = PersistentStringMap::create_in_memory(
-      {.initial_cells = 16, .group_size = 4, .latency_sample_shift = 0});
+      {.map = {.initial_cells = 16, .group_size = 4, .latency_sample_shift = 0}});
   std::vector<std::string> storage;
   for (u64 k = 0; k < 200; ++k) storage.push_back("key-" + std::to_string(k));
   const std::vector<std::string_view> keys(storage.begin(), storage.end());
@@ -369,7 +369,7 @@ TEST(StringBatch, CompactingPutBatchIsOneTimedInsert) {
 }
 
 TEST(StringBatch, ScalarPutAndEraseAreNotBatchCalls) {
-  auto map = PersistentStringMap::create_in_memory({.initial_cells = 1 << 10});
+  auto map = PersistentStringMap::create_in_memory({.map = {.initial_cells = 1 << 10}});
   const obs::TableOpSnapshot before = map.snapshot().table;
   map.put("a", 1);
   map.put("a", 2);
@@ -388,7 +388,7 @@ class StringBatchFuzz : public ::testing::TestWithParam<u64> {};
 TEST_P(StringBatchFuzz, MixedOpsMatchScalarOracle) {
   // Tiny table + arena so put_batch regularly crosses compactions and
   // growth rebuilds mid-run (the re-apply-unconsumed-records path).
-  const StringMapOptions opts{.initial_cells = 256, .group_size = 64};
+  const StringMapOptions opts{.map = {.initial_cells = 256, .group_size = 64}};
   auto batch_map = PersistentStringMap::create_in_memory(opts);
   auto scalar_map = PersistentStringMap::create_in_memory(opts);
 
@@ -535,7 +535,8 @@ TEST(SimdEquivalence, InCellTagFilterMatchesScalarReference) {
 // groups so the filter actually rejects.
 TEST(SimdEquivalence, StringMapInCellTagEveryLevelAgrees) {
   SimdCapGuard guard;
-  auto map = PersistentStringMap::create_in_memory({.initial_cells = 1 << 12, .group_size = 64});
+  auto map = PersistentStringMap::create_in_memory(
+      {.map = {.initial_cells = 1 << 12, .group_size = 64}});
   std::vector<std::string> keys, misses;
   for (int i = 0; i < 2000; ++i) keys.push_back("k" + std::to_string(i));
   for (int i = 0; i < 800; ++i) misses.push_back("m" + std::to_string(i));

@@ -22,6 +22,7 @@
 #include "core/group_hash_map.hpp"
 #include "core/inspect.hpp"
 #include "core/map_format.hpp"
+#include "core/string_map.hpp"
 #include "hash/any_table.hpp"
 #include "hash/cells.hpp"
 #include "hash/group_hashing.hpp"
@@ -45,13 +46,12 @@ std::string temp_path(const std::string& name) {
 }
 
 struct TempFile {
-  explicit TempFile(const std::string& name) : path(temp_path(name)) {
-    std::filesystem::remove(path);
-    std::filesystem::remove(path + ".expand");
-  }
-  ~TempFile() {
-    std::filesystem::remove(path);
-    std::filesystem::remove(path + ".expand");
+  explicit TempFile(const std::string& name) : path(temp_path(name)) { remove_all(); }
+  ~TempFile() { remove_all(); }
+  void remove_all() const {
+    for (const char* suffix : {"", ".expand", ".migrate", ".flight"}) {
+      std::filesystem::remove(path + suffix);
+    }
   }
   std::string path;
 };
@@ -554,6 +554,61 @@ TEST(CorruptionMapWide, AtRestCorruptionDetectedForWideCells) {
   auto map = GroupHashMapWide::open(file.path);
   EXPECT_TRUE(map.corruption_detected_on_open());
   EXPECT_GE(map.open_scrub_report().crc_mismatches, 1u);
+}
+
+TEST(CorruptionStringMap, AtRestBitRotIsContainedNotFatal) {
+  // A string map's value word is a record offset, and a rotted offset
+  // that reached the arena would fail its bounds check and abort the
+  // process. Verify-on-open must catch it first: drop the group, report
+  // its keys, and serve every other key exactly.
+  TempFile file("gh_corrupt_smap.gh");
+  std::unordered_map<std::string, u64> ref;
+  {
+    auto map = PersistentStringMap::create(file.path, {});
+    for (u64 k = 0; k < 200; ++k) {
+      const std::string key = "key-" + std::to_string(k);
+      map.put(key, k * 21 + 1);
+      ref[key] = k * 21 + 1;
+    }
+    map.close();
+  }
+  // Flip bit 30 of the first occupied Cell32's value word, straight in
+  // the file: the offset now points a GiB past the arena head.
+  std::string bytes = read_file(file.path);
+  map_format::Superblock sb;
+  std::memcpy(&sb, bytes.data(), sizeof(sb));
+  const usize cells_end = sb.table_offset + sb.table_bytes;
+  bool flipped = false;
+  for (usize off = sb.table_offset + 64; off + 32 <= cells_end && !flipped; off += 32) {
+    u64 meta;
+    std::memcpy(&meta, bytes.data() + off, sizeof(meta));
+    if (meta & hash::Cell32::kOccupiedBit) {
+      bytes[off + 24 + 3] = static_cast<char>(bytes[off + 24 + 3] ^ 0x40);
+      flipped = true;
+    }
+  }
+  ASSERT_TRUE(flipped);
+  write_file(file.path, bytes);
+
+  std::vector<LostCell> losses;
+  StringMapOptions opts;
+  opts.map.on_lost_cell = [&](const LostCell& c) { losses.push_back(c); };
+  auto map = PersistentStringMap::open(file.path, opts);
+  EXPECT_FALSE(map.recovered_on_open());
+  EXPECT_TRUE(map.corruption_detected_on_open());
+  ASSERT_FALSE(losses.empty());
+  std::set<std::pair<u64, u64>> lost;
+  for (const auto& c : losses) lost.insert({c.key.lo, c.key.hi});
+  for (const auto& [key, v] : ref) {
+    const auto got = map.get(key);
+    if (got.has_value()) {
+      EXPECT_EQ(*got, v) << "silent wrong value for key " << key;
+    } else {
+      const Key128 fp = PersistentStringMap::fingerprint(key);
+      EXPECT_TRUE(lost.contains({fp.lo, fp.hi})) << "key " << key << " vanished unreported";
+    }
+  }
+  EXPECT_EQ(map.size() + losses.size(), ref.size());
 }
 
 // ---------------------------------------------------------------------------

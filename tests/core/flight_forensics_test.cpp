@@ -192,7 +192,7 @@ TEST(FlightForensics, StringMapSidecarAndForensics) {
   cleanup(path);
   {
     auto map = PersistentStringMap::create(
-        path, {.flight_mode = obs::FlightMode::kFull});
+        path, {.map = {.flight_mode = obs::FlightMode::kFull}});
     for (int k = 0; k < 40; ++k) map.put("key" + std::to_string(k), k);
     EXPECT_EQ(fs::exists(path + ".flight"), obs::kEnabled);
     map.abandon();
@@ -204,7 +204,7 @@ TEST(FlightForensics, StringMapSidecarAndForensics) {
   inject_in_flight(path + ".flight", obs::OpKind::kCompact, obs::FlightPhase::kStart,
                    /*seqno=*/1ull << 40, /*key_hash=*/7);
 
-  auto map = PersistentStringMap::open(path, {.flight_mode = obs::FlightMode::kFull});
+  auto map = PersistentStringMap::open(path, {.map = {.flight_mode = obs::FlightMode::kFull}});
   EXPECT_TRUE(map.recovered_on_open());
   const obs::FlightScan& scan = map.flight_scan_on_open();
   ASSERT_TRUE(scan.valid_header);

@@ -1,5 +1,7 @@
 // Crash-at-every-step fuzz for the resize migration, run both drained a
-// group per op and drained inline (the default).
+// group per op and drained inline (the default), against GroupHashMap
+// and against PersistentStringMap growing (table full) and compacting
+// (arena full), whose records move into the target file's arena.
 //
 // The migration's durable steps live in two registries:
 //
@@ -33,6 +35,7 @@
 
 #include "core/group_hash_map.hpp"
 #include "core/map_format.hpp"
+#include "core/string_map.hpp"
 #include "nvm/crash_point.hpp"
 #include "nvm/fault_fs.hpp"
 #include "util/rng.hpp"
@@ -62,6 +65,64 @@ constexpr u32 kDrainModes[] = {1, kDrainAllGroups};
 
 constexpr u64 kOpsPerSeed = 400;
 constexpr u64 kSeeds = 8;
+constexpr u64 kStringSeeds = 3;
+
+/// What a sweep runs against. The string map runs twice: with short
+/// keys its table fills first (a double-size migration), with long keys
+/// its arena does (a same-size compaction into a fresh arena).
+enum class Subject { kGroupHashMap, kStringGrow, kStringCompact };
+
+std::string subject_name(Subject s) {
+  switch (s) {
+    case Subject::kGroupHashMap: return "GroupHashMap";
+    case Subject::kStringGrow: return "PersistentStringMap/grow";
+    case Subject::kStringCompact: return "PersistentStringMap/compact";
+  }
+  return "?";
+}
+
+/// Key `k` as the string map stores it: "k<k>", padded with 'x' so a
+/// record of the compaction subject is ~10x an arena's share per cell.
+std::string string_key(Subject s, u64 k) {
+  return "k" + std::to_string(k) + std::string(s == Subject::kStringCompact ? 200 : 0, 'x');
+}
+
+// The sweep's ops on either map type.
+GroupHashMap create_map(const std::string& path, Subject, u32 per_op, GroupHashMap*) {
+  return GroupHashMap::create(path, migration_options(per_op));
+}
+PersistentStringMap create_map(const std::string& path, Subject, u32 per_op,
+                               PersistentStringMap*) {
+  return PersistentStringMap::create(path, {.map = migration_options(per_op)});
+}
+GroupHashMap open_map(const std::string& path, u32 per_op, GroupHashMap*) {
+  return GroupHashMap::open(path, migration_options(per_op));
+}
+PersistentStringMap open_map(const std::string& path, u32 per_op, PersistentStringMap*) {
+  return PersistentStringMap::open(path, {.map = migration_options(per_op)});
+}
+std::optional<u64> get(GroupHashMap& m, Subject, u64 k) { return m.get(k); }
+std::optional<u64> get(PersistentStringMap& m, Subject s, u64 k) {
+  return m.get(string_key(s, k));
+}
+void put(GroupHashMap& m, Subject, u64 k, u64 v) { m.put(k, v); }
+void put(PersistentStringMap& m, Subject s, u64 k, u64 v) { m.put(string_key(s, k), v); }
+void erase(GroupHashMap& m, Subject, u64 k) { m.erase(k); }
+void erase(PersistentStringMap& m, Subject s, u64 k) { m.erase(string_key(s, k)); }
+void increment(GroupHashMap& m, Subject, u64 k, u64 d) { m.increment(k, d); }
+void increment(PersistentStringMap& m, Subject s, u64 k, u64 d) {
+  put(m, s, k, get(m, s, k).value_or(0) + d);
+}
+template <class Fn>
+void for_each_key(const GroupHashMap& m, Fn&& fn) {
+  m.for_each(fn);
+}
+template <class Fn>
+void for_each_key(const PersistentStringMap& m, Fn&& fn) {
+  m.for_each([&](std::string_view key, u64 v) {
+    fn(std::stoull(std::string(key.substr(1))), v);
+  });
+}
 
 enum class WorkOp { kPut, kErase, kIncrement };
 
@@ -105,27 +166,33 @@ struct RunResult {
   std::map<u64, u64> oracle;        ///< committed ops only
   std::optional<WorkStep> in_flight;  ///< the op the crash interrupted
   bool crashed = false;
+  bool grew = false;       ///< a resize into a bigger table started
+  bool compacted = false;  ///< a same-size resize started
 };
 
 /// Replays the workload for `seed` against a fresh file map at `path`.
 /// Returns the committed-op oracle; when a crash fires, also which op
 /// was in flight.
-RunResult run_workload(const std::string& path, u64 seed, u32 groups_per_op) {
+template <class Map>
+RunResult run_workload(const std::string& path, Subject subject, u64 seed, u32 groups_per_op) {
   RunResult r;
-  std::optional<GroupHashMap> map;
+  std::optional<Map> map;
   try {
-    map.emplace(GroupHashMap::create(path, migration_options(groups_per_op)));
+    map.emplace(create_map(path, subject, groups_per_op, static_cast<Map*>(nullptr)));
   } catch (const nvm::SimulatedCrash&) {
     // Crash during create(): nothing was committed, nothing to verify.
     r.crashed = true;
     return r;
   }
   for (const WorkStep& s : make_workload(seed)) {
+    const bool was_active = map->migration_active();
+    const u64 version = map->structure_version();
+    const u64 capacity = map->capacity();
     try {
       switch (s.op) {
-        case WorkOp::kPut: map->put(s.key, s.value); break;
-        case WorkOp::kErase: map->erase(s.key); break;
-        case WorkOp::kIncrement: map->increment(s.key, s.value); break;
+        case WorkOp::kPut: put(*map, subject, s.key, s.value); break;
+        case WorkOp::kErase: erase(*map, subject, s.key); break;
+        case WorkOp::kIncrement: increment(*map, subject, s.key, s.value); break;
       }
     } catch (const nvm::SimulatedCrash&) {
       r.in_flight = s;
@@ -134,6 +201,13 @@ RunResult run_workload(const std::string& path, u64 seed, u32 groups_per_op) {
       return r;
     }
     apply_to_oracle(r.oracle, s);
+    if (!was_active && map->structure_version() != version) {
+      // A resize started in this op: its target is what the capacity
+      // grew by while it drains, or all of it once drained.
+      const u64 target =
+          map->migration_active() ? map->capacity() - capacity : map->capacity();
+      (target == capacity ? r.compacted : r.grew) = true;
+    }
   }
   map->abandon();  // keep the dirty image: reopen must run recovery
   return r;
@@ -145,7 +219,8 @@ RunResult run_workload(const std::string& path, u64 seed, u32 groups_per_op) {
 /// keys in BOTH tables — a benign duplicate (same value, masked by
 /// new-first reads) — so the exact-cardinality check only applies once
 /// `drained` collapses the image back to one table.
-void verify_against_oracle(GroupHashMap& map, const RunResult& r, bool drained) {
+template <class Map>
+void verify_against_oracle(Map& map, Subject subject, const RunResult& r, bool drained) {
   std::map<u64, u64> expected = r.oracle;
   std::map<u64, u64> with_in_flight = r.oracle;
   if (r.in_flight) apply_to_oracle(with_in_flight, *r.in_flight);
@@ -153,25 +228,23 @@ void verify_against_oracle(GroupHashMap& map, const RunResult& r, bool drained) 
 
   for (const auto& [k, v] : expected) {
     if (r.in_flight && k == in_flight_key) continue;
-    const auto got = map.get(k);
+    const auto got = get(map, subject, k);
     ASSERT_TRUE(got.has_value()) << "lost committed key " << k;
     EXPECT_EQ(*got, v) << "committed key " << k;
   }
   if (r.in_flight) {
     // Either pre-op or post-op state for the interrupted key — only.
-    const auto got = map.get(in_flight_key);
-    const auto pre = expected.count(in_flight_key)
-                         ? std::optional<u64>(expected[in_flight_key])
-                         : std::nullopt;
-    const auto post = with_in_flight.count(in_flight_key)
-                          ? std::optional<u64>(with_in_flight[in_flight_key])
-                          : std::nullopt;
-    EXPECT_TRUE(got == pre || got == post)
+    const auto got = get(map, subject, in_flight_key);
+    const auto holds = [&](const std::map<u64, u64>& state) {
+      const auto it = state.find(in_flight_key);
+      return it == state.end() ? !got.has_value() : got == it->second;
+    };
+    EXPECT_TRUE(holds(expected) || holds(with_in_flight))
         << "in-flight key " << in_flight_key << " is torn: "
         << (got ? std::to_string(*got) : "absent");
   }
   // No resurrected or invented keys either.
-  map.for_each([&](u64 k, u64 v) {
+  for_each_key(map, [&](u64 k, u64 v) {
     if (r.in_flight && k == in_flight_key) return;
     auto it = expected.find(k);
     if (it == expected.end()) {
@@ -188,19 +261,21 @@ void verify_against_oracle(GroupHashMap& map, const RunResult& r, bool drained) 
   }
 }
 
-void run_trial(const std::string& path, const RunResult& r, u32 groups_per_op) {
-  auto map = GroupHashMap::open(path, migration_options(groups_per_op));
+template <class Map>
+void run_trial(const std::string& path, Subject subject, const RunResult& r,
+               u32 groups_per_op) {
+  auto map = open_map(path, groups_per_op, static_cast<Map*>(nullptr));
   // Mid-migration integrity: tags and CRCs of both halves must verify
   // before any further traffic.
   EXPECT_TRUE(map.debug_verify_tags());
   EXPECT_TRUE(map.debug_verify_group_checksums());
-  verify_against_oracle(map, r, /*drained=*/false);
+  verify_against_oracle(map, subject, r, /*drained=*/false);
   // The resumed drain must finish and still hold the oracle.
   while (map.migration_active()) {
     ASSERT_GT(map.migrate_step(~0ull), 0u) << "resumed migration must progress";
   }
   EXPECT_FALSE(fs::exists(path + ".migrate"));
-  verify_against_oracle(map, r, /*drained=*/true);
+  verify_against_oracle(map, subject, r, /*drained=*/true);
   map.close();
 }
 
@@ -211,17 +286,24 @@ void remove_all(const std::string& path) {
   fs::remove(path + ".flight");
 }
 
-TEST(MigrationCrash, CrashAtEveryCrashPointRecoversToOracle) {
-  const std::string path = temp_path("gh_migration_crash_points.gh");
+/// The recorded run of a subject must exercise the resize kind it names.
+void expect_resize_kinds(Subject subject, const RunResult& full) {
+  EXPECT_TRUE(full.grew || subject == Subject::kStringCompact) << subject_name(subject);
+  EXPECT_TRUE(full.compacted || subject != Subject::kStringCompact) << subject_name(subject);
+}
+
+template <class Map>
+void sweep_crash_points(Subject subject, const std::string& path, u64 seeds) {
   for (const u32 per_op : kDrainModes) {
-    for (u64 seed = 0; seed < kSeeds; ++seed) {
+    for (u64 seed = 0; seed < seeds; ++seed) {
       remove_all(path);
       // Record run: count the PM-store crash points this seed hits.
       nvm::TracePointPolicy tracer;
       {
         const nvm::ScopedCrashPoints installed(&tracer);
-        const RunResult full = run_workload(path, seed, per_op);
+        const RunResult full = run_workload<Map>(path, subject, seed, per_op);
         ASSERT_FALSE(full.crashed);
+        expect_resize_kinds(subject, full);
       }
       ASSERT_GT(tracer.trace.size(), 0u)
           << "seed " << seed << " must exercise the migration machinery";
@@ -230,38 +312,45 @@ TEST(MigrationCrash, CrashAtEveryCrashPointRecoversToOracle) {
       ASSERT_TRUE(saw_finalize) << "seed " << seed << " must complete a migration";
 
       for (usize k = 0; k < tracer.trace.size(); ++k) {
-        SCOPED_TRACE("groups/op " + std::to_string(per_op) + ", seed " + std::to_string(seed) +
-                     ", crash at point " + std::to_string(k) + " (" + tracer.trace[k] + ")");
+        SCOPED_TRACE(subject_name(subject) + ", groups/op " + std::to_string(per_op) +
+                     ", seed " + std::to_string(seed) + ", crash at point " +
+                     std::to_string(k) + " (" + tracer.trace[k] + ")");
         remove_all(path);
         nvm::CrashAtPointPolicy policy;
         policy.crash_at = k;
         RunResult r;
         {
           const nvm::ScopedCrashPoints installed(&policy);
-          r = run_workload(path, seed, per_op);
+          r = run_workload<Map>(path, subject, seed, per_op);
         }
         ASSERT_TRUE(r.crashed) << "replay must crash at the recorded point";
-        run_trial(path, r, per_op);
+        run_trial<Map>(path, subject, r, per_op);
       }
     }
   }
   remove_all(path);
 }
 
-TEST(MigrationCrash, CrashAtEveryFsStepRecoversToOracle) {
-  // The filesystem half of the sweep: target publish, every cursor-page
-  // msync, the finalize rename + dir fsync. One seed is enough — the fs
-  // schedule is the same protocol at every occurrence; the per-seed
-  // variety above covers workload shapes.
-  const std::string path = temp_path("gh_migration_crash_fs.gh");
+TEST(MigrationCrash, CrashAtEveryCrashPointRecoversToOracle) {
+  const std::string path = temp_path("gh_migration_crash_points.gh");
+  sweep_crash_points<GroupHashMap>(Subject::kGroupHashMap, path, kSeeds);
+  // Fewer seeds for the string map: its per-trial replay costs more, and
+  // the seeds mostly vary which keys move, not the resize schedule.
+  sweep_crash_points<PersistentStringMap>(Subject::kStringGrow, path, kStringSeeds);
+  sweep_crash_points<PersistentStringMap>(Subject::kStringCompact, path, kStringSeeds);
+}
+
+template <class Map>
+void sweep_fs_steps(Subject subject, const std::string& path) {
   const u64 seed = 1;
   for (const u32 per_op : kDrainModes) {
     remove_all(path);
     nvm::CrashScheduleFs recorder;
     {
       const nvm::ScopedFsPolicy installed(&recorder);
-      const RunResult full = run_workload(path, seed, per_op);
+      const RunResult full = run_workload<Map>(path, subject, seed, per_op);
       ASSERT_FALSE(full.crashed);
+      expect_resize_kinds(subject, full);
     }
     ASSERT_GT(recorder.trace.size(), 0u);
     bool saw_rename = false;
@@ -273,23 +362,34 @@ TEST(MigrationCrash, CrashAtEveryFsStepRecoversToOracle) {
     // Step 0 is the create() of the map file itself — nothing to reopen —
     // so the sweep starts at 1.
     for (usize k = 1; k < recorder.trace.size(); ++k) {
-      SCOPED_TRACE("groups/op " + std::to_string(per_op) + ", crash before fs step " +
-                   std::to_string(k) + " (" + nvm::to_string(recorder.trace[k].op) + " " +
-                   recorder.trace[k].path + ")");
+      SCOPED_TRACE(subject_name(subject) + ", groups/op " + std::to_string(per_op) +
+                   ", crash before fs step " + std::to_string(k) + " (" +
+                   nvm::to_string(recorder.trace[k].op) + " " + recorder.trace[k].path + ")");
       remove_all(path);
       nvm::CrashScheduleFs policy;
       policy.crash_at = k;
       RunResult r;
       {
         const nvm::ScopedFsPolicy installed(&policy);
-        r = run_workload(path, seed, per_op);
+        r = run_workload<Map>(path, subject, seed, per_op);
       }
       ASSERT_TRUE(r.crashed) << "replay must crash at the recorded step";
       if (!r.in_flight && r.oracle.empty()) continue;  // died inside create()
-      run_trial(path, r, per_op);
+      run_trial<Map>(path, subject, r, per_op);
     }
   }
   remove_all(path);
+}
+
+TEST(MigrationCrash, CrashAtEveryFsStepRecoversToOracle) {
+  // The filesystem half of the sweep: target publish, every cursor-page
+  // msync, the finalize rename + dir fsync. One seed is enough — the fs
+  // schedule is the same protocol at every occurrence; the per-seed
+  // variety above covers workload shapes.
+  const std::string path = temp_path("gh_migration_crash_fs.gh");
+  sweep_fs_steps<GroupHashMap>(Subject::kGroupHashMap, path);
+  sweep_fs_steps<PersistentStringMap>(Subject::kStringGrow, path);
+  sweep_fs_steps<PersistentStringMap>(Subject::kStringCompact, path);
 }
 
 TEST(MigrationCrash, TornMigrationTargetIsRejectedNotTrusted) {

@@ -23,8 +23,8 @@ namespace {
 TEST(ObsTorture, StringMapSnapshotUnderWriters) {
   ConcurrentStringMapOptions options;
   options.shards = 8;
-  options.shard_options.initial_cells = 256;  // force compactions mid-run
-  options.shard_options.latency_sample_shift = 0;
+  options.shard_options.map.initial_cells = 256;  // force compactions mid-run
+  options.shard_options.map.latency_sample_shift = 0;
   ConcurrentStringMap map(options);
 
   constexpr int kWriters = 4;

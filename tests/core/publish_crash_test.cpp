@@ -3,9 +3,9 @@
 // A GroupHashMap resize publishes a `.migrate` target (create → msync →
 // fsync(parent dir)), arms and advances a cursor (one msync per group),
 // and finally renames the drained target over the map (msync → rename →
-// fsync(parent dir)). PersistentStringMap::compact() publishes a rebuilt
-// map with: tmp create → write-back (msync) → rename → fsync(parent
-// dir). Those steps live in the filesystem, outside the ShadowPM crash
+// fsync(parent dir)). PersistentStringMap::compact() is the same
+// migration into a same-size target with a fresh arena. Those steps
+// live in the filesystem, outside the ShadowPM crash
 // simulator, so this suite drives them through FaultFs
 // (src/nvm/fault_fs.hpp) instead:
 //
@@ -328,10 +328,12 @@ TEST(PublishCrash, CorruptSuperblockIsRejectedNotTrusted) {
 }
 
 // ---------------------------------------------------------------------------
-// PersistentStringMap::compact()
+// PersistentStringMap::compact(): a same-size migration into a fresh
+// arena, through the resize's own steps (target publish, cursor, finalize
+// rename).
 
 StringMapOptions small_string_options() {
-  return {.initial_cells = 64, .group_size = 8, .flush_latency_ns = 0};
+  return {.map = {.initial_cells = 64, .group_size = 8, .flush_latency_ns = 0}};
 }
 
 std::string sm_key(u64 i) { return "key-" + std::to_string(i); }
@@ -360,34 +362,46 @@ void verify_string_map(PersistentStringMap& map, const std::map<std::string, u64
   }
 }
 
+/// The fs schedule of one compact() of the built map.
+std::vector<nvm::FsStep> record_compaction(const std::string& path) {
+  nvm::CrashScheduleFs recorder;
+  auto map = PersistentStringMap::create(path, small_string_options());
+  build_string_map(map);
+  {
+    const nvm::ScopedFsPolicy installed(&recorder);
+    map.compact();
+  }
+  EXPECT_FALSE(map.migration_active());
+  map.abandon();
+  return recorder.trace;
+}
+
 TEST(PublishCrash, CompactCrashAtEveryStepRecoversToOracle) {
   const std::string path = temp_path("gh_publish_crash_compact.gh");
-  const std::string tmp = path + ".compact";
+  const std::string tmp = path + ".migrate";
   fs::remove(path);
   fs::remove(tmp);
 
-  // Record run: a compaction is exactly one durable publish.
-  nvm::CrashScheduleFs recorder;
-  {
-    auto map = PersistentStringMap::create(path, small_string_options());
-    build_string_map(map);
-    const nvm::ScopedFsPolicy installed(&recorder);
-    map.compact();
-    map.abandon();
-  }
-  const auto schedule = recorder.trace;
-  ASSERT_EQ(schedule.size(), 4u);
+  // Record run: a compaction is one resize — target create, msync and
+  // dir fsync, the cursor arm, one cursor msync per group, then the
+  // finalize msync, rename over the map and dir fsync.
+  const auto schedule = record_compaction(path);
+  ASSERT_GE(schedule.size(), 7u);
   EXPECT_EQ(schedule[0].op, nvm::FsOp::kCreate);
+  EXPECT_EQ(schedule[0].path, tmp);
   EXPECT_EQ(schedule[1].op, nvm::FsOp::kSyncData);
-  EXPECT_EQ(schedule[2].op, nvm::FsOp::kRename);
-  EXPECT_EQ(schedule[3].op, nvm::FsOp::kSyncDir);
-  EXPECT_EQ(schedule[2].path, tmp);
-  EXPECT_EQ(schedule[2].path2, path);
+  EXPECT_EQ(schedule[2].op, nvm::FsOp::kSyncDir);
+  const nvm::FsStep& rename = schedule[schedule.size() - 2];
+  EXPECT_EQ(rename.op, nvm::FsOp::kRename);
+  EXPECT_EQ(rename.path, tmp);
+  EXPECT_EQ(rename.path2, path);
+  EXPECT_EQ(schedule.back().op, nvm::FsOp::kSyncDir);
 
   for (usize k = 0; k < schedule.size(); ++k) {
-    const bool torn_variant_too = schedule[k].op == nvm::FsOp::kSyncData;
+    // A crash before the target's first msync (its cursor not yet armed)
+    // additionally runs a torn-temp-file variant.
     for (const bool torn : {false, true}) {
-      if (torn && !torn_variant_too) continue;
+      if (torn && k != 1) continue;
       SCOPED_TRACE("crash before step " + std::to_string(k) + " (" +
                    nvm::to_string(schedule[k].op) + (torn ? ", torn tmp)" : ")"));
       fs::remove(path);
@@ -409,15 +423,23 @@ TEST(PublishCrash, CompactCrashAtEveryStepRecoversToOracle) {
       }
 
       auto map = PersistentStringMap::open(path, small_string_options());
-      EXPECT_FALSE(fs::exists(tmp)) << "open() must reclaim the orphan";
       EXPECT_TRUE(map.recovered_on_open());
+      // The compaction's publish mark follows the cursor arm (step 3).
       expect_in_flight(map, obs::OpKind::kCompact,
-                       k == 0 ? obs::FlightPhase::kStart : obs::FlightPhase::kPublish);
+                       k <= 3 ? obs::FlightPhase::kStart : obs::FlightPhase::kPublish);
+      // A target that survived the open is live (its cursor was armed);
+      // one whose cursor was never armed was reclaimed.
+      EXPECT_EQ(map.migration_active(), fs::exists(tmp));
+      for (const auto& [key, value] : oracle) EXPECT_EQ(map.get(key), value) << key;
+      while (map.migration_active()) map.migrate_step(~0ull);
+      EXPECT_FALSE(fs::exists(tmp)) << "no resize file may outlive the drain";
       verify_string_map(map, oracle);
 
       // The reopened map keeps working — including a clean compaction.
       map.compact();
       verify_string_map(map, oracle);
+      const auto arena = map.arena_usage();
+      EXPECT_EQ(arena.used, arena.live);
       EXPECT_FALSE(fs::exists(tmp));
       map.close();
     }
@@ -427,36 +449,48 @@ TEST(PublishCrash, CompactCrashAtEveryStepRecoversToOracle) {
 }
 
 TEST(PublishCrash, CompactRenameFailureCleansTempAndKeepsMapUsable) {
+  // A failed finalize rename (the process survives) must not throw away
+  // the drained `.migrate` target: the map degrades, keeps serving from
+  // the split image, and the next compact() publishes it.
   const std::string path = temp_path("gh_publish_fail_compact.gh");
-  const std::string tmp = path + ".compact";
+  const std::string tmp = path + ".migrate";
   fs::remove(path);
   fs::remove(tmp);
+  const auto schedule = record_compaction(path);
+  usize rename = 0;
+  while (schedule[rename].op != nvm::FsOp::kRename) rename++;
 
+  fs::remove(path);
+  fs::remove(tmp);
   auto map = PersistentStringMap::create(path, small_string_options());
   const auto oracle = build_string_map(map);
   {
     nvm::CrashScheduleFs policy;
-    policy.fail_at = 2;  // the kRename step of the single publish
+    policy.fail_at = rename;
     const nvm::ScopedFsPolicy installed(&policy);
-    try {
-      map.compact();
-      FAIL() << "compact() must surface the rename failure";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("publish compacted"), std::string::npos)
-          << e.what();
-    }
+    map.compact();
   }
-  EXPECT_FALSE(fs::exists(tmp)) << "failed publish must not leak the temp file";
+  EXPECT_TRUE(map.degraded());
+  EXPECT_NE(map.last_expand_error().find("publish migrated"), std::string::npos)
+      << map.last_expand_error();
+  EXPECT_EQ(map.snapshot().lifecycle.compact_failures, 1u);
+  EXPECT_TRUE(map.migration_active());
   verify_string_map(map, oracle);
-  map.compact();  // fault gone: the retry succeeds
+  map.compact();  // fault gone: the retry publishes the drained target
+  EXPECT_FALSE(map.degraded());
+  EXPECT_FALSE(map.migration_active());
+  EXPECT_FALSE(fs::exists(tmp)) << "the retried publish must not leak the temp file";
   verify_string_map(map, oracle);
   map.close();
   fs::remove(path);
+  fs::remove(path + ".flight");
 }
 
 TEST(PublishCrash, StringMapOpenReclaimsStaleCompactOrphan) {
+  // A compaction target whose start crashed before the cursor arm is
+  // never authoritative: open() reclaims it.
   const std::string path = temp_path("gh_orphan_compact.gh");
-  const std::string tmp = path + ".compact";
+  const std::string tmp = path + ".migrate";
   fs::remove(path);
   fs::remove(tmp);
   std::map<std::string, u64> oracle;
@@ -474,6 +508,7 @@ TEST(PublishCrash, StringMapOpenReclaimsStaleCompactOrphan) {
     map.close();
   }
   fs::remove(path);
+  fs::remove(path + ".flight");
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ TEST(SnapshotApi, CountersSurviveExpansion) {
 TEST(SnapshotApi, StringMapCountersSurviveCompaction) {
   // Regression: PersistentStringMap::rebuild() used to reset table stats.
   auto map = PersistentStringMap::create_in_memory(
-      {.initial_cells = 256, .arena_bytes_per_cell = 32, .latency_sample_shift = 0});
+      {.map = {.initial_cells = 256, .latency_sample_shift = 0}, .arena_bytes_per_cell = 32});
   u64 n = 0;
   while (map.snapshot().lifecycle.compactions == 0) {
     ++n;
@@ -130,7 +130,7 @@ TEST(SnapshotApi, AbandonResetsCoherentlyAndStaysSafe) {
 }
 
 TEST(SnapshotApi, StringMapAbandonResets) {
-  auto map = PersistentStringMap::create_in_memory({.latency_sample_shift = 0});
+  auto map = PersistentStringMap::create_in_memory({.map = {.latency_sample_shift = 0}});
   map.put("a", 1);
   map.put("b", 2);
   map.abandon();

@@ -80,7 +80,7 @@ TEST(StringMapCrashFuzz, SurvivesWithCompactionsInTheMix) {
   // and the final abandoned region is a compacted one.
   for (u64 seed = 100; seed <= 110; ++seed) {
     run_crash_trial(seed, /*ops=*/1500,
-                    {.initial_cells = 64, .arena_bytes_per_cell = 32});
+                    {.map = {.initial_cells = 64}, .arena_bytes_per_cell = 32});
   }
 }
 

@@ -70,7 +70,7 @@ TEST(StringMap, SimilarKeysDoNotAlias) {
 }
 
 TEST(StringMap, OracleChurn) {
-  auto map = PersistentStringMap::create_in_memory({.initial_cells = 1 << 12});
+  auto map = PersistentStringMap::create_in_memory({.map = {.initial_cells = 1 << 12}});
   std::unordered_map<std::string, u64> oracle;
   Xoshiro256 rng(5);
   for (int step = 0; step < 5000; ++step) {
@@ -109,7 +109,7 @@ TEST(StringMap, ForEachVisitsEverything) {
 }
 
 TEST(StringMap, CompactionReclaimsGarbage) {
-  auto map = PersistentStringMap::create_in_memory({.initial_cells = 1 << 10});
+  auto map = PersistentStringMap::create_in_memory({.map = {.initial_cells = 1 << 10}});
   // Create garbage: insert+erase cycles leave orphaned records.
   for (int round = 0; round < 20; ++round) {
     for (int i = 0; i < 100; ++i) {
@@ -131,7 +131,7 @@ TEST(StringMap, CompactionReclaimsGarbage) {
 
 TEST(StringMap, AutoGrowsBeyondInitialCapacity) {
   auto map = PersistentStringMap::create_in_memory(
-      {.initial_cells = 64, .arena_bytes_per_cell = 16});
+      {.map = {.initial_cells = 64}, .arena_bytes_per_cell = 16});
   for (int i = 0; i < 2000; ++i) {
     map.put("grow-key-" + std::to_string(i), static_cast<u64>(i));
   }
@@ -195,7 +195,7 @@ TEST(StringMap, CompactionOfFileBackedMapSurvivesReopen) {
   const std::string path = temp_path("gh_string_map_compact.gh");
   std::filesystem::remove(path);
   {
-    auto map = PersistentStringMap::create(path, {.initial_cells = 64});
+    auto map = PersistentStringMap::create(path, {.map = {.initial_cells = 64}});
     for (int i = 0; i < 500; ++i) map.put("file-grow-" + std::to_string(i), i);
     EXPECT_GT(map.snapshot().lifecycle.compactions, 0u);
     map.close();
