@@ -12,6 +12,8 @@
 //   insert / query-hit / query-miss / delete  — scalar ns/op
 //   batch_get / batch_put / batch_erase       — batched ns/op + speedups
 //   fences per op, scalar vs batched put      — the §3.3 coalescing win
+//   lines per batched put, and per key an     — same-line windows flush
+//     inline resize drain moves                  each dirty line once
 //   concurrent_get_xN                         — read scaling, 1/2/4 threads
 //   recovery                                  — Algorithm 4 wall time
 //   resize / string-map compaction stall      — worst single put, inline
@@ -177,6 +179,7 @@ int main(int argc, char** argv) {
 
   auto bmap = GroupHashMap::create_in_memory(opts);
   fences0 = bmap.snapshot().persist.fences;
+  const u64 batch_lines0 = bmap.snapshot().persist.lines_flushed;
   t0 = Clock::now();
   for (u64 i = 0; i < nkeys; i += batch) {
     const usize n = std::min<usize>(batch, nkeys - i);
@@ -189,6 +192,9 @@ int main(int argc, char** argv) {
       static_cast<double>(nkeys);
   metrics.push_back({"batch_put_ns_per_op", batch_put_ns});
   metrics.push_back({"batch_put_fences_per_op", batch_put_fences});
+  metrics.push_back({"batch_put_lines_per_op",
+                     static_cast<double>(bmap.snapshot().persist.lines_flushed - batch_lines0) /
+                         static_cast<double>(nkeys)});
   metrics.push_back({"batch_put_fence_reduction", insert_fences / batch_put_fences, "higher"});
 
   t0 = Clock::now();
@@ -279,6 +285,30 @@ int main(int argc, char** argv) {
     metrics.push_back({"resize_max_stall_us", online_us});
     metrics.push_back(
         {"resize_stall_improvement", online_us > 0 ? blocking_us / online_us : 0, "higher"});
+  }
+
+  // --- migration write cost: lines flushed per key an inline drain moves ---
+  // Same undersized ingest as above, untimed. Only the puts that resize
+  // count: their flushes are the group copies and clears, the cursor
+  // words, the target's format, and the put's own cell.
+  {
+    const u64 rkeys = smoke ? (1u << 14) : (1u << 18);
+    MapOptions ropts;
+    ropts.initial_cells = 1024;
+    ropts.flush_latency_ns = 0;
+    auto rmap = GroupHashMap::create_in_memory(ropts);
+    const nvm::PersistStats& pstats = rmap.raw_table().pm().stats();
+    u64 drain_lines = 0;
+    for (u64 i = 0; i < rkeys; ++i) {
+      const u64 version = rmap.structure_version();
+      const u64 lines = pstats.lines_flushed;
+      rmap.put(keys[i], values[i]);
+      if (rmap.structure_version() != version) drain_lines += pstats.lines_flushed - lines;
+    }
+    const u64 moved = rmap.snapshot().migration.keys_migrated;
+    GH_CHECK(moved > 0);
+    metrics.push_back(
+        {"migrate_lines_per_key", static_cast<double>(drain_lines) / static_cast<double>(moved)});
   }
 
   // --- string-map compaction stall: inline drain vs one group per op ---

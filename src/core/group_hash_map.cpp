@@ -813,15 +813,30 @@ bool BasicGroupHashMap<Cell, Payload>::migrate_one_group(u64 g) {
   // only keys the target does not hold yet are moved.
   std::vector<std::optional<u64>> present(keys.size());
   mig_table_->find_batch(keys, present);
+  // Copy in target-slot order, so each insert window writes neighbouring
+  // target cells and flushes each of their lines once. The sort is stable
+  // and level-1 cells are visited first, so a key that owns its level-1
+  // slot still precedes every key competing for that slot in the target
+  // (they all share its old slot) and keeps it.
+  struct Move {
+    u64 home;
+    key_type key;
+    u64 value;
+  };
+  std::vector<Move> moves;
+  moves.reserve(keys.size());
+  for (usize i = 0; i < keys.size(); ++i) {
+    if (!present[i]) moves.push_back({mig_table_->home_index(keys[i]), keys[i], values[i]});
+  }
+  std::stable_sort(moves.begin(), moves.end(),
+                   [](const Move& a, const Move& b) { return a.home < b.home; });
   std::vector<key_type> move_keys;
   std::vector<u64> move_values;
-  move_keys.reserve(keys.size());
-  move_values.reserve(keys.size());
-  for (usize i = 0; i < keys.size(); ++i) {
-    if (!present[i]) {
-      move_keys.push_back(keys[i]);
-      move_values.push_back(values[i]);
-    }
+  move_keys.reserve(moves.size());
+  move_values.reserve(moves.size());
+  for (const Move& m : moves) {
+    move_keys.push_back(m.key);
+    move_values.push_back(m.value);
   }
   if constexpr (!Payload::kInline) {
     for (u64& v : move_values) {
@@ -837,7 +852,7 @@ bool BasicGroupHashMap<Cell, Payload>::migrate_one_group(u64 g) {
   nvm::crash_point("migrate.group.copied");
   table().clear_group(g);
   nvm::crash_point("migrate.group.erased");
-  keys_migrated_ += keys.size();
+  keys_migrated_ += move_keys.size();
   return true;
 }
 

@@ -27,8 +27,9 @@
 // a flush or fence, so a scalar op costs the paper's two fences, and
 // seal() makes them exact on media before a clean shutdown. The durable
 // maps also run CommitOrder::kSameLine, which writes a cell's payload and
-// commit word back to back and flushes its line once: one fence per
-// window, relying on x86's in-line persist order (DESIGN.md).
+// commit word back to back, flushes each line the window dirtied once,
+// and fences once per window, relying on x86's in-line persist order
+// (DESIGN.md).
 //
 // Media integrity (optional, Params::group_crc): the commit-word protocol
 // defends against *crashes*, not against the media itself lying — bit rot
@@ -111,11 +112,12 @@ enum class CommitOrder {
   /// it in reverse), two fences per window.
   kFenced,
   /// Payload and commit word (or commit clear and wipe) stored back to
-  /// back in the cell's one cacheline, which is flushed once: one fence
-  /// per window. Sound only where stores to one line persist in program
-  /// order (x86 under ADR or eADR); a crash then leaves nothing, the
-  /// payload alone (uncommitted garbage that recovery scrubs), or both.
-  /// Requires kRecoveryOnly and no undo log.
+  /// back in the cell's one cacheline. The window flushes each line it
+  /// dirtied once, however many of its cells the line holds, then fences
+  /// once. Sound only where stores to one line persist in program order
+  /// (x86 under ADR or eADR); a crash then leaves each cell with nothing,
+  /// the payload alone (uncommitted garbage that recovery scrubs), or
+  /// both. Requires kRecoveryOnly and no undo log.
   kSameLine,
 };
 
@@ -348,8 +350,11 @@ class GroupHashTable {
   // Every insert and erase, scalar or batched, runs one windowed protocol:
   // a window of up to kBatchWindow keys shares its persist fences while
   // each cell keeps its own 8-byte commit (see cells.hpp: the two-phase
-  // stage→fence→commit→fence / clear→fence→wipe→fence splits, or under
-  // kSameLine one flush per cell and one fence). The window tail stores
+  // stage→fence→commit→fence / clear→fence→wipe→fence splits). Under
+  // kSameLine every flush the window's cells ask for only marks its line
+  // in a DirtyLines view, and each marked line is flushed once: as soon
+  // as no later key of the window can touch it (WindowPlan), and at the
+  // latest right before the window's one fence. The window tail stores
   // the coalesced checksum deltas, then the count.
   // Under kEager both are persisted (one fence for the checksums, one for
   // the count) and after a crash are stale by at most a window; under
@@ -396,17 +401,17 @@ class GroupHashTable {
   /// once its keys are copied out. Keeps erase_batch's crash order (every
   /// commit word cleared → fence → payloads wiped → fence), so no crash
   /// image holds a committed cell with a wiped payload, but flushes each
-  /// touched cacheline once per phase instead of once per cell. Under
-  /// kSameLine one address-ordered pass clears each cell's commit word
-  /// before wiping it, flushes each line once and fences once. The group
-  /// ends all-zero, which digests to 0, so both checksum words are reset
-  /// rather than delta-updated (flushed and fenced under kEager only), and
-  /// the count drops in one bump. Returns the number of occupied cells
-  /// cleared.
+  /// touched cacheline once per phase (through DirtyLines) instead of
+  /// once per cell. Under kSameLine one address-ordered pass clears each
+  /// cell's commit word before wiping it, flushes each line once and
+  /// fences once. The group ends all-zero, which digests to 0, so both
+  /// checksum words are reset rather than delta-updated (flushed and
+  /// fenced under kEager only), and the count drops in one bump. Returns
+  /// the number of occupied cells cleared.
   u64 clear_group(u64 g) {
     GH_DCHECK(g < num_groups());
     Cell* const levels[2] = {tab1_ + g * group_size_, tab2_ + g * group_size_};
-    LineCoalescingPM lines{*pm_};
+    DirtyLines lines{*pm_};
     u64 cleared = 0;
     if (same_line()) {
       // Unoccupied cells are normally all-zero already; wiping every dirty
@@ -583,6 +588,10 @@ class GroupHashTable {
       }
     }
   }
+
+  /// The level-1 index `key` hashes to: its home slot, and the order a
+  /// resize copies a group's keys into the target in.
+  [[nodiscard]] u64 home_index(const key_type& key) const { return hash_(key) & mask_; }
 
   /// Read-only cell access for inspection tooling (gh_fsck, core/inspect).
   [[nodiscard]] const Cell& level1_cell(u64 i) const { return tab1_[i]; }
@@ -840,32 +849,113 @@ class GroupHashTable {
     }
   };
 
-  /// clear_group's PM view (Level Hashing's one-flush-per-shared-line
-  /// idea): stores pass straight through, a flush only marks its lines,
-  /// and each marked line is flushed once. Cells are walked in address
-  /// order, so a line is complete — and flushed — when a later line is
-  /// marked, or at drain(). No fence: the caller fences each phase.
-  struct LineCoalescingPM {
+  /// The PM view of a kSameLine window and of clear_group (Level
+  /// Hashing's one flush per shared line): stores pass straight through,
+  /// a flush only marks its lines, and each marked line is flushed once,
+  /// by drain_final() once it is final or by drain(). The last marked line
+  /// is checked first, so the cells of one line in a row (clear_group's
+  /// address-ordered walk) cost O(1) each. A window dirties at most one
+  /// line per key, so only clear_group fills the view; a full view drains,
+  /// which only moves flushes earlier. No fence: the caller drains before
+  /// each fence it issues.
+  struct DirtyLines {
+    static constexpr usize kCapacity = kBatchWindow;
+    static constexpr usize kNever = ~usize{0};
     PM& pm;
-    const std::byte* open = nullptr;  ///< marked line not yet flushed
+    // [0, n) live; left uninitialised. until[m]: the window index after
+    // which no key can touch lines[m] again.
+    std::array<const std::byte*, kCapacity> lines;
+    std::array<usize, kCapacity> until;
+    usize n = 0;
+    usize touch_until = kNever;  ///< `until` of the lines marked from now on
+
+    explicit DirtyLines(PM& p) : pm(p) {}
 
     void store_u64(u64* dst, u64 v) { pm.store_u64(dst, v); }
     void atomic_store_u64(u64* dst, u64 v) { pm.atomic_store_u64(dst, v); }
-    void flush(const void* addr, usize n) {
-      const auto* end = static_cast<const std::byte*>(addr) + n;
+    void flush(const void* addr, usize len) {
+      const auto* end = static_cast<const std::byte*>(addr) + len;
       for (const std::byte* line = nvm::line_begin(addr); line < end; line += kCachelineSize) {
-        if (line == open) continue;
-        drain();
-        open = line;
+        usize m = n;
+        while (m > 0 && lines[m - 1] != line) --m;
+        if (m > 0) {
+          until[m - 1] = std::max(until[m - 1], touch_until);
+          continue;
+        }
+        if (n == kCapacity) drain();
+        lines[n] = line;
+        until[n++] = touch_until;
       }
     }
-    /// Flush the marked line.
+    /// Flush every marked line once.
     void drain() {
-      if (open == nullptr) return;
-      pm.flush(open, kCachelineSize);
-      open = nullptr;
+      for (usize m = 0; m < n; ++m) pm.flush(lines[m], kCachelineSize);
+      n = 0;
+    }
+    /// Before window key i: flush the lines no key from i on can touch.
+    void drain_final(usize i) {
+      usize kept = 0;
+      for (usize m = 0; m < n; ++m) {
+        if (until[m] < i) {
+          pm.flush(lines[m], kCachelineSize);
+        } else {
+          lines[kept] = lines[m];
+          until[kept++] = until[m];
+        }
+      }
+      n = kept;
     }
   };
+
+  /// A window's key hashes and, under kSameLine, when its marked lines are
+  /// final. Every line a key's op touches lies in the key's home group
+  /// (its level-1 cell, or a level-2 cell of the group), so a line is
+  /// final once the window is past the last key whose home group touched
+  /// it. Draining lines then, not all at the fence, keeps each flush near
+  /// the stores that dirtied it (a run of clflushes serialises), and still
+  /// flushes each line once wherever a group spans whole lines.
+  struct WindowPlan {
+    std::array<u64, kBatchWindow> hashes;  // [0, n) live; left uninitialised
+    std::array<usize, kBatchWindow> last;  ///< last index sharing key i's home group
+  };
+
+  /// Hash a window's keys; under kSameLine also find, for each key, the
+  /// last window index whose key has the same home group.
+  void plan_window(std::span<const key_type> keys, WindowPlan& plan) const {
+    const usize n = keys.size();
+    for (usize i = 0; i < n; ++i) plan.hashes[i] = hash_(keys[i]);
+    if (!same_line()) return;
+    // Walk back through the window with a small open-addressed map from
+    // home group to the last index seen with it. A home group is the hash
+    // bits above the group offset: group_size divides the power-of-two
+    // level, so it is a power of two too.
+    constexpr usize kSlots = 64;  // one bit each in `used`; a slot is the top 6 hash bits
+    static_assert(kSlots >= 2 * kBatchWindow, "the map stays at most half full");
+    std::array<u64, kSlots> groups;  // live where `used` has the bit
+    std::array<usize, kSlots> last_seen;
+    u64 used = 0;
+    const u64 group_bits = mask_ & ~u64{group_size_ - 1};
+    for (usize i = n; i-- > 0;) {
+      const u64 g = plan.hashes[i] & group_bits;
+      usize slot = (g * 0x9e3779b97f4a7c15ull) >> 58;
+      while ((used >> slot & 1) != 0 && groups[slot] != g) slot = (slot + 1) % kSlots;
+      if ((used >> slot & 1) == 0) {
+        used |= u64{1} << slot;
+        groups[slot] = g;
+        last_seen[slot] = i;
+      }
+      plan.last[i] = last_seen[slot];
+    }
+  }
+
+  /// Under kSameLine, before key i of a planned window is handled: flush
+  /// the lines that are final, and tag what key i marks with its group's
+  /// last index.
+  void begin_key(const WindowPlan& plan, DirtyLines& lines, usize i) const {
+    if (!same_line()) return;
+    lines.drain_final(i);
+    lines.touch_until = plan.last[i];
+  }
 
   [[nodiscard]] u64* crc_slot_of(const Cell* c) const {
     const u64 gi = global_index(c);
@@ -901,9 +991,12 @@ class GroupHashTable {
   /// Any commit word that reaches media implies the phase-1 fence
   /// retired, so the per-cell crash discipline is exactly publish()'s.
   /// Under kSameLine phase 1 publishes each new cell whole (payload, then
-  /// commit word, one flush) and the phase-1 fence is the only one; a
-  /// duplicate key later in the window re-stages the committed cell's
-  /// value, which a crash may keep or lose like any later op.
+  /// commit word) and the phase-1 fence is the only one; a duplicate key
+  /// later in the window re-stages the committed cell's value, which a
+  /// crash may keep or lose like any later op. Its flushes go through a
+  /// DirtyLines view that flushes each line once it is final, at the
+  /// latest just before that fence, so a line holding several of the
+  /// window's cells is flushed once.
   template <bool kCheckExisting>
   usize put_batch_impl(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK(values.size() >= keys.size());
@@ -916,19 +1009,23 @@ class GroupHashTable {
     // not pay for clearing 32 entries.
     std::array<Staged, kBatchWindow> staged;
     CrcDeltaWindow deltas;
+    DirtyLines lines{*pm_};  // kSameLine flushes; stays empty under kFenced
+    WindowPlan plan;
     const usize window = window_size();
     usize done = 0;
     while (done < keys.size()) {
       const usize n = std::min(window, keys.size() - done);
       if (wal_) wal_->begin();
+      plan_window(keys.subspan(done, n), plan);
       usize nstaged = 0;
       usize updates = 0;
       usize consumed = 0;  // leading keys of this window fully handled
       bool full = false;
       for (usize i = 0; i < n; ++i) {
+        begin_key(plan, lines, i);
         const key_type key = keys[done + i];
         const u64 value = values[done + i];
-        const u64 h = hash_(key);
+        const u64 h = plan.hashes[i];
         const u64 k = h & mask_;
         const u8 tag = tag_of_hash(h);
         // Duplicate of a cell staged in this window? Its commit word is
@@ -941,7 +1038,11 @@ class GroupHashTable {
           }
         }
         if (dup != nullptr) {
-          dup->cell->stage_value(*pm_, value);
+          if (same_line()) {
+            dup->cell->stage_value(lines, value);
+          } else {
+            dup->cell->stage_value(*pm_, value);
+          }
           consumed++;
           continue;
         }
@@ -951,7 +1052,11 @@ class GroupHashTable {
             // delta is computed now — the cell content is already final.
             const u32 old_digest = crc_ ? cell_digest(c) : 0;
             pm_->atomic_store_u64(&c->value, value);
-            pm_->flush(&c->value, sizeof(u64));
+            if (same_line()) {
+              lines.flush(&c->value, sizeof(u64));
+            } else {
+              pm_->flush(&c->value, sizeof(u64));
+            }
             if (crc_) deltas.add(crc_slot_of(c), old_digest ^ cell_digest(c));
             updates++;
             consumed++;
@@ -985,7 +1090,7 @@ class GroupHashTable {
         if (wal_) log_mutation(target);
         const u32 old_digest = crc_ ? cell_digest(target) : 0;
         if (same_line()) {
-          target->publish_same_line(*pm_, key, value);
+          target->publish_same_line(lines, key, value);
         } else {
           target->stage_payload(*pm_, key, value);
         }
@@ -997,7 +1102,10 @@ class GroupHashTable {
         consumed++;
       }
       // Window tail: finalize everything staged, even on a full stop.
-      if (updates + nstaged > 0) pm_->fence();  // phase-1 stores durable
+      if (updates + nstaged > 0) {
+        lines.drain();
+        pm_->fence();  // phase-1 stores durable
+      }
       if (nstaged > 0) {
         if (!same_line()) {
           for (usize s = 0; s < nstaged; ++s) {
@@ -1023,22 +1131,27 @@ class GroupHashTable {
   /// The erase core of erase/erase_batch. Within a window: every hit's
   /// commit word cleared (+flush) → fence → payloads wiped → fence →
   /// finish_window. Under kSameLine each hit is cleared and wiped in its
-  /// line with one flush, and the window fences once.
+  /// line, each line the window dirtied is flushed once (DirtyLines), and
+  /// the window fences once.
   usize erase_impl(std::span<const key_type> keys, std::span<u8> hits) {
     GH_CHECK(hits.empty() || hits.size() >= keys.size());
     // [0, nvictims) live; not value-initialised (see put_batch_impl).
     std::array<Cell*, kBatchWindow> victims;
     std::array<u32, kBatchWindow> old_digests;
     CrcDeltaWindow deltas;
+    DirtyLines lines{*pm_};  // kSameLine flushes; stays empty under kFenced
+    WindowPlan plan;
     const usize window = window_size();
     usize erased = 0;
     for (usize base = 0; base < keys.size(); base += window) {
       const usize n = std::min(window, keys.size() - base);
       if (wal_) wal_->begin();
+      plan_window(keys.subspan(base, n), plan);
       usize nvictims = 0;
       for (usize i = 0; i < n; ++i) {
+        begin_key(plan, lines, i);
         stats_.erases++;
-        Cell* c = find_cell(keys[base + i]);
+        Cell* c = find_cell_at(keys[base + i], plan.hashes[i]);
         if (!hits.empty()) hits[base + i] = c != nullptr ? 1 : 0;
         if (c == nullptr) continue;
         if (wal_) log_mutation(c);
@@ -1047,7 +1160,7 @@ class GroupHashTable {
         // misses — sequential semantics.
         old_digests[nvictims] = crc_ ? cell_digest(c) : 0;
         if (same_line()) {
-          c->retract_same_line(*pm_);
+          c->retract_same_line(lines);
         } else {
           c->retract_commit(*pm_);
         }
@@ -1058,6 +1171,7 @@ class GroupHashTable {
       if (nvictims > 0) {
         // Clears durable before any wipe store issues (under kSameLine,
         // each cell cleared and wiped).
+        lines.drain();
         pm_->fence();
         if (!same_line()) {
           for (usize v = 0; v < nvictims; ++v) victims[v]->retract_wipe(*pm_);

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -1006,6 +1007,278 @@ TEST_F(SameLineTagCrash, LinePrefixImagesAtEveryCrashPoint) {
           << "crash_at " << crash_at << " image " << i;
       ASSERT_TRUE(tags_match_after_reopen(pm, mem, /*recover=*/true))
           << "crash_at " << crash_at << " image " << i;
+    }
+  }
+}
+
+// Coalesced same-line windows: cells sharing a line are flushed once, just
+// before the window's one fence. The script puts, updates and erases
+// several cells of one line per window, then copies the group into a
+// second, double-size table in target-slot order (a resize's group move)
+// and clears it from the source. At every event, under the x86 in-line
+// persist order, no acked key may be lost and no committed cell may hold
+// a payload the script did not write for its key.
+class CoalescedWindowCrash : public ::testing::Test {
+ protected:
+  using Table = hash::GroupHashTable<hash::Cell16, nvm::ShadowPM>;
+  using Params = Table::Params;
+
+  static constexpr Params kSource{.level_cells = 64,
+                                  .group_size = 16,
+                                  .zero_memory = true,
+                                  .count_mode = hash::CountMode::kRecoveryOnly,
+                                  .commit_order = hash::CommitOrder::kSameLine};
+  static constexpr Params kTarget{.level_cells = 128,
+                                  .group_size = 16,
+                                  .zero_memory = true,
+                                  .count_mode = hash::CountMode::kRecoveryOnly,
+                                  .commit_order = hash::CommitOrder::kSameLine};
+  static constexpr u64 kGroup = 1;  ///< the source group the script works in
+
+  enum class Kind { kPut, kErase, kCopy, kClear };
+  struct Step {
+    Kind kind;
+    std::vector<u64> keys;
+    std::vector<u64> values;
+  };
+
+  /// Line-aligned halves of one ShadowPM span: source table, then target.
+  static usize target_offset() {
+    const usize bytes = Table::required_bytes(kSource);
+    return (bytes + kCachelineSize - 1) / kCachelineSize * kCachelineSize;
+  }
+  static usize span_bytes() { return target_offset() + Table::required_bytes(kTarget); }
+
+  void SetUp() override {
+    region_ = nvm::NvmRegion::create_anonymous(span_bytes());
+    mem_ = region_.bytes().first(span_bytes());
+    pm_.emplace(mem_);
+    // Keys by source home slot: four owning the slots of one level-1 line
+    // of group kGroup, and more sharing the first slot, which fill one
+    // level-2 line of the group. `other` keys live in the next group: a
+    // window that interleaves groups drains one group's lines before the
+    // window ends.
+    const u64 first = kGroup * kSource.group_size;
+    const Table probe = source(/*format=*/true);
+    std::vector<u64> by_home[4];
+    std::vector<u64> extra;
+    std::vector<u64> other;
+    const auto enough = [&] {
+      return by_home[0].size() >= 7 && by_home[1].size() >= 2 && !by_home[2].empty() &&
+             !by_home[3].empty() && extra.size() >= 4 && other.size() >= 3;
+    };
+    for (u64 i = 1; !enough(); ++i) {
+      const u64 k = (i * 0x9e3779b97f4a7c15ull) >> 1 | 1;
+      const u64 home = probe.home_index(k);
+      if (home >= first && home < first + 4) {
+        by_home[home - first].push_back(k);
+      } else if (home / kSource.group_size == kGroup && extra.size() < 4) {
+        extra.push_back(k);
+      } else if (home / kSource.group_size == kGroup + 1 && other.size() < 3) {
+        other.push_back(k);
+      }
+    }
+    const std::vector<u64> line1 = {by_home[0][0], by_home[1][0], by_home[2][0], by_home[3][0]};
+    const std::vector<u64> line2(by_home[0].begin() + 1, by_home[0].begin() + 5);
+    std::vector<u64> both = line1;
+    both.insert(both.end(), line2.begin(), line2.end());
+    const auto values = [](u64 base, usize n) {
+      std::vector<u64> v(n);
+      for (usize i = 0; i < n; ++i) v[i] = base + i;
+      return v;
+    };
+    steps_ = {
+        // 8 new cells on two lines.
+        {Kind::kPut, both, values(100, 8)},
+        // Updates: a hot key four times, then one more key on each line.
+        {Kind::kPut,
+         {line1[0], line1[0], line1[0], line1[0], line1[2], line2[1]},
+         values(200, 6)},
+        // Erases across both lines.
+        {Kind::kErase, {line1[1], line2[0], line2[3]}, {}},
+        // Re-fill the holes (a key new to the window staged three times),
+        // update one more, and a scalar insert elsewhere in the group.
+        {Kind::kPut,
+         {by_home[1][1], by_home[0][5], by_home[0][5], by_home[0][5], line2[2]},
+         values(300, 5)},
+        {Kind::kPut, {extra[1]}, {400}},
+        {Kind::kErase, {extra[1]}, {}},
+        {Kind::kPut, {by_home[0][6], extra[2], extra[3]}, values(500, 3)},
+        // Two groups, one after the other: the first group's line drains
+        // before the second group's first key, the rest at the fence.
+        {Kind::kPut, {line1[3], line1[3], other[0], other[1], other[2]}, values(600, 5)},
+        {Kind::kErase, {line2[1], other[0], other[1], other[2]}, {}},
+        {Kind::kCopy, {}, {}},
+        {Kind::kClear, {}, {}},
+    };
+    for (const Step& step : steps_) {
+      for (const u64 k : step.keys) universe_.push_back(k);
+    }
+  }
+
+  Table source(bool format = false) {
+    return format ? Table(*pm_, mem_.first(Table::required_bytes(kSource)), kSource, true)
+                  : Table::attach(*pm_, mem_.first(Table::required_bytes(kSource)),
+                                  kSource.count_mode, kSource.commit_order);
+  }
+  Table target(bool format = false) {
+    const auto bytes = mem_.subspan(target_offset(), Table::required_bytes(kTarget));
+    return format ? Table(*pm_, bytes, kTarget, true)
+                  : Table::attach(*pm_, bytes, kTarget.count_mode, kTarget.commit_order);
+  }
+
+  /// The acked state after `steps` steps (copy and clear move keys
+  /// between the tables without changing it).
+  std::map<u64, u64> state_after(usize steps) const {
+    std::map<u64, u64> state;
+    for (usize s = 0; s < steps; ++s) {
+      const Step& step = steps_[s];
+      for (usize i = 0; i < step.keys.size(); ++i) {
+        if (step.kind == Kind::kPut) state[step.keys[i]] = step.values[i];
+        if (step.kind == Kind::kErase) state.erase(step.keys[i]);
+      }
+    }
+    return state;
+  }
+
+  /// Runs the script on freshly formatted tables; `acked` counts the
+  /// steps that returned. Throws SimulatedCrash when the PM trigger fires.
+  void run_script(Table& src, Table& dst, usize& acked, u64* coalesced_windows = nullptr) {
+    for (const Step& step : steps_) {
+      const u64 lines0 = pm_->stats().lines_flushed;
+      usize cells = step.keys.size();  // cells the step writes, clear aside
+      switch (step.kind) {
+        case Kind::kPut:
+          ASSERT_EQ(src.upsert_batch(step.keys, step.values), step.keys.size());
+          break;
+        case Kind::kErase:
+          src.erase_batch(step.keys, {});
+          break;
+        case Kind::kCopy: {
+          // migrate_one_group's copy: stable order by target home slot.
+          std::vector<std::pair<u64, u64>> moves;
+          src.for_each_in_group(kGroup, [&](u64 k, u64 v) { moves.emplace_back(k, v); });
+          std::stable_sort(moves.begin(), moves.end(), [&](const auto& a, const auto& b) {
+            return dst.home_index(a.first) < dst.home_index(b.first);
+          });
+          std::vector<u64> keys, values;
+          for (const auto& [k, v] : moves) {
+            keys.push_back(k);
+            values.push_back(v);
+          }
+          ASSERT_EQ(dst.insert_batch(keys, values), keys.size());
+          cells = keys.size();
+          break;
+        }
+        case Kind::kClear:
+          src.clear_group(kGroup);
+          break;
+      }
+      if (coalesced_windows != nullptr && pm_->stats().lines_flushed - lines0 < cells) {
+        ++*coalesced_windows;
+      }
+      ++acked;
+    }
+  }
+
+  /// Reopen both tables from the current image, recover them, and check
+  /// the oracle: each key reads (target first, as a split image does) its
+  /// acked value or, if the in-flight step touched it, a value that step
+  /// stored for it (or nothing, if it erases it) — a window applies its
+  /// keys in order, so a crash may expose any of them. Every committed
+  /// cell of either table must hold one of those values.
+  ::testing::AssertionResult oracle_holds(usize acked) {
+    Table src = source();
+    Table dst = target();
+    src.recover();
+    dst.recover();
+    if (!src.verify_tags() || !dst.verify_tags()) {
+      return ::testing::AssertionFailure() << "tags out of sync";
+    }
+    const std::map<u64, u64> before = state_after(acked);
+    const Step* inflight = acked < steps_.size() ? &steps_[acked] : nullptr;
+    const auto allowed = [&](u64 k, std::optional<u64> got) {
+      const auto b = before.find(k);
+      if (b == before.end() ? !got : got == b->second) return true;
+      for (usize i = 0; inflight != nullptr && i < inflight->keys.size(); ++i) {
+        if (inflight->keys[i] != k) continue;
+        if (inflight->kind == Kind::kPut && got == inflight->values[i]) return true;
+        if (inflight->kind == Kind::kErase && !got) return true;
+      }
+      return false;
+    };
+    for (const u64 k : universe_) {
+      std::optional<u64> got = dst.find(k);
+      if (!got) got = src.find(k);
+      if (!allowed(k, got)) {
+        return ::testing::AssertionFailure()
+               << "key " << k << " reads " << (got ? std::to_string(*got) : "nothing");
+      }
+    }
+    ::testing::AssertionResult cells = ::testing::AssertionSuccess();
+    for (const Table* t : {&src, &dst}) {
+      t->for_each([&](u64 k, u64 v) {
+        if (cells && (!allowed(k, v) ||
+                      std::find(universe_.begin(), universe_.end(), k) == universe_.end())) {
+          cells = ::testing::AssertionFailure() << "committed cell " << k << " holds " << v;
+        }
+      });
+    }
+    return cells;
+  }
+
+  nvm::NvmRegion region_;
+  std::span<std::byte> mem_;
+  std::optional<nvm::ShadowPM> pm_;
+  std::vector<Step> steps_;
+  std::vector<u64> universe_;
+};
+
+TEST_F(CoalescedWindowCrash, LinePrefixImagesAtEveryCrashPoint) {
+  u64 script_events = 0;
+  {
+    Table src = source(/*format=*/true);
+    Table dst = target(/*format=*/true);
+    const u64 base = pm_->event_count();
+    usize acked = 0;
+    u64 coalesced = 0;
+    run_script(src, dst, acked, &coalesced);
+    ASSERT_EQ(acked, steps_.size());
+    script_events = pm_->event_count() - base;
+    // The sweep is only about coalescing if windows really share flushes:
+    // the puts, updates, erases and the ordered copy.
+    EXPECT_GE(coalesced, 5u) << "windows that flushed fewer lines than cells";
+    ASSERT_TRUE(oracle_holds(acked));
+  }
+  ASSERT_GT(script_events, 100u) << "script too small to be interesting";
+
+  for (u64 crash_at = 1; crash_at < script_events; ++crash_at) {
+    pm_->crash_at_event(nvm::ShadowPM::no_crash());
+    Table src = source(/*format=*/true);
+    Table dst = target(/*format=*/true);
+    pm_->crash_at_event(pm_->event_count() + crash_at);
+    usize acked = 0;
+    bool crashed = false;
+    try {
+      run_script(src, dst, acked);
+    } catch (const nvm::SimulatedCrash&) {
+      crashed = true;
+    }
+    pm_->crash_at_event(nvm::ShadowPM::no_crash());
+    ASSERT_TRUE(crashed) << "crash_at " << crash_at;
+
+    // Every image is drawn before the first reset rewrites the shadow.
+    std::vector<std::vector<std::byte>> images;
+    images.push_back(pm_->materialize_crash_image(nvm::CrashMode::kNothingEvicted));
+    images.push_back(pm_->materialize_crash_image(nvm::CrashMode::kAllEvicted));
+    for (const u64 seed : {1ull, 2ull, 3ull, 4ull}) {
+      images.push_back(
+          pm_->materialize_crash_image(nvm::CrashMode::kLinePrefix, crash_at * 31 + seed));
+    }
+    for (usize i = 0; i < images.size(); ++i) {
+      pm_->reset_to_image(images[i]);
+      ASSERT_TRUE(oracle_holds(acked))
+          << "crash_at " << crash_at << " image " << i << " acked steps " << acked;
     }
   }
 }

@@ -26,7 +26,9 @@
 
 #include "core/group_hash_map.hpp"
 #include "core/map_format.hpp"
+#include "nvm/crash_point.hpp"
 #include "nvm/fault_fs.hpp"
+#include "obs/export.hpp"
 
 namespace gh {
 namespace {
@@ -541,6 +543,118 @@ TEST(Migration, TableCountersNeverGoBackwardsAtFinalize) {
   EXPECT_GE(after.table.query_hits, mid.table.query_hits);
   EXPECT_GE(after.table.inserts, mid.table.inserts);
   map.close();
+}
+
+TEST(Migration, OrderedCopyKeepsLevelOneOwnersHome) {
+  // A resize copies each group in target-slot order (a stable sort, level-1
+  // cells visited first). A key that owned its level-1 home before the
+  // resize must own its level-1 home in the bigger table, so reads of the
+  // old keys probe level 2 no more than before.
+  MapOptions o;
+  o.initial_cells = 1024;
+  o.group_size = 16;
+  o.flush_latency_ns = 0;  // inline drain: the whole resize inside one put
+  // The first put that resizes, learned from an identical map.
+  u64 resize_at = 0;
+  {
+    auto probe = GroupHashMap::create_in_memory(o);
+    const u64 cap = probe.capacity();
+    for (; probe.capacity() == cap; ++resize_at) probe.put(key_of(resize_at), value_of(resize_at));
+    --resize_at;
+  }
+  ASSERT_GT(resize_at, 0u);
+  auto map = GroupHashMap::create_in_memory(o);
+  for (u64 i = 0; i < resize_at; ++i) map.put(key_of(i), value_of(i));
+  const u64 cap = map.capacity();
+  std::vector<u64> owners;
+  {
+    const GroupHashMap::Table& t = map.raw_table();
+    for (u64 i = 0; i < t.level_cells(); ++i) {
+      if (t.level1_cell(i).occupied()) owners.push_back(t.level1_cell(i).key());
+    }
+  }
+  ASSERT_FALSE(owners.empty());
+  const auto level2_probes_of_reads = [&] {
+    const u64 before = map.raw_table().stats().level2_probes;
+    for (u64 i = 0; i < resize_at; ++i) EXPECT_EQ(map.get(key_of(i)), value_of(i)) << i;
+    return map.raw_table().stats().level2_probes - before;
+  };
+  const u64 probes_before = level2_probes_of_reads();
+
+  map.put(key_of(resize_at), value_of(resize_at));
+  ASSERT_EQ(map.capacity(), 2 * cap) << "this put must grow the table";
+  ASSERT_FALSE(map.migration_active()) << "and drain it inline";
+  const GroupHashMap::Table& t = map.raw_table();
+  for (const u64 k : owners) {
+    EXPECT_TRUE(t.level1_cell(t.home_index(k)).matches(k)) << "key " << k << " lost its home";
+  }
+  EXPECT_LE(level2_probes_of_reads(), probes_before);
+}
+
+/// Crashes (SimulatedCrash) at the first occurrence of one named point.
+struct CrashAtNamedPoint : nvm::CrashPointPolicy {
+  std::string name;
+  bool fired = false;
+  void on_point(const char* point) override {
+    if (!fired && name == point) {
+      fired = true;
+      throw nvm::SimulatedCrash{};
+    }
+  }
+};
+
+/// The value of a Prometheus sample line `<metric>{...} <value>`.
+double prom_sample(const std::string& text, const std::string& metric) {
+  const std::string head = "\n" + metric + "{";
+  const usize at = text.find(head);
+  if (at == std::string::npos) return -1;
+  const usize space = text.find(' ', at + head.size());
+  return std::stod(text.substr(space + 1, text.find('\n', space) - space - 1));
+}
+
+TEST(Migration, KeysMigratedCountsOnlyKeysTheResumedDrainMoves) {
+  // Regression: a group copied before a crash was counted again when the
+  // reopened process re-ran it, although every one of its keys was
+  // already in the target and none moved.
+  const std::string path = temp_path("gh_migration_keys_counted.gh");
+  fs::remove(path);
+  fs::remove(path + ".migrate");
+  u64 inserted = 0;
+  {
+    auto map = GroupHashMap::create(path, online_options(/*groups_per_op=*/0));
+    inserted = fill_until_migrating(map);
+    ASSERT_TRUE(map.migration_active());
+    CrashAtNamedPoint crash;
+    crash.name = "migrate.group.copied";
+    bool crashed = false;
+    {
+      const nvm::ScopedCrashPoints armed(&crash);
+      try {
+        map.migrate_step(~0ull);
+      } catch (const nvm::SimulatedCrash&) {
+        crashed = true;
+      }
+    }
+    ASSERT_TRUE(crashed) << "the drain must copy a non-empty group";
+    map.abandon();
+  }
+  auto map = GroupHashMap::open(path, online_options(/*groups_per_op=*/0));
+  ASSERT_TRUE(map.migration_active());
+  ASSERT_NE(map.migration_table(), nullptr);
+  const u64 target_before = map.migration_table()->count();
+  ASSERT_GT(target_before, 0u) << "the crashed group's copy is already in the target";
+  while (map.migration_active()) ASSERT_GT(map.migrate_step(~0ull), 0u);
+  ASSERT_EQ(map.size(), inserted);
+  // Every key this process moved raised the target's count by one.
+  const u64 moved = map.size() - target_before;
+  const obs::Snapshot s = map.snapshot();
+  EXPECT_EQ(s.migration.keys_migrated, moved);
+  EXPECT_EQ(prom_sample(obs::export_prometheus(s), "gh_migration_keys_total"),
+            static_cast<double>(moved));
+  for (u64 i = 0; i < inserted; ++i) ASSERT_EQ(map.get(key_of(i)), value_of(i)) << i;
+  map.close();
+  fs::remove(path);
+  fs::remove(path + ".flight");
 }
 
 }  // namespace

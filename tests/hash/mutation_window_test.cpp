@@ -10,8 +10,9 @@
 //     checksums add nothing, and seal() costs one fence plus the count
 //     and checksum lines;
 //   * under CommitOrder::kSameLine (the durable maps' protocol) an op
-//     flushes its cell's line once and fences once, and a full window of
-//     32 keys fences once;
+//     flushes its cell's line once and fences once, and a window of up to
+//     32 keys fences once and flushes each distinct line its cells touch
+//     exactly once (cells sharing a line, a hot key updated eight times);
 //   * an attached undo log runs windows of one, so a batch of n keys
 //     costs exactly n scalar ops;
 //   * only the *_batch entry points count toward batch_ops/batch_keys.
@@ -20,6 +21,7 @@
 #include <functional>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -249,6 +251,35 @@ INSTANTIATE_TEST_SUITE_P(
 // Same-line windows: one fence per window, whatever its size
 // ---------------------------------------------------------------------------
 
+/// Distinct cachelines holding an occupied cell, on either level.
+template <class Cell>
+u64 occupied_lines(const Table<Cell>& t) {
+  std::set<const std::byte*> lines;
+  for (u64 i = 0; i < t.level_cells(); ++i) {
+    for (const Cell* c : {&t.level1_cell(i), &t.level2_cell(i)}) {
+      if (c->occupied()) lines.insert(nvm::line_begin(c));
+    }
+  }
+  return lines.size();
+}
+
+template <class Cell>
+Table<Cell>& init_same_line(test::TableFixture<Table<Cell>>& fx, bool crc) {
+  using Params = typename Table<Cell>::Params;
+  return fx.init(Params{.level_cells = 256,
+                        .group_size = 16,
+                        .count_mode = CountMode::kRecoveryOnly,
+                        .group_crc = crc,
+                        .commit_order = CommitOrder::kSameLine});
+}
+
+template <class Cell>
+void expect_checksums_exact(const Table<Cell>& t) {
+  for (u64 g = 0; g < t.num_groups(); ++g) {
+    EXPECT_TRUE(t.verify_group_checksum(0, g) && t.verify_group_checksum(1, g)) << g;
+  }
+}
+
 template <class Cell>
 void check_same_line_window(bool crc) {
   SCOPED_TRACE(std::string(sizeof(Cell) == 16 ? "Cell16" : "Cell32") + (crc ? " crc" : ""));
@@ -260,43 +291,38 @@ void check_same_line_window(bool crc) {
     values.push_back(i);
   }
   test::TableFixture<Table<Cell>> fx;
-  using Params = typename Table<Cell>::Params;
-  Table<Cell>& t = fx.init(Params{.level_cells = 256,
-                                  .group_size = 16,
-                                  .count_mode = CountMode::kRecoveryOnly,
-                                  .group_crc = crc,
-                                  .commit_order = CommitOrder::kSameLine});
+  Table<Cell>& t = init_same_line(fx, crc);
   const nvm::PersistStats& stats = fx.pm().stats();
   fx.pm().stats().clear();
   ASSERT_EQ(t.insert_batch(keys, values), kKeys);
+  // Each line the window's cells touch, once; none for the words.
+  const u64 lines = occupied_lines(t);
   EXPECT_EQ(stats.fences, 1u);
-  EXPECT_LE(stats.lines_flushed, kKeys);  // one per cell, none for the words
+  EXPECT_EQ(stats.lines_flushed, lines);
 
   fx.pm().stats().clear();
   for (u64& v : values) v += 100;
   ASSERT_EQ(t.upsert_batch(keys, values), kKeys);  // every key an update
   EXPECT_EQ(stats.fences, 1u);
+  EXPECT_EQ(stats.lines_flushed, lines);
 
   fx.pm().stats().clear();
   std::vector<u8> hits(kKeys, 0);
   ASSERT_EQ(t.erase_batch(keys, hits), kKeys);
   EXPECT_EQ(stats.fences, 1u);
-  EXPECT_LE(stats.lines_flushed, kKeys);
+  EXPECT_EQ(stats.lines_flushed, lines);
   EXPECT_EQ(t.count(), 0u);
-  if (crc) {
-    for (u64 g = 0; g < t.num_groups(); ++g) {
-      EXPECT_TRUE(t.verify_group_checksum(0, g) && t.verify_group_checksum(1, g));
-    }
-  }
+  if (crc) expect_checksums_exact(t);
 
   // A resize's group retire: one fence, each touched line flushed once.
   for (u64 i = 1; i <= kKeys; ++i) ASSERT_TRUE(t.insert(key_of<Cell>(i), i));
+  const u64 refilled_lines = occupied_lines(t);
   fx.pm().stats().clear();
   u64 cleared = 0;
   for (u64 g = 0; g < t.num_groups(); ++g) cleared += t.clear_group(g);
   EXPECT_EQ(cleared, kKeys);
   EXPECT_EQ(stats.fences, t.num_groups());
-  EXPECT_LE(stats.lines_flushed, kKeys);
+  EXPECT_EQ(stats.lines_flushed, refilled_lines);
   EXPECT_EQ(t.count(), 0u);
 }
 
@@ -304,6 +330,76 @@ TEST(SameLineWindow, FullWindowCostsOneFence) {
   for (const bool crc : {false, true}) {
     check_same_line_window<Cell16>(crc);
     check_same_line_window<Cell32>(crc);
+  }
+}
+
+/// Window rows where every cell shares one line: a line of level-2 cells
+/// filled, updated and erased by one window each, and one hot key updated
+/// eight times in one window.
+template <class Cell>
+void check_shared_line_windows(bool crc) {
+  SCOPED_TRACE(std::string(sizeof(Cell) == 16 ? "Cell16" : "Cell32") + (crc ? " crc" : ""));
+  using K = typename Cell::key_type;
+  constexpr usize kPerLine = kCachelineSize / sizeof(Cell);
+  test::TableFixture<Table<Cell>> fx;
+  Table<Cell>& t = init_same_line(fx, crc);
+  const nvm::PersistStats& stats = fx.pm().stats();
+  // One key owning home slot `home` at level 1, then kPerLine more with the
+  // same home: they fill the first kPerLine level-2 cells of the group,
+  // which are one line (a 16-cell group starts on a line).
+  const u64 home = t.home_index(key_of<Cell>(1));
+  std::vector<K> same_home;
+  for (u64 i = 2; same_home.size() < kPerLine + 1; ++i) {
+    ASSERT_LT(i, 1'000'000u);
+    if (t.home_index(key_of<Cell>(i)) == home) same_home.push_back(key_of<Cell>(i));
+  }
+  ASSERT_TRUE(t.insert(key_of<Cell>(1), 1));
+  const std::vector<K> keys(same_home.begin(), same_home.begin() + kPerLine);
+  std::vector<u64> values(kPerLine);
+  for (usize i = 0; i < kPerLine; ++i) values[i] = 10 + i;
+
+  fx.pm().stats().clear();
+  ASSERT_EQ(t.insert_batch(keys, values), kPerLine);
+  EXPECT_EQ(stats.fences, 1u);
+  EXPECT_EQ(stats.lines_flushed, 1u) << kPerLine << " level-2 cells of one line";
+  const u64 j = home - home % t.group_size();
+  for (usize i = 0; i < kPerLine; ++i) {
+    ASSERT_TRUE(t.level2_cell(j + i).matches(keys[i])) << "filled in slot order";
+  }
+
+  // Eight in-window updates of one hot key: one value word, one line.
+  const std::vector<K> hot(8, keys[1]);
+  const std::vector<u64> hot_values = {21, 22, 23, 24, 25, 26, 27, 28};
+  fx.pm().stats().clear();
+  ASSERT_EQ(t.upsert_batch(hot, hot_values), hot.size());
+  EXPECT_EQ(stats.fences, 1u);
+  EXPECT_EQ(stats.lines_flushed, 1u);
+  EXPECT_EQ(t.find(keys[1]), 28u);
+
+  // The same for a key that is new to the window: one publish, seven
+  // re-stages of its value.
+  const std::vector<K> fresh(8, same_home[kPerLine]);
+  fx.pm().stats().clear();
+  ASSERT_EQ(t.upsert_batch(fresh, hot_values), fresh.size());
+  EXPECT_EQ(stats.fences, 1u);
+  EXPECT_EQ(stats.lines_flushed, 1u);
+  EXPECT_EQ(t.find(same_home[kPerLine]), 28u);
+  ASSERT_TRUE(t.erase(same_home[kPerLine]));
+
+  // An erase window over the shared line.
+  std::vector<u8> hits(kPerLine, 0);
+  fx.pm().stats().clear();
+  ASSERT_EQ(t.erase_batch(keys, hits), kPerLine);
+  EXPECT_EQ(stats.fences, 1u);
+  EXPECT_EQ(stats.lines_flushed, 1u);
+  EXPECT_EQ(t.count(), 1u);
+  if (crc) expect_checksums_exact(t);
+}
+
+TEST(SameLineWindow, CellsOfOneLineShareOneFlush) {
+  for (const bool crc : {false, true}) {
+    check_shared_line_windows<Cell16>(crc);
+    check_shared_line_windows<Cell32>(crc);
   }
 }
 
