@@ -1,22 +1,27 @@
-// ConcurrentGroupHashMap — thread-safe sharded wrapper over GroupHashMap
-// with optimistic lock-free reads.
+// BasicConcurrentGroupHashMap — the thread-safe sharded wrapper over a
+// durable map, with optimistic lock-free reads: ConcurrentGroupHashMap
+// and ConcurrentGroupHashMapWide over the inline maps,
+// ConcurrentStringMap over PersistentStringMap.
 //
-// Keys are routed to one of N power-of-two shards by an independent hash;
-// each shard is a complete GroupHashMap, so per-shard recovery/expansion
-// is unchanged and the paper's consistency argument holds verbatim: every
-// shard commits with the same 8-byte atomic protocol.
+// Keys are routed to one of N power-of-two shards by an independent hash
+// (hash::shard_of, the shard service's route too); each shard is a
+// complete in-memory map, so per-shard recovery/resizing is unchanged
+// and the paper's consistency argument holds verbatim: every shard
+// commits with the same 8-byte atomic protocol.
 //
 // Concurrency (this layer's contribution):
-//   * writers (put/erase) take the shard's seqlock exclusively; the
-//     epoch goes odd around mutation + persist;
-//   * readers (get) run LOCK-FREE: snapshot the epoch, probe through an
-//     immutable TableReadView with acquire loads, and validate the epoch
-//     — retrying on a mismatch and falling back to the lock after
-//     kMaxOptimisticAttempts failures so writer churn cannot starve them
-//     (see util/seqlock.hpp and core/optimistic_read.hpp);
-//   * expansion publishes a fresh view and retires (never unmaps) the old
-//     region, so a stale reader touches only mapped memory and is then
-//     rejected by validation.
+//   * writers (put/erase and their batches) take the shard's seqlock
+//     exclusively; the epoch goes odd around mutation + persist;
+//   * readers (get) run LOCK-FREE through core::optimistic_read()
+//     (core/optimistic_read.hpp): snapshot the epoch, run the map's
+//     optimistic_probe over its published ReadSnapshot with acquire
+//     loads, and validate the epoch — retrying on a mismatch and falling
+//     back to the lock after kMaxOptimisticAttempts failures (or at once
+//     when the probe escalates), so writer churn cannot starve them;
+//   * a resize publishes a fresh snapshot (the map's read_snapshot(),
+//     dual while a migration drains) and retires — never unmaps — the
+//     old one and its region, so a stale reader touches only mapped
+//     memory and is then rejected by validation.
 //
 // Per-shard contention counters (read retries, fallback acquisitions,
 // writer waits) are exact and surfaced via snapshot() (aggregate and
@@ -28,10 +33,11 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/group_hash_map.hpp"
-#include "core/optimistic_read.hpp"
+#include "core/string_map.hpp"
 #include "hash/hash_functions.hpp"
 #include "util/assert.hpp"
 #include "util/seqlock.hpp"
@@ -39,28 +45,32 @@
 
 namespace gh {
 
-template <class Cell>
+/// `Map` is a durable map type that supplies, besides its get/put API,
+/// the lock-free read hooks: Options, ReadSnapshot + read_snapshot(),
+/// ProbeKey + probe_key() and the static optimistic_probe() (see
+/// BasicGroupHashMap and PersistentStringMap).
+template <class Map>
 class BasicConcurrentGroupHashMap {
  public:
-  using key_type = typename Cell::key_type;
-  using Shard = BasicGroupHashMap<Cell>;
-  using Table = typename Shard::Table;
-  using ReadView = core::TableReadView<Cell>;
+  using key_type = typename Map::key_type;
+  using Options = typename Map::Options;
+  using Table = typename Map::Table;
 
   /// Optimistic attempts before a reader falls back to the shard lock.
   static constexpr u32 kMaxOptimisticAttempts = 8;
 
   /// In-memory concurrent map with `shards` (power of two) shards. The
-  /// total cell budget options.initial_cells is split across shards with
-  /// a ceiling divide, so the summed capacity is never below the request.
-  explicit BasicConcurrentGroupHashMap(usize shards = 16, const MapOptions& options = {},
+  /// total cell budget (the map options' initial_cells) is split across
+  /// shards with a ceiling divide, so the summed capacity is never below
+  /// the request.
+  explicit BasicConcurrentGroupHashMap(usize shards = 16, const Options& options = {},
                                        LockMode mode = LockMode::kOptimistic)
       : mode_(mode) {
     GH_CHECK_MSG(is_pow2(shards), "shard count must be a power of two");
-    MapOptions per_shard = options;
-    per_shard.initial_cells =
-        std::max<u64>((options.initial_cells + shards - 1) / shards, 64);
-    per_shard.retain_retired_regions = true;
+    Options per_shard = options;
+    MapOptions& m = map_options(per_shard);
+    m.initial_cells = std::max<u64>((m.initial_cells + shards - 1) / shards, 64);
+    m.retain_retired_regions = true;
     shards_.reserve(shards);
     for (usize i = 0; i < shards; ++i) {
       shards_.push_back(std::make_unique<ShardState>(per_shard));
@@ -71,30 +81,20 @@ class BasicConcurrentGroupHashMap {
     ShardState& sh = shard(key);
     SeqLockWriteGuard guard(sh.lock, &sh.contention);
     sh.map.put(key, value);
-    sh.republish_view_if_moved();
+    sh.republish_if_moved();
   }
 
   [[nodiscard]] std::optional<u64> get(const key_type& key) {
     ShardState& sh = shard(key);
     if (mode_ == LockMode::kOptimistic) {
-      u64 retries = 0;
-      for (u32 attempt = 0; attempt < max_optimistic_attempts_; ++attempt) {
-        const u64 epoch = sh.lock.read_begin();
-        if (!SeqLock::epoch_stable(epoch)) {
-          ++retries;
-          cpu_relax();
-          continue;
-        }
-        const ReadView* view = sh.view.load(std::memory_order_acquire);
-        const auto result = core::optimistic_find(*view, key);
-        if (sh.lock.read_validate(epoch)) {
-          if (retries != 0) sh.contention.read_retries += retries;
-          return result;
-        }
-        ++retries;
+      const auto probe_key = Map::probe_key(key);
+      std::optional<u64> out;
+      if (core::optimistic_read(sh.lock, sh.contention, max_optimistic_attempts_, [&] {
+            return Map::optimistic_probe(*sh.snapshot.load(std::memory_order_acquire),
+                                         probe_key, out);
+          })) {
+        return out;
       }
-      sh.contention.read_retries += retries;
-      sh.contention.read_fallbacks += 1;
     }
     SeqLockReadGuard guard(sh.lock);
     return sh.map.get(key);
@@ -107,28 +107,28 @@ class BasicConcurrentGroupHashMap {
     // shard (start, drain, or finalize a resize), so every write path
     // republishes, not just put.
     const bool hit = sh.map.erase(key);
-    sh.republish_view_if_moved();
+    sh.republish_if_moved();
     return hit;
   }
 
   /// Batched lookup: keys are bucketed by shard; each shard's sub-batch
-  /// resolves under ONE optimistic epoch validation (all its tag scans
-  /// and cell reads together — the same one-epoch argument as a single
-  /// optimistic_find), retrying and finally falling back to the shard
-  /// lock plus the map's prefetching get_batch. out[i] receives the
-  /// result for keys[i].
+  /// resolves under ONE optimistic epoch validation (all its probes
+  /// together — the same one-epoch argument as a single probe), retrying
+  /// and finally falling back to the shard lock plus the map's
+  /// prefetching get_batch. out[i] receives the result for keys[i].
   void get_batch(std::span<const key_type> keys, std::span<std::optional<u64>> out) {
     GH_CHECK_MSG(keys.size() == out.size(), "get_batch spans must have equal size");
     if (keys.empty()) return;
     std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
     std::vector<key_type> sub_keys;
+    std::vector<ProbeKey> sub_probes;
     std::vector<std::optional<u64>> sub_out;
     for (usize s = 0; s < shards_.size(); ++s) {
       if (buckets[s].empty()) continue;
       sub_keys.clear();
       for (const u32 i : buckets[s]) sub_keys.push_back(keys[i]);
       sub_out.assign(sub_keys.size(), std::nullopt);
-      shard_get_batch(*shards_[s], sub_keys, sub_out);
+      shard_get_batch(*shards_[s], sub_keys, sub_probes, sub_out);
       for (usize w = 0; w < buckets[s].size(); ++w) out[buckets[s][w]] = sub_out[w];
     }
   }
@@ -155,7 +155,7 @@ class BasicConcurrentGroupHashMap {
       ShardState& sh = *shards_[s];
       SeqLockWriteGuard guard(sh.lock, &sh.contention);
       sh.map.put_batch(sub_keys, sub_vals);
-      sh.republish_view_if_moved();
+      sh.republish_if_moved();
     }
   }
 
@@ -177,7 +177,7 @@ class BasicConcurrentGroupHashMap {
       ShardState& sh = *shards_[s];
       SeqLockWriteGuard guard(sh.lock, &sh.contention);
       sh.map.erase_batch(sub_keys, hits.empty() ? std::span<u8>{} : std::span<u8>(sub_hits));
-      sh.republish_view_if_moved();
+      sh.republish_if_moved();
       if (!hits.empty()) {
         for (usize w = 0; w < buckets[s].size(); ++w) hits[buckets[s][w]] = sub_hits[w];
       }
@@ -208,25 +208,29 @@ class BasicConcurrentGroupHashMap {
   [[nodiscard]] LockMode lock_mode() const { return mode_; }
 
   /// Shard a key routes to (tests target one shard's lock with this).
-  [[nodiscard]] usize shard_index(const key_type& key) const { return shard_of(key); }
+  [[nodiscard]] usize shard_index(const key_type& key) const {
+    return hash::shard_of(key, shards_.size());
+  }
 
   /// One unified stats sample over all shards: the aggregate persist /
   /// table-op / scrub / contention / lifecycle counters, merged per-op
-  /// latency histograms, and a per-shard brief. Each shard is sampled
-  /// under its seqlock's read side, so a concurrent expansion cannot tear
-  /// the view and the carried-over counters survive intact.
+  /// latency histograms, and a per-shard brief (whose `expansions` counts
+  /// the shard's resizes: expansions of an inline map, compactions of a
+  /// string map). Each shard is sampled under its seqlock's read side,
+  /// so a concurrent resize cannot tear the view and the carried-over
+  /// counters survive intact.
   [[nodiscard]] obs::Snapshot snapshot() {
     obs::Snapshot total;
-    total.source = sizeof(Cell) == 16 ? "ConcurrentGroupHashMap" : "ConcurrentGroupHashMapWide";
+    total.source = kSource;
     total.shards = shards_.size();
     for (usize i = 0; i < shards_.size(); ++i) {
       ShardState& sh = *shards_[i];
       SeqLockReadGuard guard(sh.lock);
       obs::Snapshot s = sh.map.snapshot();
       s.contention = obs::ContentionSnapshot::from(sh.contention);
-      total.per_shard.push_back(obs::ShardBrief{i, s.size, s.capacity, s.contention,
-                                                s.lifecycle.expansions,
-                                                s.lifecycle.degraded});
+      total.per_shard.push_back(obs::ShardBrief{
+          i, s.size, s.capacity, s.contention,
+          s.lifecycle.expansions + s.lifecycle.compactions, s.lifecycle.degraded});
       total.absorb(s);
     }
     return total;
@@ -246,90 +250,81 @@ class BasicConcurrentGroupHashMap {
   void set_max_optimistic_attempts(u32 attempts) { max_optimistic_attempts_ = attempts; }
 
  private:
+  using ProbeKey = typename Map::ProbeKey;
+  using ReadSnapshot = typename Map::ReadSnapshot;
+
+  static constexpr const char* kSource =
+      std::is_same_v<Map, GroupHashMap>       ? "ConcurrentGroupHashMap"
+      : std::is_same_v<Map, GroupHashMapWide> ? "ConcurrentGroupHashMapWide"
+                                              : "ConcurrentStringMap";
+
+  static MapOptions& map_options(Options& options) {
+    if constexpr (std::is_same_v<Options, MapOptions>) {
+      return options;
+    } else {
+      return options.map;
+    }
+  }
+
   struct ShardState {
-    explicit ShardState(const MapOptions& options)
-        : map(Shard::create_in_memory(options)) {
-      auto initial = std::make_unique<ReadView>(ReadView::of(map.raw_table()));
-      view.store(initial.get(), std::memory_order_release);
-      views.push_back(std::move(initial));
+    explicit ShardState(const Options& options) : map(Map::create_in_memory(options)) {
+      republish_if_moved();
     }
 
-    /// After a mutation: if the probe geometry changed (a resize start,
-    /// resume, finalize or emergency merge — tracked by the map's
-    /// structure_version), publish a fresh view: dual (target + old
-    /// table) while a migration runs, single otherwise. Old views are
-    /// retired, not freed — a racing reader may still hold one, and the
-    /// map's retained regions keep the cells it points at mapped. Called
-    /// with the shard seqlock held exclusively.
-    void republish_view_if_moved() {
-      const u64 version = map.structure_version();
-      if (version == published_version) return;
-      const Table& table = map.raw_table();
-      auto fresh = std::make_unique<ReadView>(
-          map.migration_table() ? ReadView::dual(*map.migration_table(), table)
-                                : ReadView::of(table));
-      fresh->version = version;
-      published_version = version;
-      view.store(fresh.get(), std::memory_order_release);
-      views.push_back(std::move(fresh));
+    /// Publish a fresh read snapshot if the probe geometry changed (a
+    /// resize start, resume, finalize or emergency merge — tracked by the
+    /// map's structure_version). Called after every mutation, with the
+    /// shard seqlock held exclusively. Old snapshots are retired, not
+    /// freed — a racing reader may still hold one, and the map's retained
+    /// regions keep the cells and records it points at mapped.
+    void republish_if_moved() {
+      if (map.structure_version() == published_version) return;
+      published_version = map.structure_version();
+      auto fresh = std::make_unique<ReadSnapshot>(map.read_snapshot());
+      snapshot.store(fresh.get(), std::memory_order_release);
+      snapshots.push_back(std::move(fresh));
     }
 
-    Shard map;
+    Map map;
     SeqLock lock;
-    std::atomic<const ReadView*> view{nullptr};
-    std::vector<std::unique_ptr<ReadView>> views;  ///< current + retired
+    std::atomic<const ReadSnapshot*> snapshot{nullptr};
+    std::vector<std::unique_ptr<ReadSnapshot>> snapshots;  ///< current + retired
     LockContention contention;
-    u64 published_version = 0;  ///< map.structure_version() of `view`
+    u64 published_version = ~u64{0};  ///< map.structure_version() of `snapshot`
   };
 
-  ShardState& shard(const key_type& key) { return *shards_[shard_of(key)]; }
+  ShardState& shard(const key_type& key) { return *shards_[shard_index(key)]; }
 
   [[nodiscard]] std::vector<std::vector<u32>> bucket_by_shard(
       std::span<const key_type> keys) const {
     std::vector<std::vector<u32>> buckets(shards_.size());
     for (usize i = 0; i < keys.size(); ++i) {
-      buckets[shard_of(keys[i])].push_back(static_cast<u32>(i));
+      buckets[shard_index(keys[i])].push_back(static_cast<u32>(i));
     }
     return buckets;
   }
 
   /// One shard's share of get_batch: the whole sub-batch probes under a
   /// single epoch check. Validation failure retries the sub-batch, then
-  /// falls back to the lock (where the shard map's prefetching find_batch
+  /// falls back to the lock (where the shard map's prefetching get_batch
   /// still applies).
   void shard_get_batch(ShardState& sh, std::span<const key_type> keys,
-                       std::span<std::optional<u64>> out) {
+                       std::vector<ProbeKey>& probes, std::span<std::optional<u64>> out) {
     if (mode_ == LockMode::kOptimistic) {
-      u64 retries = 0;
-      for (u32 attempt = 0; attempt < max_optimistic_attempts_; ++attempt) {
-        const u64 epoch = sh.lock.read_begin();
-        if (!SeqLock::epoch_stable(epoch)) {
-          ++retries;
-          cpu_relax();
-          continue;
-        }
-        const ReadView* view = sh.view.load(std::memory_order_acquire);
-        for (usize i = 0; i < keys.size(); ++i) {
-          out[i] = core::optimistic_find(*view, keys[i]);
-        }
-        if (sh.lock.read_validate(epoch)) {
-          if (retries != 0) sh.contention.read_retries += retries;
-          return;
-        }
-        ++retries;
+      probes.clear();
+      for (const key_type& key : keys) probes.push_back(Map::probe_key(key));
+      if (core::optimistic_read(sh.lock, sh.contention, max_optimistic_attempts_, [&] {
+            const ReadSnapshot& snap = *sh.snapshot.load(std::memory_order_acquire);
+            for (usize i = 0; i < probes.size(); ++i) {
+              if (!Map::optimistic_probe(snap, probes[i], out[i])) return false;
+            }
+            return true;
+          })) {
+        return;
       }
-      sh.contention.read_retries += retries;
-      sh.contention.read_fallbacks += 1;
     }
     SeqLockReadGuard guard(sh.lock);
     sh.map.get_batch(keys, out);
-  }
-
-  [[nodiscard]] usize shard_of(const key_type& key) const {
-    // Shard routing must be independent of the in-table hash; use a
-    // distinct fixed seed.
-    return static_cast<usize>(hash::SeededHash(0xc3a5c85c97cb3127ull)(key)) &
-           (shards_.size() - 1);
   }
 
   std::vector<std::unique_ptr<ShardState>> shards_;
@@ -337,7 +332,10 @@ class BasicConcurrentGroupHashMap {
   u32 max_optimistic_attempts_ = kMaxOptimisticAttempts;
 };
 
-using ConcurrentGroupHashMap = BasicConcurrentGroupHashMap<hash::Cell16>;
-using ConcurrentGroupHashMapWide = BasicConcurrentGroupHashMap<hash::Cell32>;
+using ConcurrentGroupHashMap = BasicConcurrentGroupHashMap<GroupHashMap>;
+using ConcurrentGroupHashMapWide = BasicConcurrentGroupHashMap<GroupHashMapWide>;
+/// String keys: each shard a PersistentStringMap; a get fingerprints its
+/// key before the epoch window and resolves the record lock-free.
+using ConcurrentStringMap = BasicConcurrentGroupHashMap<PersistentStringMap>;
 
 }  // namespace gh

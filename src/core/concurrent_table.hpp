@@ -91,24 +91,13 @@ class BasicConcurrentGroupHashTable {
 
   [[nodiscard]] std::optional<u64> find(const key_type& key) {
     Stripe& st = stripe_for(key);
-    if (mode_ == LockMode::kOptimistic) {
-      u64 retries = 0;
-      for (u32 attempt = 0; attempt < max_optimistic_attempts_; ++attempt) {
-        const u64 epoch = st.lock.read_begin();
-        if (!SeqLock::epoch_stable(epoch)) {
-          ++retries;
-          cpu_relax();
-          continue;
-        }
-        const auto result = core::optimistic_find(view_, key);
-        if (st.lock.read_validate(epoch)) {
-          if (retries != 0) st.contention.read_retries += retries;
-          return result;
-        }
-        ++retries;
-      }
-      st.contention.read_retries += retries;
-      st.contention.read_fallbacks += 1;
+    std::optional<u64> out;
+    if (mode_ == LockMode::kOptimistic &&
+        core::optimistic_read(st.lock, st.contention, max_optimistic_attempts_, [&] {
+          out = core::optimistic_find(view_, key);
+          return true;
+        })) {
+      return out;
     }
     SeqLockReadGuard guard(st.lock);
     return table_->find(key);

@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/errors.hpp"
+#include "core/optimistic_read.hpp"
 #include "core/payload.hpp"
 #include "hash/cells.hpp"
 #include "hash/group_hashing.hpp"
@@ -131,6 +132,7 @@ class BasicGroupHashMap {
  public:
   using key_type = typename Cell::key_type;
   using Table = hash::GroupHashTable<Cell, nvm::DirectPM>;
+  using Options = MapOptions;
 
   /// Create a fresh file-backed map (truncates an existing file).
   static BasicGroupHashMap create(const std::string& path, const MapOptions& options = {});
@@ -258,7 +260,7 @@ class BasicGroupHashMap {
   [[nodiscard]] u64 migration_cursor() const { return mig_cursor_; }
 
   /// The in-progress migration target table (nullptr when inactive) —
-  /// for the concurrent wrapper's dual-table read view and inspection.
+  /// for tests and inspection.
   [[nodiscard]] const Table* migration_table() const {
     return mig_table_ ? &*mig_table_ : nullptr;
   }
@@ -273,8 +275,30 @@ class BasicGroupHashMap {
 
   /// Bumped whenever the probe geometry changes: migration start, resume
   /// and finalize, and the emergency merge. The concurrent wrapper
-  /// compares it to decide when to republish its read view.
+  /// compares it to decide when to republish its read snapshot.
   [[nodiscard]] u64 structure_version() const { return structure_version_; }
+
+  // What the concurrent wrapper (core/concurrent_map.hpp) needs for its
+  // lock-free reads; the string map supplies its own.
+  /// Immutable probing snapshot: the table's view, dual (migration
+  /// target first, then the old table) while a resize runs. The wrapper
+  /// takes one under its write lock whenever structure_version() moves;
+  /// it stays dereferenceable, if stale, while retain_retired_regions
+  /// keeps retired regions mapped.
+  using ReadSnapshot = core::TableReadView<Cell>;
+  [[nodiscard]] ReadSnapshot read_snapshot() const {
+    return mig_table_ ? ReadSnapshot::dual(*mig_table_, table()) : ReadSnapshot::of(table());
+  }
+  /// A key as the probe takes it, prepared outside the epoch window.
+  using ProbeKey = key_type;
+  [[nodiscard]] static const key_type& probe_key(const key_type& key) { return key; }
+  /// Algorithm 2 over a snapshot with acquire loads. Always conclusive:
+  /// `out` holds the answer iff the caller's epoch validates.
+  [[nodiscard]] static bool optimistic_probe(const ReadSnapshot& snap, const key_type& key,
+                                             std::optional<u64>& out) {
+    out = core::optimistic_find(snap, key);
+    return true;
+  }
 
   /// Test hooks: verify the DRAM fingerprint tags / per-group CRCs of
   /// every live table (both of them mid-migration).

@@ -129,7 +129,8 @@ struct ConcurrentMapInspection {
 /// Structural scan of every shard of a concurrent map, taken under each
 /// shard's lock in turn (writers in other shards proceed unhindered).
 /// Works for any wrapper exposing shard_count(), with_shard_table() and a
-/// snapshot() with per-shard briefs — i.e. BasicConcurrentGroupHashMap<Cell>.
+/// snapshot() with per-shard briefs — i.e. ConcurrentGroupHashMap and
+/// ConcurrentGroupHashMapWide (a string map's shards expose no table).
 template <class ConcurrentMap>
 ConcurrentMapInspection inspect_shards(ConcurrentMap& map) {
   ConcurrentMapInspection r;

@@ -8,7 +8,11 @@
 // Torn or stale intermediate states are rejected by the validation and
 // retried (see util/seqlock.hpp for the fence discipline).
 //
-// Two pieces live here:
+// Three pieces live here:
+//
+//   * optimistic_read — the retry loop around (1)-(3) that every
+//     concurrent wrapper runs, with its contention accounting and the
+//     fallback to the lock;
 //
 //   * TableReadView — an immutable snapshot of the probing parameters
 //     (cell pointers, mask, group size, hash seed). The concurrent
@@ -42,12 +46,48 @@
 #include "hash/group_hashing.hpp"
 #include "hash/hash_functions.hpp"
 #include "hash/tag_probe.hpp"
+#include "util/seqlock.hpp"
 #include "util/types.hpp"
 
 namespace gh::core {
 
 [[nodiscard]] inline u64 atomic_load_acquire(const u64& word) {
   return std::atomic_ref<u64>(const_cast<u64&>(word)).load(std::memory_order_acquire);
+}
+
+/// The optimistic read of every concurrent wrapper: run `probe` under a
+/// stable epoch and keep its answer if the epoch validates. An odd epoch
+/// or a failed validation is a retry (counted in read_retries); after
+/// `attempts` of them the read gives up (one read_fallback). `probe`
+/// returns false to escalate — its answer cannot be trusted even under a
+/// valid epoch (an anomalous record) — and the read gives up at once.
+/// True when `probe`'s outputs hold a validated answer; false when the
+/// caller must read under the lock.
+/// Forced inline: every read path runs through here, and an out-of-line
+/// copy would add a call and spill the probe's captures on each get.
+template <class Probe>
+[[nodiscard, gnu::always_inline]] inline bool optimistic_read(const SeqLock& lock,
+                                                              LockContention& contention,
+                                                              u32 attempts, Probe&& probe) {
+  u64 retries = 0;
+  for (u32 attempt = 0; attempt < attempts; ++attempt) {
+    const u64 epoch = lock.read_begin();
+    if (!SeqLock::epoch_stable(epoch)) {
+      ++retries;
+      cpu_relax();
+      continue;
+    }
+    const bool conclusive = probe();
+    if (lock.read_validate(epoch) && conclusive) {
+      if (retries != 0) contention.read_retries += retries;
+      return true;
+    }
+    if (!conclusive) break;
+    ++retries;
+  }
+  contention.read_retries += retries;
+  contention.read_fallbacks += 1;
+  return false;
 }
 
 /// Immutable probing snapshot of one GroupHashTable — or, during a
@@ -77,8 +117,6 @@ struct TableReadView {
   std::shared_ptr<const u8[]> old_tags;
   const u8* old_tags1 = nullptr;
   const u8* old_tags2 = nullptr;
-  /// structure_version() of the map this view was published for.
-  u64 version = 0;
 
   template <class PM>
   [[nodiscard]] static TableReadView of(const hash::GroupHashTable<Cell, PM>& table) {

@@ -281,21 +281,48 @@ void PersistentStringMap::compact() {
 }
 
 PersistentStringMap::ReadSnapshot PersistentStringMap::read_snapshot() const {
-  using View = core::TableReadView<hash::Cell32>;
   const auto window = [](const ArenaPayload& p) {
     return ArenaWindow{p.arena().data(), p.capacity()};
   };
-  ReadSnapshot s;
-  if (mig_table_) {
-    s.view = View::dual(*mig_table_, table());
-    s.arena = window(mig_payload_);
-    s.old_arena = window(payload_);
-  } else {
-    s.view = View::of(table());
-    s.arena = window(payload_);
+  if (!mig_table_) return {Core::read_snapshot(), window(payload_), {}};
+  return {Core::read_snapshot(), window(mig_payload_), window(payload_)};
+}
+
+bool PersistentStringMap::optimistic_probe(const ReadSnapshot& snap, const ProbeKey& key,
+                                           std::optional<u64>& out) {
+  // New-then-old, as core::optimistic_find, but the hit's table names
+  // the arena its record lives in.
+  const core::TableReadView<hash::Cell32>& v = snap.view;
+  const u64 h = v.hash(key.fp);
+  auto offset = core::optimistic_probe(v.tab1, v.tab2, v.mask, v.group_size, v.tags1,
+                                       v.tags2, h, key.fp);
+  ArenaWindow arena = snap.arena;
+  if (!offset && v.old_tab1 != nullptr) {
+    offset = core::optimistic_probe(v.old_tab1, v.old_tab2, v.old_mask, v.old_group_size,
+                                    v.old_tags1, v.old_tags2, h, key.fp);
+    arena = snap.old_arena;
   }
-  s.view.version = structure_version();
-  return s;
+  if (!offset.has_value()) {
+    out = std::nullopt;  // absent (trustworthy iff the epoch validates)
+    return true;
+  }
+  // A torn/stale cell can surface a garbage offset: never dereference
+  // outside the snapshot's arena window (checked without overflow).
+  const u64 room = *offset <= arena.capacity ? arena.capacity - *offset : 0;
+  if (room < kRecordHeaderBytes) return false;
+  const auto* record = reinterpret_cast<const u64*>(arena.data + *offset);
+  const u64 value = core::atomic_load_acquire(record[0]);
+  const u64 key_len = core::atomic_load_acquire(record[1]);
+  if (key_len != key.key.size()) return false;  // collision or torn — escalate
+  if (room - kRecordHeaderBytes < key_len) return false;
+  // Plain reads, race-free: the offset came from an acquire-loaded cell
+  // word released AFTER these bytes were written (DirectPM), and
+  // committed records are immutable except their value word.
+  if (std::memcmp(arena.data + *offset + kRecordHeaderBytes, key.key.data(), key_len) != 0) {
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 }  // namespace gh

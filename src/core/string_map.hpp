@@ -53,6 +53,8 @@ class PersistentStringMap : private BasicGroupHashMap<hash::Cell32, ArenaPayload
 
  public:
   using Core::Table;
+  using Options = StringMapOptions;
+  using key_type = std::string_view;
 
   static PersistentStringMap create(const std::string& path,
                                     const StringMapOptions& options = {});
@@ -149,26 +151,43 @@ class PersistentStringMap : private BasicGroupHashMap<hash::Cell32, ArenaPayload
   using Core::snapshot;
   using Core::structure_version;
 
-  /// MD5 fingerprint a key is indexed under (pure; public for the
-  /// concurrent wrapper's lock-free read path).
+  /// MD5 fingerprint a key is indexed under (pure).
   static Key128 fingerprint(std::string_view key);
 
+  // What the concurrent wrapper (core/concurrent_map.hpp) needs for its
+  // lock-free reads, as the core supplies for inline maps.
   /// An arena's data bytes as an optimistic reader may see them.
   struct ArenaWindow {
     const std::byte* data = nullptr;
     u64 capacity = 0;
   };
-  /// Immutable probing snapshot for optimistic readers: the core's table
-  /// view — dual (target, old table) during a migration — and the arena
-  /// window of each of its tables. Taken under the writer lock by the
-  /// concurrent wrapper; stays dereferenceable (if stale) across resizes
-  /// when retain_retired_regions is set.
+  /// Immutable probing snapshot: the core's read snapshot — dual
+  /// (target, old table) during a migration — and the arena window of
+  /// each of its tables. Stays dereferenceable, if stale, across resizes
+  /// while retain_retired_regions keeps retired regions mapped.
   struct ReadSnapshot {
     core::TableReadView<hash::Cell32> view;
     ArenaWindow arena;      ///< records of view's primary table
     ArenaWindow old_arena;  ///< records of view's old table (dual views)
   };
   [[nodiscard]] ReadSnapshot read_snapshot() const;
+  /// A key and its fingerprint, computed outside the epoch window.
+  struct ProbeKey {
+    std::string_view key;
+    Key128 fp;
+  };
+  [[nodiscard]] static ProbeKey probe_key(std::string_view key) {
+    return {key, fingerprint(key)};
+  }
+  /// Lock-free get over a snapshot: fingerprint probe (acquire loads),
+  /// then the hit's record in the arena of the table that hit —
+  /// bounds-checked against that arena's window — and its key bytes.
+  /// False (escalate to the lock) on an out-of-window offset, a key
+  /// length or key bytes that do not match: a torn read or a genuine
+  /// collision, which the locked path re-checks and reports. True means
+  /// `out` holds the answer iff the caller's epoch validates.
+  [[nodiscard]] static bool optimistic_probe(const ReadSnapshot& snap, const ProbeKey& key,
+                                             std::optional<u64>& out);
 
  private:
   struct Record {

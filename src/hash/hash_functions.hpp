@@ -4,6 +4,8 @@
 // two independent functions (PFHT, path hashing) instantiate two seeds.
 #pragma once
 
+#include <string_view>
+
 #include "util/types.hpp"
 
 namespace gh::hash {
@@ -41,5 +43,28 @@ class SeededHash {
 /// with any seed.
 inline constexpr u64 kDefaultSeed1 = 0x8f14e45fceea167aull;
 inline constexpr u64 kDefaultSeed2 = 0x45d9f3b3335b369ull;
+
+/// Shard routing, shared by the concurrent wrappers and the shard
+/// service so a key's shard is the same in both. Independent of the
+/// in-table hash: a distinct seed for integer keys, FNV-1a over the
+/// bytes for string keys (whose table index is an MD5 fingerprint).
+inline constexpr u64 kShardSeed = 0xc3a5c85c97cb3127ull;
+
+[[nodiscard]] constexpr u64 shard_hash(u64 key) { return SeededHash(kShardSeed)(key); }
+[[nodiscard]] constexpr u64 shard_hash(const Key128& key) { return SeededHash(kShardSeed)(key); }
+[[nodiscard]] constexpr u64 shard_hash(std::string_view key) {
+  u64 h = 0xcbf29ce484222325ull ^ 0x9e3779b97f4a7c15ull;
+  for (const char c : key) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return fmix64(h);
+}
+
+/// The shard of `key` among `shards` (a power of two).
+template <class Key>
+[[nodiscard]] constexpr usize shard_of(const Key& key, usize shards) {
+  return static_cast<usize>(shard_hash(key)) & (shards - 1);
+}
 
 }  // namespace gh::hash

@@ -84,7 +84,8 @@ class PersistentArena {
 
   /// Base of the data bytes, for optimistic readers that bounds-check
   /// offsets themselves instead of going through read()'s head check
-  /// (a stale reader's head may lag its offset; see concurrent_string_map).
+  /// (a stale reader's head may lag its offset; see
+  /// PersistentStringMap::optimistic_probe).
   [[nodiscard]] const std::byte* data() const { return data_; }
 
  private:

@@ -7,22 +7,11 @@
 #include "hash/hash_functions.hpp"
 #include "nvm/fault_fs.hpp"
 #include "util/assert.hpp"
+#include "util/seqlock.hpp"
 
 namespace gh::service {
 
 namespace {
-
-/// Same seed the concurrent wrappers use for shard routing, so the
-/// service's shard for a key matches ConcurrentGroupHashMap's.
-constexpr u64 kShardSeed = 0xc3a5c85c97cb3127ull;
-
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(_M_X64)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
 
 inline obs::OpKind op_kind(Op op) {
   switch (op) {
@@ -47,7 +36,7 @@ const char* to_string(Status s) {
 }
 
 u32 ShardServer::shard_of(u64 key, u32 shards) {
-  return static_cast<u32>(hash::SeededHash(kShardSeed)(key)) & (shards - 1);
+  return static_cast<u32>(hash::shard_of(key, shards));
 }
 
 ShardServer::ShardServer(const ServiceOptions& options) : options_(options) {

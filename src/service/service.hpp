@@ -260,8 +260,8 @@ class ShardServer {
   /// while waiting. Safe to call concurrently; calls are serialized.
   bool restart_shard(u32 shard);
 
-  /// Same seeded routing hash as the concurrent wrappers, so a key's
-  /// shard is stable across the service and the embedded maps.
+  /// hash::shard_of, the concurrent wrappers' route, so a key's shard
+  /// is the same in the service and the embedded maps.
   [[nodiscard]] static u32 shard_of(u64 key, u32 shards);
 
   /// Service-level end-to-end latency (batch round-trip attributed to

@@ -18,6 +18,8 @@
 // validation and retries; after a bounded number of failures it falls
 // back to acquiring the mutex (read_lock), which excludes writers without
 // touching the epoch — so writer churn can never starve a reader.
+// core::optimistic_read() (core/optimistic_read.hpp) is that loop, the
+// one every wrapper runs.
 //
 // All data read optimistically must itself be accessed with atomic
 // operations (the cells' words are written via DirectPM's atomic stores),

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/concurrent_map.hpp"
-#include "core/concurrent_string_map.hpp"
 #include "core/concurrent_table.hpp"
 #include "core/group_hash_map.hpp"
 #include "core/string_map.hpp"
@@ -812,11 +811,11 @@ TEST(ConcurrentBatch, StripedTableFindBatchMatchesFind) {
 }
 
 TEST(ConcurrentBatch, StringMapGetBatchMatchesGet) {
-  ConcurrentStringMap map({.shards = 4});
+  ConcurrentStringMap map(4);
   for (u64 k = 0; k < 800; ++k) map.put("key-" + std::to_string(k), k);
   std::vector<std::string> storage;
   for (u64 k = 0; k < 1000; ++k) storage.push_back("key-" + std::to_string(k));
-  storage.push_back(std::string(300, 'z'));  // oversized -> locked path
+  storage.push_back(std::string(300, 'z'));  // a long key, absent
   std::vector<std::string_view> probes(storage.begin(), storage.end());
   std::vector<std::optional<u64>> out(probes.size());
   map.get_batch(probes, out);

@@ -1,9 +1,11 @@
-#include "core/concurrent_string_map.hpp"
+#include "core/concurrent_map.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -11,7 +13,7 @@ namespace gh {
 namespace {
 
 TEST(ConcurrentStringMap, SingleThreadedBasics) {
-  ConcurrentStringMap map({.shards = 4});
+  ConcurrentStringMap map(4);
   EXPECT_EQ(map.shard_count(), 4u);
   map.put("alpha", 1);
   map.put("beta", 2);
@@ -26,7 +28,7 @@ TEST(ConcurrentStringMap, SingleThreadedBasics) {
 }
 
 TEST(ConcurrentStringMap, ManyKeysAcrossShards) {
-  ConcurrentStringMap map({.shards = 8});
+  ConcurrentStringMap map(8);
   for (u64 k = 0; k < 4000; ++k) map.put("key-" + std::to_string(k), k);
   EXPECT_EQ(map.size(), 4000u);
   for (u64 k = 0; k < 4000; ++k) {
@@ -35,7 +37,7 @@ TEST(ConcurrentStringMap, ManyKeysAcrossShards) {
 }
 
 TEST(ConcurrentStringMap, UncontendedReadsNeverFallBack) {
-  ConcurrentStringMap map({.shards = 4});
+  ConcurrentStringMap map(4);
   for (u64 k = 0; k < 500; ++k) map.put("k" + std::to_string(k), k);
   for (u64 k = 0; k < 500; ++k) EXPECT_EQ(*map.get("k" + std::to_string(k)), k);
   EXPECT_EQ(map.snapshot().contention.read_retries, 0u);
@@ -43,14 +45,24 @@ TEST(ConcurrentStringMap, UncontendedReadsNeverFallBack) {
 }
 
 TEST(ConcurrentStringMap, OversizedKeysReadThroughLock) {
-  ConcurrentStringMap map({.shards = 2});
-  const std::string big(ConcurrentStringMap::kMaxOptimisticKeyBytes + 1, 'x');
+  // A long key runs the same optimistic protocol as a short one (the
+  // probe compares the key bytes in place): lock-free by default, and
+  // one lock fallback each once the attempt budget is zero.
+  ConcurrentStringMap map(2);
+  const std::string big(4096, 'x');
   map.put(big, 42);
+  map.put("short", 7);
   EXPECT_EQ(*map.get(big), 42u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 0u);
+  map.set_max_optimistic_attempts(0);
+  EXPECT_EQ(*map.get("short"), 7u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 1u);
+  EXPECT_EQ(*map.get(big), 42u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 2u);
 }
 
 TEST(ConcurrentStringMap, PessimisticMode) {
-  ConcurrentStringMap map({.shards = 4, .lock_mode = LockMode::kPessimistic});
+  ConcurrentStringMap map(4, {}, LockMode::kPessimistic);
   EXPECT_EQ(map.lock_mode(), LockMode::kPessimistic);
   map.put("a", 1);
   EXPECT_EQ(*map.get("a"), 1u);
@@ -58,7 +70,7 @@ TEST(ConcurrentStringMap, PessimisticMode) {
 }
 
 TEST(ConcurrentStringMap, StarvationFallbackWithZeroAttempts) {
-  ConcurrentStringMap map({.shards = 2});
+  ConcurrentStringMap map(2);
   map.set_max_optimistic_attempts(0);
   map.put("a", 1);
   EXPECT_EQ(*map.get("a"), 1u);
@@ -67,7 +79,7 @@ TEST(ConcurrentStringMap, StarvationFallbackWithZeroAttempts) {
 }
 
 TEST(ConcurrentStringMap, ParallelDisjointWriters) {
-  ConcurrentStringMap map({.shards = 8});
+  ConcurrentStringMap map(8);
   constexpr int kThreads = 4;
   constexpr u64 kPerThread = 1000;
   std::vector<std::thread> threads;
@@ -92,9 +104,7 @@ TEST(ConcurrentStringMap, ReadsSurviveCompaction) {
   // arena AND the table) while a reader hammers established keys. The
   // retired regions stay mapped, so stale probes are harmless and are
   // discarded by validation.
-  ConcurrentStringMap map(
-      {.shards = 2,
-       .shard_options = {.map = {.initial_cells = 256}, .arena_bytes_per_cell = 32}});
+  ConcurrentStringMap map(2, {.map = {.initial_cells = 256}, .arena_bytes_per_cell = 32});
   for (u64 k = 0; k < 100; ++k) map.put("stable-" + std::to_string(k), k * 11);
   std::atomic<bool> stop{false};
   std::atomic<u64> bad{0};
@@ -118,22 +128,50 @@ TEST(ConcurrentStringMap, ReadsSurviveCompaction) {
   }
 }
 
-TEST(ConcurrentStringMap, ReadsSurviveIncrementalCompaction) {
-  // Shards drain every resize one group per op, and a small arena fills
-  // with the garbage of put/erase churn, so compactions run as live
-  // migrations while readers probe the dual view: the target first,
-  // then the old table, each hit resolved in its own table's arena.
-  ConcurrentStringMap map(
-      {.shards = 2,
-       .shard_options = {.map = {.initial_cells = 256,
-                                 .group_size = 8,  // 8 groups: a resize spans 8 ops
-                                 .migrate_groups_per_op = 1},
-                         .arena_bytes_per_cell = 16}});
+// Shards drain every resize one group per op, and a small arena fills
+// with the garbage of put/erase churn, so compactions run as live
+// migrations while readers probe the dual view: the target first, then
+// the old table, each hit resolved in its own table's arena. `batched`
+// makes the same writes in put_batch/erase_batch windows of 8 keys (one
+// help-along step per window) instead of one call per key.
+void reads_survive_incremental_compaction(bool batched) {
+  ConcurrentStringMap map(2, {.map = {.initial_cells = 256,
+                                      .group_size = 8,  // 8 groups: a resize spans 8 ops
+                                      .migrate_groups_per_op = 1},
+                              .arena_bytes_per_cell = 16});
   constexpr u64 kKeys = 64;
   constexpr u64 kVersion = 1'000'000;  // value = key * kVersion + version
   const auto key = [](u64 k) { return "stable-" + std::to_string(k); };
+  const u64 window = batched ? 8 : 1;  // keys per write call
   std::vector<std::atomic<u64>> written(kKeys);  // last version whose put returned
   for (u64 k = 0; k < kKeys; ++k) map.put(key(k), k * kVersion);
+
+  const auto put = [&](const std::vector<std::string>& names, const std::vector<u64>& values) {
+    if (batched) {
+      map.put_batch(std::vector<std::string_view>(names.begin(), names.end()), values);
+    } else {
+      for (usize i = 0; i < names.size(); ++i) map.put(names[i], values[i]);
+    }
+  };
+  const auto erase = [&](const std::vector<std::string>& names) {
+    if (batched) {
+      std::vector<u8> hits(names.size());
+      map.erase_batch(std::vector<std::string_view>(names.begin(), names.end()), hits);
+      for (const u8 hit : hits) EXPECT_EQ(hit, 1u);
+    } else {
+      for (const std::string& name : names) EXPECT_TRUE(map.erase(name));
+    }
+  };
+  u64 churn = 0;
+  // The next `window` churn keys, each valued with its churn number.
+  const auto next_churn = [&] {
+    std::pair<std::vector<std::string>, std::vector<u64>> batch;
+    for (u64 i = 0; i < window; ++i, ++churn) {
+      batch.first.push_back("churn-" + std::to_string(churn));
+      batch.second.push_back(churn);
+    }
+    return batch;
+  };
 
   // Reader 0 counts its full passes, and the writer waits for one to
   // start and finish after every write. So the readers probe every
@@ -167,17 +205,25 @@ TEST(ConcurrentStringMap, ReadsSurviveIncrementalCompaction) {
     while (passes.load(std::memory_order_acquire) < seen + 2) std::this_thread::yield();
   };
   constexpr u64 kRounds = 60;
-  u64 churn = 0;
   for (u64 round = 1; round <= kRounds; ++round) {
-    for (u64 k = 0; k < kKeys; ++k) {
-      map.put(key(k), k * kVersion + round);
-      written[k].store(round, std::memory_order_release);
+    for (u64 first = 0; first < kKeys; first += window) {
+      std::vector<std::string> names;
+      std::vector<u64> values;
+      for (u64 k = first; k < first + window; ++k) {
+        names.push_back(key(k));
+        values.push_back(k * kVersion + round);
+      }
+      put(names, values);
+      for (u64 k = first; k < first + window; ++k) {
+        written[k].store(round, std::memory_order_release);
+      }
       let_readers_look();
     }
-    for (int i = 0; i < 8; ++i, ++churn) {
-      map.put("churn-" + std::to_string(churn), churn);
+    for (u64 i = 0; i < 8; i += window) {
+      const auto [names, values] = next_churn();
+      put(names, values);
       let_readers_look();
-      EXPECT_TRUE(map.erase("churn-" + std::to_string(churn)));
+      erase(names);
       let_readers_look();
     }
   }
@@ -187,9 +233,10 @@ TEST(ConcurrentStringMap, ReadsSurviveIncrementalCompaction) {
   // Uncontended, every optimistic read is conclusive, mid-migration too:
   // an old-table hit must resolve in the old table's own arena.
   const u64 fallbacks = map.snapshot().contention.read_fallbacks;
-  for (int i = 0; i < 256; ++i, ++churn) {
-    map.put("churn-" + std::to_string(churn), churn);
-    EXPECT_TRUE(map.erase("churn-" + std::to_string(churn)));
+  for (u64 i = 0; i < 256; i += window) {
+    const auto [names, values] = next_churn();
+    put(names, values);
+    erase(names);
     for (u64 k = 0; k < kKeys; ++k) ASSERT_EQ(map.get(key(k)), k * kVersion + kRounds);
   }
   EXPECT_EQ(map.snapshot().contention.read_fallbacks, fallbacks);
@@ -200,6 +247,14 @@ TEST(ConcurrentStringMap, ReadsSurviveIncrementalCompaction) {
   EXPECT_EQ(map.size(), kKeys);
   for (u64 k = 0; k < kKeys; ++k) EXPECT_EQ(map.get(key(k)), k * kVersion + kRounds) << k;
   for (u64 c = 0; c < churn; ++c) EXPECT_FALSE(map.get("churn-" + std::to_string(c)));
+}
+
+TEST(ConcurrentStringMap, ReadsSurviveIncrementalCompaction) {
+  reads_survive_incremental_compaction(/*batched=*/false);
+}
+
+TEST(ConcurrentStringMap, ReadsSurviveIncrementalCompactionBatched) {
+  reads_survive_incremental_compaction(/*batched=*/true);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/concurrent_map.hpp"
-#include "core/concurrent_string_map.hpp"
 #include "obs/export.hpp"
 #include "obs/snapshot.hpp"
 
@@ -21,11 +20,10 @@ namespace gh {
 namespace {
 
 TEST(ObsTorture, StringMapSnapshotUnderWriters) {
-  ConcurrentStringMapOptions options;
-  options.shards = 8;
-  options.shard_options.map.initial_cells = 256;  // force compactions mid-run
-  options.shard_options.map.latency_sample_shift = 0;
-  ConcurrentStringMap map(options);
+  StringMapOptions options;
+  options.map.initial_cells = 256;  // force compactions mid-run
+  options.map.latency_sample_shift = 0;
+  ConcurrentStringMap map(8, options);
 
   constexpr int kWriters = 4;
   constexpr u64 kOpsPerWriter = 4000;

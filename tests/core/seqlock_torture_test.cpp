@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/concurrent_map.hpp"
-#include "core/concurrent_string_map.hpp"
 #include "core/concurrent_table.hpp"
 #include "util/rng.hpp"
 #include "util/seqlock.hpp"
@@ -236,7 +235,7 @@ TEST(SeqLockTorture, StripedTableStarvationFallback) {
 }
 
 TEST(SeqLockTorture, StringMapReadersSeeNoTornValues) {
-  ConcurrentStringMap map({.shards = 4});
+  ConcurrentStringMap map(4);
   const usize target = map.shard_index("key-1");
   std::vector<std::string> keys;
   for (u64 k = 1; keys.size() < 8; ++k) {

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/concurrent_map.hpp"
 #include "obs/span.hpp"
 #include "service/service.hpp"
 #include "util/rng.hpp"
@@ -258,6 +259,19 @@ TEST(ShardService, RoutingMatchesConcurrentWrapperSeed) {
     // Power-of-two masking: the 4-shard route is the 8-shard route mod 4
     // only when the hash's low bits route — document the mask contract.
     EXPECT_EQ(ShardServer::shard_of(key, 4), s & 3u);
+  }
+}
+
+TEST(ShardService, RoutingMatchesConcurrentWrapper) {
+  // The service and the embedded wrapper route through one function, so
+  // a key lands on the same shard index in both at every shard count.
+  for (u32 n = 1; n <= 64; n *= 2) {
+    const ConcurrentGroupHashMap map(n, {.initial_cells = 64 * n});
+    Xoshiro256 rng(n);
+    for (int i = 0; i < 2000; ++i) {
+      const u64 key = rng.next() >> 1;
+      ASSERT_EQ(map.shard_index(key), ShardServer::shard_of(key, n)) << "key " << key;
+    }
   }
 }
 
