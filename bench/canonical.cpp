@@ -289,8 +289,9 @@ int main(int argc, char** argv) {
 
   // --- migration write cost: lines flushed per key an inline drain moves ---
   // Same undersized ingest as above, untimed. Only the puts that resize
-  // count: their flushes are the group copies and clears, the cursor
-  // words, the target's format, and the put's own cell.
+  // count: their flushes are the group copies, the cursor words (which
+  // retire the drained groups; their clears flush nothing), the target's
+  // format, and the put's own cell.
   {
     const u64 rkeys = smoke ? (1u << 14) : (1u << 18);
     MapOptions ropts;

@@ -190,6 +190,14 @@ void BasicGroupHashMap<Cell, Payload>::init(bool fresh, usize payload_bytes) {
   region_ = std::move(f.region);
   table_.emplace(std::move(f.table));
   payload_ = std::move(f.payload);
+  // The old table's drained groups were cleared with stores only, so the
+  // media may still hold their cells (after a crash, or a clean close,
+  // which seals the count but flushes no cell). Clear them again before
+  // recovery or verification reads the table.
+  const u64 word = superblock()->migration;
+  const bool armed =
+      map_format::migration_word_valid(word) && map_format::migration_word_active(word);
+  if (armed) clear_drained_groups(map_format::migration_word_cursor(word));
   if (superblock()->state == kStateDirty) {
     open_recovery_ = recover_now();
     recovered_on_open_ = true;
@@ -205,16 +213,26 @@ void BasicGroupHashMap<Cell, Payload>::init(bool fresh, usize payload_bytes) {
   // The cursor word self-checksums (it sits outside superblock_crc so it
   // can be advanced with lone 8-byte stores): a word that neither reads
   // disarmed nor checks out is corruption, not a crash state.
-  if (!map_format::migration_word_valid(superblock()->migration)) {
+  if (!map_format::migration_word_valid(word)) {
     throw std::runtime_error("GroupHashMap migration cursor is corrupt");
   }
-  if (map_format::migration_word_active(superblock()->migration)) {
+  if (armed) {
     resume_migration();
   } else if (nvm::reclaim_orphan(path_ + kMigrateSuffix)) {
     // No migration armed: a `.migrate` file here lost the race with the
     // cursor arm (crashed start) — never authoritative, reclaim.
     orphans_reclaimed_++;
   }
+}
+
+template <class Cell, class Payload>
+void BasicGroupHashMap<Cell, Payload>::clear_drained_groups(u64 cursor) {
+  Table& t = table();
+  // A dirty open recounts after this, and a clean one's sealed count
+  // never held these cells: the clears must not lower it.
+  const u64 count = t.count();
+  for (u64 g = 0; g < std::min(cursor, t.num_groups()); ++g) t.clear_group(g);
+  t.set_recovered_count(count);
 }
 
 template <class Cell, class Payload>
@@ -713,16 +731,19 @@ obs::Snapshot BasicGroupHashMap<Cell, Payload>::snapshot() {
 //
 //   start      create + format `<path>.migrate` (own superblock, dirty)
 //   published  target durable (msync + parent-dir fsync), cursor armed
-//   cursor=g   groups [0,g) drained: copied into the target and cleared
-//              from the old table, cursor advanced with one committed
-//              8-byte store per group
+//   cursor=g   groups [0,g) drained: copied into the target (fenced),
+//              cleared from the old table with stores only, and retired
+//              by the cursor, advanced with one committed 8-byte store
+//              per group
 //   finalize   cursor == num_groups, old table empty: target synced and
 //              renamed over `path`
 //   retire     old region unmapped; the target is the map
 //
 // Crash anywhere: the cursor word in the old superblock names the resume
-// point; duplicates from a group interrupted between copy and clear are
-// masked by new-table-first reads and skipped by the idempotent re-copy.
+// point, and open() clears the groups below it again, since their
+// unflushed clears may be lost; duplicates from a group interrupted
+// between copy and cursor are masked by new-table-first reads and skipped
+// by the idempotent re-copy.
 
 template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::set_migration_word(u64 word) {

@@ -417,7 +417,8 @@ class BasicGroupHashMap {
   /// Create + durably publish the `.migrate` target and arm the cursor.
   void start_migration(Resize kind, u64 need);
   /// Rehash one source group into the target — each payload adopted by
-  /// the target file first — and clear it from the old table. Idempotent
+  /// the target file first — and clear it from the old table with stores
+  /// only (the cursor advance after it retires the group). Idempotent
   /// (keys already present in the target are skipped), so re-running the
   /// cursor group after a crash is safe. Returns false when the target
   /// could not take a key or its payload — the caller must fall back to
@@ -445,6 +446,9 @@ class BasicGroupHashMap {
   void set_migration_word(u64 word);
   void clear_migration_state();
   void report_loss(const hash::LostCell& cell);
+  /// open()-time: clear the old table's groups [0, cursor) again, since
+  /// their store-only clears may not have reached media. Keeps the count.
+  void clear_drained_groups(u64 cursor);
   /// Verify every group checksum of `t` into open_scrub_ (clean opens).
   void verify_at_open(Table& t);
   /// Create (payload_bytes of payload) or open the map at path_.

@@ -398,22 +398,25 @@ class GroupHashTable {
   }
 
   /// Empty group `g` on both levels — how a resize retires a source group
-  /// once its keys are copied out. Keeps erase_batch's crash order (every
-  /// commit word cleared → fence → payloads wiped → fence), so no crash
-  /// image holds a committed cell with a wiped payload, but flushes each
-  /// touched cacheline once per phase (through DirtyLines) instead of
-  /// once per cell. Under kSameLine one address-ordered pass clears each
-  /// cell's commit word before wiping it, flushes each line once and
-  /// fences once. The group ends all-zero, which digests to 0, so both
-  /// checksum words are reset rather than delta-updated (flushed and
-  /// fenced under kEager only), and the count drops in one bump. Returns
-  /// the number of occupied cells cleared.
+  /// once its keys are copied out. Under kFenced it keeps erase_batch's
+  /// crash order (every commit word cleared → fence → payloads wiped →
+  /// fence), so no crash image holds a committed cell with a wiped
+  /// payload, and flushes each touched cacheline once per phase (through
+  /// DirtyLines) instead of once per cell. Under kSameLine one
+  /// address-ordered pass clears each cell's commit word before wiping it
+  /// and flushes nothing: the caller's durable cursor retires the group,
+  /// so after a crash (or a clean close) the map clears every group below
+  /// the cursor again before anything reads the table. The group ends
+  /// all-zero, which digests to 0, so both checksum words are reset
+  /// rather than delta-updated (flushed and fenced under kEager only),
+  /// and the count drops in one bump. Returns the number of occupied
+  /// cells cleared.
   u64 clear_group(u64 g) {
     GH_DCHECK(g < num_groups());
     Cell* const levels[2] = {tab1_ + g * group_size_, tab2_ + g * group_size_};
-    DirtyLines lines{*pm_};
     u64 cleared = 0;
     if (same_line()) {
+      StoresOnly stores{*pm_};
       // Unoccupied cells are normally all-zero already; wiping every dirty
       // one (not only the occupied) is what makes the 0 checksum exact.
       for (Cell* base : levels) {
@@ -423,10 +426,11 @@ class GroupHashTable {
             tag_store(tag_slot(base + i), 0);
             cleared++;
           }
-          base[i].retract_same_line(lines);
+          base[i].retract_same_line(stores);
         }
       }
     } else {
+      DirtyLines lines{*pm_};
       for (Cell* base : levels) {
         for (u32 i = 0; i < group_size_; ++i) {
           if (!base[i].occupied()) continue;
@@ -443,9 +447,9 @@ class GroupHashTable {
           if (base[i].payload_dirty()) base[i].retract_wipe(lines);
         }
       }
+      lines.drain();
+      pm_->fence();
     }
-    lines.drain();
-    pm_->fence();
     if (crc_) {
       for (u32 level = 0; level < 2; ++level) {
         pm_->atomic_store_u64(crc_slot(level, g), 0);
@@ -849,15 +853,15 @@ class GroupHashTable {
     }
   };
 
-  /// The PM view of a kSameLine window and of clear_group (Level
-  /// Hashing's one flush per shared line): stores pass straight through,
-  /// a flush only marks its lines, and each marked line is flushed once,
-  /// by drain_final() once it is final or by drain(). The last marked line
-  /// is checked first, so the cells of one line in a row (clear_group's
-  /// address-ordered walk) cost O(1) each. A window dirties at most one
-  /// line per key, so only clear_group fills the view; a full view drains,
-  /// which only moves flushes earlier. No fence: the caller drains before
-  /// each fence it issues.
+  /// The PM view of a kSameLine window and of the kFenced clear_group
+  /// (Level Hashing's one flush per shared line): stores pass straight
+  /// through, a flush only marks its lines, and each marked line is
+  /// flushed once, by drain_final() once it is final or by drain(). The
+  /// last marked line is checked first, so the cells of one line in a row
+  /// (clear_group's address-ordered walk) cost O(1) each. A window dirties
+  /// at most one line per key, so only the kFenced clear_group fills the
+  /// view; a full view drains, which only moves flushes earlier. No
+  /// fence: the caller drains before each fence it issues.
   struct DirtyLines {
     static constexpr usize kCapacity = kBatchWindow;
     static constexpr usize kNever = ~usize{0};
@@ -905,6 +909,15 @@ class GroupHashTable {
       }
       n = kept;
     }
+  };
+
+  /// The PM view of the kSameLine clear_group: stores pass straight
+  /// through and flushes are dropped.
+  struct StoresOnly {
+    PM& pm;
+    void store_u64(u64* dst, u64 v) { pm.store_u64(dst, v); }
+    void atomic_store_u64(u64* dst, u64 v) { pm.atomic_store_u64(dst, v); }
+    void flush(const void*, usize) {}
   };
 
   /// A window's key hashes and, under kSameLine, when its marked lines are

@@ -1012,11 +1012,13 @@ TEST_F(SameLineTagCrash, LinePrefixImagesAtEveryCrashPoint) {
 
 // Coalesced same-line windows: cells sharing a line are flushed once, just
 // before the window's one fence. The script puts, updates and erases
-// several cells of one line per window, then copies the group into a
-// second, double-size table in target-slot order (a resize's group move)
-// and clears it from the source. At every event, under the x86 in-line
-// persist order, no acked key may be lost and no committed cell may hold
-// a payload the script did not write for its key.
+// several cells of one line per window, then moves the group as a resize
+// does: copies it into a second, double-size table in target-slot order,
+// clears it from the source with stores only, and persists a cursor word
+// that retires it. It then erases one moved key and updates another in
+// the target. At every event, under the x86 in-line persist order, no
+// acked key may be lost or come back, and no committed cell may hold a
+// payload the script did not write for its key.
 class CoalescedWindowCrash : public ::testing::Test {
  protected:
   using Table = hash::GroupHashTable<hash::Cell16, nvm::ShadowPM>;
@@ -1034,19 +1036,25 @@ class CoalescedWindowCrash : public ::testing::Test {
                                   .commit_order = hash::CommitOrder::kSameLine};
   static constexpr u64 kGroup = 1;  ///< the source group the script works in
 
-  enum class Kind { kPut, kErase, kCopy, kClear };
+  enum class Kind { kPut, kErase, kCopy, kClear, kCursor };
   struct Step {
     Kind kind;
     std::vector<u64> keys;
     std::vector<u64> values;
+    bool in_target = false;  ///< a put or erase applied to the target
   };
 
-  /// Line-aligned halves of one ShadowPM span: source table, then target.
-  static usize target_offset() {
-    const usize bytes = Table::required_bytes(kSource);
+  static usize line_up(usize bytes) {
     return (bytes + kCachelineSize - 1) / kCachelineSize * kCachelineSize;
   }
-  static usize span_bytes() { return target_offset() + Table::required_bytes(kTarget); }
+  /// Line-aligned parts of one ShadowPM span: source table, target, and a
+  /// spare line holding the cursor word.
+  static usize target_offset() { return line_up(Table::required_bytes(kSource)); }
+  static usize cursor_offset() {
+    return target_offset() + line_up(Table::required_bytes(kTarget));
+  }
+  static usize span_bytes() { return cursor_offset() + kCachelineSize; }
+  u64* cursor_word() { return reinterpret_cast<u64*>(mem_.data() + cursor_offset()); }
 
   void SetUp() override {
     region_ = nvm::NvmRegion::create_anonymous(span_bytes());
@@ -1109,6 +1117,11 @@ class CoalescedWindowCrash : public ::testing::Test {
         {Kind::kErase, {line2[1], other[0], other[1], other[2]}, {}},
         {Kind::kCopy, {}, {}},
         {Kind::kClear, {}, {}},
+        {Kind::kCursor, {}, {}},
+        // Past the cursor: an erase and an update of moved keys, which now
+        // live in the target only.
+        {Kind::kErase, {line1[0]}, {}, true},
+        {Kind::kPut, {line1[2]}, {700}, true},
     };
     for (const Step& step : steps_) {
       for (const u64 k : step.keys) universe_.push_back(k);
@@ -1126,8 +1139,8 @@ class CoalescedWindowCrash : public ::testing::Test {
                   : Table::attach(*pm_, bytes, kTarget.count_mode, kTarget.commit_order);
   }
 
-  /// The acked state after `steps` steps (copy and clear move keys
-  /// between the tables without changing it).
+  /// The acked state after `steps` steps (copy, clear and cursor move
+  /// keys between the tables without changing it).
   std::map<u64, u64> state_after(usize steps) const {
     std::map<u64, u64> state;
     for (usize s = 0; s < steps; ++s) {
@@ -1143,15 +1156,18 @@ class CoalescedWindowCrash : public ::testing::Test {
   /// Runs the script on freshly formatted tables; `acked` counts the
   /// steps that returned. Throws SimulatedCrash when the PM trigger fires.
   void run_script(Table& src, Table& dst, usize& acked, u64* coalesced_windows = nullptr) {
+    pm_->atomic_store_u64(cursor_word(), 0);
+    pm_->persist(cursor_word(), sizeof(u64));
     for (const Step& step : steps_) {
       const u64 lines0 = pm_->stats().lines_flushed;
       usize cells = step.keys.size();  // cells the step writes, clear aside
+      Table& t = step.in_target ? dst : src;
       switch (step.kind) {
         case Kind::kPut:
-          ASSERT_EQ(src.upsert_batch(step.keys, step.values), step.keys.size());
+          ASSERT_EQ(t.upsert_batch(step.keys, step.values), step.keys.size());
           break;
         case Kind::kErase:
-          src.erase_batch(step.keys, {});
+          t.erase_batch(step.keys, {});
           break;
         case Kind::kCopy: {
           // migrate_one_group's copy: stable order by target home slot.
@@ -1172,6 +1188,11 @@ class CoalescedWindowCrash : public ::testing::Test {
         case Kind::kClear:
           src.clear_group(kGroup);
           break;
+        case Kind::kCursor:
+          // do_migrate's cursor advance: groups below it are retired.
+          pm_->atomic_store_u64(cursor_word(), kGroup + 1);
+          pm_->persist(cursor_word(), sizeof(u64));
+          break;
       }
       if (coalesced_windows != nullptr && pm_->stats().lines_flushed - lines0 < cells) {
         ++*coalesced_windows;
@@ -1180,15 +1201,18 @@ class CoalescedWindowCrash : public ::testing::Test {
     }
   }
 
-  /// Reopen both tables from the current image, recover them, and check
-  /// the oracle: each key reads (target first, as a split image does) its
-  /// acked value or, if the in-flight step touched it, a value that step
-  /// stored for it (or nothing, if it erases it) — a window applies its
-  /// keys in order, so a crash may expose any of them. Every committed
-  /// cell of either table must hold one of those values.
-  ::testing::AssertionResult oracle_holds(usize acked) {
+  /// Reopen both tables from the current image, clear the source groups
+  /// below the durable cursor again (as the map's open does, unless
+  /// `reclear` is false), recover them, and check the oracle: each key
+  /// reads (target first, as a split image does) its acked value or, if
+  /// the in-flight step touched it, a value that step stored for it (or
+  /// nothing, if it erases it) — a window applies its keys in order, so a
+  /// crash may expose any of them. Every committed cell of either table
+  /// must hold one of those values.
+  ::testing::AssertionResult oracle_holds(usize acked, bool reclear = true) {
     Table src = source();
     Table dst = target();
+    for (u64 g = 0; reclear && g < *cursor_word(); ++g) src.clear_group(g);
     src.recover();
     dst.recover();
     if (!src.verify_tags() || !dst.verify_tags()) {
@@ -1226,6 +1250,39 @@ class CoalescedWindowCrash : public ::testing::Test {
     return cells;
   }
 
+  /// Runs the whole script once on fresh tables and checks the oracle;
+  /// returns the events it issued.
+  u64 script_events(u64* coalesced_windows = nullptr) {
+    Table src = source(/*format=*/true);
+    Table dst = target(/*format=*/true);
+    const u64 base = pm_->event_count();
+    usize acked = 0;
+    run_script(src, dst, acked, coalesced_windows);
+    const u64 events = pm_->event_count() - base;
+    EXPECT_EQ(acked, steps_.size());
+    EXPECT_TRUE(oracle_holds(acked));
+    return events;
+  }
+
+  /// Runs the script on fresh tables, crashing before its event
+  /// `crash_at`; `acked` counts the steps that returned. False if no
+  /// crash fired.
+  bool crash_script_at(u64 crash_at, usize& acked) {
+    pm_->crash_at_event(nvm::ShadowPM::no_crash());
+    Table src = source(/*format=*/true);
+    Table dst = target(/*format=*/true);
+    pm_->crash_at_event(pm_->event_count() + crash_at);
+    acked = 0;
+    bool crashed = false;
+    try {
+      run_script(src, dst, acked);
+    } catch (const nvm::SimulatedCrash&) {
+      crashed = true;
+    }
+    pm_->crash_at_event(nvm::ShadowPM::no_crash());
+    return crashed;
+  }
+
   nvm::NvmRegion region_;
   std::span<std::byte> mem_;
   std::optional<nvm::ShadowPM> pm_;
@@ -1234,38 +1291,16 @@ class CoalescedWindowCrash : public ::testing::Test {
 };
 
 TEST_F(CoalescedWindowCrash, LinePrefixImagesAtEveryCrashPoint) {
-  u64 script_events = 0;
-  {
-    Table src = source(/*format=*/true);
-    Table dst = target(/*format=*/true);
-    const u64 base = pm_->event_count();
-    usize acked = 0;
-    u64 coalesced = 0;
-    run_script(src, dst, acked, &coalesced);
-    ASSERT_EQ(acked, steps_.size());
-    script_events = pm_->event_count() - base;
-    // The sweep is only about coalescing if windows really share flushes:
-    // the puts, updates, erases and the ordered copy.
-    EXPECT_GE(coalesced, 5u) << "windows that flushed fewer lines than cells";
-    ASSERT_TRUE(oracle_holds(acked));
-  }
-  ASSERT_GT(script_events, 100u) << "script too small to be interesting";
+  u64 coalesced = 0;
+  const u64 events = script_events(&coalesced);
+  // The sweep is only about coalescing if windows really share flushes:
+  // the puts, updates, erases and the ordered copy.
+  EXPECT_GE(coalesced, 5u) << "windows that flushed fewer lines than cells";
+  ASSERT_GT(events, 100u) << "script too small to be interesting";
 
-  for (u64 crash_at = 1; crash_at < script_events; ++crash_at) {
-    pm_->crash_at_event(nvm::ShadowPM::no_crash());
-    Table src = source(/*format=*/true);
-    Table dst = target(/*format=*/true);
-    pm_->crash_at_event(pm_->event_count() + crash_at);
+  for (u64 crash_at = 1; crash_at < events; ++crash_at) {
     usize acked = 0;
-    bool crashed = false;
-    try {
-      run_script(src, dst, acked);
-    } catch (const nvm::SimulatedCrash&) {
-      crashed = true;
-    }
-    pm_->crash_at_event(nvm::ShadowPM::no_crash());
-    ASSERT_TRUE(crashed) << "crash_at " << crash_at;
-
+    ASSERT_TRUE(crash_script_at(crash_at, acked)) << "crash_at " << crash_at;
     // Every image is drawn before the first reset rewrites the shadow.
     std::vector<std::vector<std::byte>> images;
     images.push_back(pm_->materialize_crash_image(nvm::CrashMode::kNothingEvicted));
@@ -1280,6 +1315,28 @@ TEST_F(CoalescedWindowCrash, LinePrefixImagesAtEveryCrashPoint) {
           << "crash_at " << crash_at << " image " << i << " acked steps " << acked;
     }
   }
+}
+
+// Negative control: the source group's clear is never flushed, so only the
+// re-clear below the durable cursor keeps it retired. Without it, a crash
+// after the target erase leaves the fence-honest image serving the erased
+// key again from the stale source group.
+TEST_F(CoalescedWindowCrash, NegativeControlWithoutReclear) {
+  const u64 events = script_events();
+  const u64 erased = steps_[steps_.size() - 2].keys[0];
+  const std::string resurrected = "key " + std::to_string(erased) + " reads ";
+  u64 failures = 0;
+  for (u64 crash_at = 1; crash_at < events; ++crash_at) {
+    usize acked = 0;
+    ASSERT_TRUE(crash_script_at(crash_at, acked)) << "crash_at " << crash_at;
+    pm_->reset_to_image(pm_->materialize_crash_image(nvm::CrashMode::kNothingEvicted));
+    const ::testing::AssertionResult held = oracle_holds(acked, /*reclear=*/false);
+    if (!held) {
+      EXPECT_EQ(std::string(held.message()).rfind(resurrected, 0), 0u) << held.message();
+      failures++;
+    }
+  }
+  EXPECT_GT(failures, 0u) << "no image brought the erased key back from the source";
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -590,6 +591,159 @@ TEST(Migration, OrderedCopyKeepsLevelOneOwnersHome) {
   }
   EXPECT_LE(level2_probes_of_reads(), probes_before);
 }
+
+/// The cell holding `key` in `t`.
+const hash::Cell16* cell_of(const GroupHashMap::Table& t, u64 key) {
+  const u64 home = t.home_index(key);
+  if (t.level1_cell(home).matches(key)) return &t.level1_cell(home);
+  const u64 first = home - home % t.group_size();
+  for (u64 i = first; i < first + t.group_size(); ++i) {
+    if (t.level2_cell(i).matches(key)) return &t.level2_cell(i);
+  }
+  return nullptr;
+}
+
+TEST(Migration, DrainFlushesCopyWindowsAndCursorOnly) {
+  // A drained group is cleared with stores only and retired by the cursor
+  // advance, so each group costs exactly its copy window (every target
+  // line it wrote, once, and one fence) plus the cursor word's line and
+  // fence. Groups of 8 cells hold at most 16 keys: one window per group.
+  MapOptions o = online_options(/*groups_per_op=*/0);
+  o.initial_cells = 512;
+  auto map = GroupHashMap::create_in_memory(o);
+  fill_until_migrating(map);
+  ASSERT_TRUE(map.migration_active());
+  const nvm::PersistStats& stats = map.raw_table().pm().stats();
+  u64 groups = 0;
+  u64 lines = 0;
+  u64 fences = 0;
+  u64 want_lines = 0;
+  u64 want_fences = 0;
+  while (map.migration_active()) {
+    std::vector<u64> keys;
+    map.raw_table().for_each_in_group(map.migration_cursor(),
+                                       [&](u64 k, u64) { keys.push_back(k); });
+    ASSERT_LE(keys.size(), GroupHashMap::Table::kBatchWindow);
+    const u64 lines0 = stats.lines_flushed;
+    const u64 fences0 = stats.fences;
+    ASSERT_EQ(map.migrate_step(1), 1u);
+    const GroupHashMap::Table& target =
+        map.migration_active() ? *map.migration_table() : map.raw_table();
+    std::set<const std::byte*> copied;
+    for (const u64 k : keys) {
+      const hash::Cell16* c = cell_of(target, k);
+      ASSERT_NE(c, nullptr) << k;
+      copied.insert(nvm::line_begin(c));
+    }
+    const u64 group_lines = copied.size() + 1;
+    const u64 group_fences = (keys.empty() ? 0 : 1) + 1;
+    EXPECT_EQ(stats.lines_flushed - lines0, group_lines) << "group " << groups;
+    EXPECT_EQ(stats.fences - fences0, group_fences) << "group " << groups;
+    lines += stats.lines_flushed - lines0;
+    fences += stats.fences - fences0;
+    want_lines += group_lines;
+    want_fences += group_fences;
+    groups++;
+  }
+  EXPECT_EQ(groups, o.initial_cells / 2 / o.group_size);
+  EXPECT_EQ(lines, want_lines);
+  EXPECT_EQ(fences, want_fences);
+  map.close();
+}
+
+/// The `n` bytes at `offset` of the file at `path`.
+std::vector<char> read_bytes(const std::string& path, usize offset, usize n) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(offset));
+  std::vector<char> bytes(n);
+  in.read(bytes.data(), static_cast<std::streamsize>(n));
+  return bytes;
+}
+/// Overwrites the file at `path` with `bytes` from `offset` on.
+void write_bytes(const std::string& path, usize offset, const std::vector<char>& bytes) {
+  std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+  out.seekp(static_cast<std::streamoff>(offset));
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A drained group's clear is never flushed: the durable cursor retires
+/// it. Writing the group's pre-retire bytes back into the old file makes
+/// the image a crash (or a clean close) leaves when those stores never
+/// reach media. The open must clear the groups below the cursor again, or
+/// the erased key comes back, the count and checksums go wrong, and
+/// finalize finds the old table not empty.
+void reopen_after_lost_retire(bool clean) {
+  const std::string path = temp_path("gh_migration_lost_retire.gh");
+  fs::remove(path);
+  fs::remove(path + ".migrate");
+  MapOptions o = online_options(/*groups_per_op=*/1);
+  o.initial_cells = 512;
+  std::map<u64, u64> oracle;
+  u64 erased = 0;
+  u64 updated = 0;
+  {
+    auto map = GroupHashMap::create(path, o);
+    const u64 inserted = fill_until_migrating(map);
+    for (u64 i = 0; i < inserted; ++i) oracle[key_of(i)] = value_of(i);
+    ASSERT_TRUE(map.migration_active());
+    // Group g: the next one to drain with at least two keys.
+    const GroupHashMap::Table& old = map.raw_table();
+    std::vector<u64> moved;
+    u64 g = map.migration_cursor();
+    for (; g < old.num_groups(); ++g) {
+      moved.clear();
+      old.for_each_in_group(g, [&](u64 k, u64) { moved.push_back(k); });
+      if (moved.size() >= 2) break;
+    }
+    ASSERT_GE(moved.size(), 2u);
+    ASSERT_LT(g + 3, old.num_groups()) << "the migration must outlive the ops below";
+    const usize group_bytes = old.group_size() * sizeof(hash::Cell16);
+    const usize level1 =
+        map_format::kTableOffset + sizeof(GroupHashMap::Table::Header) + g * group_bytes;
+    const usize level2 = level1 + old.level_cells() * sizeof(hash::Cell16);
+    const std::vector<char> before1 = read_bytes(path, level1, group_bytes);
+    const std::vector<char> before2 = read_bytes(path, level2, group_bytes);
+    while (map.migration_cursor() <= g) ASSERT_GT(map.migrate_step(1), 0u);
+    write_bytes(path, level1, before1);
+    write_bytes(path, level2, before2);
+
+    erased = moved[0];
+    updated = moved[1];
+    EXPECT_TRUE(map.erase(erased));
+    oracle.erase(erased);
+    map.put(updated, 999'999);
+    oracle[updated] = 999'999;
+    ASSERT_TRUE(map.migration_active());
+    if (clean) {
+      map.close();
+    } else {
+      map.abandon();
+    }
+  }
+  auto map = GroupHashMap::open(path, o);
+  ASSERT_TRUE(map.migration_active());
+  EXPECT_EQ(map.recovered_on_open(), !clean);
+  EXPECT_TRUE(map.open_scrub_report().clean());
+  EXPECT_FALSE(map.get(erased).has_value()) << "erased key back from the stale group";
+  EXPECT_EQ(map.get(updated), 999'999u);
+  EXPECT_EQ(map.size(), oracle.size());
+  EXPECT_TRUE(map.debug_verify_group_checksums());
+  EXPECT_TRUE(map.debug_verify_tags());
+  for (const auto& [k, v] : oracle) ASSERT_EQ(map.get(k), v) << k;
+  // A drain over a broken split image would fail finalize's check.
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  while (map.migration_active()) ASSERT_GT(map.migrate_step(~0ull), 0u);
+  EXPECT_FALSE(map.get(erased).has_value());
+  EXPECT_EQ(map.size(), oracle.size());
+  for (const auto& [k, v] : oracle) ASSERT_EQ(map.get(k), v) << k;
+  map.close();
+  fs::remove(path);
+  fs::remove(path + ".flight");
+}
+
+TEST(Migration, LostRetireIsClearedAgainOnDirtyOpen) { reopen_after_lost_retire(false); }
+
+TEST(Migration, LostRetireIsClearedAgainOnCleanOpen) { reopen_after_lost_retire(true); }
 
 /// Crashes (SimulatedCrash) at the first occurrence of one named point.
 struct CrashAtNamedPoint : nvm::CrashPointPolicy {
