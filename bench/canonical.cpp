@@ -22,9 +22,12 @@
 //                                               batched-vs-naive ingest ratio
 //
 // --smoke shrinks everything for the CI fast lane (numbers still emitted,
-// ratios still sane); --out=<path> overrides the JSON destination.
+// ratios still sane). The JSON goes to --out=<path>, by default to
+// build/canonical.json under the working directory: a committed
+// BENCH_PR<N>.json is only ever written by naming it.
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -65,7 +68,7 @@ int main(int argc, char** argv) {
   const u64 nkeys = cli.get_u64("keys", smoke ? (1u << 14) : (1u << 20));
   const usize batch = static_cast<usize>(cli.get_u64("batch", 256));
   const u64 seed = 42;  // pinned: the trajectory only means something on fixed inputs
-  const std::string out_path = cli.get_or("out", "BENCH_PR10.json");
+  const std::string out_path = cli.get_or("out", "build/canonical.json");
 
   BenchEnv env = BenchEnv::from_env();
   env.seed = seed;
@@ -402,6 +405,8 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
+  const std::filesystem::path out_dir = std::filesystem::path(out_path).parent_path();
+  if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
   std::ofstream json(out_path);
   json << "{\n  \"bench\": \"canonical\",\n  \"version\": 1,\n";
   json << "  \"config\": {\"keys\": " << nkeys << ", \"batch\": " << batch

@@ -5,32 +5,22 @@
 //   ./gh_fsck <file.gh> --repair   # run Algorithm-4 recovery, mark clean
 //
 // The read-only path deliberately bypasses GroupHashMap::open (which
-// would auto-recover a dirty file) and attaches to the raw table instead.
+// would auto-recover a dirty file) and scans private copies of the raw
+// tables instead: mid-resize, the file's table with its retired groups
+// cleared plus the `.migrate` target.
 #include <iostream>
 
 #include "core/group_hash_map.hpp"
 #include "core/inspect.hpp"
-#include "core/map_format.hpp"
-#include "hash/cells.hpp"
-#include "nvm/direct_pm.hpp"
-#include "nvm/region.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
 
 namespace {
 
-template <class Cell>
-int report(const std::string& path, const gh::MapFileInfo& info) {
-  using Table = gh::hash::GroupHashTable<Cell, gh::nvm::DirectPM>;
-  gh::nvm::NvmRegion region = gh::nvm::NvmRegion::open_file(path);
-  gh::nvm::DirectPM pm(gh::nvm::PersistConfig::counting_only());
-  Table table = Table::attach(
-      pm, region.bytes().subspan(info.table_offset, info.table_bytes));
-  const gh::TableInspection scan = gh::inspect(table);
-
+void print_table(const gh::TableInspection& scan, gh::u64 cell_size) {
   std::cout << "table geometry:   " << gh::format_count(scan.capacity) << " cells ("
-            << gh::format_count(info.level_cells) << " per level), group size "
-            << scan.group_size << ", " << info.cell_size << "B cells\n"
+            << gh::format_count(scan.capacity / 2) << " per level), group size "
+            << scan.group_size << ", " << cell_size << "B cells\n"
             << "occupancy:        " << gh::format_count(scan.scanned_occupied) << " items ("
             << gh::format_double(scan.load_factor(), 3) << " load factor)\n"
             << "  level 1:        " << gh::format_count(scan.level1_occupied) << "\n"
@@ -42,12 +32,35 @@ int report(const std::string& path, const gh::MapFileInfo& info) {
             << "\n"
             << "torn cells:       " << scan.torn_cells
             << (scan.torn_cells ? " (residual payloads — needs recovery)" : "") << "\n";
+}
 
-  if (!info.clean || !scan.clean()) {
+int report(const std::string& path) {
+  const gh::MapFileInspection r = gh::inspect_map_file(path);
+  const gh::MapFileInfo& info = r.info;
+  if (!info.migration_word_ok) {
+    std::cout << "resize:           cursor word CORRUPT\n";
+  } else if (info.migration_armed) {
+    const gh::u64 groups = info.level_cells / info.group_size;
+    std::cout << "resize:           armed, " << info.migration_cursor << " of " << groups
+              << " groups drained into " << r.target_path
+              << (r.target ? "" : " (MISSING)") << "\n"
+              << "                  (groups below the cursor are retired; cleared "
+                 "before the scan, as an open clears them)\n";
+  }
+  print_table(r.table, info.cell_size);
+  if (r.target) {
+    std::cout << "\nresize target " << r.target_path << ":\n";
+    print_table(*r.target, info.cell_size);
+    std::cout << "\nitems (both tables): " << gh::format_count(r.items()) << "\n";
+  }
+
+  if (!r.clean()) {
     std::cout << "\nverdict: DIRTY — run with --repair to recover\n";
     return 1;
   }
-  std::cout << "\nverdict: clean\n";
+  std::cout << (info.migration_armed ? "\nverdict: clean (resize in progress; the next open "
+                                       "resumes it)\n"
+                                     : "\nverdict: clean\n");
   return 0;
 }
 
@@ -81,8 +94,7 @@ int main(int argc, char** argv) {
       return info.cell_size == 16 ? repair<gh::GroupHashMap>(path)
                                   : repair<gh::GroupHashMapWide>(path);
     }
-    return info.cell_size == 16 ? report<gh::hash::Cell16>(path, info)
-                                : report<gh::hash::Cell32>(path, info);
+    return report(path);
   } catch (const std::exception& e) {
     std::cerr << "gh_fsck: " << e.what() << "\n";
     return 2;

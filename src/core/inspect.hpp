@@ -5,10 +5,12 @@
 // level, per group), torn cells a recovery pass would scrub, and whether
 // the persistent `count` matches a fresh scan. read_map_file_info() peeks
 // at a GroupHashMap file's superblock without opening (and therefore
-// without recovering) it.
+// without recovering) it, and inspect_map_file() scans the file the way
+// the next open would see it, split image included.
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,9 +171,35 @@ struct MapFileInfo {
   u64 count = 0;
   bool superblock_crc_ok = false;  ///< geometry checksum verified
   bool group_checksums = false;    ///< table carries per-group checksums
+  bool migration_word_ok = false;  ///< resize cursor word self-checksums
+  bool migration_armed = false;    ///< a resize into `<path>.migrate` is under way
+  u64 migration_cursor = 0;        ///< next source group it drains
 };
 
 /// Throws std::runtime_error when the file is not a GroupHashMap.
 MapFileInfo read_map_file_info(const std::string& path);
+
+/// A map file scanned as its next open would see it. Mid-resize the
+/// items live in two tables: the file's own, whose groups below the
+/// cursor are retired (cleared here on a private copy first, as the
+/// open clears them), and the `.migrate` target.
+struct MapFileInspection {
+  MapFileInfo info;
+  TableInspection table;  ///< the file's table, retired groups cleared
+  std::string target_path;                ///< `<path>.migrate` (armed resize only)
+  std::optional<TableInspection> target;  ///< its table; empty if the file is missing
+
+  [[nodiscard]] u64 items() const {
+    return table.scanned_occupied + (target ? target->scanned_occupied : 0);
+  }
+  [[nodiscard]] bool clean() const {
+    return info.clean && info.migration_word_ok && table.clean() &&
+           (!info.migration_armed || (target && target->clean()));
+  }
+};
+
+/// Read-only: the file (and its target) are copied, never written.
+/// Throws std::runtime_error when the file is not a GroupHashMap.
+MapFileInspection inspect_map_file(const std::string& path);
 
 }  // namespace gh

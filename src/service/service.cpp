@@ -81,7 +81,9 @@ bool ShardServer::shard_down(u32 shard) const {
 
 void ShardServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stopping_.store(true, std::memory_order_release);
+  // seq_cst: a client letting go of a shard reads this flag to decide
+  // whether the worker needs a doorbell (try_serve_inline).
+  stopping_.store(true, std::memory_order_seq_cst);
   for (auto& shard : shards_) {
     shard->doorbell.fetch_add(1, std::memory_order_release);
     shard->doorbell.notify_all();
@@ -89,6 +91,37 @@ void ShardServer::stop() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
+  // Keep every shard from here on: a client still inside an inline
+  // visit finishes it first, and no later one can start.
+  for (auto& shard : shards_) {
+    while (!try_own(*shard)) std::this_thread::yield();
+  }
+}
+
+bool ShardServer::try_own(Shard& shard) {
+  bool expected = false;
+  return shard.owned.compare_exchange_strong(expected, true, std::memory_order_seq_cst);
+}
+
+bool ShardServer::try_serve_inline(Shard& shard, const WorkItem& item) {
+  if (!shard.ring.empty() || !try_own(shard)) return false;
+  shard.visit.clear();
+  shard.visit.push_back(item);
+  shard.visit.back().enqueue_ticks = 0;  // never queued: no ring wait to book
+  run_visit(shard);
+  const bool resizing =
+      !shard.dead.load(std::memory_order_relaxed) && shard.map->migration_active();
+  // Lost-wakeup rule: the worker loads the doorbell before it tries the
+  // flag, and this owner clears the flag before it re-checks. With all
+  // four seq_cst, a worker that found the flag taken and went to sleep
+  // is woken here for any push, revive or stop that it did not see.
+  shard.owned.store(false, std::memory_order_seq_cst);
+  if (resizing || !shard.ring.empty() || shard.revive.load(std::memory_order_seq_cst) ||
+      stopping_.load(std::memory_order_seq_cst)) {
+    shard.doorbell.fetch_add(1, std::memory_order_release);
+    shard.doorbell.notify_one();
+  }
+  return true;
 }
 
 void ShardServer::push_item(Shard& shard, const WorkItem& item) {
@@ -122,9 +155,9 @@ void ShardServer::execute(Batch& batch) {
     batch.offsets_[shard_of(batch.requests[i].key, nshards_) + 1]++;
   }
   for (u32 s = 0; s < nshards_; ++s) batch.offsets_[s + 1] += batch.offsets_[s];
-  std::vector<u32> cursor(batch.offsets_.begin(), batch.offsets_.end() - 1);
+  batch.cursor_.assign(batch.offsets_.begin(), batch.offsets_.end() - 1);
   for (u32 i = 0; i < n; ++i) {
-    batch.order_[cursor[shard_of(batch.requests[i].key, nshards_)]++] = i;
+    batch.order_[batch.cursor_[shard_of(batch.requests[i].key, nshards_)]++] = i;
   }
 
   const u64 t0 = obs::now_ticks();
@@ -170,11 +203,29 @@ void ShardServer::execute(Batch& batch) {
       touched += batch.offsets_[s + 1] > batch.offsets_[s];
     }
     batch.pending_.store(touched, std::memory_order_release);
-    for (u32 s = 0; s < nshards_; ++s) {
-      const u32 begin = batch.offsets_[s];
-      const u32 count = batch.offsets_[s + 1] - begin;
-      if (count > 0) push_item(*shards_[s], make_item(begin, count));
+    // Queue the slices with writes first so their workers can start,
+    // then serve each read-only slice here if its shard is idle.
+    const auto read_only = [&](u32 s) {
+      for (u32 i = batch.offsets_[s]; i < batch.offsets_[s + 1]; ++i) {
+        if (batch.requests[batch.order_[i]].op != Op::kGet) return false;
+      }
+      return true;
+    };
+    u32 inline_served = 0;
+    for (const bool reads : {false, true}) {
+      for (u32 s = 0; s < nshards_; ++s) {
+        const u32 begin = batch.offsets_[s];
+        const u32 count = batch.offsets_[s + 1] - begin;
+        if (count == 0 || read_only(s) != reads) continue;
+        const WorkItem item = make_item(begin, count);
+        if (reads && try_serve_inline(*shards_[s], item)) {
+          ++inline_served;
+        } else {
+          push_item(*shards_[s], item);
+        }
+      }
     }
+    if (inline_served > 0) batch.pending_.fetch_sub(inline_served, std::memory_order_acq_rel);
   }
 
   for (u32 p = batch.pending_.load(std::memory_order_acquire); p != 0;
@@ -215,10 +266,11 @@ void ShardServer::answer_item(const WorkItem& item, Status status) {
 }
 
 void ShardServer::kill_shard(Shard& shard) {
-  // A SimulatedCrash froze this shard's map mid-operation. Treat the
-  // worker as power-failed: drop the mappings without flushing (exactly
-  // what abandon() models) and answer kShardDown from here on. The ring
-  // keeps draining so clients never wedge on a dead shard.
+  // A SimulatedCrash froze this shard's map mid-operation (the caller
+  // owns the shard). Treat the shard as power-failed: drop the mappings
+  // without flushing (exactly what abandon() models) and answer
+  // kShardDown from here on. The ring keeps draining so clients never
+  // wedge on a dead shard.
   shard.dead.store(true, std::memory_order_release);
   shard.map->abandon();
 }
@@ -248,7 +300,8 @@ bool ShardServer::restart_shard(u32 shard_idx) {
     return false;  // reopen failed; the shard stays down and the caller may retry
   }
   shard.pending_map = std::move(fresh);
-  shard.revive.store(true, std::memory_order_release);
+  // seq_cst: read by a client letting go of the shard (try_serve_inline).
+  shard.revive.store(true, std::memory_order_seq_cst);
   shard.doorbell.fetch_add(1, std::memory_order_release);
   shard.doorbell.notify_all();
   // The worker installs the map at its loop top; wait for that so the
@@ -266,60 +319,78 @@ void ShardServer::worker_loop(Shard& shard) {
   // enough that an idle shard finishes a resize in a few wakeups, small
   // enough that a request arriving mid-burst waits at most one burst.
   constexpr u64 kIdleMigrateGroups = 64;
+  // Items of the last visit, completed after the flag is released so a
+  // woken client can find its shard free; the shard's own scratch
+  // belongs to the next owner by then.
+  std::vector<WorkItem> served;
   for (;;) {
+    // Doorbell before flag: a client that owns the shard now rings it
+    // as it lets go if anything waits for this worker.
+    const u64 seen = shard.doorbell.load(std::memory_order_acquire);
+    if (!try_own(shard)) {
+      shard.doorbell.wait(seen, std::memory_order_acquire);
+      continue;
+    }
     if (shard.revive.load(std::memory_order_acquire)) {
-      // restart_shard parked a freshly reopened map; install it here so
-      // only the worker ever touches the live shard map.
+      // restart_shard parked a freshly reopened map; install it while
+      // owning the shard so no visit sees the swap.
       shard.map = std::move(shard.pending_map);
       shard.dead.store(false, std::memory_order_release);
       shard.revive.store(false, std::memory_order_release);
       shard.revive.notify_all();
     }
-    const u64 seen = shard.doorbell.load(std::memory_order_acquire);
     shard.visit.clear();
     WorkItem w;
     while (shard.visit.size() < options_.batch_window && shard.ring.try_pop(w)) {
       shard.visit.push_back(w);
     }
     if (shard.visit.empty()) {
-      if (stopping_.load(std::memory_order_acquire)) {
-        // stop() rings every doorbell after flipping the flag and
-        // execute() refuses new batches, so an empty ring here is final.
-        return;
-      }
-      if (!shard.dead.load(std::memory_order_relaxed) && shard.map->migration_active()) {
+      bool stepped = false;
+      const bool stopping = stopping_.load(std::memory_order_acquire);
+      if (!stopping && !shard.dead.load(std::memory_order_relaxed) &&
+          shard.map->migration_active()) {
         try {
           // Re-poll the ring after every burst so background draining
           // never starves a request by more than one burst. A zero-group
           // step (finalize in degraded backoff) falls through to the
           // doorbell wait instead of spinning on the cooldown.
-          if (shard.map->migrate_step(kIdleMigrateGroups) > 0) continue;
+          stepped = shard.map->migrate_step(kIdleMigrateGroups) > 0;
         } catch (const nvm::SimulatedCrash&) {
           kill_shard(shard);
         }
       }
-      shard.doorbell.wait(seen, std::memory_order_acquire);
+      shard.owned.store(false, std::memory_order_seq_cst);
+      // stop() rings every doorbell after flipping the flag and
+      // execute() refuses new batches, so an empty ring here is final.
+      if (stopping) return;
+      if (!stepped) shard.doorbell.wait(seen, std::memory_order_acquire);
       continue;
     }
-    if (shard.dead.load(std::memory_order_relaxed)) {
-      for (const WorkItem& item : shard.visit) {
-        answer_item(item, Status::kShardDown);
-        complete(item.batch);
-      }
-      continue;
-    }
-    // Ring-wait attribution + trace adoption. Each item's enqueue → pop
-    // wait books under Phase::kRingWait per request kind (added to both
-    // the bucket and the attributed total, so phases still sum to the
-    // request's attributed time). Traced items get a ring_wait span; the
-    // first traced item's context is adopted for the whole visit so the
-    // map ops inside emit their spans under one shard_visit parent.
-    u64 visit_trace = 0;
-    u32 visit_parent = 0;
-    const u64 pop_ticks = obs::kEnabled ? obs::now_ticks() : 0;
-    if constexpr (obs::kEnabled) {
-      for (const WorkItem& item : shard.visit) {
-        if (item.enqueue_ticks == 0) continue;
+    run_visit(shard);
+    served.swap(shard.visit);
+    shard.owned.store(false, std::memory_order_seq_cst);
+    for (const WorkItem& item : served) complete(item.batch);
+  }
+}
+
+void ShardServer::run_visit(Shard& shard) {
+  if (shard.dead.load(std::memory_order_relaxed)) {
+    for (const WorkItem& item : shard.visit) answer_item(item, Status::kShardDown);
+    return;
+  }
+  // Ring-wait attribution + trace adoption. Each queued item's enqueue →
+  // pop wait books under Phase::kRingWait per request kind (added to both
+  // the bucket and the attributed total, so phases still sum to the
+  // request's attributed time); an inline item (enqueue_ticks 0) never
+  // waited. Traced queued items get a ring_wait span; the first traced
+  // item's context is adopted for the whole visit so the map ops inside
+  // emit their spans under one shard_visit parent.
+  u64 visit_trace = 0;
+  u32 visit_parent = 0;
+  const u64 pop_ticks = obs::kEnabled ? obs::now_ticks() : 0;
+  if constexpr (obs::kEnabled) {
+    for (const WorkItem& item : shard.visit) {
+      if (item.enqueue_ticks != 0) {
         const u64 wait =
             pop_ticks > item.enqueue_ticks ? pop_ticks - item.enqueue_ticks : 0;
         if (shard.ring_gate.admit()) {
@@ -331,31 +402,30 @@ void ShardServer::worker_loop(Shard& shard) {
         }
         if (item.trace_id != 0) {
           obs::emit_span(obs::SpanKind::kRingWait, item.trace_id, item.parent_span,
-                        item.enqueue_ticks, pop_ticks, static_cast<u8>(shard.index));
-          if (visit_trace == 0) {
-            visit_trace = item.trace_id;
-            visit_parent = item.parent_span;
-          }
+                         item.enqueue_ticks, pop_ticks, static_cast<u8>(shard.index));
         }
       }
+      if (item.trace_id != 0 && visit_trace == 0) {
+        visit_trace = item.trace_id;
+        visit_parent = item.parent_span;
+      }
     }
-    u32 visit_span = 0;
-    if (visit_trace != 0) {
-      visit_span = obs::SpanCollector::global().next_span_id();
-      obs::set_thread_trace(visit_trace, visit_span, true);
-    }
-    if (options_.naive) {
-      serve_visit_naive(shard);
-    } else {
-      serve_visit(shard);
-    }
-    if (visit_trace != 0) {
-      obs::clear_thread_trace();
-      obs::emit_span_with_id(obs::SpanKind::kShardVisit, visit_trace, visit_span,
-                             visit_parent, pop_ticks, obs::now_ticks(),
-                             static_cast<u8>(shard.index));
-    }
-    for (const WorkItem& item : shard.visit) complete(item.batch);
+  }
+  u32 visit_span = 0;
+  if (visit_trace != 0) {
+    visit_span = obs::SpanCollector::global().next_span_id();
+    obs::set_thread_trace(visit_trace, visit_span, true);
+  }
+  if (options_.naive) {
+    serve_visit_naive(shard);
+  } else {
+    serve_visit(shard);
+  }
+  if (visit_trace != 0) {
+    obs::clear_thread_trace();
+    obs::emit_span_with_id(obs::SpanKind::kShardVisit, visit_trace, visit_span,
+                           visit_parent, pop_ticks, obs::now_ticks(),
+                           static_cast<u8>(shard.index));
   }
 }
 

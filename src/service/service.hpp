@@ -9,6 +9,21 @@
 // blocks on an atomic completion counter until every shard visit
 // finished.
 //
+// Who serves a slice: each shard has an ownership flag, and only its
+// holder touches the shard map, the visit scratch, or pops the ring —
+// the ring's single consumer is whoever owns the shard at the time.
+// The worker takes the flag for each visit, each revive install and
+// each idle migrate_step. A client takes it itself for a slice that
+// holds only gets when that shard's ring is empty and the flag is free,
+// and serves the slice on its own thread through the same visit body
+// (kShardDown if the shard is dead), skipping the client → worker →
+// client handoff. Every other slice goes through the ring: any slice
+// with a put or erase, any slice of a busy shard, and every slice in
+// `naive` mode. Writes stay on the worker so one visit still merges
+// many clients' write windows. A client that releases the flag re-checks
+// the ring (and a pending revive, resize or stop) and rings the doorbell,
+// so a worker that found the flag taken never sleeps on queued work.
+//
 // The batching window is the worker's drain loop: each visit pops up to
 // `batch_window` work items — possibly from many client batches — and
 // executes ONE find_batch, ONE put_batch and ONE erase_batch against the
@@ -48,7 +63,9 @@
 // a shard mid-resize keeps serving — writers help migrate that many
 // groups per call, and the worker drains the tail from its idle loop
 // (one migrate_step() burst per empty ring poll), so the resize finishes
-// even on a read-only or idle shard without ever blocking a visit.
+// even on a read-only or idle shard without ever blocking a visit. A
+// client that served gets inline on a resizing shard rings the doorbell
+// as it lets go, so gets alone keep the drain going.
 //
 // Observability: execute() records end-to-end batch latency per request
 // into a service-level obs::OpRecorder (get→kFind, put→kInsert,
@@ -125,6 +142,7 @@ class Batch {
   std::vector<Response> responses_;
   std::vector<u32> order_;    ///< request indices grouped by shard
   std::vector<u32> offsets_;  ///< shards+1 fence posts into order_
+  std::vector<u32> cursor_;   ///< per-shard scatter position into order_
   std::atomic<u32> pending_{0};
   /// Tick of the final complete() (traced batches only): lets the
   /// client attribute the futex wake as its own span, so a traced
@@ -135,8 +153,9 @@ class Batch {
 /// One unit of shard work: `count` request indices of `batch`, starting
 /// at batch->order_[begin], all routed to the receiving shard.
 /// `enqueue_ticks` is stamped at push so the worker can attribute the
-/// MPSC ring wait; `trace_id`/`parent_span` carry the trace context of a
-/// sampled batch through the ring (zero = untraced).
+/// MPSC ring wait (zero for a slice served inline, which never queued);
+/// `trace_id`/`parent_span` carry the trace context of a sampled batch
+/// through the ring (zero = untraced).
 struct WorkItem {
   Batch* batch = nullptr;
   u32 begin = 0;
@@ -170,7 +189,10 @@ class IngestRing {
       const u64 seq = s.seq.load(std::memory_order_acquire);
       const i64 diff = static_cast<i64>(seq) - static_cast<i64>(pos);
       if (diff == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
+        // seq_cst: the claim is what an owner releasing the shard sees
+        // in empty() (ShardServer's lost-wakeup argument, DESIGN.md).
+        if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_seq_cst,
+                                        std::memory_order_relaxed)) {
           s.item = w;
           s.seq.store(pos + 1, std::memory_order_release);
           return true;
@@ -183,7 +205,14 @@ class IngestRing {
     }
   }
 
-  /// Single consumer only (the shard's worker thread).
+  /// No slot claimed that the consumer has not popped yet. A claimed
+  /// slot may still be unpublished, so a consumer can find a non-empty
+  /// ring it cannot pop; its producer rings the doorbell after publishing.
+  [[nodiscard]] bool empty() const {
+    return head_.load(std::memory_order_seq_cst) == tail_.load(std::memory_order_relaxed);
+  }
+
+  /// Single consumer only (the shard's current owner).
   bool try_pop(WorkItem& out) {
     const u64 pos = tail_.load(std::memory_order_relaxed);
     Slot& s = slots_[pos & mask_];
@@ -240,8 +269,10 @@ class ShardServer {
   /// touched shard answered; safe to call from many threads at once.
   void execute(Batch& batch);
 
-  /// Stop accepting batches, drain the rings, join the workers.
-  /// Idempotent; the destructor calls it.
+  /// Stop accepting batches, drain the rings, join the workers, then
+  /// take every shard's ownership flag for good, so snapshot() and the
+  /// destructor never race a client's inline visit. Idempotent; the
+  /// destructor calls it.
   void stop();
 
   [[nodiscard]] u32 shards() const { return nshards_; }
@@ -252,9 +283,9 @@ class ShardServer {
   /// CALLER's thread (file-backed shards re-run recovery — and resume an
   /// interrupted migration — right here; in-memory shards come back
   /// empty, exactly the post-power-loss contract), handed to the worker
-  /// through `pending_map`, and installed by the worker at its loop top,
-  /// so the single-consumer ownership of the shard map never has two
-  /// threads touching it. Blocks until the worker has swapped the map in
+  /// through `pending_map`, and installed by the worker at its loop top
+  /// while it holds the shard's ownership flag, so no inline visit ever
+  /// sees the swap. Blocks until the worker has swapped the map in
   /// and cleared `dead`. Returns false if the shard is not down, the
   /// reopen itself fails (the shard stays dead), or the server stops
   /// while waiting. Safe to call concurrently; calls are serialized.
@@ -295,7 +326,7 @@ class ShardServer {
 
     IngestRing ring;
     u32 index = 0;  ///< shard number (span/trace labels)
-    /// Ring-wait attribution gate, worker-local. Samples items at the
+    /// Ring-wait attribution gate, owner-local. Samples items at the
     /// same 1-in-2^latency_sample_shift rate the maps sample their op
     /// latencies, so the ring_wait share in Snapshot.phases is
     /// comparable against the map-side probe/persist/fence shares
@@ -303,6 +334,9 @@ class ShardServer {
     /// would report ~100% ring_wait no matter the real balance).
     obs::SampleGate ring_gate;
     alignas(kCachelineSize) std::atomic<u64> doorbell{0};
+    /// Ownership flag: its holder alone touches `map` and the visit
+    /// scratch below and pops `ring` (see the header comment).
+    std::atomic<bool> owned{false};
     std::atomic<bool> dead{false};
     std::unique_ptr<GroupHashMap> map;
     std::thread worker;
@@ -314,7 +348,7 @@ class ShardServer {
     std::unique_ptr<GroupHashMap> pending_map;
     std::atomic<bool> revive{false};
 
-    // Worker-local batching scratch, reused every visit.
+    // Owner-local batching scratch, reused every visit.
     std::vector<WorkItem> visit;
     std::vector<u64> get_keys;
     std::vector<std::optional<u64>> get_out;
@@ -328,6 +362,9 @@ class ShardServer {
   };
 
   void worker_loop(Shard& shard);
+  bool try_serve_inline(Shard& shard, const WorkItem& item);
+  static bool try_own(Shard& shard);
+  void run_visit(Shard& shard);
   void serve_visit(Shard& shard);
   void serve_visit_naive(Shard& shard);
   void kill_shard(Shard& shard);

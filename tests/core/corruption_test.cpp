@@ -31,6 +31,7 @@
 #include "nvm/direct_pm.hpp"
 #include "nvm/fault_fs.hpp"
 #include "nvm/media_error.hpp"
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace gh {
@@ -41,20 +42,8 @@ using hash::LostCell;
 using hash::ScrubMode;
 using nvm::CorruptingPM;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-struct TempFile {
-  explicit TempFile(const std::string& name) : path(temp_path(name)) { remove_all(); }
-  ~TempFile() { remove_all(); }
-  void remove_all() const {
-    for (const char* suffix : {"", ".expand", ".migrate", ".flight"}) {
-      std::filesystem::remove(path + suffix);
-    }
-  }
-  std::string path;
-};
+using gh::test::TempFile;
+using gh::test::temp_path;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -17,15 +17,14 @@
 #include "core/string_map.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
+#include "support/temp_path.hpp"
 
 namespace gh {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 void cleanup(const std::string& path) {
   fs::remove(path);

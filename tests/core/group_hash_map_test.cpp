@@ -7,22 +7,14 @@
 #include <unordered_map>
 #include <utility>
 
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace gh {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-struct TempFile {
-  explicit TempFile(const std::string& name) : path(temp_path(name)) {
-    std::filesystem::remove(path);
-  }
-  ~TempFile() { std::filesystem::remove(path); }
-  std::string path;
-};
+using gh::test::TempFile;
+using gh::test::temp_path;
 
 TEST(GroupHashMap, InMemoryBasics) {
   auto map = GroupHashMap::create_in_memory({.initial_cells = 1024});

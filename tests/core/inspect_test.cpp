@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "core/group_hash_map.hpp"
 #include "core/map_format.hpp"
 #include "hash/cells.hpp"
 #include "nvm/direct_pm.hpp"
 #include "nvm/region.hpp"
+#include "support/temp_path.hpp"
 
 namespace gh {
 namespace {
@@ -94,9 +97,18 @@ TEST_F(InspectTest, FullGroupsAreReported) {
   EXPECT_EQ(r.max_group_occupancy, 8u);
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::in);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
 TEST(MapFileInfoTest, ReadsSuperblockWithoutRecovery) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "gh_inspect_info.gh").string();
+  const std::string path = test::temp_path("gh_inspect_info.gh");
   std::filesystem::remove(path);
   {
     auto map = GroupHashMap::create(path, {.initial_cells = 1024, .group_size = 64});
@@ -132,14 +144,80 @@ TEST(MapFileInfoTest, ReadsSuperblockWithoutRecovery) {
 }
 
 TEST(MapFileInfoTest, RejectsNonMapFiles) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "gh_inspect_junk.gh").string();
+  const std::string path = test::temp_path("gh_inspect_junk.gh");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::string junk(8192, 'z');
   std::fwrite(junk.data(), 1, junk.size(), f);
   std::fclose(f);
   EXPECT_THROW(read_map_file_info(path), std::runtime_error);
   std::filesystem::remove(path);
+}
+
+/// A cleanly closed split image: 512 cells in groups of 8, filled until a
+/// resize arms, then 10 of its 32 source groups drained by hand (no
+/// writer helps: migrate_groups_per_op = 0). `before_drain` receives the
+/// file's bytes just before the drain. Returns the map's size().
+u64 make_split_image(const std::string& path, std::string* before_drain = nullptr) {
+  auto map = GroupHashMap::create(path, {.initial_cells = 512,
+                                         .group_size = 8,
+                                         .flush_latency_ns = 0,
+                                         .migrate_groups_per_op = 0});
+  for (u64 i = 0; !map.migration_active(); ++i) map.put(3 * i + 1, i);
+  if (before_drain != nullptr) *before_drain = read_file(path);
+  EXPECT_EQ(map.migrate_step(10), 10u);
+  EXPECT_EQ(map.migration_cursor(), 10u);
+  const u64 size = map.size();
+  map.close();
+  return size;
+}
+
+TEST(MapFileInfoTest, SplitImageCountsBothTablesAndNamesTheResize) {
+  const std::string path = test::temp_path("gh_inspect_split.gh");
+  const u64 size = make_split_image(path);
+  EXPECT_EQ(size, 316u);
+
+  const MapFileInspection r = inspect_map_file(path);
+  EXPECT_TRUE(r.info.clean);
+  EXPECT_TRUE(r.info.migration_word_ok);
+  EXPECT_TRUE(r.info.migration_armed);
+  EXPECT_EQ(r.info.migration_cursor, 10u);
+  EXPECT_EQ(r.target_path, path + ".migrate");
+  ASSERT_TRUE(r.target.has_value());
+  EXPECT_GT(r.target->scanned_occupied, 0u);
+  EXPECT_TRUE(r.table.count_consistent());
+  EXPECT_TRUE(r.target->count_consistent());
+  EXPECT_EQ(r.items(), size);
+  EXPECT_TRUE(r.clean());
+
+  // The report is what the next open serves.
+  auto map = GroupHashMap::open(path);
+  EXPECT_EQ(map.size(), r.items());
+  map.close();
+}
+
+TEST(MapFileInfoTest, SplitImageClearsRetiredGroupsOnAPrivateCopy) {
+  // Put the drained groups' pre-retire cells back into the file, as a
+  // crash can leave them: the open clears them again, so the scan must
+  // too — on a copy, leaving the file untouched.
+  const std::string path = test::temp_path("gh_inspect_split_stale.gh");
+  std::string before;
+  const u64 size = make_split_image(path, &before);
+  std::string image = read_file(path);
+  const MapFileInfo info = read_map_file_info(path);
+  const usize level_bytes = info.level_cells * sizeof(hash::Cell16);
+  const usize drained_bytes = info.migration_cursor * info.group_size * sizeof(hash::Cell16);
+  for (const usize level : {usize{0}, usize{1}}) {
+    const usize at = info.table_offset + sizeof(Table::Header) + level * level_bytes;
+    image.replace(at, drained_bytes, before, at, drained_bytes);
+  }
+  ASSERT_NE(image, read_file(path)) << "the drained groups held no cells";
+  write_file(path, image);
+
+  const MapFileInspection r = inspect_map_file(path);
+  EXPECT_EQ(r.items(), size);
+  EXPECT_TRUE(r.table.count_consistent());
+  EXPECT_EQ(r.table.torn_cells, 0u);
+  EXPECT_EQ(read_file(path), image) << "inspect_map_file wrote to the file";
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "core/group_hash_map.hpp"
+#include "support/temp_path.hpp"
 
 namespace gh {
 namespace {
@@ -76,8 +77,7 @@ TEST(MapRmw, GetBatchMatchesScalarGet) {
 }
 
 TEST(MapLifecycle, CloseIsIdempotent) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "gh_close_twice.gh").string();
+  const std::string path = test::temp_path("gh_close_twice.gh");
   std::filesystem::remove(path);
   auto map = GroupHashMap::create(path, {.initial_cells = 64});
   map.put(1, 1);

@@ -38,6 +38,7 @@
 #include "core/string_map.hpp"
 #include "nvm/crash_point.hpp"
 #include "nvm/fault_fs.hpp"
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace gh {
@@ -45,9 +46,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 MapOptions migration_options(u32 groups_per_op = 1) {
   MapOptions o;

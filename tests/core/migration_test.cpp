@@ -30,15 +30,14 @@
 #include "nvm/crash_point.hpp"
 #include "nvm/fault_fs.hpp"
 #include "obs/export.hpp"
+#include "support/temp_path.hpp"
 
 namespace gh {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 u64 key_of(u64 i) { return 3 * i + 1; }
 u64 value_of(u64 i) { return i * 17 + 5; }

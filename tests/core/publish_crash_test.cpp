@@ -35,15 +35,14 @@
 #include "core/string_map.hpp"
 #include "nvm/fault_fs.hpp"
 #include "obs/flight_recorder.hpp"
+#include "support/temp_path.hpp"
 
 namespace gh {
 namespace {
 
 namespace fs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 /// Forensics half of every crash trial: the reopened map's flight scan
 /// must name the exact lifecycle op that was mid-publish, stranded at
@@ -307,7 +306,7 @@ TEST(PublishCrash, CrashDuringOrphanReclaimIsIdempotent) {
 }
 
 TEST(PublishCrash, CorruptSuperblockIsRejectedNotTrusted) {
-  const std::string path = temp_path("gh_corrupt_sb.gh");
+  const std::string path = temp_path("gh_publish_corrupt_sb.gh");
   fs::remove(path);
   {
     auto map = GroupHashMap::create(path, small_map_options());

@@ -15,16 +15,12 @@
 #include "core/string_map.hpp"
 #include "obs/export.hpp"
 #include "obs/snapshot.hpp"
+#include "support/temp_path.hpp"
 
 namespace gh {
 namespace {
 
-std::string temp_path(const char* name) {
-  const char* dir = std::getenv("TMPDIR");
-  std::string p = std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-  std::remove(p.c_str());
-  return p;
-}
+using gh::test::temp_path;
 
 MapOptions every_op_options(u64 cells) {
   // shift=0: time every op, so histogram counts are exact for assertions.

@@ -16,14 +16,13 @@
 #include <unordered_map>
 
 #include "core/string_map.hpp"
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace gh {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 void run_crash_trial(u64 seed, u64 ops, const StringMapOptions& options) {
   const std::string path =

@@ -5,14 +5,13 @@
 #include <filesystem>
 #include <unordered_map>
 
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace gh {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 TEST(StringMap, BasicPutGetErase) {
   auto map = PersistentStringMap::create_in_memory({});

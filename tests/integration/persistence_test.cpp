@@ -7,14 +7,13 @@
 #include <unordered_map>
 
 #include "core/group_hash_map.hpp"
+#include "support/temp_path.hpp"
 #include "util/rng.hpp"
 
 namespace gh {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 TEST(Persistence, ManySessionsAccumulateState) {
   const std::string path = temp_path("gh_sessions.gh");

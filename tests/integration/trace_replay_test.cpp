@@ -11,6 +11,7 @@
 #include "hash/any_table.hpp"
 #include "nvm/direct_pm.hpp"
 #include "nvm/region.hpp"
+#include "support/temp_path.hpp"
 #include "trace/trace_file.hpp"
 #include "trace/workload.hpp"
 
@@ -126,8 +127,7 @@ TEST(TraceReplay, AllSchemesAgreeOnTheSameTrace) {
 }
 
 TEST(TraceReplay, SavedTraceReplaysIdentically) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "gh_integration_trace.bin").string();
+  const std::string path = test::temp_path("gh_integration_trace.bin");
   const trace::Workload w = trace::make_bag_of_words(2000, 5);
   const trace::OpTrace original = trace::make_op_trace(w, 1000, 1000, 0.5, 0.2, 3);
   trace::save_trace(original, path);

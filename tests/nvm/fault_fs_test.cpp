@@ -7,15 +7,14 @@
 #include <fstream>
 
 #include "nvm/region.hpp"
+#include "support/temp_path.hpp"
 
 namespace gh::nvm {
 namespace {
 
 namespace stdfs = std::filesystem;
 
-std::string temp_path(const std::string& name) {
-  return (stdfs::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 void touch(const std::string& path, const std::string& content = "x") {
   std::ofstream out(path, std::ios::trunc);

@@ -1,4 +1,5 @@
 #include "nvm/region.hpp"
+#include "support/temp_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,9 +9,7 @@
 namespace gh::nvm {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 TEST(NvmRegion, AnonymousIsZeroed) {
   NvmRegion r = NvmRegion::create_anonymous(4096);

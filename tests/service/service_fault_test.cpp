@@ -257,6 +257,64 @@ TEST(ServiceFault, RestartShardRevivesKilledShardAndServesCommittedData) {
   fs::remove_all(dir);
 }
 
+TEST(ServiceFault, ReadOnlyBatchToKilledShardAnswersShardDownThenReadsReopenedMap) {
+  // A batch of gets alone is served on the client's thread when its
+  // shards are idle. A dead shard must still answer kShardDown there,
+  // and once restart_shard installs the reopened map, the same reads
+  // must see it.
+  const std::string dir = make_data_dir("gh_service_fault_inline_reads");
+  constexpr u32 kVictim = 1;
+  ShardServer server(fault_service_options(dir));
+  PumpResult crash_phase;
+  {
+    PathCrashFs policy;
+    policy.needle = "shard1.gh";
+    const nvm::ScopedFsPolicy installed(&policy);
+    crash_phase = pump_puts(server, /*first_key=*/1, /*max_keys=*/100'000,
+                            [](const PumpResult& r) { return r.shard_down > 0; });
+  }
+  ASSERT_TRUE(server.shard_down(kVictim));
+
+  std::vector<u64> victim_keys;
+  std::vector<u64> live_keys;
+  for (const u64 key : crash_phase.ok_keys) {
+    const bool on_victim = ShardServer::shard_of(key, server.shards()) == kVictim;
+    auto& keys = on_victim ? victim_keys : live_keys;
+    if (keys.size() < 24) keys.push_back(key);
+  }
+  ASSERT_FALSE(victim_keys.empty());
+  ASSERT_FALSE(live_keys.empty());
+  const auto read_all = [&](Batch& batch) {
+    batch.clear();
+    for (const u64 key : victim_keys) batch.requests.push_back(Request{Op::kGet, key, 0});
+    for (const u64 key : live_keys) batch.requests.push_back(Request{Op::kGet, key, 0});
+    server.execute(batch);
+  };
+
+  Batch batch;
+  read_all(batch);
+  for (usize i = 0; i < batch.requests.size(); ++i) {
+    const u64 key = batch.requests[i].key;
+    const Response r = batch.responses()[i];
+    if (i < victim_keys.size()) {
+      EXPECT_EQ(r.status, Status::kShardDown) << key;
+    } else {
+      ASSERT_EQ(r.status, Status::kOk) << key;
+      EXPECT_EQ(r.value, key * 3) << key;
+    }
+  }
+
+  ASSERT_TRUE(server.restart_shard(kVictim));
+  read_all(batch);
+  for (usize i = 0; i < batch.requests.size(); ++i) {
+    const u64 key = batch.requests[i].key;
+    ASSERT_EQ(batch.responses()[i].status, Status::kOk) << "lost committed key " << key;
+    EXPECT_EQ(batch.responses()[i].value, key * 3) << key;
+  }
+  server.stop();
+  fs::remove_all(dir);
+}
+
 TEST(ServiceFault, RestartShardResumesInterruptedMigration) {
   // Kill a shard whose map is mid-online-resize (crash inside the
   // .migrate machinery), then revive it: restart_shard's reopen must

@@ -9,6 +9,11 @@
 // lever, not a semantics change.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -247,6 +252,133 @@ TEST(ShardService, TinyRingBackpressureNeverWedges) {
   server.stop();
 }
 
+/// A put's value: the version in the high half, a check word of (key,
+/// version) in the low half, so a get can tell a written value from a
+/// torn or misrouted one.
+u64 checked_value(u64 key, u64 version) {
+  const u64 check = (key * 0x9E3779B97F4A7C15ull ^ version * 0xC2B2AE3D27D4EB4Full) >> 32;
+  return (version << 32) | check;
+}
+
+bool value_checks(u64 key, u64 value) { return checked_value(key, value >> 32) == value; }
+
+TEST(ShardService, InlineReadsAndQueuedWritesTorture) {
+  // 4 clients mix read-only batches (served inline when the shard is
+  // idle) with write batches (always queued) through 2-slot rings.
+  // Every batch must finish — a worker that slept through queued work
+  // would stall it — and every get must return a value some put of that
+  // key wrote.
+  ServiceOptions opts = small_service_options();
+  opts.shards = 2;
+  opts.ring_capacity = 2;
+  ShardServer server(opts);
+  constexpr u64 kKeys = 128;
+  Batch preload;
+  for (u64 k = 1; k <= kKeys; ++k) {
+    preload.requests.push_back(Request{Op::kPut, k, checked_value(k, 0)});
+  }
+  server.execute(preload);
+
+  constexpr u32 kClients = 4;
+  constexpr u32 kRounds = 400;
+  constexpr auto kDeadline = std::chrono::seconds(30);
+  std::atomic<u32> finished{0};
+  std::atomic<u64> bad_values{0};
+  std::atomic<u64> slow_batches{0};
+  std::vector<std::thread> clients;
+  for (u32 c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Batch batch;
+      Xoshiro256 rng(100 + c);
+      for (u32 round = 0; round < kRounds; ++round) {
+        batch.clear();
+        const bool writes = rng.next_below(3) == 0;
+        for (u32 i = 0; i < 8; ++i) {
+          const u64 k = 1 + rng.next_below(kKeys);
+          if (writes && i % 2 == 0) {
+            const u64 version = 1 + rng.next_below(1000);
+            batch.requests.push_back(Request{Op::kPut, k, checked_value(k, version)});
+          } else {
+            batch.requests.push_back(Request{Op::kGet, k, 0});
+          }
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        server.execute(batch);
+        if (std::chrono::steady_clock::now() - t0 > kDeadline) slow_batches++;
+        for (usize i = 0; i < batch.requests.size(); ++i) {
+          const Request& rq = batch.requests[i];
+          const Response& rs = batch.responses()[i];
+          if (rs.status != Status::kOk ||
+              (rq.op == Op::kGet && !value_checks(rq.key, rs.value))) {
+            bad_values++;
+          }
+        }
+      }
+      finished++;
+    });
+  }
+  // A batch that never finishes cannot be joined: fail loudly instead.
+  const auto give_up = std::chrono::steady_clock::now() + 4 * kDeadline;
+  while (finished.load() < kClients) {
+    if (std::chrono::steady_clock::now() > give_up) {
+      std::fprintf(stderr, "InlineReadsAndQueuedWritesTorture: a client is wedged\n");
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(slow_batches.load(), 0u) << "a batch waited past the deadline";
+  EXPECT_EQ(bad_values.load(), 0u) << "a get returned a value no put wrote";
+  server.stop();
+}
+
+TEST(ShardService, ReaderLettingGoWakesTheWorkerForAQueuedWrite) {
+  // One shard, two clients released together each round: a reader whose
+  // long read-only slice is served inline, and a writer whose put queues.
+  // When the put lands while the reader owns the shard, the woken worker
+  // finds the flag taken and sleeps; nobody else sends traffic, so only
+  // the reader's doorbell as it lets go can finish the writer's batch.
+  ServiceOptions opts = small_service_options();
+  opts.shards = 1;
+  opts.map_options.initial_cells = 1u << 14;
+  ShardServer server(opts);
+  Batch reads;
+  for (u64 k = 1; k <= 4096; ++k) reads.requests.push_back(Request{Op::kPut, k, k});
+  server.execute(reads);
+  for (Request& rq : reads.requests) rq = Request{Op::kGet, rq.key, 0};
+  Batch write;
+  write.requests.push_back(Request{Op::kPut, 1, 1});
+
+  constexpr u32 kRounds = 300;
+  std::atomic<u32> round{0};
+  std::atomic<u32> done{0};
+  const auto client = [&](Batch& batch) {
+    for (u32 r = 1; r <= kRounds; ++r) {
+      while (round.load(std::memory_order_acquire) < r) std::this_thread::yield();
+      server.execute(batch);
+      done.fetch_add(1, std::memory_order_release);
+    }
+  };
+  std::thread reader(client, std::ref(reads));
+  std::thread writer(client, std::ref(write));
+  for (u32 r = 1; r <= kRounds; ++r) {
+    round.store(r, std::memory_order_release);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (done.load(std::memory_order_acquire) < 2 * r) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        std::fprintf(stderr, "ReaderLettingGoWakesTheWorker: round %u wedged\n", r);
+        std::abort();
+      }
+      std::this_thread::yield();
+    }
+  }
+  reader.join();
+  writer.join();
+  for (const Response& rs : reads.responses()) ASSERT_EQ(rs.status, Status::kOk);
+  EXPECT_EQ(write.responses()[0].status, Status::kOk);
+  server.stop();
+}
+
 TEST(ShardService, RoutingMatchesConcurrentWrapperSeed) {
   // shard_of must be a pure function of (key, shards): pinned values so
   // the routing seed can never drift silently from the concurrent
@@ -417,6 +549,67 @@ TEST(ShardService, FullTracingEmitsLinkedRequestRingWaitVisitAndOpSpans) {
     ring_wait_ns += row.phase_ns[static_cast<usize>(obs::Phase::kRingWait)];
   }
   EXPECT_GT(ring_wait_ns, 0u);
+}
+
+TEST(ShardService, ReadOnlyBatchServedWithoutTheRingUnderFullTracing) {
+  if (!obs::kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
+  // A batch of gets alone is served on the client's thread when its
+  // shards are idle: its trace has shard_visit spans and no ring_wait.
+  // A batch with a put still queues its slices: ring_wait and visit.
+  obs::SpanCollector& collector = obs::SpanCollector::global();
+  ServiceOptions opts = small_service_options();
+  opts.trace_mode = obs::TraceMode::kFull;
+  ShardServer server(opts);
+  Batch batch;
+  for (u64 k = 1; k <= 256; ++k) batch.requests.push_back(Request{Op::kPut, k, k});
+  server.execute(batch);
+  (void)collector.drain_all();
+
+  // A worker may still hold its shard for a moment after answering (the
+  // slice then queues), so read-only batches repeat until one ran inline.
+  std::unordered_map<u64, std::vector<obs::SpanRecord>> spans_by_trace;
+  std::vector<u64> read_only_traces;
+  std::vector<u64> mixed_traces;
+  Xoshiro256 rng(11);
+  for (u32 round = 0; round < 40; ++round) {
+    const bool mixed = round % 2 == 1;
+    batch.clear();
+    for (u32 i = 0; i < 16; ++i) {
+      const u64 k = 1 + rng.next_below(256);
+      const bool put = mixed && i == 0;
+      batch.requests.push_back(put ? Request{Op::kPut, k, k} : Request{Op::kGet, k, 0});
+    }
+    server.execute(batch);
+    for (const Response& r : batch.responses()) ASSERT_EQ(r.status, Status::kOk);
+    for (const obs::SpanRecord& sp : collector.drain_all()) {
+      if (sp.kind == static_cast<u8>(obs::SpanKind::kRequest)) {
+        (mixed ? mixed_traces : read_only_traces).push_back(sp.trace_id);
+      }
+      spans_by_trace[sp.trace_id].push_back(sp);
+    }
+    if (!mixed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.stop();
+
+  const auto count = [&](u64 trace, obs::SpanKind kind) {
+    u64 n = 0;
+    for (const obs::SpanRecord& sp : spans_by_trace[trace]) {
+      n += sp.kind == static_cast<u8>(kind);
+    }
+    return n;
+  };
+  ASSERT_EQ(read_only_traces.size(), 20u);
+  ASSERT_EQ(mixed_traces.size(), 20u);
+  u64 inline_batches = 0;
+  for (const u64 t : read_only_traces) {
+    EXPECT_GE(count(t, obs::SpanKind::kShardVisit), 1u);
+    inline_batches += count(t, obs::SpanKind::kRingWait) == 0;
+  }
+  EXPECT_GT(inline_batches, 0u) << "no read-only batch skipped the ring";
+  for (const u64 t : mixed_traces) {
+    EXPECT_GE(count(t, obs::SpanKind::kRingWait), 1u) << "a slice with a put must queue";
+    EXPECT_GE(count(t, obs::SpanKind::kShardVisit), 1u);
+  }
 }
 
 TEST(ShardService, TracingOffEmitsNothing) {

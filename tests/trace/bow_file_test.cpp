@@ -3,14 +3,13 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/temp_path.hpp"
 #include "trace/workload.hpp"
 
 namespace gh::trace {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 void write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(path);

@@ -1,3 +1,4 @@
+#include "support/temp_path.hpp"
 #include "trace/trace_file.hpp"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,7 @@
 namespace gh::trace {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using gh::test::temp_path;
 
 TEST(TraceFile, RoundTrip) {
   OpTrace trace;
