@@ -741,9 +741,10 @@ obs::Snapshot BasicGroupHashMap<Cell, Payload>::snapshot() {
 //
 // Crash anywhere: the cursor word in the old superblock names the resume
 // point, and open() clears the groups below it again, since their
-// unflushed clears may be lost; duplicates from a group interrupted
-// between copy and cursor are masked by new-table-first reads and skipped
-// by the idempotent re-copy.
+// unflushed clears may be lost. Duplicates (a group interrupted between
+// copy and cursor, or a put between its target write and its old-table
+// erase) are masked by new-table-first reads and skipped by the resumed
+// migration's probing copy.
 
 template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::set_migration_word(u64 word) {
@@ -778,6 +779,7 @@ void BasicGroupHashMap<Cell, Payload>::clear_migration_state() {
   mig_total_groups_ = 0;
   mig_flight_token_ = 0;
   mig_marked_cursor_ = 0;
+  mig_resumed_ = false;
   if (live_obs_) live_obs_->set_migration(0, 0, 0);
 }
 
@@ -822,58 +824,20 @@ void BasicGroupHashMap<Cell, Payload>::start_migration(Resize kind, u64 need) {
 
 template <class Cell, class Payload>
 bool BasicGroupHashMap<Cell, Payload>::migrate_one_group(u64 g) {
-  std::vector<key_type> keys;
-  std::vector<u64> values;
-  table().for_each_in_group(g, [&](const key_type& k, u64 v) {
-    keys.push_back(k);
-    values.push_back(v);
-  });
-  if (keys.empty()) return true;
-  // Re-migration after a crash must not clobber values written to the
-  // target since the copy (target values are the authoritative ones), so
-  // only keys the target does not hold yet are moved.
-  std::vector<std::optional<u64>> present(keys.size());
-  mig_table_->find_batch(keys, present);
-  // Copy in target-slot order, so each insert window writes neighbouring
-  // target cells and flushes each of their lines once. The sort is stable
-  // and level-1 cells are visited first, so a key that owns its level-1
-  // slot still precedes every key competing for that slot in the target
-  // (they all share its old slot) and keeps it.
-  struct Move {
-    u64 home;
-    key_type key;
-    u64 value;
-  };
-  std::vector<Move> moves;
-  moves.reserve(keys.size());
-  for (usize i = 0; i < keys.size(); ++i) {
-    if (!present[i]) moves.push_back({mig_table_->home_index(keys[i]), keys[i], values[i]});
-  }
-  std::stable_sort(moves.begin(), moves.end(),
-                   [](const Move& a, const Move& b) { return a.home < b.home; });
-  std::vector<key_type> move_keys;
-  std::vector<u64> move_values;
-  move_keys.reserve(moves.size());
-  move_values.reserve(moves.size());
-  for (const Move& m : moves) {
-    move_keys.push_back(m.key);
-    move_values.push_back(m.value);
-  }
-  if constexpr (!Payload::kInline) {
-    for (u64& v : move_values) {
-      if (!mig_payload_.adopt(v, payload_)) return false;
-    }
-  }
-  if (mig_table_->insert_batch(move_keys, move_values) < move_keys.size()) {
-    // The target cannot place this group's keys (pathological
-    // grouping). The copied-but-not-erased prefix is a benign duplicate
-    // set: new-first reads mask it and the emergency merge dedups it.
-    return false;
-  }
+  // In a live process place() keeps the tables disjoint, so only a
+  // migration resumed from an image probes the target for keys it holds.
+  u64 copied = 0;
+  const bool ok = mig_table_->copy_group(
+      table(), g, mig_resumed_, [&](u64& v) { return mig_payload_.adopt(v, payload_); },
+      copied);
+  // A short copy (pathological grouping, or a full target arena) leaves
+  // its copies as a benign duplicate set: new-first reads mask it and the
+  // emergency merge dedups it.
+  if (!ok) return false;
   nvm::crash_point("migrate.group.copied");
   table().clear_group(g);
   nvm::crash_point("migrate.group.erased");
-  keys_migrated_ += move_keys.size();
+  keys_migrated_ += copied;
   return true;
 }
 
@@ -1061,6 +1025,7 @@ void BasicGroupHashMap<Cell, Payload>::resume_migration() {
   mig_total_groups_ = table().num_groups();
   mig_cursor_ = std::min(cursor, mig_total_groups_);
   mig_marked_cursor_ = mig_cursor_;
+  mig_resumed_ = true;
   if (live_obs_) live_obs_->set_migration(1, mig_cursor_, mig_total_groups_);
   migrations_resumed_++;
   structure_version_++;

@@ -416,13 +416,14 @@ class BasicGroupHashMap {
   // --- Resize state machine (see DESIGN.md, "Resize") ---
   /// Create + durably publish the `.migrate` target and arm the cursor.
   void start_migration(Resize kind, u64 need);
-  /// Rehash one source group into the target — each payload adopted by
-  /// the target file first — and clear it from the old table with stores
-  /// only (the cursor advance after it retires the group). Idempotent
-  /// (keys already present in the target are skipped), so re-running the
-  /// cursor group after a crash is safe. Returns false when the target
-  /// could not take a key or its payload — the caller must fall back to
-  /// the blocking emergency merge.
+  /// Rehash one source group straight into the target in one pass
+  /// (Table::copy_group) — each payload adopted by the target file
+  /// first — and clear it from the old table with stores only (the
+  /// cursor advance after it retires the group). A resumed migration's
+  /// copy skips keys the target already holds, so re-running the cursor
+  /// group after a crash is safe. Returns false when the target could
+  /// not take a key or its payload — the caller must fall back to the
+  /// blocking emergency merge.
   [[nodiscard]] bool migrate_one_group(u64 g);
   /// Drain up to max_groups groups, advancing the durable cursor after
   /// each, and finalize when the cursor reaches the end.
@@ -515,6 +516,9 @@ class BasicGroupHashMap {
   u64 mig_total_groups_ = 0;
   u64 mig_flight_token_ = 0;
   u64 mig_marked_cursor_ = 0;  ///< last cursor journaled to the flight ring
+  /// The migration was resumed from an image: the target can hold keys
+  /// the old table still holds, so the copy probes for them.
+  bool mig_resumed_ = false;
   u64 structure_version_ = 0;
   u64 expansions_ = 0;  ///< completed resizes (finalized migrations + emergency merges)
   u64 expand_failures_ = 0;  ///< expansion attempts that failed (e.g. ENOSPC)

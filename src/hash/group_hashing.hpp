@@ -67,9 +67,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hash/cells.hpp"
@@ -234,6 +236,9 @@ class GroupHashTable {
     tags1_ = tags_.get();
     tags2_ = tags1_ + level_cells_;
     if (!format) rebuild_tags(0, level_cells_);
+    // Sized once here, so a resize's copy_group allocates nothing.
+    region_lines_ = group_size_ * sizeof(Cell) / kCachelineSize + 2;
+    copy_lines_.assign((4 * region_lines_ + 63) / 64, 0);
     if (crc_on) {
       const usize crc_bytes = 2 * num_groups() * sizeof(u64);
       GH_CHECK(mem.size() >= sizeof(Header) + 2 * level_cells_ * sizeof(Cell) + crc_bytes);
@@ -461,6 +466,116 @@ class GroupHashTable {
     return cleared;
   }
 
+  /// Copy every occupied cell of `src`'s group `g` into this table: how a
+  /// resize moves one source group, for growth (this table has twice
+  /// src's level cells) and compaction (the same number) alike. One pass
+  /// over the group, level 1 first: each key is hashed once and written
+  /// to its level-1 home here if that is free, else to the next free
+  /// level-2 cell of its target group, found from a per-group fill cursor
+  /// over the tag bytes (nothing is freed during the copy, so the cursor
+  /// only moves forward). Level 1 goes first, so a key that owned its
+  /// level-1 slot in `src` owns its home here too: every other key with
+  /// that home shares its old slot and sits in src's level 2.
+  ///
+  /// Each cell is published same-line and digested while it is in cache.
+  /// Once the group is written, each target line it touched is flushed
+  /// once, in address order, and one fence makes the copy durable before
+  /// the caller clears the source group. `probe` skips keys this table
+  /// already holds (their values are newer); only a migration resumed
+  /// from an image can meet one (DESIGN.md "Resize"). `adopt(value)`
+  /// moves a key's payload into this table's file before its cell is
+  /// written; false stops the copy. Returns false when a key found no
+  /// free cell (its level-1 home and level-2 group full or quarantined)
+  /// or adopt failed: the cells copied so far stay, durable, as
+  /// duplicates of cells the source still holds. `copied` counts the
+  /// cells written either way. Requires kSameLine and src's geometry
+  /// and seed.
+  template <class Adopt>
+  bool copy_group(const GroupHashTable& src, u64 g, bool probe, Adopt&& adopt, u64& copied) {
+    GH_CHECK_MSG(same_line(), "copy_group requires CommitOrder::kSameLine");
+    GH_CHECK(src.group_size_ == group_size_ && src.hash_.seed() == hash_.seed());
+    GH_CHECK(level_cells_ == src.level_cells_ || level_cells_ == 2 * src.level_cells_);
+    GH_DCHECK(g < src.num_groups());
+    // Target group f of this source group is g + f * src.num_groups();
+    // region r = level * 2 + f, which is also address order.
+    const u64 src_groups = src.num_groups();
+    const u64 fan = level_cells_ / src.level_cells_;
+    std::array<Cell*, 4> region{};
+    for (u64 f = 0; f < fan; ++f) {
+      region[f] = tab1_ + (g + f * src_groups) * group_size_;
+      region[2 + f] = tab2_ + (g + f * src_groups) * group_size_;
+    }
+    std::array<u32, 2> fill{};   // next level-2 cell to try, per target group
+    std::array<u64, 4> delta{};  // checksum delta, per region
+    StoresOnly stores{*pm_};
+    copied = 0;
+    bool ok = true;
+    for (u32 level = 0; level < 2 && ok; ++level) {
+      const Cell* from = (level == 0 ? src.tab1_ : src.tab2_) + g * group_size_;
+      const u8* from_tags = (level == 0 ? src.tags1_ : src.tags2_) + g * group_size_;
+      for (u32 i = 0; i < group_size_; ++i) {
+        if (from_tags[i] == 0) continue;  // empty: its line is never read
+        GH_DCHECK(from[i].occupied());
+        const key_type key = from[i].key();
+        u64 value = from[i].value;
+        const u64 h = hash_(key);
+        if (probe && find_cell_at(key, h) != nullptr) continue;
+        const u64 k = h & mask_;
+        const u64 tg = k / group_size_;
+        const usize f = tg / src_groups;
+        // A key hashes to one of this group's target groups, except a
+        // Cell16 key above kMaxKey, stored masked, which now hashes
+        // elsewhere: it is placed where it hashes, outside the regions.
+        const bool stray = tg % src_groups != g;
+        u32 scan_from = stray ? 0 : fill[f];
+        Cell* dst = nullptr;
+        usize r = f;
+        if (tags1_[k] == 0 && !is_quarantined(0, tg)) {
+          dst = &tab1_[k];
+        } else if (!is_quarantined(1, tg)) {
+          r = 2 + f;
+          const u64 j = tg * group_size_;
+          for_each_tag_match(tags2_ + j + scan_from, group_size_ - scan_from, /*tag=*/0,
+                             [&](u32 idx) {
+                               scan_from += idx;
+                               dst = &tab2_[j + scan_from++];
+                               return true;
+                             });
+          if (!stray) fill[f] = scan_from;
+        }
+        if (dst == nullptr) stats_.insert_failures++;
+        if (dst == nullptr || !adopt(value)) {
+          ok = false;
+          break;
+        }
+        const u32 old_digest = crc_ ? cell_digest(dst) : 0;
+        dst->publish_same_line(stores, key, value);
+        tag_store(tag_slot(dst), tag_of_hash(h));
+        if (stray) {
+          if (crc_) apply_digest_delta(dst, old_digest);
+          pm_->flush(dst, sizeof(Cell));
+        } else {
+          if (crc_) delta[r] ^= old_digest ^ cell_digest(dst);
+          mark_copy_line(r, region[r], dst);
+        }
+        stats_.inserts++;
+        copied++;
+      }
+    }
+    if (copied > 0) {
+      flush_copy_lines(region);
+      pm_->fence();  // the copy durable before any store of the source clear
+    }
+    if (crc_) {
+      for (usize r = 0; r < 2 * fan; ++r) {
+        u64* slot = crc_slot(static_cast<u32>(r / 2), g + (r % 2) * src_groups);
+        if (delta[r] != 0) pm_->atomic_store_u64(slot, *slot ^ delta[r]);
+      }
+    }
+    if (copied > 0) bump_count(static_cast<i64>(copied));
+    return ok;
+  }
+
   /// Algorithm 4: full-scan recovery. Scrubs the payload of every
   /// unoccupied cell that still holds bytes (a torn insert or the tail of
   /// a committed delete) and recomputes `count`. A poisoned cell is
@@ -576,13 +691,10 @@ class GroupHashTable {
     }
   }
 
-  /// Visit every occupied cell of source group `g` — its addressable
-  /// (level-1) cells and the collision (level-2) cells sharing the group
-  /// number. This is the unit a resize migration moves: one call
-  /// collects exactly the keys the durable cursor word hands off. Level-1
-  /// cells come first, so re-inserting in visit order keeps every key that
-  /// owns its level-1 slot there in the bigger table (the slot it maps to
-  /// is taken by a key from the same old slot or not at all).
+  /// Visit every occupied cell of group `g` — its addressable (level-1)
+  /// cells and the collision (level-2) cells sharing the group number,
+  /// level 1 first. This is the unit a resize migration moves (see
+  /// copy_group): exactly the keys the durable cursor word hands off.
   template <class Fn>
   void for_each_in_group(u64 g, Fn&& fn) const {
     GH_DCHECK(g < num_groups());
@@ -593,8 +705,7 @@ class GroupHashTable {
     }
   }
 
-  /// The level-1 index `key` hashes to: its home slot, and the order a
-  /// resize copies a group's keys into the target in.
+  /// The level-1 index `key` hashes to: its home slot.
   [[nodiscard]] u64 home_index(const key_type& key) const { return hash_(key) & mask_; }
 
   /// Read-only cell access for inspection tooling (gh_fsck, core/inspect).
@@ -919,6 +1030,40 @@ class GroupHashTable {
     void atomic_store_u64(u64* dst, u64 v) { pm.atomic_store_u64(dst, v); }
     void flush(const void*, usize) {}
   };
+
+  /// copy_group's record of the target lines it wrote: one bit per line of
+  /// each of its four regions (target groups × levels), each region
+  /// region_lines_ bits from the line its first cell starts in.
+  void mark_copy_line(usize r, const Cell* region_start, const Cell* c) {
+    const auto offset = static_cast<usize>(nvm::line_begin(c) - nvm::line_begin(region_start));
+    const usize bit = r * region_lines_ + offset / kCachelineSize;
+    copy_lines_[bit / 64] |= u64{1} << (bit % 64);
+  }
+
+  /// Flush every marked line once, in address order (regions are in
+  /// address order), each run of adjacent lines in one call, and clear
+  /// the marks.
+  void flush_copy_lines(const std::array<Cell*, 4>& region) {
+    const std::byte* run = nullptr;
+    usize run_lines = 0;
+    for (usize w = 0; w < copy_lines_.size(); ++w) {
+      for (u64 bits = std::exchange(copy_lines_[w], 0); bits != 0; bits &= bits - 1) {
+        const usize b = w * 64 + static_cast<usize>(std::countr_zero(bits));
+        const std::byte* line =
+            nvm::line_begin(region[b / region_lines_]) + (b % region_lines_) * kCachelineSize;
+        // A line two regions share comes up twice in a row.
+        if (run != nullptr && line < run + run_lines * kCachelineSize) continue;
+        if (run != nullptr && line == run + run_lines * kCachelineSize) {
+          run_lines++;
+          continue;
+        }
+        if (run != nullptr) pm_->flush(run, run_lines * kCachelineSize);
+        run = line;
+        run_lines = 1;
+      }
+    }
+    if (run != nullptr) pm_->flush(run, run_lines * kCachelineSize);
+  }
 
   /// A window's key hashes and, under kSameLine, when its marked lines are
   /// final. Every line a key's op touches lies in the key's home group
@@ -1393,6 +1538,9 @@ class GroupHashTable {
   TableStats stats_;
   std::vector<u8> quarantined_;  ///< volatile containment state, 1 byte per (level, group)
   bool any_quarantined_ = false;
+  /// Lines one group of one level can span, with slack for a mid-line start.
+  usize region_lines_ = 0;
+  std::vector<u64> copy_lines_;  ///< copy_group's line marks, zero between calls
 };
 
 }  // namespace gh::hash

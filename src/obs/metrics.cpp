@@ -37,17 +37,18 @@ double LatencyHistogram::bucket_midpoint(usize bucket) {
 
 namespace {
 
-// Recompute mean/p50/p95/p99/p999 of a snapshot from its sparse tick-domain
-// bucket list (shared by LatencyHistogram::snapshot and
+// Recompute sum_ns from the tick sum and mean/p50/p95/p99/p999 from the
+// sparse tick-domain bucket list (shared by LatencyHistogram::snapshot and
 // HistogramSnapshot::merge so a merged aggregate and a union histogram
 // derive identical statistics).
 void finalize_histogram(HistogramSnapshot& s) {
+  s.sum_ns = ticks_to_ns(s.sum_ticks);
   if (s.count == 0) {
     s.mean_ns = s.p50_ns = s.p95_ns = s.p99_ns = s.p999_ns = 0;
     return;
   }
   const double tpn = ticks_per_ns();
-  s.mean_ns = static_cast<double>(s.sum_ns) / static_cast<double>(s.count);
+  s.mean_ns = static_cast<double>(s.sum_ticks) / tpn / static_cast<double>(s.count);
   const auto percentile = [&](double q) {
     const double target = q / 100.0 * static_cast<double>(s.count);
     u64 cumulative = 0;
@@ -69,7 +70,7 @@ void finalize_histogram(HistogramSnapshot& s) {
 
 void HistogramSnapshot::merge(const HistogramSnapshot& o) {
   count += o.count;
-  sum_ns += o.sum_ns;
+  sum_ticks += o.sum_ticks;
   max_ns = std::max(max_ns, o.max_ns);
   // Two-pointer merge of the sorted sparse bucket lists.
   std::vector<std::pair<u32, u64>> merged;
@@ -104,11 +105,8 @@ HistogramSnapshot LatencyHistogram::snapshot() const {
       s.count += n;
     }
   }
-  const double tpn = ticks_per_ns();
-  s.sum_ns = static_cast<u64>(
-      static_cast<double>(sum_.load(std::memory_order_relaxed)) / tpn);
-  s.max_ns = static_cast<u64>(
-      static_cast<double>(max_.load(std::memory_order_relaxed)) / tpn);
+  s.sum_ticks = sum_.load(std::memory_order_relaxed);
+  s.max_ns = ticks_to_ns(max_.load(std::memory_order_relaxed));
   finalize_histogram(s);
   return s;
 }

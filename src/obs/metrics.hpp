@@ -150,6 +150,10 @@ class StripedCounter {
 /// Snapshot-time view of one histogram, in nanoseconds.
 struct HistogramSnapshot {
   u64 count = 0;
+  /// Sum of the samples in raw ticks. Sums add in ticks and convert once
+  /// (sum_ns), so a merged snapshot's sum_ns equals the union's instead
+  /// of losing up to 1 ns per part to a per-part floor.
+  u64 sum_ticks = 0;
   u64 sum_ns = 0;
   u64 max_ns = 0;
   double mean_ns = 0;
@@ -164,7 +168,7 @@ struct HistogramSnapshot {
   /// samples, not a lossy average of per-shard percentiles.
   std::vector<std::pair<u32, u64>> buckets;
 
-  /// Fold `o` into this snapshot: counts/sums/max add, bucket lists
+  /// Fold `o` into this snapshot: counts/tick sums/max add, bucket lists
   /// merge, and the derived statistics are recomputed from the merged
   /// distribution.
   void merge(const HistogramSnapshot& o);

@@ -14,7 +14,7 @@ HistogramSnapshot histogram_delta(const HistogramSnapshot& cur,
                                   const HistogramSnapshot& prev) {
   HistogramSnapshot d;
   d.count = cur.count >= prev.count ? cur.count - prev.count : 0;
-  d.sum_ns = cur.sum_ns >= prev.sum_ns ? cur.sum_ns - prev.sum_ns : 0;
+  d.sum_ticks = cur.sum_ticks >= prev.sum_ticks ? cur.sum_ticks - prev.sum_ticks : 0;
   usize j = 0;
   for (const auto& [bucket, n] : cur.buckets) {
     while (j < prev.buckets.size() && prev.buckets[j].first < bucket) ++j;

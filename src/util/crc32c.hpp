@@ -5,9 +5,13 @@
 // bytes that were persisted; real persistent memory additionally exhibits
 // bit rot and uncorrectable (poisoned) lines. CRC32C is the standard
 // answer (iSCSI, ext4, Btrfs, and the PM-native hashing literature all
-// use it) because x86 ships a hardware instruction for it: when compiled
-// with SSE4.2 the byte loop below becomes one `crc32` instruction per
-// 8 bytes; the portable table fallback is used otherwise.
+// use it) because x86 ships a hardware instruction for it. The build
+// does not assume SSE4.2, so crc32c_update dispatches at run time (the
+// tag_probe.hpp pattern: a `target` attribute plus
+// __builtin_cpu_supports): one `crc32` instruction per 8 bytes where the
+// CPU has it, the portable byte-table loop otherwise, and the table
+// always under GH_NO_SIMD or off x86-64. force_crc32c_portable() pins the
+// table path for hardware-vs-table equivalence tests.
 //
 // Group checksums (hash/group_hashing.hpp) need an *incremental* update:
 // recomputing a whole group's CRC on every 16-byte cell mutation would
@@ -24,12 +28,16 @@
 // CRCs would miss.
 #pragma once
 
+#include <atomic>
 #include <cstring>
 
 #include "util/types.hpp"
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__) && !defined(GH_NO_SIMD)
 #include <nmmintrin.h>
+#define GH_CRC32C_HW 1
+#else
+#define GH_CRC32C_HW 0
 #endif
 
 namespace gh {
@@ -50,27 +58,65 @@ struct Crc32cTable {
 };
 inline constexpr Crc32cTable kCrc32cTable{};
 
+inline u32 crc32c_update_table(u32 crc, const unsigned char* p, usize len) {
+  while (len-- > 0) crc = kCrc32cTable.t[(crc ^ *p++) & 0xff] ^ (crc >> 8);
+  return crc;
+}
+
+#if GH_CRC32C_HW
+/// SSE4.2 `crc32` (target attribute: safe to compile without -msse4.2;
+/// only called after the run-time check).
+__attribute__((target("sse4.2"))) inline u32 crc32c_update_hw(u32 crc, const unsigned char* p,
+                                                              usize len) {
+  u64 c = crc;
+  for (; len >= 8; p += 8, len -= 8) {
+    u64 word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+  }
+  crc = static_cast<u32>(c);
+  while (len-- > 0) crc = _mm_crc32_u8(crc, *p++);
+  return crc;
+}
+
+/// Whether crc32c_update takes the hardware path: the CPU has SSE4.2 and
+/// no test pinned the table.
+inline std::atomic<bool>& crc32c_hw_on() {
+  static std::atomic<bool> on{__builtin_cpu_supports("sse4.2") != 0};
+  return on;
+}
+#endif
+
 }  // namespace detail
+
+/// True when crc32c_update runs the SSE4.2 instruction.
+[[nodiscard]] inline bool crc32c_hardware_active() {
+#if GH_CRC32C_HW
+  return detail::crc32c_hw_on().load(std::memory_order_relaxed);
+#else
+  return false;
+#endif
+}
+
+/// Test hook: pin the portable table path (true) or go back to the
+/// hardware path where the CPU has it (false). Affects the whole process.
+inline void force_crc32c_portable(bool portable) {
+#if GH_CRC32C_HW
+  detail::crc32c_hw_on().store(!portable && __builtin_cpu_supports("sse4.2") != 0,
+                               std::memory_order_relaxed);
+#else
+  (void)portable;
+#endif
+}
 
 /// Raw CRC32C update: feeds `len` bytes into state `crc` (no init/final
 /// complement — callers compose these below).
 inline u32 crc32c_update(u32 crc, const void* data, usize len) {
   const auto* p = static_cast<const unsigned char*>(data);
-#if defined(__SSE4_2__)
-  u64 c = crc;
-  while (len >= 8) {
-    u64 word;
-    std::memcpy(&word, p, 8);
-    c = _mm_crc32_u64(c, word);
-    p += 8;
-    len -= 8;
-  }
-  crc = static_cast<u32>(c);
-  while (len-- > 0) crc = _mm_crc32_u8(crc, *p++);
-#else
-  while (len-- > 0) crc = detail::kCrc32cTable.t[(crc ^ *p++) & 0xff] ^ (crc >> 8);
+#if GH_CRC32C_HW
+  if (crc32c_hardware_active()) return detail::crc32c_update_hw(crc, p, len);
 #endif
-  return crc;
+  return detail::crc32c_update_table(crc, p, len);
 }
 
 /// Standard CRC32C of a byte range (init ~0, final complement). Matches

@@ -1010,18 +1010,35 @@ TEST_F(SameLineTagCrash, LinePrefixImagesAtEveryCrashPoint) {
   }
 }
 
+/// ShadowPM whose fences can be switched off, so a negative control can
+/// run one step of a script without them.
+struct FenceGatePM : nvm::ShadowPM {
+  using nvm::ShadowPM::ShadowPM;
+  bool drop_fences = false;
+  void fence() {
+    if (!drop_fences) nvm::ShadowPM::fence();
+  }
+  /// Drops the fences of one scope when `on`.
+  struct Drop {
+    FenceGatePM& pm;
+    Drop(FenceGatePM& p, bool on) : pm(p) { pm.drop_fences = on; }
+    ~Drop() { pm.drop_fences = false; }
+  };
+};
+
 // Coalesced same-line windows: cells sharing a line are flushed once, just
 // before the window's one fence. The script puts, updates and erases
 // several cells of one line per window, then moves the group as a resize
-// does: copies it into a second, double-size table in target-slot order,
-// clears it from the source with stores only, and persists a cursor word
-// that retires it. It then erases one moved key and updates another in
-// the target. At every event, under the x86 in-line persist order, no
-// acked key may be lost or come back, and no committed cell may hold a
-// payload the script did not write for its key.
+// does: copies it into a second, double-size table with the resize's own
+// copy (GroupHashTable::copy_group: each target line flushed once, one
+// fence), clears it from the source with stores only, and persists a
+// cursor word that retires it. It then erases one moved key and updates
+// another in the target. At every event, under the x86 in-line persist
+// order, no acked key may be lost or come back, and no committed cell may
+// hold a payload the script did not write for its key.
 class CoalescedWindowCrash : public ::testing::Test {
  protected:
-  using Table = hash::GroupHashTable<hash::Cell16, nvm::ShadowPM>;
+  using Table = hash::GroupHashTable<hash::Cell16, FenceGatePM>;
   using Params = Table::Params;
 
   static constexpr Params kSource{.level_cells = 64,
@@ -1170,19 +1187,15 @@ class CoalescedWindowCrash : public ::testing::Test {
           t.erase_batch(step.keys, {});
           break;
         case Kind::kCopy: {
-          // migrate_one_group's copy: stable order by target home slot.
-          std::vector<std::pair<u64, u64>> moves;
-          src.for_each_in_group(kGroup, [&](u64 k, u64 v) { moves.emplace_back(k, v); });
-          std::stable_sort(moves.begin(), moves.end(), [&](const auto& a, const auto& b) {
-            return dst.home_index(a.first) < dst.home_index(b.first);
-          });
-          std::vector<u64> keys, values;
-          for (const auto& [k, v] : moves) {
-            keys.push_back(k);
-            values.push_back(v);
+          // migrate_one_group's copy. A negative control drops its fence.
+          u64 copied = 0;
+          bool ok = false;
+          {
+            FenceGatePM::Drop drop(*pm_, drop_copy_fence_);  // ends on a crash too
+            ok = dst.copy_group(src, kGroup, probe_, [](u64&) { return true; }, copied);
           }
-          ASSERT_EQ(dst.insert_batch(keys, values), keys.size());
-          cells = keys.size();
+          ASSERT_TRUE(ok);
+          cells = copied;
           break;
         }
         case Kind::kClear:
@@ -1241,6 +1254,9 @@ class CoalescedWindowCrash : public ::testing::Test {
     ::testing::AssertionResult cells = ::testing::AssertionSuccess();
     for (const Table* t : {&src, &dst}) {
       t->for_each([&](u64 k, u64 v) {
+        // With a resumed duplicate, a source cell the target masks is the
+        // stale copy reads never reach; the clear below the cursor ends it.
+        if (probe_ && t == &src && dst.find(k)) return;
         if (cells && (!allowed(k, v) ||
                       std::find(universe_.begin(), universe_.end(), k) == universe_.end())) {
           cells = ::testing::AssertionFailure() << "committed cell " << k << " holds " << v;
@@ -1283,39 +1299,46 @@ class CoalescedWindowCrash : public ::testing::Test {
     return crashed;
   }
 
-  nvm::NvmRegion region_;
-  std::span<std::byte> mem_;
-  std::optional<nvm::ShadowPM> pm_;
-  std::vector<Step> steps_;
-  std::vector<u64> universe_;
-};
+  /// Sweeps every crash point of the script: the fence-honest and
+  /// all-evicted images plus four x86 in-line-order (kLinePrefix) images
+  /// each must satisfy the oracle.
+  void sweep_line_prefix_images() {
+    u64 coalesced = 0;
+    const u64 events = script_events(&coalesced);
+    // The sweep is only about coalescing if windows really share flushes:
+    // the puts, updates, erases and the copy.
+    EXPECT_GE(coalesced, 5u) << "windows that flushed fewer lines than cells";
+    ASSERT_GT(events, 100u) << "script too small to be interesting";
 
-TEST_F(CoalescedWindowCrash, LinePrefixImagesAtEveryCrashPoint) {
-  u64 coalesced = 0;
-  const u64 events = script_events(&coalesced);
-  // The sweep is only about coalescing if windows really share flushes:
-  // the puts, updates, erases and the ordered copy.
-  EXPECT_GE(coalesced, 5u) << "windows that flushed fewer lines than cells";
-  ASSERT_GT(events, 100u) << "script too small to be interesting";
-
-  for (u64 crash_at = 1; crash_at < events; ++crash_at) {
-    usize acked = 0;
-    ASSERT_TRUE(crash_script_at(crash_at, acked)) << "crash_at " << crash_at;
-    // Every image is drawn before the first reset rewrites the shadow.
-    std::vector<std::vector<std::byte>> images;
-    images.push_back(pm_->materialize_crash_image(nvm::CrashMode::kNothingEvicted));
-    images.push_back(pm_->materialize_crash_image(nvm::CrashMode::kAllEvicted));
-    for (const u64 seed : {1ull, 2ull, 3ull, 4ull}) {
-      images.push_back(
-          pm_->materialize_crash_image(nvm::CrashMode::kLinePrefix, crash_at * 31 + seed));
-    }
-    for (usize i = 0; i < images.size(); ++i) {
-      pm_->reset_to_image(images[i]);
-      ASSERT_TRUE(oracle_holds(acked))
-          << "crash_at " << crash_at << " image " << i << " acked steps " << acked;
+    for (u64 crash_at = 1; crash_at < events; ++crash_at) {
+      usize acked = 0;
+      ASSERT_TRUE(crash_script_at(crash_at, acked)) << "crash_at " << crash_at;
+      // Every image is drawn before the first reset rewrites the shadow.
+      std::vector<std::vector<std::byte>> images;
+      images.push_back(pm_->materialize_crash_image(nvm::CrashMode::kNothingEvicted));
+      images.push_back(pm_->materialize_crash_image(nvm::CrashMode::kAllEvicted));
+      for (const u64 seed : {1ull, 2ull, 3ull, 4ull}) {
+        images.push_back(
+            pm_->materialize_crash_image(nvm::CrashMode::kLinePrefix, crash_at * 31 + seed));
+      }
+      for (usize i = 0; i < images.size(); ++i) {
+        pm_->reset_to_image(images[i]);
+        ASSERT_TRUE(oracle_holds(acked))
+            << "crash_at " << crash_at << " image " << i << " acked steps " << acked;
+      }
     }
   }
-}
+
+  nvm::NvmRegion region_;
+  std::span<std::byte> mem_;
+  std::optional<FenceGatePM> pm_;
+  std::vector<Step> steps_;
+  std::vector<u64> universe_;
+  bool probe_ = false;            ///< the copy skips keys the target holds
+  bool drop_copy_fence_ = false;  ///< negative control: the copy issues no fence
+};
+
+TEST_F(CoalescedWindowCrash, LinePrefixImagesAtEveryCrashPoint) { sweep_line_prefix_images(); }
 
 // Negative control: the source group's clear is never flushed, so only the
 // re-clear below the durable cursor keeps it retired. Without it, a crash
@@ -1337,6 +1360,75 @@ TEST_F(CoalescedWindowCrash, NegativeControlWithoutReclear) {
     }
   }
   EXPECT_GT(failures, 0u) << "no image brought the erased key back from the source";
+}
+
+// Negative control: the copy's one fence is what keeps the source clear
+// from reaching media ahead of the copy. Without it, some x86-order image
+// taken between the clear and the cursor holds neither copy of a key.
+TEST_F(CoalescedWindowCrash, NegativeControlWithoutCopyFence) {
+  const u64 events = script_events();
+  drop_copy_fence_ = true;
+  u64 failures = 0;
+  for (u64 crash_at = 1; crash_at < events && failures == 0; ++crash_at) {
+    usize acked = 0;
+    if (!crash_script_at(crash_at, acked)) continue;  // the dropped fence shortens the script
+    std::vector<std::vector<std::byte>> images;
+    for (const u64 seed : {1ull, 2ull, 3ull, 4ull}) {
+      images.push_back(
+          pm_->materialize_crash_image(nvm::CrashMode::kLinePrefix, crash_at * 31 + seed));
+    }
+    for (const auto& image : images) {
+      pm_->reset_to_image(image);
+      const ::testing::AssertionResult held = oracle_holds(acked);
+      if (!held) {
+        // A key neither table holds any more: the clear landed, the copy did not.
+        EXPECT_NE(std::string(held.message()).find(" reads nothing"), std::string::npos)
+            << held.message();
+        failures++;
+      }
+    }
+  }
+  EXPECT_GT(failures, 0u) << "no image lost a key without the copy's fence";
+}
+
+// A migration resumed from an image can find a key of the group in the
+// target already: a put wrote it there and crashed before erasing the
+// old table's copy. The copy must skip it (probe), or the stale source
+// value lands in the target too and comes back once the newer cell is
+// erased. Same sweep, with the target holding such a duplicate when the
+// copy starts and the duplicate erased at the end.
+class ResumedCopyCrash : public CoalescedWindowCrash {
+ protected:
+  void SetUp() override {
+    CoalescedWindowCrash::SetUp();
+    probe_ = true;
+    const auto copy = std::find_if(steps_.begin(), steps_.end(),
+                                   [](const Step& st) { return st.kind == Kind::kCopy; });
+    // A key the source group still holds when the copy starts.
+    const Table probe = source(/*format=*/true);
+    for (const auto& [k, v] : state_after(static_cast<usize>(copy - steps_.begin()))) {
+      if (probe.home_index(k) / kSource.group_size == kGroup) dup_ = k;
+    }
+    ASSERT_NE(dup_, 0u);
+    steps_.insert(copy, Step{Kind::kPut, {dup_}, {800}, true});
+    steps_.push_back(Step{Kind::kErase, {dup_}, {}, true});
+  }
+  u64 dup_ = 0;
+};
+
+TEST_F(ResumedCopyCrash, LinePrefixImagesAtEveryCrashPoint) { sweep_line_prefix_images(); }
+
+// The probe is what the resumed sweep leans on: a copy without it moves
+// the stale source value in next to the newer cell, and erasing the newer
+// one serves the stale one.
+TEST_F(ResumedCopyCrash, CopyWithoutProbeServesTheStaleValue) {
+  probe_ = false;
+  Table src = source(/*format=*/true);
+  Table dst = target(/*format=*/true);
+  usize acked = 0;
+  run_script(src, dst, acked);
+  ASSERT_EQ(acked, steps_.size());
+  EXPECT_TRUE(dst.find(dup_).has_value()) << "the erased duplicate should read its stale copy";
 }
 
 }  // namespace

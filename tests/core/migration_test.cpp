@@ -602,27 +602,28 @@ const hash::Cell16* cell_of(const GroupHashMap::Table& t, u64 key) {
   return nullptr;
 }
 
-TEST(Migration, DrainFlushesCopyWindowsAndCursorOnly) {
-  // A drained group is cleared with stores only and retired by the cursor
-  // advance, so each group costs exactly its copy window (every target
-  // line it wrote, once, and one fence) plus the cursor word's line and
-  // fence. Groups of 8 cells hold at most 16 keys: one window per group.
-  MapOptions o = online_options(/*groups_per_op=*/0);
-  o.initial_cells = 512;
+/// Drains a parked migration of a map built with `o` one group at a time.
+/// A drained group is cleared with stores only and retired by the cursor
+/// advance, so each group must cost exactly its copy (every target line
+/// its keys landed on, flushed once, and one fence) plus the cursor
+/// word's line and fence. `max_keys` is the most keys one group held.
+void expect_drain_flushes_copy_and_cursor_only(const MapOptions& o, u64& max_keys) {
   auto map = GroupHashMap::create_in_memory(o);
   fill_until_migrating(map);
   ASSERT_TRUE(map.migration_active());
   const nvm::PersistStats& stats = map.raw_table().pm().stats();
+  const u64 total_groups = map.raw_table().num_groups();
   u64 groups = 0;
   u64 lines = 0;
   u64 fences = 0;
   u64 want_lines = 0;
   u64 want_fences = 0;
+  max_keys = 0;
   while (map.migration_active()) {
     std::vector<u64> keys;
     map.raw_table().for_each_in_group(map.migration_cursor(),
                                        [&](u64 k, u64) { keys.push_back(k); });
-    ASSERT_LE(keys.size(), GroupHashMap::Table::kBatchWindow);
+    max_keys = std::max<u64>(max_keys, keys.size());
     const u64 lines0 = stats.lines_flushed;
     const u64 fences0 = stats.fences;
     ASSERT_EQ(map.migrate_step(1), 1u);
@@ -644,10 +645,31 @@ TEST(Migration, DrainFlushesCopyWindowsAndCursorOnly) {
     want_fences += group_fences;
     groups++;
   }
-  EXPECT_EQ(groups, o.initial_cells / 2 / o.group_size);
+  EXPECT_EQ(groups, total_groups);
   EXPECT_EQ(lines, want_lines);
   EXPECT_EQ(fences, want_fences);
   map.close();
+}
+
+TEST(Migration, DrainFlushesCopyWindowsAndCursorOnly) {
+  // Groups of 8 cells hold at most 16 keys: less than one put window.
+  MapOptions o = online_options(/*groups_per_op=*/0);
+  o.initial_cells = 512;
+  u64 max_keys = 0;
+  expect_drain_flushes_copy_and_cursor_only(o, max_keys);
+  EXPECT_LE(max_keys, GroupHashMap::Table::kBatchWindow);
+}
+
+TEST(Migration, DrainFlushesEachTargetLineOnceAtDefaultGroupSize) {
+  // The default geometry: a group holds far more keys than one put
+  // window (Table::kBatchWindow), and the copy still writes each target
+  // line once and fences once per group.
+  MapOptions o = online_options(/*groups_per_op=*/0);
+  o.initial_cells = 4096;
+  o.group_size = 256;
+  u64 max_keys = 0;
+  expect_drain_flushes_copy_and_cursor_only(o, max_keys);
+  EXPECT_GT(max_keys, GroupHashMap::Table::kBatchWindow);
 }
 
 /// The `n` bytes at `offset` of the file at `path`.

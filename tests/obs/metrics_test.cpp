@@ -116,6 +116,31 @@ TEST(HistogramSnapshotMerge, EqualsHistogramOfUnion) {
   EXPECT_GT(uni.p99_ns, a.snapshot().p99_ns * 10);
 }
 
+TEST(HistogramSnapshotMerge, SumIsConvertedOnceNotPerPart) {
+  if (!kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
+  // Two one-sample histograms whose tick sums each floor to ns with a
+  // fractional remainder of at least a half: converting each part and
+  // adding loses 1 ns against converting the union's sum. Searched at the
+  // rate this process calibrated, so the pair exists whatever it is.
+  u64 ticks = 0;
+  for (u64 t = 1; t < 10'000 && ticks == 0; ++t) {
+    if (ticks_to_ns(t) + ticks_to_ns(t + 1) < ticks_to_ns(2 * t + 1)) ticks = t;
+  }
+  if (ticks == 0) GTEST_SKIP() << "ticks are whole nanoseconds here: no floor to lose";
+  LatencyHistogram a;
+  LatencyHistogram b;
+  LatencyHistogram both;
+  a.record(ticks);
+  b.record(ticks + 1);
+  both.record(ticks);
+  both.record(ticks + 1);
+  HistogramSnapshot merged = a.snapshot();
+  merged.merge(b.snapshot());
+  EXPECT_EQ(merged.sum_ns, both.snapshot().sum_ns);
+  EXPECT_EQ(merged.sum_ns, ticks_to_ns(2 * ticks + 1));
+  EXPECT_GT(merged.sum_ns, a.snapshot().sum_ns + b.snapshot().sum_ns);
+}
+
 TEST(HistogramSnapshotMerge, EmptyIsIdentityBothWays) {
   if (!kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
   LatencyHistogram h;

@@ -90,5 +90,77 @@ TEST(Crc32c, XorOfCellDigestsIsIncrementallyMaintainable) {
   }
 }
 
+// The run-time dispatch: the SSE4.2 path and the byte table must agree
+// bit for bit, whatever the length, alignment and seed. GH_NO_SIMD builds
+// and CPUs without SSE4.2 run only the table; the RFC vectors above pin it.
+
+/// Pins the portable table path for one scope.
+struct PortableCrcGuard {
+  PortableCrcGuard() { force_crc32c_portable(true); }
+  ~PortableCrcGuard() { force_crc32c_portable(false); }
+};
+
+TEST(Crc32cDispatch, ForcingPortablePathTurnsHardwareOff) {
+  {
+    PortableCrcGuard portable;
+    EXPECT_FALSE(crc32c_hardware_active());
+  }
+#if GH_CRC32C_HW
+  EXPECT_EQ(crc32c_hardware_active(), __builtin_cpu_supports("sse4.2") != 0);
+#else
+  EXPECT_FALSE(crc32c_hardware_active());
+#endif
+}
+
+TEST(Crc32cDispatch, HardwareAndTableAgreeOnRandomUnalignedInputs) {
+  Xoshiro256 rng(2718);
+  std::vector<unsigned char> buf(128 + 8);
+  for (int trial = 0; trial < 2000; ++trial) {
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
+    const usize len = static_cast<usize>(rng.next_below(101));  // 0..100
+    const usize start = static_cast<usize>(rng.next_below(8));  // unaligned starts
+    const u64 seed = rng.next();
+    const unsigned char* p = buf.data() + start;
+    const u32 state = static_cast<u32>(rng.next());
+    const u32 dispatched = crc32c(p, len);
+    const u32 dispatched_seeded = crc32c_seeded(seed, p, len);
+    const u32 dispatched_update = crc32c_update(state, p, len);
+    const u32 table_update = detail::crc32c_update_table(state, p, len);
+#if GH_CRC32C_HW
+    if (__builtin_cpu_supports("sse4.2")) {
+      EXPECT_EQ(detail::crc32c_update_hw(state, p, len), table_update)
+          << "len " << len << " start " << start;
+    }
+#endif
+    EXPECT_EQ(dispatched_update, table_update) << "len " << len << " start " << start;
+    PortableCrcGuard portable;
+    ASSERT_EQ(crc32c(p, len), dispatched) << "len " << len << " start " << start;
+    ASSERT_EQ(crc32c_seeded(seed, p, len), dispatched_seeded)
+        << "len " << len << " start " << start << " seed " << seed;
+  }
+}
+
+TEST(Crc32cDispatch, Rfc3720VectorsOnBothPaths) {
+  std::array<unsigned char, 32> zeros{};
+  std::array<unsigned char, 32> ones{};
+  ones.fill(0xff);
+  std::array<unsigned char, 32> up{};
+  std::array<unsigned char, 32> down{};
+  for (usize i = 0; i < up.size(); ++i) {
+    up[i] = static_cast<unsigned char>(i);
+    down[i] = static_cast<unsigned char>(31 - i);
+  }
+  const auto check = [&] {
+    EXPECT_EQ(crc32c(zeros.data(), zeros.size()), 0x8a9136aau);
+    EXPECT_EQ(crc32c(ones.data(), ones.size()), 0x62a8ab43u);
+    EXPECT_EQ(crc32c(up.data(), up.size()), 0x46dd794eu);
+    EXPECT_EQ(crc32c(down.data(), down.size()), 0x113fdb5cu);
+    EXPECT_EQ(crc32c("123456789", 9), 0xe3069283u);
+  };
+  check();  // the dispatched path (hardware where the CPU has it)
+  PortableCrcGuard portable;
+  check();
+}
+
 }  // namespace
 }  // namespace gh
