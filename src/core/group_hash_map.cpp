@@ -779,7 +779,7 @@ void BasicGroupHashMap<Cell, Payload>::clear_migration_state() {
   mig_total_groups_ = 0;
   mig_flight_token_ = 0;
   mig_marked_cursor_ = 0;
-  mig_resumed_ = false;
+  mig_probe_ = false;
   if (live_obs_) live_obs_->set_migration(0, 0, 0);
 }
 
@@ -824,16 +824,20 @@ void BasicGroupHashMap<Cell, Payload>::start_migration(Resize kind, u64 need) {
 
 template <class Cell, class Payload>
 bool BasicGroupHashMap<Cell, Payload>::migrate_one_group(u64 g) {
-  // In a live process place() keeps the tables disjoint, so only a
-  // migration resumed from an image probes the target for keys it holds.
+  // place() keeps the tables disjoint in a live process, so the target
+  // is probed only after a resume from an image or a short copy.
   u64 copied = 0;
   const bool ok = mig_table_->copy_group(
-      table(), g, mig_resumed_, [&](u64& v) { return mig_payload_.adopt(v, payload_); },
-      copied);
-  // A short copy (pathological grouping, or a full target arena) leaves
-  // its copies as a benign duplicate set: new-first reads mask it and the
-  // emergency merge dedups it.
-  if (!ok) return false;
+      table(), g, mig_probe_, [&](u64& v) { return mig_payload_.adopt(v, payload_); }, copied);
+  if (!ok) {
+    // A short copy (a full target group or arena) leaves its copies in
+    // both tables: new-first reads mask them and the emergency merge
+    // dedups them. If the merge fails too, the migration stays armed and
+    // this group is copied again, so from now on the copy must skip the
+    // keys the target already holds.
+    mig_probe_ = true;
+    return false;
+  }
   nvm::crash_point("migrate.group.copied");
   table().clear_group(g);
   nvm::crash_point("migrate.group.erased");
@@ -1025,7 +1029,7 @@ void BasicGroupHashMap<Cell, Payload>::resume_migration() {
   mig_total_groups_ = table().num_groups();
   mig_cursor_ = std::min(cursor, mig_total_groups_);
   mig_marked_cursor_ = mig_cursor_;
-  mig_resumed_ = true;
+  mig_probe_ = true;
   if (live_obs_) live_obs_->set_migration(1, mig_cursor_, mig_total_groups_);
   migrations_resumed_++;
   structure_version_++;

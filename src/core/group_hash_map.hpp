@@ -419,11 +419,11 @@ class BasicGroupHashMap {
   /// Rehash one source group straight into the target in one pass
   /// (Table::copy_group) — each payload adopted by the target file
   /// first — and clear it from the old table with stores only (the
-  /// cursor advance after it retires the group). A resumed migration's
-  /// copy skips keys the target already holds, so re-running the cursor
-  /// group after a crash is safe. Returns false when the target could
-  /// not take a key or its payload — the caller must fall back to the
-  /// blocking emergency merge.
+  /// cursor advance after it retires the group). Once the target can
+  /// hold keys of undrained groups (mig_probe_), the copy skips them, so
+  /// re-running a group after a crash or a short copy is safe. Returns
+  /// false when the target could not take a key or its payload — the
+  /// caller must fall back to the blocking emergency merge.
   [[nodiscard]] bool migrate_one_group(u64 g);
   /// Drain up to max_groups groups, advancing the durable cursor after
   /// each, and finalize when the cursor reaches the end.
@@ -516,9 +516,10 @@ class BasicGroupHashMap {
   u64 mig_total_groups_ = 0;
   u64 mig_flight_token_ = 0;
   u64 mig_marked_cursor_ = 0;  ///< last cursor journaled to the flight ring
-  /// The migration was resumed from an image: the target can hold keys
-  /// the old table still holds, so the copy probes for them.
-  bool mig_resumed_ = false;
+  /// The target can hold keys the old table still holds — the migration
+  /// was resumed from an image, or a copy came up short — so the copy
+  /// probes for them.
+  bool mig_probe_ = false;
   u64 structure_version_ = 0;
   u64 expansions_ = 0;  ///< completed resizes (finalized migrations + emergency merges)
   u64 expand_failures_ = 0;  ///< expansion attempts that failed (e.g. ENOSPC)

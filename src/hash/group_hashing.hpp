@@ -481,8 +481,9 @@ class GroupHashTable {
   /// Once the group is written, each target line it touched is flushed
   /// once, in address order, and one fence makes the copy durable before
   /// the caller clears the source group. `probe` skips keys this table
-  /// already holds (their values are newer); only a migration resumed
-  /// from an image can meet one (DESIGN.md "Resize"). `adopt(value)`
+  /// already holds (their values are as new or newer); only a migration
+  /// resumed from an image, or one whose copy came up short, can meet
+  /// one (DESIGN.md "Resize"). `adopt(value)`
   /// moves a key's payload into this table's file before its cell is
   /// written; false stops the copy. Returns false when a key found no
   /// free cell (its level-1 home and level-2 group full or quarantined)
@@ -526,6 +527,9 @@ class GroupHashTable {
         // A key hashes to one of this group's target groups, except a
         // Cell16 key above kMaxKey, stored masked, which now hashes
         // elsewhere: it is placed where it hashes, outside the regions.
+        // The map's put checks kMaxKey only in debug builds (CHANGES.md
+        // FOUND on Cell16 kMaxKey); once put rejects such keys, this
+        // branch goes.
         const bool stray = tg % src_groups != g;
         u32 scan_from = stray ? 0 : fill[f];
         Cell* dst = nullptr;
@@ -567,9 +571,14 @@ class GroupHashTable {
       pm_->fence();  // the copy durable before any store of the source clear
     }
     if (crc_) {
-      for (usize r = 0; r < 2 * fan; ++r) {
-        u64* slot = crc_slot(static_cast<u32>(r / 2), g + (r % 2) * src_groups);
-        if (delta[r] != 0) pm_->atomic_store_u64(slot, *slot ^ delta[r]);
+      for (u32 level = 0; level < 2; ++level) {
+        for (u64 f = 0; f < fan; ++f) {
+          const u64 d = delta[level * 2 + f];
+          if (d == 0) continue;
+          u64* slot = crc_slot(level, g + f * src_groups);
+          pm_->atomic_store_u64(slot, *slot ^ d);
+          if (eager()) pm_->persist(slot, sizeof(u64));
+        }
       }
     }
     if (copied > 0) bump_count(static_cast<i64>(copied));

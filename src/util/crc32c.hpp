@@ -10,8 +10,7 @@
 // tag_probe.hpp pattern: a `target` attribute plus
 // __builtin_cpu_supports): one `crc32` instruction per 8 bytes where the
 // CPU has it, the portable byte-table loop otherwise, and the table
-// always under GH_NO_SIMD or off x86-64. force_crc32c_portable() pins the
-// table path for hardware-vs-table equivalence tests.
+// always under GH_NO_SIMD or off x86-64. The CPU is checked once.
 //
 // Group checksums (hash/group_hashing.hpp) need an *incremental* update:
 // recomputing a whole group's CRC on every 16-byte cell mutation would
@@ -28,7 +27,6 @@
 // CRCs would miss.
 #pragma once
 
-#include <atomic>
 #include <cstring>
 
 #include "util/types.hpp"
@@ -79,42 +77,21 @@ __attribute__((target("sse4.2"))) inline u32 crc32c_update_hw(u32 crc, const uns
   return crc;
 }
 
-/// Whether crc32c_update takes the hardware path: the CPU has SSE4.2 and
-/// no test pinned the table.
-inline std::atomic<bool>& crc32c_hw_on() {
-  static std::atomic<bool> on{__builtin_cpu_supports("sse4.2") != 0};
-  return on;
+/// Whether the CPU has SSE4.2 (checked on the first call).
+inline bool crc32c_hw_supported() {
+  static const bool supported = __builtin_cpu_supports("sse4.2") != 0;
+  return supported;
 }
 #endif
 
 }  // namespace detail
-
-/// True when crc32c_update runs the SSE4.2 instruction.
-[[nodiscard]] inline bool crc32c_hardware_active() {
-#if GH_CRC32C_HW
-  return detail::crc32c_hw_on().load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
-}
-
-/// Test hook: pin the portable table path (true) or go back to the
-/// hardware path where the CPU has it (false). Affects the whole process.
-inline void force_crc32c_portable(bool portable) {
-#if GH_CRC32C_HW
-  detail::crc32c_hw_on().store(!portable && __builtin_cpu_supports("sse4.2") != 0,
-                               std::memory_order_relaxed);
-#else
-  (void)portable;
-#endif
-}
 
 /// Raw CRC32C update: feeds `len` bytes into state `crc` (no init/final
 /// complement — callers compose these below).
 inline u32 crc32c_update(u32 crc, const void* data, usize len) {
   const auto* p = static_cast<const unsigned char*>(data);
 #if GH_CRC32C_HW
-  if (crc32c_hardware_active()) return detail::crc32c_update_hw(crc, p, len);
+  if (detail::crc32c_hw_supported()) return detail::crc32c_update_hw(crc, p, len);
 #endif
   return detail::crc32c_update_table(crc, p, len);
 }

@@ -451,6 +451,93 @@ TEST(Migration, EmergencyExpandMergesSplitImageWhenTargetOverflows) {
   map.close();
 }
 
+TEST(Migration, ShortCopyRetriedAfterFailedMergeCopiesEachKeyOnce) {
+  // Regression: a group copy that came up short left its first keys in
+  // both tables, and while the emergency merge kept failing, each retry
+  // of the drain copied them into the target again. An erase then
+  // removed one target copy and the other came back.
+  const std::string path = temp_path("gh_migration_short_copy.gh");
+  fs::remove(path);
+  fs::remove(path + ".migrate");
+  auto map = GroupHashMap::create(path, online_options(/*groups_per_op=*/0));
+  const u64 inserted = fill_until_migrating(map);
+  ASSERT_TRUE(map.migration_active());
+  ASSERT_EQ(map.migration_cursor(), 0u);
+  const auto& old = map.raw_table();
+  const auto* target = map.migration_table();
+  const u32 gs = old.group_size();
+  const auto target_group = [&](u64 key) { return target->home_index(key) / gs; };
+
+  // Source group 0 in copy order (level 1, then level 2). Its first key
+  // lands in target group `open_group`; a later key bound for the other
+  // target group finds that group full, so the copy stops after it.
+  std::vector<u64> group0;
+  for (u32 i = 0; i < gs; ++i) {
+    if (old.level1_cell(i).occupied()) group0.push_back(old.level1_cell(i).key());
+  }
+  for (u32 i = 0; i < gs; ++i) {
+    if (old.level2_cell(i).occupied()) group0.push_back(old.level2_cell(i).key());
+  }
+  ASSERT_GE(group0.size(), 2u);
+  const u64 open_group = target_group(group0.front());
+  const u64 full_group = open_group == 0 ? old.num_groups() : 0;
+  ASSERT_TRUE(std::any_of(group0.begin(), group0.end(),
+                          [&](u64 k) { return target_group(k) == full_group; }))
+      << "no key of source group 0 is bound for target group " << full_group;
+
+  std::map<u64, u64> expected;
+  for (u64 i = 0; i < inserted; ++i) expected[key_of(i)] = value_of(i);
+  const auto group_full = [&] {
+    for (u32 j = 0; j < gs; ++j) {
+      if (!target->level1_cell(full_group * gs + j).occupied() ||
+          !target->level2_cell(full_group * gs + j).occupied()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  {
+    PathFailFs fail;
+    fail.needle = ".expand";  // every emergency merge fails
+    const nvm::ScopedFsPolicy installed(&fail);
+    // Fill the target group with new keys; once its level 2 is full, a
+    // put whose home is taken degrades instead of merging.
+    for (u64 i = 100'000; !group_full() && i < 200'000; ++i) {
+      if (target_group(key_of(i)) != full_group) continue;
+      try {
+        map.put(key_of(i), value_of(i));
+        expected[key_of(i)] = value_of(i);
+      } catch (const MapDegradedError&) {
+      }
+    }
+    ASSERT_TRUE(group_full());
+    // Each drain attempt copies the group up to the full target group,
+    // fails over to the merge, and the merge fails: the migration stays
+    // armed on group 0.
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      EXPECT_EQ(map.migrate_step(1), 0u);
+      ASSERT_TRUE(map.migration_active());
+      ASSERT_EQ(map.migration_cursor(), 0u);
+    }
+    ASSERT_EQ(map.get(group0.front()), expected[group0.front()]);
+    std::map<u64, u64> held;
+    target->for_each([&](u64 k, u64) { held[k]++; });
+    ASSERT_EQ(held.count(group0.front()), 1u) << "the short copy must have moved the first key";
+    for (const auto& [k, n] : held) EXPECT_EQ(n, 1u) << "key " << k << " held twice";
+    ASSERT_TRUE(map.erase(group0.front()));
+    expected.erase(group0.front());
+    EXPECT_FALSE(map.get(group0.front()).has_value()) << "an erased key came back";
+  }
+  // The fault gone, the next drain's merge succeeds.
+  while (map.migration_active()) map.migrate_step(~0ull);
+  EXPECT_EQ(map.size(), expected.size());
+  for (const auto& [k, v] : expected) ASSERT_EQ(map.get(k), v) << k;
+  EXPECT_FALSE(map.get(group0.front()).has_value());
+  map.close();
+  fs::remove(path);
+  fs::remove(path + ".flight");
+}
+
 TEST(Migration, CleanSplitImageIsVerifiedOnOpen) {
   // Regression: a cleanly closed split image reattached its `.migrate`
   // target unverified, so at-rest corruption in the only copy of the

@@ -209,6 +209,33 @@ TEST(StringMap, CompactionOfFileBackedMapSurvivesReopen) {
   std::filesystem::remove(path);
 }
 
+TEST(StringMap, CompactionKeepsLevelTwoChecksumsAcrossReopen) {
+  // Regression: a compaction's copy dropped the checksum delta of the
+  // level-2 cells it wrote, so a clean reopen right after it quarantined
+  // those groups and lost their keys.
+  const std::string path = temp_path("gh_string_map_compact_crc.gh");
+  std::filesystem::remove(path);
+  constexpr int kKeys = 36;  // more than the 32 level-1 cells: level 2 holds keys
+  {
+    auto map = PersistentStringMap::create(path, {.map = {.initial_cells = 64}});
+    for (int i = 0; i < kKeys; ++i) map.put("crc-" + std::to_string(i), i);
+    ASSERT_EQ(map.capacity(), 64u);
+    map.compact();
+    ASSERT_EQ(map.capacity(), 64u);
+    EXPECT_TRUE(map.debug_verify_group_checksums());
+    map.close();
+  }
+  {
+    auto map = PersistentStringMap::open(path);
+    EXPECT_TRUE(map.open_scrub_report().clean());
+    EXPECT_EQ(map.size(), static_cast<u64>(kKeys));
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_EQ(map.get("crc-" + std::to_string(i)), static_cast<u64>(i)) << i;
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(StringMap, RejectsGarbageFile) {
   const std::string path = temp_path("gh_string_map_junk.gh");
   std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -91,30 +91,31 @@ TEST(Crc32c, XorOfCellDigestsIsIncrementallyMaintainable) {
 }
 
 // The run-time dispatch: the SSE4.2 path and the byte table must agree
-// bit for bit, whatever the length, alignment and seed. GH_NO_SIMD builds
-// and CPUs without SSE4.2 run only the table; the RFC vectors above pin it.
+// bit for bit, whatever the length, alignment and seed. Both paths are
+// called directly, so one process covers both whatever the dispatch
+// picks; GH_NO_SIMD builds and CPUs without SSE4.2 have only the table.
 
-/// Pins the portable table path for one scope.
-struct PortableCrcGuard {
-  PortableCrcGuard() { force_crc32c_portable(true); }
-  ~PortableCrcGuard() { force_crc32c_portable(false); }
-};
-
-TEST(Crc32cDispatch, ForcingPortablePathTurnsHardwareOff) {
-  {
-    PortableCrcGuard portable;
-    EXPECT_FALSE(crc32c_hardware_active());
-  }
+/// The paths crc32c_update can take on this build and CPU.
+std::vector<u32 (*)(u32, const unsigned char*, usize)> crc_paths() {
+  std::vector<u32 (*)(u32, const unsigned char*, usize)> paths{&detail::crc32c_update_table};
 #if GH_CRC32C_HW
-  EXPECT_EQ(crc32c_hardware_active(), __builtin_cpu_supports("sse4.2") != 0);
-#else
-  EXPECT_FALSE(crc32c_hardware_active());
+  if (detail::crc32c_hw_supported()) paths.push_back(&detail::crc32c_update_hw);
 #endif
+  return paths;
+}
+
+/// crc32c_seeded composed over one path.
+template <class Path>
+u32 seeded_via(Path path, u64 seed, const unsigned char* p, usize len) {
+  unsigned char s[sizeof(seed)];
+  std::memcpy(s, &seed, sizeof(seed));
+  return ~path(path(~0u, s, sizeof(s)), p, len);
 }
 
 TEST(Crc32cDispatch, HardwareAndTableAgreeOnRandomUnalignedInputs) {
   Xoshiro256 rng(2718);
   std::vector<unsigned char> buf(128 + 8);
+  const auto paths = crc_paths();
   for (int trial = 0; trial < 2000; ++trial) {
     for (auto& b : buf) b = static_cast<unsigned char>(rng.next_below(256));
     const usize len = static_cast<usize>(rng.next_below(101));  // 0..100
@@ -122,21 +123,12 @@ TEST(Crc32cDispatch, HardwareAndTableAgreeOnRandomUnalignedInputs) {
     const u64 seed = rng.next();
     const unsigned char* p = buf.data() + start;
     const u32 state = static_cast<u32>(rng.next());
-    const u32 dispatched = crc32c(p, len);
-    const u32 dispatched_seeded = crc32c_seeded(seed, p, len);
-    const u32 dispatched_update = crc32c_update(state, p, len);
-    const u32 table_update = detail::crc32c_update_table(state, p, len);
-#if GH_CRC32C_HW
-    if (__builtin_cpu_supports("sse4.2")) {
-      EXPECT_EQ(detail::crc32c_update_hw(state, p, len), table_update)
+    for (const auto path : paths) {
+      ASSERT_EQ(path(state, p, len), crc32c_update(state, p, len))
           << "len " << len << " start " << start;
+      ASSERT_EQ(seeded_via(path, seed, p, len), crc32c_seeded(seed, p, len))
+          << "len " << len << " start " << start << " seed " << seed;
     }
-#endif
-    EXPECT_EQ(dispatched_update, table_update) << "len " << len << " start " << start;
-    PortableCrcGuard portable;
-    ASSERT_EQ(crc32c(p, len), dispatched) << "len " << len << " start " << start;
-    ASSERT_EQ(crc32c_seeded(seed, p, len), dispatched_seeded)
-        << "len " << len << " start " << start << " seed " << seed;
   }
 }
 
@@ -150,16 +142,15 @@ TEST(Crc32cDispatch, Rfc3720VectorsOnBothPaths) {
     up[i] = static_cast<unsigned char>(i);
     down[i] = static_cast<unsigned char>(31 - i);
   }
-  const auto check = [&] {
-    EXPECT_EQ(crc32c(zeros.data(), zeros.size()), 0x8a9136aau);
-    EXPECT_EQ(crc32c(ones.data(), ones.size()), 0x62a8ab43u);
-    EXPECT_EQ(crc32c(up.data(), up.size()), 0x46dd794eu);
-    EXPECT_EQ(crc32c(down.data(), down.size()), 0x113fdb5cu);
-    EXPECT_EQ(crc32c("123456789", 9), 0xe3069283u);
-  };
-  check();  // the dispatched path (hardware where the CPU has it)
-  PortableCrcGuard portable;
-  check();
+  const unsigned char* check = reinterpret_cast<const unsigned char*>("123456789");
+  for (const auto path : crc_paths()) {
+    const auto crc = [&](const unsigned char* p, usize len) { return ~path(~0u, p, len); };
+    EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8a9136aau);
+    EXPECT_EQ(crc(ones.data(), ones.size()), 0x62a8ab43u);
+    EXPECT_EQ(crc(up.data(), up.size()), 0x46dd794eu);
+    EXPECT_EQ(crc(down.data(), down.size()), 0x113fdb5cu);
+    EXPECT_EQ(crc(check, 9), 0xe3069283u);
+  }
 }
 
 }  // namespace
