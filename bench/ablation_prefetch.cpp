@@ -6,7 +6,8 @@
 //     level-2 tag lines, so the random-access misses of neighbouring
 //     lookups overlap instead of serialising — the same cache argument
 //     the paper makes for cells *within* a group (§3.2), applied *across*
-//     independent requests;
+//     independent requests (a scalar get prefetches the same lines for
+//     its own key, so the gap is the overlap across keys);
 //   * put_batch / erase_batch coalesce persist fences: payload flushes of
 //     a window share one fence and commit flushes share another, while
 //     every cell still commits with its own 8-byte atomic store (§3.3's

@@ -140,6 +140,8 @@ class BasicConcurrentGroupHashMap {
   /// semantics.
   void put_batch(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
+    // Reject a bad key before any shard applies its share of the batch.
+    if constexpr (requires { Map::check_keys(keys); }) Map::check_keys(keys);
     if (keys.empty()) return;
     std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
     std::vector<key_type> sub_keys;

@@ -113,10 +113,8 @@ class BasicConcurrentGroupHashTable {
     constexpr usize kLookahead = 8;
     for (usize i = 0; i < keys.size(); ++i) {
       if (i + kLookahead < keys.size()) {
-        const u64 h = hash_(keys[i + kLookahead]);
-        const u64 k = h & view_.mask;
-        __builtin_prefetch(&view_.tab1[k]);
-        __builtin_prefetch(view_.tags2 + (k - k % view_.group_size));
+        hash::prefetch_probe_lines(view_.tab1, view_.tags2, view_.mask, view_.group_size,
+                                   hash_(keys[i + kLookahead]));
       }
       out[i] = find(keys[i]);
     }

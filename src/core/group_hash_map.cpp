@@ -458,6 +458,7 @@ void BasicGroupHashMap<Cell, Payload>::erase_keys(std::span<const key_type> keys
 template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::put(const key_type& key, u64 value) {
   GH_CHECK_MSG(!closed_, "map is closed");
+  check_keys({&key, 1});
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
   upsert_keys({&key, 1}, {&value, 1}, /*batch=*/false);
   // Help-along runs inside the timed window: the stall it causes is part
@@ -499,6 +500,7 @@ void BasicGroupHashMap<Cell, Payload>::put_batch(std::span<const key_type> keys,
                                                  std::span<const u64> values) {
   GH_CHECK_MSG(!closed_, "map is closed");
   GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
+  check_keys(keys);
   if (keys.empty()) return;
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(keys[0]));
   upsert_keys(keys, values, /*batch=*/true);
@@ -537,6 +539,7 @@ bool BasicGroupHashMap<Cell, Payload>::contains(const key_type& key) {
 template <class Cell, class Payload>
 u64 BasicGroupHashMap<Cell, Payload>::increment(const key_type& key, u64 delta) {
   GH_CHECK_MSG(!closed_, "map is closed");
+  check_keys({&key, 1});
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
   // One probe: find the cell, bump its value in place; fall back to an
   // insert when the key is new. During a migration the in-place bump is

@@ -33,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -150,7 +151,19 @@ class BasicGroupHashMap {
   BasicGroupHashMap& operator=(BasicGroupHashMap&&) noexcept = default;
   ~BasicGroupHashMap();
 
-  /// Insert or update. May expand the map; throws std::runtime_error when
+  /// Throws std::invalid_argument, before anything is written, for a key
+  /// the cell layout cannot store: a Cell16 key above kMaxKey, whose top
+  /// bit is the commit bit. Every other key passes.
+  static void check_keys(std::span<const key_type> keys) {
+    if constexpr (requires { Cell::kMaxKey; }) {
+      for (const key_type& key : keys) {
+        if (key > Cell::kMaxKey) throw std::invalid_argument("key above Cell16::kMaxKey");
+      }
+    }
+  }
+
+  /// Insert or update. Throws std::invalid_argument for a key check_keys
+  /// rejects. May expand the map; throws std::runtime_error when
   /// the map is full and auto_expand is off. When the key cannot be
   /// placed and expansion is currently failing (ENOSPC, allocation
   /// failure), throws MapDegradedError instead — the map keeps serving at
@@ -162,7 +175,8 @@ class BasicGroupHashMap {
   [[nodiscard]] bool contains(const key_type& key);
 
   /// Read-modify-write in one lookup: adds `delta` to the key's value
-  /// (inserting `delta` if absent) and returns the new value. The value
+  /// (inserting `delta` if absent) and returns the new value. Rejects
+  /// keys as put() does. The value
   /// overwrite is a single 8-byte atomic store, so a crash leaves either
   /// the old or the new counter — never a torn one.
   u64 increment(const key_type& key, u64 delta = 1);
@@ -178,7 +192,8 @@ class BasicGroupHashMap {
   /// fence cost amortises across keys while each cell still commits with
   /// its own 8-byte atomic store. Keys are applied strictly in order;
   /// duplicate keys within the batch behave as sequential puts (last one
-  /// wins). Expansion (and its failure modes) matches put(): throws
+  /// wins). A key check_keys rejects throws before any key is applied.
+  /// Expansion (and its failure modes) matches put(): throws
   /// std::runtime_error when full with auto_expand off, MapDegradedError
   /// when expansion is failing — keys before the failing one are already
   /// durably applied.

@@ -36,6 +36,13 @@
 // and the probe retries). The view holds shared ownership of the tag
 // block, so a retired view's tags outlive the expansion that replaced
 // the table, exactly like the retained region.
+// Each probe first prefetches its level-1 cell and its level-2 group's
+// tag lines (hash::prefetch_probe_lines, the same lines the locked probes
+// and find_batch prefetch). A prefetch is a hint, not an access: it
+// cannot race, fault on a retired view's memory, or feed a value into the
+// probe, so it needs no epoch. It is what makes the byte-atomic loop
+// affordable: the loop's cost is the misses it waits on, and those are
+// now in flight together instead of one after the other.
 #pragma once
 
 #include <atomic>
@@ -168,12 +175,15 @@ struct TableReadView {
 }
 
 /// One table's share of Algorithm 2: tag-filtered probe of a level-1
-/// cell and its level-2 group through one probe-parameter set.
+/// cell and its level-2 group through one probe-parameter set. The
+/// probe's lines are prefetched before its first tag load, so the misses
+/// on the tag byte, the level-1 cell and the level-2 tag lines overlap.
 template <class Cell>
 [[nodiscard]] std::optional<u64> optimistic_probe(const Cell* tab1, const Cell* tab2,
                                                   u64 mask, u32 group_size,
                                                   const u8* tags1, const u8* tags2, u64 h,
                                                   const typename Cell::key_type& key) {
+  hash::prefetch_probe_lines(tab1, tags2, mask, group_size, h);
   const u64 k = h & mask;
   const u8 tag = hash::tag_of_hash(h);
   if (hash::tag_load_relaxed(tags1 + k) == tag) {

@@ -140,6 +140,26 @@ enum class ScrubMode {
   kSalvage,
 };
 
+/// Prefetch what a probe of hash `h` reads after its level-1 tag byte:
+/// the key's level-1 cell and its level-2 group's tag lines (at most four,
+/// 256 tags, for jumbo groups). Issued before the tag byte is loaded, the
+/// probe's two to four dependent misses overlap instead of queueing one
+/// behind the other. A prefetch never faults and reads nothing into the
+/// program, so the lock-free probes issue it too. Returns the number of
+/// prefetches issued.
+template <class Cell>
+inline u64 prefetch_probe_lines(const Cell* tab1, const u8* tags2, u64 mask, u32 group_size,
+                                u64 h) {
+  const u64 k = h & mask;
+  const u64 j = k - k % group_size;
+  const u64 tag_lines = std::min<u64>((group_size + kCachelineSize - 1) / kCachelineSize, 4);
+  __builtin_prefetch(&tab1[k], /*rw=*/0, /*locality=*/1);
+  for (u64 line = 0; line < tag_lines; ++line) {
+    __builtin_prefetch(tags2 + j + line * kCachelineSize, /*rw=*/0, /*locality=*/1);
+  }
+  return 1 + tag_lines;
+}
+
 template <class Cell, class PM>
 class GroupHashTable {
  public:
@@ -299,36 +319,31 @@ class GroupHashTable {
   /// Algorithm 2. (We additionally require the bitmap to be set on
   /// level-2 matches — the paper's pseudo-code compares only the key,
   /// which would mis-match a key of all-zero bits.)
-  std::optional<u64> find(key_type key) { return find_at(key, hash_(key)); }
+  std::optional<u64> find(key_type key) {
+    const u64 h = hash_(key);
+    prefetch_probe(h);
+    return find_at(key, h);
+  }
 
   /// Batched lookup with software prefetching: hashes a window of keys,
-  /// issues prefetches for each key's level-1 cell and its level-2
-  /// group's TAG lines (the filter makes the 256-byte tag block — not
-  /// the 4 KB cell group — the hot read set), then resolves the lookups,
-  /// overlapping the memory latency of independent probes the way
-  /// out-of-order hardware cannot across separate find() calls. The
-  /// prefetch stage is independent of SIMD dispatch, so GH_NO_SIMD /
+  /// issues prefetch_probe for each (the filter makes the 256-byte tag
+  /// block — not the 4 KB cell group — the hot read set), then resolves
+  /// the lookups, overlapping the memory latency of independent probes
+  /// the way out-of-order hardware cannot across separate find() calls.
+  /// The prefetch stage is independent of SIMD dispatch, so GH_NO_SIMD /
   /// non-x86 builds keep the batching win. Writes out[i] for keys[i];
   /// behaviourally identical to per-key find().
   void find_batch(std::span<const key_type> keys, std::span<std::optional<u64>> out) {
     GH_CHECK(out.size() >= keys.size());
     count_batch(keys.size());
     constexpr usize kWindow = 16;
-    // Tag lines per group, capped at 4 (256 tags) for jumbo group sizes.
-    const u64 tag_lines = std::min<u64>((group_size_ + kCachelineSize - 1) / kCachelineSize, 4);
     std::array<u64, kWindow> hashes{};
     for (usize base = 0; base < keys.size(); base += kWindow) {
       const usize n = std::min(kWindow, keys.size() - base);
       for (usize i = 0; i < n; ++i) {
         hashes[i] = hash_(keys[base + i]);
-        const u64 k = hashes[i] & mask_;
-        const u64 j = k - k % group_size_;
-        __builtin_prefetch(&tab1_[k], /*rw=*/0, /*locality=*/1);
-        for (u64 line = 0; line < tag_lines; ++line) {
-          __builtin_prefetch(tags2_ + j + line * kCachelineSize, /*rw=*/0, /*locality=*/1);
-        }
+        prefetch_probe(hashes[i]);
       }
-      stats_.prefetches_issued += n * (1 + tag_lines);
       for (usize i = 0; i < n; ++i) {
         out[base + i] = find_at(keys[base + i], hashes[i]);
       }
@@ -524,14 +539,9 @@ class GroupHashTable {
         const u64 k = h & mask_;
         const u64 tg = k / group_size_;
         const usize f = tg / src_groups;
-        // A key hashes to one of this group's target groups, except a
-        // Cell16 key above kMaxKey, stored masked, which now hashes
-        // elsewhere: it is placed where it hashes, outside the regions.
-        // The map's put checks kMaxKey only in debug builds (CHANGES.md
-        // FOUND on Cell16 kMaxKey); once put rejects such keys, this
-        // branch goes.
-        const bool stray = tg % src_groups != g;
-        u32 scan_from = stray ? 0 : fill[f];
+        // Every key hashes to one of g's target groups: the maps reject
+        // Cell16 keys above kMaxKey, the only ones stored as another key.
+        GH_CHECK_MSG((tg & (src_groups - 1)) == g, "copied key hashes outside its group");
         Cell* dst = nullptr;
         usize r = f;
         if (tags1_[k] == 0 && !is_quarantined(0, tg)) {
@@ -539,13 +549,12 @@ class GroupHashTable {
         } else if (!is_quarantined(1, tg)) {
           r = 2 + f;
           const u64 j = tg * group_size_;
-          for_each_tag_match(tags2_ + j + scan_from, group_size_ - scan_from, /*tag=*/0,
-                             [&](u32 idx) {
-                               scan_from += idx;
-                               dst = &tab2_[j + scan_from++];
-                               return true;
-                             });
-          if (!stray) fill[f] = scan_from;
+          u32& next = fill[f];
+          for_each_tag_match(tags2_ + j + next, group_size_ - next, /*tag=*/0, [&](u32 idx) {
+            next += idx;
+            dst = &tab2_[j + next++];
+            return true;
+          });
         }
         if (dst == nullptr) stats_.insert_failures++;
         if (dst == nullptr || !adopt(value)) {
@@ -555,13 +564,8 @@ class GroupHashTable {
         const u32 old_digest = crc_ ? cell_digest(dst) : 0;
         dst->publish_same_line(stores, key, value);
         tag_store(tag_slot(dst), tag_of_hash(h));
-        if (stray) {
-          if (crc_) apply_digest_delta(dst, old_digest);
-          pm_->flush(dst, sizeof(Cell));
-        } else {
-          if (crc_) delta[r] ^= old_digest ^ cell_digest(dst);
-          mark_copy_line(r, region[r], dst);
-        }
+        if (crc_) delta[r] ^= old_digest ^ cell_digest(dst);
+        mark_copy_line(r, region[r], dst);
         stats_.inserts++;
         copied++;
       }
@@ -873,6 +877,14 @@ class GroupHashTable {
     stats_.batch_keys += keys;
   }
 
+  /// prefetch_probe_lines() for hash `h` of this table, counted in
+  /// stats().prefetches_issued. Every single-key probe issues it right
+  /// after hashing (find, find_cell, plan_window); find_batch issues it
+  /// for a window of keys.
+  void prefetch_probe(u64 h) {
+    stats_.prefetches_issued += prefetch_probe_lines(tab1_, tags2_, mask_, group_size_, h);
+  }
+
   /// Tag-filtered probe (Algorithm 2 + fingerprint filter): only cells
   /// whose tag byte matches tag_of_hash(h) get a full key compare.
   std::optional<u64> find_at(key_type key, u64 h) {
@@ -905,7 +917,11 @@ class GroupHashTable {
     return std::nullopt;
   }
 
-  Cell* find_cell(key_type key) { return find_cell_at(key, hash_(key)); }
+  Cell* find_cell(key_type key) {
+    const u64 h = hash_(key);
+    prefetch_probe(h);
+    return find_cell_at(key, h);
+  }
 
   Cell* find_cell_at(key_type key, u64 h) {
     const u64 k = h & mask_;
@@ -1086,11 +1102,15 @@ class GroupHashTable {
     std::array<usize, kBatchWindow> last;  ///< last index sharing key i's home group
   };
 
-  /// Hash a window's keys; under kSameLine also find, for each key, the
-  /// last window index whose key has the same home group.
-  void plan_window(std::span<const key_type> keys, WindowPlan& plan) const {
+  /// Hash a window's keys and prefetch each one's probe lines; under
+  /// kSameLine also find, for each key, the last window index whose key
+  /// has the same home group.
+  void plan_window(std::span<const key_type> keys, WindowPlan& plan) {
     const usize n = keys.size();
-    for (usize i = 0; i < n; ++i) plan.hashes[i] = hash_(keys[i]);
+    for (usize i = 0; i < n; ++i) {
+      plan.hashes[i] = hash_(keys[i]);
+      prefetch_probe(plan.hashes[i]);
+    }
     if (!same_line()) return;
     // Walk back through the window with a small open-addressed map from
     // home group to the last index seen with it. A home group is the hash

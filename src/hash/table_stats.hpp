@@ -98,7 +98,7 @@ struct TableStats {
   // Batched multi-op API.
   RelaxedCounter batch_ops;            ///< *_batch calls
   RelaxedCounter batch_keys;           ///< keys submitted across all *_batch calls
-  RelaxedCounter prefetches_issued;    ///< software prefetches issued by find_batch
+  RelaxedCounter prefetches_issued;    ///< software prefetches issued by prefetch_probe
   // Integrity counters (group hashing with per-group checksums).
   RelaxedCounter groups_scrubbed;     ///< (level, group) checksum verifications run
   RelaxedCounter cells_scrubbed;      ///< payloads wiped by recovery/scrub passes

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -56,9 +57,25 @@ NvmRegion::NvmRegion(std::byte* data, usize size, int fd, std::string path)
 
 NvmRegion NvmRegion::create_anonymous(usize bytes) {
   const usize size = page_round(bytes);
-  void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  // A region of at least one huge page is over-mapped by one, then its
+  // unaligned head and the tail past `size` are unmapped, leaving a
+  // mapping that starts on a huge-page boundary, so every whole 2 MiB of
+  // it can be backed by one TLB entry.
+  const bool huge = size >= kHugePageSize;
+  const usize span = huge ? size + kHugePageSize : size;
+  void* p = ::mmap(nullptr, span, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw_errno("mmap(anonymous NVM region)");
-  return NvmRegion(static_cast<std::byte*>(p), size, -1, {});
+  if (!huge) return NvmRegion(static_cast<std::byte*>(p), size, -1, {});
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  const usize head = round_up(addr, kHugePageSize) - addr;
+  const usize tail = span - head - size;
+  std::byte* data = static_cast<std::byte*>(p) + head;
+  if (head > 0) GH_CHECK(::munmap(p, head) == 0);
+  if (tail > 0) GH_CHECK(::munmap(data + size, tail) == 0);
+  // Advice only: a kernel whose THP policy is "never", or that lacks
+  // THP, refuses it, and the region keeps base pages.
+  (void)::madvise(data, size, MADV_HUGEPAGE);
+  return NvmRegion(data, size, -1, {});
 }
 
 NvmRegion NvmRegion::create_file(const std::string& path, usize bytes) {

@@ -18,7 +18,14 @@ namespace gh::nvm {
 
 class NvmRegion {
  public:
+  /// x86-64 transparent huge page size.
+  static constexpr usize kHugePageSize = usize{2} << 20;
+
   /// Anonymous mapping of `bytes` (rounded up to the page size), zeroed.
+  /// A region of at least kHugePageSize starts on a kHugePageSize
+  /// boundary and is advised MADV_HUGEPAGE, so a cache-missing probe also
+  /// misses the TLB far less often; whether huge pages are granted is the
+  /// kernel's THP policy.
   static NvmRegion create_anonymous(usize bytes);
 
   /// Create (or truncate) `path` with `bytes` and map it read-write.

@@ -148,11 +148,15 @@ void ShardServer::execute(Batch& batch) {
 
   // Counting sort the request indices by shard: one pass to count, one
   // to scatter. offsets_ keeps the fence posts so each shard's slice of
-  // order_ is contiguous and in caller order.
+  // order_ is contiguous and in caller order. The count pass also
+  // rejects a key no shard map can store, before anything is queued, so
+  // no worker meets one.
   batch.offsets_.assign(nshards_ + 1, 0);
   batch.order_.resize(n);
   for (u32 i = 0; i < n; ++i) {
-    batch.offsets_[shard_of(batch.requests[i].key, nshards_) + 1]++;
+    const u64& key = batch.requests[i].key;
+    GroupHashMap::check_keys({&key, 1});
+    batch.offsets_[shard_of(key, nshards_) + 1]++;
   }
   for (u32 s = 0; s < nshards_; ++s) batch.offsets_[s + 1] += batch.offsets_[s];
   batch.cursor_.assign(batch.offsets_.begin(), batch.offsets_.end() - 1);

@@ -267,6 +267,8 @@ class ShardServer {
 
   /// Route, enqueue and wait for one client batch. Blocks until every
   /// touched shard answered; safe to call from many threads at once.
+  /// Throws std::invalid_argument, before queueing anything, when a
+  /// request's key is one GroupHashMap::check_keys rejects.
   void execute(Batch& batch);
 
   /// Stop accepting batches, drain the rings, join the workers, then

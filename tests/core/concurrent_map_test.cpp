@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,21 @@ TEST(ConcurrentGroupHashMap, SingleThreadedBasics) {
   EXPECT_TRUE(map.erase(1));
   EXPECT_FALSE(map.get(1).has_value());
   EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(ConcurrentGroupHashMap, PutBatchRejectsKeyAboveMaxKeyInAnyShard) {
+  // The bad key's shard need not be the first one the batch reaches: no
+  // shard applies its share once any key is refused.
+  ConcurrentGroupHashMap map(8, {.initial_cells = 8 * 1024});
+  std::vector<u64> keys;
+  for (u64 k = 1; k <= 64; ++k) keys.push_back(k);
+  keys.push_back(hash::Cell16::kMaxKey + 1);
+  const std::vector<u64> vals(keys.size(), 5);
+  EXPECT_THROW(map.put_batch(keys, vals), std::invalid_argument);
+  EXPECT_THROW(map.put(~u64{0}, 5), std::invalid_argument);
+  EXPECT_EQ(map.size(), 0u);
+  map.put(3, 30);  // the shard's lock was released on the throw
+  EXPECT_EQ(map.get(3), std::optional<u64>(30));
 }
 
 TEST(ConcurrentGroupHashMap, KeysSpreadAcrossShards) {

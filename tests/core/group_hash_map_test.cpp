@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "support/temp_path.hpp"
 #include "util/rng.hpp"
@@ -118,6 +121,42 @@ TEST(GroupHashMap, ThrowsWhenFullAndExpansionDisabled) {
     threw = true;
   }
   EXPECT_TRUE(threw);
+}
+
+TEST(GroupHashMap, RejectsKeysAboveMaxKeyAndStaysUnchanged) {
+  // Bit 63 of a Cell16 key is the commit bit: such a key would be stored
+  // as another key, so every write entry point refuses it up front.
+  auto map = GroupHashMap::create_in_memory({.initial_cells = 64, .group_size = 16});
+  map.put(1, 10);
+  const u64 bad = hash::Cell16::kMaxKey + 1;
+  EXPECT_THROW(map.put(bad, 1), std::invalid_argument);
+  EXPECT_THROW(map.put(~u64{0}, 1), std::invalid_argument);
+  EXPECT_THROW(map.increment(bad), std::invalid_argument);
+  // A batch with one bad key applies none of its keys, not a prefix.
+  const std::vector<u64> keys = {1, 2, 3, bad, 4};
+  const std::vector<u64> vals = {11, 20, 30, 40, 50};
+  EXPECT_THROW(map.put_batch(keys, vals), std::invalid_argument);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.get(1), std::optional<u64>(10));
+  for (const u64 k : {u64{2}, u64{3}, u64{4}, bad}) EXPECT_FALSE(map.get(k).has_value()) << k;
+}
+
+TEST(GroupHashMap, ResizesLoseNoAcceptedKeyUpToMaxKey) {
+  // Keys up to and including kMaxKey, with bit 62 set on half of them,
+  // all stay readable across several grows.
+  auto map = GroupHashMap::create_in_memory({.initial_cells = 64, .group_size = 16});
+  std::unordered_map<u64, u64> oracle;
+  Xoshiro256 rng(23);
+  oracle[hash::Cell16::kMaxKey] = 1;
+  map.put(hash::Cell16::kMaxKey, 1);
+  for (u64 i = 0; i < 2000; ++i) {
+    const u64 k = (rng.next() & hash::Cell16::kMaxKey) | 1;
+    map.put(k, i);
+    oracle[k] = i;
+  }
+  EXPECT_GE(map.snapshot().lifecycle.expansions, 3u);
+  EXPECT_EQ(map.size(), oracle.size());
+  for (const auto& [k, v] : oracle) EXPECT_EQ(map.get(k), std::optional<u64>(v)) << k;
 }
 
 TEST(GroupHashMap, ForEachVisitsAll) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "hash/cells.hpp"
 #include "test_support.hpp"
@@ -303,6 +306,37 @@ TEST_F(GroupHashingTest, FindBatchEmptyAndSingle) {
   const u64 one = 5;
   table().find_batch(std::span<const u64>(&one, 1), out);
   EXPECT_EQ(out[0], std::optional<u64>(50));
+}
+
+TEST(GroupHashingPrefetch, EveryLockedProbePrefetchesItsCellAndTagLines) {
+  // A probe prefetches its level-1 cell and its level-2 group's tag lines,
+  // at most four: 16 tags fit one line, 256 fill four, 2048 are capped.
+  for (const auto& [group, per_probe] : {std::pair<u32, u64>{16, 2}, {256, 5}, {2048, 5}}) {
+    test::TableFixture<Table16> fix;
+    auto& table = fix.init(Table16::Params{.level_cells = 4096, .group_size = group});
+    const auto issued = [&] { return table.stats().prefetches_issued.load(); };
+    u64 before = issued();
+    ASSERT_TRUE(table.insert(7, 70));  // a put window of one key
+    EXPECT_EQ(issued() - before, per_probe) << group;
+    before = issued();
+    EXPECT_EQ(table.find(7), std::optional<u64>(70));
+    EXPECT_EQ(issued() - before, per_probe) << group;
+    before = issued();
+    EXPECT_TRUE(table.update(7, 71));  // find_cell
+    EXPECT_EQ(issued() - before, per_probe) << group;
+    // find_batch: one probe's worth per key, across windows and a tail.
+    const std::vector<u64> keys(37, 7);
+    std::vector<std::optional<u64>> out(keys.size());
+    before = issued();
+    table.find_batch(keys, out);
+    EXPECT_EQ(issued() - before, keys.size() * per_probe) << group;
+    // A put window prefetches for each of its keys, once.
+    std::vector<u64> fresh(40);
+    for (u64 i = 0; i < fresh.size(); ++i) fresh[i] = 100 + i;
+    before = issued();
+    ASSERT_EQ(table.upsert_batch(fresh, fresh), fresh.size());
+    EXPECT_EQ(issued() - before, fresh.size() * per_probe) << group;
+  }
 }
 
 TEST(GroupHashingCountMode, RecoveryOnlySavesFlushesButStaysExact) {

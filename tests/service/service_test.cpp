@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -239,7 +240,7 @@ TEST(ShardService, TinyRingBackpressureNeverWedges) {
       for (u32 round = 0; round < 200; ++round) {
         batch.clear();
         for (u32 i = 0; i < 32; ++i) {
-          batch.requests.push_back(Request{Op::kPut, rng.next() | 1, i});
+          batch.requests.push_back(Request{Op::kPut, (rng.next() & hash::Cell16::kMaxKey) | 1, i});
         }
         server.execute(batch);
         for (const Response& r : batch.responses()) local += r.status == Status::kOk;
@@ -377,6 +378,28 @@ TEST(ShardService, ReaderLettingGoWakesTheWorkerForAQueuedWrite) {
   for (const Response& rs : reads.responses()) ASSERT_EQ(rs.status, Status::kOk);
   EXPECT_EQ(write.responses()[0].status, Status::kOk);
   server.stop();
+}
+
+TEST(ShardService, RejectsKeyAboveMaxKeyBeforeQueueingAnything) {
+  // A key with the commit bit set cannot be stored: the whole batch is
+  // refused on the client thread, so no shard applies its share of it.
+  ShardServer server(small_service_options());
+  Batch batch;
+  for (u64 k = 1; k <= 64; ++k) batch.requests.push_back(Request{Op::kPut, k, k});
+  batch.requests.push_back(Request{Op::kPut, hash::Cell16::kMaxKey + 1, 7});
+  EXPECT_THROW(server.execute(batch), std::invalid_argument);
+  batch.clear();
+  batch.requests = {Request{Op::kGet, ~u64{0}, 0}};
+  EXPECT_THROW(server.execute(batch), std::invalid_argument);
+
+  batch.clear();
+  for (u64 k = 1; k <= 64; ++k) batch.requests.push_back(Request{Op::kGet, k, 0});
+  batch.requests.push_back(Request{Op::kPut, hash::Cell16::kMaxKey, 9});
+  server.execute(batch);
+  for (u64 k = 0; k < 64; ++k) EXPECT_EQ(batch.responses()[k].status, Status::kNotFound);
+  EXPECT_EQ(batch.responses()[64].status, Status::kOk);
+  server.stop();
+  EXPECT_EQ(server.snapshot().size, 1u);
 }
 
 TEST(ShardService, RoutingMatchesConcurrentWrapperSeed) {
