@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     t.print(std::cout);
     const obs::MigrationSnapshot& mig = resized.snapshot.migration;
     std::cout << "\nresize run: " << mig.started << " migrations started, " << mig.completed
-              << " completed, " << mig.emergency_expands << " emergency merges, "
+              << " completed, "
               << mig.help_steps << " help-along steps, " << mig.bg_steps
               << " idle-drain steps\n";
   }

@@ -85,6 +85,7 @@ class BasicConcurrentGroupHashMap {
   }
 
   [[nodiscard]] std::optional<u64> get(const key_type& key) {
+    check_keys({&key, 1});
     ShardState& sh = shard(key);
     if (mode_ == LockMode::kOptimistic) {
       const auto probe_key = Map::probe_key(key);
@@ -101,6 +102,7 @@ class BasicConcurrentGroupHashMap {
   }
 
   bool erase(const key_type& key) {
+    check_keys({&key, 1});
     ShardState& sh = shard(key);
     SeqLockWriteGuard guard(sh.lock, &sh.contention);
     // Help-along migration means ANY mutating op can restructure the
@@ -118,6 +120,7 @@ class BasicConcurrentGroupHashMap {
   /// prefetching get_batch. out[i] receives the result for keys[i].
   void get_batch(std::span<const key_type> keys, std::span<std::optional<u64>> out) {
     GH_CHECK_MSG(keys.size() == out.size(), "get_batch spans must have equal size");
+    check_keys(keys);
     if (keys.empty()) return;
     std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
     std::vector<key_type> sub_keys;
@@ -141,7 +144,7 @@ class BasicConcurrentGroupHashMap {
   void put_batch(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
     // Reject a bad key before any shard applies its share of the batch.
-    if constexpr (requires { Map::check_keys(keys); }) Map::check_keys(keys);
+    check_keys(keys);
     if (keys.empty()) return;
     std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
     std::vector<key_type> sub_keys;
@@ -167,6 +170,7 @@ class BasicConcurrentGroupHashMap {
   void erase_batch(std::span<const key_type> keys, std::span<u8> hits = {}) {
     GH_CHECK_MSG(hits.empty() || hits.size() == keys.size(),
                  "erase_batch hits span must match keys");
+    check_keys(keys);
     if (keys.empty()) return;
     std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
     std::vector<key_type> sub_keys;
@@ -274,7 +278,7 @@ class BasicConcurrentGroupHashMap {
     }
 
     /// Publish a fresh read snapshot if the probe geometry changed (a
-    /// resize start, resume, finalize or emergency merge — tracked by the
+    /// resize start, resume or finalize — tracked by the
     /// map's structure_version). Called after every mutation, with the
     /// shard seqlock held exclusively. Old snapshots are retired, not
     /// freed — a racing reader may still hold one, and the map's retained
@@ -296,6 +300,12 @@ class BasicConcurrentGroupHashMap {
   };
 
   ShardState& shard(const key_type& key) { return *shards_[shard_index(key)]; }
+
+  /// The map's key check (BasicGroupHashMap::check_keys), before any
+  /// shard is read or written; maps without one take every key.
+  static void check_keys(std::span<const key_type> keys) {
+    if constexpr (requires { Map::check_keys(keys); }) Map::check_keys(keys);
+  }
 
   [[nodiscard]] std::vector<std::vector<u32>> bucket_by_shard(
       std::span<const key_type> keys) const {

@@ -20,16 +20,12 @@ constexpr u64 kMapVersion = map_format::kVersion;
 constexpr u64 kStateClean = map_format::kStateClean;
 constexpr u64 kStateDirty = map_format::kStateDirty;
 
-/// Suffix of the temp file the emergency merge builds before its rename
-/// publish. A crash mid-publish can leave it behind; open() reclaims it.
-constexpr const char* kExpandSuffix = ".expand";
-
 /// Suffix of the flight-recorder sidecar (obs/flight_recorder.hpp).
 constexpr const char* kFlightSuffix = ".flight";
 
-/// Suffix of the resize migration target. Unlike `.expand` it can
-/// hold the only copy of already-drained groups, so it is reclaimed only
-/// when the superblock's migration cursor says no migration is armed.
+/// Suffix of the resize migration target. It can hold the only copy of
+/// already-drained groups, so it is reclaimed only when the superblock's
+/// migration cursor says no migration is armed.
 constexpr const char* kMigrateSuffix = ".migrate";
 
 /// Cap of the exponential expansion backoff, counted in placement-failure
@@ -287,11 +283,10 @@ void BasicGroupHashMap<Cell, Payload>::create_at(const std::string& path,
                                                  usize payload_bytes) {
   path_ = path;
   options_ = options;
-  // Stale temp files from a crashed resize of a previous map at this
-  // path must not survive into the new map's lifetime. (create truncates
-  // the main file, so the old cursor that could have made the `.migrate`
+  // A stale target from a crashed resize of a previous map at this path
+  // must not survive into the new map's lifetime. (create truncates the
+  // main file, so the old cursor that could have made the `.migrate`
   // target authoritative dies with it.)
-  nvm::reclaim_orphan(path + kExpandSuffix);
   nvm::reclaim_orphan(path + kMigrateSuffix);
   init(/*fresh=*/true, payload_bytes);
   // Make the creation itself durable: the file's directory entry is not
@@ -306,10 +301,6 @@ void BasicGroupHashMap<Cell, Payload>::open_at(const std::string& path,
                                                const MapOptions& options) {
   path_ = path;
   options_ = options;
-  // A crashed emergency merge can leave a stale temp file behind. It is
-  // never the authoritative copy (only the rename publishes it), so
-  // reclaim it before trusting anything at `path`.
-  if (nvm::reclaim_orphan(path + kExpandSuffix)) orphans_reclaimed_++;
   init(/*fresh=*/false);
 }
 
@@ -387,7 +378,7 @@ void BasicGroupHashMap<Cell, Payload>::abandon() {
   // the reopening process resumes from whatever the cursor said.
   clear_migration_state();
   migrations_started_ = migrations_completed_ = migrations_resumed_ = 0;
-  emergency_expands_ = help_steps_ = bg_steps_ = keys_migrated_ = 0;
+  help_steps_ = bg_steps_ = keys_migrated_ = 0;
   // The flight sidecar is dropped the same way — no final sync, no
   // cleanup. Its mmap'd writes are in the page cache, so the reopening
   // process scans exactly what a crash would have left durable.
@@ -408,14 +399,35 @@ template <class Cell, class Payload>
 usize BasicGroupHashMap<Cell, Payload>::place(std::span<const key_type> keys,
                                               std::span<const u64> values, bool batch) {
   if (!mig_table_) return upsert_in(table(), keys, values, batch);
-  // New-table-first: readers probe the migration target before the old
-  // table, so the latest values must land there before the now-stale
-  // old copies are dropped. A crash in between leaves benign
-  // duplicates: new-first reads mask them, and re-migration (or the
-  // emergency merge) dedups them.
-  const usize n = upsert_in(*mig_table_, keys, values, batch);
-  if (n > 0) erase_in(table(), keys.first(n), {}, batch);
-  return n;
+  // Routed by the cursor (DESIGN.md "Resize"). A key of a drained group,
+  // or one the target holds, is upserted into the target, a run of them
+  // at a time; a key the old table holds is updated there in place; a
+  // new key of an undrained group goes to the target only while its
+  // group's copy still fits there. The old table never gains a cell, so
+  // every group copy fits and no key is in both tables.
+  const u64 group_size = table().group_size();
+  const auto to_target = [&](const key_type& key) {
+    return table().home_index(key) / group_size < mig_cursor_ || mig_table_->contains(key);
+  };
+  usize done = 0;
+  while (done < keys.size()) {
+    usize end = done;
+    while (end < keys.size() && to_target(keys[end])) ++end;
+    if (end > done) {
+      const usize n = upsert_in(*mig_table_, keys.subspan(done, end - done),
+                                values.subspan(done, end - done), batch);
+      done += n;
+      if (done < end) return done;
+      continue;
+    }
+    const key_type& key = keys[done];
+    if (!table().update(key, values[done]) &&
+        !(mig_table_->copy_fits_with(table(), key) && mig_table_->upsert(key, values[done]))) {
+      return done;
+    }
+    ++done;
+  }
+  return done;
 }
 
 template <class Cell, class Payload>
@@ -471,6 +483,7 @@ void BasicGroupHashMap<Cell, Payload>::put(const key_type& key, u64 value) {
 template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::get_batch(std::span<const key_type> keys,
                                                  std::span<std::optional<u64>> out) {
+  check_keys(keys);
   if (keys.empty()) return;
   obs::OpScope op(sinks_, obs::OpKind::kFind, trace_key(keys[0]));
   if (!mig_table_) {
@@ -512,6 +525,7 @@ template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::erase_batch(std::span<const key_type> keys,
                                                    std::span<u8> hits) {
   GH_CHECK_MSG(!closed_, "map is closed");
+  check_keys(keys);
   if (keys.empty()) return;
   obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(keys[0]));
   erase_keys(keys, hits, /*batch=*/true);
@@ -521,10 +535,10 @@ void BasicGroupHashMap<Cell, Payload>::erase_batch(std::span<const key_type> key
 
 template <class Cell, class Payload>
 std::optional<u64> BasicGroupHashMap<Cell, Payload>::get(const key_type& key) {
+  check_keys({&key, 1});
   obs::OpScope op(sinks_, obs::OpKind::kFind, trace_key(key));
-  // New-then-old while a migration runs: a key's latest committed value
-  // is either only in the target (fresh write / migrated) or only a
-  // benign duplicate's authoritative copy — the target always wins.
+  // New-then-old while a migration runs: a key is in one table, or after
+  // a crash or a short copy in both with the target's copy the newest.
   std::optional<u64> r;
   if (mig_table_) r = mig_table_->find(key);
   if (!r) r = table().find(key);
@@ -541,22 +555,15 @@ u64 BasicGroupHashMap<Cell, Payload>::increment(const key_type& key, u64 delta) 
   GH_CHECK_MSG(!closed_, "map is closed");
   check_keys({&key, 1});
   obs::OpScope op(sinks_, obs::OpKind::kInsert, trace_key(key));
-  // One probe: find the cell, bump its value in place; fall back to an
-  // insert when the key is new. During a migration the in-place bump is
-  // only safe in the target (old-table cells can hold stale losers), so
-  // an old-table hit is read there but written new-table-first.
+  // Find the cell and bump its value in place wherever it lives (the
+  // target first, as reads probe); insert the key when it is new.
   u64 next = delta;
-  if (mig_table_) {
-    if (const auto current = mig_table_->find(key)) {
-      next = *current + delta;
-      GH_CHECK(mig_table_->update(key, next));
-    } else {
-      if (const auto old = table().find(key)) next = *old + delta;
-      upsert_keys({&key, 1}, {&next, 1}, /*batch=*/false);
-    }
-  } else if (const auto current = table().find(key)) {
+  Table* at = mig_table_ ? &*mig_table_ : &table();
+  std::optional<u64> current = at->find(key);
+  if (!current && mig_table_) current = (at = &table())->find(key);
+  if (current) {
     next = *current + delta;
-    GH_CHECK(table().update(key, next));
+    GH_CHECK(at->update(key, next));
   } else {
     upsert_keys({&key, 1}, {&next, 1}, /*batch=*/false);
   }
@@ -568,6 +575,7 @@ u64 BasicGroupHashMap<Cell, Payload>::increment(const key_type& key, u64 delta) 
 template <class Cell, class Payload>
 bool BasicGroupHashMap<Cell, Payload>::erase(const key_type& key) {
   GH_CHECK_MSG(!closed_, "map is closed");
+  check_keys({&key, 1});
   obs::OpScope op(sinks_, obs::OpKind::kErase, trace_key(key));
   u8 hit = 0;
   erase_keys({&key, 1}, {&hit, 1}, /*batch=*/false);
@@ -660,9 +668,14 @@ bool BasicGroupHashMap<Cell, Payload>::with_backoff(obs::OpKind kind, Fn&& step)
 template <class Cell, class Payload>
 bool BasicGroupHashMap<Cell, Payload>::try_expand(Resize kind, u64 need) {
   if (backing_off()) return false;
-  // Room ran out while a resize is already migrating: there is no
-  // second target to start, so merge both tables now (blocking).
-  if (mig_table_) return with_backoff(kResizeOp, [&] { emergency_expand(need); });
+  // Room ran out while a resize is migrating: finish it, and start the
+  // next one only if the retried placement finds no room either.
+  if (mig_table_) {
+    obs::PhaseHelpScope help_scope;  // booked as help-along (see help_migrate)
+    obs::OpScope op(sinks_, obs::OpKind::kMigrate, 0, obs::FlightEdge::kNone);
+    help_steps_ += do_migrate(~0ull);
+    return !mig_table_;
+  }
   // One resize op spans the start and the inline drain, so its latency
   // row is the stall the triggering op sees, and a crash mid-drain
   // leaves a resize in flight past its publish mark.
@@ -710,7 +723,6 @@ obs::Snapshot BasicGroupHashMap<Cell, Payload>::snapshot() {
   s.migration.started = migrations_started_;
   s.migration.completed = migrations_completed_;
   s.migration.resumed = migrations_resumed_;
-  s.migration.emergency_expands = emergency_expands_;
   s.migration.help_steps = help_steps_;
   s.migration.bg_steps = bg_steps_;
   if (recorder_) s.latency = obs::OpLatencySnapshot::from(*recorder_);
@@ -745,9 +757,8 @@ obs::Snapshot BasicGroupHashMap<Cell, Payload>::snapshot() {
 // Crash anywhere: the cursor word in the old superblock names the resume
 // point, and open() clears the groups below it again, since their
 // unflushed clears may be lost. Duplicates (a group interrupted between
-// copy and cursor, or a put between its target write and its old-table
-// erase) are masked by new-table-first reads and skipped by the resumed
-// migration's probing copy.
+// copy and cursor) are masked by new-table-first reads and skipped by the
+// resumed migration's probing copy.
 
 template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::set_migration_word(u64 word) {
@@ -787,20 +798,14 @@ void BasicGroupHashMap<Cell, Payload>::clear_migration_state() {
 }
 
 template <class Cell, class Payload>
-usize BasicGroupHashMap<Cell, Payload>::target_payload_bytes(u64 need) const {
-  const u64 live = payload_.live_bytes(table()) +
-                   (mig_table_ ? mig_payload_.live_bytes(*mig_table_) : 0);
-  return Payload::target_bytes(live + need,
-                               std::max(payload_.capacity(), mig_payload_.capacity()));
-}
-
-template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::start_migration(Resize kind, u64 need) {
   GH_CHECK(!mig_table_);
   journal_migration(obs::FlightPhase::kStart, obs::MigrationPhase::kStart);
   const u64 cells = kind == Resize::kCompact ? table().capacity() : 2 * table().capacity();
+  const u64 live = payload_.live_bytes(table());
   File target = format_table(kMigrateSuffix, cells, table().group_size(), table().seed(),
-                             table().checksums_enabled(), target_payload_bytes(need));
+                             table().checksums_enabled(),
+                             Payload::target_bytes(live + need, payload_.capacity()));
   nvm::crash_point("migrate.start.formatted");
   if (!path_.empty()) {
     // The target must be durable (content and directory entry) before the
@@ -814,6 +819,7 @@ void BasicGroupHashMap<Cell, Payload>::start_migration(Resize kind, u64 need) {
   mig_region_ = std::move(target.region);
   mig_table_.emplace(std::move(target.table));
   mig_payload_ = std::move(target.payload);
+  mig_put_room_ = mig_payload_.remaining() - live;  // the target holds twice `live`
   mig_cursor_ = 0;
   mig_marked_cursor_ = 0;
   mig_total_groups_ = table().num_groups();
@@ -826,41 +832,36 @@ void BasicGroupHashMap<Cell, Payload>::start_migration(Resize kind, u64 need) {
 }
 
 template <class Cell, class Payload>
-bool BasicGroupHashMap<Cell, Payload>::migrate_one_group(u64 g) {
+void BasicGroupHashMap<Cell, Payload>::migrate_one_group(u64 g) {
   // place() keeps the tables disjoint in a live process, so the target
   // is probed only after a resume from an image or a short copy.
   u64 copied = 0;
-  const bool ok = mig_table_->copy_group(
-      table(), g, mig_probe_, [&](u64& v) { return mig_payload_.adopt(v, payload_); }, copied);
-  if (!ok) {
-    // A short copy (a full target group or arena) leaves its copies in
-    // both tables: new-first reads mask them and the emergency merge
-    // dedups them. If the merge fails too, the migration stays armed and
-    // this group is copied again, so from now on the copy must skip the
-    // keys the target already holds.
+  if (!mig_table_->copy_group(
+          table(), g, mig_probe_, [&](u64& v) { return mig_payload_.adopt(v, payload_); },
+          copied)) {
+    // place() leaves room for every undrained group, so only a target
+    // group scrub() quarantined can refuse a key. The keys copied so far
+    // stay in both tables (new-first reads mask them), and the retry must
+    // skip them.
     mig_probe_ = true;
-    return false;
+    throw std::runtime_error("migration target refused a key of source group " +
+                             std::to_string(g));
   }
   nvm::crash_point("migrate.group.copied");
   table().clear_group(g);
   nvm::crash_point("migrate.group.erased");
   keys_migrated_ += copied;
-  return true;
 }
 
 template <class Cell, class Payload>
 u64 BasicGroupHashMap<Cell, Payload>::do_migrate(u64 max_groups) {
   u64 done = 0;
   while (mig_table_ && done < max_groups && mig_cursor_ < mig_total_groups_) {
-    if (!migrate_one_group(mig_cursor_)) {
-      // Target full: fall back to the blocking merge, with try_expand's
-      // backoff semantics — a failing merge leaves the migration armed
-      // and retries later instead of wedging the drain loop. The merge
-      // moves every group still owed.
-      const u64 owed = mig_total_groups_ - mig_cursor_;
-      if (!try_expand()) break;
-      done += owed;
-      continue;  // migration is gone; the loop condition exits
+    // A short copy degrades the map and backs off like any failing
+    // resize step; the split image keeps serving meanwhile.
+    if (backing_off() ||
+        !with_backoff(obs::OpKind::kMigrate, [&] { migrate_one_group(mig_cursor_); })) {
+      break;
     }
     mig_cursor_++;
     done++;
@@ -912,10 +913,10 @@ void BasicGroupHashMap<Cell, Payload>::finalize_migration() {
   journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kFinalize);
   nvm::crash_point("migrate.finalize");
   if (!path_.empty()) {
-    // The durable publish protocol — spelled out instead of using
-    // publish_region_file, because its failure cleanup unlinks the temp
-    // file and the `.migrate` target holds the only copy of the data.
-    // On failure the split image stays intact and the caller retries.
+    // The durable publish: msync, rename, dir fsync. The `.migrate`
+    // target holds the only copy of the drained groups, so a failure
+    // unlinks nothing: the split image stays intact and the caller
+    // retries.
     mig_region_.sync();
     nvm::crash_point("migrate.finalize.synced");
     if (!nvm::FaultFs::rename(path_ + kMigrateSuffix, path_)) {
@@ -945,61 +946,6 @@ void BasicGroupHashMap<Cell, Payload>::finalize_migration() {
 }
 
 template <class Cell, class Payload>
-void BasicGroupHashMap<Cell, Payload>::emergency_expand(u64 need) {
-  GH_CHECK(mig_table_);
-  obs::OpScope op(sinks_, kResizeOp, 0, obs::FlightEdge::kNone);
-  journal_migration(obs::FlightPhase::kPublish, obs::MigrationPhase::kEmergency);
-  nvm::crash_point("migrate.emergency");
-  const usize payload_bytes = target_payload_bytes(need);
-  for (u64 total = 2 * mig_table_->capacity();; total *= 2) {
-    File merged = format_table(kExpandSuffix, total, table().group_size(), table().seed(),
-                               table().checksums_enabled(), payload_bytes);
-    bool refill_ok = true;
-    // Old-table cells lose to their migrated copies: a group interrupted
-    // between copy and clear holds stale duplicates, and the target's
-    // value is the authoritative one.
-    const auto refill = [&](const Table& from, const Payload& from_payload, bool old) {
-      from.for_each([&](const key_type& k, u64 v) {
-        if (!refill_ok || (old && merged.table.find(k))) return;
-        refill_ok = merged.payload.adopt(v, from_payload) && merged.table.insert(k, v);
-      });
-    };
-    refill(*mig_table_, mig_payload_, false);
-    refill(table(), payload_, true);
-    if (!refill_ok) {
-      // Pathological grouping in the bigger table; double again.
-      if (!path_.empty()) nvm::FaultFs::remove(path_ + kExpandSuffix);
-      continue;
-    }
-    if (!path_.empty()) {
-      // Publishing the merged file disarms the cursor (the new
-      // superblock's word is zero), so a crash after the rename leaves
-      // the stale `.migrate` as a reclaimable orphan, not live data.
-      nvm::publish_region_file(merged.region, path_ + kExpandSuffix, path_,
-                               "failed to publish emergency-expanded map file");
-    }
-    nvm::crash_point("migrate.emergency.published");
-    merged.table.stats() += table().stats();
-    merged.table.stats() += mig_table_->stats();
-    table_.emplace(std::move(merged.table));
-    payload_ = std::move(merged.payload);
-    if (options_.retain_retired_regions) {
-      retired_regions_.push_back(std::move(region_));
-      retired_regions_.push_back(std::move(mig_region_));
-    }
-    region_ = std::move(merged.region);
-    journal_migration(obs::FlightPhase::kFinish, obs::MigrationPhase::kEmergency);
-    clear_migration_state();
-    if (!path_.empty()) nvm::FaultFs::remove(path_ + kMigrateSuffix);
-    emergency_expands_++;
-    expansions_++;
-    structure_version_++;
-    scrub_cursor_ = 0;
-    return;
-  }
-}
-
-template <class Cell, class Payload>
 void BasicGroupHashMap<Cell, Payload>::resume_migration() {
   const u64 cursor = map_format::migration_word_cursor(superblock()->migration);
   const std::string mig_path = path_ + kMigrateSuffix;
@@ -1016,6 +962,9 @@ void BasicGroupHashMap<Cell, Payload>::resume_migration() {
   mig_region_ = std::move(target.region);
   mig_table_.emplace(std::move(target.table));
   mig_payload_ = std::move(target.payload);
+  // New records may use what the old table's records leave free.
+  const u64 live = payload_.live_bytes(table());
+  mig_put_room_ = mig_payload_.remaining() - std::min(mig_payload_.remaining(), live);
   auto* msb = reinterpret_cast<Superblock*>(mig_region_.data());
   if (msb->state == kStateDirty) {
     // The target died mid-write just like the main table would have;

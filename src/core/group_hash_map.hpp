@@ -151,9 +151,11 @@ class BasicGroupHashMap {
   BasicGroupHashMap& operator=(BasicGroupHashMap&&) noexcept = default;
   ~BasicGroupHashMap();
 
-  /// Throws std::invalid_argument, before anything is written, for a key
-  /// the cell layout cannot store: a Cell16 key above kMaxKey, whose top
-  /// bit is the commit bit. Every other key passes.
+  /// Throws std::invalid_argument, before anything is read or written,
+  /// for a key the cell layout cannot store: a Cell16 key above kMaxKey,
+  /// whose top bit is the commit bit (stored or probed, it would alias
+  /// the key without that bit); every other key passes. Every entry
+  /// point that takes a key calls it.
   static void check_keys(std::span<const key_type> keys) {
     if constexpr (requires { Cell::kMaxKey; }) {
       for (const key_type& key : keys) {
@@ -171,6 +173,7 @@ class BasicGroupHashMap {
   /// exponential backoff on subsequent placement failures.
   void put(const key_type& key, u64 value);
 
+  /// Lookups and erases reject keys as put() does.
   [[nodiscard]] std::optional<u64> get(const key_type& key);
   [[nodiscard]] bool contains(const key_type& key);
 
@@ -289,7 +292,7 @@ class BasicGroupHashMap {
   u64 migrate_step(u64 max_groups);
 
   /// Bumped whenever the probe geometry changes: migration start, resume
-  /// and finalize, and the emergency merge. The concurrent wrapper
+  /// and finalize. The concurrent wrapper
   /// compares it to decide when to republish its read snapshot.
   [[nodiscard]] u64 structure_version() const { return structure_version_; }
 
@@ -342,9 +345,8 @@ class BasicGroupHashMap {
   /// file holds everything stored before the "crash").
   void abandon();
 
-  /// Stale resize files that open() reclaimed before trusting the map
-  /// file: a `.expand` merge target that never published, or a
-  /// `.migrate` target whose cursor was never armed.
+  /// Stale resize targets that open() reclaimed before trusting the map
+  /// file: a `.migrate` target whose cursor was never armed.
   [[nodiscard]] u64 orphans_reclaimed_on_open() const { return orphans_reclaimed_; }
 
   /// What the open()-time scan of the `.flight` sidecar found: the ops
@@ -380,11 +382,12 @@ class BasicGroupHashMap {
   const Table& table() const { return *table_; }
   Superblock* superblock();
   void mark_state(u64 state);
-  /// Make room, degrading gracefully (see with_backoff). Starts a
-  /// migration of kind `kind` and drains up to migrate_groups_per_op
-  /// groups of it, or runs the blocking emergency merge when the room
-  /// runs out while a migration is already running. `need` is the
-  /// payload bytes of the record that did not fit.
+  /// Make room, degrading gracefully (see with_backoff). Finishes the
+  /// running migration, if any, so the caller retries against the
+  /// finished table; otherwise starts a migration of kind `kind` and
+  /// drains up to migrate_groups_per_op groups of it. `need` is the
+  /// payload bytes of the record that did not fit. False while a resize
+  /// step fails.
   bool try_expand(Resize kind = Resize::kGrow, u64 need = 0);
   /// True (and one failure absorbed) while a failed resize step's backoff
   /// window is open.
@@ -409,17 +412,15 @@ class BasicGroupHashMap {
   /// Validate the superblock of a mapped map file (`what` names it in
   /// errors) and attach its table and payload.
   File attach_file(nvm::NvmRegion region, const std::string& what);
-  /// Payload bytes of a resize target: Payload::target_bytes over the
-  /// live payload of every table plus `need`.
-  usize target_payload_bytes(u64 need) const;
   /// The upsert core of put/put_batch/increment (each caller holds its
   /// own OpScope): place() and make_room() until every key is placed.
   void upsert_keys(std::span<const key_type> keys, std::span<const u64> values, bool batch);
-  /// One placement pass: routes writes new-table-first during a
-  /// migration so readers (which probe new-then-old) always see the
-  /// latest committed value. Returns the length of the applied prefix.
-  /// `batch` selects the tables' counted *_batch entry points over their
-  /// scalar ones; both run the same window code.
+  /// One placement pass. During a migration each key is routed by the
+  /// cursor, so no key is in both tables and every undrained group's
+  /// copy still fits in the target (see the body, DESIGN.md "Resize").
+  /// Returns the length of the applied prefix. `batch` selects the
+  /// tables' counted *_batch entry points over their scalar ones; both
+  /// run the same window code.
   usize place(std::span<const key_type> keys, std::span<const u64> values, bool batch);
   /// After a short place(): resize (see try_expand) or throw — the map is
   /// full with auto_expand off, or degraded while the resize fails.
@@ -435,24 +436,20 @@ class BasicGroupHashMap {
   /// (Table::copy_group) — each payload adopted by the target file
   /// first — and clear it from the old table with stores only (the
   /// cursor advance after it retires the group). Once the target can
-  /// hold keys of undrained groups (mig_probe_), the copy skips them, so
-  /// re-running a group after a crash or a short copy is safe. Returns
-  /// false when the target could not take a key or its payload — the
-  /// caller must fall back to the blocking emergency merge.
-  [[nodiscard]] bool migrate_one_group(u64 g);
+  /// hold a key the old table also holds (mig_probe_), the copy skips
+  /// it, so re-running a group after a crash or a short copy is safe.
+  /// Throws std::runtime_error when the target refuses a key, which only
+  /// a quarantined target group can do.
+  void migrate_one_group(u64 g);
   /// Drain up to max_groups groups, advancing the durable cursor after
-  /// each, and finalize when the cursor reaches the end.
+  /// each, and finalize when the cursor reaches the end. A failing step
+  /// stops the drain through with_backoff.
   u64 do_migrate(u64 max_groups);
   /// Help-along hook every mutating op calls while a migration runs.
   void help_migrate();
   /// Publish the fully drained target over `path_` (rename + dir fsync)
   /// and retire the old region.
   void finalize_migration();
-  /// Blocking escape hatch: merge old + target into one bigger table
-  /// (the target filled up mid-migration, or a second capacity miss hit
-  /// while migrating), with room for `need` more payload bytes. Clears
-  /// the migration state.
-  void emergency_expand(u64 need = 0);
   /// open()-time continuation of an interrupted migration: attach the
   /// `.migrate` target named by the durable cursor — recovered if dirty,
   /// verified like the old table if clean — then keep draining.
@@ -535,14 +532,16 @@ class BasicGroupHashMap {
   /// was resumed from an image, or a copy came up short — so the copy
   /// probes for them.
   bool mig_probe_ = false;
+  /// Target arena bytes new records may still take during a migration:
+  /// the rest is kept for the old table's records, which the copies move.
+  u64 mig_put_room_ = 0;
   u64 structure_version_ = 0;
-  u64 expansions_ = 0;  ///< completed resizes (finalized migrations + emergency merges)
+  u64 expansions_ = 0;  ///< completed resizes (finalized migrations)
   u64 expand_failures_ = 0;  ///< expansion attempts that failed (e.g. ENOSPC)
   u64 recoveries_ = 0;
   u64 migrations_started_ = 0;
   u64 migrations_completed_ = 0;
   u64 migrations_resumed_ = 0;
-  u64 emergency_expands_ = 0;
   u64 help_steps_ = 0;     ///< groups drained by help-along writers
   u64 bg_steps_ = 0;       ///< groups drained by explicit migrate_step()
   u64 keys_migrated_ = 0;

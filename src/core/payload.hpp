@@ -34,6 +34,7 @@ struct InlinePayload {
   template <class Table>
   [[nodiscard]] static constexpr u64 live_bytes(const Table&) { return 0; }
   [[nodiscard]] static constexpr u64 capacity() { return 0; }
+  [[nodiscard]] static constexpr u64 remaining() { return 0; }
   /// Move the payload `value` names from `from`'s file into this one.
   static constexpr bool adopt(u64& /*value*/, const InlinePayload& /*from*/) { return true; }
 };
@@ -96,6 +97,7 @@ class ArenaPayload {
   }
 
   [[nodiscard]] u64 capacity() const { return arena_ ? arena_->capacity() : 0; }
+  [[nodiscard]] u64 remaining() const { return arena_ ? arena_->remaining() : 0; }
   [[nodiscard]] Arena& arena() { return *arena_; }
   [[nodiscard]] const Arena& arena() const { return *arena_; }
 

@@ -174,13 +174,18 @@ void PersistentStringMap::put_keys(std::span<const std::string_view> keys,
         continue;
       }
       const std::string rec = encode(keys[idx], values[idx]);
-      const auto offset = dst.arena().append(rec.data(), rec.size());
+      // During a migration a new record may take only the target arena's
+      // put room: the rest is kept for the records the copies move.
+      const u64 len = round_up(rec.size(), kAtomicUnit);
+      const bool fits = !mig_table_ || len <= mig_put_room_;
+      const auto offset = fits ? dst.arena().append(rec.data(), rec.size()) : std::nullopt;
       if (!offset) {
         next = idx;
         room = Resize::kCompact;
         need = rec.size();
         break;
       }
+      if (mig_table_) mig_put_room_ -= len;
       new_idx[nnew] = idx;
       new_fps[nnew] = fps[idx];
       new_offsets[nnew++] = *offset;
@@ -202,8 +207,9 @@ void PersistentStringMap::put_keys(std::span<const std::string_view> keys,
       }
     }
     // Out of room: the full arena asks for a compaction, a full table for
-    // growth. Records appended for keys from `next` on are unreachable
-    // garbage the resize drops; those keys re-enter the window loop.
+    // growth, and either finishes a running migration first. Records
+    // appended for keys from `next` on are unreachable garbage the resize
+    // drops; those keys re-enter the window loop.
     if (next < i + n) make_room(room, need);
     i = next;
   }

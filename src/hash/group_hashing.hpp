@@ -350,6 +350,9 @@ class GroupHashTable {
     }
   }
 
+  /// Whether the table holds `key`, counted as a probe but not a query.
+  [[nodiscard]] bool contains(key_type key) { return find_cell(key) != nullptr; }
+
   /// In-place value update. An 8-byte value overwrite is itself failure
   /// atomic, so no further protocol is needed.
   bool update(key_type key, u64 value) {
@@ -587,6 +590,42 @@ class GroupHashTable {
     }
     if (copied > 0) bump_count(static_cast<i64>(copied));
     return ok;
+  }
+
+  /// Whether copy_group(src, g) still fits once `key` is inserted here,
+  /// ahead of the copy of its source group g: how a migration target
+  /// admits a new key of an undrained group. `key` must be absent here.
+  /// The check replays the copy for the key's target group alone (the
+  /// other one is unaffected): the key, then each source key of g bound
+  /// for this group in copy order, takes its level-1 home if no cell
+  /// holds it yet, else a level-2 cell, and the level-2 cells taken must
+  /// not outnumber the group. A replay over keys this table already
+  /// holds counts them twice, so it can only refuse too much. Quarantine
+  /// is left to the insert and the copy, which both avoid those groups.
+  [[nodiscard]] bool copy_fits_with(const GroupHashTable& src, key_type key) const {
+    GH_DCHECK(src.group_size_ == group_size_ && src.hash_.seed() == hash_.seed());
+    const u64 home = hash_(key) & mask_;
+    const u64 first = home - home % group_size_;
+    const u64 g = (first / group_size_) & (src.num_groups() - 1);
+    std::vector<u8> taken(tags1_ + first, tags1_ + first + group_size_);
+    u64 level2 = 0;
+    for (u64 i = first; i < first + group_size_; ++i) level2 += tags2_[i] != 0 ? 1 : 0;
+    const auto take = [&](u64 k) {
+      u8& t = taken[k - first];
+      level2 += t != 0 ? 1 : 0;
+      t = 1;
+    };
+    take(home);
+    for (u32 level = 0; level < 2; ++level) {
+      const Cell* cells = level == 0 ? src.tab1_ : src.tab2_;
+      const u8* tags = level == 0 ? src.tags1_ : src.tags2_;
+      for (u64 i = g * group_size_; i < (g + 1) * group_size_; ++i) {
+        if (tags[i] == 0) continue;
+        const u64 k = hash_(cells[i].key()) & mask_;
+        if (k - k % group_size_ == first) take(k);
+      }
+    }
+    return level2 <= group_size_;
   }
 
   /// Algorithm 4: full-scan recovery. Scrubs the payload of every

@@ -5,10 +5,7 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
-
-#include "nvm/region.hpp"
 
 namespace gh::nvm {
 namespace {
@@ -91,29 +88,6 @@ std::string parent_dir(const std::string& path) {
   if (slash == std::string::npos) return ".";
   if (slash == 0) return "/";
   return path.substr(0, slash);
-}
-
-void publish_region_file(NvmRegion& region, const std::string& tmp_path,
-                         const std::string& final_path, const char* what) {
-  try {
-    region.sync();  // kSyncData: page write-back of the fully-built file
-    if (!FaultFs::rename(tmp_path, final_path)) {
-      throw std::runtime_error(std::string(what) + ": rename(" + tmp_path + " -> " +
-                               final_path + "): " + std::strerror(errno));
-    }
-  } catch (const SimulatedCrash&) {
-    throw;  // power failure: no cleanup runs
-  } catch (...) {
-    FaultFs::remove(tmp_path);  // best-effort: a failed publish must not leak an orphan
-    throw;
-  }
-  // The rename is published but not yet durable — a power failure here
-  // may undo it (equivalent on disk to crashing before the rename, which
-  // recovery already handles). The directory fsync closes that window.
-  if (!FaultFs::sync_dir(parent_dir(final_path))) {
-    throw std::runtime_error(std::string(what) + ": fsync(" + parent_dir(final_path) +
-                             "): " + std::strerror(errno));
-  }
 }
 
 bool reclaim_orphan(const std::string& orphan_path) {

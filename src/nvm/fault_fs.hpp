@@ -1,5 +1,5 @@
 // FaultFs — a filesystem fault-injection shim for the map files' publish
-// paths (a resize's `.migrate` target and the emergency merge).
+// path: a resize's `.migrate` target, its cursor and its rename publish.
 //
 // The ShadowPM crash simulator covers the paper's in-place 8-byte commit
 // protocol, but the map layer also rebuilds whole files (tmp create →
@@ -36,8 +36,6 @@
 #include "util/types.hpp"
 
 namespace gh::nvm {
-
-class NvmRegion;
 
 /// The complete set of file operations the map layer performs. These are
 /// the step boundaries of every crash schedule.
@@ -140,23 +138,9 @@ class CrashScheduleFs : public FsPolicy {
 /// Directory containing `path` ("." when the path has no directory part).
 [[nodiscard]] std::string parent_dir(const std::string& path);
 
-/// The shared durable publish protocol for whole-file rebuilds:
-///
-///   write-back (msync tmp region) → rename(tmp → final) → fsync(parent)
-///
-/// The rename is the atomic publish; the directory fsync makes it
-/// durable. On write-back or rename failure the temp file is unlinked
-/// before the error is thrown, so a failed publish never leaks an
-/// orphan. SimulatedCrash propagates without cleanup — a real crash
-/// runs none, and open()-time reclamation handles the leftovers.
-/// Throws std::runtime_error (prefixed with `what`) on failure.
-void publish_region_file(NvmRegion& region, const std::string& tmp_path,
-                         const std::string& final_path, const char* what);
-
-/// open()-time reclamation: unlink `orphan_path` if a crashed publish
-/// left it behind. A temp file is never the authoritative copy (only the
-/// rename publishes it), so deleting it is always safe. Returns true
-/// when a stale orphan was removed.
+/// open()-time reclamation: unlink `orphan_path` if a crashed resize left
+/// it behind (the caller has checked it is not authoritative). Returns
+/// true when a stale orphan was removed.
 bool reclaim_orphan(const std::string& orphan_path);
 
 }  // namespace gh::nvm

@@ -316,7 +316,6 @@ std::string export_json(const Snapshot& s) {
       .field("started", s.migration.started)
       .field("completed", s.migration.completed)
       .field("resumed", s.migration.resumed)
-      .field("emergency_expands", s.migration.emergency_expands)
       .field("help_steps", s.migration.help_steps)
       .field("bg_steps", s.migration.bg_steps);
   j.end_obj();

@@ -145,7 +145,6 @@ const char* migration_phase_name(MigrationPhase phase) {
     case MigrationPhase::kFinalize: return "finalize";
     case MigrationPhase::kRetire: return "retire";
     case MigrationPhase::kResume: return "resume";
-    case MigrationPhase::kEmergency: return "emergency-expand";
   }
   return "unknown";
 }

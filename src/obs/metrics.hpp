@@ -303,7 +303,6 @@ enum class MigrationPhase : u8 {
   kFinalize = 4,   ///< final sync + rename of the target over the source
   kRetire = 5,     ///< old region retired; migration complete
   kResume = 6,     ///< reopen picked the migration up from the durable cursor
-  kEmergency = 7,  ///< fell back to a blocking merged expand
 };
 
 const char* migration_phase_name(MigrationPhase phase);
@@ -313,7 +312,7 @@ inline u64 encode_migration_mark(MigrationPhase phase, u64 cursor) {
 }
 inline MigrationPhase decode_migration_phase(u64 key_hash) {
   const u64 p = key_hash >> 56;
-  return p <= static_cast<u64>(MigrationPhase::kEmergency)
+  return p <= static_cast<u64>(MigrationPhase::kResume)
              ? static_cast<MigrationPhase>(p)
              : MigrationPhase::kNone;
 }

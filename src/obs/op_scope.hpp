@@ -39,7 +39,7 @@ namespace gh::obs {
 
 /// Which flight-recorder edges an op writes.
 enum class FlightEdge : u8 {
-  kNone,     ///< none (batched table ops, help-along, emergency merge)
+  kNone,     ///< none (batched table ops, help-along, finishing drains)
   kSampled,  ///< data op: journaled per the recorder's mode and the ticket
   kAlways,   ///< lifecycle op: journaled whenever the recorder is on
 };

@@ -207,10 +207,9 @@ struct MigrationSnapshot {
   u64 keys_migrated = 0;
   u64 started = 0;
   u64 completed = 0;
-  u64 resumed = 0;            ///< migrations picked up from a durable cursor on open
-  u64 emergency_expands = 0;  ///< blocking merged-expand fallbacks
-  u64 help_steps = 0;         ///< bounded help-along steps taken by writers
-  u64 bg_steps = 0;           ///< background drain steps (service worker idle loop)
+  u64 resumed = 0;     ///< migrations picked up from a durable cursor on open
+  u64 help_steps = 0;  ///< groups drained by writers (help-along and finishing drains)
+  u64 bg_steps = 0;    ///< background drain steps (service worker idle loop)
 
   MigrationSnapshot& operator+=(const MigrationSnapshot& o) {
     active += o.active;
@@ -221,7 +220,6 @@ struct MigrationSnapshot {
     started += o.started;
     completed += o.completed;
     resumed += o.resumed;
-    emergency_expands += o.emergency_expands;
     help_steps += o.help_steps;
     bg_steps += o.bg_steps;
     return *this;

@@ -186,16 +186,15 @@ TEST(Batch, ScalarMapOpsAreNotBatchCalls) {
 }
 
 TEST(Batch, ScalarMapOpsDuringMigrationAreNotBatchCalls) {
-  // migrate_groups_per_op = 0 parks the resize: writes route new-table-
-  // first into the target and drop old copies, all through scalar entry
-  // points.
+  // migrate_groups_per_op = 0 parks the resize: writes route by the
+  // migration cursor, all through scalar entry points.
   auto map = GroupHashMap::create_in_memory(
       {.initial_cells = 64, .group_size = 16, .migrate_groups_per_op = 0});
   u64 next = 1;
   while (!map.migration_active() && next < 10'000) map.put(next, next), ++next;
   ASSERT_TRUE(map.migration_active());
   const obs::TableOpSnapshot before = map.snapshot().table;
-  map.put(1, 100);  // lives in the old table: lands in the target
+  map.put(1, 100);  // lives in the old table: updated there
   map.put(next, next);
   EXPECT_TRUE(map.erase(2));
   EXPECT_FALSE(map.erase(10'001));
@@ -1392,11 +1391,12 @@ TEST_F(CoalescedWindowCrash, NegativeControlWithoutCopyFence) {
 }
 
 // A migration resumed from an image can find a key of the group in the
-// target already: a put wrote it there and crashed before erasing the
-// old table's copy. The copy must skip it (probe), or the stale source
-// value lands in the target too and comes back once the newer cell is
-// erased. Same sweep, with the target holding such a duplicate when the
-// copy starts and the duplicate erased at the end.
+// target already: the group's copy crashed before its cursor advance, and
+// a put after the resume updated the target's copy. The copy must skip
+// it (probe), or the stale source value lands in the target too and
+// comes back once the newer cell is erased. Same sweep, with the target
+// holding such a duplicate when the copy starts and the duplicate erased
+// at the end.
 class ResumedCopyCrash : public CoalescedWindowCrash {
  protected:
   void SetUp() override {

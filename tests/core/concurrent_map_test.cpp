@@ -40,6 +40,42 @@ TEST(ConcurrentGroupHashMap, PutBatchRejectsKeyAboveMaxKeyInAnyShard) {
   EXPECT_EQ(map.get(3), std::optional<u64>(30));
 }
 
+// Reads and erases refuse a key above kMaxKey before any shard is read
+// or written, the lock-free get included: probed, bit 63 would be
+// dropped and the key would alias kAliased.
+constexpr u64 kAliased = 154;
+constexpr u64 kAlias = kAliased | (u64{1} << 63);
+
+TEST(ConcurrentGroupHashMap, GetRejectsKeyAboveMaxKey) {
+  ConcurrentGroupHashMap map(1, {.initial_cells = 1024});
+  map.put(kAliased, 7);
+  EXPECT_THROW((void)map.get(kAlias), std::invalid_argument);
+}
+
+TEST(ConcurrentGroupHashMap, GetBatchRejectsKeyAboveMaxKey) {
+  ConcurrentGroupHashMap map(1, {.initial_cells = 1024});
+  map.put(kAliased, 7);
+  const std::vector<u64> keys = {kAliased, kAlias};
+  std::vector<std::optional<u64>> out(keys.size());
+  EXPECT_THROW(map.get_batch(keys, out), std::invalid_argument);
+  EXPECT_FALSE(out[0].has_value()) << "nothing is read before the check";
+}
+
+TEST(ConcurrentGroupHashMap, EraseRejectsKeyAboveMaxKey) {
+  ConcurrentGroupHashMap map(1, {.initial_cells = 1024});
+  map.put(kAliased, 7);
+  EXPECT_THROW(map.erase(kAlias), std::invalid_argument);
+  EXPECT_EQ(map.get(kAliased), std::optional<u64>(7));
+}
+
+TEST(ConcurrentGroupHashMap, EraseBatchRejectsKeyAboveMaxKey) {
+  ConcurrentGroupHashMap map(1, {.initial_cells = 1024});
+  map.put(kAliased, 7);
+  const std::vector<u64> keys = {kAliased, kAlias};
+  EXPECT_THROW(map.erase_batch(keys), std::invalid_argument);
+  EXPECT_EQ(map.get(kAliased), std::optional<u64>(7)) << "no shard applies its share";
+}
+
 TEST(ConcurrentGroupHashMap, KeysSpreadAcrossShards) {
   ConcurrentGroupHashMap map(8, {.initial_cells = 8 * 1024});
   for (u64 k = 1; k <= 4000; ++k) map.put(k, k);

@@ -138,7 +138,50 @@ TEST(GroupHashMap, RejectsKeysAboveMaxKeyAndStaysUnchanged) {
   EXPECT_THROW(map.put_batch(keys, vals), std::invalid_argument);
   EXPECT_EQ(map.size(), 1u);
   EXPECT_EQ(map.get(1), std::optional<u64>(10));
-  for (const u64 k : {u64{2}, u64{3}, u64{4}, bad}) EXPECT_FALSE(map.get(k).has_value()) << k;
+  for (const u64 k : {u64{2}, u64{3}, u64{4}}) EXPECT_FALSE(map.get(k).has_value()) << k;
+  EXPECT_THROW((void)map.get(bad), std::invalid_argument);
+}
+
+// Reads and erases refuse a key above kMaxKey as writes do: stored or
+// probed, bit 63 would be dropped and the key would alias kAliased.
+constexpr u64 kAliased = 154;
+constexpr u64 kAlias = kAliased | (u64{1} << 63);
+
+GroupHashMap map_holding_aliased_key() {
+  auto map = GroupHashMap::create_in_memory({.initial_cells = 64, .group_size = 16});
+  map.put(kAliased, 7);
+  return map;
+}
+
+TEST(GroupHashMap, GetRejectsKeyAboveMaxKey) {
+  auto map = map_holding_aliased_key();
+  EXPECT_THROW((void)map.get(kAlias), std::invalid_argument);
+}
+
+TEST(GroupHashMap, ContainsRejectsKeyAboveMaxKey) {
+  auto map = map_holding_aliased_key();
+  EXPECT_THROW((void)map.contains(kAlias), std::invalid_argument);
+}
+
+TEST(GroupHashMap, GetBatchRejectsKeyAboveMaxKey) {
+  auto map = map_holding_aliased_key();
+  const std::vector<u64> keys = {kAliased, kAlias};
+  std::vector<std::optional<u64>> out(keys.size());
+  EXPECT_THROW(map.get_batch(keys, out), std::invalid_argument);
+  EXPECT_FALSE(out[0].has_value()) << "nothing is read before the check";
+}
+
+TEST(GroupHashMap, EraseRejectsKeyAboveMaxKey) {
+  auto map = map_holding_aliased_key();
+  EXPECT_THROW(map.erase(kAlias), std::invalid_argument);
+  EXPECT_EQ(map.get(kAliased), std::optional<u64>(7));
+}
+
+TEST(GroupHashMap, EraseBatchRejectsKeyAboveMaxKey) {
+  auto map = map_holding_aliased_key();
+  const std::vector<u64> keys = {kAliased, kAlias};
+  EXPECT_THROW(map.erase_batch(keys), std::invalid_argument);
+  EXPECT_EQ(map.get(kAliased), std::optional<u64>(7)) << "no prefix of the batch is applied";
 }
 
 TEST(GroupHashMap, ResizesLoseNoAcceptedKeyUpToMaxKey) {

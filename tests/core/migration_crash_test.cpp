@@ -8,7 +8,7 @@
 //   * named crash points (src/nvm/crash_point.hpp) — the PM-store steps
 //     between filesystem boundaries: target formatted, cursor armed,
 //     group copied, group erased, cursor advanced, finalize hand-off,
-//     retire, emergency merge;
+//     retire;
 //   * FaultFs steps (src/nvm/fault_fs.hpp) — the filesystem boundaries
 //     themselves: target create/msync/dir-fsync, cursor-page msync,
 //     finalize rename.
@@ -281,7 +281,6 @@ void run_trial(const std::string& path, Subject subject, const RunResult& r,
 void remove_all(const std::string& path) {
   fs::remove(path);
   fs::remove(path + ".migrate");
-  fs::remove(path + ".expand");
   fs::remove(path + ".flight");
 }
 

@@ -27,10 +27,12 @@
 
 #include "core/group_hash_map.hpp"
 #include "core/map_format.hpp"
+#include "core/string_map.hpp"
 #include "nvm/crash_point.hpp"
 #include "nvm/fault_fs.hpp"
 #include "obs/export.hpp"
 #include "support/temp_path.hpp"
+#include "util/rng.hpp"
 
 namespace gh {
 namespace {
@@ -86,7 +88,6 @@ TEST(Migration, ResizeCompletesIncrementallyAndKeepsEveryKey) {
   const obs::Snapshot s = map.snapshot();
   EXPECT_GE(s.migration.started, 1u);
   EXPECT_EQ(s.migration.started, s.migration.completed);
-  EXPECT_EQ(s.migration.emergency_expands, 0u);
   EXPECT_GT(s.migration.keys_migrated, 0u);
   EXPECT_EQ(s.lifecycle.expansions, s.migration.completed) << "every finalize is an expansion";
   map.close();
@@ -429,22 +430,22 @@ TEST(Migration, ExpandBackoffSurfacesInSnapshot) {
 }
 
 TEST(Migration, EmergencyExpandMergesSplitImageWhenTargetOverflows) {
-  // Force the pathological case: a migration is parked (no help-along)
-  // and writes keep landing until even the double-sized target cannot
-  // place one. try_expand must then fall back to the blocking merge of
-  // both halves and leave a single bigger table with every key.
+  // A migration is parked (no help-along) and writes keep landing until
+  // the target cannot take one more key of an undrained group without
+  // that group's copy overflowing. try_expand must then finish the
+  // migration with every key. (The key's group is then at its limit in
+  // the finished table, so the same put starts the next migration.)
   auto map = GroupHashMap::create_in_memory(online_options(/*groups_per_op=*/0));
   fill_until_migrating(map);
   ASSERT_TRUE(map.migration_active());
   u64 i = 200'000;
   const u64 first = i;
-  while (map.migration_active() && i < first + 50'000) {
+  while (map.snapshot().migration.completed == 0 && i < first + 50'000) {
     map.put(key_of(i), value_of(i));
     ++i;
   }
-  ASSERT_FALSE(map.migration_active()) << "overflowing the target must end the migration";
   const obs::Snapshot s = map.snapshot();
-  EXPECT_GE(s.migration.emergency_expands, 1u);
+  ASSERT_GE(s.migration.completed, 1u) << "overflowing the target must end the migration";
   for (u64 k = first; k < i; ++k) ASSERT_EQ(map.get(key_of(k)), value_of(k)) << k;
   EXPECT_TRUE(map.debug_verify_tags());
   EXPECT_TRUE(map.debug_verify_group_checksums());
@@ -453,86 +454,87 @@ TEST(Migration, EmergencyExpandMergesSplitImageWhenTargetOverflows) {
 
 TEST(Migration, ShortCopyRetriedAfterFailedMergeCopiesEachKeyOnce) {
   // Regression: a group copy that came up short left its first keys in
-  // both tables, and while the emergency merge kept failing, each retry
-  // of the drain copied them into the target again. An erase then
-  // removed one target copy and the other came back.
+  // both tables, and each retry of the drain copied them into the target
+  // again. An erase then removed one target copy and the other came back.
+  // The one short copy left is into a target group scrub() quarantined:
+  // the drain degrades and retries until a reopen lifts the quarantine.
   const std::string path = temp_path("gh_migration_short_copy.gh");
   fs::remove(path);
   fs::remove(path + ".migrate");
-  auto map = GroupHashMap::create(path, online_options(/*groups_per_op=*/0));
-  const u64 inserted = fill_until_migrating(map);
-  ASSERT_TRUE(map.migration_active());
-  ASSERT_EQ(map.migration_cursor(), 0u);
-  const auto& old = map.raw_table();
-  const auto* target = map.migration_table();
-  const u32 gs = old.group_size();
-  const auto target_group = [&](u64 key) { return target->home_index(key) / gs; };
-
-  // Source group 0 in copy order (level 1, then level 2). Its first key
-  // lands in target group `open_group`; a later key bound for the other
-  // target group finds that group full, so the copy stops after it.
-  std::vector<u64> group0;
-  for (u32 i = 0; i < gs; ++i) {
-    if (old.level1_cell(i).occupied()) group0.push_back(old.level1_cell(i).key());
-  }
-  for (u32 i = 0; i < gs; ++i) {
-    if (old.level2_cell(i).occupied()) group0.push_back(old.level2_cell(i).key());
-  }
-  ASSERT_GE(group0.size(), 2u);
-  const u64 open_group = target_group(group0.front());
-  const u64 full_group = open_group == 0 ? old.num_groups() : 0;
-  ASSERT_TRUE(std::any_of(group0.begin(), group0.end(),
-                          [&](u64 k) { return target_group(k) == full_group; }))
-      << "no key of source group 0 is bound for target group " << full_group;
-
+  MapOptions o = online_options(/*groups_per_op=*/0);
+  o.scrub_mode = hash::ScrubMode::kSalvage;  // a quarantined group keeps its keys
   std::map<u64, u64> expected;
-  for (u64 i = 0; i < inserted; ++i) expected[key_of(i)] = value_of(i);
-  const auto group_full = [&] {
-    for (u32 j = 0; j < gs; ++j) {
-      if (!target->level1_cell(full_group * gs + j).occupied() ||
-          !target->level2_cell(full_group * gs + j).occupied()) {
-        return false;
-      }
-    }
-    return true;
-  };
+  u64 moved = 0;
   {
-    PathFailFs fail;
-    fail.needle = ".expand";  // every emergency merge fails
-    const nvm::ScopedFsPolicy installed(&fail);
-    // Fill the target group with new keys; once its level 2 is full, a
-    // put whose home is taken degrades instead of merging.
-    for (u64 i = 100'000; !group_full() && i < 200'000; ++i) {
-      if (target_group(key_of(i)) != full_group) continue;
-      try {
-        map.put(key_of(i), value_of(i));
-        expected[key_of(i)] = value_of(i);
-      } catch (const MapDegradedError&) {
-      }
+    auto map = GroupHashMap::create(path, o);
+    const u64 inserted = fill_until_migrating(map);
+    ASSERT_TRUE(map.migration_active());
+    ASSERT_EQ(map.migration_cursor(), 0u);
+    const auto& old = map.raw_table();
+    const auto* target = map.migration_table();
+    const u32 gs = old.group_size();
+    const auto target_group = [&](u64 key) { return target->home_index(key) / gs; };
+
+    // Source group 0 in copy order (level 1, then level 2). Its first key
+    // lands in target group `open_group`; a later key bound for the other
+    // target group finds it quarantined, so the copy stops there.
+    std::vector<u64> group0;
+    for (u32 i = 0; i < gs; ++i) {
+      if (old.level1_cell(i).occupied()) group0.push_back(old.level1_cell(i).key());
     }
-    ASSERT_TRUE(group_full());
-    // Each drain attempt copies the group up to the full target group,
-    // fails over to the merge, and the merge fails: the migration stays
-    // armed on group 0.
+    for (u32 i = 0; i < gs; ++i) {
+      if (old.level2_cell(i).occupied()) group0.push_back(old.level2_cell(i).key());
+    }
+    ASSERT_GE(group0.size(), 2u);
+    const u64 open_group = target_group(group0.front());
+    const u64 full_group = open_group == 0 ? old.num_groups() : 0;
+    ASSERT_TRUE(std::any_of(group0.begin(), group0.end(),
+                            [&](u64 k) { return target_group(k) == full_group; }))
+        << "no key of source group 0 is bound for target group " << full_group;
+    for (u64 i = 0; i < inserted; ++i) expected[key_of(i)] = value_of(i);
+
+    // A stray byte in an empty cell of each level of that target group
+    // fails both its checksums, and the scrub quarantines them.
+    for (const bool level2 : {false, true}) {
+      bool poked = false;
+      for (u32 j = 0; j < gs && !poked; ++j) {
+        const u64 cell = full_group * gs + j;
+        const hash::Cell16& c = level2 ? target->level2_cell(cell) : target->level1_cell(cell);
+        if (c.occupied()) continue;
+        const_cast<hash::Cell16&>(c).value = 1;
+        poked = true;
+      }
+      ASSERT_TRUE(poked);
+    }
+    ASSERT_EQ(map.scrub().groups_quarantined, 2u);
+
+    // Each drain attempt copies the group up to the quarantined one and
+    // degrades: the migration stays armed on group 0.
     for (int attempt = 0; attempt < 4; ++attempt) {
       EXPECT_EQ(map.migrate_step(1), 0u);
       ASSERT_TRUE(map.migration_active());
       ASSERT_EQ(map.migration_cursor(), 0u);
     }
-    ASSERT_EQ(map.get(group0.front()), expected[group0.front()]);
+    EXPECT_TRUE(map.degraded());
+    moved = group0.front();
+    ASSERT_EQ(map.get(moved), expected[moved]);
     std::map<u64, u64> held;
     target->for_each([&](u64 k, u64) { held[k]++; });
-    ASSERT_EQ(held.count(group0.front()), 1u) << "the short copy must have moved the first key";
+    ASSERT_EQ(held.count(moved), 1u) << "the short copy must have moved the first key";
     for (const auto& [k, n] : held) EXPECT_EQ(n, 1u) << "key " << k << " held twice";
-    ASSERT_TRUE(map.erase(group0.front()));
-    expected.erase(group0.front());
-    EXPECT_FALSE(map.get(group0.front()).has_value()) << "an erased key came back";
+    ASSERT_TRUE(map.erase(moved));
+    expected.erase(moved);
+    EXPECT_FALSE(map.get(moved).has_value()) << "an erased key came back";
+    map.close();
   }
-  // The fault gone, the next drain's merge succeeds.
-  while (map.migration_active()) map.migrate_step(~0ull);
+  // Quarantine is volatile: the reopen resumes the drain, which now fits.
+  auto map = GroupHashMap::open(path, o);
+  ASSERT_TRUE(map.migration_active());
+  while (map.migration_active()) ASSERT_GT(map.migrate_step(~0ull), 0u);
+  EXPECT_FALSE(map.degraded());
   EXPECT_EQ(map.size(), expected.size());
   for (const auto& [k, v] : expected) ASSERT_EQ(map.get(k), v) << k;
-  EXPECT_FALSE(map.get(group0.front()).has_value());
+  EXPECT_FALSE(map.get(moved).has_value());
   map.close();
   fs::remove(path);
   fs::remove(path + ".flight");
@@ -917,6 +919,217 @@ TEST(Migration, KeysMigratedCountsOnlyKeysTheResumedDrainMoves) {
   map.close();
   fs::remove(path);
   fs::remove(path + ".flight");
+}
+
+/// A table formatted as the maps format theirs, over its own anonymous
+/// region.
+struct ScratchTable {
+  using Table = GroupHashMap::Table;
+  ScratchTable(nvm::DirectPM& pm, u64 level_cells, u32 group_size, u64 seed)
+      : params{.level_cells = level_cells,
+               .group_size = group_size,
+               .seed = seed,
+               .count_mode = hash::CountMode::kRecoveryOnly,
+               .group_crc = true,
+               .commit_order = hash::CommitOrder::kSameLine},
+        region(nvm::NvmRegion::create_anonymous(Table::required_bytes(params))),
+        table(pm, region.bytes().first(Table::required_bytes(params)), params, /*format=*/true) {}
+  Table::Params params;
+  nvm::NvmRegion region;
+  Table table;
+};
+
+/// Fills `t` with random keys until an insert fails; returns them.
+std::map<u64, u64> fill_until_full(GroupHashMap::Table& t, u64 seed) {
+  std::map<u64, u64> keys;
+  Xoshiro256 rng(seed);
+  for (;;) {
+    const u64 k = (rng.next() & hash::Cell16::kMaxKey) | 1;
+    const u64 v = rng.next();
+    if (!t.upsert(k, v)) return keys;
+    keys[k] = v;
+  }
+}
+
+const auto kKeepPayload = [](u64&) { return true; };
+
+TEST(Migration, EveryGroupCopyFitsAnEmptyTarget) {
+  // The fit argument place() relies on: a source group feeds only its own
+  // target groups, each level-1 key gets its own home there and the
+  // level-2 keys are at most one group's worth, so copying any full table
+  // group by group into an empty target, doubled or same-size, never
+  // comes up short.
+  nvm::DirectPM pm(nvm::PersistConfig{});
+  for (const u32 gs : {16u, 64u, 256u}) {
+    for (u64 seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("group size " + std::to_string(gs) + ", seed " + std::to_string(seed));
+      ScratchTable src(pm, 16 * gs, gs, seed);
+      const std::map<u64, u64> keys = fill_until_full(src.table, seed);
+      ASSERT_EQ(src.table.count(), keys.size());
+      for (const u64 fan : {2u, 1u}) {
+        ScratchTable dst(pm, fan * 16 * gs, gs, seed);
+        u64 total = 0;
+        for (u64 g = 0; g < src.table.num_groups(); ++g) {
+          u64 copied = 0;
+          ASSERT_TRUE(dst.table.copy_group(src.table, g, /*probe=*/false, kKeepPayload, copied))
+              << "fan " << fan << ", group " << g;
+          total += copied;
+        }
+        EXPECT_EQ(total, keys.size());
+        EXPECT_EQ(dst.table.count(), keys.size());
+        std::map<u64, u64> held;
+        dst.table.for_each([&](u64 k, u64 v) {
+          held[k]++;
+          const auto it = keys.find(k);
+          ASSERT_NE(it, keys.end()) << "invented key " << k;
+          EXPECT_EQ(v, it->second) << k;
+        });
+        EXPECT_EQ(held.size(), keys.size());
+        for (const auto& [k, n] : held) EXPECT_EQ(n, 1u) << "key " << k << " held twice";
+      }
+    }
+  }
+}
+
+TEST(Migration, CopyIntoAGroupFilledAheadOfTheCursorComesUpShort) {
+  // Negative control for the fit argument: new keys placed in a target
+  // group before its source group is copied can leave that copy no room,
+  // which is why place() admits such a key only through copy_fits_with.
+  nvm::DirectPM pm(nvm::PersistConfig{});
+  constexpr u32 gs = 16;
+  ScratchTable src(pm, 16 * gs, gs, 7);
+  const std::map<u64, u64> keys = fill_until_full(src.table, 7);
+  ScratchTable dst(pm, 2 * 16 * gs, gs, 7);
+  const auto in_group0 = [&](u64 k) { return dst.table.home_index(k) / gs == 0; };
+  ASSERT_TRUE(std::any_of(keys.begin(), keys.end(), [&](const auto& kv) {
+    return in_group0(kv.first);
+  })) << "source group 0 must feed target group 0";
+  // Fill both levels of target group 0 with new keys.
+  const auto group_full = [&] {
+    for (u32 j = 0; j < gs; ++j) {
+      if (!dst.table.level1_cell(j).occupied() || !dst.table.level2_cell(j).occupied()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  u64 refused = 0;
+  for (u64 k = 1; !group_full(); k += 2) {
+    if (!in_group0(k) || keys.contains(k)) continue;
+    if (!dst.table.copy_fits_with(src.table, k)) refused++;
+    dst.table.upsert(k, k);
+  }
+  EXPECT_GT(refused, 0u) << "copy_fits_with must refuse keys that leave the copy no room";
+  u64 copied = 0;
+  EXPECT_FALSE(dst.table.copy_group(src.table, 0, /*probe=*/false, kKeepPayload, copied));
+}
+
+TEST(Migration, ResumedCursorGroupTakesWritesInTheTarget) {
+  // A crash at migrate.group.copied leaves the cursor group's keys in both
+  // tables, and reads see the target's copy: a put, an increment and an
+  // erase of such a key must act on it. A key only the old table holds
+  // is updated in place there, adding no cell to the target.
+  const std::string path = temp_path("gh_migration_resumed_writes.gh");
+  fs::remove(path);
+  fs::remove(path + ".migrate");
+  const MapOptions o = online_options(/*groups_per_op=*/0);
+  u64 inserted = 0;
+  {
+    auto map = GroupHashMap::create(path, o);
+    inserted = fill_until_migrating(map);
+    ASSERT_TRUE(map.migration_active());
+    CrashAtNamedPoint crash;
+    crash.name = "migrate.group.copied";
+    const nvm::ScopedCrashPoints armed(&crash);
+    EXPECT_THROW(map.migrate_step(~0ull), nvm::SimulatedCrash);
+    map.abandon();
+  }
+  auto map = GroupHashMap::open(path, o);
+  ASSERT_TRUE(map.migration_active());
+  const GroupHashMap::Table& old = map.raw_table();
+  const GroupHashMap::Table& target = *map.migration_table();
+  const u64 cursor = map.migration_cursor();
+  u64 both = 0;
+  old.for_each_in_group(cursor, [&](u64 k, u64) {
+    if (both == 0 && cell_of(target, k) != nullptr) both = k;
+  });
+  ASSERT_NE(both, 0u) << "the cursor group's copy must be in the target";
+  u64 only_old = 0;
+  for (u64 g = cursor + 1; g < old.num_groups() && only_old == 0; ++g) {
+    old.for_each_in_group(g, [&](u64 k, u64) {
+      if (only_old == 0 && cell_of(target, k) == nullptr) only_old = k;
+    });
+  }
+  ASSERT_NE(only_old, 0u);
+  const u64 target_count = target.count();
+  const u64 old_count = old.count();
+
+  map.put(both, 1111);
+  EXPECT_EQ(map.get(both), 1111u);
+  EXPECT_EQ(map.increment(both, 5), 1116u);
+  EXPECT_EQ(map.get(both), 1116u);
+  map.put(only_old, 2222);
+  EXPECT_EQ(map.get(only_old), 2222u);
+  EXPECT_EQ(map.migration_table()->count(), target_count) << "an update adds no target cell";
+  EXPECT_EQ(map.raw_table().count(), old_count);
+  EXPECT_TRUE(map.erase(both));
+  EXPECT_FALSE(map.get(both).has_value());
+
+  while (map.migration_active()) ASSERT_GT(map.migrate_step(~0ull), 0u);
+  EXPECT_FALSE(map.get(both).has_value()) << "the resumed copy brought the erased key back";
+  EXPECT_EQ(map.get(only_old), 2222u);
+  EXPECT_EQ(map.size(), inserted - 1);
+  for (u64 i = 0; i < inserted; ++i) {
+    const u64 k = key_of(i);
+    if (k != both && k != only_old) {
+      ASSERT_EQ(map.get(k), value_of(i)) << k;
+    }
+  }
+  map.close();
+  fs::remove(path);
+  fs::remove(path + ".flight");
+}
+
+TEST(Migration, StringCompactionPutsFinishItWhenTheArenaRoomRunsOut) {
+  // During a migration new records may take only the target arena's put
+  // room: the rest is kept for the records the copies still move. Puts
+  // into drained groups use the room up; the put that finds it gone
+  // finishes the compaction, whose copies all fit.
+  auto map = PersistentStringMap::create_in_memory(
+      {.map = {.initial_cells = 1024, .group_size = 16, .migrate_groups_per_op = 0},
+       .arena_bytes_per_cell = 32});
+  const auto key = [](u64 i) { return "k" + std::to_string(i) + std::string(200, 'x'); };
+  std::map<std::string, u64> oracle;
+  for (u64 i = 0; !map.migration_active(); ++i) {
+    ASSERT_LT(i, 10'000u);
+    map.put(key(i), i);
+    oracle[key(i)] = i;
+  }
+  ASSERT_EQ(map.capacity(), 2 * 1024u) << "a full arena starts a same-size migration";
+  ASSERT_EQ(map.migrate_step(16), 16u);
+  const u64 cursor = map.snapshot().migration.cursor;
+  const auto drained = [&](const std::string& k) {
+    const PersistentStringMap::ReadSnapshot snap = map.read_snapshot();
+    const auto& v = snap.view;
+    if (v.old_tab1 == nullptr) return false;
+    return (v.hash(PersistentStringMap::fingerprint(k)) & v.old_mask) / v.old_group_size < cursor;
+  };
+  u64 puts = 0;
+  for (u64 i = 100'000; i < 200'000; ++i) {
+    if (!drained(key(i))) continue;
+    map.put(key(i), i);
+    oracle[key(i)] = i;
+    ++puts;
+    if (map.snapshot().migration.completed > 0) break;
+  }
+  const obs::Snapshot s = map.snapshot();
+  ASSERT_EQ(s.migration.completed, 1u) << "the put that ran out of room finishes the compaction";
+  EXPECT_GT(puts, 1u);
+  EXPECT_EQ(s.lifecycle.compact_failures, 0u) << "a copy came up short";
+  EXPECT_FALSE(map.degraded());
+  while (map.migration_active()) ASSERT_GT(map.migrate_step(~0ull), 0u);
+  EXPECT_EQ(map.size(), oracle.size());
+  for (const auto& [k, v] : oracle) ASSERT_EQ(map.get(k), v) << k.substr(0, 12);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // its keep — or corrupts data. While a shard migrates, readers probe a
 // dual view (migration target first, then the draining old table) under
 // one seqlock epoch; writers help the drain along, which can
-// restructure the shard (start, drain, finalize, emergency-merge) on
+// restructure the shard (start, drain, finalize) on
 // ANY mutating op. This suite hammers exactly those windows from many
 // threads and asserts reads are always exact — a hit returns the
 // precise value written, never stale, torn, or duplicated state. Runs
@@ -116,8 +116,7 @@ TEST(MigrationTorture, ReadsStayExactWhileShardsResizeOnline) {
   // The run must actually have exercised the machinery it claims to.
   const obs::Snapshot s = map.snapshot();
   EXPECT_GE(s.migration.started, 1u) << "workload too small to trigger online resizes";
-  EXPECT_EQ(s.migration.started,
-            s.migration.completed + s.migration.emergency_expands + s.migration.active);
+  EXPECT_EQ(s.migration.started, s.migration.completed + s.migration.active);
 }
 
 TEST(MigrationTorture, BatchedOpsRaceOnlineResize) {

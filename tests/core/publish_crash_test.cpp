@@ -245,44 +245,40 @@ TEST(PublishCrash, ExpandRenameFailureCleansTempAndKeepsMapUsable) {
 }
 
 TEST(PublishCrash, OpenReclaimsStaleExpandOrphan) {
-  // Neither resize file is authoritative without an armed cursor: a
-  // `.expand` merge target never renamed, or a `.migrate` target whose
-  // start crashed before the cursor arm.
-  for (const char* suffix : {".expand", ".migrate"}) {
-    SCOPED_TRACE(suffix);
-    const std::string path = temp_path("gh_orphan_expand.gh");
-    const std::string tmp = path + suffix;
-    fs::remove(path);
-    fs::remove(tmp);
-    {
-      auto map = GroupHashMap::create(path, small_map_options());
-      for (u64 i = 0; i < 20; ++i) map.put(gh_key(i), gh_value(i));
-      map.close();
-    }
-    write_junk_file(tmp);
-    {
-      auto map = GroupHashMap::open(path);
-      EXPECT_EQ(map.orphans_reclaimed_on_open(), 1u);
-      EXPECT_FALSE(fs::exists(tmp));
-      EXPECT_EQ(map.size(), 20u);
-      for (u64 i = 0; i < 20; ++i) EXPECT_EQ(*map.get(gh_key(i)), gh_value(i));
-      map.close();
-    }
-    // create() over the same path also clears a stale orphan.
-    write_junk_file(tmp);
-    {
-      auto map = GroupHashMap::create(path, small_map_options());
-      EXPECT_FALSE(fs::exists(tmp));
-      map.close();
-    }
-    fs::remove(path);
-    fs::remove(path + ".flight");
+  // A `.migrate` target is not authoritative without an armed cursor:
+  // its start crashed before the cursor arm.
+  const std::string path = temp_path("gh_orphan_expand.gh");
+  const std::string tmp = path + ".migrate";
+  fs::remove(path);
+  fs::remove(tmp);
+  {
+    auto map = GroupHashMap::create(path, small_map_options());
+    for (u64 i = 0; i < 20; ++i) map.put(gh_key(i), gh_value(i));
+    map.close();
   }
+  write_junk_file(tmp);
+  {
+    auto map = GroupHashMap::open(path);
+    EXPECT_EQ(map.orphans_reclaimed_on_open(), 1u);
+    EXPECT_FALSE(fs::exists(tmp));
+    EXPECT_EQ(map.size(), 20u);
+    for (u64 i = 0; i < 20; ++i) EXPECT_EQ(*map.get(gh_key(i)), gh_value(i));
+    map.close();
+  }
+  // create() over the same path also clears a stale orphan.
+  write_junk_file(tmp);
+  {
+    auto map = GroupHashMap::create(path, small_map_options());
+    EXPECT_FALSE(fs::exists(tmp));
+    map.close();
+  }
+  fs::remove(path);
+  fs::remove(path + ".flight");
 }
 
 TEST(PublishCrash, CrashDuringOrphanReclaimIsIdempotent) {
   const std::string path = temp_path("gh_orphan_crash.gh");
-  const std::string tmp = path + ".expand";
+  const std::string tmp = path + ".migrate";
   fs::remove(path);
   fs::remove(tmp);
   {

@@ -113,38 +113,6 @@ TEST(FaultFs, RegionCreateAndSyncAreObserved) {
   stdfs::remove(path);
 }
 
-TEST(FaultFs, PublishRegionFileHappyPath) {
-  const std::string tmp = temp_path("faultfs_pub.tmp");
-  const std::string final_path = temp_path("faultfs_pub.bin");
-  stdfs::remove(tmp);
-  stdfs::remove(final_path);
-  NvmRegion region = NvmRegion::create_file(tmp, 4096);
-  std::memset(region.data(), 0x7E, 64);
-  publish_region_file(region, tmp, final_path, "test publish");
-  EXPECT_FALSE(stdfs::exists(tmp));
-  ASSERT_TRUE(stdfs::exists(final_path));
-  std::ifstream in(final_path, std::ios::binary);
-  char c = 0;
-  in.get(c);
-  EXPECT_EQ(static_cast<unsigned char>(c), 0x7E);
-  stdfs::remove(final_path);
-}
-
-TEST(FaultFs, PublishRegionFileUnlinksTempOnRenameFailure) {
-  const std::string tmp = temp_path("faultfs_pubfail.tmp");
-  const std::string final_path = temp_path("faultfs_pubfail.bin");
-  stdfs::remove(tmp);
-  stdfs::remove(final_path);
-  NvmRegion region = NvmRegion::create_file(tmp, 4096);
-  CrashScheduleFs policy;
-  policy.fail_at = 1;  // steps under publish: 0=kSyncData, 1=kRename
-  const ScopedFsPolicy installed(&policy);
-  EXPECT_THROW(publish_region_file(region, tmp, final_path, "test publish"),
-               std::runtime_error);
-  EXPECT_FALSE(stdfs::exists(tmp)) << "failed publish must unlink the temp file";
-  EXPECT_FALSE(stdfs::exists(final_path));
-}
-
 TEST(FaultFs, ReclaimOrphan) {
   const std::string path = temp_path("faultfs_orphan");
   stdfs::remove(path);

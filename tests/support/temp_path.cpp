@@ -54,7 +54,7 @@ TempFile::TempFile(const std::string& name) : path(temp_path(name)) { remove_all
 TempFile::~TempFile() { remove_all(); }
 
 void TempFile::remove_all() const {
-  for (const char* suffix : {"", ".expand", ".migrate", ".flight"}) {
+  for (const char* suffix : {"", ".migrate", ".flight"}) {
     std::error_code ec;
     fs::remove(path + suffix, ec);
   }

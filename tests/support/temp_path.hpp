@@ -20,8 +20,8 @@ namespace gh::test {
 /// temp_path(name) as a fresh, empty directory.
 [[nodiscard]] std::string temp_dir(const std::string& name);
 
-/// temp_path(name) with the file and its `.migrate`, `.flight` and
-/// `.expand` siblings removed at construction and at destruction.
+/// temp_path(name) with the file and its `.migrate` and `.flight`
+/// siblings removed at construction and at destruction.
 struct TempFile {
   explicit TempFile(const std::string& name);
   ~TempFile();

@@ -83,12 +83,11 @@ void print_text(const gh::obs::Snapshot& s) {
                 gh::format_count(s.lifecycle.expand_cooldown).c_str());
   }
   if (s.migration.started != 0 || s.migration.completed != 0 || s.migration.resumed != 0 ||
-      s.migration.emergency_expands != 0 || s.migration.active != 0) {
-    std::printf("migration       started=%s completed=%s resumed=%s emergency=%s\n",
+      s.migration.active != 0) {
+    std::printf("migration       started=%s completed=%s resumed=%s\n",
                 gh::format_count(s.migration.started).c_str(),
                 gh::format_count(s.migration.completed).c_str(),
-                gh::format_count(s.migration.resumed).c_str(),
-                gh::format_count(s.migration.emergency_expands).c_str());
+                gh::format_count(s.migration.resumed).c_str());
     std::printf("                groups=%s keys=%s help_steps=%s bg_steps=%s\n",
                 gh::format_count(s.migration.groups_migrated).c_str(),
                 gh::format_count(s.migration.keys_migrated).c_str(),
@@ -268,6 +267,7 @@ int selftest(const std::string& format, bool keep) {
   std::remove(flight_path.c_str());
   constexpr gh::u64 kKeys = 2000;
   gh::u64 total = kKeys;
+  std::vector<gh::u64> routed;  // keys put on either side of the parked cursor
   {
     // kFull flight mode: every op leaves a record, so the sidecar scan
     // below is deterministic regardless of the sampling shift. Start the
@@ -286,10 +286,29 @@ int selftest(const std::string& format, bool keep) {
       ++total;
       map.put(total, total * 3);
     }
+    // Put new keys on both sides of the cursor while the resize runs:
+    // below it they go to the target, above it ahead of their group's
+    // copy. Each put drains one more group; stop well before the end.
+    const gh::u64 groups = map.raw_table().num_groups();
+    gh::u64 below = 0;
+    gh::u64 above = 0;
+    for (gh::u64 k = total + 1; (below < 4 || above < 4) && map.migration_cursor() + 2 < groups;
+         ++k) {
+      const gh::u64 home_group = map.raw_table().home_index(k) / map.raw_table().group_size();
+      gh::u64& side = home_group < map.migration_cursor() ? below : above;
+      if (side == 4) continue;
+      map.put(k, k * 3);
+      routed.push_back(k);
+      side++;
+    }
+    if (below == 0 || above == 0) {
+      std::fprintf(stderr, "gh_stats: selftest could not put keys on both sides of the cursor\n");
+      return 1;
+    }
     const gh::obs::Snapshot live = map.snapshot();
     // Latency histograms are sampled (1 in 2^6 ops by default), so the
     // count is ~kKeys/64 — just demand a nonzero sample set.
-    if (live.size != total || live.persist.lines_flushed == 0 ||
+    if (live.size != total + routed.size() || live.persist.lines_flushed == 0 ||
         (gh::obs::kEnabled && live.latency.insert.count == 0)) {
       std::fprintf(stderr, "gh_stats: live snapshot inconsistent (size=%llu)\n",
                    static_cast<unsigned long long>(live.size));
@@ -324,7 +343,10 @@ int selftest(const std::string& format, bool keep) {
   // it the way a maintenance tick would.
   while (map.migration_active()) map.migrate_step(64);
   const gh::obs::Snapshot s = map.snapshot();
-  if (s.size != total) {
+  bool all_read_back = s.size == total + routed.size();
+  for (gh::u64 k = 1; k <= total; ++k) all_read_back &= map.get(k) == k * 3;
+  for (const gh::u64 k : routed) all_read_back &= map.get(k) == k * 3;
+  if (!all_read_back) {
     std::fprintf(stderr, "gh_stats: reopened snapshot lost keys\n");
     return 1;
   }
