@@ -63,9 +63,7 @@ class BasicConcurrentGroupHashMap {
   /// total cell budget (the map options' initial_cells) is split across
   /// shards with a ceiling divide, so the summed capacity is never below
   /// the request.
-  explicit BasicConcurrentGroupHashMap(usize shards = 16, const Options& options = {},
-                                       LockMode mode = LockMode::kOptimistic)
-      : mode_(mode) {
+  explicit BasicConcurrentGroupHashMap(usize shards = 16, const Options& options = {}) {
     GH_CHECK_MSG(is_pow2(shards), "shard count must be a power of two");
     Options per_shard = options;
     MapOptions& m = map_options(per_shard);
@@ -87,15 +85,13 @@ class BasicConcurrentGroupHashMap {
   [[nodiscard]] std::optional<u64> get(const key_type& key) {
     check_keys({&key, 1});
     ShardState& sh = shard(key);
-    if (mode_ == LockMode::kOptimistic) {
-      const auto probe_key = Map::probe_key(key);
-      std::optional<u64> out;
-      if (core::optimistic_read(sh.lock, sh.contention, max_optimistic_attempts_, [&] {
-            return Map::optimistic_probe(*sh.snapshot.load(std::memory_order_acquire),
-                                         probe_key, out);
-          })) {
-        return out;
-      }
+    const auto probe_key = Map::probe_key(key);
+    std::optional<u64> out;
+    if (core::optimistic_read(sh.lock, sh.contention, max_optimistic_attempts_, [&] {
+          return Map::optimistic_probe(*sh.snapshot.load(std::memory_order_acquire),
+                                       probe_key, out);
+        })) {
+      return out;
     }
     SeqLockReadGuard guard(sh.lock);
     return sh.map.get(key);
@@ -211,7 +207,6 @@ class BasicConcurrentGroupHashMap {
   }
 
   [[nodiscard]] usize shard_count() const { return shards_.size(); }
-  [[nodiscard]] LockMode lock_mode() const { return mode_; }
 
   /// Shard a key routes to (tests target one shard's lock with this).
   [[nodiscard]] usize shard_index(const key_type& key) const {
@@ -251,8 +246,9 @@ class BasicConcurrentGroupHashMap {
     return fn(static_cast<const Table&>(shards_[s]->map.raw_table()));
   }
 
-  /// Tests only: lowers (or raises) the optimistic attempt budget; 0 sends
-  /// every read straight to the lock fallback.
+  /// Lowers (or raises) the optimistic attempt budget. 0 sends every read
+  /// straight to the shard lock: the mutex baseline of bench/concurrency,
+  /// and how tests make the lock fallback deterministic.
   void set_max_optimistic_attempts(u32 attempts) { max_optimistic_attempts_ = attempts; }
 
  private:
@@ -322,25 +318,22 @@ class BasicConcurrentGroupHashMap {
   /// still applies).
   void shard_get_batch(ShardState& sh, std::span<const key_type> keys,
                        std::vector<ProbeKey>& probes, std::span<std::optional<u64>> out) {
-    if (mode_ == LockMode::kOptimistic) {
-      probes.clear();
-      for (const key_type& key : keys) probes.push_back(Map::probe_key(key));
-      if (core::optimistic_read(sh.lock, sh.contention, max_optimistic_attempts_, [&] {
-            const ReadSnapshot& snap = *sh.snapshot.load(std::memory_order_acquire);
-            for (usize i = 0; i < probes.size(); ++i) {
-              if (!Map::optimistic_probe(snap, probes[i], out[i])) return false;
-            }
-            return true;
-          })) {
-        return;
-      }
+    probes.clear();
+    for (const key_type& key : keys) probes.push_back(Map::probe_key(key));
+    if (core::optimistic_read(sh.lock, sh.contention, max_optimistic_attempts_, [&] {
+          const ReadSnapshot& snap = *sh.snapshot.load(std::memory_order_acquire);
+          for (usize i = 0; i < probes.size(); ++i) {
+            if (!Map::optimistic_probe(snap, probes[i], out[i])) return false;
+          }
+          return true;
+        })) {
+      return;
     }
     SeqLockReadGuard guard(sh.lock);
     sh.map.get_batch(keys, out);
   }
 
   std::vector<std::unique_ptr<ShardState>> shards_;
-  LockMode mode_;
   u32 max_optimistic_attempts_ = kMaxOptimisticAttempts;
 };
 

@@ -99,7 +99,7 @@ inline void force_simd_level(SimdLevel cap) {
 /// Visit the indices i in [0, n) with tags[i] == tag, in ascending order.
 /// `visit(i)` returns true to stop early (key found). Loads are plain —
 /// callers must hold the structure quiescent (single-threaded, or under
-/// the shard/stripe write lock, or a lock-held read). The optimistic
+/// the shard write lock, or a lock-held read). The optimistic
 /// seqlock read path must NOT use this; it scans with per-byte atomic
 /// loads instead (core/optimistic_read.hpp).
 template <class Visit>

@@ -54,7 +54,7 @@ namespace gh::obs {
 /// Request-tracing mode (service-level; per batch at ingest).
 enum class TraceMode : u8 {
   kOff = 0,
-  kSampled = 1,  ///< 1 in 2^trace_sample_shift batches
+  kSampled = 1,  ///< 1 in 2^kTraceSampleShift batches
   kFull = 2,     ///< every batch
 };
 
@@ -63,7 +63,7 @@ const char* trace_mode_name(TraceMode m);
 /// Parse "off" / "sampled" / "full" (anything else → kOff).
 TraceMode trace_mode_from(std::string_view name);
 
-/// Default sampling: 1 in 64 batches.
+/// kSampled admission rate: 1 in 2^6 = 64 batches.
 inline constexpr u32 kTraceSampleShift = 6;
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 #include "service/service.hpp"
 
 #include <exception>
-#include <stdexcept>
 
 #include "core/errors.hpp"
 #include "hash/hash_functions.hpp"
@@ -42,11 +41,6 @@ u32 ShardServer::shard_of(u64 key, u32 shards) {
 ShardServer::ShardServer(const ServiceOptions& options) : options_(options) {
   GH_CHECK_MSG(options_.batch_window >= 1,
                "batch_window must be >= 1 (a zero window would never drain the ring)");
-  // execute() admits sampled traces with a (1 << shift) - 1 mask; a shift
-  // of 64 or more would be undefined behaviour there.
-  if (options_.trace_sample_shift > 63) {
-    throw std::invalid_argument("trace_sample_shift must be <= 63");
-  }
   u32 n = 1;
   while (n < options_.shards) n <<= 1;
   nshards_ = n;
@@ -167,7 +161,7 @@ void ShardServer::execute(Batch& batch) {
   const u64 t0 = obs::now_ticks();
 
   // Trace admission, per batch at ingest: kFull traces everything,
-  // kSampled admits 1 in 2^shift batches off an atomic counter. A
+  // kSampled admits 1 in 2^kTraceSampleShift batches off an atomic counter. A
   // traced batch gets a trace id and a pre-allocated root span id that
   // every work item carries through the ring.
   u64 trace_id = 0;
@@ -176,7 +170,7 @@ void ShardServer::execute(Batch& batch) {
     const bool admit =
         options_.trace_mode == obs::TraceMode::kFull ||
         (trace_seq_.fetch_add(1, std::memory_order_relaxed) &
-         ((u64{1} << options_.trace_sample_shift) - 1)) == 0;
+         ((u64{1} << obs::kTraceSampleShift) - 1)) == 0;
     if (admit) {
       trace_id = obs::SpanCollector::global().next_trace_id();
       root_span = obs::SpanCollector::global().next_span_id();

@@ -247,13 +247,10 @@ struct ServiceOptions {
   /// crash/forensics path); empty → in-memory shards.
   std::string data_dir;
   /// Request tracing: kOff (default), kSampled (1 in
-  /// 2^trace_sample_shift batches) or kFull. A traced batch stamps its
+  /// 2^obs::kTraceSampleShift batches) or kFull. A traced batch stamps its
   /// trace id on every work item; the worker adopts it around the shard
   /// visit so map ops emit spans into the per-thread span rings.
   obs::TraceMode trace_mode = obs::TraceMode::kOff;
-  /// At most 63: the ShardServer constructor throws std::invalid_argument
-  /// for a larger shift.
-  u32 trace_sample_shift = obs::kTraceSampleShift;
   MapOptions map_options;
 };
 

@@ -19,7 +19,7 @@
 // back to acquiring the mutex (read_lock), which excludes writers without
 // touching the epoch — so writer churn can never starve a reader.
 // core::optimistic_read() (core/optimistic_read.hpp) is that loop, the
-// one every wrapper runs.
+// one every concurrent read runs.
 //
 // All data read optimistically must itself be accessed with atomic
 // operations (the cells' words are written via DirectPM's atomic stores),
@@ -30,21 +30,11 @@
 
 #include <atomic>
 #include <mutex>
-#include <string>
 
 #include "util/counters.hpp"
 #include "util/types.hpp"
 
 namespace gh {
-
-/// Read-path policy of the concurrent wrappers. kPessimistic reproduces
-/// the pre-seqlock behaviour (every read takes the shard lock) and exists
-/// as the measured baseline in bench/concurrency and as an escape hatch;
-/// kOptimistic is the default lock-free read protocol.
-enum class LockMode {
-  kOptimistic,
-  kPessimistic,
-};
 
 /// Pause hint for spin retries (PAUSE on x86; compiler barrier elsewhere).
 inline void cpu_relax() {
@@ -55,30 +45,13 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Contention statistics for one seqlock (one shard / stripe). Exact
+/// Contention statistics for one seqlock (one shard). Exact
 /// (fetch_add) because they sit off the optimistic fast path: a read that
 /// validates on the first attempt touches none of them.
 struct LockContention {
   AtomicCounter read_retries;    ///< optimistic attempts that failed validation
   AtomicCounter read_fallbacks;  ///< reads that gave up and took the lock
   AtomicCounter writer_waits;    ///< write acquisitions that found the lock held
-
-  LockContention() = default;
-  LockContention(const LockContention&) = default;
-  LockContention& operator=(const LockContention&) = default;
-
-  LockContention& operator+=(const LockContention& o) {
-    read_retries += o.read_retries.load();
-    read_fallbacks += o.read_fallbacks.load();
-    writer_waits += o.writer_waits.load();
-    return *this;
-  }
-
-  [[nodiscard]] std::string to_string() const {
-    return "read_retries=" + std::to_string(read_retries.load()) +
-           " read_fallbacks=" + std::to_string(read_fallbacks.load()) +
-           " writer_waits=" + std::to_string(writer_waits.load());
-  }
 };
 
 class SeqLock {
@@ -122,8 +95,6 @@ class SeqLock {
   /// (concurrent optimistic readers stay valid).
   void read_lock() { mu_.lock(); }
   void read_unlock() { mu_.unlock(); }
-
-  [[nodiscard]] u64 epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<u64> epoch_{0};

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/concurrent_map.hpp"
-#include "core/concurrent_table.hpp"
 #include "core/group_hash_map.hpp"
 #include "core/string_map.hpp"
 #include "hash/any_table.hpp"
@@ -791,21 +790,6 @@ TEST(ConcurrentBatch, WideCellScatterBackMatchesScalarLoop) {
       }
     }
     ASSERT_EQ(batch_map.size(), scalar_map.size()) << "round " << round;
-  }
-}
-
-TEST(ConcurrentBatch, StripedTableFindBatchMatchesFind) {
-  ConcurrentGroupHashTable t({.total_cells = 1 << 14, .group_size = 64});
-  Xoshiro256 rng(29);
-  std::vector<u64> keys(2000);
-  for (u64& k : keys) k = make_key(rng);
-  for (const u64 k : keys) t.put(k, k + 1);
-  std::vector<u64> probes = keys;
-  for (int i = 0; i < 500; ++i) probes.push_back(make_key(rng));
-  std::vector<std::optional<u64>> out(probes.size());
-  t.find_batch(probes, out);
-  for (usize i = 0; i < probes.size(); ++i) {
-    ASSERT_EQ(out[i], t.find(probes[i])) << i;
   }
 }
 

@@ -174,15 +174,17 @@ TEST(ConcurrentGroupHashMap, ShardCapacityRoundsUpNotDown) {
   }
 }
 
+// An attempt budget of 0 is the mutex baseline bench/concurrency
+// measures: every get takes the shard lock, with no optimistic attempt.
 TEST(ConcurrentGroupHashMap, PessimisticModeMatchesSemantics) {
-  ConcurrentGroupHashMap map(4, {.initial_cells = 1024}, LockMode::kPessimistic);
-  EXPECT_EQ(map.lock_mode(), LockMode::kPessimistic);
+  ConcurrentGroupHashMap map(4, {.initial_cells = 1024});
+  map.set_max_optimistic_attempts(0);
   for (u64 k = 1; k <= 500; ++k) map.put(k, k * 7);
   for (u64 k = 1; k <= 500; ++k) EXPECT_EQ(*map.get(k), k * 7);
   EXPECT_FALSE(map.get(501).has_value());
-  // The optimistic machinery is bypassed entirely.
+  // Exactly one lock fallback per get, and never a retry.
   EXPECT_EQ(map.snapshot().contention.read_retries, 0u);
-  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 0u);
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 501u);
 }
 
 TEST(ConcurrentGroupHashMap, UncontendedReadsNeverRetry) {

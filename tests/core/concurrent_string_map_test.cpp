@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -61,12 +62,26 @@ TEST(ConcurrentStringMap, OversizedKeysReadThroughLock) {
   EXPECT_EQ(map.snapshot().contention.read_fallbacks, 2u);
 }
 
+// The mutex baseline (attempt budget 0) over the batched path too: each
+// shard's share of a get_batch takes the lock once, like one get.
 TEST(ConcurrentStringMap, PessimisticMode) {
-  ConcurrentStringMap map(4, {}, LockMode::kPessimistic);
-  EXPECT_EQ(map.lock_mode(), LockMode::kPessimistic);
+  ConcurrentStringMap map(4);
+  map.set_max_optimistic_attempts(0);
   map.put("a", 1);
-  EXPECT_EQ(*map.get("a"), 1u);
-  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 0u);
+  map.put("a", 2);
+  map.put("b", 3);
+  EXPECT_TRUE(map.erase("b"));
+  EXPECT_EQ(*map.get("a"), 2u);
+  EXPECT_FALSE(map.get("b").has_value());
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 2u);
+  const std::vector<std::string_view> keys{"a", "b"};
+  std::vector<std::optional<u64>> out(keys.size());
+  map.get_batch(keys, out);
+  EXPECT_EQ(out[0], std::optional<u64>(2));
+  EXPECT_FALSE(out[1].has_value());
+  const usize shards_hit = map.shard_index("a") == map.shard_index("b") ? 1 : 2;
+  EXPECT_EQ(map.snapshot().contention.read_fallbacks, 2u + shards_hit);
+  EXPECT_EQ(map.snapshot().contention.read_retries, 0u);
 }
 
 TEST(ConcurrentStringMap, StarvationFallbackWithZeroAttempts) {

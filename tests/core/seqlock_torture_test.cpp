@@ -1,5 +1,5 @@
-// Deterministic seqlock torture: writers churn a single shard / stripe
-// while readers hammer the same keys through the optimistic path. Values
+// Deterministic seqlock torture: writers churn a single shard while
+// readers hammer the same keys through the optimistic path. Values
 // encode their key, so any torn or stale read is detectable; contention
 // counters are asserted to stay within protocol bounds; the
 // set_max_optimistic_attempts(0) hook makes the lock fallback
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/concurrent_map.hpp"
-#include "core/concurrent_table.hpp"
 #include "util/rng.hpp"
 #include "util/seqlock.hpp"
 
@@ -50,7 +49,7 @@ TEST(SeqLock, WriterWaitsAreCounted) {
   EXPECT_EQ(c.writer_waits.load(), 1u);
 }
 
-/// First `n` keys of the shard/stripe that key 1 routes to, so every
+/// First `n` keys of the shard that key 1 routes to, so every
 /// operation in the torture loop contends on ONE seqlock.
 template <class Map>
 std::vector<u64> same_shard_keys(Map& map, usize n) {
@@ -179,59 +178,6 @@ TEST(SeqLockTorture, ReaderFallbackPreventsStarvation) {
   const obs::ContentionSnapshot total = map.snapshot().contention;
   EXPECT_GT(total.read_fallbacks, 0u);  // every read fell back
   EXPECT_EQ(total.read_retries, 0u);    // no attempts were made
-}
-
-TEST(SeqLockTorture, StripedTableSameGroupChurn) {
-  ConcurrentGroupHashTable table({.total_cells = 1 << 12, .group_size = 64});
-  // All keys below hash into SOME stripe each; hammering a small key set
-  // maximizes same-stripe collisions.
-  std::vector<u64> keys;
-  for (u64 k = 1; keys.size() < 8; ++k) keys.push_back(k);
-  for (const u64 k : keys) table.put(k, k * 1000);
-
-  std::atomic<bool> stop{false};
-  std::atomic<u64> torn{0};
-  std::vector<std::thread> threads;
-  for (int id = 0; id < 4; ++id) {
-    threads.emplace_back([&, id] {
-      Xoshiro256 rng(id + 1);
-      for (int i = 0; i < 10000; ++i) {
-        const u64 k = keys[rng.next_below(keys.size())];
-        if (rng.next_bool()) {
-          table.put(k, k * 1000 + rng.next_below(1000));
-        } else {
-          const auto v = table.find(k);
-          if (v && *v / 1000 != k) torn.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  stop.store(true);
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(table.count(), keys.size());
-}
-
-TEST(SeqLockTorture, StripedTableStarvationFallback) {
-  ConcurrentGroupHashTable table({.total_cells = 1 << 12, .group_size = 64});
-  table.set_max_optimistic_attempts(0);
-  table.put(1, 1000);
-  std::atomic<bool> stop{false};
-  std::atomic<u64> bad{0};
-  std::atomic<u64> reads{0};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      const auto v = table.find(1);
-      if (!v.has_value() || *v / 1000 != 1) bad.fetch_add(1);
-      reads.fetch_add(1);
-    }
-  });
-  for (int i = 0; i < 4000; ++i) table.put(1, 1000 + static_cast<u64>(i) % 1000);
-  while (reads.load() == 0) std::this_thread::yield();
-  stop.store(true);
-  reader.join();
-  EXPECT_EQ(bad.load(), 0u);
-  EXPECT_GT(table.snapshot().contention.read_fallbacks, 0u);
 }
 
 TEST(SeqLockTorture, StringMapReadersSeeNoTornValues) {

@@ -647,19 +647,5 @@ TEST(ShardService, TracingOffEmitsNothing) {
   EXPECT_TRUE(collector.drain_all().empty());
 }
 
-TEST(ShardService, RejectsOutOfRangeTraceShift) {
-  ServiceOptions opts = small_service_options();
-  opts.trace_mode = obs::TraceMode::kSampled;
-  opts.trace_sample_shift = 64;
-  EXPECT_THROW({ ShardServer server(opts); }, std::invalid_argument);
-  opts.trace_sample_shift = 63;  // the widest valid mask
-  ShardServer server(opts);
-  Batch batch;
-  batch.requests.push_back(Request{Op::kPut, 1, 1});
-  server.execute(batch);
-  EXPECT_EQ(batch.responses()[0].status, Status::kOk);
-  server.stop();
-}
-
 }  // namespace
 }  // namespace gh::service

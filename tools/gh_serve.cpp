@@ -21,7 +21,7 @@
 //            [--ops=N per client, overrides --seconds] [--keys=65536]
 //            [--batch=64] [--window=64] [--ring=1024] [--naive]
 //            [--data_dir=PATH] [--zipf=0.99] [--seed=42] [--flush-ns=0]
-//            [--trace-mode=off] [--trace-shift=6] [--trace-out=PATH]
+//            [--trace-mode=off] [--trace-out=PATH]
 //            [--spans-out=PATH] [--stats-file=PATH] [--stats-interval-ms=500]
 #include <atomic>
 #include <chrono>
@@ -77,9 +77,6 @@ int main(int argc, char** argv) {
   sopts.naive = cli.has("naive");
   sopts.data_dir = cli.get_or("data_dir", "");
   sopts.trace_mode = obs::trace_mode_from(cli.get_or("trace-mode", "off"));
-  const u64 trace_shift = cli.get_u64("trace-shift", obs::kTraceSampleShift);
-  GH_CHECK_MSG(trace_shift <= 63, "--trace-shift must be <= 63");
-  sopts.trace_sample_shift = static_cast<u32>(trace_shift);
   GH_CHECK_MSG(sopts.shards >= 1, "--shards must be >= 1");
   GH_CHECK_MSG(sopts.batch_window >= 1, "--window must be >= 1");
 
