@@ -2,7 +2,7 @@
 //
 // Two questions:
 //   1. primitive cost: what does one hook cost in isolation (rdtsc pair,
-//      histogram record, striped counter add)?
+//      histogram record)?
 //   2. end-to-end cost: insert/query throughput on a GroupHashMap at the
 //      paper's 300 ns flush model, with per-op latency recording ON vs
 //      OFF (MapOptions::record_latency). Target: ≤ 2% regression with
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
   const u64 reps = cli.get_u64("reps", 2'000'000);
 
   bench::print_banner("observability overhead (obs layer acceptance)",
-                      "repo extension: metrics registry + op tracing", env);
+                      "repo extension: latency histograms + op tracing", env);
   std::printf("obs hooks compiled: %s\n\n", obs::kEnabled ? "ON" : "OFF (GH_OBS_OFF)");
 
   // --- primitive costs ------------------------------------------------------
@@ -146,11 +146,6 @@ int main(int argc, char** argv) {
     t.add_row({"LatencyHistogram::record",
                format_double(ns_per_iter(reps, [&] {
                  for (u64 i = 0; i < reps; ++i) hist.record(i & 0xffff);
-               }), 2)});
-    obs::StripedCounter counter;
-    t.add_row({"StripedCounter::add",
-               format_double(ns_per_iter(reps, [&] {
-                 for (u64 i = 0; i < reps; ++i) counter.add(1);
                }), 2)});
     do_not_optimize(sink);
     do_not_optimize(hist);

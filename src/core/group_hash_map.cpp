@@ -160,9 +160,6 @@ void BasicGroupHashMap<Cell, Payload>::init(bool fresh, usize payload_bytes) {
   pm_ = std::make_unique<nvm::DirectPM>(
       nvm::PersistConfig{.flush_latency_ns = options.flush_latency_ns});
   recorder_ = std::make_unique<obs::OpRecorder>();
-  obs_reg_ = obs::Registration(
-      std::string(source_name<Cell, Payload>()) + (path_.empty() ? "(mem)" : ":" + path_),
-      recorder_.get());
   live_obs_ = std::make_unique<obs::LiveObs>();
   sinks_.latency = options.record_latency ? recorder_.get() : nullptr;
   sinks_.phases = &live_obs_->phases;

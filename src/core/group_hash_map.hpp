@@ -499,7 +499,7 @@ class BasicGroupHashMap {
   std::unique_ptr<nvm::DirectPM> pm_;
   std::optional<Table> table_;
   [[no_unique_address]] Payload payload_;
-  // Heap-allocated like pm_: the registry holds its address across moves.
+  // Heap-allocated like pm_: sinks_ holds its address across moves.
   std::unique_ptr<obs::OpRecorder> recorder_;
   // Phase attribution + atomic migration-gauge mirrors: the fields a
   // live reader (gh_serve's stats thread) may poll while the owning
@@ -508,7 +508,6 @@ class BasicGroupHashMap {
   // What every OpScope of this map feeds: recorder_, live_obs_->phases
   // and flight_, plus the one sampling gate.
   obs::OpSinks sinks_;
-  obs::Registration obs_reg_;
   // Flight recorder sidecar: its own PM (so black-box traffic never
   // pollutes the map's write-efficiency counters) over its own region.
   std::unique_ptr<nvm::DirectPM> flight_pm_;

@@ -86,14 +86,13 @@ template <class Probe>
     }
     const bool conclusive = probe();
     if (lock.read_validate(epoch) && conclusive) {
-      if (retries != 0) contention.read_retries += retries;
+      if (retries != 0) contention.count_read(retries, /*fell_back=*/false);
       return true;
     }
     if (!conclusive) break;
     ++retries;
   }
-  contention.read_retries += retries;
-  contention.read_fallbacks += 1;
+  contention.count_read(retries, /*fell_back=*/true);
   return false;
 }
 

@@ -38,7 +38,6 @@
 
 #include "nvm/media_error.hpp"
 #include "nvm/persist.hpp"
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
@@ -88,20 +87,16 @@ class CorruptingPM {
     const u64 lines = lines_spanned(addr, n);
     stats_.lines_flushed += lines;
     stats_.fences++;
-    obs::on_pm_persist(lines);
-    obs::on_pm_fence();
   }
 
   /// Unfenced flush: counts line traffic only (no data motion to model).
   void flush(const void* addr, usize n) {
     const u64 lines = lines_spanned(addr, n);
     stats_.lines_flushed += lines;
-    obs::on_pm_persist(lines);
   }
 
   void fence() {
     stats_.fences++;
-    obs::on_pm_fence();
   }
 
   /// The read hook every scheme's probe() goes through: a poisoned line

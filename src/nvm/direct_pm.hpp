@@ -28,7 +28,6 @@
 #include <cstring>
 
 #include "nvm/persist.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/clock.hpp"
 #include "util/types.hpp"
@@ -95,14 +94,12 @@ class DirectPM {
       }
     }
     stats_.lines_flushed += lines;
-    obs::on_pm_persist(lines);
   }
 
   void fence() {
     obs::PhaseFenceScope fence_scope;
     store_fence();
     stats_.fences++;
-    obs::on_pm_fence();
   }
 
   void touch_read(const void*, usize) {}

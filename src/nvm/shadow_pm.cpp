@@ -1,5 +1,4 @@
 #include "nvm/shadow_pm.hpp"
-#include "obs/metrics.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -86,8 +85,6 @@ void ShadowPM::persist(const void* addr, usize n) {
   commit_pending();  // persist() contains a fence: earlier flushes retire too
   if (n == 0) {
     stats_.fences++;
-    obs::on_pm_persist(0);
-    obs::on_pm_fence();
     return;
   }
   // clflush granularity: persist the *whole* cachelines covering the range.
@@ -108,16 +105,11 @@ void ShadowPM::persist(const void* addr, usize n) {
   const u64 lines = lines_spanned(addr, n);
   stats_.lines_flushed += lines;
   stats_.fences++;
-  obs::on_pm_persist(lines);
-  obs::on_pm_fence();
 }
 
 void ShadowPM::flush(const void* addr, usize n) {
   bump_event();
-  if (n == 0) {
-    obs::on_pm_persist(0);
-    return;
-  }
+  if (n == 0) return;
   // An unfenced clflushopt gives no durability guarantee yet: snapshot the
   // lines' current contents and hold them pending. The covered words keep
   // their dirty bits, so materialize_crash_image can still evict the
@@ -138,14 +130,12 @@ void ShadowPM::flush(const void* addr, usize n) {
   }
   const u64 lines = lines_spanned(addr, n);
   stats_.lines_flushed += lines;
-  obs::on_pm_persist(lines);
 }
 
 void ShadowPM::fence() {
   bump_event();
   commit_pending();
   stats_.fences++;
-  obs::on_pm_fence();
 }
 
 void ShadowPM::commit_pending() {

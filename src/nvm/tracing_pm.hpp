@@ -10,7 +10,6 @@
 
 #include "cachesim/cache_sim.hpp"
 #include "nvm/persist.hpp"
-#include "obs/metrics.hpp"
 #include "util/types.hpp"
 
 namespace gh::nvm {
@@ -62,8 +61,6 @@ class TracingPM {
     const u64 lines = lines_spanned(addr, n);
     stats_.lines_flushed += lines;
     stats_.fences++;
-    obs::on_pm_persist(lines);
-    obs::on_pm_fence();
   }
 
   /// Unfenced flush: same cache-simulator effect as persist() (the line
@@ -77,12 +74,10 @@ class TracingPM {
     }
     const u64 lines = lines_spanned(addr, n);
     stats_.lines_flushed += lines;
-    obs::on_pm_persist(lines);
   }
 
   void fence() {
     stats_.fences++;
-    obs::on_pm_fence();
   }
 
   void touch_read(const void* addr, usize n) { sim_->read(addr, n); }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "nvm/persist.hpp"
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/types.hpp"
 
@@ -73,10 +72,8 @@ class WearPM {
         bump_wear(line);
       }
       stats_.lines_flushed += lines;
-      obs::on_pm_persist(lines);
     }
     stats_.fences++;
-    obs::on_pm_fence();
   }
 
   /// Unfenced flush: the write-back (and so the wear event) happens at
@@ -89,12 +86,10 @@ class WearPM {
       bump_wear(line);
     }
     stats_.lines_flushed += lines;
-    obs::on_pm_persist(lines);
   }
 
   void fence() {
     stats_.fences++;
-    obs::on_pm_fence();
   }
   void touch_read(const void*, usize) {}
 

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <variant>
+#include <vector>
 
 namespace gh::obs {
 namespace {
@@ -137,19 +140,6 @@ void write_histogram(Json& j, std::string_view name, const HistogramSnapshot& h)
   j.end_obj();
 }
 
-void write_latency(Json& j, const OpLatencySnapshot& lat) {
-  j.key("latency").begin_obj();
-  write_histogram(j, "insert", lat.insert);
-  write_histogram(j, "find", lat.find);
-  write_histogram(j, "erase", lat.erase);
-  write_histogram(j, "expand", lat.expand);
-  write_histogram(j, "scrub", lat.scrub);
-  write_histogram(j, "recover", lat.recover);
-  write_histogram(j, "compact", lat.compact);
-  write_histogram(j, "migrate", lat.migrate);
-  j.end_obj();
-}
-
 // --------------------------------------------------------------------------
 // Prometheus helpers.
 
@@ -197,8 +187,7 @@ void prom_line(std::string& out, std::string_view prefix, std::string_view name,
 }
 
 void prom_counter(std::string& out, std::string_view prefix, std::string_view name,
-                  std::string_view labels, u64 v,
-                  std::string_view help = "gh observability counter") {
+                  std::string_view labels, u64 v, std::string_view help) {
   prom_help(out, prefix, name, help);
   out += "# TYPE ";
   out += prefix;
@@ -229,101 +218,186 @@ void prom_histogram(std::string& out, std::string_view prefix, std::string_view 
   prom_line(out, prefix, std::string(base) + "_max", lp, static_cast<double>(h.max_ns));
 }
 
-std::string sanitize_metric_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    out += (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_') ? c : '_';
+// --------------------------------------------------------------------------
+// The snapshot's field table: one row per scalar field of a Snapshot. It
+// drives export_json, export_prometheus and the validator's list of
+// top-level keys, so a field added here reaches all three at once.
+
+/// Sections of a snapshot document, in the order export_json writes
+/// them. kTop holds the fields written at the top level itself.
+enum class Section : u8 {
+  kTop, kPersist, kOps, kScrub, kContention, kLifecycle,
+  kMigration, kLatency, kPhases, kTimeseries, kFlight, kPerShard,
+};
+
+/// The JSON key of each section, indexed by Section.
+constexpr std::string_view kSectionKeys[] = {
+    "",          "persist", "ops",    "scrub",      "contention", "lifecycle",
+    "migration", "latency", "phases", "timeseries", "flight",     "per_shard",
+};
+
+using Value = std::variant<u64, double, bool, std::string_view>;
+
+/// `json` is the field's key inside its section (empty: Prometheus only);
+/// `prom` and `help` name its Prometheus counter (empty: JSON only).
+struct Field {
+  Section section;
+  std::string_view json;
+  std::string_view prom;
+  std::string_view help;
+  Value (*get)(const Snapshot&);
+};
+
+#define GH_FIELD(expr) []([[maybe_unused]] const Snapshot& s) -> Value { return (expr); }
+
+// Rows are in Prometheus order. export_json writes each section's rows in
+// table order, sections in Section order, so only the order of rows
+// within one section shows in the JSON. The two Prometheus-only rows are
+// what that leaves: bytes_written_total follows fences_total, and the
+// in-flight count (an array in the JSON) precedes records_torn.
+constexpr Field kFields[] = {
+    {Section::kTop, "schema", "", "", GH_FIELD(std::string_view(kSnapshotSchema))},
+    {Section::kTop, "version", "", "", GH_FIELD(u64{s.version})},
+    {Section::kTop, "source", "", "", GH_FIELD(std::string_view(s.source))},
+    {Section::kTop, "size", "size", "live keys in the table", GH_FIELD(s.size)},
+    {Section::kTop, "capacity", "capacity", "total cell capacity", GH_FIELD(s.capacity)},
+    {Section::kTop, "load_factor", "", "", GH_FIELD(s.load_factor)},
+    {Section::kTop, "shards", "", "", GH_FIELD(u64{s.shards})},
+
+    {Section::kOps, "inserts", "inserts_total", "insert operations attempted",
+     GH_FIELD(s.table.inserts)},
+    {Section::kOps, "insert_failures", "insert_failures_total",
+     "inserts that found no free cell", GH_FIELD(s.table.insert_failures)},
+    {Section::kOps, "queries", "queries_total", "find operations attempted",
+     GH_FIELD(s.table.queries)},
+    {Section::kOps, "query_hits", "", "", GH_FIELD(s.table.query_hits)},
+    {Section::kOps, "erases", "erases_total", "erase operations attempted",
+     GH_FIELD(s.table.erases)},
+    {Section::kOps, "erase_hits", "", "", GH_FIELD(s.table.erase_hits)},
+    {Section::kOps, "probes", "probes_total", "cells examined across all operations",
+     GH_FIELD(s.table.probes)},
+    {Section::kOps, "level2_probes", "", "", GH_FIELD(s.table.level2_probes)},
+    {Section::kOps, "displacements", "", "", GH_FIELD(s.table.displacements)},
+    {Section::kOps, "stash_probes", "", "", GH_FIELD(s.table.stash_probes)},
+    {Section::kOps, "backward_shifts", "", "", GH_FIELD(s.table.backward_shifts)},
+    {Section::kOps, "tag_probes", "tag_probes_total",
+     "tag-matched cells whose full key was compared", GH_FIELD(s.table.tag_probes)},
+    {Section::kOps, "tag_skips", "tag_skips_total",
+     "cells skipped by the fingerprint-tag filter", GH_FIELD(s.table.tag_skips)},
+    {Section::kOps, "tag_false_positives", "tag_false_positives_total",
+     "tag matches whose key compare missed", GH_FIELD(s.table.tag_false_positives)},
+    {Section::kOps, "batch_ops", "batch_ops_total", "batched multi-op calls",
+     GH_FIELD(s.table.batch_ops)},
+    {Section::kOps, "batch_keys", "batch_keys_total",
+     "keys submitted through batched multi-op calls", GH_FIELD(s.table.batch_keys)},
+    {Section::kOps, "prefetches_issued", "prefetches_issued_total",
+     "software prefetches issued by batched lookups", GH_FIELD(s.table.prefetches_issued)},
+
+    {Section::kPersist, "stores", "", "", GH_FIELD(s.persist.stores)},
+    {Section::kPersist, "bytes_written", "", "", GH_FIELD(s.persist.bytes_written)},
+    {Section::kPersist, "atomic_stores", "", "", GH_FIELD(s.persist.atomic_stores)},
+    {Section::kPersist, "persist_calls", "persist_calls_total",
+     "persist() calls issued to the PM policy", GH_FIELD(s.persist.persist_calls)},
+    {Section::kPersist, "lines_flushed", "lines_flushed_total", "cache lines flushed to NVM",
+     GH_FIELD(s.persist.lines_flushed)},
+    {Section::kPersist, "fences", "fences_total", "store fences issued",
+     GH_FIELD(s.persist.fences)},
+    {Section::kPersist, "", "bytes_written_total", "bytes written through the PM policy",
+     GH_FIELD(s.persist.bytes_written)},
+    {Section::kPersist, "delay_ns", "", "", GH_FIELD(s.persist.delay_ns)},
+
+    {Section::kScrub, "groups_scrubbed", "scrub_groups_total",
+     "group checksum verifications run", GH_FIELD(s.scrub.groups_scrubbed)},
+    {Section::kScrub, "cells_scrubbed", "", "", GH_FIELD(s.scrub.cells_scrubbed)},
+    {Section::kScrub, "crc_mismatches", "crc_mismatches_total",
+     "group checksum failures detected", GH_FIELD(s.scrub.crc_mismatches)},
+    {Section::kScrub, "groups_quarantined", "", "", GH_FIELD(s.scrub.groups_quarantined)},
+    {Section::kScrub, "cells_lost", "cells_lost_total",
+     "occupied cells dropped as unrecoverable", GH_FIELD(s.scrub.cells_lost)},
+    {Section::kScrub, "media_errors", "", "", GH_FIELD(s.scrub.media_errors)},
+    {Section::kScrub, "open_groups_checked", "", "", GH_FIELD(s.scrub.open_groups_checked)},
+    {Section::kScrub, "open_crc_mismatches", "", "", GH_FIELD(s.scrub.open_crc_mismatches)},
+    {Section::kScrub, "open_cells_lost", "", "", GH_FIELD(s.scrub.open_cells_lost)},
+
+    {Section::kContention, "read_retries", "read_retries_total", "optimistic read retries",
+     GH_FIELD(s.contention.read_retries)},
+    {Section::kContention, "read_fallbacks", "read_fallbacks_total",
+     "optimistic reads that fell back to the lock", GH_FIELD(s.contention.read_fallbacks)},
+    {Section::kContention, "writer_waits", "writer_waits_total",
+     "writer lock acquisitions that waited", GH_FIELD(s.contention.writer_waits)},
+
+    {Section::kLifecycle, "expansions", "expansions_total", "table expansions completed",
+     GH_FIELD(s.lifecycle.expansions)},
+    {Section::kLifecycle, "expand_failures", "", "", GH_FIELD(s.lifecycle.expand_failures)},
+    {Section::kLifecycle, "compactions", "", "", GH_FIELD(s.lifecycle.compactions)},
+    {Section::kLifecycle, "compact_failures", "", "", GH_FIELD(s.lifecycle.compact_failures)},
+    {Section::kLifecycle, "recoveries", "recoveries_total", "crash recovery passes run",
+     GH_FIELD(s.lifecycle.recoveries)},
+    {Section::kLifecycle, "orphans_reclaimed", "", "",
+     GH_FIELD(s.lifecycle.orphans_reclaimed)},
+    {Section::kLifecycle, "degraded", "", "", GH_FIELD(s.lifecycle.degraded)},
+    {Section::kLifecycle, "expand_backoff", "", "", GH_FIELD(s.lifecycle.expand_backoff)},
+    {Section::kLifecycle, "expand_cooldown", "expand_cooldown",
+     "ops left before a pending expansion is retried (gauge)",
+     GH_FIELD(s.lifecycle.expand_cooldown)},
+
+    {Section::kMigration, "active", "migration_active",
+     "online-resize migrations currently in progress (gauge)", GH_FIELD(s.migration.active)},
+    {Section::kMigration, "cursor", "migration_cursor",
+     "next source group the active migration will move (gauge)", GH_FIELD(s.migration.cursor)},
+    {Section::kMigration, "total_groups", "", "", GH_FIELD(s.migration.total_groups)},
+    {Section::kMigration, "groups_migrated", "migration_groups_total",
+     "source groups migrated by online resizes", GH_FIELD(s.migration.groups_migrated)},
+    {Section::kMigration, "keys_migrated", "migration_keys_total",
+     "keys moved by online resizes", GH_FIELD(s.migration.keys_migrated)},
+    {Section::kMigration, "started", "migrations_started_total",
+     "online-resize migrations started", GH_FIELD(s.migration.started)},
+    {Section::kMigration, "completed", "migrations_completed_total",
+     "online-resize migrations finalized", GH_FIELD(s.migration.completed)},
+    {Section::kMigration, "resumed", "migrations_resumed_total",
+     "migrations resumed from a durable cursor on open", GH_FIELD(s.migration.resumed)},
+    {Section::kMigration, "help_steps", "", "", GH_FIELD(s.migration.help_steps)},
+    {Section::kMigration, "bg_steps", "", "", GH_FIELD(s.migration.bg_steps)},
+
+    {Section::kTimeseries, "windows", "", "", GH_FIELD(s.timeseries.windows)},
+    {Section::kTimeseries, "interval_ms", "", "", GH_FIELD(s.timeseries.interval_ms)},
+    {Section::kTimeseries, "last_window_ms", "", "", GH_FIELD(s.timeseries.last_window_ms)},
+    {Section::kTimeseries, "last_qps", "", "", GH_FIELD(s.timeseries.last_qps)},
+    {Section::kTimeseries, "last_p99_ns", "", "", GH_FIELD(s.timeseries.last_p99_ns)},
+
+    {Section::kFlight, "enabled", "", "", GH_FIELD(s.flight.enabled)},
+    {Section::kFlight, "records_scanned", "", "", GH_FIELD(s.flight.records_scanned)},
+    {Section::kFlight, "", "flight_in_flight_on_open_total",
+     "ops the flight recorder showed in flight at the last crash",
+     GH_FIELD(u64{s.flight.in_flight_on_open.size()})},
+    {Section::kFlight, "records_torn", "flight_records_torn_total",
+     "torn flight records found on open (protocol violation)",
+     GH_FIELD(s.flight.records_torn)},
+};
+
+#undef GH_FIELD
+
+void write_fields(Json& j, const Snapshot& s, Section section) {
+  for (const Field& f : kFields) {
+    if (f.section != section || f.json.empty()) continue;
+    std::visit([&](auto v) { j.field(f.json, v); }, f.get(s));
   }
-  return out;
 }
 
-}  // namespace
-
-std::string export_json(const Snapshot& s) {
-  std::string out;
-  out.reserve(2048);
-  Json j(out);
+void write_latency(Json& j, const OpLatencySnapshot& lat) {
   j.begin_obj();
-  j.field("schema", kSnapshotSchema)
-      .field("version", u64{s.version})
-      .field("source", s.source)
-      .field("size", s.size)
-      .field("capacity", s.capacity)
-      .field("load_factor", s.load_factor)
-      .field("shards", u64{s.shards});
-  j.key("persist").begin_obj();
-  j.field("stores", s.persist.stores)
-      .field("bytes_written", s.persist.bytes_written)
-      .field("atomic_stores", s.persist.atomic_stores)
-      .field("persist_calls", s.persist.persist_calls)
-      .field("lines_flushed", s.persist.lines_flushed)
-      .field("fences", s.persist.fences)
-      .field("delay_ns", s.persist.delay_ns);
-  j.end_obj();
-  j.key("ops").begin_obj();
-  j.field("inserts", s.table.inserts)
-      .field("insert_failures", s.table.insert_failures)
-      .field("queries", s.table.queries)
-      .field("query_hits", s.table.query_hits)
-      .field("erases", s.table.erases)
-      .field("erase_hits", s.table.erase_hits)
-      .field("probes", s.table.probes)
-      .field("level2_probes", s.table.level2_probes)
-      .field("displacements", s.table.displacements)
-      .field("stash_probes", s.table.stash_probes)
-      .field("backward_shifts", s.table.backward_shifts)
-      .field("tag_probes", s.table.tag_probes)
-      .field("tag_skips", s.table.tag_skips)
-      .field("tag_false_positives", s.table.tag_false_positives)
-      .field("batch_ops", s.table.batch_ops)
-      .field("batch_keys", s.table.batch_keys)
-      .field("prefetches_issued", s.table.prefetches_issued);
-  j.end_obj();
-  j.key("scrub").begin_obj();
-  j.field("groups_scrubbed", s.scrub.groups_scrubbed)
-      .field("cells_scrubbed", s.scrub.cells_scrubbed)
-      .field("crc_mismatches", s.scrub.crc_mismatches)
-      .field("groups_quarantined", s.scrub.groups_quarantined)
-      .field("cells_lost", s.scrub.cells_lost)
-      .field("media_errors", s.scrub.media_errors)
-      .field("open_groups_checked", s.scrub.open_groups_checked)
-      .field("open_crc_mismatches", s.scrub.open_crc_mismatches)
-      .field("open_cells_lost", s.scrub.open_cells_lost);
-  j.end_obj();
-  j.key("contention").begin_obj();
-  j.field("read_retries", s.contention.read_retries)
-      .field("read_fallbacks", s.contention.read_fallbacks)
-      .field("writer_waits", s.contention.writer_waits);
-  j.end_obj();
-  j.key("lifecycle").begin_obj();
-  j.field("expansions", s.lifecycle.expansions)
-      .field("expand_failures", s.lifecycle.expand_failures)
-      .field("compactions", s.lifecycle.compactions)
-      .field("compact_failures", s.lifecycle.compact_failures)
-      .field("recoveries", s.lifecycle.recoveries)
-      .field("orphans_reclaimed", s.lifecycle.orphans_reclaimed)
-      .field("degraded", s.lifecycle.degraded)
-      .field("expand_backoff", s.lifecycle.expand_backoff)
-      .field("expand_cooldown", s.lifecycle.expand_cooldown);
-  j.end_obj();
-  j.key("migration").begin_obj();
-  j.field("active", s.migration.active)
-      .field("cursor", s.migration.cursor)
-      .field("total_groups", s.migration.total_groups)
-      .field("groups_migrated", s.migration.groups_migrated)
-      .field("keys_migrated", s.migration.keys_migrated)
-      .field("started", s.migration.started)
-      .field("completed", s.migration.completed)
-      .field("resumed", s.migration.resumed)
-      .field("help_steps", s.migration.help_steps)
-      .field("bg_steps", s.migration.bg_steps);
-  j.end_obj();
-  write_latency(j, s.latency);
-  // Per-phase attribution: one object per OpKind that saw samples.
-  j.key("phases").begin_obj();
   for (usize k = 0; k < kOpKinds; ++k) {
-    const PhaseSnapshot::Row& r = s.phases.rows[k];
+    const auto kind = static_cast<OpKind>(k);
+    write_histogram(j, op_kind_name(kind), lat.of(kind));
+  }
+  j.end_obj();
+}
+
+/// Per-phase attribution: one object per OpKind that saw samples.
+void write_phases(Json& j, const PhaseSnapshot& phases) {
+  j.begin_obj();
+  for (usize k = 0; k < kOpKinds; ++k) {
+    const PhaseSnapshot::Row& r = phases.rows[k];
     if (r.samples == 0 && r.op_ns == 0) continue;
     j.key(op_kind_name(static_cast<OpKind>(k))).begin_obj();
     j.field("samples", r.samples).field("op_ns", r.op_ns);
@@ -333,19 +407,11 @@ std::string export_json(const Snapshot& s) {
     j.end_obj();
   }
   j.end_obj();
-  j.key("timeseries").begin_obj();
-  j.field("windows", s.timeseries.windows)
-      .field("interval_ms", s.timeseries.interval_ms)
-      .field("last_window_ms", s.timeseries.last_window_ms)
-      .field("last_qps", s.timeseries.last_qps)
-      .field("last_p99_ns", s.timeseries.last_p99_ns);
-  j.end_obj();
-  j.key("flight").begin_obj();
-  j.field("enabled", s.flight.enabled)
-      .field("records_scanned", s.flight.records_scanned)
-      .field("records_torn", s.flight.records_torn);
+}
+
+void write_in_flight(Json& j, const std::vector<FlightOpBrief>& ops) {
   j.key("in_flight").begin_arr();
-  for (const FlightOpBrief& op : s.flight.in_flight_on_open) {
+  for (const FlightOpBrief& op : ops) {
     j.begin_obj();
     j.field("kind", op_kind_name(op.kind))
         .field("phase", flight_phase_name(op.phase))
@@ -354,9 +420,11 @@ std::string export_json(const Snapshot& s) {
     j.end_obj();
   }
   j.end_arr();
-  j.end_obj();
-  j.key("per_shard").begin_arr();
-  for (const ShardBrief& sh : s.per_shard) {
+}
+
+void write_per_shard(Json& j, const std::vector<ShardBrief>& shards) {
+  j.begin_arr();
+  for (const ShardBrief& sh : shards) {
     j.begin_obj();
     j.field("shard", u64{sh.shard})
         .field("size", sh.size)
@@ -369,115 +437,42 @@ std::string export_json(const Snapshot& s) {
     j.end_obj();
   }
   j.end_arr();
-  j.end_obj();
-  return out;
 }
 
-std::string export_json(const MetricsRegistry::RegistrySnapshot& r) {
+}  // namespace
+
+std::string export_json(const Snapshot& s) {
   std::string out;
-  out.reserve(1024);
+  out.reserve(2048);
   Json j(out);
   j.begin_obj();
-  j.field("schema", kMetricsSchema).field("version", u64{r.version});
-  j.key("counters").begin_obj();
-  for (const auto& c : r.counters) j.field(c.name, c.value);
-  j.end_obj();
-  j.key("histograms").begin_obj();
-  for (const auto& h : r.histograms) write_histogram(j, h.name, h.hist);
-  j.end_obj();
-  j.key("recorders").begin_arr();
-  for (const auto& rec : r.recorders) {
-    j.begin_obj();
-    j.field("name", rec.name);
-    j.key("ops").begin_obj();
-    for (usize k = 0; k < kOpKinds; ++k) {
-      write_histogram(j, op_kind_name(static_cast<OpKind>(k)), rec.ops[k]);
+  write_fields(j, s, Section::kTop);
+  for (usize i = 1; i < std::size(kSectionKeys); ++i) {
+    const auto section = static_cast<Section>(i);
+    j.key(kSectionKeys[i]);
+    switch (section) {
+      case Section::kLatency: write_latency(j, s.latency); break;
+      case Section::kPhases: write_phases(j, s.phases); break;
+      case Section::kPerShard: write_per_shard(j, s.per_shard); break;
+      default:
+        j.begin_obj();
+        write_fields(j, s, section);
+        if (section == Section::kFlight) write_in_flight(j, s.flight.in_flight_on_open);
+        j.end_obj();
     }
-    j.end_obj();
-    j.end_obj();
   }
-  j.end_arr();
   j.end_obj();
   return out;
-}
-
-std::string export_registry_json() {
-  return export_json(MetricsRegistry::global().collect());
 }
 
 std::string export_prometheus(const Snapshot& s, std::string_view prefix) {
   std::string out;
   out.reserve(2048);
-  std::string labels = "source=\"" + prom_label_value(s.source) + "\"";
-  prom_counter(out, prefix, "size", labels, s.size, "live keys in the table");
-  prom_counter(out, prefix, "capacity", labels, s.capacity, "total cell capacity");
-  prom_counter(out, prefix, "inserts_total", labels, s.table.inserts,
-               "insert operations attempted");
-  prom_counter(out, prefix, "insert_failures_total", labels, s.table.insert_failures,
-               "inserts that found no free cell");
-  prom_counter(out, prefix, "queries_total", labels, s.table.queries,
-               "find operations attempted");
-  prom_counter(out, prefix, "erases_total", labels, s.table.erases,
-               "erase operations attempted");
-  prom_counter(out, prefix, "probes_total", labels, s.table.probes,
-               "cells examined across all operations");
-  prom_counter(out, prefix, "tag_probes_total", labels, s.table.tag_probes,
-               "tag-matched cells whose full key was compared");
-  prom_counter(out, prefix, "tag_skips_total", labels, s.table.tag_skips,
-               "cells skipped by the fingerprint-tag filter");
-  prom_counter(out, prefix, "tag_false_positives_total", labels, s.table.tag_false_positives,
-               "tag matches whose key compare missed");
-  prom_counter(out, prefix, "batch_ops_total", labels, s.table.batch_ops,
-               "batched multi-op calls");
-  prom_counter(out, prefix, "batch_keys_total", labels, s.table.batch_keys,
-               "keys submitted through batched multi-op calls");
-  prom_counter(out, prefix, "prefetches_issued_total", labels, s.table.prefetches_issued,
-               "software prefetches issued by batched lookups");
-  prom_counter(out, prefix, "persist_calls_total", labels, s.persist.persist_calls,
-               "persist() calls issued to the PM policy");
-  prom_counter(out, prefix, "lines_flushed_total", labels, s.persist.lines_flushed,
-               "cache lines flushed to NVM");
-  prom_counter(out, prefix, "fences_total", labels, s.persist.fences,
-               "store fences issued");
-  prom_counter(out, prefix, "bytes_written_total", labels, s.persist.bytes_written,
-               "bytes written through the PM policy");
-  prom_counter(out, prefix, "scrub_groups_total", labels, s.scrub.groups_scrubbed,
-               "group checksum verifications run");
-  prom_counter(out, prefix, "crc_mismatches_total", labels, s.scrub.crc_mismatches,
-               "group checksum failures detected");
-  prom_counter(out, prefix, "cells_lost_total", labels, s.scrub.cells_lost,
-               "occupied cells dropped as unrecoverable");
-  prom_counter(out, prefix, "read_retries_total", labels, s.contention.read_retries,
-               "optimistic read retries");
-  prom_counter(out, prefix, "read_fallbacks_total", labels, s.contention.read_fallbacks,
-               "optimistic reads that fell back to the lock");
-  prom_counter(out, prefix, "writer_waits_total", labels, s.contention.writer_waits,
-               "writer lock acquisitions that waited");
-  prom_counter(out, prefix, "expansions_total", labels, s.lifecycle.expansions,
-               "table expansions completed");
-  prom_counter(out, prefix, "recoveries_total", labels, s.lifecycle.recoveries,
-               "crash recovery passes run");
-  prom_counter(out, prefix, "expand_cooldown", labels, s.lifecycle.expand_cooldown,
-               "ops left before a pending expansion is retried (gauge)");
-  prom_counter(out, prefix, "migration_active", labels, s.migration.active,
-               "online-resize migrations currently in progress (gauge)");
-  prom_counter(out, prefix, "migration_cursor", labels, s.migration.cursor,
-               "next source group the active migration will move (gauge)");
-  prom_counter(out, prefix, "migration_groups_total", labels, s.migration.groups_migrated,
-               "source groups migrated by online resizes");
-  prom_counter(out, prefix, "migration_keys_total", labels, s.migration.keys_migrated,
-               "keys moved by online resizes");
-  prom_counter(out, prefix, "migrations_started_total", labels, s.migration.started,
-               "online-resize migrations started");
-  prom_counter(out, prefix, "migrations_completed_total", labels, s.migration.completed,
-               "online-resize migrations finalized");
-  prom_counter(out, prefix, "migrations_resumed_total", labels, s.migration.resumed,
-               "migrations resumed from a durable cursor on open");
-  prom_counter(out, prefix, "flight_in_flight_on_open_total", labels,
-               s.flight.in_flight_on_open.size(),
-               "ops the flight recorder showed in flight at the last crash");
-  prom_counter(out, prefix, "flight_records_torn_total", labels, s.flight.records_torn,
-               "torn flight records found on open (protocol violation)");
+  const std::string labels = "source=\"" + prom_label_value(s.source) + "\"";
+  for (const Field& f : kFields) {
+    if (f.prom.empty()) continue;
+    prom_counter(out, prefix, f.prom, labels, std::get<u64>(f.get(s)), f.help);
+  }
   for (usize k = 0; k < kOpKinds; ++k) {
     const auto kind = static_cast<OpKind>(k);
     prom_histogram(out, prefix,
@@ -507,50 +502,20 @@ std::string export_prometheus(const Snapshot& s, std::string_view prefix) {
   return out;
 }
 
-std::string export_prometheus(const MetricsRegistry::RegistrySnapshot& r,
-                              std::string_view prefix) {
-  std::string out;
-  out.reserve(1024);
-  for (const auto& c : r.counters) {
-    // Registry counter names are already fully qualified (gh_…_total);
-    // don't double-prefix those.
-    std::string name = sanitize_metric_name(c.name);
-    if (name.rfind(prefix, 0) == 0) name.erase(0, prefix.size());
-    prom_counter(out, prefix, name, "", c.value);
-  }
-  for (const auto& h : r.histograms) {
-    prom_histogram(out, prefix, sanitize_metric_name(h.name), "", h.hist);
-  }
-  for (const auto& rec : r.recorders) {
-    const std::string labels = "source=\"" + prom_label_value(rec.name) + "\"";
-    for (usize k = 0; k < kOpKinds; ++k) {
-      prom_histogram(out, prefix,
-                     std::string("op_") + op_kind_name(static_cast<OpKind>(k)) +
-                         "_latency_ns",
-                     labels, rec.ops[k]);
-    }
-  }
-  return out;
-}
-
 // --------------------------------------------------------------------------
 // Minimal JSON structural validator.
 
 namespace {
 
-/// Top-level keys a "gh.obs.snapshot.v1" document may carry. Additions
-/// here must ship with the exporter change that writes them; anything
-/// else is a mutated/forged document and fails validation.
-constexpr std::string_view kSnapshotTopLevelKeys[] = {
-    "schema",     "version",   "source",    "size",   "capacity",
-    "load_factor", "shards",   "persist",   "ops",    "scrub",
-    "contention", "lifecycle", "migration", "latency", "phases",
-    "timeseries", "flight",   "per_shard",
-};
-
+/// Top-level keys a "gh.obs.snapshot.v1" document may carry: the section
+/// keys and the top-level fields of the field table. Anything else is a
+/// mutated or forged document and fails validation.
 bool known_snapshot_key(std::string_view key) {
-  for (const std::string_view k : kSnapshotTopLevelKeys) {
-    if (k == key) return true;
+  for (const std::string_view k : kSectionKeys) {
+    if (!k.empty() && k == key) return true;
+  }
+  for (const Field& f : kFields) {
+    if (f.section == Section::kTop && f.json == key) return true;
   }
   return false;
 }

@@ -1,11 +1,14 @@
-// Versioned text serializers for the observability layer.
+// Versioned text serializers for obs::Snapshot, the one stats surface.
 //
-//   * export_json(Snapshot)          — {"schema":"gh.obs.snapshot.v1",…}
-//   * export_json(RegistrySnapshot)  — {"schema":"gh.obs.metrics.v1",…}
-//   * export_prometheus(…)           — Prometheus text exposition format
+//   * export_json(Snapshot)       — {"schema":"gh.obs.snapshot.v1",…}
+//   * export_prometheus(Snapshot) — Prometheus text exposition format
 //     (counters as *_total, histograms as summary-style quantile lines)
-//   * validate_json(…)               — minimal structural JSON check used
+//   * validate_json(…)            — minimal structural JSON check used
 //     by the schema round-trip tests and the gh_stats self-test.
+//
+// One field table in export.cpp lists every scalar field of a Snapshot
+// with its JSON key, Prometheus name and help text; both exporters and
+// the validator's list of top-level keys are driven from it.
 //
 // The schema string embeds the version; adding fields is
 // backwards-compatible, renaming or removing one bumps the version.
@@ -14,31 +17,19 @@
 #include <string>
 #include <string_view>
 
-#include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
 
 namespace gh::obs {
 
 inline constexpr const char* kSnapshotSchema = "gh.obs.snapshot.v1";
-inline constexpr const char* kMetricsSchema = "gh.obs.metrics.v1";
 
 /// One map/table snapshot as a JSON object.
 [[nodiscard]] std::string export_json(const Snapshot& snapshot);
-
-/// The process-wide registry as a JSON object.
-[[nodiscard]] std::string export_json(const MetricsRegistry::RegistrySnapshot& registry);
-
-/// Convenience: collect + export the global registry.
-[[nodiscard]] std::string export_registry_json();
 
 /// One map/table snapshot in Prometheus text format. Metric names get
 /// `prefix` (default "gh_") and a source label.
 [[nodiscard]] std::string export_prometheus(const Snapshot& snapshot,
                                             std::string_view prefix = "gh_");
-
-/// The process-wide registry in Prometheus text format.
-[[nodiscard]] std::string export_prometheus(
-    const MetricsRegistry::RegistrySnapshot& registry, std::string_view prefix = "gh_");
 
 /// Structural JSON validation (objects, arrays, strings, numbers, bools,
 /// null; UTF-8 passthrough). Returns false and sets `error` (if given)

@@ -55,6 +55,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/counters.hpp"
 #include "util/crc32c.hpp"
 #include "util/types.hpp"
 
@@ -310,12 +311,8 @@ class BasicFlightRecorder {
         (static_cast<usize>(ring) * slots_ + slot) * sizeof(FlightRecord));
   }
 
-  /// Ring for the calling thread (StripedCounter's round-robin scheme).
-  u32 ring_index() const {
-    static std::atomic<u32> next{0};
-    static thread_local const u32 idx = next.fetch_add(1, std::memory_order_relaxed);
-    return idx % rings_;
-  }
+  /// Ring for the calling thread: its round-robin thread slot.
+  u32 ring_index() const { return thread_slot() % rings_; }
 
   /// Ensure the commit words of slots [seq, …) the ring is about to
   /// reuse are zeroed-and-persisted, a batch at a time.

@@ -159,81 +159,4 @@ const char* flight_phase_name(FlightPhase phase) {
   return "unknown";
 }
 
-PmEvents& pm_events() {
-  static PmEvents events;
-  return events;
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-StripedCounter& MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (NamedCounter& c : counters_) {
-    if (c.name == name) return c.counter;
-  }
-  counters_.emplace_back();
-  counters_.back().name = std::string(name);
-  return counters_.back().counter;
-}
-
-LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (NamedHistogram& h : histograms_) {
-    if (h.name == name) return h.histogram;
-  }
-  histograms_.emplace_back();
-  histograms_.back().name = std::string(name);
-  return histograms_.back().histogram;
-}
-
-u64 MetricsRegistry::attach(std::string name, const OpRecorder* recorder) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const u64 id = next_id_++;
-  recorders_.push_back(AttachedRecorder{id, std::move(name), recorder});
-  return id;
-}
-
-void MetricsRegistry::detach(u64 id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  recorders_.erase(
-      std::remove_if(recorders_.begin(), recorders_.end(),
-                     [&](const AttachedRecorder& r) { return r.id == id; }),
-      recorders_.end());
-}
-
-MetricsRegistry::RegistrySnapshot MetricsRegistry::collect() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  RegistrySnapshot snap;
-  // The process-wide PM event counters are always part of the view.
-  const PmEvents& pm = pm_events();
-  snap.counters.push_back({"gh_pm_persist_calls_total", pm.persist_calls.load()});
-  snap.counters.push_back({"gh_pm_lines_flushed_total", pm.lines_flushed.load()});
-  snap.counters.push_back({"gh_pm_fences_total", pm.fences.load()});
-  for (const NamedCounter& c : counters_) {
-    snap.counters.push_back({c.name, c.counter.load()});
-  }
-  for (const NamedHistogram& h : histograms_) {
-    snap.histograms.push_back({h.name, h.histogram.snapshot()});
-  }
-  for (const AttachedRecorder& r : recorders_) {
-    RecorderSample sample;
-    sample.name = r.name;
-    for (usize k = 0; k < kOpKinds; ++k) {
-      sample.ops[k] = r.recorder->of(static_cast<OpKind>(k)).snapshot();
-    }
-    snap.recorders.push_back(std::move(sample));
-  }
-  return snap;
-}
-
-void MetricsRegistry::reset_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pm_events().reset();
-  for (NamedCounter& c : counters_) c.counter.reset();
-  for (NamedHistogram& h : histograms_) h.histogram.reset();
-}
-
 }  // namespace gh::obs

@@ -1,33 +1,26 @@
-// Unified observability layer — process-wide metrics registry, lock-free
-// counters and log₂-bucketed latency histograms.
+// Observability primitives — TSC timing, the sampling gate and
+// log₂-bucketed latency histograms, plus the op-kind and phase enums
+// every instrument shares.
 //
 // Design constraints (this is hot-path instrumentation):
-//   * recording is wait-free and lock-prefix-free: histograms and striped
-//     counters use relaxed load-add-store (the RelaxedCounter discipline
-//     of util/counters.hpp) — under true concurrency increments may be
-//     lost, but values are always defined and never decrease;
+//   * recording is wait-free and lock-prefix-free: histograms use relaxed
+//     load-add-store (the RelaxedCounter discipline of util/counters.hpp)
+//     — under true concurrency increments may be lost, but values are
+//     always defined and never decrease;
 //   * timestamps are raw TSC ticks (one rdtsc per edge, no serialization,
 //     no syscall); ticks convert to nanoseconds only at snapshot/export
 //     time via the calibrated clock in util/clock.hpp;
-//   * per-shard/per-map state is sharded by construction (each map owns
-//     its OpRecorder; the process-global PM event counters are striped by
-//     thread), so no cacheline is contended across writers;
-//   * compiling with GH_OBS_OFF reduces every hook — record(), add(),
-//     now_ticks() — to a no-op with zero residue on the hot
-//     path. The registry/export surface stays linkable (it reports
-//     zeros), so callers never need #ifdefs.
-//
-// Registration (MetricsRegistry::global()) takes a mutex; it happens at
-// map construction, never per operation.
+//   * state is per structure: each map owns its OpRecorder, and its
+//     snapshot() (obs/snapshot.hpp) is the only way the numbers leave it,
+//     so no cacheline is shared between structures;
+//   * compiling with GH_OBS_OFF reduces every hook — record(),
+//     now_ticks() — to a no-op with zero residue on the hot path. The
+//     snapshot/export surface stays linkable (it reports zeros), so
+//     callers never need #ifdefs.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <cstring>
-#include <deque>
-#include <mutex>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,7 +34,7 @@ inline constexpr bool kEnabled = false;
 inline constexpr bool kEnabled = true;
 #endif
 
-/// Schema version stamped into every exported snapshot/registry dump.
+/// Schema version stamped into every exported snapshot.
 inline constexpr u32 kSchemaVersion = 1;
 
 // ---------------------------------------------------------------------------
@@ -100,49 +93,6 @@ inline u64 ticks_to_ns(u64 ticks) {
   const double tpn = ticks_per_ns();
   return tpn > 0 ? static_cast<u64>(static_cast<double>(ticks) / tpn) : ticks;
 }
-
-// ---------------------------------------------------------------------------
-// Counters.
-
-/// Process-wide hot counter, striped across cachelines by thread so
-/// concurrent writers never bounce a line. Loads sum the stripes.
-class StripedCounter {
- public:
-  static constexpr usize kStripes = 8;
-
-  void add(u64 d) {
-    if constexpr (!kEnabled) return;
-    auto& v = stripes_[stripe_index()].v;
-    v.store(v.load(std::memory_order_relaxed) + d, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] u64 load() const {
-    u64 total = 0;
-    for (const Stripe& s : stripes_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
-
-  void reset() {
-    for (Stripe& s : stripes_) s.v.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(kCachelineSize) Stripe {
-    std::atomic<u64> v{0};
-  };
-
-  static usize stripe_index() {
-    // One stripe per thread (mod kStripes), assigned round-robin on first
-    // use; threads never migrate stripes, so per-thread updates stay in
-    // one L1 line.
-    static std::atomic<usize> next{0};
-    static thread_local const usize idx =
-        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-    return idx;
-  }
-
-  std::array<Stripe, kStripes> stripes_{};
-};
 
 // ---------------------------------------------------------------------------
 // Latency histogram.
@@ -354,8 +304,7 @@ inline constexpr u32 kFlightSampleShift = 7;
 // OpRecorder: one structure's per-op latency histograms.
 
 /// The latency side of a map/table's observability: one histogram per op
-/// kind. Owned via unique_ptr by each map (stable address across moves)
-/// and attached to the global registry under the map's name.
+/// kind. Each map owns one and reads it back through snapshot().
 class OpRecorder {
  public:
   [[nodiscard]] LatencyHistogram& of(OpKind kind) {
@@ -379,139 +328,6 @@ class OpRecorder {
 
  private:
   std::array<LatencyHistogram, kOpKinds> histograms_;
-};
-
-// ---------------------------------------------------------------------------
-// Process-wide PM event counters (all persistence policies feed these).
-
-/// Aggregate NVM-traffic events across every PM instance in the process,
-/// striped by thread. The per-instance PersistStats remain the exact
-/// per-structure view; these answer "what is this *process* doing to the
-/// media right now" without walking instances.
-struct PmEvents {
-  StripedCounter persist_calls;
-  StripedCounter lines_flushed;
-  StripedCounter fences;
-
-  void reset() {
-    persist_calls.reset();
-    lines_flushed.reset();
-    fences.reset();
-  }
-};
-
-PmEvents& pm_events();
-
-/// Hook called by every persistence policy's persist(). Inline and
-/// branch-free; compiles out under GH_OBS_OFF.
-inline void on_pm_persist(u64 lines) {
-  if constexpr (!kEnabled) return;
-  PmEvents& e = pm_events();
-  e.persist_calls.add(1);
-  e.lines_flushed.add(lines);
-}
-
-inline void on_pm_fence() {
-  if constexpr (!kEnabled) return;
-  pm_events().fences.add(1);
-}
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry.
-
-/// Process-wide registry of named counters/histograms plus the
-/// OpRecorders of live maps/tables. Registration locks a mutex; reads of
-/// registered metrics are lock-free. collect() walks everything under
-/// the registration lock (attach/detach excluded, increments not).
-class MetricsRegistry {
- public:
-  static MetricsRegistry& global();
-
-  /// Named process counter; same name returns the same counter.
-  StripedCounter& counter(std::string_view name);
-  /// Named process histogram; same name returns the same histogram.
-  LatencyHistogram& histogram(std::string_view name);
-
-  /// Attach a live OpRecorder under `name` (duplicate names allowed —
-  /// e.g. the shards of one concurrent map). Returns an id for detach().
-  u64 attach(std::string name, const OpRecorder* recorder);
-  void detach(u64 id);
-
-  struct CounterSample {
-    std::string name;
-    u64 value = 0;
-  };
-  struct HistogramSample {
-    std::string name;
-    HistogramSnapshot hist;
-  };
-  struct RecorderSample {
-    std::string name;
-    std::array<HistogramSnapshot, kOpKinds> ops;
-  };
-  struct RegistrySnapshot {
-    u32 version = kSchemaVersion;
-    std::vector<CounterSample> counters;
-    std::vector<HistogramSample> histograms;
-    std::vector<RecorderSample> recorders;
-  };
-
-  [[nodiscard]] RegistrySnapshot collect() const;
-
-  /// Tests only: zero every registered metric and the PM event counters
-  /// (attached recorders are left alone — their owners reset them).
-  void reset_all();
-
- private:
-  struct Named {
-    std::string name;
-  };
-  struct NamedCounter : Named {
-    StripedCounter counter;
-  };
-  struct NamedHistogram : Named {
-    LatencyHistogram histogram;
-  };
-  struct AttachedRecorder {
-    u64 id = 0;
-    std::string name;
-    const OpRecorder* recorder = nullptr;
-  };
-
-  mutable std::mutex mu_;
-  std::deque<NamedCounter> counters_;
-  std::deque<NamedHistogram> histograms_;
-  std::vector<AttachedRecorder> recorders_;
-  u64 next_id_ = 1;
-};
-
-/// RAII attachment of an OpRecorder to the global registry. Movable so
-/// maps can hold one by value; detaches (once) on destruction.
-class Registration {
- public:
-  Registration() = default;
-  Registration(std::string name, const OpRecorder* recorder)
-      : id_(MetricsRegistry::global().attach(std::move(name), recorder)) {}
-  Registration(Registration&& o) noexcept : id_(o.id_) { o.id_ = 0; }
-  Registration& operator=(Registration&& o) noexcept {
-    if (this != &o) {
-      release();
-      id_ = o.id_;
-      o.id_ = 0;
-    }
-    return *this;
-  }
-  Registration(const Registration&) = delete;
-  Registration& operator=(const Registration&) = delete;
-  ~Registration() { release(); }
-
- private:
-  void release() {
-    if (id_ != 0) MetricsRegistry::global().detach(id_);
-    id_ = 0;
-  }
-
-  u64 id_ = 0;
 };
 
 }  // namespace gh::obs

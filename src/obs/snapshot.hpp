@@ -154,7 +154,7 @@ struct ContentionSnapshot {
   u64 writer_waits = 0;
 
   static ContentionSnapshot from(const LockContention& c) {
-    return {c.read_retries.load(), c.read_fallbacks.load(), c.writer_waits.load()};
+    return {c.read_retries(), c.read_fallbacks(), c.writer_waits.load()};
   }
 
   ContentionSnapshot& operator+=(const ContentionSnapshot& o) {

@@ -1,23 +1,23 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
+#include <string_view>
 #include <vector>
 
 namespace gh {
 
 Cli::Cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        options_[arg.substr(2)] = "1";
-      } else {
-        options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    } else {
-      positional_.push_back(std::move(arg));
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) {
+      positional_.emplace_back(arg);
+      continue;
     }
+    // "--key=value", or a bare "--flag", which reads as "1".
+    const std::string_view option = arg.substr(2);
+    const usize eq = option.find('=');
+    const std::string_view value = eq == std::string_view::npos ? "1" : option.substr(eq + 1);
+    options_.insert_or_assign(std::string(option.substr(0, eq)), std::string(value));
   }
 }
 

@@ -11,6 +11,8 @@
 // depends on the value (the table's logical count) or where tests assert
 // on it (the seqlock contention counters in util/seqlock.hpp), and where
 // the per-op cost of one lock-prefixed add is irrelevant.
+//
+// thread_slot — a small per-thread index for striping such counters.
 #pragma once
 
 #include <atomic>
@@ -79,5 +81,14 @@ class AtomicCounter {
  private:
   std::atomic<u64> v_;
 };
+
+/// The calling thread's small index, assigned round-robin on first use.
+/// Striped counters and per-thread rings take it modulo their width, so
+/// threads spread over the stripes and each thread keeps to its own.
+inline u32 thread_slot() {
+  static std::atomic<u32> next{0};
+  static thread_local const u32 slot = next.fetch_add(1, std::memory_order_relaxed);
+  return slot;
+}
 
 }  // namespace gh

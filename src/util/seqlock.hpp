@@ -28,6 +28,7 @@
 // reported.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <mutex>
 
@@ -47,11 +48,38 @@ inline void cpu_relax() {
 
 /// Contention statistics for one seqlock (one shard). Exact
 /// (fetch_add) because they sit off the optimistic fast path: a read that
-/// validates on the first attempt touches none of them.
+/// validates on the first attempt touches none of them. A read counts
+/// into its thread's stripe, each on its own cacheline, so readers that
+/// fall back together do not also contend on one counter line, nor write
+/// the line of the lock they are about to take. Loads sum the stripes.
 struct LockContention {
-  AtomicCounter read_retries;    ///< optimistic attempts that failed validation
-  AtomicCounter read_fallbacks;  ///< reads that gave up and took the lock
-  AtomicCounter writer_waits;    ///< write acquisitions that found the lock held
+  static constexpr usize kReadStripes = 8;
+  struct alignas(kCachelineSize) ReadStripe {
+    AtomicCounter retries;    ///< optimistic attempts that failed validation
+    AtomicCounter fallbacks;  ///< reads that gave up and took the lock
+  };
+
+  std::array<ReadStripe, kReadStripes> reads;
+  alignas(kCachelineSize) AtomicCounter writer_waits;  ///< write acquisitions that waited
+
+  /// One read's failed attempts, and whether it then took the lock.
+  void count_read(u64 retries, bool fell_back) {
+    ReadStripe& stripe = reads[thread_slot() % kReadStripes];
+    if (retries != 0) stripe.retries += retries;
+    if (fell_back) stripe.fallbacks += 1;
+  }
+
+  [[nodiscard]] u64 read_retries() const {
+    u64 total = 0;
+    for (const ReadStripe& s : reads) total += s.retries.load();
+    return total;
+  }
+
+  [[nodiscard]] u64 read_fallbacks() const {
+    u64 total = 0;
+    for (const ReadStripe& s : reads) total += s.fallbacks.load();
+    return total;
+  }
 };
 
 class SeqLock {

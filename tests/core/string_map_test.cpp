@@ -83,7 +83,9 @@ TEST(StringMap, OracleChurn) {
       const auto found = map.get(key);
       const auto it = oracle.find(key);
       ASSERT_EQ(found.has_value(), it != oracle.end());
-      if (found) EXPECT_EQ(*found, it->second);
+      if (found) {
+        EXPECT_EQ(*found, it->second);
+      }
     } else {
       EXPECT_EQ(map.erase(key), oracle.erase(key) == 1);
     }

@@ -143,7 +143,9 @@ class CrashInjection : public ::testing::TestWithParam<CrashCase> {
       const auto found = table->find(k);
       if (GetParam().op == OpKind::kErase && i == 1) {
         // Invariant 2 (erase): all-or-nothing.
-        if (found.has_value()) EXPECT_EQ(*found, value_of(k));
+        if (found.has_value()) {
+          EXPECT_EQ(*found, value_of(k));
+        }
         present += found.has_value() ? 1 : 0;
         continue;
       }
@@ -162,7 +164,9 @@ class CrashInjection : public ::testing::TestWithParam<CrashCase> {
     if (GetParam().op == OpKind::kInsert) {
       // Invariant 2 (insert): all-or-nothing.
       const auto found = table->find(key_at(0));
-      if (found.has_value()) EXPECT_EQ(*found, value_of(key_at(0)));
+      if (found.has_value()) {
+        EXPECT_EQ(*found, value_of(key_at(0)));
+      }
       present += found.has_value() ? 1 : 0;
     }
     // Invariant 3: count matches what is reachable.

@@ -152,7 +152,9 @@ TEST_F(Figure1, GroupHashingClosesAllThreeCases) {
           << "crash_at=" << crash_at << " seed=" << seed;
       EXPECT_EQ(report.recovered_count, rebooted.count());
       // No case 3: a visible item always carries its exact value.
-      if (v) EXPECT_EQ(*v, 0x486173685461626cull);
+      if (v) {
+        EXPECT_EQ(*v, 0x486173685461626cull);
+      }
       (void)crashed;
     }
   }

@@ -247,7 +247,9 @@ TEST_F(GroupHashingTest, RecoverScrubsTornPayloads) {
   EXPECT_EQ(report.cells_scrubbed, 3u);
   EXPECT_EQ(report.recovered_count, 1u);
   for (usize i = 0; i < 512; ++i) {
-    if (!cells[i].occupied()) EXPECT_FALSE(cells[i].payload_dirty()) << i;
+    if (!cells[i].occupied()) {
+      EXPECT_FALSE(cells[i].payload_dirty()) << i;
+    }
   }
   EXPECT_EQ(*table().find(1), 11u);
 }

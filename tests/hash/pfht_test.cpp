@@ -77,7 +77,9 @@ TEST_F(PfhtTest, StashAbsorbsPathologicalCollisions) {
   for (const u64 k : keys) ok += table().insert(k, k) ? 1 : 0;
   EXPECT_GE(ok, 8u);
   for (usize i = 0; i < ok; ++i) EXPECT_EQ(*table().find(keys[i]), keys[i]);
-  if (ok == 9) EXPECT_GT(table().stats().stash_probes, 0u);
+  if (ok == 9) {
+    EXPECT_GT(table().stats().stash_probes, 0u);
+  }
 }
 
 TEST_F(PfhtTest, OracleComparisonWithChurn) {

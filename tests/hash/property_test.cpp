@@ -92,7 +92,9 @@ TEST_P(SchemeProperty, ChurnMatchesOracle) {
     } else if (r < 0.90) {
       // Negative lookup.
       const Key128 k = fresh_key();
-      if (!oracle.count(k)) EXPECT_FALSE(table->find(k).has_value());
+      if (!oracle.count(k)) {
+        EXPECT_FALSE(table->find(k).has_value());
+      }
     } else if (!live.empty()) {
       const usize idx = rng.next_below(live.size());
       const Key128 k = live[idx];

@@ -57,17 +57,6 @@ TEST(ExportJson, SourceStringIsEscaped) {
   EXPECT_TRUE(validate_json(json, &error)) << error;
 }
 
-TEST(ExportJson, RegistryDumpValidates) {
-  if (!kEnabled) GTEST_SKIP() << "GH_OBS_OFF build";
-  MetricsRegistry::global().counter("test.export.counter").add(7);
-  const std::string json = export_registry_json();
-  std::string error;
-  EXPECT_TRUE(validate_json(json, &error)) << error;
-  EXPECT_NE(json.find(kMetricsSchema), std::string::npos);
-  EXPECT_NE(json.find("test.export.counter"), std::string::npos);
-  MetricsRegistry::global().counter("test.export.counter").reset();
-}
-
 TEST(ExportPrometheus, CarriesMetricFamilies) {
   const std::string prom = export_prometheus(sample_snapshot());
   for (const char* family :

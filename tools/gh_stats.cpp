@@ -2,13 +2,10 @@
 // observability snapshot (the obs::Snapshot API this tool exists to
 // exercise end to end).
 //
-//   gh_stats <file.gh> [--format=json|prom|text] [--registry]
+//   gh_stats <file.gh> [--format=json|prom|text]
 //   gh_stats --flight <file.flight> [--spans=file.spans] [--trace=out.json]
 //   gh_stats --spans=<file.spans> [--trace=out.json]
 //   gh_stats --selftest [--format=json|prom|text] [--keep]
-//
-// --registry additionally dumps the process-wide MetricsRegistry (named
-// counters/histograms registered by every open map in this process).
 //
 // --flight scans a flight-recorder sidecar offline (no map open): prints
 // the crash-forensics timeline, and with --trace=<out> also writes a
@@ -132,7 +129,7 @@ void print_text(const gh::obs::Snapshot& s) {
   }
 }
 
-int emit(const gh::obs::Snapshot& s, const std::string& format, bool registry) {
+int emit(const gh::obs::Snapshot& s, const std::string& format) {
   if (format == "json") {
     const std::string text = gh::obs::export_json(s);
     std::string error;
@@ -141,16 +138,10 @@ int emit(const gh::obs::Snapshot& s, const std::string& format, bool registry) {
       return 1;
     }
     std::printf("%s\n", text.c_str());
-    if (registry) std::printf("%s\n", gh::obs::export_registry_json().c_str());
   } else if (format == "prom") {
     std::printf("%s", gh::obs::export_prometheus(s).c_str());
-    if (registry) {
-      std::printf("%s", gh::obs::export_prometheus(
-                            gh::obs::MetricsRegistry::global().collect()).c_str());
-    }
   } else if (format == "text") {
     print_text(s);
-    if (registry) std::printf("\n%s\n", gh::obs::export_registry_json().c_str());
   } else {
     std::fprintf(stderr, "gh_stats: unknown --format=%s (json|prom|text)\n",
                  format.c_str());
@@ -160,9 +151,9 @@ int emit(const gh::obs::Snapshot& s, const std::string& format, bool registry) {
 }
 
 template <class Map>
-int dump(const std::string& path, const std::string& format, bool registry) {
+int dump(const std::string& path, const std::string& format) {
   Map map = Map::open(path);
-  return emit(map.snapshot(), format, registry);
+  return emit(map.snapshot(), format);
 }
 
 int write_text_file(const std::string& path, const std::string& body) {
@@ -393,7 +384,7 @@ int selftest(const std::string& format, bool keep) {
       return 1;
     }
   }
-  const int rc = emit(s, format, /*registry=*/false);
+  const int rc = emit(s, format);
   if (!keep) {
     map.close();
     std::remove(path.c_str());
@@ -432,7 +423,7 @@ int main(int argc, char** argv) {
     }
     if (cli.positional().empty()) {
       std::fprintf(stderr,
-                   "usage: gh_stats <file.gh> [--format=json|prom|text] [--registry]\n"
+                   "usage: gh_stats <file.gh> [--format=json|prom|text]\n"
                    "       gh_stats --flight <file.flight> [--spans=file.spans] "
                    "[--trace=out.json]\n"
                    "       gh_stats --spans=<file.spans> [--trace=out.json]\n"
@@ -441,9 +432,8 @@ int main(int argc, char** argv) {
     }
     const std::string& path = cli.positional().front();
     const gh::MapFileInfo info = gh::read_map_file_info(path);
-    return info.cell_size == 16
-               ? dump<gh::GroupHashMap>(path, format, cli.has("registry"))
-               : dump<gh::GroupHashMapWide>(path, format, cli.has("registry"));
+    return info.cell_size == 16 ? dump<gh::GroupHashMap>(path, format)
+                                : dump<gh::GroupHashMapWide>(path, format);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gh_stats: %s\n", e.what());
     return 2;
