@@ -34,6 +34,7 @@
 #include <optional>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/group_hash_map.hpp"
@@ -109,7 +110,7 @@ class BasicConcurrentGroupHashMap {
     return hit;
   }
 
-  /// Batched lookup: keys are bucketed by shard; each shard's sub-batch
+  /// Batched lookup: keys are routed by shard; each shard's sub-batch
   /// resolves under ONE optimistic epoch validation (all its probes
   /// together — the same one-epoch argument as a single probe), retrying
   /// and finally falling back to the shard lock plus the map's
@@ -118,49 +119,43 @@ class BasicConcurrentGroupHashMap {
     GH_CHECK_MSG(keys.size() == out.size(), "get_batch spans must have equal size");
     check_keys(keys);
     if (keys.empty()) return;
-    std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
-    std::vector<key_type> sub_keys;
-    std::vector<ProbeKey> sub_probes;
-    std::vector<std::optional<u64>> sub_out;
+    const ShardRoute route = route_by_shard(keys);
+    const std::vector<key_type> routed = route.gather(keys);
+    std::vector<std::optional<u64>> routed_out(keys.size());
+    std::vector<ProbeKey> probes;
     for (usize s = 0; s < shards_.size(); ++s) {
-      if (buckets[s].empty()) continue;
-      sub_keys.clear();
-      for (const u32 i : buckets[s]) sub_keys.push_back(keys[i]);
-      sub_out.assign(sub_keys.size(), std::nullopt);
-      shard_get_batch(*shards_[s], sub_keys, sub_probes, sub_out);
-      for (usize w = 0; w < buckets[s].size(); ++w) out[buckets[s][w]] = sub_out[w];
+      const auto [begin, end] = route.range(s);
+      if (begin == end) continue;
+      shard_get_batch(*shards_[s], std::span(routed).subspan(begin, end - begin), probes,
+                      std::span(routed_out).subspan(begin, end - begin));
     }
+    for (usize o = 0; o < keys.size(); ++o) out[route.order[o]] = routed_out[o];
   }
 
   /// Batched insert-or-update: each shard's sub-batch runs under one
   /// write-lock acquisition through the shard map's fence-coalescing
   /// put_batch. A key always routes to the same shard and in-shard order
   /// follows batch order, so duplicate keys keep sequential last-wins
-  /// semantics.
+  /// semantics. Shards are taken free ones first (write_routed), so the
+  /// batch is not atomic across shards: when a shard's map throws (a
+  /// failed expansion), the shards applied before it keep their share,
+  /// and which shards those are depends on which locks were free.
   void put_batch(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK_MSG(keys.size() == values.size(), "put_batch spans must have equal size");
     // Reject a bad key before any shard applies its share of the batch.
     check_keys(keys);
     if (keys.empty()) return;
-    std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
-    std::vector<key_type> sub_keys;
-    std::vector<u64> sub_vals;
-    for (usize s = 0; s < shards_.size(); ++s) {
-      if (buckets[s].empty()) continue;
-      sub_keys.clear();
-      sub_vals.clear();
-      for (const u32 i : buckets[s]) {
-        sub_keys.push_back(keys[i]);
-        sub_vals.push_back(values[i]);
-      }
-      ShardState& sh = *shards_[s];
-      SeqLockWriteGuard guard(sh.lock, &sh.contention);
-      sh.map.put_batch(sub_keys, sub_vals);
-      sh.republish_if_moved();
-    }
+    const ShardRoute route = route_by_shard(keys);
+    const std::vector<key_type> routed_keys = route.gather(keys);
+    const std::vector<u64> routed_vals = route.gather(values);
+    write_routed(route, [&](ShardState& sh, usize begin, usize end) {
+      sh.map.put_batch(std::span(routed_keys).subspan(begin, end - begin),
+                       std::span(routed_vals).subspan(begin, end - begin));
+    });
   }
 
-  /// Batched erase with per-shard fence coalescing. When `hits` is
+  /// Batched erase with per-shard fence coalescing, shards taken as in
+  /// put_batch (and as non-atomic across them). When `hits` is
   /// non-empty it must be keys.size() long; hits[i] is set to 1 if
   /// keys[i] was present.
   void erase_batch(std::span<const key_type> keys, std::span<u8> hits = {}) {
@@ -168,22 +163,16 @@ class BasicConcurrentGroupHashMap {
                  "erase_batch hits span must match keys");
     check_keys(keys);
     if (keys.empty()) return;
-    std::vector<std::vector<u32>> buckets = bucket_by_shard(keys);
-    std::vector<key_type> sub_keys;
-    std::vector<u8> sub_hits;
-    for (usize s = 0; s < shards_.size(); ++s) {
-      if (buckets[s].empty()) continue;
-      sub_keys.clear();
-      for (const u32 i : buckets[s]) sub_keys.push_back(keys[i]);
-      if (!hits.empty()) sub_hits.assign(sub_keys.size(), 0);
-      ShardState& sh = *shards_[s];
-      SeqLockWriteGuard guard(sh.lock, &sh.contention);
-      sh.map.erase_batch(sub_keys, hits.empty() ? std::span<u8>{} : std::span<u8>(sub_hits));
-      sh.republish_if_moved();
-      if (!hits.empty()) {
-        for (usize w = 0; w < buckets[s].size(); ++w) hits[buckets[s][w]] = sub_hits[w];
-      }
-    }
+    const ShardRoute route = route_by_shard(keys);
+    const std::vector<key_type> routed_keys = route.gather(keys);
+    std::vector<u8> routed_hits(hits.empty() ? 0 : keys.size(), 0);
+    write_routed(route, [&](ShardState& sh, usize begin, usize end) {
+      sh.map.erase_batch(std::span(routed_keys).subspan(begin, end - begin),
+                         hits.empty() ? std::span<u8>{}
+                                      : std::span(routed_hits).subspan(begin, end - begin));
+    });
+    if (hits.empty()) return;
+    for (usize o = 0; o < keys.size(); ++o) hits[route.order[o]] = routed_hits[o];
   }
 
   [[nodiscard]] u64 size() {
@@ -303,13 +292,72 @@ class BasicConcurrentGroupHashMap {
     if constexpr (requires { Map::check_keys(keys); }) Map::check_keys(keys);
   }
 
-  [[nodiscard]] std::vector<std::vector<u32>> bucket_by_shard(
-      std::span<const key_type> keys) const {
-    std::vector<std::vector<u32>> buckets(shards_.size());
-    for (usize i = 0; i < keys.size(); ++i) {
-      buckets[shard_index(keys[i])].push_back(static_cast<u32>(i));
+  /// A batch's key indices sorted by shard with one counting sort: shard
+  /// s's keys are order[offsets[s], offsets[s + 1]), in batch order.
+  struct ShardRoute {
+    std::vector<u32> order;
+    std::vector<u32> offsets;
+
+    [[nodiscard]] std::pair<usize, usize> range(usize s) const {
+      return {offsets[s], offsets[s + 1]};
     }
-    return buckets;
+
+    /// `items` in routed order, so each shard's share is one subspan.
+    template <class T>
+    [[nodiscard]] std::vector<T> gather(std::span<const T> items) const {
+      std::vector<T> out;
+      out.reserve(order.size());
+      for (const u32 i : order) out.push_back(items[i]);
+      return out;
+    }
+  };
+
+  [[nodiscard]] ShardRoute route_by_shard(std::span<const key_type> keys) const {
+    ShardRoute route;
+    std::vector<u32> shard_of_key(keys.size());
+    route.offsets.assign(shards_.size() + 1, 0);
+    for (usize i = 0; i < keys.size(); ++i) {
+      shard_of_key[i] = static_cast<u32>(shard_index(keys[i]));
+      route.offsets[shard_of_key[i] + 1]++;
+    }
+    for (usize s = 0; s < shards_.size(); ++s) route.offsets[s + 1] += route.offsets[s];
+    std::vector<u32> cursor(route.offsets.begin(), route.offsets.end() - 1);
+    route.order.resize(keys.size());
+    for (usize i = 0; i < keys.size(); ++i) {
+      route.order[cursor[shard_of_key[i]]++] = static_cast<u32>(i);
+    }
+    return route;
+  }
+
+  /// Run `apply(shard, begin, end)` for each shard the route touches,
+  /// under that shard's write lock, then republish. Shards whose lock is
+  /// free are applied first, in shard order; busy ones are deferred to a
+  /// second, blocking pass. Concurrent batches then work on different
+  /// shards instead of queueing behind one another from shard 0 up. A
+  /// thread holds one shard lock at a time, and a throw from `apply`
+  /// leaves the later shards untouched.
+  template <class Apply>
+  void write_routed(const ShardRoute& route, Apply&& apply) {
+    std::vector<u32> busy;
+    for (usize s = 0; s < shards_.size(); ++s) {
+      const auto [begin, end] = route.range(s);
+      if (begin == end) continue;
+      ShardState& sh = *shards_[s];
+      if (!sh.lock.try_write_lock()) {
+        busy.push_back(static_cast<u32>(s));
+        continue;
+      }
+      SeqLockWriteGuard guard(sh.lock, std::adopt_lock);
+      apply(sh, begin, end);
+      sh.republish_if_moved();
+    }
+    for (const u32 s : busy) {
+      const auto [begin, end] = route.range(s);
+      ShardState& sh = *shards_[s];
+      SeqLockWriteGuard guard(sh.lock, &sh.contention);
+      apply(sh, begin, end);
+      sh.republish_if_moved();
+    }
   }
 
   /// One shard's share of get_batch: the whole sub-batch probes under a

@@ -36,13 +36,14 @@
 // and the probe retries). The view holds shared ownership of the tag
 // block, so a retired view's tags outlive the expansion that replaced
 // the table, exactly like the retained region.
-// Each probe first prefetches its level-1 cell and its level-2 group's
-// tag lines (hash::prefetch_probe_lines, the same lines the locked probes
-// and find_batch prefetch). A prefetch is a hint, not an access: it
-// cannot race, fault on a retired view's memory, or feed a value into the
-// probe, so it needs no epoch. It is what makes the byte-atomic loop
-// affordable: the loop's cost is the misses it waits on, and those are
-// now in flight together instead of one after the other.
+// Each probe first prefetches its level-1 tag byte, its level-1 cell and
+// its level-2 group's tag lines (hash::prefetch_probe_lines, the same
+// lines the locked probes and find_batch prefetch). A prefetch is a
+// hint, not an access: it cannot race, fault on a retired view's memory,
+// or feed a value into the probe, so it needs no epoch. It is what makes
+// the byte-atomic loop affordable: the loop's cost is the misses it
+// waits on, and those are now in flight together instead of one after
+// the other.
 #pragma once
 
 #include <atomic>
@@ -182,7 +183,7 @@ template <class Cell>
                                                   u64 mask, u32 group_size,
                                                   const u8* tags1, const u8* tags2, u64 h,
                                                   const typename Cell::key_type& key) {
-  hash::prefetch_probe_lines(tab1, tags2, mask, group_size, h);
+  hash::prefetch_probe_lines(tab1, tags1, tags2, mask, group_size, h);
   const u64 k = h & mask;
   const u8 tag = hash::tag_of_hash(h);
   if (hash::tag_load_relaxed(tags1 + k) == tag) {

@@ -140,24 +140,27 @@ enum class ScrubMode {
   kSalvage,
 };
 
-/// Prefetch what a probe of hash `h` reads after its level-1 tag byte:
-/// the key's level-1 cell and its level-2 group's tag lines (at most four,
-/// 256 tags, for jumbo groups). Issued before the tag byte is loaded, the
-/// probe's two to four dependent misses overlap instead of queueing one
-/// behind the other. A prefetch never faults and reads nothing into the
-/// program, so the lock-free probes issue it too. Returns the number of
-/// prefetches issued.
+/// Prefetch every line a probe of hash `h` reads: its level-1 tag byte,
+/// which it reads first, the key's level-1 cell and its level-2 group's
+/// tag lines (at most four, 256 tags, for jumbo groups). Issued right
+/// after hashing, the probe's three to five dependent misses overlap
+/// instead of queueing one behind the other, and a window's keys all
+/// have their lines in flight while the first key's flush spins. A
+/// prefetch never faults and reads nothing into the program, so the
+/// lock-free probes issue it too. Returns the number of prefetches
+/// issued.
 template <class Cell>
-inline u64 prefetch_probe_lines(const Cell* tab1, const u8* tags2, u64 mask, u32 group_size,
-                                u64 h) {
+inline u64 prefetch_probe_lines(const Cell* tab1, const u8* tags1, const u8* tags2, u64 mask,
+                                u32 group_size, u64 h) {
   const u64 k = h & mask;
   const u64 j = k - k % group_size;
   const u64 tag_lines = std::min<u64>((group_size + kCachelineSize - 1) / kCachelineSize, 4);
+  __builtin_prefetch(tags1 + k, /*rw=*/0, /*locality=*/1);
   __builtin_prefetch(&tab1[k], /*rw=*/0, /*locality=*/1);
   for (u64 line = 0; line < tag_lines; ++line) {
     __builtin_prefetch(tags2 + j + line * kCachelineSize, /*rw=*/0, /*locality=*/1);
   }
-  return 1 + tag_lines;
+  return 2 + tag_lines;
 }
 
 template <class Cell, class PM>
@@ -354,14 +357,15 @@ class GroupHashTable {
   [[nodiscard]] bool contains(key_type key) { return find_cell(key) != nullptr; }
 
   /// In-place value update. An 8-byte value overwrite is itself failure
-  /// atomic, so no further protocol is needed.
+  /// atomic, so no further protocol is needed. The cell is digested
+  /// before its line is flushed, while the probe left it in cache.
   bool update(key_type key, u64 value) {
     Cell* c = find_cell(key);
     if (c == nullptr) return false;
-    const u32 old_digest = crc_ ? cell_digest(c) : 0;
+    const u32 delta = crc_ ? cell_digest(c) ^ committed_digest(c, c->key(), value) : 0;
     pm_->atomic_store_u64(&c->value, value);
     pm_->persist(&c->value, sizeof(u64));
-    if (crc_) apply_digest_delta(c, old_digest);
+    if (crc_) apply_digest_delta(c, delta);
     return true;
   }
 
@@ -921,7 +925,8 @@ class GroupHashTable {
   /// after hashing (find, find_cell, plan_window); find_batch issues it
   /// for a window of keys.
   void prefetch_probe(u64 h) {
-    stats_.prefetches_issued += prefetch_probe_lines(tab1_, tags2_, mask_, group_size_, h);
+    stats_.prefetches_issued +=
+        prefetch_probe_lines(tab1_, tags1_, tags2_, mask_, group_size_, h);
   }
 
   /// Tag-filtered probe (Algorithm 2 + fingerprint filter): only cells
@@ -1222,7 +1227,9 @@ class GroupHashTable {
   /// crash may keep or lose like any later op. Its flushes go through a
   /// DirtyLines view that flushes each line once it is final, at the
   /// latest just before that fence, so a line holding several of the
-  /// window's cells is flushed once.
+  /// window's cells is flushed once. Every cell the window writes is
+  /// digested when it is written (committed_digest for new values), so
+  /// the checksum tail reads no cell whose line a flush has evicted.
   template <bool kCheckExisting>
   usize put_batch_impl(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK(values.size() >= keys.size());
@@ -1230,6 +1237,7 @@ class GroupHashTable {
       Cell* cell;
       key_type key;
       u32 old_digest;
+      u32 new_digest;  ///< of the cell as committed with its latest value
     };
     // [0, nstaged) live; not value-initialised, so a window of one does
     // not pay for clearing 32 entries.
@@ -1269,21 +1277,24 @@ class GroupHashTable {
           } else {
             dup->cell->stage_value(*pm_, value);
           }
+          if (crc_) dup->new_digest = committed_digest(dup->cell, key, value);
           consumed++;
           continue;
         }
         if (kCheckExisting) {
           if (Cell* c = find_cell_at(key, h)) {
             // In-place update, fence deferred to the window tail. The
-            // delta is computed now — the cell content is already final.
-            const u32 old_digest = crc_ ? cell_digest(c) : 0;
+            // delta is computed now, from the cell the probe just read
+            // — its content is already final.
+            if (crc_) {
+              deltas.add(crc_slot_of(c), cell_digest(c) ^ committed_digest(c, c->key(), value));
+            }
             pm_->atomic_store_u64(&c->value, value);
             if (same_line()) {
               lines.flush(&c->value, sizeof(u64));
             } else {
               pm_->flush(&c->value, sizeof(u64));
             }
-            if (crc_) deltas.add(crc_slot_of(c), old_digest ^ cell_digest(c));
             updates++;
             consumed++;
             continue;
@@ -1315,6 +1326,7 @@ class GroupHashTable {
         }
         if (wal_) log_mutation(target);
         const u32 old_digest = crc_ ? cell_digest(target) : 0;
+        const u32 new_digest = crc_ ? committed_digest(target, key, value) : 0;
         if (same_line()) {
           target->publish_same_line(lines, key, value);
         } else {
@@ -1324,7 +1336,7 @@ class GroupHashTable {
         // the staged cell (under kFenced its commit word still reads
         // unoccupied).
         tag_store(tag_slot(target), tag);
-        staged[nstaged++] = Staged{target, key, old_digest};
+        staged[nstaged++] = Staged{target, key, old_digest, new_digest};
         consumed++;
       }
       // Window tail: finalize everything staged, even on a full stop.
@@ -1341,8 +1353,7 @@ class GroupHashTable {
         }
         if (crc_) {
           for (usize s = 0; s < nstaged; ++s) {
-            deltas.add(crc_slot_of(staged[s].cell),
-                       staged[s].old_digest ^ cell_digest(staged[s].cell));
+            deltas.add(crc_slot_of(staged[s].cell), staged[s].old_digest ^ staged[s].new_digest);
           }
         }
       }
@@ -1437,14 +1448,30 @@ class GroupHashTable {
 
   [[nodiscard]] u64* crc_slot(u32 level, u64 g) const { return &crc_[level * num_groups() + g]; }
 
-  /// XOR the digest delta of a just-mutated cell into its group checksum
+  /// Digest `c` has once it holds (key, value) committed, derived from a
+  /// local image of the cell rather than from the cell: a committed cell's
+  /// bytes are a function of its key and value alone. A window digests
+  /// each cell it writes this way before the cell's line can be flushed,
+  /// so it never reads back a line the flush has evicted.
+  [[nodiscard]] u32 committed_digest(const Cell* c, const key_type& key, u64 value) const {
+    struct ImageStores {
+      void store_u64(u64* dst, u64 v) { *dst = v; }
+      void atomic_store_u64(u64* dst, u64 v) { *dst = v; }
+      void flush(const void*, usize) {}
+    } image_stores;
+    Cell image{};
+    image.publish_same_line(image_stores, key, value);
+    return crc32c_seeded(global_index(c), &image, sizeof(Cell));
+  }
+
+  /// XOR a mutated cell's digest delta into its group checksum
   /// (persisted under kEager only). 8-byte atomic store: readers of the
   /// checksum word never see a torn value, and a crash between cell
   /// commit and checksum store only leaves the checksum stale — recovery
   /// rebuilds all of them.
-  void apply_digest_delta(const Cell* c, u32 old_digest) {
+  void apply_digest_delta(const Cell* c, u32 delta) {
     u64* slot = crc_slot_of(c);
-    pm_->atomic_store_u64(slot, *slot ^ old_digest ^ cell_digest(c));
+    pm_->atomic_store_u64(slot, *slot ^ delta);
     if (eager()) pm_->persist(slot, sizeof(u64));
   }
 

@@ -6,15 +6,16 @@
 // DRAM-only array of 1-byte tags, one per cell, derived from the key
 // hash. A probe first scans the group's tags — 256 contiguous bytes, 4
 // cachelines — with SSE2/AVX2 equality compares and only dereferences
-// the cells whose tag matches. With a 7-bit fingerprint the expected
-// number of false-positive cell touches per miss is group_size/128 ≈ 2.
+// the cells whose tag matches. With an 8-bit fingerprint (255 live
+// values) the expected number of false-positive cell touches per miss is
+// group_size/255 ≈ 1.
 //
 // The tag array is volatile by design: it is rebuilt from the cells on
 // open/recovery, so the PM format (and the paper's 8-byte-commit crash
 // discipline) is untouched. Invariant outside a mutation critical
 // section: tag[i] == 0  ⟺  cell i unoccupied; otherwise tag[i] ==
 // tag_of_hash(hash(cell key)). Tag 0 never collides with a live key's
-// tag because tag_of_hash forces the top bit.
+// tag because tag_of_hash maps a zero top byte to 1.
 //
 // Dispatch is at runtime (AVX2 when the CPU has it, else SSE2 — baseline
 // on x86-64), with a portable scalar fallback compiled when GH_NO_SIMD
@@ -36,12 +37,14 @@
 
 namespace gh::hash {
 
-/// 1-byte fingerprint of a key hash. Uses the TOP hash bits — the low
-/// bits pick the bucket (k = h & mask), so reusing them would make every
-/// key in a level-1 slot share a tag. The forced top bit keeps occupied
-/// tags disjoint from the empty marker 0.
+/// 1-byte fingerprint of a key hash: its top byte. Uses the TOP hash
+/// bits — the low bits pick the bucket (k = h & mask), so reusing them
+/// would make every key in a level-1 slot share a tag. A zero top byte
+/// becomes 1, which keeps occupied tags disjoint from the empty marker 0
+/// and leaves 255 live values (1 twice as likely as the others).
 [[nodiscard]] constexpr u8 tag_of_hash(u64 h) {
-  return static_cast<u8>(0x80u | (h >> 57));
+  const auto top = static_cast<u8>(h >> 56);
+  return top == 0 ? u8{1} : top;
 }
 
 enum class SimdLevel : u8 { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
@@ -139,8 +142,8 @@ inline void for_each_tag_match(const u8* tags, u32 n, u8 tag, Visit&& visit) {
 // candidate, this stage compares the candidates' commit words against the
 // probe key's expected word in one vector compare. Only candidates whose
 // in-cell tag ALSO matches get the key compare — a byte-tag collision
-// (1/128) and an in-cell-tag collision (1/65536) must now coincide for a
-// false full compare.
+// (about 1/255) and an in-cell-tag collision (1/65536) must now coincide
+// for a false full compare.
 
 namespace detail {
 #if GH_TAG_SIMD_X86

@@ -110,8 +110,15 @@ class SeqLock {
       if (contention != nullptr) contention->writer_waits += 1;
       mu_.lock();
     }
-    epoch_.store(epoch_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
+    begin_write();
+  }
+
+  /// write_lock() if the lock is free now; false (nothing taken, no wait
+  /// counted) if another thread holds it.
+  [[nodiscard]] bool try_write_lock() {
+    if (!mu_.try_lock()) return false;
+    begin_write();
+    return true;
   }
 
   void write_unlock() {
@@ -125,6 +132,11 @@ class SeqLock {
   void read_unlock() { mu_.unlock(); }
 
  private:
+  void begin_write() {
+    epoch_.store(epoch_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_release);
+  }
+
   std::atomic<u64> epoch_{0};
   std::mutex mu_;
 };
@@ -136,6 +148,8 @@ class SeqLockWriteGuard {
       : lock_(lock) {
     lock_.write_lock(contention);
   }
+  /// Takes over a write lock already held (a successful try_write_lock).
+  SeqLockWriteGuard(SeqLock& lock, std::adopt_lock_t) : lock_(lock) {}
   ~SeqLockWriteGuard() { lock_.write_unlock(); }
   SeqLockWriteGuard(const SeqLockWriteGuard&) = delete;
   SeqLockWriteGuard& operator=(const SeqLockWriteGuard&) = delete;

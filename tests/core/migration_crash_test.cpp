@@ -329,12 +329,22 @@ void sweep_crash_points(Subject subject, const std::string& path, u64 seeds) {
   remove_all(path);
 }
 
+// One test per subject, so a parallel ctest runs the three sweeps side
+// by side.
 TEST(MigrationCrash, CrashAtEveryCrashPointRecoversToOracle) {
   const std::string path = temp_path("gh_migration_crash_points.gh");
   sweep_crash_points<GroupHashMap>(Subject::kGroupHashMap, path, kSeeds);
-  // Fewer seeds for the string map: its per-trial replay costs more, and
-  // the seeds mostly vary which keys move, not the resize schedule.
+}
+
+// Fewer seeds for the string map: its per-trial replay costs more, and
+// the seeds mostly vary which keys move, not the resize schedule.
+TEST(MigrationCrash, StringGrowCrashAtEveryCrashPointRecoversToOracle) {
+  const std::string path = temp_path("gh_migration_crash_points_string_grow.gh");
   sweep_crash_points<PersistentStringMap>(Subject::kStringGrow, path, kStringSeeds);
+}
+
+TEST(MigrationCrash, StringCompactCrashAtEveryCrashPointRecoversToOracle) {
+  const std::string path = temp_path("gh_migration_crash_points_string_compact.gh");
   sweep_crash_points<PersistentStringMap>(Subject::kStringCompact, path, kStringSeeds);
 }
 

@@ -49,6 +49,23 @@ TEST(SeqLock, WriterWaitsAreCounted) {
   EXPECT_EQ(c.writer_waits.load(), 1u);
 }
 
+TEST(SeqLock, TryWriteLockTakesOnlyAFreeLock) {
+  SeqLock lock;
+  const u64 e0 = lock.read_begin();
+  ASSERT_TRUE(lock.try_write_lock());
+  EXPECT_FALSE(SeqLock::epoch_stable(lock.read_begin()));  // odd, like write_lock
+  bool taken = true;
+  std::thread([&] { taken = lock.try_write_lock(); }).join();
+  EXPECT_FALSE(taken) << "a held lock is not taken again";
+  lock.write_unlock();
+  EXPECT_EQ(lock.read_begin(), e0 + 2);
+  std::thread([&] {
+    taken = lock.try_write_lock();
+    if (taken) lock.write_unlock();
+  }).join();
+  EXPECT_TRUE(taken);
+}
+
 /// First `n` keys of the shard that key 1 routes to, so every
 /// operation in the torture loop contends on ONE seqlock.
 template <class Map>

@@ -311,9 +311,10 @@ TEST_F(GroupHashingTest, FindBatchEmptyAndSingle) {
 }
 
 TEST(GroupHashingPrefetch, EveryLockedProbePrefetchesItsCellAndTagLines) {
-  // A probe prefetches its level-1 cell and its level-2 group's tag lines,
-  // at most four: 16 tags fit one line, 256 fill four, 2048 are capped.
-  for (const auto& [group, per_probe] : {std::pair<u32, u64>{16, 2}, {256, 5}, {2048, 5}}) {
+  // A probe prefetches its level-1 tag byte, its level-1 cell and its
+  // level-2 group's tag lines, at most four: 16 tags fit one line, 256
+  // fill four, 2048 are capped.
+  for (const auto& [group, per_probe] : {std::pair<u32, u64>{16, 3}, {256, 6}, {2048, 6}}) {
     test::TableFixture<Table16> fix;
     auto& table = fix.init(Table16::Params{.level_cells = 4096, .group_size = group});
     const auto issued = [&] { return table.stats().prefetches_issued.load(); };

@@ -33,6 +33,7 @@
 #include "nvm/direct_pm.hpp"
 #include "nvm/region.hpp"
 #include "test_support.hpp"
+#include "util/crc32c.hpp"
 
 namespace gh::hash {
 namespace {
@@ -431,6 +432,171 @@ TEST(SameLineWindowDeathTest, RequiresRecoveryOnlyCountAndNoUndoLog) {
   EXPECT_DEATH(T(pm, shifted.bytes().subspan(8, T::required_bytes(params)), params,
                  /*format=*/true),
                "line-aligned");
+}
+
+// ---------------------------------------------------------------------------
+// Checksum words stay exact after every window kind
+// ---------------------------------------------------------------------------
+//
+// A window digests each cell it writes when it writes it, from the key
+// and value it holds, instead of reading the cell back after its line
+// was flushed. These rows pin that the words stay exact for every way a
+// window writes a cell.
+
+/// True when every group checksum word equals its group's re-derived
+/// digest.
+template <class Cell>
+bool checksums_exact(const Table<Cell>& t) {
+  for (u64 g = 0; g < t.num_groups(); ++g) {
+    if (!t.verify_group_checksum(0, g) || !t.verify_group_checksum(1, g)) return false;
+  }
+  return true;
+}
+
+/// Digest of a cell at global index `index` holding (key, value)
+/// committed: the value a group checksum folds in for it.
+template <class Cell>
+u32 digest_of(u64 index, typename Cell::key_type key, u64 value) {
+  struct Stores {
+    void store_u64(u64* dst, u64 v) { *dst = v; }
+    void atomic_store_u64(u64* dst, u64 v) { *dst = v; }
+    void flush(const void*, usize) {}
+  } stores;
+  Cell image{};
+  image.publish_same_line(stores, key, value);
+  return crc32c_seeded(index, &image, sizeof(Cell));
+}
+
+/// Keys with home group `g`, from index `from` on.
+template <class Cell>
+std::vector<typename Cell::key_type> keys_in_group(const Table<Cell>& t, u64 g, usize n,
+                                                   u64 from) {
+  std::vector<typename Cell::key_type> keys;
+  for (u64 i = from; keys.size() < n; ++i) {
+    if (t.home_index(key_of<Cell>(i)) / t.group_size() == g) keys.push_back(key_of<Cell>(i));
+  }
+  return keys;
+}
+
+struct WindowConfig {
+  CountMode mode;
+  CommitOrder order;
+  const char* name;
+};
+
+constexpr WindowConfig kWindowConfigs[] = {
+    {CountMode::kEager, CommitOrder::kFenced, "eager fenced"},
+    {CountMode::kRecoveryOnly, CommitOrder::kFenced, "recovery-only fenced"},
+    {CountMode::kRecoveryOnly, CommitOrder::kSameLine, "recovery-only same-line"},
+};
+
+template <class Cell>
+void check_checksums_after_every_window(const WindowConfig& config) {
+  SCOPED_TRACE(std::string(sizeof(Cell) == 16 ? "Cell16 " : "Cell32 ") + config.name);
+  using K = typename Cell::key_type;
+  test::TableFixture<Table<Cell>> fx;
+  Table<Cell>& t = fx.init(typename Table<Cell>::Params{.level_cells = 256,
+                                                        .group_size = 16,
+                                                        .count_mode = config.mode,
+                                                        .group_crc = true,
+                                                        .commit_order = config.order});
+  // An insert window.
+  std::vector<K> keys;
+  std::vector<u64> values;
+  for (u64 i = 1; i <= 24; ++i) {
+    keys.push_back(key_of<Cell>(i));
+    values.push_back(i);
+  }
+  ASSERT_EQ(t.insert_batch(keys, values), keys.size());
+  EXPECT_TRUE(checksums_exact(t)) << "insert window";
+
+  // A window with duplicate new keys: each repeat re-stages its cell.
+  const K a = key_of<Cell>(101);
+  const K b = key_of<Cell>(102);
+  const std::vector<K> dups = {a, b, a, key_of<Cell>(103), a, b};
+  const std::vector<u64> dup_values = {1, 2, 3, 4, 5, 6};
+  ASSERT_EQ(t.upsert_batch(dups, dup_values), dups.size());
+  EXPECT_EQ(t.find(a), std::optional<u64>(5));
+  EXPECT_EQ(t.find(b), std::optional<u64>(6));
+  EXPECT_TRUE(checksums_exact(t)) << "window with duplicate keys";
+
+  // An update window: every key present, one of them twice.
+  std::vector<K> present(keys.begin(), keys.begin() + 8);
+  present.push_back(keys[3]);
+  std::vector<u64> present_values;
+  for (usize i = 0; i < present.size(); ++i) present_values.push_back(1000 + i);
+  ASSERT_EQ(t.upsert_batch(present, present_values), present.size());
+  EXPECT_EQ(t.find(keys[3]), std::optional<u64>(1008));
+  EXPECT_TRUE(checksums_exact(t)) << "update window";
+
+  // A scalar update.
+  ASSERT_TRUE(t.update(keys[10], 4242));
+  EXPECT_TRUE(checksums_exact(t)) << "scalar update";
+
+  // An erase window, with a miss and a repeat.
+  std::vector<K> gone(keys.begin() + 12, keys.begin() + 20);
+  gone.push_back(key_of<Cell>(999));
+  gone.push_back(keys[12]);
+  std::vector<u8> hits(gone.size(), 0);
+  ASSERT_EQ(t.erase_batch(gone, hits), 8u);
+  EXPECT_TRUE(checksums_exact(t)) << "erase window";
+
+  // A window cut short by a full group: one group holds 2 x 16 cells at
+  // most, so 48 keys homed there cannot all land.
+  const u64 g = t.num_groups() - 1;
+  const std::vector<K> crowd = keys_in_group(t, g, 48, 10'000);
+  const std::vector<u64> crowd_values(crowd.size(), 77);
+  const usize placed = t.upsert_batch(crowd, crowd_values);
+  EXPECT_LT(placed, crowd.size());
+  EXPECT_GT(placed, 0u);
+  EXPECT_TRUE(checksums_exact(t)) << "window cut short by a full group";
+  EXPECT_TRUE(t.verify_tags());
+}
+
+TEST(WindowChecksums, ExactAfterEveryWindowKind) {
+  for (const WindowConfig& config : kWindowConfigs) {
+    check_checksums_after_every_window<Cell16>(config);
+    check_checksums_after_every_window<Cell32>(config);
+  }
+}
+
+/// Negative control: had a re-stage kept the delta of the value it
+/// replaced, the checksum word would be off by exactly the digest change
+/// of that cell, and checksums_exact() must see it.
+template <class Cell>
+void check_stale_restage_delta_is_caught(const WindowConfig& config) {
+  SCOPED_TRACE(std::string(sizeof(Cell) == 16 ? "Cell16 " : "Cell32 ") + config.name);
+  using K = typename Cell::key_type;
+  using Header = typename Table<Cell>::Header;
+  test::TableFixture<Table<Cell>> fx;
+  Table<Cell>& t = fx.init(typename Table<Cell>::Params{.level_cells = 256,
+                                                        .group_size = 16,
+                                                        .count_mode = config.mode,
+                                                        .group_crc = true,
+                                                        .commit_order = config.order});
+  const K key = key_of<Cell>(7);
+  const std::vector<K> keys = {key, key};
+  const std::vector<u64> values = {10, 20};
+  ASSERT_EQ(t.upsert_batch(keys, values), keys.size());
+  ASSERT_TRUE(checksums_exact(t));
+  // Level 1 takes a fresh key at its home slot.
+  const u64 home = t.home_index(key);
+  ASSERT_TRUE(t.level1_cell(home).matches(key));
+  const u32 stale = digest_of<Cell>(home, key, 10) ^ digest_of<Cell>(home, key, 20);
+  auto* crc = reinterpret_cast<u64*>(fx.region_bytes().data() + sizeof(Header) +
+                                     2 * t.level_cells() * sizeof(Cell));
+  u64& word = crc[home / t.group_size()];
+  word ^= stale;
+  EXPECT_FALSE(checksums_exact(t)) << "a stale re-stage delta must fail the check";
+  word ^= stale;
+  EXPECT_TRUE(checksums_exact(t));
+}
+
+TEST(WindowChecksums, NegativeControlStaleRestageDeltaFails) {
+  for (const WindowConfig& config : kWindowConfigs) {
+    check_stale_restage_delta_is_caught<Cell16>(config);
+    check_stale_restage_delta_is_caught<Cell32>(config);
+  }
 }
 
 // ---------------------------------------------------------------------------
