@@ -6,10 +6,15 @@
 // SAME workload against the sharded map twice: with an optimistic
 // attempt budget of 0 (set_max_optimistic_attempts(0): every read takes
 // the shard mutex — the pre-seqlock baseline) and with the default
-// optimistic seqlock reads. Reports aggregate Mops/s, the
-// seqlock-vs-mutex ratio, and the seqlock contention counters (read
-// retries / lock fallbacks / writer waits), so the cost of validation
-// failures is visible next to the win.
+// optimistic seqlock reads. Both sides wait the same way: a reader that
+// meets a writer spins on the shard's epoch, and every lock wait, the
+// baseline's mutex included, spins up to kSpinBeforeParkNs before it
+// parks. Reports aggregate Mops/s, the seqlock-vs-mutex ratio, and the
+// seqlock contention counters (read retries / lock fallbacks / writer
+// waits), so the cost of validation failures is visible next to the
+// win. The 8- and 16-thread rows oversubscribe a host with fewer
+// hardware threads; they show that spinning waiters park and the run
+// still ends.
 #include <atomic>
 #include <thread>
 #include <vector>

@@ -13,11 +13,13 @@
 //   * writers (put/erase and their batches) take the shard's seqlock
 //     exclusively; the epoch goes odd around mutation + persist;
 //   * readers (get) run LOCK-FREE through core::optimistic_read()
-//     (core/optimistic_read.hpp): snapshot the epoch, run the map's
-//     optimistic_probe over its published ReadSnapshot with acquire
-//     loads, and validate the epoch — retrying on a mismatch and falling
-//     back to the lock after kMaxOptimisticAttempts failures (or at once
-//     when the probe escalates), so writer churn cannot starve them;
+//     (core/optimistic_read.hpp): snapshot the epoch (spinning out a
+//     writer's section on an odd one), run the map's optimistic_probe
+//     over its published ReadSnapshot with acquire loads, and validate
+//     the epoch — retrying on a mismatch and falling back to the lock
+//     after kMaxOptimisticAttempts failures, a section longer than
+//     kSpinBeforeParkNs, or at once when the probe escalates, so writer
+//     churn cannot starve them;
 //   * a resize publishes a fresh snapshot (the map's read_snapshot(),
 //     dual while a migration drains) and retires — never unmaps — the
 //     old one and its region, so a stale reader touches only mapped
@@ -57,7 +59,7 @@ class BasicConcurrentGroupHashMap {
   using Options = typename Map::Options;
   using Table = typename Map::Table;
 
-  /// Optimistic attempts before a reader falls back to the shard lock.
+  /// Failed validations before a reader falls back to the shard lock.
   static constexpr u32 kMaxOptimisticAttempts = 8;
 
   /// In-memory concurrent map with `shards` (power of two) shards. The

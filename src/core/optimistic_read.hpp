@@ -65,10 +65,14 @@ namespace gh::core {
 
 /// The optimistic read of every concurrent wrapper: run `probe` under a
 /// stable epoch and keep its answer if the epoch validates. An odd epoch
-/// or a failed validation is a retry (counted in read_retries); after
-/// `attempts` of them the read gives up (one read_fallback). `probe`
-/// returns false to escalate — its answer cannot be trusted even under a
-/// valid epoch (an anomalous record) — and the read gives up at once.
+/// is a writer mid-section: the read spins on the epoch word until it
+/// moves (one read_retry per section waited out), then probes. A failed
+/// validation is a retry as well. The read gives up (one read_fallback)
+/// after `attempts` failed validations (writer churn), when its waits
+/// outlast one SpinBudget (a long section: a 64-key window, a resize
+/// drain), or at once when `probe` returns false to escalate — its answer
+/// cannot be trusted even under a valid epoch (an anomalous record).
+/// `attempts` = 0 gives up before probing: the mutex baseline.
 /// True when `probe`'s outputs hold a validated answer; false when the
 /// caller must read under the lock.
 /// Forced inline: every read path runs through here, and an out-of-line
@@ -78,11 +82,12 @@ template <class Probe>
                                                               LockContention& contention,
                                                               u32 attempts, Probe&& probe) {
   u64 retries = 0;
-  for (u32 attempt = 0; attempt < attempts; ++attempt) {
+  SpinBudget budget;
+  for (u32 failed = 0; failed < attempts;) {
     const u64 epoch = lock.read_begin();
     if (!SeqLock::epoch_stable(epoch)) {
       ++retries;
-      cpu_relax();
+      if (!lock.wait_past(epoch, budget)) break;
       continue;
     }
     const bool conclusive = probe();
@@ -92,6 +97,7 @@ template <class Probe>
     }
     if (!conclusive) break;
     ++retries;
+    ++failed;
   }
   contention.count_read(retries, /*fell_back=*/true);
   return false;

@@ -291,9 +291,10 @@ void expect_resize_kinds(Subject subject, const RunResult& full) {
 }
 
 template <class Map>
-void sweep_crash_points(Subject subject, const std::string& path, u64 seeds) {
+void sweep_crash_points(Subject subject, const std::string& path, u64 first_seed,
+                        u64 end_seed) {
   for (const u32 per_op : kDrainModes) {
-    for (u64 seed = 0; seed < seeds; ++seed) {
+    for (u64 seed = first_seed; seed < end_seed; ++seed) {
       remove_all(path);
       // Record run: count the PM-store crash points this seed hits.
       nvm::TracePointPolicy tracer;
@@ -333,19 +334,33 @@ void sweep_crash_points(Subject subject, const std::string& path, u64 seeds) {
 // by side.
 TEST(MigrationCrash, CrashAtEveryCrashPointRecoversToOracle) {
   const std::string path = temp_path("gh_migration_crash_points.gh");
-  sweep_crash_points<GroupHashMap>(Subject::kGroupHashMap, path, kSeeds);
+  sweep_crash_points<GroupHashMap>(Subject::kGroupHashMap, path, 0, kSeeds);
 }
 
 // Fewer seeds for the string map: its per-trial replay costs more, and
 // the seeds mostly vary which keys move, not the resize schedule.
 TEST(MigrationCrash, StringGrowCrashAtEveryCrashPointRecoversToOracle) {
   const std::string path = temp_path("gh_migration_crash_points_string_grow.gh");
-  sweep_crash_points<PersistentStringMap>(Subject::kStringGrow, path, kStringSeeds);
+  sweep_crash_points<PersistentStringMap>(Subject::kStringGrow, path, 0, kStringSeeds);
 }
+
+// The compaction sweep is the longest of the three, so it is split once
+// more, one test per seed; together they cover seeds [0, kStringSeeds).
+static_assert(kStringSeeds == 3, "the compaction tests below cover seeds 0, 1 and 2");
 
 TEST(MigrationCrash, StringCompactCrashAtEveryCrashPointRecoversToOracle) {
   const std::string path = temp_path("gh_migration_crash_points_string_compact.gh");
-  sweep_crash_points<PersistentStringMap>(Subject::kStringCompact, path, kStringSeeds);
+  sweep_crash_points<PersistentStringMap>(Subject::kStringCompact, path, 0, 1);
+}
+
+TEST(MigrationCrash, StringCompactCrashAtEveryCrashPointRecoversToOracleSeed1) {
+  const std::string path = temp_path("gh_migration_crash_points_string_compact_seed1.gh");
+  sweep_crash_points<PersistentStringMap>(Subject::kStringCompact, path, 1, 2);
+}
+
+TEST(MigrationCrash, StringCompactCrashAtEveryCrashPointRecoversToOracleSeed2) {
+  const std::string path = temp_path("gh_migration_crash_points_string_compact_seed2.gh");
+  sweep_crash_points<PersistentStringMap>(Subject::kStringCompact, path, 2, 3);
 }
 
 template <class Map>

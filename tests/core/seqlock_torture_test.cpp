@@ -7,16 +7,32 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/concurrent_map.hpp"
+#include "core/optimistic_read.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 #include "util/seqlock.hpp"
 
 namespace gh {
 namespace {
+
+/// Polls `cond` until it holds (true) or a generous minute passes
+/// (false), so a slow or oversubscribed host cannot fail a test whose
+/// threads only lag.
+template <class Cond>
+bool eventually(Cond&& cond) {
+  const u64 deadline = now_ns() + 60'000'000'000ull;
+  while (!cond()) {
+    if (now_ns() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 TEST(SeqLock, EpochProtocol) {
   SeqLock lock;
@@ -64,6 +80,61 @@ TEST(SeqLock, TryWriteLockTakesOnlyAFreeLock) {
     if (taken) lock.write_unlock();
   }).join();
   EXPECT_TRUE(taken);
+}
+
+// A writer holds the lock past the spin bound. A get (the optimistic
+// read, then the lock fallback, exactly as BasicConcurrentGroupHashMap::get
+// runs them) waits out one bound on the odd epoch, counts one retry and
+// exactly one fallback, parks on the lock, and returns the writer's value
+// once it is released.
+TEST(SeqLock, ReaderBehindALongSectionFallsBackOnce) {
+  SeqLock lock;
+  LockContention c;
+  std::atomic<u64> value{1};
+  lock.write_lock(&c);
+  std::optional<u64> got;
+  std::thread reader([&] {
+    u64 seen = 0;
+    if (core::optimistic_read(lock, c, ConcurrentGroupHashMap::kMaxOptimisticAttempts, [&] {
+          seen = value.load(std::memory_order_relaxed);
+          return true;
+        })) {
+      got = seen;
+      return;
+    }
+    const SeqLockReadGuard guard(lock);
+    got = value.load(std::memory_order_relaxed);
+  });
+  const bool fell_back = eventually([&] { return c.read_fallbacks() == 1; });
+  value.store(2, std::memory_order_relaxed);
+  lock.write_unlock();
+  reader.join();
+  ASSERT_TRUE(fell_back) << "the reader never gave up its optimistic read";
+  EXPECT_EQ(got, std::optional<u64>(2));
+  EXPECT_EQ(c.read_fallbacks(), 1u);
+  EXPECT_EQ(c.read_retries(), 1u) << "one writer section waited out";
+}
+
+// A second writer behind a section that outlasts the spin bound stops
+// spinning, counts one writer wait as it parks, and completes after the
+// first writer.
+TEST(SeqLock, WriterBehindALongSectionCountsOneWaitAndCompletes) {
+  SeqLock lock;
+  LockContention c;
+  std::atomic<u64> value{1};
+  lock.write_lock(&c);
+  std::thread second([&] {
+    const SeqLockWriteGuard guard(lock, &c);
+    value.store(value.load(std::memory_order_relaxed) * 10, std::memory_order_relaxed);
+  });
+  const bool waiting = eventually([&] { return c.writer_waits.load() == 1; });
+  value.store(2, std::memory_order_relaxed);
+  lock.write_unlock();
+  second.join();
+  ASSERT_TRUE(waiting) << "the second writer never parked";
+  EXPECT_EQ(c.writer_waits.load(), 1u);
+  EXPECT_EQ(value.load(), 20u) << "the second write ran after the first";
+  EXPECT_EQ(lock.read_begin(), 4u) << "two whole write sections";
 }
 
 /// First `n` keys of the shard that key 1 routes to, so every
