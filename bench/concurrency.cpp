@@ -14,7 +14,11 @@
 // waits), so the cost of validation failures is visible next to the
 // win. The 8- and 16-thread rows oversubscribe a host with fewer
 // hardware threads; they show that spinning waiters park and the run
-// still ends.
+// still ends. One short run of a cell swings ±20-40% on a shared host,
+// so each cell runs --reps times (default 3) on a fresh map and prints
+// the median with its range (min-max); the contention columns are
+// medians too.
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -31,6 +35,8 @@ int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::from_env();
   const u64 ops_per_thread = cli.get_u64("ops", 200'000);
   const usize shards = cli.get_u64("shards", 64);
+  const u64 reps = cli.get_u64("reps", 3);
+  GH_CHECK_MSG(reps > 0, "--reps must be positive");
   const u64 key_space = 1 << 18;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
@@ -38,7 +44,19 @@ int main(int argc, char** argv) {
                "beyond the paper: lock-free reads over the same structure", env);
   std::cout << shards << " shards, " << format_count(ops_per_thread)
             << " ops/thread, " << format_count(key_space) << " keys, "
-            << hw << " hardware threads\n";
+            << hw << " hardware threads, median of " << reps << " runs per cell\n";
+
+  // Median of a cell's runs, and "median (min-max)" for the table.
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const usize m = v.size() / 2;
+    return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2;
+  };
+  const auto spread = [&](const std::vector<double>& v) {
+    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+    return format_double(median(v), 2) + " (" + format_double(*lo, 2) + "-" +
+           format_double(*hi, 2) + ")";
+  };
 
   // Aggregate Mops/s of a put/get mix across `threads` workers.
   auto run_workload = [&](auto&& put, auto&& get, usize threads, double get_fraction) {
@@ -82,20 +100,26 @@ int main(int argc, char** argv) {
     TablePrinter t({"threads", "map mutex", "map seqlock", "map ratio", "retries",
                     "fallbacks", "writer waits"});
     for (usize threads = 1; threads <= 16; threads *= 2) {
-      const double map_mutex = run_map(/*mutex_reads=*/true, threads, get_fraction, nullptr);
-      obs::ContentionSnapshot contention;
-      const double map_seq =
-          run_map(/*mutex_reads=*/false, threads, get_fraction, &contention);
-      t.add_row({std::to_string(threads), format_double(map_mutex, 2),
-                 format_double(map_seq, 2), format_double(map_seq / map_mutex, 2) + "x",
-                 std::to_string(contention.read_retries),
-                 std::to_string(contention.read_fallbacks),
-                 std::to_string(contention.writer_waits)});
+      std::vector<double> map_mutex, map_seq, retries, fallbacks, waits;
+      // Mutex and seqlock runs alternate, so host drift hits both alike.
+      for (u64 rep = 0; rep < reps; ++rep) {
+        map_mutex.push_back(run_map(/*mutex_reads=*/true, threads, get_fraction, nullptr));
+        obs::ContentionSnapshot contention;
+        map_seq.push_back(run_map(/*mutex_reads=*/false, threads, get_fraction, &contention));
+        retries.push_back(static_cast<double>(contention.read_retries));
+        fallbacks.push_back(static_cast<double>(contention.read_fallbacks));
+        waits.push_back(static_cast<double>(contention.writer_waits));
+      }
+      t.add_row({std::to_string(threads), spread(map_mutex), spread(map_seq),
+                 format_double(median(map_seq) / median(map_mutex), 2) + "x",
+                 format_double(median(retries), 0), format_double(median(fallbacks), 0),
+                 format_double(median(waits), 0)});
     }
     t.print(std::cout);
   }
-  std::cout << "\nThroughput in Mops/s; ratio = seqlock / mutex on the sharded map.\n"
+  std::cout << "\nThroughput in Mops/s, median (min-max) of each cell's runs; ratio = "
+               "seqlock / mutex medians on the sharded map.\n"
             << "(Scaling beyond 1x thread columns is only meaningful on multicore"
-               " hosts; contention columns are from the seqlock map run.)\n";
+               " hosts; contention columns are medians over the seqlock map runs.)\n";
   return 0;
 }

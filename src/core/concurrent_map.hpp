@@ -50,7 +50,8 @@ namespace gh {
 
 /// `Map` is a durable map type that supplies, besides its get/put API,
 /// the lock-free read hooks: Options, ReadSnapshot + read_snapshot(),
-/// ProbeKey + probe_key() and the static optimistic_probe() (see
+/// ProbeKey + probe_key() and the static optimistic_probe() and
+/// optimistic_probe_batch() (see
 /// BasicGroupHashMap and PersistentStringMap).
 template <class Map>
 class BasicConcurrentGroupHashMap {
@@ -363,19 +364,17 @@ class BasicConcurrentGroupHashMap {
   }
 
   /// One shard's share of get_batch: the whole sub-batch probes under a
-  /// single epoch check. Validation failure retries the sub-batch, then
-  /// falls back to the lock (where the shard map's prefetching get_batch
-  /// still applies).
+  /// single epoch check, through the map's batched probe (the staged
+  /// kernel for the inline maps). Validation failure retries the
+  /// sub-batch, then falls back to the lock (where the shard map's
+  /// staged get_batch still applies).
   void shard_get_batch(ShardState& sh, std::span<const key_type> keys,
                        std::vector<ProbeKey>& probes, std::span<std::optional<u64>> out) {
     probes.clear();
     for (const key_type& key : keys) probes.push_back(Map::probe_key(key));
     if (core::optimistic_read(sh.lock, sh.contention, max_optimistic_attempts_, [&] {
-          const ReadSnapshot& snap = *sh.snapshot.load(std::memory_order_acquire);
-          for (usize i = 0; i < probes.size(); ++i) {
-            if (!Map::optimistic_probe(snap, probes[i], out[i])) return false;
-          }
-          return true;
+          return Map::optimistic_probe_batch(*sh.snapshot.load(std::memory_order_acquire),
+                                             probes, out);
         })) {
       return;
     }

@@ -485,24 +485,12 @@ void BasicGroupHashMap<Cell, Payload>::get_batch(std::span<const key_type> keys,
   obs::OpScope op(sinks_, obs::OpKind::kFind, trace_key(keys[0]));
   if (!mig_table_) {
     table().find_batch(keys, out);
-  } else {
-    // New-then-old, batched: probe the migration target first, then
-    // re-probe only the misses against the old table.
-    mig_table_->find_batch(keys, out);
-    std::vector<key_type> miss_keys;
-    std::vector<usize> miss_idx;
-    for (usize i = 0; i < keys.size(); ++i) {
-      if (!out[i]) {
-        miss_keys.push_back(keys[i]);
-        miss_idx.push_back(i);
-      }
-    }
-    if (!miss_keys.empty()) {
-      std::vector<std::optional<u64>> miss_out(miss_keys.size());
-      table().find_batch(miss_keys, miss_out);
-      for (usize j = 0; j < miss_idx.size(); ++j) out[miss_idx[j]] = miss_out[j];
-    }
+    return;
   }
+  // New-then-old, batched: probe the migration target first, then
+  // re-probe only its misses against the old table.
+  mig_table_->find_batch(keys, out);
+  table().find_batch_misses(keys, out);
 }
 
 template <class Cell, class Payload>

@@ -184,9 +184,10 @@ class BasicGroupHashMap {
   /// the old or the new counter — never a torn one.
   u64 increment(const key_type& key, u64 delta = 1);
 
-  /// Batched lookup with software prefetching (see
+  /// Batched lookup through the staged kernel (see
   /// hash::GroupHashTable::find_batch). out[i] receives the result for
-  /// keys[i].
+  /// keys[i]. During a resize the old table re-probes only the target's
+  /// misses (find_batch_misses); nothing is allocated per call.
   void get_batch(std::span<const key_type> keys, std::span<std::optional<u64>> out);
 
   /// Batched insert-or-update with coalesced persist fences (see
@@ -315,6 +316,15 @@ class BasicGroupHashMap {
   [[nodiscard]] static bool optimistic_probe(const ReadSnapshot& snap, const key_type& key,
                                              std::optional<u64>& out) {
     out = core::optimistic_find(snap, key);
+    return true;
+  }
+  /// optimistic_probe for a batch, through the staged kernel
+  /// (core::optimistic_find_batch): out[i] for keys[i]. Always
+  /// conclusive, as optimistic_probe.
+  [[nodiscard]] static bool optimistic_probe_batch(const ReadSnapshot& snap,
+                                                   std::span<const key_type> keys,
+                                                   std::span<std::optional<u64>> out) {
+    core::optimistic_find_batch(snap, keys, out);
     return true;
   }
 

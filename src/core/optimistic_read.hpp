@@ -36,23 +36,26 @@
 // and the probe retries). The view holds shared ownership of the tag
 // block, so a retired view's tags outlive the expansion that replaced
 // the table, exactly like the retained region.
-// Each probe first prefetches its level-1 tag byte, its level-1 cell and
-// its level-2 group's tag lines (hash::prefetch_probe_lines, the same
-// lines the locked probes and find_batch prefetch). A prefetch is a
-// hint, not an access: it cannot race, fault on a retired view's memory,
-// or feed a value into the probe, so it needs no epoch. It is what makes
-// the byte-atomic loop affordable: the loop's cost is the misses it
-// waits on, and those are now in flight together instead of one after
-// the other.
+// A single-key probe first prefetches its level-1 tag byte, its level-1
+// cell and its level-2 group's tag lines (hash::prefetch_probe_lines, as
+// the locked single-key probes do); a batch runs the staged kernel
+// (hash::staged_probe, as the locked find_batch does) under the same
+// load policy. A prefetch is a hint, not an access: it cannot race,
+// fault on a retired view's memory, or feed a value into the probe, so
+// it needs no epoch. It is what makes the byte-atomic loop affordable:
+// the loop's cost is the misses it waits on, and those are now in flight
+// together instead of one after the other.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "hash/cells.hpp"
 #include "hash/group_hashing.hpp"
 #include "hash/hash_functions.hpp"
+#include "hash/staged_probe.hpp"
 #include "hash/tag_probe.hpp"
 #include "util/seqlock.hpp"
 #include "util/types.hpp"
@@ -102,6 +105,91 @@ template <class Probe>
   contention.count_read(retries, /*fell_back=*/true);
   return false;
 }
+
+/// Atomic-read equivalent of Cell16::matches + value fetch.
+[[nodiscard]] inline std::optional<u64> optimistic_read_cell(const hash::Cell16& cell,
+                                                             u64 key) {
+  const u64 word0 = atomic_load_acquire(cell.word0);
+  if (word0 != (key | hash::Cell16::kOccupiedBit)) return std::nullopt;
+  return atomic_load_acquire(cell.value);
+}
+
+/// Atomic-read equivalent of Cell32::matches + value fetch.
+[[nodiscard]] inline std::optional<u64> optimistic_read_cell(const hash::Cell32& cell,
+                                                             const Key128& key) {
+  const u64 meta = atomic_load_acquire(cell.meta);
+  if (meta != (hash::Cell32::kOccupiedBit | hash::Cell32::tag_of(key))) return std::nullopt;
+  if (atomic_load_acquire(cell.key_lo) != key.lo) return std::nullopt;
+  if (atomic_load_acquire(cell.key_hi) != key.hi) return std::nullopt;
+  return atomic_load_acquire(cell.value);
+}
+
+/// One table's probe parameters under the optimistic load policy:
+/// acquire loads of cell words and relaxed per-byte tag loads. Serves the
+/// single-key optimistic_probe and, as staged_probe()'s probe set, the
+/// batched one. Its tag sweeps stay scalar: mixed plain/atomic accesses
+/// of bytes a writer is mutating would race (see the file comment).
+template <class Cell>
+struct OptimisticProbe {
+  using key_type = typename Cell::key_type;
+  const Cell* tab1 = nullptr;
+  const Cell* tab2 = nullptr;
+  u64 mask = 0;
+  u32 group_size = 1;
+  const u8* tags1 = nullptr;
+  const u8* tags2 = nullptr;
+  hash::SeededHash hash_fn{0};
+
+  [[nodiscard]] u64 hash(const key_type& key) const { return hash_fn(key); }
+  [[nodiscard]] u64 group_of(u64 h) const {
+    const u64 k = h & mask;
+    return k - k % group_size;
+  }
+
+  void prefetch_home(u64 h) const { hash::prefetch_home_lines(tab1, tags1, h & mask); }
+  void prefetch_group_tags(u64 h) const {
+    hash::prefetch_group_tag_lines(tags2, group_of(h), group_size);
+  }
+  u32 prefetch_candidates(u64 h) const {
+    const u64 j = group_of(h);
+    const u8 tag = hash::tag_of_hash(h);
+    u32 issued = 0;
+    for (u32 i = 0; i < group_size; ++i) {
+      if (hash::tag_load_relaxed(tags2 + j + i) == tag) {
+        __builtin_prefetch(&tab2[j + i], /*rw=*/0, /*locality=*/1);
+        ++issued;
+      }
+    }
+    return issued;
+  }
+
+  /// The level-1 half: true (with `out` set) when the home cell holds
+  /// `key`.
+  bool probe_home(const key_type& key, u64 h, std::optional<u64>& out) const {
+    const u64 k = h & mask;
+    if (hash::tag_load_relaxed(tags1 + k) != hash::tag_of_hash(h)) return false;
+    out = optimistic_read_cell(tab1[k], key);
+    return out.has_value();
+  }
+
+  /// The level-2 half as staged_probe() runs it: a key whose stage-C
+  /// sweep found no candidate is absent from the group.
+  [[nodiscard]] std::optional<u64> probe_group(const key_type& key, u64 h,
+                                               u32 candidates) const {
+    return candidates == 0 ? std::nullopt : scan_group(key, h);
+  }
+
+  /// The level-2 half: the tag-filtered group scan.
+  [[nodiscard]] std::optional<u64> scan_group(const key_type& key, u64 h) const {
+    const u64 j = group_of(h);
+    const u8 tag = hash::tag_of_hash(h);
+    for (u32 i = 0; i < group_size; ++i) {
+      if (hash::tag_load_relaxed(tags2 + j + i) != tag) continue;
+      if (const auto hit = optimistic_read_cell(tab2[j + i], key)) return hit;
+    }
+    return std::nullopt;
+  }
+};
 
 /// Immutable probing snapshot of one GroupHashTable — or, during a
 /// resize, of the pair (migration target, draining old table).
@@ -160,47 +248,29 @@ struct TableReadView {
     v.old_tags2 = v.old_tags1 + old.level_cells();
     return v;
   }
+
+  [[nodiscard]] bool dual_view() const { return old_tab1 != nullptr; }
+  /// The migration target's (or the only table's) probe set.
+  [[nodiscard]] OptimisticProbe<Cell> primary() const {
+    return {tab1, tab2, mask, group_size, tags1, tags2, hash};
+  }
+  /// The draining old table's probe set (dual views only).
+  [[nodiscard]] OptimisticProbe<Cell> old() const {
+    return {old_tab1, old_tab2, old_mask, old_group_size, old_tags1, old_tags2, hash};
+  }
 };
 
-/// Atomic-read equivalent of Cell16::matches + value fetch.
-[[nodiscard]] inline std::optional<u64> optimistic_read_cell(const hash::Cell16& cell,
-                                                             u64 key) {
-  const u64 word0 = atomic_load_acquire(cell.word0);
-  if (word0 != (key | hash::Cell16::kOccupiedBit)) return std::nullopt;
-  return atomic_load_acquire(cell.value);
-}
-
-/// Atomic-read equivalent of Cell32::matches + value fetch.
-[[nodiscard]] inline std::optional<u64> optimistic_read_cell(const hash::Cell32& cell,
-                                                             const Key128& key) {
-  const u64 meta = atomic_load_acquire(cell.meta);
-  if (meta != (hash::Cell32::kOccupiedBit | hash::Cell32::tag_of(key))) return std::nullopt;
-  if (atomic_load_acquire(cell.key_lo) != key.lo) return std::nullopt;
-  if (atomic_load_acquire(cell.key_hi) != key.hi) return std::nullopt;
-  return atomic_load_acquire(cell.value);
-}
-
 /// One table's share of Algorithm 2: tag-filtered probe of a level-1
-/// cell and its level-2 group through one probe-parameter set. The
-/// probe's lines are prefetched before its first tag load, so the misses
-/// on the tag byte, the level-1 cell and the level-2 tag lines overlap.
+/// cell and its level-2 group through one probe set. The probe's lines
+/// are prefetched before its first tag load, so the misses on the tag
+/// byte, the level-1 cell and the level-2 tag lines overlap.
 template <class Cell>
-[[nodiscard]] std::optional<u64> optimistic_probe(const Cell* tab1, const Cell* tab2,
-                                                  u64 mask, u32 group_size,
-                                                  const u8* tags1, const u8* tags2, u64 h,
+[[nodiscard]] std::optional<u64> optimistic_probe(const OptimisticProbe<Cell>& set, u64 h,
                                                   const typename Cell::key_type& key) {
-  hash::prefetch_probe_lines(tab1, tags1, tags2, mask, group_size, h);
-  const u64 k = h & mask;
-  const u8 tag = hash::tag_of_hash(h);
-  if (hash::tag_load_relaxed(tags1 + k) == tag) {
-    if (const auto hit = optimistic_read_cell(tab1[k], key)) return hit;
-  }
-  const u64 j = k - k % group_size;
-  for (u32 i = 0; i < group_size; ++i) {
-    if (hash::tag_load_relaxed(tags2 + j + i) != tag) continue;
-    if (const auto hit = optimistic_read_cell(tab2[j + i], key)) return hit;
-  }
-  return std::nullopt;
+  hash::prefetch_probe_lines(set.tab1, set.tags1, set.tags2, set.mask, set.group_size, h);
+  std::optional<u64> out;
+  if (set.probe_home(key, h, out)) return out;
+  return set.scan_group(key, h);
 }
 
 /// Algorithm 2 over a view, tag-filtered. The tag scan and the cell reads
@@ -216,13 +286,24 @@ template <class Cell>
 [[nodiscard]] std::optional<u64> optimistic_find(const TableReadView<Cell>& view,
                                                  const typename Cell::key_type& key) {
   const u64 h = view.hash(key);
-  if (const auto hit = optimistic_probe(view.tab1, view.tab2, view.mask, view.group_size,
-                                        view.tags1, view.tags2, h, key)) {
-    return hit;
-  }
-  if (view.old_tab1 == nullptr) return std::nullopt;
-  return optimistic_probe(view.old_tab1, view.old_tab2, view.old_mask,
-                          view.old_group_size, view.old_tags1, view.old_tags2, h, key);
+  if (const auto hit = optimistic_probe(view.primary(), h, key)) return hit;
+  if (!view.dual_view()) return std::nullopt;
+  return optimistic_probe(view.old(), h, key);
+}
+
+/// optimistic_find for a batch, through the staged kernel: out[i]
+/// receives keys[i]'s answer. Every out[] entry is rewritten, so a
+/// retried section starts clean. A dual view runs a second kernel pass
+/// over the old table for the target's misses, under the same epoch.
+template <class Cell>
+void optimistic_find_batch(const TableReadView<Cell>& view,
+                           std::span<const typename Cell::key_type> keys,
+                           std::span<std::optional<u64>> out) {
+  OptimisticProbe<Cell> primary = view.primary();
+  hash::staged_probe(primary, keys, out, /*misses_only=*/false);
+  if (!view.dual_view()) return;
+  OptimisticProbe<Cell> old = view.old();
+  hash::staged_probe(old, keys, out, /*misses_only=*/true);
 }
 
 }  // namespace gh::core

@@ -300,12 +300,10 @@ bool PersistentStringMap::optimistic_probe(const ReadSnapshot& snap, const Probe
   // the arena its record lives in.
   const core::TableReadView<hash::Cell32>& v = snap.view;
   const u64 h = v.hash(key.fp);
-  auto offset = core::optimistic_probe(v.tab1, v.tab2, v.mask, v.group_size, v.tags1,
-                                       v.tags2, h, key.fp);
+  auto offset = core::optimistic_probe(v.primary(), h, key.fp);
   ArenaWindow arena = snap.arena;
-  if (!offset && v.old_tab1 != nullptr) {
-    offset = core::optimistic_probe(v.old_tab1, v.old_tab2, v.old_mask, v.old_group_size,
-                                    v.old_tags1, v.old_tags2, h, key.fp);
+  if (!offset && v.dual_view()) {
+    offset = core::optimistic_probe(v.old(), h, key.fp);
     arena = snap.old_arena;
   }
   if (!offset.has_value()) {
@@ -328,6 +326,15 @@ bool PersistentStringMap::optimistic_probe(const ReadSnapshot& snap, const Probe
     return false;
   }
   out = value;
+  return true;
+}
+
+bool PersistentStringMap::optimistic_probe_batch(const ReadSnapshot& snap,
+                                                 std::span<const ProbeKey> keys,
+                                                 std::span<std::optional<u64>> out) {
+  for (usize i = 0; i < keys.size(); ++i) {
+    if (!optimistic_probe(snap, keys[i], out[i])) return false;
+  }
   return true;
 }
 

@@ -188,6 +188,11 @@ class PersistentStringMap : private BasicGroupHashMap<hash::Cell32, ArenaPayload
   /// `out` holds the answer iff the caller's epoch validates.
   [[nodiscard]] static bool optimistic_probe(const ReadSnapshot& snap, const ProbeKey& key,
                                              std::optional<u64>& out);
+  /// optimistic_probe for each of `keys` in turn (out[i] for keys[i]);
+  /// false as soon as one escalates.
+  [[nodiscard]] static bool optimistic_probe_batch(const ReadSnapshot& snap,
+                                                   std::span<const ProbeKey> keys,
+                                                   std::span<std::optional<u64>> out);
 
  private:
   struct Record {

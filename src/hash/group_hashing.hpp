@@ -76,6 +76,7 @@
 
 #include "hash/cells.hpp"
 #include "hash/hash_functions.hpp"
+#include "hash/staged_probe.hpp"
 #include "hash/table_stats.hpp"
 #include "hash/tag_probe.hpp"
 #include "hash/wal.hpp"
@@ -139,29 +140,6 @@ enum class ScrubMode {
   /// upstream.
   kSalvage,
 };
-
-/// Prefetch every line a probe of hash `h` reads: its level-1 tag byte,
-/// which it reads first, the key's level-1 cell and its level-2 group's
-/// tag lines (at most four, 256 tags, for jumbo groups). Issued right
-/// after hashing, the probe's three to five dependent misses overlap
-/// instead of queueing one behind the other, and a window's keys all
-/// have their lines in flight while the first key's flush spins. A
-/// prefetch never faults and reads nothing into the program, so the
-/// lock-free probes issue it too. Returns the number of prefetches
-/// issued.
-template <class Cell>
-inline u64 prefetch_probe_lines(const Cell* tab1, const u8* tags1, const u8* tags2, u64 mask,
-                                u32 group_size, u64 h) {
-  const u64 k = h & mask;
-  const u64 j = k - k % group_size;
-  const u64 tag_lines = std::min<u64>((group_size + kCachelineSize - 1) / kCachelineSize, 4);
-  __builtin_prefetch(tags1 + k, /*rw=*/0, /*locality=*/1);
-  __builtin_prefetch(&tab1[k], /*rw=*/0, /*locality=*/1);
-  for (u64 line = 0; line < tag_lines; ++line) {
-    __builtin_prefetch(tags2 + j + line * kCachelineSize, /*rw=*/0, /*locality=*/1);
-  }
-  return 2 + tag_lines;
-}
 
 template <class Cell, class PM>
 class GroupHashTable {
@@ -328,29 +306,33 @@ class GroupHashTable {
     return find_at(key, h);
   }
 
-  /// Batched lookup with software prefetching: hashes a window of keys,
-  /// issues prefetch_probe for each (the filter makes the 256-byte tag
-  /// block — not the 4 KB cell group — the hot read set), then resolves
-  /// the lookups, overlapping the memory latency of independent probes
-  /// the way out-of-order hardware cannot across separate find() calls.
-  /// The prefetch stage is independent of SIMD dispatch, so GH_NO_SIMD /
-  /// non-x86 builds keep the batching win. Writes out[i] for keys[i];
-  /// behaviourally identical to per-key find().
+  /// Batched lookup: the staged kernel (hash/staged_probe.hpp) in
+  /// windows of kStagedWindow keys. Every key's level-1 tag byte and
+  /// cell are prefetched first; only the keys level 1 does not answer
+  /// then prefetch their level-2 tag lines and, after a tag sweep, their
+  /// candidate cells. Writes out[i] for keys[i]. Every counter but
+  /// prefetches_issued (2 per key, plus the tag lines and candidate cells
+  /// of each key level 1 does not answer) equals a loop of find()'s; the
+  /// prefetch stages are independent of SIMD dispatch.
   void find_batch(std::span<const key_type> keys, std::span<std::optional<u64>> out) {
     GH_CHECK(out.size() >= keys.size());
     count_batch(keys.size());
-    constexpr usize kWindow = 16;
-    std::array<u64, kWindow> hashes{};
-    for (usize base = 0; base < keys.size(); base += kWindow) {
-      const usize n = std::min(kWindow, keys.size() - base);
-      for (usize i = 0; i < n; ++i) {
-        hashes[i] = hash_(keys[base + i]);
-        prefetch_probe(hashes[i]);
-      }
-      for (usize i = 0; i < n; ++i) {
-        out[base + i] = find_at(keys[base + i], hashes[i]);
-      }
-    }
+    LockedProbe probe{*this};
+    staged_probe(probe, keys, out, /*misses_only=*/false);
+  }
+
+  /// find_batch over only the keys out[] does not answer yet, counted as
+  /// a batch of those keys: how a migration's old table is probed behind
+  /// its target.
+  void find_batch_misses(std::span<const key_type> keys, std::span<std::optional<u64>> out) {
+    GH_CHECK(out.size() >= keys.size());
+    const auto misses = static_cast<usize>(
+        std::count_if(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(keys.size()),
+                      [](const std::optional<u64>& o) { return !o.has_value(); }));
+    if (misses == 0) return;
+    count_batch(misses);
+    LockedProbe probe{*this};
+    staged_probe(probe, keys, out, /*misses_only=*/true);
   }
 
   /// Whether the table holds `key`, counted as a probe but not a query.
@@ -922,8 +904,7 @@ class GroupHashTable {
 
   /// prefetch_probe_lines() for hash `h` of this table, counted in
   /// stats().prefetches_issued. Every single-key probe issues it right
-  /// after hashing (find, find_cell, plan_window); find_batch issues it
-  /// for a window of keys.
+  /// after hashing (find, find_cell, plan_window).
   void prefetch_probe(u64 h) {
     stats_.prefetches_issued +=
         prefetch_probe_lines(tab1_, tags1_, tags2_, mask_, group_size_, h);
@@ -932,24 +913,38 @@ class GroupHashTable {
   /// Tag-filtered probe (Algorithm 2 + fingerprint filter): only cells
   /// whose tag byte matches tag_of_hash(h) get a full key compare.
   std::optional<u64> find_at(key_type key, u64 h) {
+    std::optional<u64> out;
+    if (find_home(key, h, out)) return out;
+    return find_in_group(key, h);
+  }
+
+  /// find_at's level-1 half: counts the query and the level-1 probe, and
+  /// true (with `out` set) when the key's home cell holds it.
+  bool find_home(key_type key, u64 h, std::optional<u64>& out) {
     stats_.queries++;
     const u64 k = h & mask_;
-    const u8 tag = tag_of_hash(h);
-    if (tags1_[k] == tag) {
-      const Cell* c1 = probe(&tab1_[k]);
-      stats_.tag_probes++;
-      if (c1->matches(key)) {
-        stats_.query_hits++;
-        return c1->value;
-      }
-      stats_.tag_false_positives++;
-    } else {
+    if (tags1_[k] != tag_of_hash(h)) {
       stats_.tag_skips++;
+      return false;
     }
-    const u64 j = k - k % group_size_;
+    const Cell* c1 = probe(&tab1_[k]);
+    stats_.tag_probes++;
+    if (c1->matches(key)) {
+      stats_.query_hits++;
+      out = c1->value;
+      return true;
+    }
+    stats_.tag_false_positives++;
+    return false;
+  }
+
+  /// find_at's level-2 half: the group scan of a key its home cell did
+  /// not answer.
+  std::optional<u64> find_in_group(key_type key, u64 h) {
+    const u64 k = h & mask_;
     u32 probed = 0;
     u32 scanned = group_size_;
-    Cell* c2 = scan_group(key, j, tag, probed, scanned);
+    Cell* c2 = scan_group(key, k - k % group_size_, tag_of_hash(h), probed, scanned);
     stats_.tag_probes += probed;
     stats_.tag_skips += scanned - probed;
     if (c2 != nullptr) {
@@ -960,6 +955,49 @@ class GroupHashTable {
     stats_.tag_false_positives += probed;
     return std::nullopt;
   }
+
+  /// find_batch's probe set for staged_probe(): this table's plain and
+  /// SIMD loads, counted as find() counts them, plus the staged
+  /// prefetches.
+  struct LockedProbe {
+    using key_type = GroupHashTable::key_type;
+    GroupHashTable& t;
+
+    [[nodiscard]] u64 hash(const key_type& key) const { return t.hash_(key); }
+    void prefetch_home(u64 h) {
+      t.stats_.prefetches_issued += prefetch_home_lines(t.tab1_, t.tags1_, h & t.mask_);
+    }
+    bool probe_home(const key_type& key, u64 h, std::optional<u64>& out) {
+      return t.find_home(key, h, out);
+    }
+    void prefetch_group_tags(u64 h) {
+      const u64 k = h & t.mask_;
+      t.stats_.prefetches_issued +=
+          prefetch_group_tag_lines(t.tags2_, k - k % t.group_size_, t.group_size_);
+    }
+    /// Every cell the byte-tag sweep passes on: under Cell32 the in-cell
+    /// filter reads each one's commit word.
+    u32 prefetch_candidates(u64 h) {
+      const u64 k = h & t.mask_;
+      const Cell* group = t.tab2_ + (k - k % t.group_size_);
+      u32 issued = 0;
+      for_each_tag_match(t.tags2_ + (k - k % t.group_size_), t.group_size_, tag_of_hash(h),
+                         [&](u32 i) {
+                           __builtin_prefetch(group + i, /*rw=*/0, /*locality=*/1);
+                           ++issued;
+                           return false;
+                         });
+      t.stats_.prefetches_issued += issued;
+      return issued;
+    }
+    /// find_in_group, or for a key with no candidate, what it would
+    /// count: the whole group skipped.
+    std::optional<u64> probe_group(const key_type& key, u64 h, u32 candidates) {
+      if (candidates != 0) return t.find_in_group(key, h);
+      t.stats_.tag_skips += t.group_size_;
+      return std::nullopt;
+    }
+  };
 
   Cell* find_cell(key_type key) {
     const u64 h = hash_(key);

@@ -134,11 +134,13 @@ class LatencyHistogram {
   static constexpr usize kSub = 1u << kSubBits;
   static constexpr usize kBuckets = (64 - kSubBits + 1) * kSub;
 
-  void record(u64 ticks) {
+  /// Record `n` samples of `ticks` each: the content of n record(ticks)
+  /// calls in one update.
+  void record(u64 ticks, u64 n = 1) {
     if constexpr (!kEnabled) return;
     auto& b = buckets_[bucket_for(ticks)];
-    b.store(b.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
-    sum_.store(sum_.load(std::memory_order_relaxed) + ticks, std::memory_order_relaxed);
+    b.store(b.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    sum_.store(sum_.load(std::memory_order_relaxed) + ticks * n, std::memory_order_relaxed);
     u64 prev = max_.load(std::memory_order_relaxed);
     while (ticks > prev &&
            !max_.compare_exchange_weak(prev, ticks, std::memory_order_relaxed)) {
@@ -314,7 +316,7 @@ class OpRecorder {
     return histograms_[static_cast<usize>(kind)];
   }
 
-  void record(OpKind kind, u64 ticks) { of(kind).record(ticks); }
+  void record(OpKind kind, u64 ticks, u64 n = 1) { of(kind).record(ticks, n); }
 
   void reset() {
     for (auto& h : histograms_) h.reset();

@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <array>
 #include <exception>
 
 #include "core/errors.hpp"
@@ -11,6 +12,9 @@
 namespace gh::service {
 
 namespace {
+
+/// Request kinds: Op's enumerators are 0, 1, 2.
+constexpr usize kRequestOps = 3;
 
 inline obs::OpKind op_kind(Op op) {
   switch (op) {
@@ -142,21 +146,24 @@ void ShardServer::execute(Batch& batch) {
 
   // Counting sort the request indices by shard: one pass to count, one
   // to scatter. offsets_ keeps the fence posts so each shard's slice of
-  // order_ is contiguous and in caller order. The count pass also
-  // rejects a key no shard map can store, before anything is queued, so
-  // no worker meets one.
+  // order_ is contiguous and in caller order. The count pass hashes each
+  // key's shard once, counts the requests of each op kind for the
+  // latency record, and rejects a key no shard map can store, before
+  // anything is queued, so no worker meets one.
   batch.offsets_.assign(nshards_ + 1, 0);
   batch.order_.resize(n);
+  batch.shard_.resize(n);
+  std::array<u32, kRequestOps> per_kind{};
   for (u32 i = 0; i < n; ++i) {
-    const u64& key = batch.requests[i].key;
-    GroupHashMap::check_keys({&key, 1});
-    batch.offsets_[shard_of(key, nshards_) + 1]++;
+    const Request& rq = batch.requests[i];
+    GroupHashMap::check_keys({&rq.key, 1});
+    batch.shard_[i] = shard_of(rq.key, nshards_);
+    batch.offsets_[batch.shard_[i] + 1]++;
+    per_kind[static_cast<usize>(rq.op)]++;
   }
   for (u32 s = 0; s < nshards_; ++s) batch.offsets_[s + 1] += batch.offsets_[s];
   batch.cursor_.assign(batch.offsets_.begin(), batch.offsets_.end() - 1);
-  for (u32 i = 0; i < n; ++i) {
-    batch.order_[batch.cursor_[shard_of(batch.requests[i].key, nshards_)]++] = i;
-  }
+  for (u32 i = 0; i < n; ++i) batch.order_[batch.cursor_[batch.shard_[i]]++] = i;
 
   const u64 t0 = obs::now_ticks();
 
@@ -233,7 +240,10 @@ void ShardServer::execute(Batch& batch) {
 
   const u64 t1 = obs::now_ticks();
   const u64 dt = t1 - t0;
-  for (u32 i = 0; i < n; ++i) recorder_.record(op_kind(batch.requests[i].op), dt);
+  // One sample per request, recorded once per op kind.
+  for (usize k = 0; k < kRequestOps; ++k) {
+    if (per_kind[k] != 0) recorder_.record(op_kind(static_cast<Op>(k)), dt, per_kind[k]);
+  }
   if (trace_id != 0) {
     // The wake span covers "last shard answered → this thread resumed"
     // (futex wake + scheduling), the one stretch of a request's life no

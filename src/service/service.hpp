@@ -143,6 +143,7 @@ class Batch {
   std::vector<u32> order_;    ///< request indices grouped by shard
   std::vector<u32> offsets_;  ///< shards+1 fence posts into order_
   std::vector<u32> cursor_;   ///< per-shard scatter position into order_
+  std::vector<u32> shard_;    ///< each request's shard, from the count pass
   std::atomic<u32> pending_{0};
   /// Tick of the final complete() (traced batches only): lets the
   /// client attribute the futex wake as its own span, so a traced

@@ -194,6 +194,30 @@ TEST(Migration, SplitImageServesEveryOpKind) {
   map.close();
 }
 
+TEST(Migration, GetBatchMatchesScalarGetOnBothSidesOfTheCursor) {
+  auto map = GroupHashMap::create_in_memory(online_options(/*groups_per_op=*/1));
+  const u64 inserted = fill_until_migrating(map);
+  ASSERT_TRUE(map.migration_active());
+  // The put that started the resize drained one group and parked the
+  // cursor: keys now sit in the target and in the old table.
+  ASSERT_GT(map.migration_cursor(), 0u);
+  ASSERT_GT(map.migration_table()->count(), 0u);
+  ASSERT_GT(map.raw_table().count(), 0u);
+  std::vector<u64> keys;
+  for (u64 i = 0; i < inserted; ++i) {
+    keys.push_back(key_of(i));
+    keys.push_back(key_of(inserted + 1000 + i));  // absent
+  }
+  std::vector<std::optional<u64>> out(keys.size(), std::optional<u64>(0xbad));
+  map.get_batch(keys, out);
+  ASSERT_TRUE(map.migration_active());
+  for (usize i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(out[i], map.get(keys[i])) << i;
+    EXPECT_EQ(out[i].has_value(), i % 2 == 0) << i;
+  }
+  map.close();
+}
+
 TEST(Migration, IntegrityInvariantsHoldMidMigration) {
   auto map = GroupHashMap::create_in_memory(online_options(/*groups_per_op=*/0));
   const u64 inserted = fill_until_migrating(map);
